@@ -12,9 +12,9 @@ Three serving paths over the same artifact-backed mapper:
 * ``per-request`` — every read dispatched alone, the way a naive
   request handler would call ``map()`` per arrival (one kernel
   dispatch per window per read);
-* ``coalesced`` — the micro-batcher's path: one cross-read batched
-  ``map_batch(..., coalesce=True)`` over the whole batch, all
-  windows of all reads in shared kernel dispatches;
+* ``coalesced`` — the micro-batcher's path: one ``map_batch(...)``
+  over the whole batch, the windows of each group of reads in
+  shared kernel dispatches;
 * ``coalesced + pool`` — the same, sharded across a standing
   :class:`~repro.core.pipeline.PersistentPool` of
   ``min(4, cpu_count)`` artifact-attached workers (what
@@ -84,8 +84,8 @@ def service_rows(tmp_path):
         per_request.map(sequence, name) for name, sequence in reads])
 
     coalesced = Mapper.from_artifact(path, config=CONFIG)
-    coalesced_s = _best_of(repeats, lambda: coalesced.map_batch(
-        reads, coalesce=True))
+    coalesced_s = _best_of(repeats,
+                           lambda: coalesced.map_batch(reads))
 
     cores = os.cpu_count() or 1
     jobs = min(4, cores)
@@ -94,11 +94,11 @@ def service_rows(tmp_path):
         pooled = Mapper.from_artifact(path, config=CONFIG)
         with pooled.pool(jobs) as pool:
             pool_s = _best_of(repeats, lambda: pooled.map_batch(
-                reads, jobs=jobs, pool=pool, coalesce=True))
+                reads, jobs=jobs, pool=pool))
 
-    # Parity spot-check: serving paths return the offline results.
-    base = per_request.map_batch(reads)
-    assert coalesced.map_batch(reads, coalesce=True) == base
+    # Parity spot-check: a batch returns the per-request results.
+    assert coalesced.map_batch(reads) == [
+        per_request.map(sequence, name) for name, sequence in reads]
 
     best_batched_s = min(coalesced_s,
                          pool_s if pool_s is not None else coalesced_s)

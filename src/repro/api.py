@@ -434,7 +434,6 @@ class Mapper:
 
     def map_batch(self, reads: Iterable[ReadLike], jobs: int = 1,
                   pool: "PersistentPool | None" = None,
-                  coalesce: bool = False,
                   ) -> list[MappingRecord]:
         """Map a batch of reads, optionally sharded across workers.
 
@@ -442,12 +441,9 @@ class Mapper:
         strings (auto-named ``read0``, ``read1``, ...).  ``jobs > 1``
         forks per-batch workers; a :class:`~repro.core.pipeline.
         PersistentPool` (see :meth:`pool`) serves the batch from
-        standing artifact-attached workers instead.
-        ``coalesce=True`` maps each shard through one cross-read
-        batched kernel dispatch instead of a per-read loop — the
-        mapping service's serving mode.  Results come back in input
-        order and are identical to mapping each read alone, for any
-        ``jobs``, either pool mode, and either dispatch shape.
+        standing artifact-attached workers instead.  Results come
+        back in input order and are identical to mapping each read
+        alone, for any ``jobs`` and either pool mode.
         """
         named: list[tuple[str, ...]] = [
             (f"read{i}", r) if isinstance(r, str) else tuple(r)
@@ -455,7 +451,7 @@ class Mapper:
         default = self._default_contig
         return [_record_from_result(result, default)
                 for result in self.engine.map_batch(
-                    named, jobs=jobs, pool=pool, coalesce=coalesce)]
+                    named, jobs=jobs, pool=pool)]
 
     def map_pair(self, read1: str, read2: str,
                  name: str = "pair"
@@ -550,10 +546,6 @@ class _MapperContexts:
                 from repro.core.pipeline import _ReadShardContext
                 self._contexts[mode] = _ReadShardContext(
                     self.mapper.engine)
-            elif mode == "reads_batched":
-                from repro.core.pipeline import _ReadShardContext
-                self._contexts[mode] = _ReadShardContext(
-                    self.mapper.engine, coalesce=True)
             elif mode == "pairs":
                 from repro.core.pairing import _PairShardContext
                 self._contexts[mode] = _PairShardContext(

@@ -85,6 +85,9 @@ def _engine_config(args: argparse.Namespace) -> SeGraMConfig:
     """The :class:`SeGraMConfig` described by :func:`_add_engine_args`
     flags (``w``/``k``/``bucket_bits`` are overridden by the artifact
     when attaching to one)."""
+    if args.early_exit_distance is not None \
+            and args.early_exit_distance < 0:
+        raise SystemExit("error: --early-exit-distance must be >= 0")
     return SeGraMConfig(
         w=args.w, k=args.k, bucket_bits=args.bucket_bits,
         error_rate=args.error_rate,

@@ -16,10 +16,11 @@ cases of Section 9:
 
 Mapping itself is delegated to the staged pipeline engine of
 :mod:`repro.core.pipeline` (``seed -> filter/chain -> extract ->
-align -> select``): :meth:`SeGraM.map_read` is a thin driver over the
-stage list, :meth:`SeGraM.map_batch` shards a read set across forked
-workers, and per-stage counters accumulate in
-``SeGraM.pipeline.stats`` (a :class:`~repro.core.pipeline.PipelineStats`).
+align -> select``): :meth:`SeGraM.map_batch` shards a read set across
+workers, each of which runs the pipeline's one drive;
+:meth:`SeGraM.map_read` is a one-read batch, and per-stage counters
+accumulate in ``SeGraM.pipeline.stats`` (a
+:class:`~repro.core.pipeline.PipelineStats`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable
 
-from repro import seq as seqmod
 from repro.core.minseed import MinSeed, SeedingStats
 from repro.core.pipeline import MappingPipeline, PipelineStats, \
     map_batch_sharded
@@ -80,7 +80,8 @@ class SeGraMConfig:
             MinSeed's design point aligns every seed (Section 11.4).
         region_cache_size: capacity (in regions) of the LRU cache that
             memoizes ``extract_region`` + ``linearize`` per
-            ``(start, end, hop_limit)`` span; 0 disables caching.
+            ``(first_node, last_node, hop_limit)`` node range; 0
+            disables caching.
         align_backend: alignment-backend name from
             :func:`repro.align.backends.list_backends` (``"python"``
             or ``"numpy"``), or None for the process default
@@ -108,6 +109,14 @@ class SeGraMConfig:
             raise ValueError(
                 f"top_n_alignments must be >= 1, "
                 f"got {self.top_n_alignments}"
+            )
+        if self.early_exit_distance is not None \
+                and self.early_exit_distance < 0:
+            # No alignment has a negative distance: the exit could
+            # never fire.
+            raise ValueError(
+                f"early_exit_distance must be >= 0, "
+                f"got {self.early_exit_distance}"
             )
         if self.align_backend is not None:
             # Validate eagerly: an unknown name used to surface as a
@@ -371,63 +380,31 @@ class SeGraM:
     # ------------------------------------------------------------------
 
     def map_read(self, read: str, name: str = "read") -> MappingResult:
-        """Map one read; returns the best alignment over all regions.
+        """Map one read (a one-read :meth:`map_batch`); returns the
+        best alignment over all regions.
 
         Reads may contain ``N`` (the read-side ambiguity policy of
         :mod:`repro.seq`): seeding skips k-mers containing ``N`` and
         each ``N`` costs one edit in alignment.
         """
-        read = seqmod.validate(read, "read", allow_ambiguous=True)
-        return self.pipeline.map_read(read, name)
-
-    def map_reads(self, reads: Iterable[tuple[str, str]],
-                  jobs: int = 1) -> list[MappingResult]:
-        """Map (name, sequence) pairs; returns one result per read.
-
-        ``jobs > 1`` delegates to :meth:`map_batch`.
-        """
-        return self.map_batch(reads, jobs=jobs)
+        return self.map_batch([(name, read)])[0]
 
     def map_batch(self, reads: Iterable[tuple[str, str]],
-                  jobs: int = 1, pool=None,
-                  coalesce: bool = False) -> list[MappingResult]:
+                  jobs: int = 1, pool=None) -> list[MappingResult]:
         """Map a batch of (name, sequence) pairs, optionally sharded
         across ``jobs`` worker processes.
 
-        The index is built once here and shared with the workers via
-        ``fork`` (copy-on-write); per-shard stage statistics are merged
-        into ``self.pipeline.stats``.  A
+        Forked workers share this mapper's index copy-on-write;
+        per-shard stage statistics are merged into
+        ``self.pipeline.stats``.  A
         :class:`~repro.core.pipeline.PersistentPool` dispatches the
         shards to standing artifact-attached workers instead (``jobs``
-        is then ignored).  ``coalesce=True`` maps each shard through
-        one cross-read batched kernel dispatch
-        (:meth:`map_reads_coalesced`) instead of a per-read loop.
-        Results are returned in input order and are identical to
-        calling :meth:`map_read` per read — the batch/sequential
-        parity contract the tests enforce — for any ``jobs``, pool
-        mode, and ``coalesce`` setting.
+        is then ignored).  Results are returned in input order and a
+        read maps to the same result alone or in any batch, for any
+        ``jobs`` and pool mode — the parity contract the tests
+        enforce.
         """
-        return map_batch_sharded(self, list(reads), jobs, pool=pool,
-                                 coalesce=coalesce)
-
-    def map_reads_coalesced(
-            self, reads: Iterable[tuple[str, str]],
-    ) -> list[MappingResult]:
-        """Map (name, sequence) pairs through **one** cross-read
-        batched alignment dispatch (in-process, no sharding).
-
-        Bit-for-bit identical to a :meth:`map_read` loop; the windows
-        of every read, region, and orientation share kernel calls
-        (see :meth:`~repro.core.pipeline.MappingPipeline.
-        map_reads_batched`).  This is the dispatch shape the mapping
-        service's micro-batcher feeds.
-        """
-        validated = [
-            (name, seqmod.validate(sequence, "read",
-                                   allow_ambiguous=True))
-            for name, sequence in reads
-        ]
-        return self.pipeline.map_reads_batched(validated)
+        return map_batch_sharded(self, list(reads), jobs, pool=pool)
 
     # ------------------------------------------------------------------
     # Paired-end mapping

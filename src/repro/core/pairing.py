@@ -55,7 +55,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro import seq as seqmod
-from repro.align.dp_linear import AlignmentSizeError
 from repro.core.mapper import MappingResult
 from repro.core.pipeline import ShardContext, run_sharded
 
@@ -433,7 +432,8 @@ class PairedEndMapper:
         read1 = seqmod.validate(read1, "read 1", allow_ambiguous=True)
         read2 = seqmod.validate(read2, "read 2", allow_ambiguous=True)
         pipeline = self.mapper.pipeline
-        best1, _, _ = pipeline.map_read_candidates(read1, f"{name}/1")
+        best1 = pipeline.map_reads([(f"{name}/1", read1)],
+                                   both_strands=True)[0]
         if self.config.mate_prefetch and best1.mapped:
             # Mate 1's mapping warmed its own node ranges; prefetch
             # the span where mate 2's FR-consistent placement must
@@ -443,7 +443,8 @@ class PairedEndMapper:
             self._prefetch_mate_window(best1)
         pair_hits = pipeline.stats.cache_hits
         pair_misses = pipeline.stats.cache_misses
-        best2, _, _ = pipeline.map_read_candidates(read2, f"{name}/2")
+        best2 = pipeline.map_reads([(f"{name}/2", read2)],
+                                   both_strands=True)[0]
         pipeline.stats.pair_cache_hits += \
             pipeline.stats.cache_hits - pair_hits
         pipeline.stats.pair_cache_misses += \
@@ -506,7 +507,7 @@ class PairedEndMapper:
         start, end = span
         max_template = self.config.max_template_length
         # The mate window in the anchor's local coordinates, exactly
-        # as _rescue_mate frames it.
+        # as _rescue_job frames it.
         if anchor.strand == "+":
             local_lo, local_hi = start, start + max_template
         else:
@@ -698,26 +699,6 @@ class PairedEndMapper:
         k = max(2, int(round(len(pattern)
                              * self.config.rescue_edit_fraction)))
         return window, pattern, k, lo, strand
-
-    def _rescue_mate(self, anchor: MappingResult, read: str,
-                     rescued_index: int) -> MappingResult | None:
-        """Per-window rescue (frame + align + build), kept as the
-        sequential equivalent of the batched path for callers that
-        rescue a single mate."""
-        job = self._rescue_job(anchor, read)
-        if job is None:
-            return None
-        window, pattern, k, _, _ = job
-        backend = self.mapper.aligner.backend
-        try:
-            aligned = backend.align(window, pattern, k)
-        except AlignmentSizeError:
-            return None
-        self.stats.align_calls += 1
-        if aligned is None or aligned.start < 0:
-            return None
-        return self._rescued_result(anchor, read, rescued_index,
-                                    job, aligned)
 
     def _rescued_result(self, anchor: MappingResult, read: str,
                         rescued_index: int, job: tuple,

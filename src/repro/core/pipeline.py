@@ -15,6 +15,14 @@ counters (items in/out, dropped, wall time) into a
 :class:`PipelineStats` object, the software analogue of the paper's
 per-unit utilization counters.
 
+Every mapping call — one read, a batch, a pool shard, a daemon
+dispatch, a mate of a pair — takes the same drive,
+:meth:`MappingPipeline.map_reads`: groups of :data:`DISPATCH_READS`
+reads run stages 1-2 per oriented read, then the align stage pulls
+their regions and resolves them through shared
+:meth:`~repro.core.windows.WindowedAligner.align_many` dispatches,
+the way the windowed kernel keeps many windows on one array.
+
 Two throughput features ride on the stage boundary:
 
 * a **region cache** (:class:`RegionCache`) — an LRU memo of
@@ -39,9 +47,9 @@ Two throughput features ride on the stage boundary:
   workers start with a warm region cache; per-shard
   :class:`PipelineStats` are merged back into the parent's.
 
-Results are bit-for-bit identical to the former monolithic
-``SeGraM._map_oriented`` loop: stage boundaries, the cache, and
-sharding change *when* work happens, never *what* is computed.
+Stage boundaries, the cache, grouping and sharding change *when* work
+happens, never *what* is computed: a read maps to the same result
+alone, in any batch, and on any worker.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ from bisect import bisect_right
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro import seq as seqmod
@@ -68,6 +77,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Stage names in execution order (also the row order of stats tables).
 STAGE_ORDER = ("seed", "filter", "extract", "align", "select")
+
+#: Reads whose regions share ``align_many`` dispatches.  A collected
+#: region pins its linearized graph past the region-cache LRU, so the
+#: group is bounded: 32 reads is the widest dispatch the perf spine
+#: measures, within a few percent of the throughput plateau, at a
+#: fifth of the memory an unbounded 512-read chunk holds.
+DISPATCH_READS = 32
 
 
 # ----------------------------------------------------------------------
@@ -330,9 +346,8 @@ class PreparedRegion:
 class PreparedRead:
     """A seeded read plus its lazily-extracted region stream.
 
-    Laziness preserves the monolith's behaviour: with
-    ``early_exit_distance`` set, regions past the exit point are never
-    extracted at all.
+    The align stage pulls the stream: with ``early_exit_distance``
+    set, regions past the exit point are never extracted at all.
     """
 
     seeded: SeededRead
@@ -440,21 +455,6 @@ class ExtractStage:
                                  anchor=anchor)
 
 
-@dataclass
-class CollectedRead:
-    """One oriented read's fully-extracted alignment work list.
-
-    Produced by :meth:`AlignStage.collect` on the batched path:
-    every candidate region is drained from the extract stream up
-    front so the windows of many regions (and of both orientations)
-    can share batched kernel dispatches.  Extraction order — and so
-    the region-cache traffic — is identical to the sequential path.
-    """
-
-    seeded: SeededRead
-    regions: list[PreparedRegion]
-
-
 class AlignStage:
     """Step 4 (paper Section 7): windowed BitAlign over each region,
     keeping the ``top_n_alignments`` best alignments by edit distance.
@@ -465,100 +465,71 @@ class AlignStage:
     deduplicated by locus (overlapping seed regions re-derive the same
     placement — only distinct loci may count as MAPQ competitors), and
     truncated to the configured top N.  The best candidate becomes the
-    result's reported placement, exactly as the old single-winner
-    stage chose it.
+    result's reported placement.
 
-    The stage has two drive modes with bit-identical results:
-    :meth:`run` aligns regions one by one as the extract stream yields
-    them (required for the ``early_exit_distance`` knob, whose exit
-    decision depends on each alignment in turn), while
-    :meth:`collect` + :meth:`commit` split the stage around a batched
-    :meth:`~repro.core.windows.WindowedAligner.align_many` dispatch so
-    many regions — across orientations — share kernel calls.
+    Unlike the per-read stages it runs over a *group* of oriented
+    reads, so the windows of many regions — across orientations and
+    reads — share kernel dispatches.
     """
 
     name = "align"
 
-    def run(self, prepared: PreparedRead,
-            pipe: "MappingPipeline") -> "MappingResult":
-        from repro.core.mapper import MappingResult
+    def align_group(self, group: Sequence[PreparedRead],
+                    pipe: "MappingPipeline") -> "list[MappingResult]":
+        """Align the regions of every oriented read in ``group``.
 
-        stats = pipe.stats.stage(self.name)
-        seeded = prepared.seeded
-        task = seeded.task
-        result = MappingResult(
-            read_name=task.name, read_length=len(task.sequence),
-            mapped=False, strand=task.strand, seeding=seeded.stats,
-        )
-        stats.items_in += len(seeded.regions)
-        candidates: "list[AlignmentCandidate]" = []
-        best_distance: int | None = None
-        for region in prepared.stream:
-            with _timed(stats):
-                aligned = pipe.aligner.align(
-                    region.lin, task.sequence, anchor=region.anchor,
-                    counters=pipe.stats,
-                )
-                result.regions_aligned += 1
-                stats.items_out += 1
-                pipe.stats.regions_aligned += 1
-                pipe.stats.windows += aligned.windows
-                pipe.stats.rescues += aligned.rescues
-                candidates.append(
-                    self._candidate(aligned, region, task.strand,
-                                    pipe))
-                if best_distance is None \
-                        or aligned.distance < best_distance:
-                    best_distance = aligned.distance
-            if (pipe.config.early_exit_distance is not None
-                    and best_distance is not None
-                    and best_distance
-                    <= pipe.config.early_exit_distance):
-                break
-        stats.dropped += len(seeded.regions) - result.regions_aligned
-        commit_candidates(result, candidates,
-                          pipe.config.top_n_alignments)
-        return result
-
-    def collect(self, prepared: PreparedRead,
-                pipe: "MappingPipeline") -> CollectedRead:
-        """Drain the extract stream into an alignment work list."""
-        stats = pipe.stats.stage(self.name)
-        regions = list(prepared.stream)
-        stats.items_in += len(prepared.seeded.regions)
-        return CollectedRead(seeded=prepared.seeded, regions=regions)
-
-    def commit(self, collected: CollectedRead, aligned_list,
-               pipe: "MappingPipeline") -> "MappingResult":
-        """Fold batched alignment results back into a read result.
-
-        ``aligned_list`` holds one
-        :class:`~repro.core.windows.WindowedAlignment` per collected
-        region, in region order — the accounting and candidate
-        commitment are those of :meth:`run` without the early exit.
+        Rounds of one :meth:`~repro.core.windows.WindowedAligner.
+        align_many` dispatch: each round pulls regions from the
+        extract stream of every live orientation, in group order —
+        all of them without ``early_exit_distance``, so one round
+        finishes the group; one per orientation with it, retiring an
+        orientation once a region aligns at or below the threshold.
+        An orientation's exit after region *i* depends only on its own
+        regions 0..*i*, so its result is the same in any group.
         """
         from repro.core.mapper import MappingResult
 
         stats = pipe.stats.stage(self.name)
-        seeded = collected.seeded
-        task = seeded.task
-        result = MappingResult(
-            read_name=task.name, read_length=len(task.sequence),
-            mapped=False, strand=task.strand, seeding=seeded.stats,
-        )
-        candidates: "list[AlignmentCandidate]" = []
-        for region, aligned in zip(collected.regions, aligned_list):
-            result.regions_aligned += 1
-            stats.items_out += 1
-            pipe.stats.regions_aligned += 1
-            pipe.stats.windows += aligned.windows
-            pipe.stats.rescues += aligned.rescues
-            candidates.append(
-                self._candidate(aligned, region, task.strand, pipe))
-        stats.dropped += len(seeded.regions) - result.regions_aligned
-        commit_candidates(result, candidates,
-                          pipe.config.top_n_alignments)
-        return result
+        exit_distance = pipe.config.early_exit_distance
+        per_round = None if exit_distance is None else 1
+        tasks = [prepared.seeded.task for prepared in group]
+        candidates: "list[list[AlignmentCandidate]]" = \
+            [[] for _ in group]
+        live = list(range(len(group)))
+        while live:
+            work = [(index, region) for index in live
+                    for region in islice(group[index].stream,
+                                         per_round)]
+            with _timed(stats):
+                aligned_list = pipe.aligner.align_many(
+                    [(region.lin, tasks[index].sequence, region.anchor)
+                     for index, region in work],
+                    counters=pipe.stats)
+            live = []
+            for (index, region), aligned in zip(work, aligned_list):
+                stats.items_out += 1
+                pipe.stats.regions_aligned += 1
+                pipe.stats.windows += aligned.windows
+                pipe.stats.rescues += aligned.rescues
+                candidates[index].append(self._candidate(
+                    aligned, region, tasks[index].strand, pipe))
+                if exit_distance is not None \
+                        and aligned.distance > exit_distance:
+                    live.append(index)
+        results = []
+        for prepared, task, found in zip(group, tasks, candidates):
+            seeded = prepared.seeded
+            result = MappingResult(
+                read_name=task.name, read_length=len(task.sequence),
+                mapped=False, strand=task.strand, seeding=seeded.stats,
+                regions_aligned=len(found),
+            )
+            stats.items_in += len(seeded.regions)
+            stats.dropped += len(seeded.regions) - len(found)
+            commit_candidates(result, found,
+                              pipe.config.top_n_alignments)
+            results.append(result)
+        return results
 
     @staticmethod
     def _candidate(aligned, region: PreparedRegion, strand: str,
@@ -752,9 +723,9 @@ class MappingPipeline:
         # Node starts in the global character space, for the O(log n)
         # span -> node-range cache-key computation.
         self._node_starts = graph.offsets()
+        #: The per-oriented-read stages; align runs over groups.
+        self.stages = (SeedStage(), ChainFilterStage(), ExtractStage())
         self.align_stage = AlignStage()
-        self.stages = (SeedStage(), ChainFilterStage(), ExtractStage(),
-                       self.align_stage)
         self.select = SelectStage()
         self.reset_stats()
 
@@ -822,145 +793,44 @@ class MappingPipeline:
         if backend_name is not None:
             self.stats.backend = backend_name
 
-    def map_read(self, read: str, name: str) -> "MappingResult":
-        """Map one (validated) read through the staged pipeline.
+    def map_reads(
+        self, reads: Sequence[tuple[str, str]], both_strands: bool,
+    ) -> "list[MappingResult]":
+        """Map (validated) ``(name, sequence)`` reads — the one drive
+        behind every mapping entry point.
 
-        Without the ``early_exit_distance`` knob, all candidate
-        regions of *both* orientations are collected first and
-        aligned through one batched dispatch (bit-identical results,
-        fewer kernel calls); with the knob the sequential stage drive
-        is kept, since the exit decision consumes each alignment in
-        turn.
+        Per group of :data:`DISPATCH_READS` reads: stages 1-2 run per
+        oriented read in input order, the align stage pulls and
+        aligns their regions through shared kernel dispatches
+        (:meth:`AlignStage.align_group`), and stage 5 selects per
+        read.  A read's result does not depend on what it is grouped
+        with.  ``both_strands`` is the mapper's configured setting for
+        single-end reads and always True for the mates of a pair.
         """
-        if self.config.early_exit_distance is not None:
-            forward = self._run_oriented(read, name, "+")
-            reverse = None
-            if self.config.both_strands:
-                reverse = self._run_oriented(
-                    seqmod.reverse_complement(read), name, "-",
-                )
-            return self.select.run(forward, reverse, self)
-        collected = [self._collect_oriented(read, name, "+")]
-        if self.config.both_strands:
-            collected.append(self._collect_oriented(
-                seqmod.reverse_complement(read), name, "-"))
-        results = self._align_collected(collected)
-        reverse = results[1] if len(results) > 1 else None
-        return self.select.run(results[0], reverse, self)
+        results: "list[MappingResult]" = []
+        for start in range(0, len(reads), DISPATCH_READS):
+            chunk = reads[start:start + DISPATCH_READS]
+            group = []
+            for name, sequence in chunk:
+                group.append(self._prepare(name, sequence, "+"))
+                if both_strands:
+                    group.append(self._prepare(
+                        name, seqmod.reverse_complement(sequence),
+                        "-"))
+            oriented = iter(self.align_stage.align_group(group, self))
+            for _ in chunk:
+                forward = next(oriented)
+                reverse = next(oriented) if both_strands else None
+                results.append(self.select.run(forward, reverse, self))
+        return results
 
-    def map_read_candidates(
-        self, read: str, name: str,
-    ) -> "tuple[MappingResult, MappingResult, MappingResult]":
-        """Map one read on *both* strands, exposing the candidates.
-
-        Returns ``(best, forward, reverse)``: the per-orientation
-        results of stages 1-4 plus the stage-5 selection over them.
-        The paired-end driver scores orientation combinations of the
-        two mates, so it needs both candidates, not only the winner;
-        ``best`` is identical to :meth:`map_read` under
-        ``both_strands=True`` (FR pairing always considers both).
-        """
-        if self.config.early_exit_distance is not None:
-            forward = self._run_oriented(read, name, "+")
-            reverse = self._run_oriented(
-                seqmod.reverse_complement(read), name, "-",
-            )
-        else:
-            forward, reverse = self._align_collected([
-                self._collect_oriented(read, name, "+"),
-                self._collect_oriented(
-                    seqmod.reverse_complement(read), name, "-"),
-            ])
-        best = self.select.run(forward, reverse, self)
-        return best, forward, reverse
-
-    def _run_oriented(self, read: str, name: str,
-                      strand: str) -> "MappingResult":
-        item = ReadTask(name=name, sequence=read, strand=strand)
+    def _prepare(self, name: str, sequence: str,
+                 strand: str) -> PreparedRead:
+        """Stages 1-3 for one oriented read (extraction stays lazy)."""
+        item = ReadTask(name=name, sequence=sequence, strand=strand)
         for stage in self.stages:
             item = stage.run(item, self)
         return item
-
-    def _collect_oriented(self, read: str, name: str,
-                          strand: str) -> CollectedRead:
-        """Stages 1-3 plus region collection for one orientation."""
-        item = ReadTask(name=name, sequence=read, strand=strand)
-        for stage in self.stages[:-1]:
-            item = stage.run(item, self)
-        return self.align_stage.collect(item, self)
-
-    def map_reads_batched(
-        self, reads: Sequence[tuple[str, str]],
-    ) -> "list[MappingResult]":
-        """Map many ``(name, sequence)`` reads through **one**
-        cross-read batched alignment dispatch.
-
-        The per-read path (:meth:`map_read`) already batches the
-        windows of one read's regions and orientations into shared
-        kernel calls; this entry point widens the batch axis across
-        *reads*: stages 1-3 run per oriented read in input order
-        (identical region-cache traffic), then every collected region
-        of every read goes through a single
-        :meth:`~repro.core.windows.WindowedAligner.align_many`
-        dispatch, and stage 5 selects per read.  Results are
-        bit-for-bit identical to mapping each read alone — batching
-        changes *when* kernel work happens, never what is computed.
-        This is the dispatch shape the mapping service's micro-batch
-        coalescer feeds (:mod:`repro.service`): the wider the batch,
-        the better the word-packed kernel amortizes per-dispatch
-        overhead.
-
-        With ``early_exit_distance`` set the sequential per-read
-        drive is kept (the exit decision consumes each alignment in
-        turn), exactly as :meth:`map_read` does.
-        """
-        if self.config.early_exit_distance is not None:
-            return [self.map_read(sequence, name)
-                    for name, sequence in reads]
-        collected: list[CollectedRead] = []
-        spans: list[int] = []
-        for name, sequence in reads:
-            per_read = [self._collect_oriented(sequence, name, "+")]
-            if self.config.both_strands:
-                per_read.append(self._collect_oriented(
-                    seqmod.reverse_complement(sequence), name, "-"))
-            spans.append(len(per_read))
-            collected.extend(per_read)
-        results = self._align_collected(collected)
-        out: "list[MappingResult]" = []
-        cursor = 0
-        for span in spans:
-            forward = results[cursor]
-            reverse = results[cursor + 1] if span == 2 else None
-            cursor += span
-            out.append(self.select.run(forward, reverse, self))
-        return out
-
-    def _align_collected(
-        self, collected: list[CollectedRead],
-    ) -> "list[MappingResult]":
-        """Align every collected region through one batched dispatch.
-
-        The cross-orientation work list is what makes batching pay:
-        all top-N regions of all orientations length-bucket together.
-        """
-        items = [
-            (region.lin, batch.seeded.task.sequence, region.anchor)
-            for batch in collected
-            for region in batch.regions
-        ]
-        stats = self.stats.stage(self.align_stage.name)
-        with _timed(stats):
-            aligned = self.aligner.align_many(items,
-                                              counters=self.stats)
-        results = []
-        cursor = 0
-        for batch in collected:
-            span = aligned[cursor:cursor + len(batch.regions)]
-            cursor += len(batch.regions)
-            results.append(
-                self.align_stage.commit(batch, span, self))
-        return results
 
 
 # ----------------------------------------------------------------------
@@ -1181,23 +1051,18 @@ def run_sharded(context: ShardContext, items: Sequence,
 
 
 class _ReadShardContext(ShardContext):
-    """Shard context for single-end ``map_batch``.
+    """Shard context for single-end ``map_batch``."""
 
-    ``coalesce=True`` maps each shard through the cross-read batched
-    dispatch (:meth:`MappingPipeline.map_reads_batched`) instead of a
-    per-read loop — same results, fewer kernel calls.
-    """
-
-    def __init__(self, mapper: "SeGraM",
-                 coalesce: bool = False) -> None:
+    def __init__(self, mapper: "SeGraM") -> None:
         self.mapper = mapper
-        self.coalesce = coalesce
 
     def map_items(self, reads):
-        if self.coalesce:
-            return self.mapper.map_reads_coalesced(reads)
-        return [self.mapper.map_read(sequence, name)
-                for name, sequence in reads]
+        mapper = self.mapper
+        return mapper.pipeline.map_reads(
+            [(name, seqmod.validate(sequence, "read",
+                                    allow_ambiguous=True))
+             for name, sequence in reads],
+            mapper.config.both_strands)
 
     def reset_stats(self) -> None:
         self.mapper.pipeline.reset_stats()
@@ -1214,15 +1079,8 @@ def map_batch_sharded(
     reads: Sequence[tuple[str, str]],
     jobs: int,
     pool: "PersistentPool | None" = None,
-    coalesce: bool = False,
 ) -> "list[MappingResult]":
     """Shard ``reads`` across workers (see :func:`run_sharded` for
-    the sharing/merging contract and the two pool modes).
-
-    ``coalesce=True`` selects the cross-read batched dispatch inside
-    each worker (the ``"reads_batched"`` pool mode) — bit-identical
-    results, fewer kernel calls per shard.
-    """
-    return run_sharded(_ReadShardContext(mapper, coalesce=coalesce),
-                       reads, jobs, pool=pool,
-                       mode="reads_batched" if coalesce else "reads")
+    the sharing/merging contract and the two pool modes)."""
+    return run_sharded(_ReadShardContext(mapper), reads, jobs,
+                       pool=pool, mode="reads")

@@ -212,7 +212,7 @@ def live_mapping_shape(read_count: int = 6):
         dataset.reference, read_count, rng,
         ShortReadProfile.illumina(150, 0.01),
     )
-    mapped = mapper.map_reads([(r.name, r.sequence)
+    mapped = mapper.map_batch([(r.name, r.sequence)
                                for r in short_reads])
     rows.append(_live_row("Illumina-150bp (live)", mapped, short_reads))
 
@@ -222,7 +222,7 @@ def live_mapping_shape(read_count: int = 6):
         dataset.reference, max(2, read_count // 3), rng,
         LongReadProfile.pacbio(0.05, read_length=3_000),
     )
-    mapped = long_mapper.map_reads([(r.name, r.sequence)
+    mapped = long_mapper.map_batch([(r.name, r.sequence)
                                     for r in long_reads])
     rows.append(_live_row("PacBio-5% 3kbp (live, scaled)", mapped,
                           long_reads))
@@ -279,7 +279,7 @@ def hga_live_functional(read_count: int = 8):
                     built=dataset.built)
     reads = simulate_graph_reads(dataset.graph, read_count, 128, rng,
                                  ErrorModel.illumina(0.01))
-    results = mapper.map_reads([(r.name, r.sequence) for r in reads])
+    results = mapper.map_batch([(r.name, r.sequence) for r in reads])
     mapped = sum(1 for r in results if r.mapped)
     exact_node = sum(
         1 for r, t in zip(results, reads)

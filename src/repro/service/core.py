@@ -105,7 +105,7 @@ class ServiceCore:
     def _dispatch_reads(self,
                         items: list[tuple[str, str]]) -> list[dict]:
         records = self.mapper.map_batch(
-            items, jobs=self.jobs, pool=self.pool, coalesce=True)
+            items, jobs=self.jobs, pool=self.pool)
         self.counters.record_mapped(reads=len(items))
         payloads = []
         for record, (_, sequence) in zip(records, items):

@@ -659,6 +659,21 @@ class TestServeClient:
                   "--port", "0", "--socket",
                   str(tmp_path / "x.sock")])
 
+    def test_negative_early_exit_rejected(self, workspace, tmp_path):
+        """A negative threshold can never be met; ``map`` and
+        ``serve`` share the flag and both refuse it up front."""
+        root, *_ = workspace
+        with pytest.raises(SystemExit, match="--early-exit-distance"):
+            main(["map", "--reference", str(root / "ref.fa"),
+                  "--reads", str(root / "reads.fq"),
+                  "--output", str(tmp_path / "x.gaf"),
+                  "--early-exit-distance", "-1"])
+        main(["index", "build", str(root / "ref.fa"),
+              "-o", str(tmp_path / "neg.sgidx")])
+        with pytest.raises(SystemExit, match="--early-exit-distance"):
+            main(["serve", "--index", str(tmp_path / "neg.sgidx"),
+                  "--port", "0", "--early-exit-distance", "-1"])
+
     def test_client_requires_endpoint(self):
         with pytest.raises(SystemExit, match="--port or --socket"):
             main(["client", "ping"])

@@ -16,6 +16,7 @@ and review the golden diff like any other code change.
 from __future__ import annotations
 
 import io
+import json
 import random
 from pathlib import Path
 
@@ -41,6 +42,16 @@ from repro.sim.reference import random_reference
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_SAM = GOLDEN_DIR / "expected.sam"
 GOLDEN_GAF = GOLDEN_DIR / "expected.gaf"
+#: The same workload under ``early_exit_distance``: GAF bytes (MAPQ
+#: only sees the regions aligned before the exit; one file, because
+#: on this workload no threshold changes a MAPQ) plus, per threshold,
+#: the counters that say where each orientation stopped.  At 6 every
+#: mapped read retires after its first region; at 0 the distance-3
+#: read scans all four of its regions while the exact ones retire
+#: after one.
+GOLDEN_EARLY_EXIT_GAF = GOLDEN_DIR / "expected_early_exit.gaf"
+GOLDEN_EARLY_EXIT_COUNTERS = GOLDEN_DIR / "expected_early_exit.json"
+EARLY_EXIT_DISTANCES = (6, 0)
 
 REFERENCE_NAME = "chr_golden"
 
@@ -66,11 +77,11 @@ def _workload() -> tuple[str, list[tuple[str, str]]]:
     ]
 
 
-def _mapper(reference: str) -> SeGraM:
+def _mapper(reference: str, **overrides) -> SeGraM:
     config = SeGraMConfig(
         w=10, k=15, bucket_bits=12, error_rate=0.10,
         windowing=WindowingConfig(window_size=128, overlap=48, k=16),
-        max_seeds_per_read=4, both_strands=True,
+        max_seeds_per_read=4, both_strands=True, **overrides,
     )
     return SeGraM.from_reference(reference, config=config,
                                  name=REFERENCE_NAME,
@@ -88,11 +99,39 @@ def _render() -> tuple[str, str]:
               [result_to_sam(result, sequence, REFERENCE_NAME)
                for result, sequence in results],
               REFERENCE_NAME, len(reference))
-    gaf_buffer = io.StringIO()
-    gaf_records = [result_to_gaf(result, mapper.graph, sequence)
-                   for result, sequence in results]
-    write_gaf(gaf_buffer, [r for r in gaf_records if r is not None])
-    return sam_buffer.getvalue(), gaf_buffer.getvalue()
+    return sam_buffer.getvalue(), _gaf_text(mapper, results)
+
+
+def _gaf_text(mapper: SeGraM, results) -> str:
+    """GAF for ``(result, sequence)`` pairs (unmapped reads have no
+    record)."""
+    buffer = io.StringIO()
+    records = [result_to_gaf(result, mapper.graph, sequence)
+               for result, sequence in results]
+    write_gaf(buffer, [r for r in records if r is not None])
+    return buffer.getvalue()
+
+
+def _render_early_exit(distance: int,
+                       batched: bool = False) -> tuple[str, dict]:
+    """Map the pinned workload with the early exit on; render the GAF
+    and the exit-sensitive counters."""
+    reference, reads = _workload()
+    mapper = _mapper(reference, early_exit_distance=distance)
+    if batched:
+        results = mapper.map_batch(reads)
+    else:
+        results = [mapper.map_read(sequence, name)
+                   for name, sequence in reads]
+    gaf_text = _gaf_text(mapper, zip(
+        results, (sequence for _, sequence in reads)))
+    stats = mapper.stats
+    return gaf_text, {
+        "regions_aligned": stats.regions_aligned,
+        "windows": stats.windows,
+        "rescues": stats.rescues,
+        "align_dropped": stats.stage("align").dropped,
+    }
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +231,32 @@ class TestGoldenOutput:
         assert buffer.getvalue() == gaf_text
 
 
+class TestEarlyExitGolden:
+    """``early_exit_distance`` retires an orientation after the first
+    region at or below the threshold: which regions got aligned shows
+    in MAPQ and in the counters, whatever the batch shape."""
+
+    @pytest.fixture(scope="class")
+    def golden_counters(self) -> dict:
+        return json.loads(
+            GOLDEN_EARLY_EXIT_COUNTERS.read_text(encoding="ascii"))
+
+    @pytest.mark.parametrize("batched", [False, True],
+                             ids=["per_read", "one_batch"])
+    @pytest.mark.parametrize("distance", EARLY_EXIT_DISTANCES)
+    def test_matches_golden(self, golden_counters, distance, batched):
+        gaf_text, counters = _render_early_exit(distance, batched)
+        assert gaf_text.encode("ascii") == \
+            GOLDEN_EARLY_EXIT_GAF.read_bytes()
+        assert counters == golden_counters[str(distance)]
+
+    def test_exit_actually_fires(self, golden_counters):
+        dropped = [golden_counters[str(distance)]["align_dropped"]
+                   for distance in EARLY_EXIT_DISTANCES]
+        # Fires at both thresholds, and at different regions.
+        assert all(dropped) and len(set(dropped)) == len(dropped)
+
+
 def _regenerate() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     sam_text, gaf_text = _render()
@@ -199,6 +264,17 @@ def _regenerate() -> None:
     GOLDEN_GAF.write_bytes(gaf_text.encode("ascii"))
     print(f"wrote {GOLDEN_SAM} ({len(sam_text)} bytes) and "
           f"{GOLDEN_GAF} ({len(gaf_text)} bytes)")
+    rendered = {distance: _render_early_exit(distance)
+                for distance in EARLY_EXIT_DISTANCES}
+    exit_gaf, = {gaf for gaf, _ in rendered.values()}
+    counters = {str(distance): found
+                for distance, (_, found) in rendered.items()}
+    GOLDEN_EARLY_EXIT_GAF.write_bytes(exit_gaf.encode("ascii"))
+    GOLDEN_EARLY_EXIT_COUNTERS.write_text(
+        json.dumps(counters, indent=1, sort_keys=True) + "\n",
+        encoding="ascii")
+    print(f"wrote {GOLDEN_EARLY_EXIT_GAF} and "
+          f"{GOLDEN_EARLY_EXIT_COUNTERS}")
 
 
 if __name__ == "__main__":

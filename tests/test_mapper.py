@@ -149,7 +149,7 @@ class TestS2GMapping:
     def test_map_reads_batch(self, graph_mapper):
         reference, _, mapper = graph_mapper
         batch = [("r1", reference[100:300]), ("r2", reference[500:700])]
-        results = mapper.map_reads(batch)
+        results = mapper.map_batch(batch)
         assert [r.read_name for r in results] == ["r1", "r2"]
         assert all(r.mapped for r in results)
 
@@ -182,6 +182,14 @@ class TestConfigBehaviour:
         read = reference[2_000:2_200]
         result = mapper.map_read(read, "early")
         assert result.mapped and result.distance == 0
+
+    def test_negative_early_exit_rejected(self):
+        """No alignment has a negative distance: the exit could never
+        fire, so the value is a configuration error."""
+        with pytest.raises(ValueError, match="early_exit_distance"):
+            SeGraMConfig(early_exit_distance=-1)
+        assert SeGraMConfig(early_exit_distance=0) \
+            .early_exit_distance == 0
 
     def test_forward_wins_strand_ties(self):
         """A read whose forward and reverse-complement orientations

@@ -12,8 +12,10 @@ import random
 
 import pytest
 
+from repro import seq as seqmod
 from repro.core.mapper import MappingResult, SeGraM, SeGraMConfig
 from repro.core.pipeline import (
+    DISPATCH_READS,
     STAGE_ORDER,
     CachedRegion,
     PipelineStats,
@@ -298,13 +300,6 @@ class TestBatchParity:
         assert stats.regions_aligned > 0
         assert stats.stage("seed").items_in == len(reads)
 
-    def test_map_reads_jobs_passthrough(self, workload):
-        reference, reads = workload
-        mapper = _fresh_mapper(reference)
-        results = mapper.map_reads(reads[:4], jobs=2)
-        assert [r.read_name for r in results] == \
-            [name for name, _ in reads[:4]]
-
     def test_empty_batch(self, workload):
         reference, _ = workload
         mapper = _fresh_mapper(reference)
@@ -312,9 +307,9 @@ class TestBatchParity:
 
 
 class TestCoalescedParity:
-    """``coalesce=True`` (the service's cross-read batched dispatch)
-    must stay bit-for-bit identical to the per-read loop — same
-    results for every jobs count, backend, and strand setting."""
+    """Coalescing the reads of a batch into shared kernel dispatches
+    must not change any read's result: a batch equals one-read calls
+    for every jobs count, backend, and strand setting."""
 
     @pytest.fixture(scope="class")
     def sequential(self, workload):
@@ -328,36 +323,29 @@ class TestCoalescedParity:
     def test_parity(self, workload, sequential, jobs, backend):
         reference, reads = workload
         mapper = _fresh_mapper(reference, align_backend=backend)
-        batch = mapper.map_batch(reads, jobs=jobs, coalesce=True)
+        batch = mapper.map_batch(reads, jobs=jobs)
         assert [_result_key(r) for r in batch] == \
             [_result_key(r) for r in sequential]
 
     def test_parity_both_strands(self, workload):
         reference, reads = workload
-        plain = _fresh_mapper(reference, both_strands=True)
+        per_read = _fresh_mapper(reference, both_strands=True)
         coalesced = _fresh_mapper(reference, both_strands=True)
-        assert [_result_key(r) for r in
-                coalesced.map_batch(reads, coalesce=True)] == \
-            [_result_key(r) for r in plain.map_batch(reads)]
+        assert [_result_key(r) for r in coalesced.map_batch(reads)] == \
+            [_result_key(per_read.map_read(sequence, name))
+             for name, sequence in reads]
 
     def test_coalesced_shares_kernel_dispatches(self, workload):
         reference, reads = workload
         per_read = _fresh_mapper(reference, align_backend="numpy")
-        per_read.map_batch(reads)
+        for name, sequence in reads:
+            per_read.map_read(sequence, name)
         coalesced = _fresh_mapper(reference, align_backend="numpy")
-        coalesced.map_batch(reads, coalesce=True)
+        coalesced.map_batch(reads)
         # Result-bearing counters unchanged; dispatch count shrinks.
         assert coalesced.stats.windows == per_read.stats.windows
         assert coalesced.stats.align_calls \
             < per_read.stats.align_calls
-
-    def test_early_exit_falls_back_to_per_read(self, workload):
-        reference, reads = workload
-        mapper = _fresh_mapper(reference, early_exit_distance=1000)
-        baseline = _fresh_mapper(reference, early_exit_distance=1000)
-        assert [_result_key(r) for r in
-                mapper.map_batch(reads, coalesce=True)] == \
-            [_result_key(r) for r in baseline.map_batch(reads)]
 
 
 def _counter_key(stats: PipelineStats):
@@ -370,6 +358,70 @@ def _counter_key(stats: PipelineStats):
         tuple((name, s.items_in, s.items_out, s.dropped)
               for name, s in stats.stages.items()),
     )
+
+
+class TestGroupWidthIndependence:
+    """The drive slices a batch into groups of ``DISPATCH_READS``
+    reads that share ``align_many`` dispatches.  Which group a read
+    lands in must never show: a batch spanning three groups equals
+    one-read calls on every result and every result-bearing counter,
+    whether each round pulls all regions or (early exit) one."""
+
+    READS = 2 * DISPATCH_READS + 6
+
+    @pytest.fixture(scope="class")
+    def short_reads(self, workload):
+        reference, _ = workload
+        return _noisy_reads(reference, self.READS, random.Random(41),
+                            length=100)
+
+    @pytest.mark.parametrize("early_exit_distance", [None, 1])
+    def test_batch_equals_one_read_calls(self, workload, short_reads,
+                                         early_exit_distance):
+        reference, _ = workload
+        overrides = dict(both_strands=True, align_backend="numpy",
+                         early_exit_distance=early_exit_distance)
+        alone = _fresh_mapper(reference, **overrides)
+        expected = [alone.map_read(sequence, name)
+                    for name, sequence in short_reads]
+        batched = _fresh_mapper(reference, **overrides)
+        assert batched.map_batch(short_reads) == expected
+        assert _counter_key(batched.stats) == _counter_key(alone.stats)
+        assert batched.stats.align_calls < alone.stats.align_calls
+        if early_exit_distance is not None:
+            assert batched.stats.stage("align").dropped > 0
+
+    @pytest.mark.parametrize("early_exit_distance", [None, 1])
+    def test_no_dispatch_wider_than_a_group(self, workload,
+                                            short_reads, monkeypatch,
+                                            early_exit_distance):
+        reference, _ = workload
+        mapper = _fresh_mapper(
+            reference, both_strands=True, align_backend="numpy",
+            early_exit_distance=early_exit_distance)
+        aligner = mapper.pipeline.aligner
+        align_many = aligner.align_many
+        reads_per_call = []
+
+        def spy(items, **kwargs):
+            # Both orientations of a read count as that one read.
+            reads_per_call.append(len({
+                min(read, seqmod.reverse_complement(read))
+                for _, read, _ in items}))
+            return align_many(items, **kwargs)
+
+        monkeypatch.setattr(aligner, "align_many", spy)
+        mapper.map_batch(short_reads)
+        assert max(reads_per_call) == DISPATCH_READS
+        if early_exit_distance is None:
+            # One round per group: 32 + 32 + 6 reads.
+            assert reads_per_call == [DISPATCH_READS, DISPATCH_READS,
+                                      self.READS - 2 * DISPATCH_READS]
+        else:
+            # One region per live orientation per round: later rounds
+            # carry the reads that have not met the threshold yet.
+            assert len(reads_per_call) > 3
+            assert min(reads_per_call) < self.READS - 2 * DISPATCH_READS
 
 
 class TestBackendParity:
@@ -419,29 +471,13 @@ class TestBackendParity:
 
 
 class TestBatchedAlignPath:
-    """The collect-then-batch align path and its dispatch counters.
+    """The align drive's dispatch counters.
 
     ``align_calls`` / ``align_windows_batched`` are deliberately NOT
     part of :func:`_counter_key` — they describe how a backend chose
-    to dispatch work, which differs across backends by design, while
-    every result-bearing counter must stay identical.
+    to dispatch work, which differs across backends and group widths
+    by design, while every result-bearing counter must stay identical.
     """
-
-    def test_batched_path_matches_sequential_path(self, workload):
-        """``early_exit_distance=-1`` drives the legacy one-window-
-        at-a-time region loop without ever exiting early; the default
-        collect-then-batch path must produce identical mappings."""
-        reference, reads = workload
-        batched = _fresh_mapper(reference, align_backend="numpy")
-        sequential = _fresh_mapper(reference, align_backend="numpy",
-                                   early_exit_distance=-1)
-        fast = batched.map_batch(reads, jobs=1)
-        slow = sequential.map_batch(reads, jobs=1)
-        assert [_result_key(r) for r in fast] == \
-            [_result_key(r) for r in slow]
-        # The sequential path never reaches the batched entry point.
-        assert sequential.stats.align_windows_batched == 0
-        assert batched.stats.align_windows_batched > 0
 
     @pytest.mark.parametrize("backend,expect_batched",
                              [("numpy", True), ("python", False)])

@@ -262,19 +262,25 @@ class TestBoundaryClamping:
             insert_mean=350.0, insert_std=50.0))
         anchor = mapper.map_read(s1[-150:], "anchor/1")
         assert anchor.contig == n1
+        unplaced = MappingResult(read_name="anchor/2",
+                                 read_length=150, mapped=False)
+
+        def rescued_mates(read2):
+            """Mate-2 placements ``map_pair``'s rescue path derives
+            from the anchor when mate 2 itself found nothing."""
+            return [combo.mate2 for combo in engine._rescue_combos(
+                anchor, unplaced, s1[-150:], read2)]
+
         # The would-be mate lies at the start of chr2 — adjacent in
         # global characters, unreachable within the anchor's contig.
         foreign = seqmod.reverse_complement(s2[:150])
-        rescued = engine._rescue_mate(anchor, foreign, 2)
-        assert rescued is None or (
-            rescued.contig == n1
-            and 0 <= rescued.linear_position < len(s1)
-        )
+        for rescued in rescued_mates(foreign):
+            assert rescued.contig == n1
+            assert 0 <= rescued.linear_position < len(s1)
         # A genuine intra-contig mate near the same boundary rescues
         # into chr1 coordinates.
         inward = seqmod.reverse_complement(s1[-120:])
-        recovered = engine._rescue_mate(anchor, inward, 2)
-        assert recovered is not None
+        recovered, = rescued_mates(inward)
         assert recovered.contig == n1
         assert 0 <= recovered.linear_position < len(s1)
 

@@ -248,3 +248,66 @@ class TestAnchoredAlignment:
         assert result.cigar.insertions >= 3
         assert replay_alignment(result.cigar, read, result.reference) \
             == result.distance
+
+
+class TestAlignMany:
+    """``align_many`` only changes how windows are dispatched: every
+    item's result is that of ``align`` on it alone, whatever else is
+    in the batch — the contract the mapping pipeline's one drive
+    (``MappingPipeline.map_reads``) rests on."""
+
+    @pytest.fixture(scope="class")
+    def items(self):
+        """Reads of 1, 3 and 6+ windows over a chain region and a
+        hop-bearing one, each un-anchored and anchored mid-read."""
+        rng = random.Random(29)
+        text = random_reference(1_500, rng)
+        variants = simulate_variants(text, rng, VariantProfile(
+            snp_rate=0.02, insertion_rate=0.005, deletion_rate=0.005,
+            sv_rate=0.0, small_indel_max=3))
+        chain_lin = chain(text)
+        hop_lin = linearize(build_graph(text, variants).graph)
+        assert chain_lin.is_chain() and not hop_lin.is_chain()
+        items = []
+        for lin in (chain_lin, hop_lin):
+            for start, length in ((100, 90), (400, 260), (700, 600)):
+                read, _ = apply_errors(text[start:start + length],
+                                       ErrorModel.illumina(0.03), rng)
+                # What a seed provides: an exact 15-mer of the read
+                # located in the region.
+                anchor = next(
+                    (lin.chars.find(read[offset:offset + 15]), offset)
+                    for offset in range(len(read) // 2, len(read) - 15)
+                    if read[offset:offset + 15] in lin.chars)
+                items.append((lin, read, None))
+                items.append((lin, read, anchor))
+        return items
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_equals_per_item_align(self, items, backend):
+        aligner = WindowedAligner(
+            WindowingConfig(window_size=128, overlap=48, k=16),
+            backend=backend)
+        batched = aligner.align_many(items)
+        assert batched == [aligner.align(*item) for item in items]
+        # Membership-independent: a sub-batch gives the same answers.
+        assert aligner.align_many(items[::3]) == batched[::3]
+        assert max(result.windows for result in batched) >= 6
+        assert aligner.align_many([]) == []
+
+    def test_numpy_batch_shares_dispatches(self, items):
+        """The point of the batch entry: the chain windows of many
+        items ride one kernel call (the python backend has no batched
+        kernel, so it dispatches per window either way)."""
+        from repro.core.pipeline import PipelineStats
+
+        aligner = WindowedAligner(
+            WindowingConfig(window_size=128, overlap=48, k=16),
+            backend="numpy")
+        together, alone = PipelineStats(), PipelineStats()
+        aligner.align_many(items, counters=together)
+        for item in items:
+            aligner.align(*item, counters=alone)
+        assert alone.align_windows_batched == 0
+        assert together.align_windows_batched > 0
+        assert together.align_calls < alone.align_calls
