@@ -20,6 +20,15 @@ before timing.
 
 Acceptance check: the numpy backend is >= 3x faster than the python
 backend at every pattern length >= 1 k.
+
+A third table sizes the three bitvector sweeps at the *pipeline's
+window shape* (160 text characters x 128 pattern bits, k = 32; a plain
+chain and a window with 4 hops): the row-major oracle
+(``reference_bitvectors``), the diagonal kernel every window runs
+(``generate_bitvectors``) and, for the chain, the numpy cross-window
+batch (``batched_chain_rows``) per window at batch widths 1 / 8 / 32 —
+the measurement behind routing every window through the diagonal
+kernel.  Gate: the diagonal kernel is >= 3x the oracle at this shape.
 """
 
 from __future__ import annotations
@@ -28,7 +37,10 @@ import random
 import time
 
 from repro.align.backends import align_storage_words, get_backend
+from repro.align.bitalign_batched import batched_chain_rows
 from repro.align.bitalign_packed import DEFAULT_MAX_WORDS
+from repro.core.bitalign import generate_bitvectors, reference_bitvectors
+from repro.graph.linearize import LinearizedGraph
 
 #: (pattern length, repeats) — long patterns are timed once.
 PATTERN_LENGTHS = ((100, 5), (1_000, 3), (10_000, 1))
@@ -217,3 +229,86 @@ def test_batched_align_many(benchmark, show):
         f"batched align_many must be >= {BATCH_SPEEDUP_FLOOR}x over "
         f"the per-call loop, measured {row['speedup']}x"
     )
+
+
+# ----------------------------------------------------------------------
+# The pipeline's window shape: oracle vs diagonal kernel vs numpy batch
+# ----------------------------------------------------------------------
+
+#: One default-config window: ``chunk + k`` text characters against a
+#: ``window_size``-bit chunk at the default threshold.
+WINDOW_TEXT = 160
+WINDOW_PATTERN = 128
+WINDOW_K = 32
+WINDOW_HOPS = 4
+WINDOW_BATCHES = (1, 8, 32)
+WINDOW_REPEATS = 20
+
+#: Acceptance bar: diagonal kernel over the row-major oracle.
+WINDOW_SPEEDUP_FLOOR = 3.0
+
+
+def _window(rng: random.Random,
+            hops: int) -> tuple[LinearizedGraph, str]:
+    """A window-shaped region with ``hops`` extra short-range edges
+    (SNP/indel-sized) and a 5 %-mutated chunk spelled from it."""
+    chars = "".join(rng.choice("ACGT") for _ in range(WINDOW_TEXT))
+    successors = [(i + 1,) for i in range(WINDOW_TEXT - 1)] + [()]
+    for source in rng.sample(range(5, WINDOW_TEXT - 10), hops):
+        successors[source] = (source + 1,
+                              source + rng.randint(2, 4))
+    lin = LinearizedGraph(
+        chars=chars, successors=successors,
+        node_ids=[0] * WINDOW_TEXT,
+        node_offsets=list(range(WINDOW_TEXT)))
+    pattern = "".join(
+        rng.choice("ACGT") if rng.random() < 0.05 else char
+        for char in chars[:WINDOW_PATTERN])
+    return lin, pattern
+
+
+def window_kernel_rows():
+    rng = random.Random(0xD1A6)
+    rows = []
+    for label, hops in (("chain", 0), (f"{WINDOW_HOPS}-hop", WINDOW_HOPS)):
+        lin, pattern = _window(rng, hops)
+        oracle_seconds, oracle = _time(
+            lambda: reference_bitvectors(lin, pattern, WINDOW_K),
+            WINDOW_REPEATS)
+        diagonal_seconds, diagonal = _time(
+            lambda: generate_bitvectors(lin, pattern, WINDOW_K),
+            WINDOW_REPEATS)
+        # Cell-for-cell cross-check before trusting the timing.
+        assert list(diagonal) == oracle
+        row = {
+            "window": label,
+            "oracle_ms": round(oracle_seconds * 1e3, 3),
+            "diagonal_ms": round(diagonal_seconds * 1e3, 3),
+            "speedup": round(oracle_seconds / diagonal_seconds, 2),
+        }
+        for width in WINDOW_BATCHES:
+            key = f"numpy_B{width}_ms"
+            if hops:
+                row[key] = "-"      # the batch sweeps chains only
+                continue
+            jobs = [(lin.chars, pattern)] * width
+            seconds, _ = _time(
+                lambda: batched_chain_rows(jobs, WINDOW_K),
+                WINDOW_REPEATS)
+            row[key] = round(seconds / width * 1e3, 3)
+        rows.append(row)
+    return rows
+
+
+def test_window_shape_kernels(benchmark, show):
+    rows = benchmark.pedantic(window_kernel_rows, rounds=1,
+                              iterations=1)
+    show(rows, "window-shaped sweep (n=160, m=128, k=32) — ms per "
+               "window: row-major oracle vs diagonal kernel vs numpy "
+               "batch")
+    for row in rows:
+        assert row["speedup"] >= WINDOW_SPEEDUP_FLOOR, (
+            f"diagonal kernel must be >= {WINDOW_SPEEDUP_FLOOR}x the "
+            f"row-major oracle on the {row['window']} window, "
+            f"measured {row['speedup']}x"
+        )

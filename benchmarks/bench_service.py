@@ -1,31 +1,31 @@
 """Serving throughput — per-request dispatch vs coalesced batches.
 
-Not a paper figure: this benchmark proves the mapping service's
-micro-batching claim, the software analogue of the paper's
+Not a paper figure: this benchmark sizes the mapping service's
+micro-batching, the software analogue of the paper's
 fixed-cost-amortization argument (SeGraM keeps its index and
 alignment units resident and streams reads through them; the daemon
 keeps the mmap-attached artifact and worker pool resident and
-coalesces request arrivals into shared kernel dispatches).
+coalesces request arrivals into batched engine calls).
 
 Three serving paths over the same artifact-backed mapper:
 
 * ``per-request`` — every read dispatched alone, the way a naive
-  request handler would call ``map()`` per arrival (one kernel
-  dispatch per window per read);
+  request handler would call ``map()`` per arrival;
 * ``coalesced`` — the micro-batcher's path: one ``map_batch(...)``
-  over the whole batch, the windows of each group of reads in
-  shared kernel dispatches;
+  over the whole batch (one drive; since the diagonal kernel serves
+  every window there is no kernel dispatch left to share, so
+  in-process this saves per-call fixed cost only);
 * ``coalesced + pool`` — the same, sharded across a standing
   :class:`~repro.core.pipeline.PersistentPool` of
   ``min(4, cpu_count)`` artifact-attached workers (what
   ``repro serve --jobs`` runs).
 
-Acceptance check: at batch size >= 16 the best batched path must beat
-per-request dispatch by >= 3x when >= 4 cores are available (CI
-runners, production hosts).  On fewer cores the pool cannot
-contribute, so the bar drops to the cross-read batching share alone
-(>= 1.3x) — the 3x claim is a multi-core serving claim, and the gate
-records which bar applied in the meta row.
+Acceptance checks — what a batch buys: it returns exactly the
+per-request results; coalescing in-process is not slower than
+per-request dispatch (the ratio is ~1.0x by construction, see
+above); and on >= 2 cores the pooled path is not slower than the
+in-process batch.  No multiple is gated: the only remaining source of
+one is the pool's cores, which a shared 2-core runner cannot show.
 
 Quick mode: set ``REPRO_BENCH_QUICK=1`` (the CI bench-smoke job does)
 to shrink the reference and batch; the acceptance assertions still
@@ -44,14 +44,18 @@ from repro.sim.shortread import ShortReadProfile, simulate_short_reads
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
-#: The numpy backend carries the batched multi-window kernel that
-#: cross-read coalescing feeds; the python backend would serialize
-#: every window anyway (results are identical either way).
+#: The backend the daemon and the perf spine run (results are
+#: identical on either backend).
 CONFIG = SeGraMConfig(w=10, k=15, bucket_bits=13,
                       align_backend="numpy")
 
 BATCH = 32 if QUICK else 64
 READ_LENGTH = 100
+
+#: "Not slower" on a shared runner: timings of equal work drift
+#: 10–15 % between minutes on a 2-core box (the perf spine bounds its
+#: time metrics at 0.25 for the same reason).
+TIMING_SLACK = 1.25
 
 
 def _workload(tmp_path):
@@ -100,12 +104,6 @@ def service_rows(tmp_path):
     assert coalesced.map_batch(reads) == [
         per_request.map(sequence, name) for name, sequence in reads]
 
-    best_batched_s = min(coalesced_s,
-                         pool_s if pool_s is not None else coalesced_s)
-    speedup = per_request_s / best_batched_s
-    multicore = cores >= 4
-    required = 3.0 if multicore else 1.3
-
     def row(name, seconds):
         return {"path": name, "seconds": round(seconds, 4),
                 "reads_per_s": round(len(reads) / seconds, 1),
@@ -118,10 +116,9 @@ def service_rows(tmp_path):
     meta = {
         "batch": len(reads),
         "cores": cores,
-        "speedup": speedup,
-        "required": required,
-        "gate": "3x multi-core" if multicore
-        else "1.3x single-core (cross-read batching only)",
+        "coalesced_vs_per_request": per_request_s / coalesced_s,
+        "pool_vs_in_process": None if pool_s is None
+        else coalesced_s / pool_s,
     }
     return rows, meta
 
@@ -130,12 +127,16 @@ def test_service_batching_throughput(benchmark, show, tmp_path):
     rows, meta = benchmark.pedantic(
         lambda: service_rows(tmp_path), rounds=1, iterations=1)
     show(rows, "service micro-batching — per-request vs coalesced "
-               f"(batch={meta['batch']}, cores={meta['cores']}, "
-               f"gate={meta['gate']})")
+               f"(batch={meta['batch']}, cores={meta['cores']})")
 
     assert meta["batch"] >= 16
-    assert meta["speedup"] >= meta["required"], (
-        f"coalesced serving only {meta['speedup']:.2f}x over "
-        f"per-request dispatch (need >= {meta['required']}x with "
-        f"{meta['cores']} cores)"
+    floor = 1.0 / TIMING_SLACK
+    assert meta["coalesced_vs_per_request"] >= floor, (
+        f"coalesced batch {meta['coalesced_vs_per_request']:.2f}x "
+        "per-request dispatch: coalescing must not cost throughput"
     )
+    if meta["pool_vs_in_process"] is not None:
+        assert meta["pool_vs_in_process"] >= floor, (
+            f"pooled batch {meta['pool_vs_in_process']:.2f}x the "
+            f"in-process batch on {meta['cores']} cores"
+        )

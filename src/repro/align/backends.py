@@ -37,12 +37,19 @@ Two backends ship by default:
   :mod:`repro.align.bitalign_packed`, bitvectors as uint64 word
   arrays swept in the paper's systolic-array order.
 
-Backends also plug into the graph pipeline: when a window of the
-linearized subgraph is a plain chain (no hops),
+The graph pipeline's windows do not run on these backends: every
+window, with or without hops, goes through the systolic-diagonal
+kernel of :mod:`repro.core.bitalign` (layout documented there).  The
+one remaining hook is :meth:`AlignmentBackend.chain_bitvectors`:
 :func:`repro.core.bitalign.bitalign` asks the selected backend for
-packed bitvector rows via :meth:`AlignmentBackend.chain_bitvectors`;
-graph windows with hops always use the reference recurrence, so
-results never depend on the backend choice.
+packed rows when a window is a plain chain *and* its pattern is at
+least ``chain_kernel_min_bits`` wide (512 for numpy, four times the
+default window), where the word-packed sweep overtakes the diagonal
+ints.  ``chain_bitvectors_many`` / ``batched_chain_rows``, the
+cross-window batch the pipeline used to feed, lost to the diagonal
+kernel at every batch width measured traffic reaches and has no
+production caller left; ``align_many`` keeps its own (mate rescue).
+Results never depend on the backend choice.
 
 The default backend is ``"python"``, overridable per process with the
 ``REPRO_ALIGN_BACKEND`` environment variable (the CI matrix runs the
@@ -108,6 +115,11 @@ class AlignmentBackend:
     #: graph aligner skip the chain probe for reference backends).
     provides_chain_kernel: bool = False
 
+    #: Pattern width (bits) below which :meth:`chain_bitvectors`
+    #: declines — lets the graph aligner skip the chain probe, and the
+    #: call, for windows the backend would turn down anyway.
+    chain_kernel_min_bits: int = 0
+
     def distance(self, text: str, pattern: str,
                  k: int) -> tuple[int, int] | None:
         """Best fitting distance: ``(distance, start)`` or None.
@@ -149,9 +161,9 @@ class AlignmentBackend:
         """Optional packed ``all_r`` rows for a chain graph window.
 
         Returns an object interchangeable with the output of
-        :func:`repro.core.bitalign.generate_bitvectors` (plus a
-        ``best_start`` method), or None to use the reference
-        recurrence.  The base implementation opts out.
+        :func:`repro.core.bitalign.generate_bitvectors` (``rows[i][d]``
+        plus a ``best_start`` method), or None to leave the window to
+        that kernel.  The base implementation opts out.
         """
         return None
 
@@ -273,11 +285,12 @@ class NumpyBackend(AlignmentBackend):
     provides_chain_kernel = True
 
     #: Pattern width (bits) below which the packed chain kernel defers
-    #: to the reference recurrence.  At the pipeline's 128-bit windows
-    #: Python's bigint constants beat numpy's dispatch overhead (see
-    #: the crossover in ``benchmarks/bench_align_backends.py``), and
-    #: since results are bit-for-bit identical either way, falling
-    #: back costs nothing but time saved.
+    #: to the diagonal kernel of :mod:`repro.core.bitalign`.  At the
+    #: pipeline's 128-bit windows Python's bigints beat numpy's
+    #: dispatch overhead (see the crossover in
+    #: ``benchmarks/bench_align_backends.py``), and since results are
+    #: bit-for-bit identical either way, falling back costs nothing
+    #: but time saved.
     CHAIN_KERNEL_MIN_BITS: int = 512
 
     def __init__(self,
@@ -369,8 +382,8 @@ class NumpyBackend(AlignmentBackend):
         """Packed rows for a chain window, or None to fall back.
 
         Opts out (returning None keeps results identical, via the
-        reference recurrence) below the packed kernel's crossover
-        width and when the window would blow the word budget.
+        diagonal kernel) below the packed kernel's crossover width
+        and when the window would blow the word budget.
         """
         if len(pattern) < self.chain_kernel_min_bits:
             return None

@@ -28,9 +28,9 @@ packed sweep is therefore a drop-in replacement for the hot
 edit-distance-generation phase, and the traceback machinery can read
 individual rows back as Python ints (:class:`PackedAllR`).
 
-The linear-chain case is what the packing accelerates; graphs with
-in-window hops fall back to the reference recurrence (see
-:func:`repro.core.bitalign.bitalign`).
+The linear-chain case is what the packing accelerates; graph windows
+with hops, and chain windows below the backend's crossover width, run
+the diagonal kernel of :mod:`repro.core.bitalign` instead.
 """
 
 from __future__ import annotations
@@ -443,7 +443,8 @@ class PackedChainRows(PackedAllR):
     """Packed ``all_r`` for a linear-chain window of the graph aligner.
 
     :func:`repro.core.bitalign.bitalign` uses this in place of its
-    ``generate_bitvectors`` output when the window has no hops.  It
+    ``generate_bitvectors`` output when the window has no hops and the
+    pattern is wide enough for the packed sweep to pay.  It
     reports ``len`` as the number of *text* positions (the virtual row
     stays internal, as in ``generate_bitvectors``) and answers the
     best-start query directly from the packed accept bits instead of
@@ -456,7 +457,8 @@ class PackedChainRows(PackedAllR):
     def best_start(
         self, candidates: list[int] | None = None,
     ) -> tuple[int, int] | None:
-        """Packed mirror of :func:`repro.core.bitalign._best_start`.
+        """Packed mirror of :meth:`repro.core.bitalign.DiagonalRows.
+        best_start`.
 
         Scans budgets in increasing order; within a budget, positions
         in ascending order (or in the caller-given ``candidates``

@@ -19,9 +19,10 @@ Every mapping call — one read, a batch, a pool shard, a daemon
 dispatch, a mate of a pair — takes the same drive,
 :meth:`MappingPipeline.map_reads`: groups of :data:`DISPATCH_READS`
 reads run stages 1-2 per oriented read, then the align stage pulls
-their regions and resolves them through shared
-:meth:`~repro.core.windows.WindowedAligner.align_many` dispatches,
-the way the windowed kernel keeps many windows on one array.
+their regions and resolves them through one
+:meth:`~repro.core.windows.WindowedAligner.align_many` call per
+round (every window of which is one call of the diagonal BitAlign
+kernel — nothing is batched across windows).
 
 Two throughput features ride on the stage boundary:
 
@@ -78,11 +79,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Stage names in execution order (also the row order of stats tables).
 STAGE_ORDER = ("seed", "filter", "extract", "align", "select")
 
-#: Reads whose regions share ``align_many`` dispatches.  A collected
+#: Reads whose regions go into one ``align_many`` call.  A collected
 #: region pins its linearized graph past the region-cache LRU, so the
-#: group is bounded: 32 reads is the widest dispatch the perf spine
-#: measures, within a few percent of the throughput plateau, at a
-#: fifth of the memory an unbounded 512-read chunk holds.
+#: group is bounded: 32 reads is the widest group the perf spine
+#: measures, at a fifth of the memory an unbounded 512-read chunk
+#: holds.  (Sized when groups still shared numpy kernel dispatches;
+#: with one kernel call per window the width no longer buys
+#: throughput.)
 DISPATCH_READS = 32
 
 
@@ -144,13 +147,13 @@ class PipelineStats:
     cache_prefetches: int = 0
     windows: int = 0
     rescues: int = 0
-    #: Alignment-kernel dispatches: one per-window backend call or one
-    #: batched multi-window call each count 1.  Unlike the result
-    #: counters this *is* backend-dependent (batching shrinks it) —
-    #: it measures dispatch work, never what is computed.
+    #: Alignment-kernel calls: one per window attempt, so on the
+    #: window path ``windows + rescues`` on every backend.  It
+    #: measures dispatch work, never what is computed.
     align_calls: int = 0
-    #: Windows that were served by a batched (multi-problem) kernel
-    #: dispatch — 0 for backends without a batched kernel.
+    #: Windows served by a batched (multi-problem) kernel dispatch —
+    #: 0 on the window path since the diagonal kernel serves every
+    #: window; kept for the stats table and ``PairStats`` symmetry.
     align_windows_batched: int = 0
     #: Alignment-backend name the pipeline ran with (a configuration
     #: label, not a counter — results are backend-independent).
@@ -207,7 +210,7 @@ class PipelineStats:
 
         The ``calls`` / ``batched`` columns surface kernel-dispatch
         counts on the align row (blank elsewhere): ``calls`` counts
-        backend dispatches, ``batched`` the windows that shared one.
+        kernel calls, ``batched`` the windows that shared one.
         """
         return [
             {"stage": s.name, "in": s.items_in, "out": s.items_out,
@@ -468,8 +471,8 @@ class AlignStage:
     result's reported placement.
 
     Unlike the per-read stages it runs over a *group* of oriented
-    reads, so the windows of many regions — across orientations and
-    reads — share kernel dispatches.
+    reads: the regions of many orientations and reads go into one
+    ``align_many`` call per round.
     """
 
     name = "align"
@@ -801,7 +804,7 @@ class MappingPipeline:
 
         Per group of :data:`DISPATCH_READS` reads: stages 1-2 run per
         oriented read in input order, the align stage pulls and
-        aligns their regions through shared kernel dispatches
+        aligns their regions one ``align_many`` call per round
         (:meth:`AlignStage.align_group`), and stage 5 selects per
         read.  A read's result does not depend on what it is grouped
         with.  ``both_strands`` is the mapper's configured setting for

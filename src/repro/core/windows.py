@@ -28,6 +28,14 @@ walk through the graph.  Windows that fail at the configured error
 threshold are rescued by doubling ``k`` (up to the chunk length, where
 an alignment always exists); the rescue count is reported so callers
 can see when a read is far noisier than the configuration assumes.
+
+**One kernel per window.**  Every window — chain or hop-bearing, first
+attempt or rescue — is one call of :func:`repro.core.bitalign.bitalign`,
+i.e. one sweep of the systolic-diagonal kernel described in
+:mod:`repro.core.bitalign` plus its native traceback.
+:meth:`WindowedAligner.align_many` is :meth:`WindowedAligner.align`
+per item; nothing is batched across windows, so a result depends on
+nothing but its own item.
 """
 
 from __future__ import annotations
@@ -37,7 +45,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.alignment import Cigar
-from repro.core.bitalign import BitAlignResult, bitalign, traceback
+# ``traceback`` is not used here any more; benchmarks/perf/test_perf.py
+# reads ``repro.core.windows.traceback`` to check its shims restore.
+from repro.core.bitalign import (  # noqa: F401
+    BitAlignResult,
+    bitalign,
+    traceback,
+)
 from repro.graph.linearize import LinearizedGraph
 
 
@@ -155,10 +169,9 @@ class _WindowJob:
     """One pending window alignment of a suspended extension.
 
     The windowing loop (:meth:`WindowedAligner._extend_steps`) yields
-    these instead of calling the kernel directly, so a dispatcher can
-    gather the pending windows of *many* reads and resolve them
-    through one batched backend call.  ``anchors`` are already in
-    window-local coordinates.
+    these instead of calling the kernel directly; the driver resolves
+    each through :meth:`WindowedAligner._resolve_job` and sends the
+    result back.  ``anchors`` are already in window-local coordinates.
     """
 
     window: LinearizedGraph
@@ -174,10 +187,9 @@ class _AlignSession:
     :meth:`WindowedAligner.align` (right from the anchor, then left on
     the reversed view) as resumable generators: :attr:`pending` is the
     next window needing a kernel result, :meth:`advance` feeds one in,
-    and :meth:`finish` merges the extensions exactly as the sequential
-    path does.  Driving a session one window at a time reproduces
-    ``align`` verbatim; interleaving many sessions lets the dispatcher
-    batch their windows without changing any per-read result.
+    and :meth:`finish` merges the extensions.  (The suspension is a
+    leftover of the cross-read window batch; with one kernel call per
+    window a plain loop would do.)
     """
 
     def __init__(self, aligner: "WindowedAligner",
@@ -290,10 +302,11 @@ class WindowedAligner:
         config: windowing parameters.
         backend: alignment backend selection (a name from
             :func:`repro.align.backends.list_backends`, a backend
-            instance, or None for the process default).  The backend
-            supplies the bitvector-generation kernel for hop-free
-            windows; results are bit-for-bit identical across
-            backends.
+            instance, or None for the process default).  Windows run
+            the diagonal kernel of :mod:`repro.core.bitalign` on every
+            backend; a backend may take over hop-free windows above
+            its ``chain_kernel_min_bits`` pattern width.  Results are
+            bit-for-bit identical across backends.
     """
 
     def __init__(self, config: WindowingConfig | None = None,
@@ -327,21 +340,16 @@ class WindowedAligner:
                 position ``graph_position``.  With an anchor the
                 aligner extends left and right from it; without one the
                 first window searches all start positions.
-            counters: optional stats object with ``align_calls`` /
-                ``align_windows_batched`` attributes to charge kernel
-                dispatches against (see
-                :class:`repro.core.pipeline.PipelineStats`).
+            counters: optional stats object whose ``align_calls`` is
+                charged one per kernel call, i.e. per window attempt
+                (see :class:`repro.core.pipeline.PipelineStats`).
 
         The reported distance is the edit distance of the *reported*
         alignment (replay-exact); like GenASM's, the heuristic may
         exceed the global optimum when an error cluster straddles a
         window cut.
         """
-        session = _AlignSession(self, lin, read, anchor, observer)
-        while session.pending is not None:
-            session.advance(self._resolve_job(session.pending,
-                                              counters))
-        return session.finish()
+        return self._align_item(lin, read, anchor, observer, counters)
 
     def align_many(
         self,
@@ -351,76 +359,38 @@ class WindowedAligner:
     ) -> list[WindowedAlignment]:
         """Windowed alignment of many ``(lin, read, anchor)`` items.
 
-        Per-item results are bit-for-bit those of :meth:`align` — the
-        same windowing sessions run, only the *dispatch* changes: each
-        round gathers every session's pending window, routes the plain
-        chain windows (grouped by their current ``k``) through the
-        backend's :meth:`~repro.align.backends.AlignmentBackend.
-        chain_bitvectors_many` batch entry, and resolves the rest
-        (graph windows with hops, empty windows, and whatever the
-        backend declines) through the per-window path.  The traceback
-        tail is shared with :func:`repro.core.bitalign.bitalign`, so
-        the routing never changes an alignment.
+        Exactly :meth:`align` per item, in order: every window of every
+        item goes through the one per-window kernel
+        (:func:`repro.core.bitalign.bitalign`), so a result depends on
+        nothing but its own item.  The batch entry exists so a caller
+        hands over a whole dispatch group at once.
         """
-        sessions = [
-            _AlignSession(self, lin, read, anchor, observer)
-            for lin, read, anchor in items
-        ]
-        backend = self.backend
-        batchable = backend.provides_chain_kernel
-        while True:
-            pending = [(session, session.pending)
-                       for session in sessions
-                       if session.pending is not None]
-            if not pending:
-                break
-            scalar = []
-            by_k: dict[int, list] = {}
-            for session, job in pending:
-                if batchable and len(job.window) > 0 \
-                        and job.window.is_chain():
-                    by_k.setdefault(job.k, []).append((session, job))
-                else:
-                    scalar.append((session, job))
-            for k, group in sorted(by_k.items()):
-                rows_list = backend.chain_bitvectors_many(
-                    [(job.window.chars, job.chunk)
-                     for _, job in group], k)
-                served = sum(1 for rows in rows_list
-                             if rows is not None)
-                if counters is not None and served:
-                    counters.align_calls += 1
-                    counters.align_windows_batched += served
-                for (session, job), rows in zip(group, rows_list):
-                    if rows is None:
-                        session.advance(
-                            self._resolve_job(job, counters))
-                    else:
-                        session.advance(
-                            self._traceback_from_rows(job, rows))
-            for session, job in scalar:
-                session.advance(self._resolve_job(job, counters))
-        return [session.finish() for session in sessions]
+        return [self._align_item(lin, read, anchor, observer, counters)
+                for lin, read, anchor in items]
+
+    def _align_item(self, lin: LinearizedGraph, read: str,
+                    anchor: tuple[int, int] | None,
+                    observer: WindowObserver | None,
+                    counters) -> WindowedAlignment:
+        """One item's windowing session, a kernel call per window.
+
+        Shared by :meth:`align` and :meth:`align_many` instead of one
+        calling the other: the perf spine times both public methods as
+        root spans, and nesting them would count the work twice.
+        """
+        session = _AlignSession(self, lin, read, anchor, observer)
+        while session.pending is not None:
+            session.advance(self._resolve_job(session.pending,
+                                              counters))
+        return session.finish()
 
     def _resolve_job(self, job: _WindowJob,
                      counters=None) -> BitAlignResult | None:
-        """Per-window kernel path (one backend dispatch)."""
+        """Per-window kernel path (one kernel call)."""
         if counters is not None:
             counters.align_calls += 1
         return bitalign(job.window, job.chunk, job.k,
                         anchors=job.anchors, backend=self.backend)
-
-    @staticmethod
-    def _traceback_from_rows(job: _WindowJob,
-                             rows) -> BitAlignResult | None:
-        """Finish a window from backend-provided bitvector rows —
-        the chain-kernel tail of :func:`repro.core.bitalign.bitalign`
-        verbatim."""
-        located = rows.best_start(candidates=job.anchors)
-        if located is None:
-            return None
-        budget, start = located
-        return traceback(job.window, job.chunk, rows, start, budget)
 
     def _extend_steps(
         self,

@@ -143,13 +143,37 @@ class LinearizedGraph:
         reuses one linearization across many reads.
         """
         n = len(self.chars)
-        rev_successors: list[list[int]] = [[] for _ in range(n)]
-        for position, succs in enumerate(self.successors):
-            for succ in succs:
-                rev_successors[n - 1 - succ].append(n - 1 - position)
+        successors = self.successors
+        # A chain reverses onto itself — edge p -> p+1 becomes q -> q+1
+        # with q = n-2-p — so start from the graph's own tuples and
+        # rebuild only what the positions that are not chain-like
+        # touch: O(n) C-level copying plus work per hop, where a
+        # per-edge rebuild costs milliseconds on a 10 k-character
+        # region.
+        odd = [position for position, succs in enumerate(successors)
+               if succs != (position + 1,)]
+        rev_successors = list(successors)
+        sources: dict[int, list[int]] = {}
+        for position in odd:
+            # Back to the chain's value (the last position, always
+            # odd, has none) before the touched ones are redone.
+            rev_successors[position] = \
+                (position + 1,) if position < n - 1 else ()
+            for succ in successors[position]:
+                sources.setdefault(succ, []).append(position)
+        chain_broken = set(odd)
+        for target in sources.keys() | {p + 1 for p in odd if p + 1 < n}:
+            # Predecessors in ascending order: the listed odd ones
+            # (visited ascending, all below the target), then
+            # target - 1 when it is chain-like.
+            preds = sources.get(target, [])
+            if target and target - 1 not in chain_broken:
+                preds = [*preds, target - 1]
+            rev_successors[n - 1 - target] = tuple(
+                n - 1 - pred for pred in reversed(preds))
         return LinearizedGraph(
             chars=self.chars[::-1],
-            successors=[tuple(sorted(s)) for s in rev_successors],
+            successors=rev_successors,
             node_ids=list(reversed(self.node_ids)),
             node_offsets=list(reversed(self.node_offsets)),
             total_hops=self.total_hops,
@@ -196,26 +220,24 @@ def linearize(graph: GenomeGraph,
 
     for node in graph.nodes():
         start = offsets[node.node_id]
-        length = len(node.sequence)
+        length = len(node.sequence)      # >= 1: Node rejects empty
+        last = start + length - 1
         chars.append(node.sequence)
-        for local in range(length):
-            position = start + local
-            node_ids.append(node.node_id)
-            node_offsets.append(local)
-            if local < length - 1:
-                successors.append((position + 1,))
+        node_ids.extend([node.node_id] * length)
+        node_offsets.extend(range(length))
+        successors.extend([(position,)
+                           for position in range(start + 1, last + 1)])
+        hop_targets = []
+        for succ_node in graph.successors(node.node_id):
+            target = offsets[succ_node]
+            distance = target - last
+            if distance > 1:
+                total_hops += 1
+            if hop_limit is not None and distance > hop_limit:
+                dropped_hops += 1
                 continue
-            hop_targets = []
-            for succ_node in graph.successors(node.node_id):
-                target = offsets[succ_node]
-                distance = target - position
-                if distance > 1:
-                    total_hops += 1
-                if hop_limit is not None and distance > hop_limit:
-                    dropped_hops += 1
-                    continue
-                hop_targets.append(target)
-            successors.append(tuple(sorted(hop_targets)))
+            hop_targets.append(target)
+        successors.append(tuple(sorted(hop_targets)))
 
     return LinearizedGraph(
         chars="".join(chars),

@@ -47,7 +47,7 @@ from repro.align.bitap import (
 from repro.align.dp_linear import AlignmentSizeError, semiglobal_distance
 from repro.align.genasm import genasm_distance
 from repro.core.alignment import replay_alignment
-from repro.core.bitalign import bitalign, generate_bitvectors
+from repro.core.bitalign import bitalign, reference_bitvectors
 from repro.graph.genome_graph import GenomeGraph
 from repro.graph.linearize import linearize
 
@@ -315,11 +315,11 @@ class TestChainKernelParity:
                      fast.reference), (text, pattern, k, anchors)
 
     def test_chain_rows_match_reference_band(self):
-        """Packed rows agree with generate_bitvectors on every bit a
+        """Packed rows agree with the row-major oracle on every bit a
         consumer can observe (the relevance band)."""
         text, pattern, k = "ACGTAGGCTTACGA", "TAGGCTT", 3
         lin = self._chain(text)
-        reference = generate_bitvectors(lin, pattern, k)
+        reference = reference_bitvectors(lin, pattern, k)
         packed = self._forced_numpy().chain_bitvectors(text, pattern, k)
         assert len(packed) == len(reference)
         m = len(pattern)

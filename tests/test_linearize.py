@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.graph.builder import Variant, build_graph
 from repro.graph.genome_graph import GenomeGraph, GraphError
 from repro.graph.linearize import (
+    LinearizedGraph,
     hop_coverage,
     hop_length_distribution,
     linearize,
@@ -109,6 +112,87 @@ class TestSlice:
             lin.slice(3, 3)
         with pytest.raises(GraphError):
             lin.slice(0, 99)
+
+
+class TestReversed:
+    """``reversed()`` copies the chain-like stretches and rebuilds
+    only what hop sources touch, never sorting; pinned here on
+    hop-bearing graphs, where positions have several predecessors."""
+
+    @pytest.fixture(params=["bubble", "variants"])
+    def lin(self, request):
+        if request.param == "bubble":
+            return linearize(bubble())
+        built = build_graph("ACGTACGTACGTACGT", [
+            Variant(3, 4, "G"), Variant(6, 6, "TT"),
+            Variant(9, 12, ""), Variant(9, 10, "A")])
+        return linearize(built.graph)
+
+    def test_successors_are_sorted_predecessors(self, lin):
+        n = len(lin)
+        rev = lin.reversed()
+        assert max(len(s) for s in rev.successors) > 1
+        for position, succs in enumerate(rev.successors):
+            assert list(succs) == sorted(set(succs))
+            assert {n - 1 - s for s in succs} == {
+                source for source, targets in enumerate(lin.successors)
+                if n - 1 - position in targets}
+
+    def test_random_dags_match_per_edge_rebuild(self):
+        """Any forward-edged successor table — missing ``i + 1``
+        edges, dead ends, hops to anywhere — reverses to the sorted
+        predecessor table a per-edge rebuild gives."""
+        rng = random.Random(0x2E7)
+        for _ in range(300):
+            n = rng.choice((1, 2, 3, 5, 9, 40))
+            successors = []
+            for i in range(n):
+                succs = {i + 1} if i + 1 < n and rng.random() < 0.85 \
+                    else set()
+                if i + 2 < n and rng.random() < 0.25:
+                    succs.update(rng.randint(i + 1, n - 1)
+                                 for _ in range(rng.randint(1, 3)))
+                successors.append(tuple(sorted(succs)))
+            lin = LinearizedGraph(
+                chars="A" * n, successors=successors,
+                node_ids=list(range(n)), node_offsets=[0] * n)
+            expected = [[] for _ in range(n)]
+            for position, succs in enumerate(successors):
+                for succ in succs:
+                    expected[n - 1 - succ].append(n - 1 - position)
+            assert lin.reversed().successors == \
+                [tuple(sorted(s)) for s in expected], successors
+
+    def test_round_trip(self, lin):
+        rev = lin.reversed()
+        assert rev.chars == lin.chars[::-1]
+        assert rev.node_ids == lin.node_ids[::-1]
+        assert rev.reversed().successors == lin.successors
+        assert lin.reversed_view() is lin.reversed_view()
+
+
+class TestLinearizeLongNodes:
+    def test_per_node_fields_of_multi_character_nodes(self):
+        """Nodes are expanded a whole node at a time; only a node's
+        last character carries its hop targets."""
+        built = build_graph("ACGTACGTAC", [Variant(4, 6, "T")])
+        lin = linearize(built.graph)
+        graph = built.graph
+        position = 0
+        for node in graph.nodes():
+            for local in range(len(node.sequence)):
+                assert lin.node_ids[position] == node.node_id
+                assert lin.node_offsets[position] == local
+                assert lin.chars[position] == node.sequence[local]
+                if local < len(node.sequence) - 1:
+                    assert lin.successors[position] == (position + 1,)
+                else:
+                    offsets = graph.offsets()
+                    assert lin.successors[position] == tuple(sorted(
+                        offsets[s]
+                        for s in graph.successors(node.node_id)))
+                position += 1
+        assert position == len(lin) == len(lin.successors)
 
 
 class TestHopBits:

@@ -296,18 +296,21 @@ class TestAlignMany:
         assert aligner.align_many([]) == []
 
     def test_numpy_batch_shares_dispatches(self, items):
-        """The point of the batch entry: the chain windows of many
-        items ride one kernel call (the python backend has no batched
-        kernel, so it dispatches per window either way)."""
+        """Re-stated when the diagonal kernel became the one window
+        kernel: the batch entry shares no kernel dispatch, not even on
+        the numpy backend — together or alone, every window attempt is
+        one kernel call."""
         from repro.core.pipeline import PipelineStats
 
-        aligner = WindowedAligner(
-            WindowingConfig(window_size=128, overlap=48, k=16),
-            backend="numpy")
-        together, alone = PipelineStats(), PipelineStats()
-        aligner.align_many(items, counters=together)
-        for item in items:
-            aligner.align(*item, counters=alone)
-        assert alone.align_windows_batched == 0
-        assert together.align_windows_batched > 0
-        assert together.align_calls < alone.align_calls
+        for backend in ("numpy", "python"):
+            aligner = WindowedAligner(
+                WindowingConfig(window_size=128, overlap=48, k=16),
+                backend=backend)
+            together, alone = PipelineStats(), PipelineStats()
+            batched = aligner.align_many(items, counters=together)
+            for item in items:
+                aligner.align(*item, counters=alone)
+            attempts = sum(r.windows + r.rescues for r in batched)
+            assert together.align_calls == alone.align_calls == attempts
+            assert together.align_windows_batched == 0
+            assert alone.align_windows_batched == 0
