@@ -56,9 +56,12 @@ class SeGraMConfig:
         windowing: BitAlign windowing parameters.
         hop_limit: hardware hop-queue depth (12 in the paper); None
             aligns exactly with unlimited hops.
-        max_seeds_per_read: optional cap on candidate regions aligned
-            per read (the paper aligns all; benchmarks use a cap to
-            bound pure-Python runtime — always stated where used).
+        max_seeds_per_read: optional cap on candidate regions
+            considered per read (the paper aligns all; benchmarks use
+            a cap to bound pure-Python runtime — always stated where
+            used).  Regions the align stage finds subsumed by an
+            earlier alignment count against the cap: they are not
+            replaced by deeper seeds.
         top_n_alignments: how many of the best alignments per
             orientation survive the align stage (paper: MinSeed keeps
             multiple seed regions alive so BitAlign can pick the true
@@ -69,10 +72,10 @@ class SeGraMConfig:
             behaviour.
         early_exit_distance: stop trying further regions once an
             alignment at or below this distance is found (None = try
-            all regions, the paper's behaviour).  Regions skipped by
-            the early exit contribute no candidates, so second-best
-            distances — and therefore MAPQ calibration — only see the
-            regions aligned before the exit fired.
+            every region no earlier alignment subsumes).  Regions
+            skipped by the early exit contribute no candidates, so
+            second-best distances — and therefore MAPQ calibration —
+            only see the regions aligned before the exit fired.
         both_strands: also map the reverse-complemented read and keep
             the better orientation.
         chaining: enable the optional colinear-chaining filter
@@ -201,7 +204,11 @@ class MappingResult:
             (None for single-reference mappers).
         strand: '+' or '-' (reverse-complement mapping).
         seeding: MinSeed statistics for this read.
-        regions_aligned: candidate regions BitAlign actually processed.
+        regions_aligned: candidate regions BitAlign actually processed
+            — the kept regions minus those an earlier alignment of
+            the same orientation subsumed (counted in
+            ``PipelineStats.regions_subsumed``) and those past an
+            ``early_exit_distance`` exit.
         windows / rescues: windowed-alignment counters summed over the
             best alignment.
         candidates: the top-N retained alignments (both orientations,

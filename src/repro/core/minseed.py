@@ -20,8 +20,10 @@ MinSeed turns a query read into candidate reference regions
    ``m`` the read length and ``E`` the expected error rate.
 
 MinSeed performs no chaining or filtering beyond the frequency
-threshold (Section 11.4) — every surviving seed region goes to
-BitAlign.
+threshold (Section 11.4) — every surviving seed region is emitted.
+(The software pipeline's align stage then skips regions an earlier
+alignment of the read already subsumes; see
+:mod:`repro.core.pipeline`.)
 """
 
 from __future__ import annotations
@@ -197,9 +199,9 @@ class MinSeed:
         regions: list[SeedRegion] = []
         seen_spans: set[tuple[int, int]] = set()
         for minimizer in read_minimizers:
-            stats.index_accesses += \
-                self.index.lookup_cost(minimizer.score).total_accesses
-            frequency = self.index.frequency(minimizer.score)
+            query = self.index.query(minimizer.score)
+            stats.index_accesses += query.cost.total_accesses
+            frequency = query.frequency
             if frequency == 0:
                 continue
             if frequency > self.freq_threshold:
@@ -207,7 +209,7 @@ class MinSeed:
                 continue
             a = minimizer.position
             b = a + k - 1
-            for hit in self.index.lookup(minimizer.score):
+            for hit in query.hits():
                 stats.seed_count += 1
                 c = self._offsets[hit.node_id] + hit.offset
                 d = c + k - 1

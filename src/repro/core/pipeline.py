@@ -19,10 +19,26 @@ Every mapping call — one read, a batch, a pool shard, a daemon
 dispatch, a mate of a pair — takes the same drive,
 :meth:`MappingPipeline.map_reads`: groups of :data:`DISPATCH_READS`
 reads run stages 1-2 per oriented read, then the align stage pulls
-their regions and resolves them through one
-:meth:`~repro.core.windows.WindowedAligner.align_many` call per
-round (every window of which is one call of the diagonal BitAlign
-kernel — nothing is batched across windows).
+their regions, one per live orientation per round, and resolves each
+round through one
+:meth:`~repro.core.windows.WindowedAligner.align_many` call (every
+window of which is one call of the diagonal BitAlign kernel — nothing
+is batched across windows).
+
+**Each locus is aligned once.**  MinSeed sends every surviving seed
+region to BitAlign (paper Section 11.4), which a hardware BitAlign
+makes nearly free; here a region costs milliseconds and most regions
+of a read re-derive one placement from another minimizer.  So, the
+way BWA-MEM skips seeds contained in an alignment it already has, a
+region is **subsumed** — neither extracted nor aligned — when an
+earlier alignment of the same oriented read matches (``=``) read
+position ``seed.read_start`` to graph character ``seed.graph_start``
+*and* that earlier region's node range contains this region's
+(:meth:`AlignStage._mark_subsumed`).  A repeat copy sits on another
+diagonal, so it is never subsumed and MAPQ keeps its competitors.
+This deviates from Section 11.4 in software only; the hardware models
+of :mod:`repro.hw` call the aligner directly and keep the paper's
+align-every-seed accounting.
 
 Two throughput features ride on the stage boundary:
 
@@ -67,6 +83,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro import seq as seqmod
+from repro.core.alignment import READ_CONSUMING, REF_CONSUMING
 from repro.core.chaining import chain_regions
 from repro.core.minseed import SeedRegion, SeedingStats
 from repro.graph.linearize import LinearizedGraph, linearize
@@ -103,7 +120,8 @@ class StageStats:
             ``select``, regions for the middle stages).
         items_out: items surviving the stage.
         dropped: items discarded by the stage (filter cap / chaining,
-            or regions skipped by the early-exit knob in ``align``).
+            or, in ``align``, regions subsumed by an earlier alignment
+            plus regions skipped by the early-exit knob).
         seconds: wall time spent inside the stage.
     """
 
@@ -133,6 +151,12 @@ class PipelineStats:
     reads_mapped: int = 0
     regions_seeded: int = 0
     regions_chained: int = 0
+    #: Kept regions never extracted or aligned because an earlier
+    #: alignment of the same oriented read already passes through
+    #: their seed (:meth:`AlignStage._mark_subsumed`).  Without
+    #: ``early_exit_distance``, ``regions_chained == regions_subsumed
+    #: + regions_aligned``; with it the remainder left with the exit.
+    regions_subsumed: int = 0
     regions_aligned: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -191,6 +215,7 @@ class PipelineStats:
         self.reads_mapped += other.reads_mapped
         self.regions_seeded += other.regions_seeded
         self.regions_chained += other.regions_chained
+        self.regions_subsumed += other.regions_subsumed
         self.regions_aligned += other.regions_aligned
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
@@ -210,7 +235,9 @@ class PipelineStats:
 
         The ``calls`` / ``batched`` columns surface kernel-dispatch
         counts on the align row (blank elsewhere): ``calls`` counts
-        kernel calls, ``batched`` the windows that shared one.
+        kernel calls, ``batched`` the windows that shared one.  The
+        align row's ``dropped`` is ``regions_subsumed`` plus the
+        regions an early exit left unpulled.
         """
         return [
             {"stage": s.name, "in": s.items_in, "out": s.items_out,
@@ -228,6 +255,7 @@ class PipelineStats:
             f"reads: {self.reads} total, {self.reads_mapped} mapped",
             f"regions: {self.regions_seeded} seeded -> "
             f"{self.regions_chained} kept -> "
+            f"{self.regions_subsumed} subsumed -> "
             f"{self.regions_aligned} aligned",
             f"region cache: {self.cache_hits} hits / "
             f"{self.cache_misses} misses "
@@ -337,8 +365,13 @@ class SeededRead:
 
 @dataclass
 class PreparedRegion:
-    """Output of the extract stage: one alignable region."""
+    """Output of the extract stage: one alignable region.
 
+    ``index`` is the region's position in its read's filtered list
+    (``SeededRead.regions``): everything after it is still unpulled.
+    """
+
+    index: int
     region: SeedRegion
     lin: LinearizedGraph
     original_ids: list[int]
@@ -349,12 +382,15 @@ class PreparedRegion:
 class PreparedRead:
     """A seeded read plus its lazily-extracted region stream.
 
-    The align stage pulls the stream: with ``early_exit_distance``
-    set, regions past the exit point are never extracted at all.
+    The align stage pulls the stream one region per round and writes
+    the indices of regions its alignments subsume into ``subsumed``;
+    the stream skips those, and regions past an ``early_exit_distance``
+    exit, without extracting them.
     """
 
     seeded: SeededRead
     stream: Iterator[PreparedRegion]
+    subsumed: set[int]
 
 
 # ----------------------------------------------------------------------
@@ -380,9 +416,11 @@ class SeedStage:
 class ChainFilterStage:
     """Step 2 (paper Fig. 2): optional chaining, ordering, and cap.
 
-    Regions are ordered rarest-minimizer-first so a per-read cap and
-    the early-exit knob both see the likeliest candidates early, then
-    truncated to ``max_seeds_per_read``.
+    Regions are ordered rarest-minimizer-first so a per-read cap, the
+    early-exit knob and the align stage's subsumption rule all see the
+    likeliest candidates early, then truncated to
+    ``max_seeds_per_read`` — a cap on the regions *considered*:
+    subsumed ones are not replaced by deeper seeds.
     """
 
     name = "filter"
@@ -419,22 +457,28 @@ class ChainFilterStage:
 class ExtractStage:
     """Step 3: subgraph extraction + linearization, memoized.
 
-    The returned stream is lazy; each pull performs (or recalls from
-    the :class:`RegionCache`) one ``extract_region`` + ``linearize``
-    and computes the seed anchor in linearized coordinates.
+    The returned stream is lazy; each pull skips the regions the align
+    stage has marked subsumed, then performs (or recalls from the
+    :class:`RegionCache`) one ``extract_region`` + ``linearize`` and
+    computes the seed anchor in linearized coordinates.
     """
 
     name = "extract"
 
     def run(self, seeded: SeededRead,
             pipe: "MappingPipeline") -> PreparedRead:
+        subsumed: set[int] = set()
         return PreparedRead(seeded=seeded,
-                            stream=self._stream(seeded, pipe))
+                            stream=self._stream(seeded, pipe, subsumed),
+                            subsumed=subsumed)
 
-    def _stream(self, seeded: SeededRead,
-                pipe: "MappingPipeline") -> Iterator[PreparedRegion]:
+    def _stream(self, seeded: SeededRead, pipe: "MappingPipeline",
+                subsumed: set[int]) -> Iterator[PreparedRegion]:
         stats = pipe.stats.stage(self.name)
-        for region in seeded.regions:
+        for index, region in enumerate(seeded.regions):
+            if index in subsumed:
+                pipe.stats.regions_subsumed += 1
+                continue
             start = time.perf_counter()
             lo, hi = pipe.node_range(region.start, region.end)
             key = (lo, hi, pipe.config.hop_limit)
@@ -453,26 +497,30 @@ class ExtractStage:
             stats.items_in += 1
             stats.items_out += 1
             stats.seconds += time.perf_counter() - start
-            yield PreparedRegion(region=region, lin=entry.lin,
+            yield PreparedRegion(index=index, region=region,
+                                 lin=entry.lin,
                                  original_ids=entry.original_ids,
                                  anchor=anchor)
 
 
 class AlignStage:
-    """Step 4 (paper Section 7): windowed BitAlign over each region,
-    keeping the ``top_n_alignments`` best alignments by edit distance.
+    """Step 4 (paper Section 7): windowed BitAlign over each region
+    no earlier alignment subsumes, keeping the ``top_n_alignments``
+    best alignments by edit distance.
 
     Every aligned region yields an
     :class:`~repro.core.mapper.AlignmentCandidate`; candidates are
     ordered by the stable ``(distance, strand, position)`` key,
-    deduplicated by locus (overlapping seed regions re-derive the same
-    placement — only distinct loci may count as MAPQ competitors), and
-    truncated to the configured top N.  The best candidate becomes the
-    result's reported placement.
+    deduplicated by locus (regions the subsumption rule could not
+    collapse may still re-derive one placement — only distinct loci
+    may count as MAPQ competitors), and truncated to the configured
+    top N.  The best candidate becomes the result's reported placement.
 
     Unlike the per-read stages it runs over a *group* of oriented
-    reads: the regions of many orientations and reads go into one
-    ``align_many`` call per round.
+    reads: one region of every live orientation goes into one
+    ``align_many`` call per round, and each alignment marks the later
+    regions of its orientation that it makes redundant
+    (:meth:`_mark_subsumed`).
     """
 
     name = "align"
@@ -482,27 +530,27 @@ class AlignStage:
         """Align the regions of every oriented read in ``group``.
 
         Rounds of one :meth:`~repro.core.windows.WindowedAligner.
-        align_many` dispatch: each round pulls regions from the
-        extract stream of every live orientation, in group order —
-        all of them without ``early_exit_distance``, so one round
-        finishes the group; one per orientation with it, retiring an
-        orientation once a region aligns at or below the threshold.
-        An orientation's exit after region *i* depends only on its own
-        regions 0..*i*, so its result is the same in any group.
+        align_many` dispatch: each round pulls the next region that is
+        not subsumed from the extract stream of every live
+        orientation, in group order.  An orientation retires when its
+        stream runs dry or, with ``early_exit_distance``, once a
+        region aligns at or below the threshold.  What an orientation
+        pulls after region *i* depends only on its own regions
+        0..*i*, so its result is the same in any group.
         """
         from repro.core.mapper import MappingResult
 
         stats = pipe.stats.stage(self.name)
         exit_distance = pipe.config.early_exit_distance
-        per_round = None if exit_distance is None else 1
         tasks = [prepared.seeded.task for prepared in group]
         candidates: "list[list[AlignmentCandidate]]" = \
             [[] for _ in group]
         live = list(range(len(group)))
         while live:
             work = [(index, region) for index in live
-                    for region in islice(group[index].stream,
-                                         per_round)]
+                    for region in islice(group[index].stream, 1)]
+            if not work:
+                break
             with _timed(stats):
                 aligned_list = pipe.aligner.align_many(
                     [(region.lin, tasks[index].sequence, region.anchor)
@@ -516,9 +564,12 @@ class AlignStage:
                 pipe.stats.rescues += aligned.rescues
                 candidates[index].append(self._candidate(
                     aligned, region, tasks[index].strand, pipe))
-                if exit_distance is not None \
-                        and aligned.distance > exit_distance:
+                if exit_distance is None \
+                        or aligned.distance > exit_distance:
                     live.append(index)
+                    with _timed(stats):
+                        self._mark_subsumed(aligned, region,
+                                            group[index], pipe)
         results = []
         for prepared, task, found in zip(group, tasks, candidates):
             seeded = prepared.seeded
@@ -533,6 +584,65 @@ class AlignStage:
                               pipe.config.top_n_alignments)
             results.append(result)
         return results
+
+    @staticmethod
+    def _mark_subsumed(aligned, region: PreparedRegion,
+                       prepared: PreparedRead,
+                       pipe: "MappingPipeline") -> None:
+        """Mark the unpulled regions of ``prepared`` that ``aligned``
+        (the alignment of its ``region``) makes redundant.
+
+        A later region is subsumed when both hold:
+
+        * the alignment matches (``=``) read position
+          ``seed.read_start`` to graph character ``seed.graph_start``
+          — i.e. to ``(seed.node_id, seed.node_offset)`` — so aligning
+          from that seed would anchor on this very path;
+        * this region's node range (the :class:`RegionCache` key)
+          contains the later region's, so the later alignment could
+          not have seen graph that this one did not (a truncated
+          region gives a worse extension).
+
+        A repeat copy, tandem or dispersed, matches the seed's read
+        position to a *different* graph character and stays.  The walk
+        is over CIGAR runs, then one bisect per later seed.
+        """
+        later = prepared.seeded.regions[region.index + 1:]
+        if not later:
+            return
+        run_starts: list[int] = []
+        runs: list[tuple[int, int]] = []
+        read_at = path_at = 0
+        for op, length in aligned.cigar.ops:
+            if op == "=":
+                run_starts.append(read_at)
+                runs.append((read_at + length, path_at))
+            if op in READ_CONSUMING:
+                read_at += length
+            if op in REF_CONSUMING:
+                path_at += length
+        lin = region.lin
+        first_node, last_node = \
+            region.original_ids[0], region.original_ids[-1]
+        for index, other in enumerate(later, region.index + 1):
+            if index in prepared.subsumed:
+                continue
+            seed = other.seed
+            run = bisect_right(run_starts, seed.read_start) - 1
+            if run < 0:
+                continue
+            run_end, run_path = runs[run]
+            if seed.read_start >= run_end:
+                continue
+            position = aligned.path[
+                run_path + seed.read_start - run_starts[run]]
+            if region.original_ids[lin.node_ids[position]] \
+                    != seed.node_id \
+                    or lin.node_offsets[position] != seed.node_offset:
+                continue
+            lo, hi = pipe.node_range(other.start, other.end)
+            if first_node <= lo and hi <= last_node:
+                prepared.subsumed.add(index)
 
     @staticmethod
     def _candidate(aligned, region: PreparedRegion, strand: str,

@@ -23,8 +23,9 @@ written to disk verbatim and attached read-only via ``mmap``
 milliseconds instead of a full rebuild, and N worker processes share
 one physical copy of the pages.
 
-The query contract — :meth:`frequency`, :meth:`lookup`,
-:meth:`lookup_cost`, :meth:`layout` and the statistics properties — is
+The query contract — :meth:`query` and its :meth:`frequency` /
+:meth:`lookup` / :meth:`lookup_cost` views, :meth:`layout` and the
+statistics properties — is
 bit-for-bit identical to the dict index (parity-tested in
 ``tests/test_index_artifact.py``), so the two are interchangeable
 anywhere a :class:`HashTableIndex` is accepted.
@@ -41,6 +42,7 @@ import numpy as np
 from repro.index.hash_index import (
     HashTableIndex,
     IndexLayout,
+    IndexQuery,
     LookupCost,
     SeedHit,
 )
@@ -88,6 +90,16 @@ class FlatIndex:
         self.loc_node = loc_node
         self.loc_offset = loc_offset
         self._mask = (1 << bucket_bits) - 1
+        # Queries read scalars, and every scalar read through
+        # ``np.memmap.__getitem__`` pays for building a memmap object;
+        # plain ndarray views over the same (possibly mapped) buffers
+        # read the same bytes without it.
+        self._starts = bucket_starts.view(np.ndarray)
+        self._hashes = min_hash.view(np.ndarray)
+        self._loc_starts = min_loc_start.view(np.ndarray)
+        self._loc_counts = min_loc_count.view(np.ndarray)
+        self._nodes = loc_node.view(np.ndarray)
+        self._offsets = loc_offset.view(np.ndarray)
 
     # ------------------------------------------------------------------
     # Construction
@@ -173,58 +185,55 @@ class FlatIndex:
     # Queries (contract-identical to HashTableIndex)
     # ------------------------------------------------------------------
 
-    def _bucket_slice(self, hash_value: int) -> tuple[int, int]:
-        bucket = hash_value & self._mask
-        return (int(self.bucket_starts[bucket]),
-                int(self.bucket_starts[bucket + 1]))
+    def query(self, hash_value: int) -> IndexQuery:
+        """Frequency, access cost and (lazily) hits from one probe.
 
-    def _row_of(self, hash_value: int) -> int:
-        """Minimizer-row index of a hash, or -1 when absent."""
-        lo, hi = self._bucket_slice(hash_value)
-        if lo == hi:
-            return -1
-        row = lo + int(np.searchsorted(self.min_hash[lo:hi],
-                                       np.uint64(hash_value)))
-        if row < hi and int(self.min_hash[row]) == hash_value:
-            return row
-        return -1
+        One bucket-directory read and one binary search of the
+        bucket's rows answer all three.  The cost charges the same
+        linear in-bucket scan as the dict index: up to and including
+        the first row whose hash is >= the query.
+        """
+        bucket = hash_value & self._mask
+        lo = int(self._starts[bucket])
+        hi = int(self._starts[bucket + 1])
+        row = -1
+        scanned = 0
+        if lo != hi:
+            position = lo + int(self._hashes[lo:hi].searchsorted(
+                np.uint64(hash_value)))
+            scanned = min(position + 1, hi) - lo
+            if position < hi and int(self._hashes[position]) == hash_value:
+                row = position
+        frequency = int(self._loc_counts[row]) if row >= 0 else 0
+        return IndexQuery(
+            LookupCost(bucket_probe=1, minimizers_scanned=scanned,
+                       locations_fetched=frequency),
+            lambda: self._hits_of(row),
+        )
+
+    def _hits_of(self, row: int) -> tuple[SeedHit, ...]:
+        """Seed locations of minimizer row ``row`` (-1: absent)."""
+        if row < 0:
+            return ()
+        start = int(self._loc_starts[row])
+        stop = start + int(self._loc_counts[row])
+        return tuple(
+            SeedHit(node_id=node, offset=offset)
+            for node, offset in zip(self._nodes[start:stop].tolist(),
+                                    self._offsets[start:stop].tolist())
+        )
 
     def frequency(self, hash_value: int) -> int:
         """Occurrence count of a minimizer (0 when absent)."""
-        row = self._row_of(hash_value)
-        return int(self.min_loc_count[row]) if row >= 0 else 0
+        return self.query(hash_value).frequency
 
     def lookup(self, hash_value: int) -> tuple[SeedHit, ...]:
         """All seed locations of a minimizer, sorted (node, offset)."""
-        row = self._row_of(hash_value)
-        if row < 0:
-            return ()
-        start = int(self.min_loc_start[row])
-        stop = start + int(self.min_loc_count[row])
-        return tuple(
-            SeedHit(node_id=int(node), offset=int(offset))
-            for node, offset in zip(self.loc_node[start:stop],
-                                    self.loc_offset[start:stop])
-        )
+        return self.query(hash_value).hits()
 
     def lookup_cost(self, hash_value: int) -> LookupCost:
-        """Memory accesses a hardware query would issue for this hash.
-
-        Charges the same linear in-bucket scan as the dict index: up
-        to and including the first row whose hash is >= the query.
-        """
-        lo, hi = self._bucket_slice(hash_value)
-        if lo == hi:
-            scanned = 0
-        else:
-            position = int(np.searchsorted(self.min_hash[lo:hi],
-                                           np.uint64(hash_value)))
-            scanned = min(position + 1, hi - lo)
-        return LookupCost(
-            bucket_probe=1,
-            minimizers_scanned=scanned,
-            locations_fetched=self.frequency(hash_value),
-        )
+        """Memory accesses a hardware query would issue for this hash."""
+        return self.query(hash_value).cost
 
     # ------------------------------------------------------------------
     # Statistics / layout

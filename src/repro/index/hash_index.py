@@ -20,8 +20,9 @@ bucket width.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.graph.genome_graph import GenomeGraph
 from repro.index.minimizer import Scoring, minimizers
@@ -100,6 +101,32 @@ class LookupCost:
             + self.locations_fetched
 
 
+@dataclass(frozen=True)
+class IndexQuery:
+    """Everything one bucket probe answers about a minimizer hash.
+
+    MinSeed needs a minimizer's frequency, the memory accesses the
+    hardware would spend on it, and — only if the frequency filter
+    lets it through — its seed locations.  All three follow from one
+    probe of the bucket, so both index kinds answer them together
+    (``query``); the locations are materialized only when ``hits`` is
+    called.
+
+    Attributes:
+        cost: the memory accesses a hardware query would issue.
+        hits: call it for all seed locations of the minimizer, sorted
+            ``(node, offset)``.
+    """
+
+    cost: LookupCost
+    hits: Callable[[], "tuple[SeedHit, ...]"]
+
+    @property
+    def frequency(self) -> int:
+        """Occurrence count of the minimizer (0 when absent)."""
+        return self.cost.locations_fetched
+
+
 class HashTableIndex:
     """Queryable three-level minimizer index of a genome graph."""
 
@@ -121,15 +148,32 @@ class HashTableIndex:
             h: tuple(sorted(hits)) for h, hits in catalog.items()
         }
         self._buckets: dict[int, list[int]] = {}
-        mask = (1 << bucket_bits) - 1
+        self._mask = (1 << bucket_bits) - 1
         for hash_value in self._catalog:
-            self._buckets.setdefault(hash_value & mask, []).append(hash_value)
+            self._buckets.setdefault(hash_value & self._mask,
+                                     []).append(hash_value)
         for bucket in self._buckets.values():
             bucket.sort()
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+
+    def query(self, hash_value: int) -> IndexQuery:
+        """Frequency, access cost and (lazily) hits from one probe.
+
+        The cost charges the paper's linear in-bucket scan — up to and
+        including the first entry whose hash is >= the query — which a
+        bisect of the sorted bucket counts without walking it.
+        """
+        hits = self._catalog.get(hash_value, ())
+        bucket = self._buckets.get(hash_value & self._mask, ())
+        scanned = min(bisect_left(bucket, hash_value) + 1, len(bucket))
+        return IndexQuery(
+            LookupCost(bucket_probe=1, minimizers_scanned=scanned,
+                       locations_fetched=len(hits)),
+            lambda: hits,
+        )
 
     def frequency(self, hash_value: int) -> int:
         """Occurrence count of a minimizer (0 when absent).
@@ -138,31 +182,15 @@ class HashTableIndex:
         (step 3 in paper Fig. 4): fetch the frequency, then decide
         whether to fetch the locations at all.
         """
-        hits = self._catalog.get(hash_value)
-        return len(hits) if hits else 0
+        return self.query(hash_value).frequency
 
     def lookup(self, hash_value: int) -> tuple[SeedHit, ...]:
         """All seed locations of a minimizer (step 5 in paper Fig. 4)."""
-        return self._catalog.get(hash_value, ())
+        return self.query(hash_value).hits()
 
     def lookup_cost(self, hash_value: int) -> LookupCost:
         """Memory accesses a hardware query would issue for this hash."""
-        mask = (1 << self.bucket_bits) - 1
-        bucket = self._buckets.get(hash_value & mask, [])
-        # Binary search within the sorted bucket would scan
-        # ceil(log2(n))+1 entries; the paper's design scans linearly, so
-        # we charge the linear scan up to and including the match.
-        scanned = 0
-        for candidate in bucket:
-            scanned += 1
-            if candidate >= hash_value:
-                break
-        hits = self._catalog.get(hash_value, ())
-        return LookupCost(
-            bucket_probe=1,
-            minimizers_scanned=scanned,
-            locations_fetched=len(hits),
-        )
+        return self.query(hash_value).cost
 
     def iter_entries(self) -> Iterator[tuple[int, tuple[SeedHit, ...]]]:
         """Yield every ``(hash, sorted seed hits)`` catalog entry.

@@ -48,6 +48,15 @@ _DECODE = "ACGT"
 _COMPLEMENT = {"A": "T", "C": "G", "G": "C", "T": "A",
                "a": "t", "c": "g", "g": "c", "t": "a", "N": "N", "n": "n"}
 
+# ``str.translate`` tables: one C-level pass where a per-character
+# Python loop costs ~100x more on a 4 096-base node sequence.  The
+# deleting tables leave exactly the characters a check must reject.
+_COMPLEMENT_TABLE = str.maketrans(_COMPLEMENT)
+_DELETE_COMPLEMENTABLE = str.maketrans("", "", "".join(_COMPLEMENT))
+_DELETE_BASES = str.maketrans("", "", "".join(_ENCODE))
+_DELETE_BASES_AND_AMBIGUOUS = str.maketrans(
+    "", "", "".join(_ENCODE) + AMBIGUOUS)
+
 
 class InvalidBaseError(ValueError):
     """Raised when a sequence contains a character outside {A, C, G, T}."""
@@ -107,10 +116,10 @@ def complement(sequence: str) -> str:
     ``N`` complements to ``N`` (read-side policy: ambiguous stays
     ambiguous on the other strand); any other character raises.
     """
-    try:
-        return "".join(_COMPLEMENT[b] for b in sequence)
-    except KeyError as exc:
-        raise InvalidBaseError(f"invalid DNA base: {exc.args[0]!r}") from None
+    invalid = sequence.translate(_DELETE_COMPLEMENTABLE)
+    if invalid:
+        raise InvalidBaseError(f"invalid DNA base: {invalid[0]!r}")
+    return sequence.translate(_COMPLEMENT_TABLE)
 
 
 def reverse_complement(sequence: str) -> str:
@@ -144,6 +153,10 @@ def validate(sequence: str, name: str = "sequence",
     sequences stay strict).
     """
     upper = sequence.upper()
+    if not upper.translate(_DELETE_BASES_AND_AMBIGUOUS if allow_ambiguous
+                           else _DELETE_BASES):
+        return upper
+    # Something is invalid: walk the characters to name the position.
     for position, base in enumerate(upper):
         if base in _ENCODE:
             continue

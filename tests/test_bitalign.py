@@ -430,8 +430,9 @@ class TestDiagonalKernelParity:
 class TestPipelineWindows:
     """Windows the mapping pipeline really dispatches — captured from
     the golden workload (chain) and from the same reads over a variant
-    graph under the default windowing (hop-bearing, rescues up to
-    k = 128) — reproduce the oracle's result exactly."""
+    graph under the default windowing (hop-bearing, rescues), plus two
+    direct aligner calls (un-anchored start; rescue up to k = 128) —
+    reproduce the oracle's result exactly."""
 
     @pytest.fixture(scope="class")
     def captured(self):
@@ -470,8 +471,15 @@ class TestPipelineWindows:
                 for name, sequence in reads:
                     mapper.map_read(sequence, name)
             # Un-anchored: the first window searches a whole region.
-            region = linearize(graph_mapper.graph).slice(400, 900)
-            WindowedAligner().align(region, reads[0][1])
+            lin = linearize(graph_mapper.graph)
+            WindowedAligner().align(lin.slice(400, 900), reads[0][1])
+            # Rescue up to k = 128, driven explicitly (the pipeline
+            # aligns each locus once, so whether a mapped read's one
+            # anchor meets it is luck): anchored where the long
+            # garbage block starts, the first window holds nothing
+            # alignable at 32 or 64 edits.
+            WindowedAligner().align(lin.slice(1_400, 2_400),
+                                    reads[-1][1], anchor=(430, 330))
         return jobs
 
     def test_capture_spans_the_window_kinds(self, captured):

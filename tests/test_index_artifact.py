@@ -4,7 +4,8 @@ Covers the zero-copy artifact contract end to end:
 
 * :class:`~repro.index.FlatIndex` parity with the dict-catalog
   :class:`~repro.index.HashTableIndex` on every query of the
-  ``frequency`` / ``lookup`` / ``lookup_cost`` / ``layout`` contract;
+  ``frequency`` / ``lookup`` / ``lookup_cost`` / ``layout`` contract,
+  and the one-probe ``query`` behind them against its definition;
 * artifact round trip (build -> write -> mmap attach) with
   bit-identical mapping results, and version/checksum rejection of
   corrupt, truncated, or stale artifacts;
@@ -23,7 +24,8 @@ from repro import seq as seqmod
 from repro.api import Mapper
 from repro.core.mapper import SeGraMConfig
 from repro.index.flat_index import FlatIndex, build_flat_index
-from repro.index.hash_index import build_index
+from repro.core.minseed import MinSeed
+from repro.index.hash_index import LookupCost, build_index
 from repro.io.artifact import (
     FORMAT_VERSION,
     HEADER_SIZE,
@@ -163,6 +165,94 @@ class TestFlatIndexParity:
         assert flat.lookup(42) == ()
         assert flat.lookup_cost(42).minimizers_scanned == 0
         assert flat.layout().distinct_minimizers == 0
+
+
+class TestOneProbeQuery:
+    """``query`` answers frequency, access cost and hits from one
+    bucket probe on both index kinds (and on a memory-mapped flat
+    index).  The expectation is the definition written out — a linear
+    scan of the sorted bucket up to and including the first entry >=
+    the query, plus the catalog entry — not the other index kind."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, mapper, tmp_path_factory):
+        dict_index = build_index(mapper.graph, w=CONFIG.w, k=CONFIG.k,
+                                 bucket_bits=CONFIG.bucket_bits)
+        path = tmp_path_factory.mktemp("probe") / "ref.sgidx"
+        mapper.save_index(path)
+        kinds = {
+            "dict": dict_index,
+            "flat": FlatIndex.from_hash_index(dict_index),
+            "mapped": load_index_artifact(path).index,
+        }
+        catalog = dict(dict_index.iter_entries())
+        buckets: dict[int, list[int]] = {}
+        for hash_value in catalog:
+            buckets.setdefault(hash_value & self.MASK,
+                               []).append(hash_value)
+        return kinds, catalog, {b: sorted(v)
+                                for b, v in buckets.items()}
+
+    MASK = (1 << CONFIG.bucket_bits) - 1
+    STEP = 1 << CONFIG.bucket_bits     # next hash of the same bucket
+
+    @staticmethod
+    def _expected(catalog, buckets, hash_value):
+        scanned = 0
+        for candidate in buckets.get(
+                hash_value & TestOneProbeQuery.MASK, ()):
+            scanned += 1
+            if candidate >= hash_value:
+                break
+        hits = catalog.get(hash_value, ())
+        return LookupCost(bucket_probe=1, minimizers_scanned=scanned,
+                          locations_fetched=len(hits)), hits
+
+    def _probes(self, catalog, buckets):
+        probes = set(catalog)
+        for entries in buckets.values():
+            # Same bucket: below every entry, just past each entry
+            # (between two, or absent), above every entry.
+            probes.add(entries[0] % self.STEP)
+            probes.update(entry + self.STEP for entry in entries)
+        empty = [bucket for bucket in range(self.STEP)
+                 if bucket not in buckets]
+        assert empty, "fixture lost its empty buckets"
+        probes.update(empty[:20])
+        probes.update(bucket + 7 * self.STEP for bucket in empty[:20])
+        absent = probes - set(catalog)
+        assert len(absent) > len(buckets)
+        return sorted(probes)
+
+    @pytest.mark.parametrize("kind", ["dict", "flat", "mapped"])
+    def test_query_matches_the_definition(self, setup, kind):
+        kinds, catalog, buckets = setup
+        index = kinds[kind]
+        for hash_value in self._probes(catalog, buckets):
+            cost, hits = self._expected(catalog, buckets, hash_value)
+            query = index.query(hash_value)
+            assert query.cost == cost, hash_value
+            assert query.frequency == len(hits)
+            assert query.hits() == hits
+            # The three older entry points are views of the query.
+            assert index.lookup_cost(hash_value) == cost
+            assert index.frequency(hash_value) == len(hits)
+            assert index.lookup(hash_value) == hits
+
+    def test_seeding_identical_across_index_kinds(self, setup, mapper,
+                                                  reads):
+        kinds, catalog, buckets = setup
+        seeders = {kind: MinSeed(mapper.graph, index, error_rate=0.05)
+                   for kind, index in kinds.items()}
+        for _, read in reads:
+            regions, stats = seeders["dict"].seed(read)
+            assert stats.index_accesses == sum(
+                self._expected(catalog, buckets,
+                               minimizer.score)[0].total_accesses
+                for minimizer in seeders["dict"].find_minimizers(read))
+            for kind in ("flat", "mapped"):
+                assert seeders[kind].seed(read) == (regions, stats), \
+                    kind
 
 
 class TestArtifactRoundTrip:

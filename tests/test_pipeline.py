@@ -356,8 +356,8 @@ def _counter_key(stats: PipelineStats):
     """Every pipeline counter except wall time."""
     return (
         stats.reads, stats.reads_mapped, stats.regions_seeded,
-        stats.regions_chained, stats.regions_aligned,
-        stats.cache_hits, stats.cache_misses, stats.windows,
+        stats.regions_chained, stats.regions_subsumed,
+        stats.regions_aligned, stats.cache_hits, stats.cache_misses, stats.windows,
         stats.rescues,
         tuple((name, s.items_in, s.items_out, s.dropped)
               for name, s in stats.stages.items()),
@@ -378,7 +378,7 @@ class TestGroupWidthIndependence:
     reads that share ``align_many`` dispatches.  Which group a read
     lands in must never show: a batch spanning three groups equals
     one-read calls on every result and every result-bearing counter,
-    whether each round pulls all regions or (early exit) one."""
+    with and without the early exit."""
 
     READS = 2 * DISPATCH_READS + 6
 
@@ -425,17 +425,30 @@ class TestGroupWidthIndependence:
             return align_many(items, **kwargs)
 
         monkeypatch.setattr(aligner, "align_many", spy)
+        align_stage = mapper.pipeline.align_stage
+        align_group = align_stage.align_group
+        group_starts = []
+
+        def group_spy(group, pipe):
+            group_starts.append(len(reads_per_call))
+            return align_group(group, pipe)
+
+        monkeypatch.setattr(align_stage, "align_group", group_spy)
         mapper.map_batch(short_reads)
         assert max(reads_per_call) == DISPATCH_READS
-        if early_exit_distance is None:
-            # One round per group: 32 + 32 + 6 reads.
-            assert reads_per_call == [DISPATCH_READS, DISPATCH_READS,
-                                      self.READS - 2 * DISPATCH_READS]
-        else:
-            # One region per live orientation per round: later rounds
-            # carry the reads that have not met the threshold yet.
-            assert len(reads_per_call) > 3
-            assert min(reads_per_call) < self.READS - 2 * DISPATCH_READS
+        # A group's first round carries all its reads: 32 + 32 + 6.
+        assert [reads_per_call[start] for start in group_starts] == [
+            DISPATCH_READS, DISPATCH_READS,
+            self.READS - 2 * DISPATCH_READS]
+        # One region per live orientation per round: later rounds
+        # carry the orientations with a region left that is neither
+        # subsumed nor (early exit) past a met threshold, so a group
+        # takes at most as many rounds as an orientation has regions.
+        bounds = [*group_starts, len(reads_per_call)]
+        rounds = [stop - start
+                  for start, stop in zip(bounds, bounds[1:])]
+        assert 1 < max(rounds) <= CONFIG.max_seeds_per_read
+        assert min(reads_per_call) < self.READS - 2 * DISPATCH_READS
 
 
 class TestBackendParity:

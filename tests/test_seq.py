@@ -141,3 +141,73 @@ class TestAmbiguityPolicy:
         assert seq.is_ambiguous("N")
         assert seq.is_ambiguous("n")
         assert not seq.is_ambiguous("A")
+
+
+def _outcome(function, *args, **kwargs):
+    """A call's result, or its exception's type and message."""
+    try:
+        return function(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _loop_validate(sequence, name="sequence", allow_ambiguous=False):
+    """``validate`` as the per-character loop it used to be."""
+    upper = sequence.upper()
+    for position, base in enumerate(upper):
+        if base in "ACGTacgt":
+            continue
+        if allow_ambiguous and base in "Nn":
+            continue
+        raise seq.InvalidBaseError(
+            f"{name} contains invalid base {base!r} at position "
+            f"{position}")
+    return upper
+
+
+_PAIRS = dict(zip("ACGTacgtNn", "TGCAtgcaNn"))
+
+
+def _loop_complement(sequence):
+    """``complement`` as the per-character loop it used to be."""
+    try:
+        return "".join(_PAIRS[base] for base in sequence)
+    except KeyError as exc:
+        raise seq.InvalidBaseError(
+            f"invalid DNA base: {exc.args[0]!r}") from None
+
+
+#: Mostly bases, some ambiguous ones, some that no policy accepts
+#: (including characters whose ``upper()`` changes length or case
+#: class: the position a failure names is counted after uppercasing).
+mixed = st.text(alphabet=st.one_of(
+    st.sampled_from("ACGTacgtNn"), st.sampled_from("ACGTacgt"),
+    st.sampled_from("XRY-*. 0u\xdfıǅ\n"),
+    st.characters()), max_size=60)
+
+
+class TestTranslateFastPaths:
+    """``validate`` and ``complement`` run as ``str.translate`` passes;
+    results, error types and error messages must be the loops'."""
+
+    @given(mixed, st.booleans())
+    def test_validate_equals_the_loop(self, sequence, allow_ambiguous):
+        assert _outcome(seq.validate, sequence, "read",
+                        allow_ambiguous=allow_ambiguous) == \
+            _outcome(_loop_validate, sequence, "read",
+                     allow_ambiguous=allow_ambiguous)
+
+    @given(mixed)
+    def test_complement_equals_the_loop(self, sequence):
+        assert _outcome(seq.complement, sequence) == \
+            _outcome(_loop_complement, sequence)
+
+    @given(st.text(alphabet="ACGTacgtNn", max_size=300))
+    def test_valid_input_takes_both_paths_alike(self, sequence):
+        assert seq.validate(sequence, allow_ambiguous=True) == \
+            sequence.upper()
+        assert seq.complement(sequence) == _loop_complement(sequence)
+        strict = _outcome(seq.validate, sequence)
+        assert strict == _outcome(_loop_validate, sequence)
+        assert (strict == sequence.upper()) == \
+            ("N" not in sequence.upper())
