@@ -21,14 +21,12 @@ before timing.
 Acceptance check: the numpy backend is >= 3x faster than the python
 backend at every pattern length >= 1 k.
 
-A third table sizes the three bitvector sweeps at the *pipeline's
+A second table sizes the two bitvector sweeps at the *pipeline's
 window shape* (160 text characters x 128 pattern bits, k = 32; a plain
 chain and a window with 4 hops): the row-major oracle
-(``reference_bitvectors``), the diagonal kernel every window runs
-(``generate_bitvectors``) and, for the chain, the numpy cross-window
-batch (``batched_chain_rows``) per window at batch widths 1 / 8 / 32 —
-the measurement behind routing every window through the diagonal
-kernel.  Gate: the diagonal kernel is >= 3x the oracle at this shape.
+(``reference_bitvectors``) and the diagonal kernel every window runs
+(``generate_bitvectors``).  Gate: the diagonal kernel is >= 3x the
+oracle at this shape.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ import random
 import time
 
 from repro.align.backends import align_storage_words, get_backend
-from repro.align.bitalign_batched import batched_chain_rows
 from repro.align.bitalign_packed import DEFAULT_MAX_WORDS
 from repro.core.bitalign import generate_bitvectors, reference_bitvectors
 from repro.graph.linearize import LinearizedGraph
@@ -149,90 +146,7 @@ def test_backend_shootout(benchmark, show):
 
 
 # ----------------------------------------------------------------------
-# Batched align_many vs per-call loop (the ISSUE 6 tentpole gate)
-# ----------------------------------------------------------------------
-
-#: Candidate-window workload shape: one mapping round's worth of
-#: windows (both orientations x top-N regions), window-sized texts.
-BATCH_JOBS = 64
-BATCH_K = 12
-BATCH_REPEATS = 5
-
-#: Acceptance bar: one batched kernel call over the whole batch must
-#: beat the per-call numpy loop by at least this factor.
-BATCH_SPEEDUP_FLOOR = 3.0
-
-
-def _batch_workload(rng: random.Random) -> list[tuple[str, str]]:
-    """Rescue-window-shaped (text, pattern) jobs mimicking the pair
-    engine's mate-rescue grid: a mutated pattern copy somewhere in an
-    insert-sized window, mixed lengths inside one packed-width
-    bucket."""
-    jobs = []
-    for _ in range(BATCH_JOBS):
-        m = rng.randrange(90, 129)
-        pattern = "".join(rng.choice("ACGT") for _ in range(m))
-        mutated = []
-        for char in pattern:
-            roll = rng.random()
-            if roll < 0.03:
-                mutated.append(rng.choice("ACGT"))
-            elif roll < 0.045:
-                continue
-            else:
-                mutated.append(char)
-        flank_left = rng.randrange(80, 200)
-        flank_right = rng.randrange(80, 200)
-        text = ("".join(rng.choice("ACGT") for _ in range(flank_left))
-                + "".join(mutated)
-                + "".join(rng.choice("ACGT")
-                          for _ in range(flank_right)))
-        jobs.append((text, pattern))
-    return jobs
-
-
-def batched_rows():
-    numpy = get_backend("numpy")
-    jobs = _batch_workload(random.Random(0xBA7C))
-    loop_seconds, loop_results = _time(
-        lambda: [numpy.align(text, pattern, BATCH_K)
-                 for text, pattern in jobs], BATCH_REPEATS)
-    many_seconds, many_results = _time(
-        lambda: numpy.align_many(jobs, BATCH_K), BATCH_REPEATS)
-    # Bit-for-bit cross-check before trusting the timing.
-    assert len(many_results) == len(loop_results) == BATCH_JOBS
-    for slow, fast in zip(loop_results, many_results):
-        assert (slow is None) == (fast is None)
-        if slow is not None:
-            assert (slow.distance, slow.start, slow.cigar) == \
-                (fast.distance, fast.start, fast.cigar)
-    aligned = sum(1 for r in many_results if r is not None)
-    speedup = loop_seconds / many_seconds
-    return [{
-        "jobs": BATCH_JOBS,
-        "k": BATCH_K,
-        "aligned": aligned,
-        "per_call_ms": round(loop_seconds * 1e3, 2),
-        "batched_ms": round(many_seconds * 1e3, 2),
-        "speedup": round(speedup, 2),
-    }]
-
-
-def test_batched_align_many(benchmark, show):
-    rows = benchmark.pedantic(batched_rows, rounds=1, iterations=1)
-    show(rows, "batched align_many — one kernel call vs per-call "
-               "numpy loop")
-    row = rows[0]
-    # The batch must be real work, not a fleet of early-outs.
-    assert row["aligned"] >= BATCH_JOBS - 4, row
-    assert row["speedup"] >= BATCH_SPEEDUP_FLOOR, (
-        f"batched align_many must be >= {BATCH_SPEEDUP_FLOOR}x over "
-        f"the per-call loop, measured {row['speedup']}x"
-    )
-
-
-# ----------------------------------------------------------------------
-# The pipeline's window shape: oracle vs diagonal kernel vs numpy batch
+# The pipeline's window shape: oracle vs diagonal kernel
 # ----------------------------------------------------------------------
 
 #: One default-config window: ``chunk + k`` text characters against a
@@ -241,7 +155,6 @@ WINDOW_TEXT = 160
 WINDOW_PATTERN = 128
 WINDOW_K = 32
 WINDOW_HOPS = 4
-WINDOW_BATCHES = (1, 8, 32)
 WINDOW_REPEATS = 20
 
 #: Acceptance bar: diagonal kernel over the row-major oracle.
@@ -280,23 +193,12 @@ def window_kernel_rows():
             WINDOW_REPEATS)
         # Cell-for-cell cross-check before trusting the timing.
         assert list(diagonal) == oracle
-        row = {
+        rows.append({
             "window": label,
             "oracle_ms": round(oracle_seconds * 1e3, 3),
             "diagonal_ms": round(diagonal_seconds * 1e3, 3),
             "speedup": round(oracle_seconds / diagonal_seconds, 2),
-        }
-        for width in WINDOW_BATCHES:
-            key = f"numpy_B{width}_ms"
-            if hops:
-                row[key] = "-"      # the batch sweeps chains only
-                continue
-            jobs = [(lin.chars, pattern)] * width
-            seconds, _ = _time(
-                lambda: batched_chain_rows(jobs, WINDOW_K),
-                WINDOW_REPEATS)
-            row[key] = round(seconds / width * 1e3, 3)
-        rows.append(row)
+        })
     return rows
 
 
@@ -304,8 +206,7 @@ def test_window_shape_kernels(benchmark, show):
     rows = benchmark.pedantic(window_kernel_rows, rounds=1,
                               iterations=1)
     show(rows, "window-shaped sweep (n=160, m=128, k=32) — ms per "
-               "window: row-major oracle vs diagonal kernel vs numpy "
-               "batch")
+               "window: row-major oracle vs diagonal kernel")
     for row in rows:
         assert row["speedup"] >= WINDOW_SPEEDUP_FLOOR, (
             f"diagonal kernel must be >= {WINDOW_SPEEDUP_FLOOR}x the "

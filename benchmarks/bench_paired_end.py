@@ -129,8 +129,6 @@ def paired_end_rows():
                 "discordant": engine.stats.pairs_discordant,
                 "kernel_calls": mapper.stats.align_calls
                 + engine.stats.align_calls,
-                "win_batched": mapper.stats.align_windows_batched
-                + engine.stats.align_windows_batched,
             })
     return rows
 
@@ -170,8 +168,6 @@ def repeat_tie_rows():
                 "tlen_outlier", 0),
             "kernel_calls": mapper.stats.align_calls
             + engine.stats.align_calls,
-            "win_batched": mapper.stats.align_windows_batched
-            + engine.stats.align_windows_batched,
         })
     return rows
 

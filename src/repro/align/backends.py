@@ -16,18 +16,12 @@ identical CIGARs from ``align`` — which the randomized parity harness
 in ``tests/test_align_backends.py`` enforces against independent
 oracles (:mod:`repro.align.bitap`, :mod:`repro.align.dp_linear`).
 
-Backends may additionally batch many problems per kernel dispatch::
+A batch entry rides on the same contract::
 
     backend.align_many(jobs, k)        -> [BackendAlignment | None]
 
-``align_many`` is contractually a plain loop over ``align`` — the
-base class implements exactly that, so the python backend and
-third-party backends keep working unchanged — but a backend may
-override it to amortize per-call overhead across the batch, as the
-numpy backend does with the cross-problem wavefront kernel of
-:mod:`repro.align.bitalign_batched` (scheduled by its
-:class:`~repro.align.bitalign_batched.BatchCostModel` oracle).
-Results must stay bit-for-bit identical to the loop.
+``align_many`` is a plain loop over ``align``, implemented once in the
+base class; mate rescue hands its one or two windows per pair to it.
 
 Two backends ship by default:
 
@@ -45,11 +39,7 @@ one remaining hook is :meth:`AlignmentBackend.chain_bitvectors`:
 packed rows when a window is a plain chain *and* its pattern is at
 least ``chain_kernel_min_bits`` wide (512 for numpy, four times the
 default window), where the word-packed sweep overtakes the diagonal
-ints.  ``chain_bitvectors_many`` / ``batched_chain_rows``, the
-cross-window batch the pipeline used to feed, lost to the diagonal
-kernel at every batch width measured traffic reaches and has no
-production caller left; ``align_many`` keeps its own (mate rescue).
-Results never depend on the backend choice.
+ints.  Results never depend on the backend choice.
 
 The default backend is ``"python"``, overridable per process with the
 ``REPRO_ALIGN_BACKEND`` environment variable (the CI matrix runs the
@@ -63,11 +53,6 @@ import os
 from dataclasses import dataclass
 from typing import Any
 
-from repro.align.bitalign_batched import (
-    BatchCostModel,
-    batched_chain_rows,
-    batched_generate,
-)
 from repro.align.bitalign_packed import (
     DEFAULT_MAX_WORDS,
     PackedChainRows,
@@ -147,11 +132,9 @@ class AlignmentBackend:
                    ) -> "list[BackendAlignment | None]":
         """Align a batch of ``(text, pattern)`` jobs.
 
-        Semantically ``[self.align(t, p, k) for t, p in jobs]`` — the
-        base class is exactly that loop, and any override must return
-        bit-for-bit identical results (the batched parity harness in
-        ``tests/test_align_backends.py`` enforces it).  ``max_words``
-        is a *per-job* traceback budget, as in :meth:`align`.
+        Exactly ``[self.align(t, p, k) for t, p in jobs]``;
+        ``max_words`` is a *per-job* traceback budget, as in
+        :meth:`align`.
         """
         return [self.align(text, pattern, k, max_words=max_words)
                 for text, pattern in jobs]
@@ -166,17 +149,6 @@ class AlignmentBackend:
         that kernel.  The base implementation opts out.
         """
         return None
-
-    def chain_bitvectors_many(self, jobs: "list[tuple[str, str]]",
-                              k: int) -> list[Any]:
-        """Batch form of :meth:`chain_bitvectors`, one entry per job.
-
-        Semantically a loop over :meth:`chain_bitvectors` (the base
-        implementation), with None marking jobs the backend declines;
-        overrides may serve several jobs from one kernel dispatch.
-        """
-        return [self.chain_bitvectors(chars, pattern, k)
-                for chars, pattern in jobs]
 
 
 def _check_inputs(pattern: str, k: int) -> None:
@@ -294,33 +266,21 @@ class NumpyBackend(AlignmentBackend):
     CHAIN_KERNEL_MIN_BITS: int = 512
 
     def __init__(self,
-                 chain_kernel_min_bits: int | None = None,
-                 cost_model: BatchCostModel | None = None) -> None:
+                 chain_kernel_min_bits: int | None = None) -> None:
         if chain_kernel_min_bits is not None:
             self.chain_kernel_min_bits = chain_kernel_min_bits
         else:
             self.chain_kernel_min_bits = self.CHAIN_KERNEL_MIN_BITS
-        # Constructed lazily: the default model reads its slope off
-        # repro.hw, which itself imports the core pipeline.
-        self._cost_model_instance = cost_model
-
-    @property
-    def _cost_model(self) -> BatchCostModel:
-        if self._cost_model_instance is None:
-            self._cost_model_instance = BatchCostModel()
-        return self._cost_model_instance
 
     def distance(self, text: str, pattern: str,
                  k: int) -> tuple[int, int] | None:
         _check_inputs(pattern, k)
         return packed_distance(text, pattern, k)
 
-    @staticmethod
-    def _finish(rows: Any, text: str,
-                pattern: str) -> BackendAlignment | None:
-        """Shared ``align`` tail: locate the best accept in ``rows``
-        and trace it back.  Both the per-call and the batched path end
-        here, so their tie-breaks and CIGARs agree by construction."""
+    def align(self, text: str, pattern: str, k: int,
+              max_words: int = DEFAULT_MAX_WORDS) -> BackendAlignment | None:
+        _check_inputs(pattern, k)
+        rows = packed_generate(text, pattern, k, max_words=max_words)
         located = rows.best()
         if located is None:
             return None
@@ -339,44 +299,6 @@ class NumpyBackend(AlignmentBackend):
                                 cigar=result.cigar,
                                 start=result.text_start)
 
-    def align(self, text: str, pattern: str, k: int,
-              max_words: int = DEFAULT_MAX_WORDS) -> BackendAlignment | None:
-        _check_inputs(pattern, k)
-        rows = packed_generate(text, pattern, k, max_words=max_words)
-        return self._finish(rows, text, pattern)
-
-    def align_many(self, jobs: "list[tuple[str, str]]", k: int,
-                   max_words: int = DEFAULT_MAX_WORDS,
-                   ) -> "list[BackendAlignment | None]":
-        """Batched ``align``: one wavefront sweep per word bucket.
-
-        The :class:`~repro.align.bitalign_batched.BatchCostModel`
-        oracle decides which jobs share a batched sweep and which run
-        through the per-call kernel; either way every job ends in the
-        shared :meth:`_finish` tail, so results are bit-for-bit those
-        of the base-class loop.
-        """
-        for _, pattern in jobs:
-            _check_inputs(pattern, k)
-        for text, pattern in jobs:
-            _budget_check(text, pattern, k, max_words)
-        results: "list[BackendAlignment | None]" = [None] * len(jobs)
-        shapes = [(len(text), len(pattern)) for text, pattern in jobs]
-        for kind, indices in self._cost_model.plan(shapes, k):
-            if kind == "batched":
-                group = [jobs[j] for j in indices]
-                rows_list = batched_generate(group, k,
-                                             max_words=max_words)
-                for j, rows in zip(indices, rows_list):
-                    text, pattern = jobs[j]
-                    results[j] = self._finish(rows, text, pattern)
-            else:
-                for j in indices:
-                    text, pattern = jobs[j]
-                    results[j] = self.align(text, pattern, k,
-                                            max_words=max_words)
-        return results
-
     def chain_bitvectors(self, chars: str, pattern: str,
                          k: int) -> "PackedChainRows | None":
         """Packed rows for a chain window, or None to fall back.
@@ -394,42 +316,12 @@ class NumpyBackend(AlignmentBackend):
         except AlignmentSizeError:
             return None
 
+    # Held by the ``sweep_batched`` row of benchmarks/perf/shims.py,
+    # which looks this name up in ``NumpyBackend.__dict__``.
     def chain_bitvectors_many(self, jobs: "list[tuple[str, str]]",
                               k: int) -> "list[PackedChainRows | None]":
-        """Batched chain rows for many windows of one dispatch round.
-
-        Jobs the :class:`~repro.align.bitalign_batched.BatchCostModel`
-        oracle groups into a batch are served from one cross-problem
-        sweep — here the per-call crossover width is irrelevant, since
-        batching amortizes exactly the dispatch overhead that the
-        ``chain_kernel_min_bits`` gate exists to dodge.  Scalar-planned
-        jobs go through :meth:`chain_bitvectors` (gate and all), and
-        jobs past the word budget decline with None; every fallback is
-        bit-for-bit identical, just slower.
-        """
-        results: "list[PackedChainRows | None]" = [None] * len(jobs)
-        shapes: list[tuple[int, int]] = []
-        keep: list[int] = []
-        for index, (chars, pattern) in enumerate(jobs):
-            if align_storage_words(len(chars), len(pattern),
-                                   k) > DEFAULT_MAX_WORDS:
-                continue
-            keep.append(index)
-            shapes.append((len(chars), len(pattern)))
-        for kind, local in self._cost_model.plan(shapes, k):
-            if kind == "batched":
-                indices = [keep[j] for j in local]
-                rows_list = batched_chain_rows(
-                    [jobs[j] for j in indices], k)
-                for j, rows in zip(indices, rows_list):
-                    results[j] = rows
-            else:
-                for j in local:
-                    index = keep[j]
-                    chars, pattern = jobs[index]
-                    results[index] = self.chain_bitvectors(
-                        chars, pattern, k)
-        return results
+        return [self.chain_bitvectors(chars, pattern, k)
+                for chars, pattern in jobs]
 
 
 # ----------------------------------------------------------------------

@@ -20,9 +20,9 @@ all speak, and carries no pipeline machinery.
 Imports inside ``if TYPE_CHECKING:`` are exempt — annotation-only
 references (the io writers naming core result types) do not create a
 runtime dependency.  The handful of genuine upward edges kept for
-good reason (e.g. the batched kernel consulting the hardware cycle
-model it simulates) carry ``# repro: allow[layering]`` with the
-justification at the site.
+good reason (e.g. the graph builder normalizing raw
+:class:`~repro.io.vcf.VcfRecord` rows) carry
+``# repro: allow[layering]`` with the justification at the site.
 """
 
 from __future__ import annotations

@@ -193,9 +193,6 @@ class PairStats:
     #: Backend dispatches issued for mate-rescue alignments (rescue
     #: windows sharing one ``align_many`` call count once).
     align_calls: int = 0
-    #: Rescue windows that shared a dispatch with at least one other
-    #: window — the measurable effect of batching the rescue path.
-    align_windows_batched: int = 0
     discordant: dict = field(default_factory=dict)
 
     @property
@@ -226,7 +223,6 @@ class PairStats:
         self.rescue_hits += other.rescue_hits
         self.pairs_unplaced += other.pairs_unplaced
         self.align_calls += other.align_calls
-        self.align_windows_batched += other.align_windows_batched
         for category, count in other.discordant.items():
             self.discordant[category] = \
                 self.discordant.get(category, 0) + count
@@ -248,8 +244,7 @@ class PairStats:
             f"mate rescue: {self.rescue_hits} hits / "
             f"{self.rescue_attempts} attempts "
             f"(hit rate {self.rescue_hit_rate:.1%}), "
-            f"{self.align_calls} kernel dispatches "
-            f"({self.align_windows_batched} windows batched)",
+            f"{self.align_calls} backend dispatches",
         ]
 
 
@@ -594,10 +589,8 @@ class PairedEndMapper:
         """Try to rescue each mate near the other's best placement.
 
         Both directions' rescue windows are framed first and then
-        dispatched together through the backend's ``align_many``
-        batch entry point, so (when their thresholds agree) the two
-        rescue alignments share one kernel dispatch.  Results are
-        those of per-window ``align`` calls, bit for bit.
+        handed together to the backend's ``align_many`` (a loop over
+        ``align``), one call per distinct threshold.
         """
         attempts = []
         for anchor, read, rescued_index in (
@@ -650,8 +643,6 @@ class PairedEndMapper:
             aligned = backend.align_many(
                 [(jobs[i][0], jobs[i][1]) for i in indices], k)
             self.stats.align_calls += 1
-            if len(indices) >= 2:
-                self.stats.align_windows_batched += len(indices)
             for index, result in zip(indices, aligned):
                 results[index] = result
         return results

@@ -17,13 +17,12 @@ per-unit utilization counters.
 
 Every mapping call — one read, a batch, a pool shard, a daemon
 dispatch, a mate of a pair — takes the same drive,
-:meth:`MappingPipeline.map_reads`: groups of :data:`DISPATCH_READS`
-reads run stages 1-2 per oriented read, then the align stage pulls
-their regions, one per live orientation per round, and resolves each
-round through one
-:meth:`~repro.core.windows.WindowedAligner.align_many` call (every
-window of which is one call of the diagonal BitAlign kernel — nothing
-is batched across windows).
+:meth:`MappingPipeline.map_reads`, which is four plain nested loops:
+read -> oriented read -> region -> window.  Stages 1-2 run per
+oriented read; the align stage then walks that read's regions in
+order, extracting and aligning one at a time
+(:meth:`~repro.core.windows.WindowedAligner.align`, every window of
+which is one call of the diagonal BitAlign kernel).
 
 **Each locus is aligned once.**  MinSeed sends every surviving seed
 region to BitAlign (paper Section 11.4), which a hardware BitAlign
@@ -64,9 +63,9 @@ Two throughput features ride on the stage boundary:
   workers start with a warm region cache; per-shard
   :class:`PipelineStats` are merged back into the parent's.
 
-Stage boundaries, the cache, grouping and sharding change *when* work
-happens, never *what* is computed: a read maps to the same result
-alone, in any batch, and on any worker.
+Stage boundaries, the cache and sharding change *when* work happens,
+never *what* is computed: a read maps to the same result alone, at
+any position of any batch, and on any worker.
 """
 
 from __future__ import annotations
@@ -79,8 +78,7 @@ from bisect import bisect_right
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro import seq as seqmod
 from repro.core.alignment import READ_CONSUMING, REF_CONSUMING
@@ -95,15 +93,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Stage names in execution order (also the row order of stats tables).
 STAGE_ORDER = ("seed", "filter", "extract", "align", "select")
-
-#: Reads whose regions go into one ``align_many`` call.  A collected
-#: region pins its linearized graph past the region-cache LRU, so the
-#: group is bounded: 32 reads is the widest group the perf spine
-#: measures, at a fifth of the memory an unbounded 512-read chunk
-#: holds.  (Sized when groups still shared numpy kernel dispatches;
-#: with one kernel call per window the width no longer buys
-#: throughput.)
-DISPATCH_READS = 32
 
 
 # ----------------------------------------------------------------------
@@ -175,9 +164,8 @@ class PipelineStats:
     #: window path ``windows + rescues`` on every backend.  It
     #: measures dispatch work, never what is computed.
     align_calls: int = 0
-    #: Windows served by a batched (multi-problem) kernel dispatch —
-    #: 0 on the window path since the diagonal kernel serves every
-    #: window; kept for the stats table and ``PairStats`` symmetry.
+    #: Never written: ``benchmarks/perf/run.py::stage_values`` reads
+    #: this key until the span-rename benchmark PR drops it.
     align_windows_batched: int = 0
     #: Alignment-backend name the pipeline ran with (a configuration
     #: label, not a counter — results are backend-independent).
@@ -225,7 +213,6 @@ class PipelineStats:
         self.windows += other.windows
         self.rescues += other.rescues
         self.align_calls += other.align_calls
-        self.align_windows_batched += other.align_windows_batched
         self.seeding.merge(other.seeding)
         for name, stage in other.stages.items():
             self.stage(name).merge(stage)
@@ -233,18 +220,15 @@ class PipelineStats:
     def stage_rows(self) -> list[dict]:
         """Rows for :func:`repro.eval.report.format_table`.
 
-        The ``calls`` / ``batched`` columns surface kernel-dispatch
-        counts on the align row (blank elsewhere): ``calls`` counts
-        kernel calls, ``batched`` the windows that shared one.  The
-        align row's ``dropped`` is ``regions_subsumed`` plus the
-        regions an early exit left unpulled.
+        The ``calls`` column surfaces the kernel-call count on the
+        align row (blank elsewhere).  The align row's ``dropped`` is
+        ``regions_subsumed`` plus the regions an early exit left
+        unvisited.
         """
         return [
             {"stage": s.name, "in": s.items_in, "out": s.items_out,
              "dropped": s.dropped,
              "calls": self.align_calls if s.name == "align" else None,
-             "batched": self.align_windows_batched
-             if s.name == "align" else None,
              "seconds": round(s.seconds, 4)}
             for s in self.stages.values()
         ]
@@ -262,8 +246,7 @@ class PipelineStats:
             f"(hit rate {self.cache_hit_rate:.1%})",
             f"alignment work: {self.windows} windows, "
             f"{self.rescues} rescues, {self.align_calls} kernel "
-            f"dispatches ({self.align_windows_batched} windows "
-            f"batched; backend: {self.backend})",
+            f"calls (backend: {self.backend})",
         ] + ([
             f"pair path: {self.pair_cache_hits} hits / "
             f"{self.pair_cache_misses} misses "
@@ -368,7 +351,7 @@ class PreparedRegion:
     """Output of the extract stage: one alignable region.
 
     ``index`` is the region's position in its read's filtered list
-    (``SeededRead.regions``): everything after it is still unpulled.
+    (``SeededRead.regions``): everything after it is still unvisited.
     """
 
     index: int
@@ -376,21 +359,6 @@ class PreparedRegion:
     lin: LinearizedGraph
     original_ids: list[int]
     anchor: tuple[int, int]
-
-
-@dataclass
-class PreparedRead:
-    """A seeded read plus its lazily-extracted region stream.
-
-    The align stage pulls the stream one region per round and writes
-    the indices of regions its alignments subsume into ``subsumed``;
-    the stream skips those, and regions past an ``early_exit_distance``
-    exit, without extracting them.
-    """
-
-    seeded: SeededRead
-    stream: Iterator[PreparedRegion]
-    subsumed: set[int]
 
 
 # ----------------------------------------------------------------------
@@ -457,29 +425,19 @@ class ChainFilterStage:
 class ExtractStage:
     """Step 3: subgraph extraction + linearization, memoized.
 
-    The returned stream is lazy; each pull skips the regions the align
-    stage has marked subsumed, then performs (or recalls from the
-    :class:`RegionCache`) one ``extract_region`` + ``linearize`` and
-    computes the seed anchor in linearized coordinates.
+    Runs per region, on demand of the align stage — a region that is
+    subsumed, or that follows an early exit, is never extracted.  One
+    run performs (or recalls from the :class:`RegionCache`) one
+    ``extract_region`` + ``linearize`` and computes the seed anchor in
+    linearized coordinates.
     """
 
     name = "extract"
 
-    def run(self, seeded: SeededRead,
-            pipe: "MappingPipeline") -> PreparedRead:
-        subsumed: set[int] = set()
-        return PreparedRead(seeded=seeded,
-                            stream=self._stream(seeded, pipe, subsumed),
-                            subsumed=subsumed)
-
-    def _stream(self, seeded: SeededRead, pipe: "MappingPipeline",
-                subsumed: set[int]) -> Iterator[PreparedRegion]:
+    def run(self, index: int, region: SeedRegion,
+            pipe: "MappingPipeline") -> PreparedRegion:
         stats = pipe.stats.stage(self.name)
-        for index, region in enumerate(seeded.regions):
-            if index in subsumed:
-                pipe.stats.regions_subsumed += 1
-                continue
-            start = time.perf_counter()
+        with _timed(stats):
             lo, hi = pipe.node_range(region.start, region.end)
             key = (lo, hi, pipe.config.hop_limit)
             entry = pipe.cache.lookup(key)
@@ -496,11 +454,10 @@ class ExtractStage:
                       region.seed.read_start)
             stats.items_in += 1
             stats.items_out += 1
-            stats.seconds += time.perf_counter() - start
-            yield PreparedRegion(index=index, region=region,
-                                 lin=entry.lin,
-                                 original_ids=entry.original_ids,
-                                 anchor=anchor)
+        return PreparedRegion(index=index, region=region,
+                              lin=entry.lin,
+                              original_ids=entry.original_ids,
+                              anchor=anchor)
 
 
 class AlignStage:
@@ -515,82 +472,65 @@ class AlignStage:
     collapse may still re-derive one placement — only distinct loci
     may count as MAPQ competitors), and truncated to the configured
     top N.  The best candidate becomes the result's reported placement.
-
-    Unlike the per-read stages it runs over a *group* of oriented
-    reads: one region of every live orientation goes into one
-    ``align_many`` call per round, and each alignment marks the later
-    regions of its orientation that it makes redundant
-    (:meth:`_mark_subsumed`).
     """
 
     name = "align"
 
-    def align_group(self, group: Sequence[PreparedRead],
-                    pipe: "MappingPipeline") -> "list[MappingResult]":
-        """Align the regions of every oriented read in ``group``.
+    def run(self, seeded: SeededRead,
+            pipe: "MappingPipeline") -> "MappingResult":
+        """Align the regions of one oriented read, in filter order.
 
-        Rounds of one :meth:`~repro.core.windows.WindowedAligner.
-        align_many` dispatch: each round pulls the next region that is
-        not subsumed from the extract stream of every live
-        orientation, in group order.  An orientation retires when its
-        stream runs dry or, with ``early_exit_distance``, once a
-        region aligns at or below the threshold.  What an orientation
-        pulls after region *i* depends only on its own regions
-        0..*i*, so its result is the same in any group.
+        Each region that no earlier alignment subsumed is extracted
+        and aligned, and its alignment marks the later regions it
+        makes redundant (:meth:`_mark_subsumed`).  With
+        ``early_exit_distance`` the walk stops at the first region
+        that aligns at or below the threshold.
         """
         from repro.core.mapper import MappingResult
 
         stats = pipe.stats.stage(self.name)
+        task = seeded.task
         exit_distance = pipe.config.early_exit_distance
-        tasks = [prepared.seeded.task for prepared in group]
-        candidates: "list[list[AlignmentCandidate]]" = \
-            [[] for _ in group]
-        live = list(range(len(group)))
-        while live:
-            work = [(index, region) for index in live
-                    for region in islice(group[index].stream, 1)]
-            if not work:
+        subsumed: set[int] = set()
+        found: "list[AlignmentCandidate]" = []
+        for index, seed_region in enumerate(seeded.regions):
+            if index in subsumed:
+                pipe.stats.regions_subsumed += 1
+                continue
+            region = pipe.extract_stage.run(index, seed_region, pipe)
+            with _timed(stats):
+                aligned = pipe.aligner.align(
+                    region.lin, task.sequence, region.anchor,
+                    counters=pipe.stats)
+            stats.items_out += 1
+            pipe.stats.regions_aligned += 1
+            pipe.stats.windows += aligned.windows
+            pipe.stats.rescues += aligned.rescues
+            found.append(self._candidate(aligned, region, task.strand,
+                                         pipe))
+            if exit_distance is not None \
+                    and aligned.distance <= exit_distance:
                 break
             with _timed(stats):
-                aligned_list = pipe.aligner.align_many(
-                    [(region.lin, tasks[index].sequence, region.anchor)
-                     for index, region in work],
-                    counters=pipe.stats)
-            live = []
-            for (index, region), aligned in zip(work, aligned_list):
-                stats.items_out += 1
-                pipe.stats.regions_aligned += 1
-                pipe.stats.windows += aligned.windows
-                pipe.stats.rescues += aligned.rescues
-                candidates[index].append(self._candidate(
-                    aligned, region, tasks[index].strand, pipe))
-                if exit_distance is None \
-                        or aligned.distance > exit_distance:
-                    live.append(index)
-                    with _timed(stats):
-                        self._mark_subsumed(aligned, region,
-                                            group[index], pipe)
-        results = []
-        for prepared, task, found in zip(group, tasks, candidates):
-            seeded = prepared.seeded
-            result = MappingResult(
-                read_name=task.name, read_length=len(task.sequence),
-                mapped=False, strand=task.strand, seeding=seeded.stats,
-                regions_aligned=len(found),
-            )
-            stats.items_in += len(seeded.regions)
-            stats.dropped += len(seeded.regions) - len(found)
-            commit_candidates(result, found,
-                              pipe.config.top_n_alignments)
-            results.append(result)
-        return results
+                self._mark_subsumed(aligned, region, seeded.regions,
+                                    subsumed, pipe)
+        result = MappingResult(
+            read_name=task.name, read_length=len(task.sequence),
+            mapped=False, strand=task.strand, seeding=seeded.stats,
+            regions_aligned=len(found),
+        )
+        stats.items_in += len(seeded.regions)
+        stats.dropped += len(seeded.regions) - len(found)
+        commit_candidates(result, found, pipe.config.top_n_alignments)
+        return result
 
     @staticmethod
     def _mark_subsumed(aligned, region: PreparedRegion,
-                       prepared: PreparedRead,
+                       regions: "list[SeedRegion]",
+                       subsumed: set[int],
                        pipe: "MappingPipeline") -> None:
-        """Mark the unpulled regions of ``prepared`` that ``aligned``
-        (the alignment of its ``region``) makes redundant.
+        """Add to ``subsumed`` the indices of the unvisited ``regions``
+        that ``aligned`` (the alignment of ``region``) makes redundant.
 
         A later region is subsumed when both hold:
 
@@ -607,7 +547,7 @@ class AlignStage:
         position to a *different* graph character and stays.  The walk
         is over CIGAR runs, then one bisect per later seed.
         """
-        later = prepared.seeded.regions[region.index + 1:]
+        later = regions[region.index + 1:]
         if not later:
             return
         run_starts: list[int] = []
@@ -625,7 +565,7 @@ class AlignStage:
         first_node, last_node = \
             region.original_ids[0], region.original_ids[-1]
         for index, other in enumerate(later, region.index + 1):
-            if index in prepared.subsumed:
+            if index in subsumed:
                 continue
             seed = other.seed
             run = bisect_right(run_starts, seed.read_start) - 1
@@ -642,7 +582,7 @@ class AlignStage:
                 continue
             lo, hi = pipe.node_range(other.start, other.end)
             if first_node <= lo and hi <= last_node:
-                prepared.subsumed.add(index)
+                subsumed.add(index)
 
     @staticmethod
     def _candidate(aligned, region: PreparedRegion, strand: str,
@@ -836,8 +776,9 @@ class MappingPipeline:
         # Node starts in the global character space, for the O(log n)
         # span -> node-range cache-key computation.
         self._node_starts = graph.offsets()
-        #: The per-oriented-read stages; align runs over groups.
-        self.stages = (SeedStage(), ChainFilterStage(), ExtractStage())
+        self.seed_stage = SeedStage()
+        self.filter_stage = ChainFilterStage()
+        self.extract_stage = ExtractStage()
         self.align_stage = AlignStage()
         self.select = SelectStage()
         self.reset_stats()
@@ -912,38 +853,29 @@ class MappingPipeline:
         """Map (validated) ``(name, sequence)`` reads — the one drive
         behind every mapping entry point.
 
-        Per group of :data:`DISPATCH_READS` reads: stages 1-2 run per
-        oriented read in input order, the align stage pulls and
-        aligns their regions one ``align_many`` call per round
-        (:meth:`AlignStage.align_group`), and stage 5 selects per
-        read.  A read's result does not depend on what it is grouped
-        with.  ``both_strands`` is the mapper's configured setting for
-        single-end reads and always True for the mates of a pair.
+        Per read: the forward orientation through stages 1-4, the
+        reverse complement too when ``both_strands``, then stage 5
+        selects.  A read's result does not depend on what it is
+        batched with.  ``both_strands`` is the mapper's configured
+        setting for single-end reads and always True for the mates of
+        a pair.
         """
         results: "list[MappingResult]" = []
-        for start in range(0, len(reads), DISPATCH_READS):
-            chunk = reads[start:start + DISPATCH_READS]
-            group = []
-            for name, sequence in chunk:
-                group.append(self._prepare(name, sequence, "+"))
-                if both_strands:
-                    group.append(self._prepare(
-                        name, seqmod.reverse_complement(sequence),
-                        "-"))
-            oriented = iter(self.align_stage.align_group(group, self))
-            for _ in chunk:
-                forward = next(oriented)
-                reverse = next(oriented) if both_strands else None
-                results.append(self.select.run(forward, reverse, self))
+        for name, sequence in reads:
+            forward = self._map_oriented(name, sequence, "+")
+            reverse = self._map_oriented(
+                name, seqmod.reverse_complement(sequence), "-") \
+                if both_strands else None
+            results.append(self.select.run(forward, reverse, self))
         return results
 
-    def _prepare(self, name: str, sequence: str,
-                 strand: str) -> PreparedRead:
-        """Stages 1-3 for one oriented read (extraction stays lazy)."""
-        item = ReadTask(name=name, sequence=sequence, strand=strand)
-        for stage in self.stages:
-            item = stage.run(item, self)
-        return item
+    def _map_oriented(self, name: str, sequence: str,
+                      strand: str) -> "MappingResult":
+        """Stages 1-4 for one oriented read."""
+        task = ReadTask(name=name, sequence=sequence, strand=strand)
+        seeded = self.seed_stage.run(task, self)
+        seeded = self.filter_stage.run(seeded, self)
+        return self.align_stage.run(seeded, self)
 
 
 # ----------------------------------------------------------------------

@@ -164,137 +164,6 @@ class _Extension:
     dead_end_insertions: int = 0
 
 
-@dataclass
-class _WindowJob:
-    """One pending window alignment of a suspended extension.
-
-    The windowing loop (:meth:`WindowedAligner._extend_steps`) yields
-    these instead of calling the kernel directly; the driver resolves
-    each through :meth:`WindowedAligner._resolve_job` and sends the
-    result back.  ``anchors`` are already in window-local coordinates.
-    """
-
-    window: LinearizedGraph
-    chunk: str
-    k: int
-    anchors: list[int] | None
-
-
-class _AlignSession:
-    """One read's windowed alignment, suspended between windows.
-
-    Wraps the one-or-two directional extensions of
-    :meth:`WindowedAligner.align` (right from the anchor, then left on
-    the reversed view) as resumable generators: :attr:`pending` is the
-    next window needing a kernel result, :meth:`advance` feeds one in,
-    and :meth:`finish` merges the extensions.  (The suspension is a
-    leftover of the cross-read window batch; with one kernel call per
-    window a plain loop would do.)
-    """
-
-    def __init__(self, aligner: "WindowedAligner",
-                 lin: LinearizedGraph, read: str,
-                 anchor: tuple[int, int] | None,
-                 observer: WindowObserver | None = None) -> None:
-        if not read:
-            raise ValueError("read must not be empty")
-        self.lin = lin
-        if anchor is None:
-            stages = [("only", lin, read, None)]
-        else:
-            anchor_pos, anchor_read = anchor
-            if not 0 <= anchor_pos < len(lin):
-                raise ValueError(
-                    f"anchor position {anchor_pos} outside the region"
-                )
-            if not 0 <= anchor_read < len(read):
-                raise ValueError(
-                    f"anchor read offset {anchor_read} outside the read"
-                )
-            stages = [("right", lin, read[anchor_read:], [anchor_pos])]
-            if anchor_read > 0:
-                rev = lin.reversed_view()
-                n = len(lin)
-                # In reversed coordinates the left extension starts at
-                # the (reversed) successors of the anchor, i.e. the
-                # original predecessors.
-                rev_anchors = list(rev.successors[n - 1 - anchor_pos])
-                stages.append(("left", rev,
-                               read[:anchor_read][::-1], rev_anchors))
-        self._aligner = aligner
-        self._observer = observer
-        self._stages = stages
-        self._stage = 0
-        self._gen = None
-        self._parts: dict[str, _Extension] = {}
-        #: The window awaiting a kernel result (None once finished).
-        self.pending: _WindowJob | None = None
-        self._open_next()
-
-    def _open_next(self) -> None:
-        while self._stage < len(self._stages):
-            label, lin, read, anchors = self._stages[self._stage]
-            self._gen = self._aligner._extend_steps(
-                lin, read, anchors, self._observer)
-            try:
-                self.pending = next(self._gen)
-                return
-            except StopIteration as stop:
-                self._parts[label] = stop.value
-                self._gen = None
-                self._stage += 1
-        self.pending = None
-
-    def advance(self, result: BitAlignResult | None) -> None:
-        """Feed the kernel result of :attr:`pending` and move on."""
-        if self.pending is None:
-            raise RuntimeError("alignment session already finished")
-        try:
-            self.pending = self._gen.send(result)
-        except StopIteration as stop:
-            label = self._stages[self._stage][0]
-            self._parts[label] = stop.value
-            self._gen = None
-            self._stage += 1
-            self._open_next()
-
-    def finish(self) -> WindowedAlignment:
-        """Merge the finished extensions (sequential-path semantics)."""
-        if self.pending is not None:
-            raise RuntimeError("alignment session still has windows")
-        parts = self._parts
-        if "only" in parts:
-            extension = parts["only"]
-            ops, path = extension.ops, extension.path
-            windows = extension.windows
-            rescues = extension.rescues
-            dead_end = extension.dead_end_insertions
-        else:
-            right = parts["right"]
-            windows, rescues = right.windows, right.rescues
-            dead_end = right.dead_end_insertions
-            ops, path = right.ops, right.path
-            left = parts.get("left")
-            if left is not None:
-                n = len(self.lin)
-                windows += left.windows
-                rescues += left.rescues
-                dead_end += left.dead_end_insertions
-                ops = list(reversed(left.ops)) + ops
-                path = [n - 1 - p for p in reversed(left.path)] + path
-        cigar = Cigar.from_ops(ops)
-        reference = "".join(self.lin.chars[p] for p in path)
-        return WindowedAlignment(
-            distance=cigar.edit_distance,
-            cigar=cigar,
-            path=tuple(path),
-            reference=reference,
-            windows=windows,
-            rescues=rescues,
-            dead_end_insertions=dead_end,
-        )
-
-
 class WindowedAligner:
     """Aligns arbitrarily long reads against a linearized subgraph.
 
@@ -362,8 +231,7 @@ class WindowedAligner:
         Exactly :meth:`align` per item, in order: every window of every
         item goes through the one per-window kernel
         (:func:`repro.core.bitalign.bitalign`), so a result depends on
-        nothing but its own item.  The batch entry exists so a caller
-        hands over a whole dispatch group at once.
+        nothing but its own item.
         """
         return [self._align_item(lin, read, anchor, observer, counters)
                 for lin, read, anchor in items]
@@ -372,46 +240,76 @@ class WindowedAligner:
                     anchor: tuple[int, int] | None,
                     observer: WindowObserver | None,
                     counters) -> WindowedAlignment:
-        """One item's windowing session, a kernel call per window.
+        """One item: the right extension from the anchor (the whole
+        read when un-anchored), then the left extension on the
+        reversed view, merged.
 
         Shared by :meth:`align` and :meth:`align_many` instead of one
         calling the other: the perf spine times both public methods as
         root spans, and nesting them would count the work twice.
         """
-        session = _AlignSession(self, lin, read, anchor, observer)
-        while session.pending is not None:
-            session.advance(self._resolve_job(session.pending,
-                                              counters))
-        return session.finish()
+        if not read:
+            raise ValueError("read must not be empty")
+        if anchor is None:
+            # The first window searches every start position.
+            anchor_pos, anchor_read, anchors = None, 0, None
+        else:
+            anchor_pos, anchor_read = anchor
+            if not 0 <= anchor_pos < len(lin):
+                raise ValueError(
+                    f"anchor position {anchor_pos} outside the region"
+                )
+            if not 0 <= anchor_read < len(read):
+                raise ValueError(
+                    f"anchor read offset {anchor_read} outside the read"
+                )
+            anchors = [anchor_pos]
+        right = self._extend(lin, read[anchor_read:], anchors,
+                             observer, counters)
+        parts = [right]
+        ops, path = right.ops, right.path
+        if anchor_read > 0:
+            rev = lin.reversed_view()
+            n = len(lin)
+            # In reversed coordinates the left extension starts at
+            # the (reversed) successors of the anchor, i.e. the
+            # original predecessors.
+            left = self._extend(
+                rev, read[:anchor_read][::-1],
+                list(rev.successors[n - 1 - anchor_pos]),
+                observer, counters)
+            parts.append(left)
+            ops = list(reversed(left.ops)) + ops
+            path = [n - 1 - p for p in reversed(left.path)] + path
+        cigar = Cigar.from_ops(ops)
+        return WindowedAlignment(
+            distance=cigar.edit_distance,
+            cigar=cigar,
+            path=tuple(path),
+            reference="".join(lin.chars[p] for p in path),
+            windows=sum(part.windows for part in parts),
+            rescues=sum(part.rescues for part in parts),
+            dead_end_insertions=sum(part.dead_end_insertions
+                                    for part in parts),
+        )
 
-    def _resolve_job(self, job: _WindowJob,
-                     counters=None) -> BitAlignResult | None:
-        """Per-window kernel path (one kernel call)."""
-        if counters is not None:
-            counters.align_calls += 1
-        return bitalign(job.window, job.chunk, job.k,
-                        anchors=job.anchors, backend=self.backend)
-
-    def _extend_steps(
+    def _extend(
         self,
         lin: LinearizedGraph,
         read: str,
         anchors: list[int] | None,
-        observer: WindowObserver | None = None,
-    ):
-        """Forward windowing loop, as a resumable generator.
+        observer: WindowObserver | None,
+        counters,
+    ) -> _Extension:
+        """Forward windowing loop: one :func:`~repro.core.bitalign.
+        bitalign` call per window attempt, each charged to
+        ``counters.align_calls``.
 
-        Yields a :class:`_WindowJob` wherever the sequential loop
-        called the kernel and receives the corresponding
-        :class:`~repro.core.bitalign.BitAlignResult` (or None) back
-        via ``send``; returns the finished :class:`_Extension`.
         ``anchors`` restricts the allowed start positions of the first
         window (None = search every position of the whole region, the
         un-anchored fitting mode).
         """
         extension = _Extension(ops=[], path=[])
-        if not read:
-            return extension
         w = self.config.window_size
         overlap = self.config.overlap
         pos_pat = 0
@@ -445,17 +343,15 @@ class WindowedAligner:
                 else:
                     text_end = min(len(lin), base + len(chunk) + k)
                 window = lin.slice(base, text_end)
+                # ``base == min(anchors)`` and the window is never
+                # empty, so local anchor 0 always survives the filter.
                 local_anchors = None if anchors is None else \
                     [a - base for a in anchors if a - base < len(window)]
-                if local_anchors is not None and not local_anchors:
-                    # All anchors fell beyond the window (a huge hop);
-                    # widen to include the nearest one.
-                    text_end = min(len(lin), max(anchors) + 1)
-                    window = lin.slice(base, text_end)
-                    local_anchors = [a - base for a in anchors
-                                     if a - base < len(window)]
-                result = yield _WindowJob(window, chunk, k,
-                                          local_anchors)
+                if counters is not None:
+                    counters.align_calls += 1
+                result = bitalign(window, chunk, k,
+                                  anchors=local_anchors,
+                                  backend=self.backend)
                 if result is not None:
                     break
                 if k >= len(chunk):

@@ -54,7 +54,7 @@ PathOrHandle = Union[str, Path, TextIO]
 T = TypeVar("T")
 
 #: Default reads per batch handed to ``Mapper.map_batch``: large
-#: enough to amortize per-batch dispatch (fork, kernel collection),
+#: enough to amortize per-batch dispatch (fork, result collection),
 #: small enough that a chunk of 10 kbp long reads stays ~5 MB.
 DEFAULT_CHUNK_SIZE = 512
 

@@ -2,9 +2,9 @@
 
 The serving layer over :class:`repro.api.Mapper`: load the reference
 artifact once, keep worker pools resident, and coalesce request
-arrivals into cross-read batched kernel dispatches — the software
-analogue of the paper's fixed-cost amortization across a stream of
-reads.  See ``docs/service.md`` for the protocol and operator guide.
+arrivals into batches (one engine call and one pool dispatch per
+batch) — the software analogue of the paper's fixed-cost amortization
+across a stream of reads.  See ``docs/service.md`` for the protocol and operator guide.
 
 Layering: this package sits on top of the public API (layer 4 in the
 ``repro analyze`` layering table); nothing below :mod:`repro.api`

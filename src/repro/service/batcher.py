@@ -1,9 +1,9 @@
 """Request micro-batching: coalesce arrivals into shared dispatches.
 
 The daemon's throughput story is the same fixed-cost-amortization
-argument the paper makes in hardware: each alignment dispatch has a
-per-call cost (kernel setup, pool IPC) that batching spreads across
-many reads.  :class:`MicroBatcher` is the coalescing queue that turns
+argument the paper makes in hardware: each engine call has a
+per-call cost (request handling, pool IPC) that batching spreads
+across many reads.  :class:`MicroBatcher` is the coalescing queue that turns
 a stream of independent requests into few large ``map_batch`` /
 ``map_pairs`` shards.
 

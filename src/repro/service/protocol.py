@@ -4,7 +4,7 @@ One request per line, one response per line, UTF-8, ``\\n``-framed
 (NDJSON).  A client may pipeline: send many requests before reading
 any response — the server answers **in request order** per
 connection, which is what lets the micro-batcher coalesce a stream
-of single-read requests into shared kernel dispatches.
+of single-read requests into shared engine calls.
 
 Request shape::
 

@@ -7,7 +7,7 @@ resolves the pending responses in request order.  Splitting the two
 is what makes micro-batching effective for a single pipelining
 client: while the writer waits on one ticket, the reader keeps
 feeding the coalescing queue, so consecutive requests on one
-connection land in one shared kernel dispatch.
+connection land in one shared engine call.
 
 Graceful shutdown (``shutdown`` op, :meth:`ServiceServer.stop`, or
 ``SIGTERM`` wired by the CLI): the listener closes first so no new

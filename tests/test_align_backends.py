@@ -26,6 +26,7 @@ import pytest
 from repro.align.backends import (
     AlignmentBackend,
     BackendAlignment,
+    align_storage_words,
     default_backend_name,
     get_backend,
     list_backends,
@@ -421,207 +422,102 @@ def _random_batch(rng: random.Random) -> tuple[list, int]:
     return jobs, k
 
 
-class TestBatchedAlignMany:
-    """Parity harness for the cross-read batched kernel path.
+BACKEND_NAMES = sorted(list_backends())
 
-    ``NumpyBackend.align_many`` packs length-bucketed jobs into one
-    word-packed tensor and sweeps the wavefront across all of them in
-    one pass; everything a caller can observe must stay bit-for-bit
-    identical to the base-class loop (``[align(t, p, k) ...]``) and
-    to the python backend.  Raw bitvector cells legitimately differ
-    below the relevance floor (the batched sweep maintains a
-    bucket-conservative superset band), so the harness compares
-    observable results only — alignment tuples, never cells.
-    """
+
+class TestBatchedAlignMany:
+    """``align_many`` is the base-class loop over ``align`` on every
+    backend: one result per job in order, each job validated and
+    budgeted on its own, and — like ``align`` — bit-for-bit the same
+    on every backend and true to the independent oracles."""
 
     def test_matches_scalar_loop_and_python(self):
-        numpy_backend = get_backend("numpy")
         python_backend = get_backend("python")
         rng = random.Random(0xBA7C4)
         alignable = 0
         for _ in range(40):
             jobs, k = _random_batch(rng)
-            got = numpy_backend.align_many(jobs, k)
-            loop = AlignmentBackend.align_many(numpy_backend, jobs, k)
             ref = python_backend.align_many(jobs, k)
-            assert len(got) == len(loop) == len(ref) == len(jobs)
-            for job, fast, slow, pure in zip(jobs, got, loop, ref):
-                context = f"job={job!r} k={k}"
-                assert (fast is None) == (slow is None) \
-                    == (pure is None), context
-                if fast is None:
-                    continue
-                alignable += 1
-                assert (fast.distance, fast.start, fast.cigar) == \
-                    (slow.distance, slow.start, slow.cigar), context
-                assert (fast.distance, fast.start, fast.cigar) == \
-                    (pure.distance, pure.start, pure.cigar), context
-        # The generator must actually exercise the batched path.
+            assert len(ref) == len(jobs)
+            for name in BACKEND_NAMES:
+                backend = get_backend(name)
+                got = backend.align_many(jobs, k)
+                loop = [backend.align(text, pattern, k)
+                        for text, pattern in jobs]
+                assert got == loop == ref, f"{name} jobs={jobs!r} k={k}"
+            alignable += sum(result is not None for result in ref)
         assert alignable > 60
 
     def test_against_bitap_and_dp_oracles(self):
-        """Every batched result cross-checked against the independent
+        """Every result cross-checked against the independent
         1-active Bitap and exact-DP oracles, per job."""
-        backend = get_backend("numpy")
         rng = random.Random(0x04AC1E)
         for _ in range(25):
             jobs, k = _random_batch(rng)
-            results = backend.align_many(jobs, k)
-            for (text, pattern), result in zip(jobs, results):
-                context = f"text={text!r} pattern={pattern!r} k={k}"
-                oracle = bitap_distance(text, pattern, k)
-                if result is None:
-                    assert oracle is None, context
-                else:
-                    assert oracle == result.distance, context
-                if text:
-                    exact = semiglobal_distance(text, pattern)[0]
-                    if exact <= k:
-                        assert result is not None \
-                            and result.distance == exact, context
+            for name in BACKEND_NAMES:
+                results = get_backend(name).align_many(jobs, k)
+                for (text, pattern), result in zip(jobs, results):
+                    context = f"{name} text={text!r} " \
+                        f"pattern={pattern!r} k={k}"
+                    oracle = bitap_distance(text, pattern, k)
+                    if result is None:
+                        assert oracle is None, context
                     else:
-                        assert result is None, context
+                        assert oracle == result.distance, context
+                    if text:
+                        exact = semiglobal_distance(text, pattern)[0]
+                        if exact <= k:
+                            assert result is not None \
+                                and result.distance == exact, context
+                        else:
+                            assert result is None, context
 
     def test_empty_batch(self):
-        for name in sorted(list_backends()):
+        for name in BACKEND_NAMES:
             assert get_backend(name).align_many([], 3) == []
 
     def test_batch_of_one(self):
-        backend = get_backend("numpy")
         text = "ACGTAGGCTTACGA"
-        many = backend.align_many([(text, "TAGGCTT")], 2)
-        single = backend.align(text, "TAGGCTT", 2)
-        assert len(many) == 1 and many[0] is not None
-        assert (many[0].distance, many[0].start, many[0].cigar) == \
-            (single.distance, single.start, single.cigar)
+        for name in BACKEND_NAMES:
+            backend = get_backend(name)
+            many = backend.align_many([(text, "TAGGCTT")], 2)
+            assert many == [backend.align(text, "TAGGCTT", 2)]
+            assert many[0] is not None
 
     def test_k_overflow_job_rides_along(self):
-        """An m > n + k job resolves to None inside a batch without
-        poisoning its batch-mates' results."""
-        backend = get_backend("numpy")
+        """An m > n + k job resolves to None without touching its
+        batch-mates' results."""
         text = "ACGTACGTTGCA"
         jobs = [(text, "GTAC"), ("AC", "ACGTACGTAC"), (text, "TTGC")]
-        results = backend.align_many(jobs, 1)
-        assert results[1] is None
-        assert results[0] is not None \
-            and (results[0].distance, results[0].start) == (0, 2)
-        assert results[2] is not None \
-            and (results[2].distance, results[2].start) == (0, 7)
+        for name in BACKEND_NAMES:
+            results = get_backend(name).align_many(jobs, 1)
+            assert results[1] is None
+            assert results[0] is not None \
+                and (results[0].distance, results[0].start) == (0, 2)
+            assert results[2] is not None \
+                and (results[2].distance, results[2].start) == (0, 7)
 
     def test_validates_every_job(self):
-        backend = get_backend("numpy")
-        with pytest.raises(ValueError):
-            backend.align_many([("ACGT", "AC"), ("ACGT", "")], 1)
-        with pytest.raises(ValueError):
-            backend.align_many([("ACGT", "AC")], -1)
+        for name in BACKEND_NAMES:
+            backend = get_backend(name)
+            with pytest.raises(ValueError):
+                backend.align_many([("ACGT", "AC"), ("ACGT", "")], 1)
+            with pytest.raises(ValueError):
+                backend.align_many([("ACGT", "AC")], -1)
 
     def test_per_job_word_budget(self):
-        backend = get_backend("numpy")
-        with pytest.raises(AlignmentSizeError):
-            backend.align_many([("ACGT" * 300, "ACGT" * 250)],
-                               100, max_words=10)
-
-
-class TestBatchedChainKernel:
-    """``chain_bitvectors_many`` against the per-window kernel."""
-
-    @staticmethod
-    def _forced_numpy():
-        from repro.align.backends import NumpyBackend
-
-        return NumpyBackend(chain_kernel_min_bits=0)
-
-    def test_rows_agree_on_best_start(self):
-        rng = random.Random(0xC4A1)
-        backend = self._forced_numpy()
-        served = 0
-        for _ in range(25):
-            k = rng.randrange(1, 8)
-            jobs = []
-            for _ in range(rng.randrange(1, 8)):
-                n = rng.randrange(8, 120)
-                text = "".join(rng.choice("ACGT") for _ in range(n))
-                m = rng.randrange(2, min(40, n + 1))
-                start = rng.randrange(0, n - m + 1)
-                pattern = "".join(
-                    rng.choice("ACGT") if rng.random() < 0.1 else char
-                    for char in text[start:start + m])
-                jobs.append((text, pattern))
-            many = backend.chain_bitvectors_many(jobs, k)
-            assert len(many) == len(jobs)
-            for (text, pattern), rows in zip(jobs, many):
-                single = backend.chain_bitvectors(text, pattern, k)
-                assert (rows is None) == (single is None)
-                if rows is None:
-                    continue
-                served += 1
-                assert len(rows) == len(single) == len(text)
-                assert rows.best_start() == single.best_start()
-                anchor = [rng.randrange(0, len(text))]
-                assert rows.best_start(candidates=anchor) == \
-                    single.best_start(candidates=anchor)
-        assert served > 20
-
-    def test_registered_gate_still_applies_to_singletons(self):
-        """A lone narrow window goes through the scalar plan and hits
-        the per-call crossover gate, exactly as before."""
-        backend = get_backend("numpy")
-        assert backend.chain_bitvectors_many(
-            [("ACGT" * 16, "ACGTAC")], 2) == [None]
-
-
-class TestBatchCostModel:
-    """The hw-model-derived scheduling oracle."""
-
-    @staticmethod
-    def _model():
-        from repro.align.bitalign_batched import BatchCostModel
-
-        return BatchCostModel()
-
-    def test_slope_comes_from_public_anchors(self):
-        from repro.hw.bitalign_unit import BitAlignCycleModel
-
-        model = self._model()
-        hw = BitAlignCycleModel()
-        assert model.cycles_per_word == \
-            hw.cycles_per_window(128) - hw.cycles_per_window(64)
-
-    def test_singleton_is_never_batched(self):
-        plan = self._model().plan([(128, 100)], 10)
-        assert plan == [("scalar", [0])]
-
-    def test_uniform_fleet_batches(self):
-        plan = self._model().plan([(128, 100)] * 64, 10)
-        batched = [indices for kind, indices in plan
-                   if kind == "batched"]
-        assert batched and sorted(sum(batched, [])) == list(range(64))
-
-    def test_every_index_appears_exactly_once(self):
-        rng = random.Random(0x9141)
-        model = self._model()
-        for _ in range(20):
-            shapes = [(rng.randrange(1, 400), rng.randrange(1, 200))
-                      for _ in range(rng.randrange(1, 30))]
-            plan = model.plan(shapes, rng.randrange(0, 12))
-            seen = sorted(
-                index for _, indices in plan for index in indices)
-            assert seen == list(range(len(shapes)))
-
-    def test_cross_bucket_singletons_stay_scalar(self):
-        """One job per packed-width bucket: nothing to amortize, so
-        the oracle keeps every job on the per-call path."""
-        plan = self._model().plan([(100, 40), (200, 100), (300, 150)],
-                                  6)
-        assert all(kind == "scalar" for kind, _ in plan)
-
-    def test_batched_beats_scalar_prediction(self):
-        model = self._model()
-        shapes = [(150, 120)] * 32
-        scalar = sum(model.scalar_cycles(n, m, 10) for n, m in shapes)
-        batched = model.batched_cycles([n for n, _ in shapes], 10,
-                                       words_for(120))
-        assert batched < scalar
+        """``max_words`` bounds each job, not the batch: two jobs that
+        fit one by one pass together, one that does not raises."""
+        for name in BACKEND_NAMES:
+            backend = get_backend(name)
+            small = ("ACGT" * 8, "ACGTAC")
+            budget = 2 * align_storage_words(32, 6, 2) - 1
+            assert len(backend.align_many([small, small], 2,
+                                          max_words=budget)) == 2
+            with pytest.raises(AlignmentSizeError):
+                backend.align_many(
+                    [small, ("ACGT" * 300, "ACGT" * 250)], 100,
+                    max_words=10)
 
 
 class TestRegistry:

@@ -249,6 +249,28 @@ class TestMateRescue:
                 mate.distance
         assert rescued_seen > 0
 
+    def test_rescue_is_backend_independent(self, repeat_workload):
+        """The workload where rescue fires, under both alignment
+        backends: identical pair results (``rescued_mate`` included)
+        and identical rescue counters."""
+        reference, fragments, _ = repeat_workload
+        pairs = [(f.name, f.mate1.sequence, f.mate2.sequence)
+                 for f in fragments]
+        outcomes = {}
+        for backend in ("python", "numpy"):
+            engine = PairedEndMapper(
+                _mapper(reference, align_backend=backend),
+                PairedEndConfig(insert_mean=350.0, insert_std=50.0))
+            outcomes[backend] = (engine.map_pairs(pairs), engine.stats)
+        python_results, python_stats = outcomes["python"]
+        numpy_results, numpy_stats = outcomes["numpy"]
+        assert python_results == numpy_results
+        assert any(pair.rescued_mate for pair in numpy_results)
+        assert python_stats.rescue_hits > 0
+        for counter in ("rescue_attempts", "rescue_hits", "align_calls"):
+            assert getattr(python_stats, counter) == \
+                getattr(numpy_stats, counter), counter
+
 
 class TestPairSamEmission:
     def test_round_trip_and_flags(self, acceptance_workload):

@@ -8,14 +8,14 @@ strand tie-break helper, and the batch/sequential parity guarantee of
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
-from repro import seq as seqmod
+from repro.api import Mapper
 from repro.core.mapper import MappingResult, SeGraM, SeGraMConfig
 from repro.core.pipeline import (
-    DISPATCH_READS,
     STAGE_ORDER,
     CachedRegion,
     PipelineStats,
@@ -307,9 +307,10 @@ class TestBatchParity:
 
 
 class TestCoalescedParity:
-    """Coalescing the reads of a batch into shared kernel dispatches
-    must not change any read's result: a batch equals one-read calls
-    for every jobs count, backend, and strand setting."""
+    """Coalescing reads into one batch (one engine call, one pool
+    dispatch) must not change any read's result: a batch equals
+    one-read calls for every jobs count, backend, and strand
+    setting."""
 
     @pytest.fixture(scope="class")
     def sequential(self, workload):
@@ -336,11 +337,9 @@ class TestCoalescedParity:
              for name, sequence in reads]
 
     def test_coalesced_shares_kernel_dispatches(self, workload):
-        """Re-stated when the diagonal kernel became the one window
-        kernel: coalescing shares the *drive*, no longer a kernel
-        dispatch — every window is one kernel call however the reads
-        are grouped, so the dispatch count is a function of the
-        windows alone."""
+        """Every window is one kernel call however the reads are
+        batched, so the call count is a function of the windows
+        alone."""
         reference, reads = workload
         per_read = _fresh_mapper(reference, align_backend="numpy")
         for name, sequence in reads:
@@ -365,22 +364,20 @@ def _counter_key(stats: PipelineStats):
 
 
 def _assert_one_call_per_window(stats: PipelineStats):
-    """The window path's dispatch contract on every backend: one
-    kernel call per window attempt (a rescue is a retried window),
-    none of them batched."""
+    """The window path's contract on every backend: one kernel call
+    per window attempt (a rescue is a retried window)."""
     assert stats.windows > 0
     assert stats.align_calls == stats.windows + stats.rescues
-    assert stats.align_windows_batched == 0
 
 
 class TestGroupWidthIndependence:
-    """The drive slices a batch into groups of ``DISPATCH_READS``
-    reads that share ``align_many`` dispatches.  Which group a read
-    lands in must never show: a batch spanning three groups equals
-    one-read calls on every result and every result-bearing counter,
-    with and without the early exit."""
+    """Which reads a read is batched with, and where in the batch it
+    sits, must never show: a 70-read batch equals one-read calls on
+    every result and every result-bearing counter, with and without
+    the early exit, and a read's whole record is the same first, in
+    the middle and last of a batch, on every way to run one."""
 
-    READS = 2 * DISPATCH_READS + 6
+    READS = 70
 
     @pytest.fixture(scope="class")
     def short_reads(self, workload):
@@ -405,50 +402,37 @@ class TestGroupWidthIndependence:
         if early_exit_distance is not None:
             assert batched.stats.stage("align").dropped > 0
 
-    @pytest.mark.parametrize("early_exit_distance", [None, 1])
-    def test_no_dispatch_wider_than_a_group(self, workload,
-                                            short_reads, monkeypatch,
-                                            early_exit_distance):
+    def test_position_in_batch_never_shows(self, workload, short_reads,
+                                           tmp_path):
+        """Rotating the batch puts every read at a new position (the
+        first read first, in the middle, last).  Records carry the
+        whole ``MappingResult`` — placement, CIGAR, candidates,
+        ``regions_aligned``, ``windows``, ``rescues`` — plus MAPQ.
+        Cache hit/miss counters depend on position by nature and are
+        not compared."""
         reference, _ = workload
-        mapper = _fresh_mapper(
-            reference, both_strands=True, align_backend="numpy",
-            early_exit_distance=early_exit_distance)
-        aligner = mapper.pipeline.aligner
-        align_many = aligner.align_many
-        reads_per_call = []
+        config = dataclasses.replace(CONFIG, both_strands=True)
+        artifact = Mapper(reference, name="chr1", config=config,
+                          max_node_length=4_000
+                          ).save_index(tmp_path / "ref.sgidx")
 
-        def spy(items, **kwargs):
-            # Both orientations of a read count as that one read.
-            reads_per_call.append(len({
-                min(read, seqmod.reverse_complement(read))
-                for _, read, _ in items}))
-            return align_many(items, **kwargs)
+        def attach() -> Mapper:
+            return Mapper.from_artifact(artifact, config=config)
 
-        monkeypatch.setattr(aligner, "align_many", spy)
-        align_stage = mapper.pipeline.align_stage
-        align_group = align_stage.align_group
-        group_starts = []
-
-        def group_spy(group, pipe):
-            group_starts.append(len(reads_per_call))
-            return align_group(group, pipe)
-
-        monkeypatch.setattr(align_stage, "align_group", group_spy)
-        mapper.map_batch(short_reads)
-        assert max(reads_per_call) == DISPATCH_READS
-        # A group's first round carries all its reads: 32 + 32 + 6.
-        assert [reads_per_call[start] for start in group_starts] == [
-            DISPATCH_READS, DISPATCH_READS,
-            self.READS - 2 * DISPATCH_READS]
-        # One region per live orientation per round: later rounds
-        # carry the orientations with a region left that is neither
-        # subsumed nor (early exit) past a met threshold, so a group
-        # takes at most as many rounds as an orientation has regions.
-        bounds = [*group_starts, len(reads_per_call)]
-        rounds = [stop - start
-                  for start, stop in zip(bounds, bounds[1:])]
-        assert 1 < max(rounds) <= CONFIG.max_seeds_per_read
-        assert min(reads_per_call) < self.READS - 2 * DISPATCH_READS
+        alone = attach()
+        expected = {name: alone.map(sequence, name)
+                    for name, sequence in short_reads}
+        assert sum(record.mapped for record in expected.values()) \
+            > self.READS // 2
+        with attach().pool(2) as pool:
+            for first_at in (0, self.READS // 2, self.READS - 1):
+                batch = short_reads[-first_at:] + short_reads[:-first_at]
+                assert batch[first_at] == short_reads[0]
+                for how in ({"jobs": 1}, {"jobs": 2}, {"pool": pool}):
+                    records = attach().map_batch(batch, **how)
+                    assert records == [expected[name]
+                                       for name, _ in batch], \
+                        (first_at, how)
 
 
 class TestBackendParity:
@@ -498,26 +482,25 @@ class TestBackendParity:
 
 
 class TestBatchedAlignPath:
-    """The align drive's dispatch counters.
+    """The align stage's kernel-call counter.
 
-    ``align_calls`` / ``align_windows_batched`` are deliberately NOT
-    part of :func:`_counter_key` — they count kernel calls, not
-    results.  On the window path they are nevertheless the same on
-    every backend since the diagonal kernel serves every window:
-    ``align_calls == windows + rescues`` and nothing is batched
-    (mate rescue, which still batches, counts on ``PairStats``).
+    ``align_calls`` is deliberately NOT part of :func:`_counter_key` —
+    it counts kernel calls, not results.  It is nevertheless the same
+    on every backend, since the diagonal kernel serves every window:
+    ``align_calls == windows + rescues`` (mate rescue counts its own
+    backend dispatches on ``PairStats``).
     """
 
-    @pytest.mark.parametrize("backend,has_batch_kernel",
+    @pytest.mark.parametrize("backend,has_chain_kernel",
                              [("numpy", True), ("python", False)])
     def test_dispatch_counters_per_backend(self, workload, backend,
-                                           has_batch_kernel):
-        """Owning a batched chain kernel no longer changes how the
-        window path dispatches."""
+                                           has_chain_kernel):
+        """Owning a packed chain kernel does not change how many
+        kernel calls the window path makes."""
         reference, reads = workload
         mapper = _fresh_mapper(reference, align_backend=backend)
         assert mapper.pipeline.aligner.backend.provides_chain_kernel \
-            is has_batch_kernel
+            is has_chain_kernel
         mapper.map_batch(reads, jobs=1)
         _assert_one_call_per_window(mapper.stats)
 
@@ -528,20 +511,14 @@ class TestBatchedAlignPath:
         stats = mapper.stats
         rows = {row["stage"]: row for row in stats.stage_rows()}
         assert rows["align"]["calls"] == stats.align_calls
-        assert rows["align"]["batched"] == stats.align_windows_batched
         assert rows["seed"]["calls"] is None
-        assert rows["seed"]["batched"] is None
         summary = "\n".join(stats.summary_lines())
-        assert f"{stats.align_calls} kernel dispatches" in summary
-        assert f"({stats.align_windows_batched} windows batched" \
-            in summary
+        assert f"{stats.align_calls} kernel calls" in summary
 
     def test_dispatch_counters_merge(self):
         merged = PipelineStats()
         part = PipelineStats()
         part.align_calls = 3
-        part.align_windows_batched = 7
         merged.merge(part)
         merged.merge(part)
         assert merged.align_calls == 6
-        assert merged.align_windows_batched == 14

@@ -251,10 +251,8 @@ class TestAnchoredAlignment:
 
 
 class TestAlignMany:
-    """``align_many`` only changes how windows are dispatched: every
-    item's result is that of ``align`` on it alone, whatever else is
-    in the batch — the contract the mapping pipeline's one drive
-    (``MappingPipeline.map_reads``) rests on."""
+    """``align_many`` is ``align`` per item: every item's result is
+    that of ``align`` on it alone, whatever else is in the batch."""
 
     @pytest.fixture(scope="class")
     def items(self):
@@ -296,10 +294,8 @@ class TestAlignMany:
         assert aligner.align_many([]) == []
 
     def test_numpy_batch_shares_dispatches(self, items):
-        """Re-stated when the diagonal kernel became the one window
-        kernel: the batch entry shares no kernel dispatch, not even on
-        the numpy backend — together or alone, every window attempt is
-        one kernel call."""
+        """Nothing is shared: ``align_calls == windows + rescues`` on
+        both backends, together or alone."""
         from repro.core.pipeline import PipelineStats
 
         for backend in ("numpy", "python"):
@@ -312,5 +308,3 @@ class TestAlignMany:
                 aligner.align(*item, counters=alone)
             attempts = sum(r.windows + r.rescues for r in batched)
             assert together.align_calls == alone.align_calls == attempts
-            assert together.align_windows_batched == 0
-            assert alone.align_windows_batched == 0
