@@ -7,15 +7,19 @@ reference; Fig. 6 fixes the flat layout the artifact stores).  Three
 startup paths over the same multi-contig reference:
 
 * ``cold build`` — construct a :class:`repro.api.Mapper` from records
-  in memory (graph + dict index from scratch), the per-process cost
+  in memory (graph + flat index from scratch), the per-process cost
   every fork-mode worker used to pay;
-* ``artifact build`` — flatten + write the versioned artifact, the
-  one-time cost of ``repro index build``;
+* ``artifact build`` — write the versioned artifact, the one-time
+  cost of ``repro index build``;
 * ``mmap attach`` — ``Mapper.from_artifact``, the per-process cost a
   persistent-pool worker pays (checksum verify included).
 
-Acceptance check: attach must be at least 10x faster than the cold
-build, and the attached mapper's results must be identical to the
+Acceptance check, stated against what the artifact is for — a worker
+or a daemon is ready in milliseconds, whatever the build costs:
+attach takes at most :data:`ATTACH_CEILING_S` and is at least 3x
+faster than the cold build (the vector index build left the old
+"10x" ratio nothing to stand on: the cold build is now mostly graph
+construction), and the attached mapper's results are identical to the
 cold mapper's on a sample batch.
 
 Quick mode: set ``REPRO_BENCH_QUICK=1`` (the CI bench-smoke job does)
@@ -34,6 +38,10 @@ from repro.core.mapper import SeGraMConfig
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
 CONFIG = SeGraMConfig(w=10, k=15, bucket_bits=13)
+
+#: Attach budget for this reference (60 kb quick, 240 kb full): ~3 ms
+#: and ~6 ms on the reference machine, with room for a loaded runner.
+ATTACH_CEILING_S = 0.050
 
 
 def _build_reference():
@@ -90,6 +98,7 @@ def index_artifact_rows(tmp_path):
     meta = {
         "bases": total_bases,
         "artifact_bytes": path.stat().st_size,
+        "attach_s": attach_s,
         "attach_speedup": cold_s / attach_s,
         "parity": cold_records == attached_records,
     }
@@ -105,8 +114,13 @@ def test_index_artifact_startup(benchmark, show, tmp_path):
 
     # The attached mapper is the cold mapper, bit for bit.
     assert meta["parity"]
-    # The acceptance bar: zero-copy attach amortizes the build.
-    assert meta["attach_speedup"] >= 10.0, (
+    # The acceptance bar: attaching is a matter of milliseconds and
+    # still clearly cheaper than building.
+    assert meta["attach_s"] <= ATTACH_CEILING_S, (
+        f"mmap attach took {meta['attach_s'] * 1e3:.1f} ms "
+        f"(ceiling {ATTACH_CEILING_S * 1e3:.0f} ms)"
+    )
+    assert meta["attach_speedup"] >= 3.0, (
         f"mmap attach only {meta['attach_speedup']:.1f}x faster "
-        f"than cold build (need >= 10x)"
+        f"than cold build (need >= 3x)"
     )

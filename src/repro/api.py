@@ -340,16 +340,12 @@ class Mapper:
         """Write this mapper's reference + index as a ``.sgidx``
         artifact and attach to it (enables :meth:`pool`).
 
-        A dict-catalog index is flattened into the paper's three-level
-        array layout first; an already-flat index is written as-is.
+        The engine's index already is the paper's three-level array
+        layout; it is written as it stands.
         """
-        from repro.index.flat_index import FlatIndex
         from repro.io.artifact import write_index_artifact
 
-        index = self.engine.index
-        if not isinstance(index, FlatIndex):
-            index = FlatIndex.from_hash_index(index)
-        write_index_artifact(path, self.reference, index)
+        write_index_artifact(path, self.reference, self.engine.index)
         self.artifact_path = Path(path)
         return self.artifact_path
 

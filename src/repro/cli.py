@@ -35,7 +35,8 @@ from repro.eval.report import format_table
 from repro.graph.builder import build_graph
 from repro.graph.gfa import read_gfa, write_gfa
 from repro.graph.linearize import hop_coverage, hop_length_distribution
-from repro.index.hash_index import build_index
+from repro.index.flat_index import build_flat_index
+from repro.index.minimizer import check_minimizer_parameters
 from repro.io.fasta import read_fasta, read_sequences
 from repro.io.gaf import GafWriter, result_to_gaf
 from repro.io.sam import SamWriter, result_to_sam
@@ -81,6 +82,14 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
                              "results are identical across backends)")
 
 
+def _check_minimizer_args(args: argparse.Namespace) -> None:
+    """``-w`` / ``-k`` the index cannot hold end in a clean error."""
+    try:
+        check_minimizer_parameters(args.w, args.k)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
+
+
 def _engine_config(args: argparse.Namespace) -> SeGraMConfig:
     """The :class:`SeGraMConfig` described by :func:`_add_engine_args`
     flags (``w``/``k``/``bucket_bits`` are overridden by the artifact
@@ -88,6 +97,7 @@ def _engine_config(args: argparse.Namespace) -> SeGraMConfig:
     if args.early_exit_distance is not None \
             and args.early_exit_distance < 0:
         raise SystemExit("error: --early-exit-distance must be >= 0")
+    _check_minimizer_args(args)
     return SeGraMConfig(
         w=args.w, k=args.k, bucket_bits=args.bucket_bits,
         error_rate=args.error_rate,
@@ -380,11 +390,12 @@ def cmd_index(args: argparse.Namespace) -> int:
             "error: 'repro index' needs --graph (statistics mode) or "
             "a subcommand ('index build' / 'index inspect')"
         )
+    _check_minimizer_args(args)
     graph = read_gfa(args.graph)
     if not graph.is_topologically_sorted():
         graph = graph.topologically_sorted()
-    index = build_index(graph, w=args.w, k=args.k,
-                        bucket_bits=args.bucket_bits)
+    index = build_flat_index(graph, w=args.w, k=args.k,
+                             bucket_bits=args.bucket_bits)
     layout = index.layout()
     rows = [
         {"level": "1 (buckets)", "entries": layout.bucket_count,
@@ -409,11 +420,11 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     """``repro index build <ref> -o ref.sgidx``: reference + flat
     index into a versioned, checksummed artifact."""
     from repro.api import as_reference_set
-    from repro.index.flat_index import build_flat_index
     from repro.io.artifact import write_index_artifact
 
     if args.jobs < 1:
         raise SystemExit("error: --jobs must be >= 1")
+    _check_minimizer_args(args)
     if args.reference.suffix.lower() == ".gfa":
         if args.vcf is not None:
             raise SystemExit("error: --vcf cannot be applied to a "

@@ -35,7 +35,8 @@ from repro.core.windows import WindowedAligner, WindowingConfig
 from repro.core.alignment import Cigar, mapq_from_candidates
 from repro.graph.builder import BuiltGraph, Variant, build_graph
 from repro.graph.genome_graph import GenomeGraph, GraphError
-from repro.index.hash_index import HashTableIndex, build_index
+from repro.index.flat_index import FlatIndex, build_flat_index
+from repro.index.minimizer import check_minimizer_parameters
 from repro.index.occurrence import DEFAULT_TOP_FRACTION
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -108,6 +109,7 @@ class SeGraMConfig:
     align_backend: str | None = None
 
     def __post_init__(self) -> None:
+        check_minimizer_parameters(self.w, self.k)
         if self.top_n_alignments < 1:
             raise ValueError(
                 f"top_n_alignments must be >= 1, "
@@ -309,7 +311,7 @@ class SeGraM:
         graph: GenomeGraph,
         config: SeGraMConfig | None = None,
         built: BuiltGraph | None = None,
-        index: HashTableIndex | None = None,
+        index: FlatIndex | None = None,
         refs: "ReferenceSet | None" = None,
     ) -> None:
         if not graph.is_topologically_sorted():
@@ -321,7 +323,7 @@ class SeGraM:
         self.config = config or SeGraMConfig()
         self.built = built
         self.refs = refs
-        self.index = index if index is not None else build_index(
+        self.index = index if index is not None else build_flat_index(
             graph, w=self.config.w, k=self.config.k,
             bucket_bits=self.config.bucket_bits,
         )
@@ -366,7 +368,7 @@ class SeGraM:
         cls,
         refs: "ReferenceSet",
         config: SeGraMConfig | None = None,
-        index: HashTableIndex | None = None,
+        index: FlatIndex | None = None,
     ) -> "SeGraM":
         """Build over a multi-contig :class:`~repro.refs.ReferenceSet`.
 
@@ -377,8 +379,7 @@ class SeGraM:
         :meth:`from_reference` bit for bit (modulo the ``contig``
         annotation).  ``index`` skips the in-process index build —
         e.g. a :class:`~repro.index.FlatIndex` attached from an
-        artifact (:mod:`repro.io.artifact`), which implements the same
-        query contract.
+        artifact (:mod:`repro.io.artifact`).
         """
         return cls(refs.graph, config=config, refs=refs, index=index)
 

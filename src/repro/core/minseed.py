@@ -3,7 +3,7 @@
 MinSeed turns a query read into candidate reference regions
 (*subgraphs*) in four steps, mirroring the accelerator datapath:
 
-1. compute the ``<w,k>``-minimizers of the read (single-loop O(m));
+1. compute the ``<w,k>``-minimizers of the read;
 2. fetch each minimizer's occurrence frequency from the hash-table
    index and discard minimizers above the frequency threshold
    (pre-computed to drop the top 0.02 % most frequent — they would
@@ -24,17 +24,27 @@ threshold (Section 11.4) — every surviving seed region is emitted.
 (The software pipeline's align stage then skips regions an earlier
 alignment of the read already subsumes; see
 :mod:`repro.core.pipeline`.)
+
+The hardware streams reads through fixed-function MinSeed units; the
+software analogue is :meth:`MinSeed.seed_chunk`, which runs each step
+once for a whole chunk of reads as array operations — one minimizer
+scan, one index probe, one pass of the Fig. 9 arithmetic — and only
+then cuts the result into per-read region lists.  A read's regions do
+not depend on what it is chunked with; :meth:`MinSeed.seed` is the
+chunk of one.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.graph.genome_graph import GenomeGraph
+from repro.index.flat_index import FlatIndex
 from repro.index.hash_index import HashTableIndex
-from repro.index.minimizer import Minimizer, minimizers
+from repro.index.minimizer import Minimizer, minimizers, scan_minimizers
 from repro.index.occurrence import DEFAULT_TOP_FRACTION, frequency_threshold
 
 
@@ -114,7 +124,9 @@ class MinSeed:
 
     Args:
         graph: the topologically sorted genome graph.
-        index: the hash-table minimizer index of that graph.
+        index: the minimizer index of that graph (a dict-catalog
+            :class:`~repro.index.HashTableIndex` is flattened once,
+            here, for the chunk probe).
         error_rate: expected read error rate ``E`` used for the seed
             extension arithmetic (paper evaluates 1–10 %).
         freq_threshold: occurrence-frequency cutoff; minimizers with a
@@ -133,7 +145,7 @@ class MinSeed:
     def __init__(
         self,
         graph: GenomeGraph,
-        index: HashTableIndex,
+        index: "FlatIndex | HashTableIndex",
         error_rate: float = 0.10,
         freq_threshold: int | None = None,
         freq_top_fraction: float = DEFAULT_TOP_FRACTION,
@@ -150,30 +162,21 @@ class MinSeed:
                 index.frequencies(), top_fraction=freq_top_fraction,
             )
         self.freq_threshold = freq_threshold
-        self._offsets = graph.offsets()
-        self._total_chars = graph.total_sequence_length
-        if char_spans is not None:
-            spans = sorted(tuple(span) for span in char_spans)
-            if not spans or spans[0][0] != 0 \
-                    or spans[-1][1] != self._total_chars \
-                    or any(a[1] != b[0] for a, b in zip(spans, spans[1:])):
-                raise ValueError(
-                    f"char_spans {spans} must partition "
-                    f"[0, {self._total_chars})"
-                )
-            self._span_starts = [start for start, _ in spans]
-            self._spans = spans
-        else:
-            self._span_starts = None
-            self._spans = None
-
-    def _clamp_span(self, seed_char: int) -> tuple[int, int]:
-        """The clamping interval for a seed at character ``seed_char``:
-        its contig's span, or the whole character space."""
-        if self._spans is None:
-            return 0, self._total_chars
-        index = bisect_right(self._span_starts, seed_char) - 1
-        return self._spans[index]
+        self._flat = index if isinstance(index, FlatIndex) \
+            else FlatIndex.from_hash_index(index)
+        self._offsets = np.asarray(graph.offsets(), dtype=np.int64)
+        total_chars = graph.total_sequence_length
+        spans = [(0, total_chars)] if char_spans is None \
+            else sorted(tuple(span) for span in char_spans)
+        if not spans or spans[0][0] != 0 \
+                or spans[-1][1] != total_chars \
+                or any(a[1] != b[0] for a, b in zip(spans, spans[1:])):
+            raise ValueError(
+                f"char_spans {spans} must partition [0, {total_chars})"
+            )
+        # Clamping intervals: each contig's span, or the whole space.
+        self._span_starts, self._span_ends = (
+            np.asarray(column, dtype=np.int64) for column in zip(*spans))
 
     def find_minimizers(self, read: str) -> list[Minimizer]:
         """Step 1: the read's ``<w,k>``-minimizers."""
@@ -181,60 +184,84 @@ class MinSeed:
                           scoring=self.index.scoring)
 
     def seed(self, read: str) -> tuple[list[SeedRegion], SeedingStats]:
-        """Steps 1–4: produce candidate regions plus statistics.
+        """Steps 1–4 for one read: a :meth:`seed_chunk` of one."""
+        return self.seed_chunk([read])[0]
 
-        Exact-duplicate regions (same span) are emitted once; beyond
-        that every seed is kept — MinSeed deliberately does not chain
-        or filter (Section 11.4).
+    def seed_chunk(self, reads: Sequence[str]) \
+            -> list[tuple[list[SeedRegion], SeedingStats]]:
+        """Steps 1–4 for every read of a chunk: candidate regions
+        plus statistics, one pair per read.
+
+        Exact-duplicate regions (same span) of a read are emitted
+        once; beyond that every seed is kept — MinSeed deliberately
+        does not chain or filter (Section 11.4).
         """
-        if not read:
+        if not all(reads):
             raise ValueError("read must not be empty")
-        stats = SeedingStats()
-        read_minimizers = self.find_minimizers(read)
-        stats.minimizer_count = len(read_minimizers)
+        index = self._flat
+        k = index.k
+        read_count = len(reads)
+        # Step 1: one scan; ``owner`` is the read of each minimizer.
+        scan = scan_minimizers(reads, index.w, k, index.scoring)
+        owner = scan.owners
+        # Steps 2-3: one probe; frequent minimizers fetch no seeds.
+        rows, frequency, scanned = index.probe(scan.scores)
+        present = frequency > 0
+        filtered = present & (frequency > self.freq_threshold)
+        kept = np.flatnonzero(present & ~filtered)
+        node, node_offset = index.locations(rows[kept])
+        source = np.repeat(kept, frequency[kept])  # minimizer per seed
+        reader = owner[source]
+        # Step 4: the Fig. 9 arithmetic, truncated toward zero.
+        m = np.fromiter(map(len, reads), dtype=np.int64,
+                        count=read_count)[reader]
+        stretch = 1 + self.error_rate
+        a = scan.positions[source]
+        b = a + (k - 1)
+        c = self._offsets[node] + node_offset
+        d = c + (k - 1)
+        x = (c - a * stretch).astype(np.int64)
+        y = (d + (m - b - 1) * stretch).astype(np.int64)
+        # Clamp to the seed's contig (or the whole space): extension
+        # never reaches past a contig boundary.
+        span = np.searchsorted(self._span_starts, c, side="right") - 1
+        start = np.maximum(self._span_starts[span], x)
+        end = np.minimum(self._span_ends[span], y + 1)
+        # A read's first seed of each span keeps it: a stable sort
+        # brings equal spans together in seed order.
+        live = np.flatnonzero(end > start)
+        spans = np.stack((end[live], start[live], reader[live]))
+        order = np.lexsort(spans)
+        spans = spans[:, order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (spans[:, 1:] != spans[:, :-1]).any(axis=0)
+        emit = np.sort(live[order[first]])
 
-        m = len(read)
-        e = self.error_rate
-        k = self.index.k
-        regions: list[SeedRegion] = []
-        seen_spans: set[tuple[int, int]] = set()
-        for minimizer in read_minimizers:
-            query = self.index.query(minimizer.score)
-            stats.index_accesses += query.cost.total_accesses
-            frequency = query.frequency
-            if frequency == 0:
-                continue
-            if frequency > self.freq_threshold:
-                stats.filtered_minimizers += 1
-                continue
-            a = minimizer.position
-            b = a + k - 1
-            for hit in query.hits():
-                stats.seed_count += 1
-                c = self._offsets[hit.node_id] + hit.offset
-                d = c + k - 1
-                x = int(c - a * (1 + e))
-                y = int(d + (m - b - 1) * (1 + e))
-                # Clamp to the seed's contig (or the whole space):
-                # extension never reaches past a contig boundary.
-                span_lo, span_hi = self._clamp_span(c)
-                start = max(span_lo, x)
-                end = min(span_hi, y + 1)
-                if end <= start:
-                    continue
-                span = (start, end)
-                if span in seen_spans:
-                    continue
-                seen_spans.add(span)
-                regions.append(SeedRegion(
-                    seed=Seed(
-                        read_start=a, read_end=b,
-                        node_id=hit.node_id, node_offset=hit.offset,
-                        graph_start=c, graph_end=d,
-                        minimizer_hash=minimizer.score,
-                        frequency=frequency,
-                    ),
-                    start=start, end=end,
-                ))
-        stats.region_count = len(regions)
-        return regions, stats
+        regions: list[list[SeedRegion]] = [[] for _ in range(read_count)]
+        for (read, read_start, read_end, node_id, offset, graph_start,
+             graph_end, minimizer_hash, occurrences, region_start,
+             region_end) in zip(*(column[emit].tolist() for column in (
+                 reader, a, b, node, node_offset, c, d,
+                 scan.scores[source], frequency[source], start, end))):
+            regions[read].append(SeedRegion(
+                Seed(read_start, read_end, node_id, offset, graph_start,
+                     graph_end, minimizer_hash, occurrences),
+                region_start, region_end))
+
+        def per_read(which: np.ndarray, weights=None) -> list[int]:
+            return np.bincount(which, weights, read_count) \
+                .astype(np.int64).tolist()
+
+        return [
+            (found, SeedingStats(
+                minimizer_count=minimizer_count,
+                filtered_minimizers=filtered_count,
+                seed_count=seed_count, region_count=len(found),
+                index_accesses=accesses))
+            for found, minimizer_count, filtered_count, seed_count,
+            accesses in zip(
+                regions, np.diff(scan.bounds).tolist(),
+                per_read(owner[filtered]), per_read(reader),
+                # LookupCost.total_accesses of each minimizer's query.
+                per_read(owner, 1 + scanned + frequency))
+        ]

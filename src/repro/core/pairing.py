@@ -416,7 +416,31 @@ class PairedEndMapper:
 
     def map_pair(self, read1: str, read2: str,
                  name: str = "pair") -> PairResult:
-        """Map one FR read pair; returns the best-scoring pairing.
+        """Map one FR read pair: a one-pair :meth:`map_pairs_local`."""
+        return self.map_pairs_local([(name, read1, read2)])[0]
+
+    def map_pairs_local(self, pairs: Sequence[tuple[str, str, str]]) \
+            -> list[PairResult]:
+        """Map ``(name, read1, read2)`` pairs in this process; both
+        mates of every pair are seeded together
+        (:meth:`~repro.core.pipeline.MappingPipeline.seed_reads`)."""
+        pairs = [
+            (name,
+             seqmod.validate(read1, "read 1", allow_ambiguous=True),
+             seqmod.validate(read2, "read 2", allow_ambiguous=True))
+            for name, read1, read2 in pairs]
+        seeded = self.mapper.pipeline.seed_reads(
+            [(f"{name}/{mate}", read)
+             for name, *reads in pairs
+             for mate, read in enumerate(reads, start=1)],
+            both_strands=True)
+        return [self._map_seeded_pair(name, read1, read2,
+                                      next(seeded), next(seeded))
+                for name, read1, read2 in pairs]
+
+    def _map_seeded_pair(self, name: str, read1: str, read2: str,
+                         seeded1, seeded2) -> PairResult:
+        """The best-scoring pairing of one seeded FR pair.
 
         Scores the full candidate grid — every retained candidate
         locus of mate 1 against every retained locus of mate 2 (up to
@@ -424,11 +448,8 @@ class PairedEndMapper:
         included) — so a repeat-tied mate is re-placed at the copy
         the insert-size model supports without any rescue alignment.
         """
-        read1 = seqmod.validate(read1, "read 1", allow_ambiguous=True)
-        read2 = seqmod.validate(read2, "read 2", allow_ambiguous=True)
         pipeline = self.mapper.pipeline
-        best1 = pipeline.map_reads([(f"{name}/1", read1)],
-                                   both_strands=True)[0]
+        best1 = pipeline.map_seeded(*seeded1)
         if self.config.mate_prefetch and best1.mapped:
             # Mate 1's mapping warmed its own node ranges; prefetch
             # the span where mate 2's FR-consistent placement must
@@ -438,8 +459,7 @@ class PairedEndMapper:
             self._prefetch_mate_window(best1)
         pair_hits = pipeline.stats.cache_hits
         pair_misses = pipeline.stats.cache_misses
-        best2 = pipeline.map_reads([(f"{name}/2", read2)],
-                                   both_strands=True)[0]
+        best2 = pipeline.map_seeded(*seeded2)
         pipeline.stats.pair_cache_hits += \
             pipeline.stats.cache_hits - pair_hits
         pipeline.stats.pair_cache_misses += \
@@ -739,8 +759,7 @@ class _PairShardContext(ShardContext):
         self.engine = engine
 
     def map_items(self, pairs):
-        return [self.engine.map_pair(read1, read2, name)
-                for name, read1, read2 in pairs]
+        return self.engine.map_pairs_local(pairs)
 
     def reset_stats(self) -> None:
         self.engine.mapper.pipeline.reset_stats()

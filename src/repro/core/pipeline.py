@@ -18,9 +18,12 @@ per-unit utilization counters.
 Every mapping call — one read, a batch, a pool shard, a daemon
 dispatch, a mate of a pair — takes the same drive,
 :meth:`MappingPipeline.map_reads`, which is four plain nested loops:
-read -> oriented read -> region -> window.  Stages 1-2 run per
-oriented read; the align stage then walks that read's regions in
-order, extracting and aligning one at a time
+read -> oriented read -> region -> window.  Stage 1 seeds the call's
+oriented reads a chunk at a time (:meth:`MappingPipeline.seed_reads`
+— the one place batching across reads pays, as in the hardware's
+MinSeed units); stage 2 runs per oriented read; the align stage then
+walks that read's regions in order, extracting and aligning one at a
+time
 (:meth:`~repro.core.windows.WindowedAligner.align`, every window of
 which is one call of the diagonal BitAlign kernel).
 
@@ -78,13 +81,14 @@ from bisect import bisect_right
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro import seq as seqmod
 from repro.core.alignment import READ_CONSUMING, REF_CONSUMING
 from repro.core.chaining import chain_regions
 from repro.core.minseed import SeedRegion, SeedingStats
 from repro.graph.linearize import LinearizedGraph, linearize
+from repro.index.minimizer import SCAN_BLOCK_BASES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.mapper import AlignmentCandidate, MappingResult, \
@@ -93,6 +97,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Stage names in execution order (also the row order of stats tables).
 STAGE_ORDER = ("seed", "filter", "extract", "align", "select")
+
+#: Read bases (one orientation) the seed stage takes in one chunk: a
+#: block of the scan itself — enough reads (80 of 100 bp) for the
+#: per-call cost of the array operations to vanish, few enough that a
+#: chunk's regions and temporaries stay under a megabyte.
+SEED_CHUNK_BASES = SCAN_BLOCK_BASES
 
 
 # ----------------------------------------------------------------------
@@ -366,19 +376,27 @@ class PreparedRegion:
 # ----------------------------------------------------------------------
 
 class SeedStage:
-    """Step 1 (paper Section 6): MinSeed candidate-region generation."""
+    """Step 1 (paper Section 6): MinSeed candidate-region generation,
+    for a chunk of oriented reads at a time."""
 
     name = "seed"
 
-    def run(self, task: ReadTask, pipe: "MappingPipeline") -> SeededRead:
+    def run(self, tasks: Sequence[ReadTask],
+            pipe: "MappingPipeline") -> list[SeededRead]:
         stats = pipe.stats.stage(self.name)
         with _timed(stats):
-            regions, seed_stats = pipe.minseed.seed(task.sequence)
-            stats.items_in += 1
-            stats.items_out += len(regions)
-            pipe.stats.regions_seeded += len(regions)
-            pipe.stats.seeding.merge(seed_stats)
-        return SeededRead(task=task, regions=regions, stats=seed_stats)
+            seeded = [
+                SeededRead(task=task, regions=regions, stats=seed_stats)
+                for task, (regions, seed_stats) in zip(
+                    tasks, pipe.minseed.seed_chunk(
+                        [task.sequence for task in tasks]))
+            ]
+            for read in seeded:
+                stats.items_out += len(read.regions)
+                pipe.stats.regions_seeded += len(read.regions)
+                pipe.stats.seeding.merge(read.stats)
+            stats.items_in += len(seeded)
+        return seeded
 
 
 class ChainFilterStage:
@@ -860,22 +878,54 @@ class MappingPipeline:
         setting for single-end reads and always True for the mates of
         a pair.
         """
-        results: "list[MappingResult]" = []
-        for name, sequence in reads:
-            forward = self._map_oriented(name, sequence, "+")
-            reverse = self._map_oriented(
-                name, seqmod.reverse_complement(sequence), "-") \
-                if both_strands else None
-            results.append(self.select.run(forward, reverse, self))
-        return results
+        return [self.map_seeded(forward, reverse)
+                for forward, reverse in self.seed_reads(reads,
+                                                        both_strands)]
 
-    def _map_oriented(self, name: str, sequence: str,
-                      strand: str) -> "MappingResult":
-        """Stages 1-4 for one oriented read."""
-        task = ReadTask(name=name, sequence=sequence, strand=strand)
-        seeded = self.seed_stage.run(task, self)
-        seeded = self.filter_stage.run(seeded, self)
-        return self.align_stage.run(seeded, self)
+    def seed_reads(
+        self, reads: Sequence[tuple[str, str]], both_strands: bool,
+    ) -> "Iterator[tuple[SeededRead, SeededRead | None]]":
+        """Stage 1 for the reads of a call: the seeded forward and
+        (when ``both_strands``) reverse-complement orientation of each
+        read, in order.
+
+        Seeding is the one stage that batches across reads — the
+        MinSeed units consume a read *stream* — so the oriented reads
+        go through the seed stage a chunk at a time, the next chunk
+        only once the caller has consumed the last: a whole-file call
+        holds one chunk's regions, not the file's.
+        """
+        tasks: list[ReadTask] = []
+        bases = 0
+        for name, sequence in reads:
+            tasks.append(ReadTask(name, sequence, "+"))
+            if both_strands:
+                tasks.append(ReadTask(
+                    name, seqmod.reverse_complement(sequence), "-"))
+            bases += len(sequence)
+            if bases >= SEED_CHUNK_BASES:
+                yield from self._seed_chunk(tasks, both_strands)
+                tasks, bases = [], 0
+        if tasks:
+            yield from self._seed_chunk(tasks, both_strands)
+
+    def _seed_chunk(self, tasks: list[ReadTask], both_strands: bool):
+        seeded = iter(self.seed_stage.run(tasks, self))
+        return zip(seeded, seeded) if both_strands \
+            else ((forward, None) for forward in seeded)
+
+    def map_seeded(self, forward: SeededRead,
+                   reverse: "SeededRead | None") -> "MappingResult":
+        """Stages 2-5 for one seeded read."""
+        return self.select.run(
+            self._align(forward),
+            self._align(reverse) if reverse is not None else None,
+            self)
+
+    def _align(self, seeded: SeededRead) -> "MappingResult":
+        """Stages 2-4 for one seeded orientation."""
+        return self.align_stage.run(
+            self.filter_stage.run(seeded, self), self)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 # for API-history reasons.  # repro: allow[layering]
 from repro.core.mapper import MappingResult, SeGraM, SeGraMConfig
 from repro.graph.builder import BuiltGraph, Variant, build_graph
-from repro.index.hash_index import HashTableIndex, build_index
+from repro.index.flat_index import FlatIndex, build_flat_index
 
 
 @dataclass
@@ -28,7 +28,7 @@ class Chromosome:
 
     name: str
     built: BuiltGraph
-    index: HashTableIndex
+    index: FlatIndex
 
     @property
     def graph(self):
@@ -98,8 +98,9 @@ class ReferenceGenome:
             built = build_graph(sequence, variants.get(name, ()),
                                 name=name,
                                 max_node_length=max_node_length)
-            index = build_index(built.graph, w=config.w, k=config.k,
-                                bucket_bits=config.bucket_bits)
+            index = build_flat_index(built.graph, w=config.w,
+                                     k=config.k,
+                                     bucket_bits=config.bucket_bits)
             chromosomes.append(Chromosome(name=name, built=built,
                                           index=index))
         return cls(chromosomes, config=config)

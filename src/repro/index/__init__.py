@@ -8,9 +8,11 @@ the per-chromosome occurrence-frequency filter of Section 6.
 
 from repro.index.minimizer import (
     Minimizer,
+    MinimizerScan,
     brute_force_minimizers,
     kmer_at,
     minimizers,
+    scan_minimizers,
 )
 from repro.index.hash_index import (
     HashTableIndex,
@@ -23,7 +25,9 @@ from repro.index.occurrence import frequency_threshold
 
 __all__ = [
     "Minimizer",
+    "MinimizerScan",
     "minimizers",
+    "scan_minimizers",
     "brute_force_minimizers",
     "kmer_at",
     "HashTableIndex",

@@ -27,8 +27,15 @@ The query contract — :meth:`query` and its :meth:`frequency` /
 :meth:`lookup` / :meth:`lookup_cost` views, :meth:`layout` and the
 statistics properties — is
 bit-for-bit identical to the dict index (parity-tested in
-``tests/test_index_artifact.py``), so the two are interchangeable
-anywhere a :class:`HashTableIndex` is accepted.
+``tests/test_index_artifact.py``).  MinSeed does not ask one hash at a
+time: :meth:`FlatIndex.probe` answers a whole chunk's minimizers with
+one ``np.searchsorted`` and :meth:`FlatIndex.locations` gathers their
+seed locations.
+
+:func:`build_flat_index` is the one production build: the node
+sequences of a graph go through
+:func:`~repro.index.minimizer.scan_minimizers` and one sort lays the
+occurrences out as the three levels — no dict catalog in between.
 """
 
 from __future__ import annotations
@@ -46,10 +53,32 @@ from repro.index.hash_index import (
     LookupCost,
     SeedHit,
 )
-from repro.index.minimizer import Scoring, minimizers
+from repro.index.minimizer import (
+    Scoring,
+    check_minimizer_parameters,
+    scan_minimizers,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graph.genome_graph import GenomeGraph
+
+
+class IndexWidthError(ValueError):
+    """A value does not fit its fixed-width field of the Fig. 6
+    layout (32-bit node ids and offsets, 2k-bit hashes)."""
+
+
+def _as_uint32(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` as ``uint32``, refusing to wrap: ``astype`` alone
+    would silently truncate the scan's ``int64`` arrays."""
+    values = np.asarray(values, dtype=np.int64)
+    if len(values) and (int(values.min()) < 0
+                        or int(values.max()) > 0xFFFF_FFFF):
+        raise IndexWidthError(
+            f"{what} {int(values.max())} does not fit the index's "
+            f"32-bit field"
+        )
+    return np.ascontiguousarray(values, dtype=np.uint32)
 
 
 class FlatIndex:
@@ -100,6 +129,24 @@ class FlatIndex:
         self._loc_counts = min_loc_count.view(np.ndarray)
         self._nodes = loc_node.view(np.ndarray)
         self._offsets = loc_offset.view(np.ndarray)
+        # Rows are sorted by (bucket, hash); this key is monotone in
+        # that order, so one searchsorted over it finds a hash's place
+        # in its bucket (see _probe_keys).  Derived here, not stored.
+        self._keys = self._probe_keys(self._hashes)
+
+    def _probe_keys(self, hashes: np.ndarray) -> np.ndarray:
+        """``(bucket, hash)`` order as one ``uint64`` per hash: the
+        2k-bit hash rotated so its bucket bits lead.  When a hash is
+        narrower than the bucket field it *is* its bucket."""
+        spare = 2 * self.k - self.bucket_bits
+        if spare <= 0:
+            return hashes
+        # In place: at attach time a temporary per term would triple
+        # the key array's footprint in the process's peak RSS.
+        keys = hashes & np.uint64(self._mask)
+        keys <<= np.uint64(spare)
+        keys |= hashes >> np.uint64(self.bucket_bits)
+        return keys
 
     # ------------------------------------------------------------------
     # Construction
@@ -124,9 +171,16 @@ class FlatIndex:
         sorted, and the per-bucket row counts prefix-sum into the
         bucket directory.
         """
+        check_minimizer_parameters(w, k)
         hashes = np.ascontiguousarray(hashes, dtype=np.uint64)
-        nodes = np.ascontiguousarray(nodes, dtype=np.uint32)
-        offsets = np.ascontiguousarray(offsets, dtype=np.uint32)
+        nodes = _as_uint32(nodes, "node id")
+        offsets = _as_uint32(offsets, "in-node offset")
+        if 2 * k < 64 and len(hashes) \
+                and int(hashes.max()) >> (2 * k):
+            raise IndexWidthError(
+                f"minimizer hash {int(hashes.max())} is wider than "
+                f"2k = {2 * k} bits"
+            )
         bucket_count = 1 << bucket_bits
         if len(hashes) == 0:
             empty32 = np.zeros(0, dtype=np.uint32)
@@ -186,28 +240,19 @@ class FlatIndex:
     # ------------------------------------------------------------------
 
     def query(self, hash_value: int) -> IndexQuery:
-        """Frequency, access cost and (lazily) hits from one probe.
+        """Frequency, access cost and (lazily) hits of one hash: a
+        :meth:`probe` of one.
 
-        One bucket-directory read and one binary search of the
-        bucket's rows answer all three.  The cost charges the same
-        linear in-bucket scan as the dict index: up to and including
-        the first row whose hash is >= the query.
+        The cost charges the same linear in-bucket scan as the dict
+        index: up to and including the first row whose hash is >= the
+        query.
         """
-        bucket = hash_value & self._mask
-        lo = int(self._starts[bucket])
-        hi = int(self._starts[bucket + 1])
-        row = -1
-        scanned = 0
-        if lo != hi:
-            position = lo + int(self._hashes[lo:hi].searchsorted(
-                np.uint64(hash_value)))
-            scanned = min(position + 1, hi) - lo
-            if position < hi and int(self._hashes[position]) == hash_value:
-                row = position
-        frequency = int(self._loc_counts[row]) if row >= 0 else 0
+        rows, frequency, scanned = self.probe(
+            np.array([hash_value], dtype=np.uint64))
+        row = int(rows[0]) if frequency[0] else -1
         return IndexQuery(
-            LookupCost(bucket_probe=1, minimizers_scanned=scanned,
-                       locations_fetched=frequency),
+            LookupCost(bucket_probe=1, minimizers_scanned=int(scanned[0]),
+                       locations_fetched=int(frequency[0])),
             lambda: self._hits_of(row),
         )
 
@@ -215,13 +260,48 @@ class FlatIndex:
         """Seed locations of minimizer row ``row`` (-1: absent)."""
         if row < 0:
             return ()
-        start = int(self._loc_starts[row])
-        stop = start + int(self._loc_counts[row])
-        return tuple(
-            SeedHit(node_id=node, offset=offset)
-            for node, offset in zip(self._nodes[start:stop].tolist(),
-                                    self._offsets[start:stop].tolist())
-        )
+        nodes, offsets = self.locations(np.array([row], dtype=np.int64))
+        return tuple(SeedHit(node_id=node, offset=offset)
+                     for node, offset in zip(nodes.tolist(),
+                                             offsets.tolist()))
+
+    def probe(self, hashes: np.ndarray) \
+            -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`query` for an array of hashes, in one search.
+
+        Returns ``(rows, frequency, scanned)``, one ``int64`` entry
+        per hash: the row where the hash is or would be in its
+        bucket, its occurrence count (0 when absent) and the
+        ``minimizers_scanned`` of its :class:`LookupCost` (whose
+        ``bucket_probe`` is 1 and ``locations_fetched`` the
+        frequency).  Pass the rows of present hashes to
+        :meth:`locations`.
+        """
+        hashes = np.ascontiguousarray(hashes, dtype=np.uint64)
+        buckets = (hashes & np.uint64(self._mask)).astype(np.int64)
+        lo = self._starts[buckets].astype(np.int64)
+        hi = self._starts[buckets + 1].astype(np.int64)
+        rows = np.searchsorted(self._keys, self._probe_keys(hashes))
+        if 2 * self.k < 64:
+            # Wider than any stored hash: past every row of its bucket.
+            rows = np.where(hashes >> np.uint64(2 * self.k), hi, rows)
+        present = np.flatnonzero(rows < hi)
+        present = present[self._hashes[rows[present]] == hashes[present]]
+        frequency = np.zeros(len(hashes), dtype=np.int64)
+        frequency[present] = self._loc_counts[rows[present]]
+        return rows, frequency, np.minimum(rows + 1, hi) - lo
+
+    def locations(self, rows: np.ndarray) \
+            -> tuple[np.ndarray, np.ndarray]:
+        """Seed locations ``(node, offset)`` of minimizer rows, row
+        after row (``int64``; ``min_loc_count[rows]`` entries each)."""
+        counts = self._loc_counts[rows].astype(np.int64)
+        first = self._loc_starts[rows].astype(np.int64) \
+            - (np.cumsum(counts) - counts)
+        take = np.repeat(first, counts) \
+            + np.arange(counts.sum(), dtype=np.int64)
+        return (self._nodes[take].astype(np.int64),
+                self._offsets[take].astype(np.int64))
 
     def frequency(self, hash_value: int) -> int:
         """Occurrence count of a minimizer (0 when absent)."""
@@ -293,24 +373,17 @@ def scan_minimizer_occurrences(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(hash, node, offset) triples of nodes ``[node_lo, node_hi)``.
 
-    The same per-node minimizer enumeration as
-    :func:`~repro.index.hash_index.build_index`, returned as arrays;
-    ranges partition cleanly because minimizers never span nodes.
+    One :func:`~repro.index.minimizer.scan_minimizers` over the node
+    sequences of the range; ranges partition cleanly because
+    minimizers never span nodes.
     """
     if node_hi is None:
         node_hi = graph.node_count
-    hashes: list[int] = []
-    nodes: list[int] = []
-    offsets: list[int] = []
-    for node_id in range(node_lo, node_hi):
-        for minimizer in minimizers(graph.sequence_of(node_id),
-                                    w=w, k=k, scoring=scoring):
-            hashes.append(minimizer.score)
-            nodes.append(node_id)
-            offsets.append(minimizer.position)
-    return (np.asarray(hashes, dtype=np.uint64),
-            np.asarray(nodes, dtype=np.uint32),
-            np.asarray(offsets, dtype=np.uint32))
+    scan = scan_minimizers(
+        [graph.sequence_of(node_id)
+         for node_id in range(node_lo, node_hi)],
+        w, k, scoring)
+    return scan.scores, node_lo + scan.owners, scan.positions
 
 
 _SCAN_STATE: "tuple | None" = None

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.graph.genome_graph import GenomeGraph
-from repro.index.minimizer import Scoring, minimizers
+from repro.index.minimizer import Scoring, scan_minimizers
 
 #: Bytes per first-level bucket entry (paper Section 5).
 BUCKET_ENTRY_BYTES = 4
@@ -258,13 +258,24 @@ def build_index(
     Defaults follow minimap2's short-read-profile ``<w,k>`` scaled-down
     bucket width; the paper uses 2^24 buckets for the 3.1 Gbp human
     genome, and the Fig. 7 benchmark sweeps this parameter.
+
+    This is the dict *view* of the index, kept for the tests and the
+    Fig. 7 experiments; mapping builds
+    :func:`~repro.index.flat_index.build_flat_index` and never goes
+    through it.
     """
+    scan = scan_minimizers(
+        [graph.sequence_of(node_id)
+         for node_id in range(graph.node_count)],
+        w, k, scoring)
+    bounds = scan.bounds.tolist()
+    scores = scan.scores.tolist()
+    positions = scan.positions.tolist()
     catalog: dict[int, list[SeedHit]] = {}
-    for node in graph.nodes():
-        for minimizer in minimizers(node.sequence, w=w, k=k, scoring=scoring):
-            catalog.setdefault(minimizer.score, []).append(
-                SeedHit(node_id=node.node_id, offset=minimizer.position)
-            )
+    for node_id in range(graph.node_count):
+        for at in range(bounds[node_id], bounds[node_id + 1]):
+            catalog.setdefault(scores[at], []).append(
+                SeedHit(node_id=node_id, offset=positions[at]))
     return HashTableIndex(
         catalog=catalog, w=w, k=k, bucket_bits=bucket_bits, scoring=scoring,
     )

@@ -132,12 +132,7 @@ def write_index_artifact(
     refs: "ReferenceSet",
     index: "FlatIndex",
 ) -> None:
-    """Serialize a reference set plus its flat index to ``path``.
-
-    A dict-catalog :class:`~repro.index.HashTableIndex` must be
-    flattened first (:meth:`~repro.index.FlatIndex.from_hash_index`);
-    :meth:`repro.api.Mapper.save_index` does both.
-    """
+    """Serialize a reference set plus its flat index to ``path``."""
     graph = refs.graph
     arrays: dict[str, np.ndarray] = {
         "bucket_starts": index.bucket_starts,

@@ -571,6 +571,19 @@ class TestIndexArtifact:
                   "--output", str(root / "x.gaf"),
                   "--pool", "persistent"])
 
+    def test_k_wider_than_the_index_row_is_a_clean_error(self,
+                                                         workspace):
+        # Used to die in `index build` with a bare OverflowError and
+        # to map silently with a hash no artifact could store.
+        root, *_ = workspace
+        with pytest.raises(SystemExit, match="k must be <= 32"):
+            main(["index", "build", str(root / "ref.fa"), "-k", "33",
+                  "-o", str(root / "k33.sgidx")])
+        with pytest.raises(SystemExit, match="k must be <= 32"):
+            main(["map", "--reference", str(root / "ref.fa"),
+                  "--reads", str(root / "reads.fq"), "-k", "33",
+                  "--output", str(root / "x.gaf")])
+
     def test_index_without_subcommand_or_graph_errors(self):
         with pytest.raises(SystemExit):
             main(["index"])

@@ -15,6 +15,7 @@ Covers the zero-copy artifact contract end to end:
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
@@ -23,9 +24,17 @@ import pytest
 from repro import seq as seqmod
 from repro.api import Mapper
 from repro.core.mapper import SeGraMConfig
-from repro.index.flat_index import FlatIndex, build_flat_index
+from repro.graph.genome_graph import GenomeGraph
+from repro.index import hash_index
+from repro.index.flat_index import (
+    FlatIndex,
+    IndexWidthError,
+    build_flat_index,
+)
 from repro.core.minseed import MinSeed
-from repro.index.hash_index import LookupCost, build_index
+from repro.index.hash_index import HashTableIndex, LookupCost, \
+    SeedHit, build_index
+from repro.index.minimizer import brute_force_minimizers
 from repro.io.artifact import (
     FORMAT_VERSION,
     HEADER_SIZE,
@@ -156,6 +165,37 @@ class TestFlatIndexParity:
             assert np.array_equal(getattr(parallel, name),
                                   getattr(flat, name)), name
 
+    @pytest.mark.parametrize("sharding", ["whole", "jobs2",
+                                          "contigs", "contigs-jobs2"])
+    def test_build_matches_brute_force_catalog(self, mapper, sharding):
+        """The vector build against a catalog assembled node by node
+        from the nested-loop minimizer oracle."""
+        graph = mapper.graph
+        catalog: dict[int, list[SeedHit]] = {}
+        for node in graph.nodes():
+            for found in brute_force_minimizers(node.sequence,
+                                                CONFIG.w, CONFIG.k):
+                catalog.setdefault(found.score, []).append(
+                    SeedHit(node.node_id, found.position))
+        expected = FlatIndex.from_hash_index(HashTableIndex(
+            catalog, w=CONFIG.w, k=CONFIG.k,
+            bucket_bits=CONFIG.bucket_bits))
+        built = build_flat_index(
+            graph, w=CONFIG.w, k=CONFIG.k,
+            bucket_bits=CONFIG.bucket_bits,
+            jobs=2 if "jobs2" in sharding else 1,
+            node_ranges=[(c.node_base, c.node_end)
+                         for c in mapper.reference._contigs]
+            if "contigs" in sharding else None,
+        )
+        assert built.distinct_minimizers > 1_000
+        for name in ("bucket_starts", "min_hash", "min_loc_start",
+                     "min_loc_count", "loc_node", "loc_offset"):
+            assert np.array_equal(getattr(built, name),
+                                  getattr(expected, name)), name
+            assert getattr(built, name).dtype == \
+                getattr(expected, name).dtype, name
+
     def test_empty_index(self):
         flat = FlatIndex.from_occurrences(
             np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint32),
@@ -165,6 +205,41 @@ class TestFlatIndexParity:
         assert flat.lookup(42) == ()
         assert flat.lookup_cost(42).minimizers_scanned == 0
         assert flat.layout().distinct_minimizers == 0
+
+
+class TestFieldWidths:
+    """Values that do not fit the Fig. 6 fields end in a typed error,
+    not an ``OverflowError`` or a silent wrap."""
+
+    def test_k_wider_than_the_hash_field(self, mapper):
+        for build in (build_index, build_flat_index):
+            with pytest.raises(ValueError, match="k must be <= 32"):
+                build(mapper.graph, w=5, k=33)
+        with pytest.raises(ValueError, match="k must be <= 32"):
+            SeGraMConfig(w=5, k=33)
+        assert SeGraMConfig(w=5, k=32).k == 32
+
+    @pytest.mark.parametrize("field", ["nodes", "offsets"])
+    @pytest.mark.parametrize("value", [1 << 32, -1])
+    def test_location_wider_than_32_bits(self, field, value):
+        columns = {"hashes": np.array([7, 9], dtype=np.uint64),
+                   "nodes": np.array([0, 1], dtype=np.int64),
+                   "offsets": np.array([5, 6], dtype=np.int64)}
+        columns[field][1] = value
+        with pytest.raises(IndexWidthError, match="32-bit"):
+            FlatIndex.from_occurrences(**columns, w=5, k=11,
+                                       bucket_bits=6)
+        columns[field][1] = (1 << 32) - 1
+        flat = FlatIndex.from_occurrences(**columns, w=5, k=11,
+                                          bucket_bits=6)
+        assert flat.total_locations == 2
+
+    def test_hash_wider_than_2k_bits(self):
+        with pytest.raises(IndexWidthError, match="22 bits"):
+            FlatIndex.from_occurrences(
+                np.array([1 << 22], dtype=np.uint64),
+                np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
+                w=5, k=11, bucket_bits=6)
 
 
 class TestOneProbeQuery:
@@ -239,6 +314,59 @@ class TestOneProbeQuery:
             assert index.frequency(hash_value) == len(hits)
             assert index.lookup(hash_value) == hits
 
+    @pytest.mark.parametrize("kind", ["flat", "mapped"])
+    def test_probe_is_query_for_arrays(self, setup, kind):
+        """One searchsorted over the derived key ≡ one ``query`` per
+        hash: stored hashes, absent ones between / below / above the
+        rows of their bucket, empty buckets, and hashes wider than any
+        stored one."""
+        kinds, catalog, buckets = setup
+        index = kinds[kind]
+        rng = random.Random(31)
+        probes = self._probes(catalog, buckets) \
+            + [rng.randrange(1 << (2 * CONFIG.k)) for _ in range(500)] \
+            + [2**60 + 13, 2**64 - 1, 1 << (2 * CONFIG.k)] \
+            + [entry | 1 << (2 * CONFIG.k) for entry in catalog]
+        rng.shuffle(probes)
+        rows, frequency, scanned = index.probe(
+            np.array(probes, dtype=np.uint64))
+        present = []
+        for hash_value, row, count, steps in zip(
+                probes, rows.tolist(), frequency.tolist(),
+                scanned.tolist()):
+            query = index.query(hash_value)
+            assert (1, steps, count) == (
+                query.cost.bucket_probe, query.cost.minimizers_scanned,
+                query.cost.locations_fetched), hash_value
+            if count:
+                present.append((row, query.hits()))
+        nodes, offsets = index.locations(
+            np.array([row for row, _ in present]))
+        assert [SeedHit(node, offset) for node, offset
+                in zip(nodes.tolist(), offsets.tolist())] == \
+            [hit for _, hits in present for hit in hits]
+
+    @pytest.mark.parametrize("k, bucket_bits", [(3, 8), (4, 8), (2, 3)])
+    def test_probe_when_the_hash_is_narrower_than_the_bucket_field(
+            self, k, bucket_bits):
+        """2k <= bucket_bits: every hash is its own bucket and the
+        probe key is the hash itself."""
+        rng = random.Random(k)
+        graph = GenomeGraph.from_linear(
+            "".join(rng.choice("ACGT") for _ in range(90)),
+            node_length=30)
+        index = build_flat_index(graph, w=2, k=k,
+                                 bucket_bits=bucket_bits)
+        probes = list(range(1 << (2 * k))) + [1 << (2 * k), 2**63]
+        rows, frequency, scanned = index.probe(
+            np.array(probes, dtype=np.uint64))
+        assert 0 < np.count_nonzero(frequency) < 1 << (2 * k)
+        for hash_value, count, steps in zip(
+                probes, frequency.tolist(), scanned.tolist()):
+            cost = index.query(hash_value).cost
+            assert (steps, count) == (cost.minimizers_scanned,
+                                      cost.locations_fetched)
+
     def test_seeding_identical_across_index_kinds(self, setup, mapper,
                                                   reads):
         kinds, catalog, buckets = setup
@@ -256,6 +384,33 @@ class TestOneProbeQuery:
 
 
 class TestArtifactRoundTrip:
+    def test_artifact_bytes_are_pinned(self, artifact):
+        # sha256 of this fixture's artifact as written by the commit
+        # before the vector build (663fff1): the build path changed,
+        # the bytes must not.
+        assert hashlib.sha256(artifact.read_bytes()).hexdigest() == \
+            "36aee3ee7bd3c8086873638b2d019c88" \
+            "fd8600634afb1483547f22d0dc59b6e4"
+
+    def test_from_fasta_never_builds_the_dict_index(
+            self, reference, tmp_path, monkeypatch):
+        """One build path: FASTA -> scan -> FlatIndex -> artifact."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("production built a HashTableIndex")
+
+        monkeypatch.setattr(HashTableIndex, "__init__", refuse)
+        monkeypatch.setattr(hash_index, "build_index", refuse)
+        fasta = tmp_path / "ref.fa"
+        fasta.write_text("".join(f">{name}\n{sequence}\n"
+                                 for name, sequence in reference))
+        mapper = Mapper.from_fasta(fasta, config=CONFIG,
+                                   max_node_length=512)
+        assert type(mapper.engine.index) is FlatIndex
+        mapper.save_index(tmp_path / "ref.sgidx")
+        _, sequence = reference[0]
+        assert mapper.map_batch(
+            [("read", sequence[1_000:1_150])])[0].mapped
+
     def test_magic_sniffer(self, artifact, tmp_path):
         assert is_index_artifact(artifact)
         other = tmp_path / "not.sgidx"

@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import seq
+from repro.index import minimizer as minimizer_module
 from repro.index.minimizer import (
     brute_force_minimizers,
     expected_density,
     invertible_hash,
     kmer_at,
     minimizers,
+    scan_minimizers,
 )
 
 dna = st.text(alphabet="ACGT", min_size=1, max_size=120)
@@ -50,6 +54,99 @@ class TestSingleLoopEquivalence:
         sequence, w, k = args
         assert minimizers(sequence, w=w, k=k, scoring="lex") == \
             brute_force_minimizers(sequence, w=w, k=k, scoring="lex")
+
+
+@st.composite
+def scan_batches(draw):
+    """``(sequences, w, k, scoring, block)``: lengths 0 … 3·(w+k), so
+    shorter than k, than w+k−1 and longer than a window all occur; N
+    runs at either end (next to what is a separator in the batch
+    text) and scattered; blocks far smaller than the batch."""
+    w = draw(st.sampled_from([1, 5, 10, 19]))
+    k = draw(st.sampled_from([1, 3, 15, 31, 32]))
+    sequence = st.builds(
+        lambda head, body, tail: "N" * head + body + "N" * tail,
+        st.integers(0, 3), st.text("ACGTacgtN", max_size=3 * (w + k)),
+        st.integers(0, 3))
+    return (draw(st.lists(sequence, max_size=6)), w, k,
+            draw(st.sampled_from(["hash", "lex"])),
+            draw(st.sampled_from([5, 23, 64, 1 << 15])))
+
+
+def _as_tuples(found):
+    return [(m.position, m.score, m.kmer) for m in found]
+
+
+class TestBatchScan:
+    """``scan_minimizers`` against the nested-loop oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(scan_batches())
+    def test_matches_brute_force_per_sequence(self, args):
+        sequences, w, k, scoring, block = args
+        with mock.patch.object(minimizer_module, "SCAN_BLOCK_BASES",
+                               block):
+            scan = scan_minimizers(sequences, w, k, scoring)
+        assert len(scan.bounds) == len(sequences) + 1
+        assert scan.owners.tolist() == [
+            i for i in range(len(sequences))
+            for _ in range(scan.bounds[i], scan.bounds[i + 1])]
+        for i, sequence in enumerate(sequences):
+            lo, hi = scan.bounds[i], scan.bounds[i + 1]
+            assert list(zip(scan.positions[lo:hi].tolist(),
+                            scan.scores[lo:hi].tolist(),
+                            scan.kmers[lo:hi].tolist())) == _as_tuples(
+                brute_force_minimizers(sequence.upper(), w, k, scoring))
+
+    @settings(max_examples=100, deadline=None)
+    @given(scan_batches())
+    def test_batch_of_one_is_minimizers(self, args):
+        sequences, w, k, scoring, _ = args
+        for sequence in sequences:
+            scan = scan_minimizers([sequence], w, k, scoring)
+            assert _as_tuples(minimizers(sequence, w, k, scoring)) == \
+                list(zip(scan.positions.tolist(), scan.scores.tolist(),
+                         scan.kmers.tolist()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(scan_batches(), st.sampled_from("X-*\n\xff\u0141"),
+           st.data())
+    def test_garbage_names_its_sequence(self, args, garbage, data):
+        sequences, w, k, scoring, block = args
+        sequences = sequences + ["ACGT"]
+        which = data.draw(st.integers(0, len(sequences) - 1))
+        at = data.draw(st.integers(0, len(sequences[which])))
+        sequences[which] = sequences[which][:at] + garbage \
+            + sequences[which][at:]
+        with mock.patch.object(minimizer_module, "SCAN_BLOCK_BASES",
+                               block), \
+                pytest.raises(seq.InvalidBaseError) as raised:
+            scan_minimizers(sequences, w, k, scoring)
+        assert f"sequence {which} " in str(raised.value)
+        assert f"position {at}" in str(raised.value)
+
+    def test_all_ones_score_beside_an_invalid_kmer(self):
+        # k = 32 leaves no spare uint64 to mark "invalid": T*32 scores
+        # 2^64 - 1 under lex and must still win its window from the
+        # N-containing k-mer to its left.
+        sequence = "N" + "T" * 33
+        found = minimizers(sequence, w=2, k=32, scoring="lex")
+        assert found == brute_force_minimizers(sequence, 2, 32, "lex")
+        assert [m.position for m in found] == [1]
+        assert found[0].score == 2**64 - 1
+
+    def test_k_wider_than_the_index_row_rejected(self):
+        # Fig. 6 rows hold a 64-bit hash: 2k <= 64.
+        assert minimizers("ACGT" * 20, w=3, k=32)
+        with pytest.raises(ValueError, match="k must be <= 32"):
+            minimizers("ACGT" * 20, w=3, k=33)
+        with pytest.raises(ValueError, match="k must be <= 32"):
+            scan_minimizers([], w=3, k=33)
+
+    def test_empty_batch(self):
+        scan = scan_minimizers([], w=5, k=3)
+        assert scan.bounds.tolist() == [0]
+        assert len(scan.positions) == 0
 
 
 class TestProperties:
@@ -132,9 +229,6 @@ class TestDensity:
         found = minimizers(sequence, w=w, k=k)
         density = len(found) / (len(sequence) - k + 1)
         assert density == pytest.approx(expected_density(w), rel=0.15)
-
-
-from repro import seq
 
 
 class TestAmbiguousBases:

@@ -6,9 +6,13 @@ import random
 
 import pytest
 
-from repro.core.minseed import MinSeed
+from repro.core.minseed import MinSeed, Seed, SeedRegion, SeedingStats
 from repro.graph.genome_graph import GenomeGraph
+from repro.index.flat_index import build_flat_index
 from repro.index.hash_index import build_index
+from repro.index.minimizer import brute_force_minimizers
+from repro.refs.reference import ReferenceSet
+from repro.seq import reverse_complement
 from repro.sim.reference import random_reference
 
 
@@ -129,3 +133,124 @@ class TestFrequencyFilter:
         assert regions == []
         assert stats.seed_count == 0
         assert stats.filtered_minimizers > 0
+
+
+# ----------------------------------------------------------------------
+# Chunk seeding
+# ----------------------------------------------------------------------
+
+def reference_seed(minseed: MinSeed, index, read: str):
+    """MinSeed one read at a time, the way the hardware datapath is
+    described: the nested-loop minimizer oracle, one ``index.query``
+    per minimizer, the Fig. 9 arithmetic in Python floats, a set of
+    seen spans."""
+    stats = SeedingStats()
+    found = brute_force_minimizers(read, index.w, index.k, index.scoring)
+    stats.minimizer_count = len(found)
+    m, e, k = len(read), minseed.error_rate, index.k
+    offsets = minseed.graph.offsets()
+    spans = list(zip(minseed._span_starts.tolist(),
+                     minseed._span_ends.tolist()))
+    regions, seen = [], set()
+    for minimizer in found:
+        query = index.query(minimizer.score)
+        stats.index_accesses += query.cost.total_accesses
+        if query.frequency == 0:
+            continue
+        if query.frequency > minseed.freq_threshold:
+            stats.filtered_minimizers += 1
+            continue
+        a = minimizer.position
+        b = a + k - 1
+        for hit in query.hits():
+            stats.seed_count += 1
+            c = offsets[hit.node_id] + hit.offset
+            d = c + k - 1
+            x = int(c - a * (1 + e))
+            y = int(d + (m - b - 1) * (1 + e))
+            lo, hi = next(s for s in spans if s[0] <= c < s[1])
+            start, end = max(lo, x), min(hi, y + 1)
+            if end <= start or (start, end) in seen:
+                continue
+            seen.add((start, end))
+            regions.append(SeedRegion(
+                Seed(read_start=a, read_end=b, node_id=hit.node_id,
+                     node_offset=hit.offset, graph_start=c, graph_end=d,
+                     minimizer_hash=minimizer.score,
+                     frequency=query.frequency),
+                start=start, end=end))
+    stats.region_count = len(regions)
+    return regions, stats
+
+
+class TestChunkSeeding:
+    """A read's seeds do not depend on what it is chunked with."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        rng = random.Random(2024)
+        unit = random_reference(150, rng)
+        contigs = [
+            ("chrA", random_reference(3_000, rng) + unit * 3
+             + random_reference(2_000, rng)),
+            ("chrB", random_reference(900, rng)),
+            ("chrC", unit + random_reference(2_500, rng)),
+        ]
+        refs = ReferenceSet.from_records(contigs, max_node_length=256)
+        index = build_flat_index(refs.graph, w=5, k=11, bucket_bits=8)
+        # The unit occurs four times: its minimizers are filtered.
+        minseed = MinSeed(refs.graph, index, error_rate=0.07,
+                          freq_threshold=3,
+                          char_spans=refs.char_spans())
+        reads = []
+        for name, sequence in contigs:
+            # Contig ends (clamped regions, equal spans), a repeat, an
+            # N run, the other strand, a read with no hit at all.
+            reads += [sequence[:90], sequence[-130:],
+                      sequence[400:520], sequence[300:380] + "N" * 12
+                      + sequence[392:470],
+                      reverse_complement(sequence[600:760])]
+        reads += [unit * 2, "ACGT" * 30, "N" * 40, "ACGTA",
+                  random_reference(200, rng)]
+        return minseed, index, reads
+
+    def test_fixture_exercises_every_branch(self, setup):
+        minseed, index, reads = setup
+        seeded = minseed.seed_chunk(reads)
+        totals = SeedingStats()
+        for _, stats in seeded:
+            totals.merge(stats)
+        assert totals.filtered_minimizers > 0
+        assert totals.seed_count > totals.region_count > 0
+        assert any(not regions for regions, _ in seeded)
+        ends = {0, *minseed._span_ends.tolist()}
+        assert any(r.start in ends or r.end in ends
+                   for regions, _ in seeded for r in regions)
+
+    def test_chunk_equals_reference_for_every_rotation(self, setup):
+        minseed, index, reads = setup
+        alone = [reference_seed(minseed, index, read) for read in reads]
+        for shift in range(len(reads)):
+            rotated = reads[shift:] + reads[:shift]
+            assert minseed.seed_chunk(rotated) == \
+                alone[shift:] + alone[:shift], shift
+        for read, expected in zip(reads, alone):
+            assert minseed.seed(read) == expected
+
+    def test_region_fields_are_python_ints(self, setup):
+        minseed, _, reads = setup
+        for regions, stats in minseed.seed_chunk(reads):
+            for region in regions:
+                values = [region.start, region.end,
+                          *vars(region.seed).values()]
+                assert all(type(value) is int for value in values)
+            assert all(type(value) is int
+                       for value in vars(stats).values())
+
+    def test_empty_read_in_a_chunk_rejected(self, setup):
+        minseed, _, reads = setup
+        with pytest.raises(ValueError):
+            minseed.seed_chunk(reads[:3] + [""])
+
+    def test_empty_chunk(self, setup):
+        assert setup[0].seed_chunk([]) == []

@@ -72,7 +72,8 @@ def oracle_map(mapper: SeGraM, name: str, read: str) -> MappingResult:
         oriented.append(("-", seqmod.reverse_complement(read)))
     results = []
     for strand, sequence in oriented:
-        seeded = SeedStage().run(ReadTask(name, sequence, strand), pipe)
+        seeded = SeedStage().run([ReadTask(name, sequence, strand)],
+                                 pipe)[0]
         seeded = ChainFilterStage().run(seeded, pipe)
         found = []
         for index, region in enumerate(seeded.regions):
@@ -219,7 +220,7 @@ def _kept_regions(mapper: SeGraM, read: str):
     """The '+' orientation's regions in the order the align stage
     pulls them (on a throwaway copy of the stats)."""
     pipe = mapper.pipeline
-    seeded = SeedStage().run(ReadTask("probe", read, "+"), pipe)
+    seeded = SeedStage().run([ReadTask("probe", read, "+")], pipe)[0]
     regions = ChainFilterStage().run(seeded, pipe).regions
     pipe.reset_stats()
     return regions
