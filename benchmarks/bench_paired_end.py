@@ -52,8 +52,7 @@ PROFILE = PairedEndProfile.illumina(
 
 
 def _mapper(reference: str, top_n: int = 5,
-            early_exit: int | None = 6,
-            max_node_length: int = 0) -> SeGraM:
+            early_exit: int | None = 6) -> SeGraM:
     config = SeGraMConfig(
         w=10, k=15, bucket_bits=12, error_rate=0.05,
         windowing=WindowingConfig(window_size=128, overlap=48, k=16),
@@ -61,8 +60,7 @@ def _mapper(reference: str, top_n: int = 5,
         top_n_alignments=top_n,
         early_exit_distance=early_exit,
     )
-    return SeGraM.from_reference(reference, config=config, name="chr1",
-                                 max_node_length=max_node_length)
+    return SeGraM.from_reference(reference, config=config, name="chr1")
 
 
 def _workloads():
@@ -183,62 +181,6 @@ def test_paired_end_throughput_and_rescue(benchmark, show):
     assert by_key[("repeats", "rescue on")]["rescue_hits"] > 0
     assert by_key[("repeats", "rescue on")]["mate_accuracy"] >= \
         by_key[("repeats", "rescue off")]["mate_accuracy"]
-
-
-def pair_cache_rows():
-    """Pair-path cache traffic: node-range keys +/- mate prefetch.
-
-    A chunked reference (512-base nodes) makes the two mates of a
-    fragment land in *different* nodes often enough that mate 2's
-    extractions miss unless the mate window was prefetched — the
-    ROADMAP's pair-aware cache-key scenario.  Results are identical
-    in every row; only cache warmth differs.
-    """
-    rng = random.Random(0xBE9C)
-    reference = random_reference(20_000, rng)
-    count = 10 if QUICK else 25
-    fragments = simulate_fragments(reference, count, rng, PROFILE,
-                                   name_prefix="pc")
-    pairs = [(f.name, f.mate1.sequence, f.mate2.sequence)
-             for f in fragments]
-    rows = []
-    for label, prefetch in (("prefetch off", False),
-                            ("prefetch on", True)):
-        mapper = _mapper(reference, max_node_length=512)
-        engine = PairedEndMapper(mapper, PairedEndConfig(
-            insert_mean=350.0, insert_std=50.0, rescue=False,
-            mate_prefetch=prefetch))
-        start = time.perf_counter()
-        results = engine.map_pairs(pairs)
-        elapsed = time.perf_counter() - start
-        stats = mapper.pipeline.stats
-        rows.append({
-            "config": label,
-            "pairs": len(pairs),
-            "pairs_per_s": round(len(pairs) / elapsed, 2),
-            "proper": sum(1 for pair in results if pair.proper),
-            "pair_hits": stats.pair_cache_hits,
-            "pair_misses": stats.pair_cache_misses,
-            "pair_hit_rate": round(stats.pair_cache_hit_rate, 3),
-            "prefetched": stats.cache_prefetches,
-        })
-    return rows
-
-
-def test_pair_path_cache_prefetch(benchmark, show):
-    rows = benchmark.pedantic(pair_cache_rows, rounds=1, iterations=1)
-    show(rows, "pair-path region cache — mate-window prefetch")
-
-    by_config = {row["config"]: row for row in rows}
-    off = by_config["prefetch off"]
-    on = by_config["prefetch on"]
-    # The prefetch is invisible in results...
-    assert on["proper"] == off["proper"]
-    # ...but the pair path's hit rate strictly improves (the
-    # ROADMAP pair-aware cache-key acceptance).
-    assert on["prefetched"] > 0
-    assert off["pair_misses"] > 0
-    assert on["pair_hit_rate"] > off["pair_hit_rate"]
 
 
 def test_repeat_tie_multi_candidate_pairing(benchmark, show):

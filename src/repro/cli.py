@@ -72,9 +72,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
                         default=None,
                         help="stop scanning regions once an alignment "
                              "at or below this distance is found")
-    parser.add_argument("--cache-size", type=int, default=128,
-                        help="LRU region-cache capacity in regions "
-                             "(0 disables; default 128)")
     parser.add_argument("--align-backend", choices=list_backends(),
                         default=None,
                         help="alignment backend (default: "
@@ -108,7 +105,6 @@ def _engine_config(args: argparse.Namespace) -> SeGraMConfig:
         both_strands=args.both_strands,
         chaining=args.chaining,
         early_exit_distance=args.early_exit_distance,
-        region_cache_size=args.cache_size,
         align_backend=args.align_backend,
     )
 
@@ -490,9 +486,6 @@ def cmd_index_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    if args.cache_size < 0:
-        raise SystemExit("error: --cache-size must be >= 0 "
-                         "(0 disables the region cache)")
     if args.jobs < 1:
         raise SystemExit("error: --jobs must be >= 1")
     if args.top_n < 1:

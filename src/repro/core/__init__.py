@@ -11,7 +11,8 @@
   algorithm (paper Section 6).
 * :mod:`repro.core.pipeline` — the staged mapping pipeline engine
   (seed -> filter/chain -> extract -> align -> select) with per-stage
-  statistics, the LRU region cache, and the sharded batch engine.
+  statistics, the whole-graph linearization whose views are the
+  candidate regions, and the sharded batch engine.
 * :mod:`repro.core.mapper` — the end-to-end SeGraM mapper combining
   MinSeed and BitAlign for both sequence-to-graph and
   sequence-to-sequence mapping (paper Section 9), a thin driver over
@@ -26,7 +27,7 @@ from repro.core.minseed import MinSeed, Seed, SeedRegion
 from repro.core.mapper import AlignmentCandidate, MappingResult, \
     SeGraM, SeGraMConfig
 from repro.core.pipeline import MappingPipeline, PipelineStats, \
-    RegionCache, StageStats, best_of
+    StageStats, best_of
 from repro.core.chaining import Chain, chain_regions, chain_seeds, \
     chains_to_regions
 
@@ -49,7 +50,6 @@ __all__ = [
     "SeGraMConfig",
     "MappingPipeline",
     "PipelineStats",
-    "RegionCache",
     "StageStats",
     "best_of",
     "Chain",

@@ -217,7 +217,7 @@ def generate_bitvectors(
     # (clear, set) pairs planting the virtual row in field t of D[t].
     virtual = [(~(field0 << t * m), row << t * m)
                for t, row in enumerate(virtual_row(m, k))]
-    hops = _hop_distances(lin.successors)
+    hops = _hop_distances(lin)
     if hops:
         diagonals = _sweep_hops(entering, virtual, hops, n, m, full)
     else:
@@ -225,22 +225,21 @@ def generate_bitvectors(
     return DiagonalRows(diagonals, n, m, k, masks)
 
 
-def _hop_distances(
-    successors: list[tuple[int, ...]],
-) -> dict[int, tuple[int, ...]]:
+def _hop_distances(lin: LinearizedGraph) -> dict[int, tuple[int, ...]]:
     """Successor distances of every position that is not chain-like.
 
     A chain-like position has the single successor ``i + 1``; for the
     last position that is the virtual row.  Any other dead end points
     at the virtual row too, at distance ``n - i``.  Empty for a chain.
+    Read off the window's hop sources — one range query, not a walk
+    over its characters.
     """
-    n = len(successors)
+    n = len(lin)
     hops: dict[int, tuple[int, ...]] = {}
-    for i, succs in enumerate(successors):
-        if succs != (i + 1,):
-            distances = tuple(s - i for s in succs) or (n - i,)
-            if distances != (1,):
-                hops[i] = distances
+    for i, succs in lin.hop_sources():
+        distances = tuple(s - i for s in succs) or (n - i,)
+        if distances != (1,):
+            hops[i] = distances
     return hops
 
 
@@ -354,9 +353,10 @@ def reference_bitvectors(
     masks = pattern_bitmasks(pattern)
     virtual = virtual_row(m, k)
     all_r: list[list[int]] = [[mask] * (k + 1) for _ in range(n)]
+    successors = lin.successors
     for i in range(n - 1, -1, -1):
         cur_pm = masks.get(lin.chars[i], mask)
-        succ_rows = [all_r[s] for s in lin.successors[i]]
+        succ_rows = [all_r[s] for s in successors[i]]
         if not succ_rows:
             succ_rows = [virtual]
         row = all_r[i]
@@ -439,14 +439,21 @@ def _walk_diagonals(lin: LinearizedGraph, rows: DiagonalRows,
     """
     diagonals, n, m, masks = rows.diagonals, rows.n, rows.m, rows.masks
     no_match = (1 << m) - 1
-    chars, successors = lin.chars, lin.successors
+    chars = lin.chars
+    # Only a hop source's successors are looked up; every other
+    # position steps to the next one (never past the window: the last
+    # position is always a hop source).
+    hops = dict(lin.hop_sources())
     dead_end = (n,)
     ops: list[str] = []
     path: list[int] = []
     i, j, d = start, m - 1, budget
     while j >= 0:
         mismatch = (masks.get(chars[i], no_match) >> j) & 1
-        succs = successors[i] or dead_end
+        own = hops.get(i)
+        if own is None:
+            own = (i + 1,)
+        succs = own or dead_end
         taken = None
         # 1. Match: consumes lin.chars[i] and the read character.
         if not mismatch:
@@ -484,7 +491,7 @@ def _walk_diagonals(lin: LinearizedGraph, rows: DiagonalRows,
             bit = (d - 1) * m + j
             top = n + d - 1
             # 3. Deletion: consumes the reference character only.
-            for s in successors[i]:
+            for s in own:
                 if not (diagonals[top - s] >> bit) & 1:
                     taken = s
                     break
@@ -522,7 +529,7 @@ def _walk_rows(lin: LinearizedGraph, pattern: str, all_r,
     i, j, d = start, m - 1, budget
     while j >= 0:
         cur_pm = masks.get(lin.chars[i], mask)
-        succs = lin.successors[i]
+        succs = lin.successors_of(i)
         succ_pairs = [(s, all_r[s]) for s in succs] or [(None, virtual)]
         moved = False
         done = False

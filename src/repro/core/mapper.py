@@ -82,10 +82,8 @@ class SeGraMConfig:
         chaining: enable the optional colinear-chaining filter
             (pipeline step 2 of paper Fig. 2).  Off by default —
             MinSeed's design point aligns every seed (Section 11.4).
-        region_cache_size: capacity (in regions) of the LRU cache that
-            memoizes ``extract_region`` + ``linearize`` per
-            ``(first_node, last_node, hop_limit)`` node range; 0
-            disables caching.
+        region_cache_size: accepted and ignored — there is no region
+            cache (regions are views of one linearization).
         align_backend: alignment-backend name from
             :func:`repro.align.backends.list_backends` (``"python"``
             or ``"numpy"``), or None for the process default
@@ -105,6 +103,8 @@ class SeGraMConfig:
     early_exit_distance: int | None = None
     both_strands: bool = False
     chaining: bool = False
+    #: Ignored.  Deleted with ROADMAP item 1, whose benchmark PR stops
+    #: ``benchmarks/perf/workloads.py`` passing it.
     region_cache_size: int = 128
     align_backend: str | None = None
 
@@ -170,8 +170,8 @@ class AlignmentCandidate:
         (matching :func:`repro.core.pipeline.best_of`), then the
         first contig in reference-name order, then the leftmost
         placement.  The key is total and input-order-free, so
-        candidate lists are identical under ``--jobs`` sharding,
-        region-order changes, and cache warmth.  (Single-reference
+        candidate lists are identical under ``--jobs`` sharding and
+        region-order changes.  (Single-reference
         mappers carry no contig, so the contig component is constant
         and the legacy ordering is unchanged.)
         """

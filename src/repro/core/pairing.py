@@ -113,11 +113,6 @@ class PairedEndConfig:
             rescued mate's length.
         min_anchor_identity: minimum alignment identity of a mate for
             it to anchor a rescue of the other.
-        mate_prefetch: after mate 1 maps, prefetch the node ranges of
-            mate 2's expected insert-window span before mapping it
-            (:meth:`~repro.core.pipeline.MappingPipeline.
-            prefetch_span`) — the ROADMAP's pair-aware cache-key
-            item.  Affects only cache warmth, never results.
     """
 
     insert_mean: float = 350.0
@@ -126,7 +121,6 @@ class PairedEndConfig:
     rescue: bool = True
     rescue_edit_fraction: float = 0.15
     min_anchor_identity: float = 0.75
-    mate_prefetch: bool = True
 
     def __post_init__(self) -> None:
         if self.insert_mean <= 0:
@@ -450,20 +444,7 @@ class PairedEndMapper:
         """
         pipeline = self.mapper.pipeline
         best1 = pipeline.map_seeded(*seeded1)
-        if self.config.mate_prefetch and best1.mapped:
-            # Mate 1's mapping warmed its own node ranges; prefetch
-            # the span where mate 2's FR-consistent placement must
-            # lie, so its extractions hit too (the pair-aware cache
-            # contract: mates of one fragment extract near-identical
-            # regions an insert length apart).
-            self._prefetch_mate_window(best1)
-        pair_hits = pipeline.stats.cache_hits
-        pair_misses = pipeline.stats.cache_misses
         best2 = pipeline.map_seeded(*seeded2)
-        pipeline.stats.pair_cache_hits += \
-            pipeline.stats.cache_hits - pair_hits
-        pipeline.stats.pair_cache_misses += \
-            pipeline.stats.cache_misses - pair_misses
 
         combos: list[_Combo] = []
         for c1 in self._candidate_results(best1):
@@ -503,44 +484,6 @@ class PairedEndMapper:
         if result.proper:
             self.stats.pairs_proper += 1
         return result
-
-    def _prefetch_mate_window(self, anchor: MappingResult) -> None:
-        """Warm the region cache over the anchor's mate window.
-
-        FR geometry places the mate inward of the anchor within the
-        maximum template length (the same window mate rescue
-        searches); the span is translated to global character space —
-        exactly for variant-free references, approximately otherwise
-        — and handed to
-        :meth:`~repro.core.pipeline.MappingPipeline.prefetch_span`.
-        Purely a cache warmer: results are unchanged with or without
-        it.
-        """
-        span = _linear_span(anchor)
-        if span is None:
-            return
-        start, end = span
-        max_template = self.config.max_template_length
-        # The mate window in the anchor's local coordinates, exactly
-        # as _rescue_job frames it.
-        if anchor.strand == "+":
-            local_lo, local_hi = start, start + max_template
-        else:
-            local_lo, local_hi = end - max_template, end
-        refs = self.mapper.refs
-        if refs is not None:
-            if anchor.contig is None:
-                return
-            # char_hint clamps into the contig's character span, so
-            # the prefetch never reaches past a contig boundary.
-            lo = refs.char_hint(anchor.contig, local_lo)
-            hi = refs.char_hint(anchor.contig, local_hi) + 1
-        else:
-            total = self.mapper.graph.total_sequence_length
-            lo = max(0, local_lo)
-            hi = min(total, local_hi)
-        if lo < hi:
-            self.mapper.pipeline.prefetch_span(lo, hi)
 
     @staticmethod
     def _candidate_results(best: MappingResult) -> list[MappingResult]:
@@ -780,5 +723,8 @@ def map_pairs_sharded(pair_mapper: "PairedEndMapper",
     """Shard ``pairs`` across workers via the shared shard runner
     (:func:`repro.core.pipeline.run_sharded`): identical results to
     sequential mapping, stats merged back."""
+    if pool is None:
+        # Built before any fork, so the workers inherit it.
+        pair_mapper.mapper.pipeline.linearization()
     return run_sharded(_PairShardContext(pair_mapper), pairs, jobs,
                        pool=pool, mode="pairs")

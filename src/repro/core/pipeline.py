@@ -42,33 +42,27 @@ This deviates from Section 11.4 in software only; the hardware models
 of :mod:`repro.hw` call the aligner directly and keep the paper's
 align-every-seed accounting.
 
-Two throughput features ride on the stage boundary:
+**Extraction is an address range.**  In SeGraM a seed's candidate
+region is a range of addresses into the topologically sorted node /
+character / edge tables (paper Section 5, Fig. 5) — nothing is copied
+out of them.  Here the whole graph is linearized **once** per
+pipeline (:meth:`MappingPipeline.linearization`, a hop-sparse
+:class:`~repro.graph.linearize.LinearizedGraph`), and the extract
+stage turns a region into the node range it selects (nodes that
+partially overlap the span are taken whole, as MinSeed's fetch does)
+and that range into a *view* of the one linearization: two bisects, a
+string slice and the seed anchor.  BitAlign's windows are views of
+that view.  There is nothing to memoize, so there is no region cache.
 
-* a **region cache** (:class:`RegionCache`) — an LRU memo of
-  ``extract_region`` + ``linearize`` keyed by the **node range**
-  ``(first_node, last_node, hop_limit)`` the span selects.
-  ``extract_region`` includes partially-overlapping nodes whole, so
-  every span selecting the same contiguous node range derives the
-  identical subgraph — node-range keys are exact (bit-for-bit the
-  same alignments) while also serving the *pair path*: the two mates
-  of a fragment land an insert length apart, usually inside the same
-  node range, so the second mate's extractions hit the entries the
-  first mate warmed.  Extraction and linearization are the hot path
-  of the pure-Python mapper; the cache plays the role of BitAlign's
-  input scratchpad.  The pair driver can additionally **prefetch**
-  the mate's expected insert-window span on a cache hit
-  (:meth:`MappingPipeline.prefetch_span`), and its share of the
-  traffic is reported separately (``pair_cache_hits`` /
-  ``pair_cache_misses`` in :class:`PipelineStats`).
-* a **batch engine** (:func:`map_batch_sharded`) — shards a read set
-  across ``multiprocessing`` workers.  The index is built once in the
-  parent and shared with the workers via ``fork`` (copy-on-write), so
-  workers start with a warm region cache; per-shard
-  :class:`PipelineStats` are merged back into the parent's.
+A **batch engine** (:func:`map_batch_sharded`) shards a read set
+across ``multiprocessing`` workers.  The index and the linearization
+are built once in the parent and shared with the workers via ``fork``
+(copy-on-write); per-shard :class:`PipelineStats` are merged back
+into the parent's.
 
-Stage boundaries, the cache and sharding change *when* work happens,
-never *what* is computed: a read maps to the same result alone, at
-any position of any batch, and on any worker.
+Stage boundaries and sharding change *when* work happens, never
+*what* is computed: a read maps to the same result alone, at any
+position of any batch, and on any worker.
 """
 
 from __future__ import annotations
@@ -77,7 +71,7 @@ import math
 import multiprocessing
 import time
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -157,17 +151,12 @@ class PipelineStats:
     #: + regions_aligned``; with it the remainder left with the exit.
     regions_subsumed: int = 0
     regions_aligned: int = 0
+    #: Never written — there is no region cache.  Deleted with ROADMAP
+    #: item 1, whose benchmark PR stops ``run.py`` indexing these four.
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Region-cache traffic attributable to the *pair path*: lookups
-    #: performed while mapping the second mate of a pair (a subset of
-    #: ``cache_hits``/``cache_misses``).  The pair driver accounts
-    #: these; single-end mapping leaves them at 0.
     pair_cache_hits: int = 0
     pair_cache_misses: int = 0
-    #: Regions extracted ahead of need by the mate-window prefetch
-    #: (not counted as misses — nothing looked them up yet).
-    cache_prefetches: int = 0
     windows: int = 0
     rescues: int = 0
     #: Alignment-kernel calls: one per window attempt, so on the
@@ -195,17 +184,6 @@ class PipelineStats:
             self.stages[name] = StageStats(name=name)
         return self.stages[name]
 
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    @property
-    def pair_cache_hit_rate(self) -> float:
-        """Hit rate of the pair-path share of the cache traffic."""
-        total = self.pair_cache_hits + self.pair_cache_misses
-        return self.pair_cache_hits / total if total else 0.0
-
     def merge(self, other: "PipelineStats") -> None:
         # ``backend`` is a label: shards inherit the parent's pipeline
         # configuration, so keeping the receiver's value is exact.
@@ -215,11 +193,6 @@ class PipelineStats:
         self.regions_chained += other.regions_chained
         self.regions_subsumed += other.regions_subsumed
         self.regions_aligned += other.regions_aligned
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.pair_cache_hits += other.pair_cache_hits
-        self.pair_cache_misses += other.pair_cache_misses
-        self.cache_prefetches += other.cache_prefetches
         self.windows += other.windows
         self.rescues += other.rescues
         self.align_calls += other.align_calls
@@ -251,19 +224,10 @@ class PipelineStats:
             f"{self.regions_chained} kept -> "
             f"{self.regions_subsumed} subsumed -> "
             f"{self.regions_aligned} aligned",
-            f"region cache: {self.cache_hits} hits / "
-            f"{self.cache_misses} misses "
-            f"(hit rate {self.cache_hit_rate:.1%})",
             f"alignment work: {self.windows} windows, "
             f"{self.rescues} rescues, {self.align_calls} kernel "
             f"calls (backend: {self.backend})",
-        ] + ([
-            f"pair path: {self.pair_cache_hits} hits / "
-            f"{self.pair_cache_misses} misses "
-            f"(hit rate {self.pair_cache_hit_rate:.1%}), "
-            f"{self.cache_prefetches} regions prefetched",
-        ] if self.pair_cache_hits or self.pair_cache_misses
-            or self.cache_prefetches else [])
+        ]
 
 
 @contextmanager
@@ -273,65 +237,6 @@ def _timed(stage: StageStats):
         yield
     finally:
         stage.seconds += time.perf_counter() - start
-
-
-# ----------------------------------------------------------------------
-# Region cache
-# ----------------------------------------------------------------------
-
-@dataclass
-class CachedRegion:
-    """Memoized products of ``extract_region`` + ``linearize``.
-
-    ``anchor`` arithmetic is per-seed, so it stays outside the cache;
-    everything derived from the span alone is in here.
-    """
-
-    lin: LinearizedGraph
-    original_ids: list[int]
-    offsets: Sequence[int]
-
-
-class RegionCache:
-    """LRU memo for region extraction + linearization.
-
-    Keyed by the node range ``(first_node, last_node, hop_limit)``
-    that a span selects (see :meth:`MappingPipeline.node_range`):
-    ``extract_region`` includes partially-overlapping nodes whole, so
-    two spans selecting the same node range derive byte-identical
-    subgraphs — the pair-aware key that lets one mate's extractions
-    serve the other's.  ``capacity`` bounds the number of retained
-    regions (0 disables caching entirely — every lookup misses and
-    nothing is stored).  Hit/miss accounting lives in
-    :class:`PipelineStats` (the mergeable source of truth), not here.
-    """
-
-    def __init__(self, capacity: int = 128) -> None:
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        self.capacity = capacity
-        self._entries: "OrderedDict[tuple, CachedRegion]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, key: tuple) -> CachedRegion | None:
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        self._entries.move_to_end(key)
-        return entry
-
-    def store(self, key: tuple, entry: CachedRegion) -> None:
-        if self.capacity == 0:
-            return
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
 
 
 # ----------------------------------------------------------------------
@@ -362,12 +267,17 @@ class PreparedRegion:
 
     ``index`` is the region's position in its read's filtered list
     (``SeededRead.regions``): everything after it is still unvisited.
+    ``lin`` is the view of nodes ``first_node .. last_node`` of the
+    pipeline's whole-graph linearization; its position 0 is global
+    character ``start``, and ``anchor`` is in its coordinates.
     """
 
     index: int
     region: SeedRegion
     lin: LinearizedGraph
-    original_ids: list[int]
+    first_node: int
+    last_node: int
+    start: int
     anchor: tuple[int, int]
 
 
@@ -441,13 +351,14 @@ class ChainFilterStage:
 
 
 class ExtractStage:
-    """Step 3: subgraph extraction + linearization, memoized.
+    """Step 3: subgraph extraction, as an address range.
 
     Runs per region, on demand of the align stage — a region that is
     subsumed, or that follows an early exit, is never extracted.  One
-    run performs (or recalls from the :class:`RegionCache`) one
-    ``extract_region`` + ``linearize`` and computes the seed anchor in
-    linearized coordinates.
+    run finds the node range the region's span selects, takes the
+    view of those nodes out of the pipeline's whole-graph
+    linearization and computes the seed anchor in the view's
+    coordinates.
     """
 
     name = "extract"
@@ -457,25 +368,19 @@ class ExtractStage:
         stats = pipe.stats.stage(self.name)
         with _timed(stats):
             lo, hi = pipe.node_range(region.start, region.end)
-            key = (lo, hi, pipe.config.hop_limit)
-            entry = pipe.cache.lookup(key)
-            if entry is None:
-                pipe.stats.cache_misses += 1
-                entry = pipe.build_region_entry(lo, hi)
-                pipe.cache.store(key, entry)
-            else:
-                pipe.stats.cache_hits += 1
+            bounds = pipe.node_bounds
+            start = bounds[lo]
+            lin = pipe.linearization().slice(start, bounds[hi + 1])
             # The seed is an exact match: anchor the windowed aligner
             # at its position (paper Fig. 9's left/right extensions).
-            local_node = entry.original_ids.index(region.seed.node_id)
-            anchor = (entry.offsets[local_node] + region.seed.node_offset,
-                      region.seed.read_start)
+            seed = region.seed
+            anchor = (bounds[seed.node_id] + seed.node_offset - start,
+                      seed.read_start)
             stats.items_in += 1
             stats.items_out += 1
-        return PreparedRegion(index=index, region=region,
-                              lin=entry.lin,
-                              original_ids=entry.original_ids,
-                              anchor=anchor)
+        return PreparedRegion(index=index, region=region, lin=lin,
+                              first_node=lo, last_node=hi,
+                              start=start, anchor=anchor)
 
 
 class AlignStage:
@@ -556,10 +461,9 @@ class AlignStage:
           ``seed.read_start`` to graph character ``seed.graph_start``
           — i.e. to ``(seed.node_id, seed.node_offset)`` — so aligning
           from that seed would anchor on this very path;
-        * this region's node range (the :class:`RegionCache` key)
-          contains the later region's, so the later alignment could
-          not have seen graph that this one did not (a truncated
-          region gives a worse extension).
+        * this region's node range contains the later region's, so
+          the later alignment could not have seen graph that this one
+          did not (a truncated region gives a worse extension).
 
         A repeat copy, tandem or dispersed, matches the seed's read
         position to a *different* graph character and stays.  The walk
@@ -579,9 +483,7 @@ class AlignStage:
                 read_at += length
             if op in REF_CONSUMING:
                 path_at += length
-        lin = region.lin
-        first_node, last_node = \
-            region.original_ids[0], region.original_ids[-1]
+        bounds = pipe.node_bounds
         for index, other in enumerate(later, region.index + 1):
             if index in subsumed:
                 continue
@@ -592,14 +494,12 @@ class AlignStage:
             run_end, run_path = runs[run]
             if seed.read_start >= run_end:
                 continue
-            position = aligned.path[
+            position = region.start + aligned.path[
                 run_path + seed.read_start - run_starts[run]]
-            if region.original_ids[lin.node_ids[position]] \
-                    != seed.node_id \
-                    or lin.node_offsets[position] != seed.node_offset:
+            if position != bounds[seed.node_id] + seed.node_offset:
                 continue
             lo, hi = pipe.node_range(other.start, other.end)
-            if first_node <= lo and hi <= last_node:
+            if region.first_node <= lo and hi <= region.last_node:
                 subsumed.add(index)
 
     @staticmethod
@@ -610,18 +510,21 @@ class AlignStage:
 
         node_id = node_offset = linear_position = contig = None
         path_nodes: tuple[int, ...] = ()
-        lin = region.lin
-        if aligned.path:
-            first = aligned.path[0]
-            local_node = lin.node_ids[first]
-            node_id = region.original_ids[local_node]
-            node_offset = lin.node_offsets[first]
+        path = aligned.path
+        if path:
+            # The path ascends, so it crosses the node boundaries in
+            # order: one bisect per node visited, not a step per base.
+            bounds = pipe.node_bounds
             nodes: list[int] = []
-            for position in aligned.path:
-                node = region.original_ids[lin.node_ids[position]]
-                if not nodes or nodes[-1] != node:
-                    nodes.append(node)
+            at = 0
+            while at < len(path):
+                node = bisect_right(bounds, region.start + path[at]) - 1
+                nodes.append(node)
+                at = bisect_left(path, bounds[node + 1] - region.start,
+                                 at)
             path_nodes = tuple(nodes)
+            node_id = nodes[0]
+            node_offset = region.start + path[0] - bounds[node_id]
             if pipe.refs is not None:
                 contig, linear_position = pipe.refs.project(
                     node_id, node_offset,
@@ -777,9 +680,9 @@ def best_of(forward: "MappingResult",
 class MappingPipeline:
     """Composable staged mapping engine.
 
-    Owns the stage list, the region cache, and the cumulative
-    :class:`PipelineStats`.  ``SeGraM`` delegates all mapping to an
-    instance of this class.
+    Owns the stage list, the whole-graph linearization, and the
+    cumulative :class:`PipelineStats`.  ``SeGraM`` delegates all
+    mapping to an instance of this class.
     """
 
     def __init__(self, graph, config, minseed, aligner,
@@ -790,10 +693,12 @@ class MappingPipeline:
         self.aligner = aligner
         self.built = built
         self.refs = refs
-        self.cache = RegionCache(config.region_cache_size)
-        # Node starts in the global character space, for the O(log n)
-        # span -> node-range cache-key computation.
-        self._node_starts = graph.offsets()
+        #: Node starts in the global character space, then the total
+        #: length: node ``n`` is characters ``[node_bounds[n],
+        #: node_bounds[n + 1])``.
+        self.node_bounds = graph.offsets()
+        self.node_bounds.append(graph.total_sequence_length)
+        self._linearization: LinearizedGraph | None = None
         self.seed_stage = SeedStage()
         self.filter_stage = ChainFilterStage()
         self.extract_stage = ExtractStage()
@@ -807,57 +712,25 @@ class MappingPipeline:
         Mirrors :meth:`~repro.graph.genome_graph.GenomeGraph.
         extract_region`'s selection rule (nodes overlapping
         ``[start, end)``, included whole), so the range identifies the
-        extraction result exactly — it is the region cache key.
+        extracted region exactly.
         """
-        lo = max(0, bisect_right(self._node_starts, start) - 1)
-        hi = max(lo, bisect_right(self._node_starts, end - 1) - 1)
+        bounds, nodes = self.node_bounds, len(self.node_bounds) - 1
+        lo = max(0, bisect_right(bounds, start, 0, nodes) - 1)
+        hi = max(lo, bisect_right(bounds, end - 1, 0, nodes) - 1)
         return lo, hi
 
-    def build_region_entry(self, lo_node: int,
-                           hi_node: int) -> CachedRegion:
-        """Extract + linearize one node range (the cache-miss work).
+    def linearization(self) -> LinearizedGraph:
+        """The whole graph, linearized on the first call.
 
-        The range is the cache key (:meth:`node_range`), so the
-        extraction is O(range) — no full-graph scan per miss.
+        Every region and window is a view of it.  The mapping entry
+        points call this before they fork workers, which then share it
+        copy-on-write; building it is not part of constructing a
+        mapper, so attaching to an index artifact stays O(ms).
         """
-        subgraph, original_ids = self.graph.extract_node_range(
-            lo_node, hi_node)
-        return CachedRegion(
-            lin=linearize(subgraph, hop_limit=self.config.hop_limit),
-            original_ids=original_ids,
-            offsets=subgraph.offsets(),
-        )
-
-    def prefetch_span(self, start: int, end: int) -> None:
-        """Warm the region cache for every node range a small seed
-        region inside ``[start, end)`` could select.
-
-        The pair driver calls this with the mate's expected
-        insert-window span: a short-read seed region selects one node
-        or two adjacent nodes, so singleton ``(n, n)`` and adjacent
-        ``(n, n+1)`` ranges over the window cover the mate's future
-        lookups.  Prefetched extractions are counted in
-        ``cache_prefetches`` (not as misses — nothing looked them up
-        yet); a capacity-0 cache makes this a no-op.
-        """
-        if self.cache.capacity == 0:
-            return
-        total = self.graph.total_sequence_length
-        start = max(0, min(start, total - 1))
-        end = max(start + 1, min(end, total))
-        lo, hi = self.node_range(start, end)
-        hop = self.config.hop_limit
-        for node in range(lo, hi + 1):
-            ranges = [(node, node)]
-            if node < hi:
-                ranges.append((node, node + 1))
-            for lo_node, hi_node in ranges:
-                key = (lo_node, hi_node, hop)
-                if self.cache.lookup(key) is not None:
-                    continue
-                self.cache.store(key, self.build_region_entry(
-                    lo_node, hi_node))
-                self.stats.cache_prefetches += 1
+        if self._linearization is None:
+            self._linearization = linearize(
+                self.graph, hop_limit=self.config.hop_limit)
+        return self._linearization
 
     def reset_stats(self) -> None:
         self.stats = PipelineStats.empty()
@@ -1041,7 +914,7 @@ class PersistentPool:
     once per worker — each worker runs ``factory()`` at start-up,
     typically :class:`repro.api._ArtifactWorkerFactory` attaching to a
     memory-mapped ``.sgidx`` artifact by path — and then serves any
-    number of batches, keeping its region cache warm across them.
+    number of batches.
 
     The factory must be picklable and return an object with
     ``shard_context(mode)`` (``mode`` is ``"reads"`` or ``"pairs"``),
@@ -1101,11 +974,9 @@ def run_sharded(context: ShardContext, items: Sequence,
                 mode: str = "reads") -> list:
     """Shard ``items`` across workers (forked or persistent).
 
-    Contiguous shards keep neighbouring items (and therefore their
-    overlapping candidate regions) on the same worker's region cache.
     With ``pool=None`` a throwaway ``fork`` pool shares the parent's
-    index — and any warmth already in its region cache — with the
-    workers copy-on-write; with a :class:`PersistentPool` the standing
+    index and graph linearization with the workers copy-on-write;
+    with a :class:`PersistentPool` the standing
     artifact-attached workers serve the shards (``jobs`` is ignored —
     the pool's width governs) and only the picklable statistics
     payloads travel.  Per-shard statistics are merged back through
@@ -1177,5 +1048,8 @@ def map_batch_sharded(
 ) -> "list[MappingResult]":
     """Shard ``reads`` across workers (see :func:`run_sharded` for
     the sharing/merging contract and the two pool modes)."""
+    if pool is None:
+        # Built before any fork, so the workers inherit it.
+        mapper.pipeline.linearization()
     return run_sharded(_ReadShardContext(mapper), reads, jobs,
                        pool=pool, mode="reads")

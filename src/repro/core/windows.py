@@ -147,7 +147,7 @@ def _count_hops(lin: LinearizedGraph) -> int:
     """Inter-character hops (successor distance > 1) in a window."""
     return sum(
         1
-        for position, succs in enumerate(lin.successors)
+        for position, succs in lin.hop_sources()
         for succ in succs
         if succ - position > 1
     )
@@ -276,7 +276,7 @@ class WindowedAligner:
             # original predecessors.
             left = self._extend(
                 rev, read[:anchor_read][::-1],
-                list(rev.successors[n - 1 - anchor_pos]),
+                list(rev.successors_of(n - 1 - anchor_pos)),
                 observer, counters)
             parts.append(left)
             ops = list(reversed(left.ops)) + ops
@@ -401,7 +401,7 @@ class WindowedAligner:
                     ops_committed=len(extension.ops) - ops_before,
                 ))
             if last_consumed is not None:
-                anchors = list(lin.successors[last_consumed])
+                anchors = list(lin.successors_of(last_consumed))
             # else: nothing consumed (pure insertions) — anchors stay.
 
         return extension

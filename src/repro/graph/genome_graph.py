@@ -107,7 +107,9 @@ class GenomeGraph:
         self._sequences: list[str] = []
         self._out: list[list[int]] = []
         self._in: list[list[int]] = []
+        # Derived from ``_sequences`` on first use; ``add_node`` resets.
         self._offsets: list[int] | None = None
+        self._total_length: int | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -123,6 +125,7 @@ class GenomeGraph:
         self._out.append([])
         self._in.append([])
         self._offsets = None
+        self._total_length = None
         return node_id
 
     def add_edge(self, src: int, dst: int) -> None:
@@ -208,7 +211,9 @@ class GenomeGraph:
     @property
     def total_sequence_length(self) -> int:
         """Total number of bases stored across all nodes."""
-        return sum(len(s) for s in self._sequences)
+        if self._total_length is None:
+            self._total_length = sum(len(s) for s in self._sequences)
+        return self._total_length
 
     def node(self, node_id: int) -> Node:
         self._check_id(node_id)
@@ -390,9 +395,10 @@ class GenomeGraph:
         in ID order, so the node set :meth:`extract_region` selects
         for a span is exactly a contiguous ID range — this method
         produces the identical subgraph in O(range) instead of the
-        span variant's O(node_count) scan.  Callers that already know
-        the range (e.g. the region cache, whose key *is* the range)
-        should use it.
+        span variant's O(node_count) scan.  The mapping pipeline does
+        not extract subgraphs (a region is a view of one whole-graph
+        linearization); the tests build this subgraph as the reference
+        a region view must equal.
         """
         if not 0 <= first <= last < self.node_count:
             raise GraphError(

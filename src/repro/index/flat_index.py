@@ -62,6 +62,9 @@ from repro.index.minimizer import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graph.genome_graph import GenomeGraph
 
+#: Rows of the probe key derived per step (512 kB of temporaries).
+_KEY_SLICE_ROWS = 1 << 16
+
 
 class IndexWidthError(ValueError):
     """A value does not fit its fixed-width field of the Fig. 6
@@ -141,11 +144,16 @@ class FlatIndex:
         spare = 2 * self.k - self.bucket_bits
         if spare <= 0:
             return hashes
-        # In place: at attach time a temporary per term would triple
-        # the key array's footprint in the process's peak RSS.
-        keys = hashes & np.uint64(self._mask)
-        keys <<= np.uint64(spare)
-        keys |= hashes >> np.uint64(self.bucket_bits)
+        # A slice of rows at a time into the one output array: at
+        # attach time a full-length temporary per term would double or
+        # triple the key array's footprint in the process's peak RSS.
+        keys = np.empty(len(hashes), dtype=np.uint64)
+        for start in range(0, len(hashes), _KEY_SLICE_ROWS):
+            rows = hashes[start:start + _KEY_SLICE_ROWS]
+            out = keys[start:start + _KEY_SLICE_ROWS]
+            np.bitwise_and(rows, np.uint64(self._mask), out=out)
+            out <<= np.uint64(spare)
+            out |= rows >> np.uint64(self.bucket_bits)
         return keys
 
     # ------------------------------------------------------------------

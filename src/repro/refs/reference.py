@@ -30,8 +30,7 @@ while every user-facing coordinate is ``(contig, offset)``:
   candidate region (and therefore no alignment) ever spans two
   contigs;
 * :meth:`ReferenceSet.char_hint` — best-effort contig-local ->
-  global-character translation (exact for variant-free contigs),
-  used by the pair path's mate-window prefetch.
+  global-character translation (exact for variant-free contigs).
 
 A single-contig :class:`ReferenceSet` reproduces the legacy
 single-reference mapper **bit for bit**: the combined graph, the
@@ -396,12 +395,10 @@ class ReferenceSet:
 
         Exact for variant-free linear contigs (backbone == character
         space); with variants the alt nodes shift the character space
-        by at most the total alt length, which is fine for its
-        consumer — the pair path's cache *prefetch*
-        (:meth:`repro.core.pairing.PairedEndMapper.
-        _prefetch_mate_window`), where an approximate span merely
-        warms nearby nodes.  The result is clamped into the contig's
-        character span, so callers cannot reach past a boundary.
+        by at most the total alt length — a hint for locating the
+        neighbourhood of a linear position, not a coordinate.  The
+        result is clamped into the contig's character span, so
+        callers cannot reach past a boundary.
         """
         placed = self._contigs[self._index_of(name)]
         position = placed.char_start + max(0, local_position)

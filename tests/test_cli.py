@@ -156,12 +156,12 @@ class TestMap:
         for stage in ("seed", "filter", "extract", "align", "select"):
             assert stage in out
         assert "seeded" in out
-        assert "hit rate" in out
+        assert "kernel calls" in out
 
     def test_map_pipeline_flags(self, workspace, capsys, tmp_path):
-        """--jobs/--cache-size/--bucket-bits/--chaining/
-        --early-exit-distance all reach the mapper and results stay
-        identical to the default sequential run."""
+        """--jobs/--bucket-bits/--chaining/--early-exit-distance all
+        reach the mapper and results stay identical to the default
+        sequential run."""
         root, *_ = workspace
         code = main([
             "map", "--reference", str(root / "ref.fa"),
@@ -176,8 +176,7 @@ class TestMap:
             "--reads", str(root / "reads.fq"),
             "--output", str(tmp_path / "tuned.gaf"),
             "--error-rate", "0.02",
-            "--jobs", "2", "--cache-size", "32",
-            "--bucket-bits", "12",
+            "--jobs", "2", "--bucket-bits", "12",
         ])
         assert code == 0
         out = capsys.readouterr().out

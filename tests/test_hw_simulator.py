@@ -5,7 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from oracles import dense_linearize as oracle
 
+from repro.core import windows
+from repro.graph.builder import Variant, build_graph
 from repro.graph.genome_graph import GenomeGraph
 from repro.graph.linearize import linearize
 from repro.hw.bitalign_unit import BitAlignCycleModel
@@ -83,7 +86,6 @@ class TestSimulator:
         assert trace.bitvector_bytes_written % 16 == 0
 
     def test_hops_generate_queue_reads(self):
-        from repro.graph.builder import Variant, build_graph
         built = build_graph("ACGTACGTACGTACGTACGTACGT" * 8,
                             [Variant(20, 21, "C"), Variant(50, 53, "")])
         lin = linearize(built.graph)
@@ -93,7 +95,6 @@ class TestSimulator:
         assert trace.hop_queue_reads > 0
 
     def test_hop_queue_capacity_check(self):
-        from repro.graph.builder import Variant, build_graph
         # A 30-base deletion: one hop of length 31, beyond depth 12.
         built = build_graph("A" * 20 + "C" * 30 + "G" * 20,
                             [Variant(20, 50, "")])
@@ -105,6 +106,36 @@ class TestSimulator:
             bitalign=BitAlignUnitConfig(hop_queue_depth=64),
         ))
         assert deep.hop_queue_capacity_ok(lin) == 1.0
+
+    def test_hops_in_window_match_dense_enumeration(self, chain_3kb,
+                                                    monkeypatch):
+        """``WindowEvent.hops_in_window`` comes from the window view's
+        range query; on this file's fixtures it equals the count over
+        the window's dense successor lists."""
+        text, chain = chain_3kb
+        snp = build_graph("ACGTACGTACGTACGTACGTACGT" * 8,
+                          [Variant(20, 21, "C"), Variant(50, 53, "")])
+        deletion = build_graph("A" * 20 + "C" * 30 + "G" * 20,
+                               [Variant(20, 50, "")])
+        count_hops = windows._count_hops
+        seen = []
+
+        def checked(window):
+            seen.append(count_hops(window))
+            assert seen[-1] == oracle.count_hops(window.successors)
+            return seen[-1]
+
+        monkeypatch.setattr(windows, "_count_hops", checked)
+        sim = SeGraMAcceleratorSim()
+        _, trace = sim.run_seed_task(chain, text[200:2_200],
+                                     anchor=(200, 0))
+        assert trace.hop_queue_reads == 0 and set(seen) == {0}
+        for built, span in ((snp, (10, 80)), (deletion, (5, 65))):
+            del seen[:]
+            read = built.backbone_sequence()[span[0]:span[1]]
+            _, trace = sim.run_seed_task(linearize(built.graph), read,
+                                         anchor=(span[0], 0))
+            assert trace.hop_queue_reads > 0 and max(seen) > 0
 
     def test_windowing_config_derived_from_hw(self):
         sim = SeGraMAcceleratorSim()

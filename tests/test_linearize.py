@@ -5,7 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import dense_linearize as oracle
 
+from repro.core.bitalign import _hop_distances
 from repro.graph.builder import Variant, build_graph
 from repro.graph.genome_graph import GenomeGraph, GraphError
 from repro.graph.linearize import (
@@ -115,9 +119,9 @@ class TestSlice:
 
 
 class TestReversed:
-    """``reversed()`` copies the chain-like stretches and rebuilds
-    only what hop sources touch, never sorting; pinned here on
-    hop-bearing graphs, where positions have several predecessors."""
+    """``reversed_view()`` reads the same address range through the
+    predecessor table; pinned here on hop-bearing graphs, where
+    positions have several predecessors."""
 
     @pytest.fixture(params=["bubble", "variants"])
     def lin(self, request):
@@ -130,7 +134,7 @@ class TestReversed:
 
     def test_successors_are_sorted_predecessors(self, lin):
         n = len(lin)
-        rev = lin.reversed()
+        rev = lin.reversed_view()
         assert max(len(s) for s in rev.successors) > 1
         for position, succs in enumerate(rev.successors):
             assert list(succs) == sorted(set(succs))
@@ -160,14 +164,14 @@ class TestReversed:
             for position, succs in enumerate(successors):
                 for succ in succs:
                     expected[n - 1 - succ].append(n - 1 - position)
-            assert lin.reversed().successors == \
+            assert lin.reversed_view().successors == \
                 [tuple(sorted(s)) for s in expected], successors
 
     def test_round_trip(self, lin):
-        rev = lin.reversed()
+        rev = lin.reversed_view()
         assert rev.chars == lin.chars[::-1]
         assert rev.node_ids == lin.node_ids[::-1]
-        assert rev.reversed().successors == lin.successors
+        assert rev.reversed_view().successors == lin.successors
         assert lin.reversed_view() is lin.reversed_view()
 
 
@@ -238,3 +242,105 @@ class TestHopStatistics:
         built = build_graph("ACGTACGTACGT", [Variant(3, 9, "")])
         histogram = hop_length_distribution(built.graph)
         assert max(histogram) == 7
+
+
+# ----------------------------------------------------------------------
+# Sparse views against the dense oracle
+# ----------------------------------------------------------------------
+
+@st.composite
+def sorted_graphs(draw):
+    """A topologically sorted graph with every shape a node end can
+    take: the next node only, the next node plus hops, hops only (its
+    only successors are *not* the next id), or nothing (a dead end);
+    single-base nodes are common."""
+    count = draw(st.integers(1, 9))
+    graph = GenomeGraph()
+    for _ in range(count):
+        graph.add_node(draw(st.text("ACGT", min_size=1, max_size=4)))
+    for node in range(count - 1):
+        shape = draw(st.sampled_from(
+            ["next", "next", "next+hops", "hops", "none"]))
+        if shape in ("next", "next+hops"):
+            graph.add_edge(node, node + 1)
+        if shape in ("next+hops", "hops") and node + 2 < count:
+            for target in draw(st.sets(
+                    st.integers(node + 2, count - 1), min_size=1,
+                    max_size=3)):
+                graph.add_edge(node, target)
+    return graph
+
+
+def _cut(draw, length):
+    start = draw(st.integers(0, length - 1))
+    return start, draw(st.integers(start + 1, length))
+
+
+def _assert_same(sparse: LinearizedGraph, dense: oracle.LinearizedGraph):
+    assert len(sparse) == len(dense)
+    assert sparse.chars == dense.chars
+    assert sparse.successors == dense.successors
+    assert sparse.node_ids == dense.node_ids
+    assert sparse.node_offsets == dense.node_offsets
+    assert sparse.total_hops == dense.total_hops
+    assert sparse.dropped_hops == dense.dropped_hops
+    assert sparse.hop_coverage == dense.hop_coverage
+    assert sparse.hop_limit == dense.hop_limit
+    assert sparse.is_chain() == dense.is_chain()
+    assert _hop_distances(sparse) == \
+        oracle.hop_distances(dense.successors)
+    assert [sparse.node_at(p) for p in range(len(sparse))] == \
+        list(zip(dense.node_ids, dense.node_offsets))
+
+
+class TestSparseMatchesDense:
+    """The hop-sparse graph and every view of it against the dense
+    per-character implementation it replaced (``tests/oracles``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), sorted_graphs(),
+           st.sampled_from([None, 1, 3, 12]))
+    def test_graph_slices_and_reversals(self, data, graph, hop_limit):
+        sparse = linearize(graph, hop_limit=hop_limit)
+        dense = oracle.linearize(graph, hop_limit=hop_limit)
+        _assert_same(sparse, dense)
+        _assert_same(sparse.reversed_view(), dense.reversed())
+
+        a, b = _cut(data.draw, len(dense))
+        view, window = sparse.slice(a, b), dense.slice(a, b)
+        _assert_same(view, window)
+        c, d = _cut(data.draw, b - a)
+        _assert_same(view.slice(c, d), window.slice(c, d))
+
+        rev, mirror = view.reversed_view(), window.reversed()
+        _assert_same(rev, mirror)
+        _assert_same(rev.reversed_view(), window)
+        _assert_same(rev.slice(c, d), mirror.slice(c, d))
+        _assert_same(rev.slice(c, d).reversed_view(),
+                     mirror.slice(c, d).reversed())
+        _assert_same(sparse.reversed_view().slice(a, b),
+                     dense.reversed().slice(a, b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), sorted_graphs())
+    def test_dense_input_form_round_trips(self, data, graph):
+        """The keyword constructor compresses any dense table —
+        here a dense *slice*, whose node offsets do not start at 0 —
+        to the same graph."""
+        dense = oracle.linearize(graph)
+        a, b = _cut(data.draw, len(dense))
+        window = dense.slice(a, b)
+        _assert_same(LinearizedGraph(
+            chars=window.chars, successors=window.successors,
+            node_ids=window.node_ids,
+            node_offsets=window.node_offsets,
+            total_hops=window.total_hops,
+            dropped_hops=window.dropped_hops), window)
+
+    def test_views_share_the_tables(self):
+        lin = linearize(bubble())
+        view = lin.slice(1, 5)
+        assert view._tables is lin._tables \
+            is view.reversed_view()._tables
+        with pytest.raises(GraphError):
+            view.reversed_view().slice(2, 2)

@@ -1,31 +1,38 @@
 """Tests for the staged mapping pipeline engine.
 
 Covers the stage-statistics contract (regions seeded/chained/aligned,
-cache hit rate, per-stage time), the LRU region cache, the None-safe
-strand tie-break helper, and the batch/sequential parity guarantee of
+per-stage time), extraction as views of one whole-graph linearization
+(against the dense extract-and-linearize oracle), the None-safe strand
+tie-break helper, and the batch/sequential parity guarantee of
 ``SeGraM.map_batch``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
 
 import pytest
+from oracles import dense_linearize as oracle
 
+from repro import seq as seqmod
 from repro.api import Mapper
+from repro.core import pipeline as pipeline_module
 from repro.core.mapper import MappingResult, SeGraM, SeGraMConfig
+from repro.core.minseed import Seed, SeedRegion
 from repro.core.pipeline import (
     STAGE_ORDER,
-    CachedRegion,
     PipelineStats,
-    RegionCache,
     best_of,
 )
 from repro.core.windows import WindowingConfig
+from repro.graph.linearize import LinearizedGraph
 from repro.io.gaf import result_to_gaf
+from repro.refs.reference import Contig, ReferenceSet
 from repro.sim.errors import ErrorModel, apply_errors
-from repro.sim.reference import random_reference
+from repro.sim.reference import multi_contig_reference, random_reference
+from repro.sim.variants import VariantProfile, simulate_variants
 
 
 CONFIG = SeGraMConfig(
@@ -110,18 +117,18 @@ class TestPipelineStats:
         assert all({"in", "out", "dropped", "seconds"} <= set(row)
                    for row in rows)
         summary = "\n".join(stats.summary_lines())
-        assert "seeded" in summary and "hit rate" in summary
+        assert "seeded" in summary and "kernel calls" in summary
 
     def test_merge_sums_counters(self):
         a, b = PipelineStats.empty(), PipelineStats.empty()
         a.reads, b.reads = 2, 3
-        a.cache_hits, b.cache_hits = 1, 4
+        a.regions_subsumed, b.regions_subsumed = 1, 4
         a.stage("align").items_in = 5
         b.stage("align").items_in = 7
         b.stage("align").seconds = 0.5
         a.merge(b)
         assert a.reads == 5
-        assert a.cache_hits == 5
+        assert a.regions_subsumed == 5
         assert a.stage("align").items_in == 12
         assert a.stage("align").seconds == pytest.approx(0.5)
 
@@ -138,27 +145,14 @@ class TestPipelineStats:
 
 
 class TestRegionCache:
-    def test_repeat_read_hits_cache(self, workload):
-        reference, _ = workload
-        mapper = _fresh_mapper(reference)
-        read = reference[6_000:6_400]
-        first = mapper.map_read(read, "dup")
-        stats = mapper.pipeline.stats
-        # Node-range keys: even one read's overlapping seed regions
-        # share entries, so the first pass may already hit.
-        hits_after_first = stats.cache_hits
-        misses_after_first = stats.cache_misses
-        assert misses_after_first > 0
-        second = mapper.map_read(read, "dup")
-        # The duplicate read re-derives only warm node ranges.
-        assert stats.cache_hits > hits_after_first
-        assert stats.cache_misses == misses_after_first
-        assert stats.cache_hit_rate > 0.0
-        assert _result_key(first) == _result_key(second)
+    """There is no region cache any more: a region is a view of the
+    pipeline's one linearization.  What is left under this name pins
+    the node-range rule the views are cut by, and the leftovers the
+    perf spine still binds (``region_cache_size``, four counters)."""
 
     def test_extract_node_range_matches_extract_region(self, workload):
-        """The O(range) miss path derives the identical subgraph to
-        the span-scan extraction for the range the key names."""
+        """The node range a span selects names the identical subgraph
+        to the span-scan extraction."""
         reference, _ = workload
         mapper = _fresh_mapper(reference)
         graph = mapper.graph
@@ -179,53 +173,182 @@ class TestRegionCache:
             assert sorted(by_span.edges()) == sorted(by_range.edges())
 
     def test_node_range_key_shares_entries_across_spans(self, workload):
-        """Two different spans selecting the same nodes share one
-        cache entry (the pair-aware key: a mate an insert-length away
-        usually lands in the same node range)."""
+        """Two different spans selecting the same nodes extract the
+        same address range; only the seed anchor differs."""
         reference, _ = workload
-        mapper = _fresh_mapper(reference)
-        pipe = mapper.pipeline
+        pipe = _fresh_mapper(reference).pipeline
         lo, hi = pipe.node_range(6_000, 6_400)
         assert (lo, hi) == pipe.node_range(6_010, 6_390)
-        mapper.map_read(reference[6_000:6_400], "left")
-        misses = pipe.stats.cache_misses
-        # A nearby (mate-like) read within the same nodes: all hits.
-        mapper.map_read(reference[6_050:6_450], "right")
-        assert pipe.stats.cache_misses == misses
-        assert pipe.stats.cache_hits > 0
+
+        def extract(start, end, seed_at):
+            node = pipe.node_range(seed_at, seed_at + 1)[0]
+            seed = Seed(read_start=3, read_end=17, node_id=node,
+                        node_offset=seed_at - pipe.node_bounds[node],
+                        graph_start=seed_at, graph_end=seed_at + 14,
+                        minimizer_hash=0)
+            return pipe.extract_stage.run(
+                0, SeedRegion(seed=seed, start=start, end=end), pipe)
+
+        left = extract(6_000, 6_400, 6_100)
+        right = extract(6_010, 6_390, 6_150)
+        assert (left.first_node, left.last_node, left.start) == \
+            (right.first_node, right.last_node, right.start) == \
+            (lo, hi, pipe.node_bounds[lo])
+        assert left.lin.chars == right.lin.chars == \
+            reference[left.start:pipe.node_bounds[hi + 1]]
+        assert left.anchor == (6_100 - left.start, 3)
+        assert right.anchor == (6_150 - left.start, 3)
+        assert pipe.stats.stage("extract").items_out == 2
 
     def test_cache_disabled(self, workload):
+        """``region_cache_size`` is accepted and ignored, and the four
+        cache counters are never written."""
         reference, _ = workload
-        mapper = _fresh_mapper(reference, region_cache_size=0)
         read = reference[6_000:6_400]
-        mapper.map_read(read, "dup")
-        mapper.map_read(read, "dup")
-        assert mapper.pipeline.stats.cache_hits == 0
-        assert len(mapper.pipeline.cache) == 0
+        mapper = _fresh_mapper(reference, region_cache_size=0)
+        first = mapper.map_read(read, "dup")
+        assert _result_key(mapper.map_read(read, "dup")) == \
+            _result_key(first) == \
+            _result_key(_fresh_mapper(reference).map_read(read, "dup"))
+        stats = mapper.pipeline.stats
+        assert stats.regions_aligned > 0
+        assert (stats.cache_hits, stats.cache_misses,
+                stats.pair_cache_hits, stats.pair_cache_misses) == \
+            (0, 0, 0, 0)
 
-    def test_lru_eviction(self):
-        cache = RegionCache(capacity=2)
-        entries = {k: CachedRegion(lin=None, original_ids=[],
-                                   offsets=[]) for k in "abc"}
-        cache.store(("a",), entries["a"])
-        cache.store(("b",), entries["b"])
-        assert cache.lookup(("a",)) is entries["a"]  # refresh "a"
-        cache.store(("c",), entries["c"])            # evicts "b"
-        assert cache.lookup(("b",)) is None
-        assert cache.lookup(("a",)) is entries["a"]
-        assert cache.lookup(("c",)) is entries["c"]
-        assert len(cache) == 2
 
-    def test_zero_capacity_stores_nothing(self):
-        cache = RegionCache(capacity=0)
-        cache.store(("a",), CachedRegion(lin=None, original_ids=[],
-                                         offsets=[]))
-        assert len(cache) == 0
-        assert cache.lookup(("a",)) is None
+def _variant_contigs():
+    """Two variant-graph contigs (SNPs, indels, a few SVs; 64-base
+    backbone nodes) — regions here carry hops, several successors per
+    node end and dead ends at the contig boundary."""
+    rng = random.Random(0x5E6)
+    profile = VariantProfile(snp_rate=0.01, insertion_rate=0.003,
+                             deletion_rate=0.003, sv_rate=0.0005,
+                             sv_min=20, sv_max=60)
+    contigs = []
+    for name, sequence in multi_contig_reference([6_000, 4_000], rng):
+        contigs.append(Contig.linear(
+            name, sequence, simulate_variants(sequence, rng, profile)))
+    return ReferenceSet(contigs, max_node_length=64)
 
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            RegionCache(capacity=-1)
+
+def _view_fixture(kind: str):
+    """``(mapper, reads, pairs)`` over a multi-contig variant graph or
+    a chunked linear reference."""
+    rng = random.Random(0xA11)
+    config = dataclasses.replace(CONFIG, both_strands=True,
+                                 hop_limit=12 if kind == "graph" else None)
+    if kind == "graph":
+        refs = _variant_contigs()
+        mapper = Mapper(refs, config=config)
+        backbone = refs.backbone(refs.names[0])
+    else:
+        backbone = random_reference(12_000, rng)
+        mapper = Mapper(backbone, name="chr1", config=config,
+                        max_node_length=1_000)
+    reads = _noisy_reads(backbone, 8, rng, length=260)
+    reads[1::2] = [(name, seqmod.reverse_complement(sequence))
+                   for name, sequence in reads[1::2]]
+    pairs = []
+    for index in range(4):
+        start = rng.randrange(0, len(backbone) - 400)
+        pairs.append((f"pair{index}", backbone[start:start + 100],
+                      seqmod.reverse_complement(
+                          backbone[start + 250:start + 350])))
+    return mapper, reads, pairs
+
+
+class TestRegionViews:
+    """Extraction is an address range: every region the align stage
+    extracts is a view of the one whole-graph linearization, equal to
+    the dense extract-subgraph-then-linearize it replaced."""
+
+    @pytest.mark.parametrize("kind", ["graph", "linear"])
+    def test_views_match_dense_extraction(self, kind, monkeypatch):
+        mapper, reads, _ = _view_fixture(kind)
+        pipe = mapper.engine.pipeline
+        extracted, aligned = [], []
+        extract, align = pipe.extract_stage.run, pipe.aligner.align
+
+        def spy_extract(*args):
+            extracted.append(extract(*args))
+            return extracted[-1]
+
+        def spy_align(lin, read, anchor, **kwargs):
+            aligned.append((read, align(lin, read, anchor, **kwargs)))
+            return aligned[-1][1]
+
+        monkeypatch.setattr(pipe.extract_stage, "run", spy_extract)
+        monkeypatch.setattr(pipe.aligner, "align", spy_align)
+        records = mapper.map_batch(reads)
+        assert sum(record.mapped for record in records) >= len(reads) - 1
+        assert len(extracted) == len(aligned) >= len(reads)
+        graph = mapper.graph
+        hop_limit = mapper.engine.config.hop_limit
+        hop_sources = 0
+        for region, (read, alignment) in zip(extracted, aligned):
+            subgraph, ids = graph.extract_node_range(region.first_node,
+                                                     region.last_node)
+            dense = oracle.linearize(subgraph, hop_limit=hop_limit)
+            view = region.lin
+            assert view.chars == dense.chars
+            assert view.successors == dense.successors
+            assert view.node_ids == [ids[n] for n in dense.node_ids]
+            assert view.node_offsets == dense.node_offsets
+            seed = region.region.seed
+            assert region.anchor == (
+                subgraph.offsets()[ids.index(seed.node_id)]
+                + seed.node_offset, seed.read_start)
+            assert region.start == graph.offsets()[region.first_node]
+            # The dense content as a graph of its own (no view, no
+            # shared tables) aligns to the same WindowedAlignment.
+            assert align(LinearizedGraph(
+                dense.chars, dense.successors, dense.node_ids,
+                dense.node_offsets, hop_limit=dense.hop_limit),
+                read, region.anchor) == alignment
+            hop_sources += len(view.hop_sources()) - 1
+        assert (hop_sources > 0) == (kind == "graph")
+
+    @pytest.mark.parametrize("kind", ["graph", "linear"])
+    def test_linearize_called_once_per_pipeline(self, kind, monkeypatch):
+        """One linearization serves ``map_batch`` and ``map_pairs`` at
+        every ``jobs``: built by the first mapping call, in the
+        calling process, before any fork."""
+        mapper, reads, pairs = _view_fixture(kind)
+        parent = os.getpid()
+        calls = []
+
+        def counting(graph, hop_limit=None):
+            assert os.getpid() == parent, "linearized in a worker"
+            calls.append(graph)
+            return real(graph, hop_limit=hop_limit)
+
+        real = pipeline_module.linearize
+        monkeypatch.setattr(pipeline_module, "linearize", counting)
+        assert mapper.engine.pipeline._linearization is None
+        expected = mapper.map_batch(reads, jobs=2)
+        assert calls == [mapper.graph]
+        assert mapper.map_batch(reads, jobs=1) == expected
+        paired = mapper.map_pairs(pairs, jobs=1)
+        assert mapper.map_pairs(pairs, jobs=2) == paired
+        assert all(record.mapped for mates in paired for record in mates)
+        assert calls == [mapper.graph]
+
+    def test_hot_path_never_builds_dense_lists(self, monkeypatch):
+        """The per-position lists are derived for oracles only: a
+        mapping run passes with them patched to raise."""
+        mapper, reads, pairs = _view_fixture("graph")
+        expected = mapper.map_batch(reads), mapper.map_pairs(pairs)
+
+        def dense(self):
+            raise AssertionError("dense list built on the hot path")
+
+        for name in ("successors", "node_ids", "node_offsets"):
+            monkeypatch.setattr(LinearizedGraph, name, property(dense))
+        fresh, _, _ = _view_fixture("graph")
+        assert (fresh.map_batch(reads), fresh.map_pairs(pairs)) == expected
+        with pytest.raises(AssertionError):
+            fresh.engine.pipeline.linearization().successors
 
 
 def _mapped(strand: str, distance: int | None) -> MappingResult:
@@ -270,8 +393,8 @@ class TestBestOf:
 
 class TestBatchParity:
     """`map_batch(reads, jobs=N)` must be bit-for-bit identical to a
-    sequential `map_read` loop for every N, with and without the
-    region cache."""
+    sequential `map_read` loop for every N, whatever the ignored
+    ``region_cache_size`` says."""
 
     @pytest.fixture(scope="class")
     def sequential(self, workload):
@@ -356,8 +479,7 @@ def _counter_key(stats: PipelineStats):
     return (
         stats.reads, stats.reads_mapped, stats.regions_seeded,
         stats.regions_chained, stats.regions_subsumed,
-        stats.regions_aligned, stats.cache_hits, stats.cache_misses, stats.windows,
-        stats.rescues,
+        stats.regions_aligned, stats.windows, stats.rescues,
         tuple((name, s.items_in, s.items_out, s.dropped)
               for name, s in stats.stages.items()),
     )
@@ -407,9 +529,7 @@ class TestGroupWidthIndependence:
         """Rotating the batch puts every read at a new position (the
         first read first, in the middle, last).  Records carry the
         whole ``MappingResult`` — placement, CIGAR, candidates,
-        ``regions_aligned``, ``windows``, ``rescues`` — plus MAPQ.
-        Cache hit/miss counters depend on position by nature and are
-        not compared."""
+        ``regions_aligned``, ``windows``, ``rescues`` — plus MAPQ."""
         reference, _ = workload
         config = dataclasses.replace(CONFIG, both_strands=True)
         artifact = Mapper(reference, name="chr1", config=config,

@@ -32,7 +32,6 @@ from repro.core.mapper import MappingResult, SeGraM, SeGraMConfig
 from repro.core.pipeline import (
     AlignStage,
     ChainFilterStage,
-    PreparedRegion,
     ReadTask,
     SeedStage,
     SelectStage,
@@ -77,19 +76,11 @@ def oracle_map(mapper: SeGraM, name: str, read: str) -> MappingResult:
         seeded = ChainFilterStage().run(seeded, pipe)
         found = []
         for index, region in enumerate(seeded.regions):
-            lo, hi = pipe.node_range(region.start, region.end)
-            entry = pipe.build_region_entry(lo, hi)
-            local = entry.original_ids.index(region.seed.node_id)
-            anchor = (entry.offsets[local] + region.seed.node_offset,
-                      region.seed.read_start)
-            aligned = mapper.aligner.align(entry.lin, sequence, anchor)
-            found.append(AlignStage._candidate(
-                aligned,
-                PreparedRegion(index=index, region=region,
-                               lin=entry.lin,
-                               original_ids=entry.original_ids,
-                               anchor=anchor),
-                strand, pipe))
+            prepared = pipe.extract_stage.run(index, region, pipe)
+            aligned = mapper.aligner.align(prepared.lin, sequence,
+                                           prepared.anchor)
+            found.append(AlignStage._candidate(aligned, prepared,
+                                               strand, pipe))
             if config.early_exit_distance is not None \
                     and aligned.distance <= config.early_exit_distance:
                 break
