@@ -17,6 +17,7 @@ the test suite leans on this heavily.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -175,6 +176,11 @@ TIE_MAPQ = 3
 #: saturate the scale at ``MAX_MAPQ``.
 MAPQ_PER_GAP_EDIT = 12
 
+#: Best/second-best gap from which ``MAPQ_PER_GAP_EDIT * gap`` reaches
+#: every identity ceiling, so the runner-up no longer lowers MAPQ —
+#: and the align stage may abandon a region that far behind.
+MAPQ_SATURATION_GAP = math.ceil(MAX_MAPQ / MAPQ_PER_GAP_EDIT)
+
 
 def mapq_from_identity(identity: float | None,
                        proper_pair: bool = False) -> int:
@@ -211,7 +217,9 @@ def mapq_from_candidates(identity: float | None,
       at :data:`TIE_MAPQ` (0-3: the reported locus is a guess);
     * otherwise MAPQ grows :data:`MAPQ_PER_GAP_EDIT` per edit of gap,
       still capped by the identity ceiling (a unique-but-terrible
-      alignment is not a confident one).
+      alignment is not a confident one) — so a runner-up
+      :data:`MAPQ_SATURATION_GAP` or more edits behind is
+      indistinguishable from none.
 
     ``proper_pair`` adds :data:`PROPER_PAIR_MAPQ_BONUS` before the
     final clamp to ``[0, MAX_MAPQ]``.  Unmapped (``None`` identity or

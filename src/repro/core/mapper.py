@@ -206,8 +206,8 @@ class MappingResult:
             (None for single-reference mappers).
         strand: '+' or '-' (reverse-complement mapping).
         seeding: MinSeed statistics for this read.
-        regions_aligned: candidate regions BitAlign actually processed
-            — the kept regions minus those an earlier alignment of
+        regions_aligned: candidate regions BitAlign processed, even if
+            abandoned — the kept regions minus those an earlier alignment of
             the same orientation subsumed (counted in
             ``PipelineStats.regions_subsumed``) and those past an
             ``early_exit_distance`` exit.

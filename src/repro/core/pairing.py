@@ -443,8 +443,8 @@ class PairedEndMapper:
         the insert-size model supports without any rescue alignment.
         """
         pipeline = self.mapper.pipeline
-        best1 = pipeline.map_seeded(*seeded1)
-        best2 = pipeline.map_seeded(*seeded2)
+        best1 = pipeline.map_seeded(*seeded1, bounded=False)
+        best2 = pipeline.map_seeded(*seeded2, bounded=False)
 
         combos: list[_Combo] = []
         for c1 in self._candidate_results(best1):

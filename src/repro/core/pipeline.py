@@ -42,6 +42,14 @@ This deviates from Section 11.4 in software only; the hardware models
 of :mod:`repro.hw` call the aligner directly and keep the paper's
 align-every-seed accounting.
 
+**A region that cannot win stops aligning.**  A runner-up
+:data:`~repro.core.alignment.MAPQ_SATURATION_GAP` (5) edits behind
+the best changes no MAPQ, and single-end output shows only the best
+placement, so once a read has a completed alignment a region is
+abandoned as soon as its committed edits exceed ``best + 4``
+(:meth:`AlignStage.run`).  The better-seeded orientation goes first,
+to set that budget early.  Pairs are not budgeted.
+
 **Extraction is an address range.**  In SeGraM a seed's candidate
 region is a range of addresses into the topologically sorted node /
 character / edge tables (paper Section 5, Fig. 5) — nothing is copied
@@ -78,7 +86,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro import seq as seqmod
-from repro.core.alignment import READ_CONSUMING, REF_CONSUMING
+from repro.core.alignment import MAPQ_SATURATION_GAP, READ_CONSUMING, \
+    REF_CONSUMING
 from repro.core.chaining import chain_regions
 from repro.core.minseed import SeedRegion, SeedingStats
 from repro.graph.linearize import LinearizedGraph, linearize
@@ -151,6 +160,9 @@ class PipelineStats:
     #: + regions_aligned``; with it the remainder left with the exit.
     regions_subsumed: int = 0
     regions_aligned: int = 0
+    #: Aligned regions given up once they provably cannot matter
+    #: (:meth:`AlignStage.run`); counted in ``regions_aligned`` too.
+    regions_abandoned: int = 0
     #: Never written — there is no region cache.  Deleted with ROADMAP
     #: item 1, whose benchmark PR stops ``run.py`` indexing these four.
     cache_hits: int = 0
@@ -193,6 +205,7 @@ class PipelineStats:
         self.regions_chained += other.regions_chained
         self.regions_subsumed += other.regions_subsumed
         self.regions_aligned += other.regions_aligned
+        self.regions_abandoned += other.regions_abandoned
         self.windows += other.windows
         self.rescues += other.rescues
         self.align_calls += other.align_calls
@@ -223,7 +236,8 @@ class PipelineStats:
             f"regions: {self.regions_seeded} seeded -> "
             f"{self.regions_chained} kept -> "
             f"{self.regions_subsumed} subsumed -> "
-            f"{self.regions_aligned} aligned",
+            f"{self.regions_aligned} aligned "
+            f"({self.regions_abandoned} abandoned)",
             f"alignment work: {self.windows} windows, "
             f"{self.rescues} rescues, {self.align_calls} kernel "
             f"calls (backend: {self.backend})",
@@ -399,8 +413,8 @@ class AlignStage:
 
     name = "align"
 
-    def run(self, seeded: SeededRead,
-            pipe: "MappingPipeline") -> "MappingResult":
+    def run(self, seeded: SeededRead, pipe: "MappingPipeline",
+            best: float | None = None) -> "MappingResult":
         """Align the regions of one oriented read, in filter order.
 
         Each region that no earlier alignment subsumed is extracted
@@ -408,6 +422,13 @@ class AlignStage:
         makes redundant (:meth:`_mark_subsumed`).  With
         ``early_exit_distance`` the walk stops at the first region
         that aligns at or below the threshold.
+
+        ``best`` is the lowest distance a completed alignment of this
+        read has, either orientation (``math.inf`` before the first;
+        None: no budget).  A region is abandoned — no candidate — once
+        its committed edits exceed ``best + MAPQ_SATURATION_GAP - 1``
+        and the exit threshold: it would finish the saturation gap
+        behind, so it can neither win nor lower MAPQ.
         """
         from repro.core.mapper import MappingResult
 
@@ -416,34 +437,41 @@ class AlignStage:
         exit_distance = pipe.config.early_exit_distance
         subsumed: set[int] = set()
         found: "list[AlignmentCandidate]" = []
+        aligned_count = 0
         for index, seed_region in enumerate(seeded.regions):
             if index in subsumed:
                 pipe.stats.regions_subsumed += 1
                 continue
             region = pipe.extract_stage.run(index, seed_region, pipe)
+            budget = None if best is None else max(
+                best + MAPQ_SATURATION_GAP - 1, exit_distance or 0)
             with _timed(stats):
                 aligned = pipe.aligner.align(
                     region.lin, task.sequence, region.anchor,
-                    counters=pipe.stats)
+                    counters=pipe.stats, budget=budget)
             stats.items_out += 1
             pipe.stats.regions_aligned += 1
-            pipe.stats.windows += aligned.windows
-            pipe.stats.rescues += aligned.rescues
-            found.append(self._candidate(aligned, region, task.strand,
-                                         pipe))
-            if exit_distance is not None \
-                    and aligned.distance <= exit_distance:
-                break
+            aligned_count += 1
+            if aligned.abandoned:
+                pipe.stats.regions_abandoned += 1
+            else:
+                if best is not None:
+                    best = min(best, aligned.distance)
+                found.append(self._candidate(aligned, region,
+                                             task.strand, pipe))
+                if exit_distance is not None \
+                        and aligned.distance <= exit_distance:
+                    break
             with _timed(stats):
                 self._mark_subsumed(aligned, region, seeded.regions,
                                     subsumed, pipe)
         result = MappingResult(
             read_name=task.name, read_length=len(task.sequence),
             mapped=False, strand=task.strand, seeding=seeded.stats,
-            regions_aligned=len(found),
+            regions_aligned=aligned_count,
         )
         stats.items_in += len(seeded.regions)
-        stats.dropped += len(seeded.regions) - len(found)
+        stats.dropped += len(seeded.regions) - aligned_count
         commit_candidates(result, found, pipe.config.top_n_alignments)
         return result
 
@@ -467,14 +495,16 @@ class AlignStage:
 
         A repeat copy, tandem or dispersed, matches the seed's read
         position to a *different* graph character and stays.  The walk
-        is over CIGAR runs, then one bisect per later seed.
+        is over CIGAR runs, then one bisect per later seed.  An
+        abandoned alignment's operations are final, so what they mark
+        the finished alignment would mark too.
         """
         later = regions[region.index + 1:]
         if not later:
             return
         run_starts: list[int] = []
         runs: list[tuple[int, int]] = []
-        read_at = path_at = 0
+        read_at, path_at = aligned.read_start, 0
         for op, length in aligned.cigar.ops:
             if op == "=":
                 run_starts.append(read_at)
@@ -788,17 +818,25 @@ class MappingPipeline:
             else ((forward, None) for forward in seeded)
 
     def map_seeded(self, forward: SeededRead,
-                   reverse: "SeededRead | None") -> "MappingResult":
-        """Stages 2-5 for one seeded read."""
-        return self.select.run(
-            self._align(forward),
-            self._align(reverse) if reverse is not None else None,
-            self)
+                   reverse: "SeededRead | None",
+                   bounded: bool = True) -> "MappingResult":
+        """Stages 2-5 for one seeded read.
 
-    def _align(self, seeded: SeededRead) -> "MappingResult":
-        """Stages 2-4 for one seeded orientation."""
-        return self.align_stage.run(
-            self.filter_stage.run(seeded, self), self)
+        The orientation with more seeded regions is aligned first
+        (forward on ties); with ``bounded`` its best distance starts
+        the other's budget (:meth:`AlignStage.run`).  Selection does
+        not depend on the order.  Mates are mapped unbounded: a proper
+        pair outranks a better score, so any mate candidate can win.
+        """
+        best = math.inf if bounded else None
+        results = {}
+        oriented = [s for s in (forward, reverse) if s is not None]
+        for seeded in sorted(oriented, key=lambda s: -len(s.regions)):
+            results[seeded.task.strand] = result = self.align_stage.run(
+                self.filter_stage.run(seeded, self), self, best)
+            if best is not None and result.mapped:
+                best = min(best, result.distance)
+        return self.select.run(results["+"], results.get("-"), self)
 
 
 # ----------------------------------------------------------------------

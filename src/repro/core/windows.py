@@ -28,6 +28,8 @@ walk through the graph.  Windows that fail at the configured error
 threshold are rescued by doubling ``k`` (up to the chunk length, where
 an alignment always exists); the rescue count is reported so callers
 can see when a read is far noisier than the configuration assumes.
+Committed operations are final, so an edit ``budget`` can stop an
+alignment as soon as its committed edits exceed it.
 
 **One kernel per window.**  Every window — chain or hop-bearing, first
 attempt or rescue — is one call of :func:`repro.core.bitalign.bitalign`,
@@ -133,6 +135,11 @@ class WindowedAlignment:
     windows: int = 0
     rescues: int = 0
     dead_end_insertions: int = 0
+    #: Read position of the first operation (0 unless abandoned).
+    read_start: int = 0
+    #: The edit budget ran out (:meth:`WindowedAligner.align`): only
+    #: the committed operations, whose edits exceed the budget.
+    abandoned: bool = False
 
     @property
     def start(self) -> int:
@@ -159,6 +166,7 @@ class _Extension:
 
     ops: list[str]
     path: list[int]
+    edits: int = 0
     windows: int = 0
     rescues: int = 0
     dead_end_insertions: int = 0
@@ -197,6 +205,7 @@ class WindowedAligner:
         anchor: tuple[int, int] | None = None,
         observer: WindowObserver | None = None,
         counters=None,
+        budget: float | None = None,
     ) -> WindowedAlignment:
         """Windowed fitting alignment of ``read`` against ``lin``.
 
@@ -209,16 +218,25 @@ class WindowedAligner:
                 position ``graph_position``.  With an anchor the
                 aligner extends left and right from it; without one the
                 first window searches all start positions.
-            counters: optional stats object whose ``align_calls`` is
-                charged one per kernel call, i.e. per window attempt
-                (see :class:`repro.core.pipeline.PipelineStats`).
+            counters: optional stats object charged per kernel call
+                (``align_calls``), window and rescue (see
+                :class:`repro.core.pipeline.PipelineStats`).
+            budget: optional edit budget.  Once the committed edits
+                exceed it no window runs and the result is
+                ``abandoned``: only the committed operations, from
+                read position ``read_start`` on.  Committed operations
+                are final, so that happens exactly when the unbounded
+                distance exceeds ``budget``; otherwise the result is
+                the unbounded alignment.  The left extension gets what
+                the right one left over.
 
         The reported distance is the edit distance of the *reported*
         alignment (replay-exact); like GenASM's, the heuristic may
         exceed the global optimum when an error cluster straddles a
         window cut.
         """
-        return self._align_item(lin, read, anchor, observer, counters)
+        return self._align_item(lin, read, anchor, observer, counters,
+                                math.inf if budget is None else budget)
 
     def align_many(
         self,
@@ -233,16 +251,17 @@ class WindowedAligner:
         (:func:`repro.core.bitalign.bitalign`), so a result depends on
         nothing but its own item.
         """
-        return [self._align_item(lin, read, anchor, observer, counters)
+        return [self._align_item(lin, read, anchor, observer, counters,
+                                 math.inf)
                 for lin, read, anchor in items]
 
     def _align_item(self, lin: LinearizedGraph, read: str,
                     anchor: tuple[int, int] | None,
                     observer: WindowObserver | None,
-                    counters) -> WindowedAlignment:
+                    counters, budget: float) -> WindowedAlignment:
         """One item: the right extension from the anchor (the whole
         read when un-anchored), then the left extension on the
-        reversed view, merged.
+        reversed view with the budget the right one left, merged.
 
         Shared by :meth:`align` and :meth:`align_many` instead of one
         calling the other: the perf spine times both public methods as
@@ -265,10 +284,11 @@ class WindowedAligner:
                 )
             anchors = [anchor_pos]
         right = self._extend(lin, read[anchor_read:], anchors,
-                             observer, counters)
+                             observer, counters, budget)
         parts = [right]
         ops, path = right.ops, right.path
-        if anchor_read > 0:
+        read_start = anchor_read
+        if anchor_read > 0 and right.edits <= budget:
             rev = lin.reversed_view()
             n = len(lin)
             # In reversed coordinates the left extension starts at
@@ -277,8 +297,9 @@ class WindowedAligner:
             left = self._extend(
                 rev, read[:anchor_read][::-1],
                 list(rev.successors_of(n - 1 - anchor_pos)),
-                observer, counters)
+                observer, counters, budget - right.edits)
             parts.append(left)
+            read_start -= len(left.ops) - left.ops.count("D")
             ops = list(reversed(left.ops)) + ops
             path = [n - 1 - p for p in reversed(left.path)] + path
         cigar = Cigar.from_ops(ops)
@@ -291,6 +312,8 @@ class WindowedAligner:
             rescues=sum(part.rescues for part in parts),
             dead_end_insertions=sum(part.dead_end_insertions
                                     for part in parts),
+            read_start=read_start,
+            abandoned=cigar.edit_distance > budget,
         )
 
     def _extend(
@@ -300,6 +323,7 @@ class WindowedAligner:
         anchors: list[int] | None,
         observer: WindowObserver | None,
         counters,
+        budget: float,
     ) -> _Extension:
         """Forward windowing loop: one :func:`~repro.core.bitalign.
         bitalign` call per window attempt, each charged to
@@ -307,7 +331,8 @@ class WindowedAligner:
 
         ``anchors`` restricts the allowed start positions of the first
         window (None = search every position of the whole region, the
-        un-anchored fitting mode).
+        un-anchored fitting mode).  It stops once the committed edits
+        exceed ``budget``.
         """
         extension = _Extension(ops=[], path=[])
         w = self.config.window_size
@@ -316,20 +341,16 @@ class WindowedAligner:
         base = 0
         first_window = True
 
-        while pos_pat < len(read):
+        while pos_pat < len(read) and extension.edits <= budget:
             chunk = read[pos_pat:pos_pat + w]
             is_final = pos_pat + len(chunk) == len(read)
-            if anchors is not None and not anchors:
+            if anchors is not None:
+                base = min(anchors, default=len(lin))
+            if base >= len(lin):
                 # Dead end with read remaining: only insertions left.
                 remaining = len(read) - pos_pat
                 extension.ops.extend("I" * remaining)
-                extension.dead_end_insertions += remaining
-                break
-            if anchors is not None:
-                base = min(anchors)
-            if base >= len(lin):
-                remaining = len(read) - pos_pat
-                extension.ops.extend("I" * remaining)
+                extension.edits += remaining
                 extension.dead_end_insertions += remaining
                 break
 
@@ -385,6 +406,8 @@ class WindowedAligner:
                 if committed_read >= commit_target:
                     break
                 extension.ops.append(op)
+                if op != "=":
+                    extension.edits += 1
                 if op in "=XD":
                     last_consumed = result.path[path_cursor] + base
                     extension.path.append(last_consumed)
@@ -404,6 +427,9 @@ class WindowedAligner:
                 anchors = list(lin.successors_of(last_consumed))
             # else: nothing consumed (pure insertions) — anchors stay.
 
+        if counters is not None:
+            counters.windows += extension.windows
+            counters.rescues += extension.rescues
         return extension
 
     def window_count(self, read_length: int) -> int:

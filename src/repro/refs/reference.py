@@ -28,9 +28,7 @@ while every user-facing coordinate is ``(contig, offset)``:
   half-open interval of the global character space, used by MinSeed
   to clamp seed-extension regions at contig boundaries so no
   candidate region (and therefore no alignment) ever spans two
-  contigs;
-* :meth:`ReferenceSet.char_hint` — best-effort contig-local ->
-  global-character translation (exact for variant-free contigs).
+  contigs.
 
 A single-contig :class:`ReferenceSet` reproduces the legacy
 single-reference mapper **bit for bit**: the combined graph, the
@@ -389,20 +387,6 @@ class ReferenceSet:
         local = placed.ref_positions[node_id - placed.node_base] \
             + node_offset
         return placed.contig.name, local
-
-    def char_hint(self, name: str, local_position: int) -> int:
-        """Best-effort contig-local -> global character translation.
-
-        Exact for variant-free linear contigs (backbone == character
-        space); with variants the alt nodes shift the character space
-        by at most the total alt length — a hint for locating the
-        neighbourhood of a linear position, not a coordinate.  The
-        result is clamped into the contig's character span, so
-        callers cannot reach past a boundary.
-        """
-        placed = self._contigs[self._index_of(name)]
-        position = placed.char_start + max(0, local_position)
-        return min(position, placed.char_end - 1)
 
     def __repr__(self) -> str:
         return (f"ReferenceSet({len(self)} contigs, "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -38,3 +39,12 @@ def small_built(small_reference, rng):
 @pytest.fixture
 def small_graph(small_built):
     return small_built.graph
+
+
+@pytest.fixture
+def unbounded(monkeypatch):
+    """Lift the align stage's edit budget: with an infinite MAPQ
+    saturation gap every region is aligned to its end — the oracle
+    bounded extension is measured against."""
+    monkeypatch.setattr("repro.core.pipeline.MAPQ_SATURATION_GAP",
+                        math.inf)

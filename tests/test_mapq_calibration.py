@@ -16,8 +16,11 @@ import io
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from repro.core.alignment import Cigar, mapq_from_candidates
+from repro.core.alignment import MAPQ_SATURATION_GAP, Cigar, \
+    mapq_from_candidates
 from repro.core.mapper import MappingResult, SeGraM, SeGraMConfig
 from repro.core.pairing import (
     CATEGORY_BOTH_UNMAPPED,
@@ -85,6 +88,23 @@ class TestMapqFormula:
                                     proper_pair=True) == 60
         assert mapq_from_candidates(1.0, 0, 1,
                                     proper_pair=True) == 17
+
+    @given(identity=st.floats(0.0, 1.0), best=st.integers(0, 5_000),
+           beyond=st.integers(0, 100), proper_pair=st.booleans())
+    @example(identity=1.0, best=0, beyond=0, proper_pair=False)
+    def test_runner_up_past_saturation_gap_equals_none(
+            self, identity, best, beyond, proper_pair):
+        """The lemma bounded extension rests on: a runner-up the
+        saturation gap or more behind cannot change MAPQ."""
+        assert mapq_from_candidates(
+            identity, best, best + MAPQ_SATURATION_GAP + beyond,
+            proper_pair) == mapq_from_candidates(identity, best, None,
+                                                 proper_pair)
+
+    def test_saturation_gap_is_tight(self):
+        assert MAPQ_SATURATION_GAP == 5
+        assert mapq_from_candidates(1.0, 0, MAPQ_SATURATION_GAP - 1) \
+            < mapq_from_candidates(1.0, 0, None)
 
 
 @pytest.fixture(scope="module")

@@ -123,12 +123,15 @@ class TestPipelineStats:
         a, b = PipelineStats.empty(), PipelineStats.empty()
         a.reads, b.reads = 2, 3
         a.regions_subsumed, b.regions_subsumed = 1, 4
+        a.regions_abandoned, b.regions_abandoned = 2, 6
         a.stage("align").items_in = 5
         b.stage("align").items_in = 7
         b.stage("align").seconds = 0.5
         a.merge(b)
         assert a.reads == 5
         assert a.regions_subsumed == 5
+        assert a.regions_abandoned == 8
+        assert "aligned (8 abandoned)" in "\n".join(a.summary_lines())
         assert a.stage("align").items_in == 12
         assert a.stage("align").seconds == pytest.approx(0.5)
 

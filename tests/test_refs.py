@@ -185,12 +185,6 @@ class TestCoordinateTranslation:
         with pytest.raises(ReferenceSetError):
             refs.contig_of_node(refs.graph.node_count)
 
-    def test_char_hint_clamps(self, refs):
-        name = refs.names[1]
-        lo, hi = refs.char_span(name)
-        assert refs.char_hint(name, 0) == lo
-        assert refs.char_hint(name, 10 ** 9) == hi - 1
-
 
 class TestBoundaryClamping:
     """Satellite: no region or alignment may span two contigs."""

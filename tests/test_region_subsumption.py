@@ -162,7 +162,12 @@ KNOWN_EXCEPTIONS: dict[tuple[str, bool], set[str]] = {
 }
 
 
+@pytest.mark.usefixtures("unbounded")
 class TestDifferentialOracle:
+    """The subsumption rule alone against align-every-region; the edit
+    budget is lifted here and measured against this unbounded drive in
+    ``tests/test_bounded_extension.py``."""
+
     @pytest.mark.parametrize("early_exit", [False, True],
                              ids=["all_regions", "early_exit"])
     @pytest.mark.parametrize("kind",
@@ -226,10 +231,12 @@ def _other_base(base: str) -> str:
     return "A" if base != "A" else "C"
 
 
+@pytest.mark.usefixtures("unbounded")
 class TestMustNotFire:
     """Seeds that share everything with an aligned one *except* the
     clause under test must still be aligned, and the result must be
-    the align-every-region oracle's."""
+    the align-every-region oracle's (budget lifted: a copy far enough
+    behind would otherwise be abandoned before it could compete)."""
 
     def test_tandem_copies_on_shifted_diagonals(self):
         """Two 40-base tandem copies under a 100-base read: the

@@ -250,6 +250,114 @@ class TestAnchoredAlignment:
             == result.distance
 
 
+def _is_stretch_of(part, full) -> bool:
+    """Whether ``part``'s operations and path are a contiguous stretch
+    of ``full``'s, starting at read position ``part.read_start``."""
+    ops, whole = part.cigar.expand(), full.cigar.expand()
+    read_at = path_at = 0
+    for index, op in enumerate(whole + " "):
+        if read_at == part.read_start \
+                and whole[index:index + len(ops)] == ops \
+                and full.path[path_at:path_at + len(part.path)] \
+                == part.path:
+            return True
+        read_at += op in "=XI"
+        path_at += op in "=XD"
+    return False
+
+
+class TestBoundedExtension:
+    """``align(budget=b)`` is abandoned exactly when the unbounded
+    distance exceeds ``b``, is otherwise the unbounded alignment
+    itself, and its operations are always a stretch of it."""
+
+    @staticmethod
+    def _case(seed: int):
+        """A chain or variant graph and a noisy multi-window read,
+        anchored mid-read by an exact 12-mer when one exists."""
+        rng = random.Random(seed)
+        text = random_reference(rng.randint(300, 700), rng)
+        if rng.random() < 0.5:
+            lin = chain(text)
+        else:
+            variants = simulate_variants(text, rng, VariantProfile(
+                snp_rate=0.02, insertion_rate=0.01, deletion_rate=0.01,
+                sv_rate=0.0, small_indel_max=4))
+            lin = linearize(build_graph(text, variants).graph)
+        start = rng.randint(0, 100)
+        read, _ = apply_errors(text[start:start + rng.randint(80, 240)],
+                               ErrorModel.pacbio(rng.choice((0.04, 0.1))),
+                               rng)
+        anchor = next(
+            ((lin.chars.find(read[offset:offset + 12]), offset)
+             for offset in range(len(read) // 3, len(read) - 12)
+             if read[offset:offset + 12] in lin.chars), None)
+        return lin, read, anchor
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=1_000_000))
+    def test_budget_is_exact(self, seed):
+        from repro.core.pipeline import PipelineStats
+
+        lin, read, anchor = self._case(seed)
+        # Small windows and k: many windows, and rescues on bursts.
+        aligner = WindowedAligner(WindowingConfig(window_size=32,
+                                                  overlap=12, k=4))
+        free = PipelineStats()
+        full = aligner.align(lin, read, anchor, counters=free)
+        assert not full.abandoned and full.read_start == 0
+        distance = full.distance
+        for budget in sorted({0, 1, distance // 2, distance - 1,
+                              distance, distance + 1, distance + 5}):
+            if budget < 0:
+                continue
+            bounded, events = PipelineStats(), []
+            result = aligner.align(lin, read, anchor, events.append,
+                                   counters=bounded, budget=budget)
+            assert result.abandoned == (distance > budget)
+            if not result.abandoned:
+                assert result == full
+            else:
+                assert budget < result.distance <= distance
+                assert _is_stretch_of(result, full)
+                # It stopped at the first window that took it over:
+                # the ops before that window's are within budget.
+                # The last window ran in the left extension when any
+                # ran (its ops lead the CIGAR), else in the right one.
+                ops, last = result.cigar.expand(), events[-1]
+                before = ops[last.ops_committed:] \
+                    if result.read_start < (anchor or (0, 0))[1] \
+                    else ops[:-last.ops_committed]
+                if not result.dead_end_insertions:
+                    assert sum(op != "=" for op in before) <= budget
+            assert bounded.align_calls <= free.align_calls
+            assert bounded.windows <= free.windows
+            assert bounded.rescues <= free.rescues
+
+    def test_cases_cover_both_extensions_and_rescues(self):
+        """The generator reaches what the property needs: anchors with
+        edits on both sides, and rescued windows."""
+        aligner = WindowedAligner(WindowingConfig(window_size=32,
+                                                  overlap=12, k=4))
+        both_sides = rescued = 0
+        for seed in range(40):
+            lin, read, anchor = self._case(seed)
+            full = aligner.align(lin, read, anchor)
+            rescued += full.rescues > 0
+            if anchor is None:
+                continue
+            # The left extension's ops come first and consume exactly
+            # the read before the anchor.
+            consumed = left_edits = 0
+            for op in full.cigar.expand():
+                if consumed == anchor[1]:
+                    break
+                left_edits += op != "="
+                consumed += op in "=XI"
+            both_sides += 0 < left_edits < full.distance
+        assert both_sides >= 5 and rescued >= 5
+
+
 class TestAlignMany:
     """``align_many`` is ``align`` per item: every item's result is
     that of ``align`` on it alone, whatever else is in the batch."""
