@@ -171,9 +171,13 @@ class PipelineStats:
     pair_cache_misses: int = 0
     windows: int = 0
     rescues: int = 0
-    #: Alignment-kernel calls: one per window attempt, so on the
-    #: window path ``windows + rescues`` on every backend.  It
-    #: measures dispatch work, never what is computed.
+    #: Windows committed without the kernel: the chunk equals the
+    #: hop-free text from the window's one anchor (rung 0,
+    #: :func:`repro.core.windows._is_exact_window`).
+    windows_exact: int = 0
+    #: Alignment-kernel sweeps: one per non-exact window attempt, so
+    #: ``align_calls + windows_exact == windows + rescues`` on every
+    #: backend.  It measures dispatch work, never what is computed.
     align_calls: int = 0
     #: Never written: ``benchmarks/perf/run.py::stage_values`` reads
     #: this key until the span-rename benchmark PR drops it.
@@ -208,6 +212,7 @@ class PipelineStats:
         self.regions_abandoned += other.regions_abandoned
         self.windows += other.windows
         self.rescues += other.rescues
+        self.windows_exact += other.windows_exact
         self.align_calls += other.align_calls
         self.seeding.merge(other.seeding)
         for name, stage in other.stages.items():
@@ -238,9 +243,9 @@ class PipelineStats:
             f"{self.regions_subsumed} subsumed -> "
             f"{self.regions_aligned} aligned "
             f"({self.regions_abandoned} abandoned)",
-            f"alignment work: {self.windows} windows, "
-            f"{self.rescues} rescues, {self.align_calls} kernel "
-            f"calls (backend: {self.backend})",
+            f"alignment work: {self.windows} windows "
+            f"({self.windows_exact} exact), {self.rescues} rescues, "
+            f"{self.align_calls} kernel calls (backend: {self.backend})",
         ]
 
 

@@ -31,10 +31,16 @@ can see when a read is far noisier than the configuration assumes.
 Committed operations are final, so an edit ``budget`` can stop an
 alignment as soon as its committed edits exceed it.
 
-**One kernel per window.**  Every window — chain or hop-bearing, first
-attempt or rescue — is one call of :func:`repro.core.bitalign.bitalign`,
-i.e. one sweep of the systolic-diagonal kernel described in
-:mod:`repro.core.bitalign` plus its native traceback.
+**One kernel per non-exact window.**  A window whose answer is known
+without the kernel — one anchor, a chunk equal to the hop-free text
+from it — commits its ``=`` run directly (rung 0 of the k ladder; the
+lemma is in :func:`_is_exact_window`).  Every other window — chain or
+hop-bearing, first attempt or rescue — is one call of
+:func:`repro.core.bitalign.bitalign`, i.e. one sweep of the
+systolic-diagonal kernel described in :mod:`repro.core.bitalign` plus
+its native traceback.  Both paths report the same
+:class:`WindowEvent`: the hardware has no string compare, so its model
+charges the systolic array for every window.
 :meth:`WindowedAligner.align_many` is :meth:`WindowedAligner.align`
 per item; nothing is batched across windows, so a result depends on
 nothing but its own item.
@@ -49,11 +55,7 @@ from typing import Callable
 from repro.core.alignment import Cigar
 # ``traceback`` is not used here any more; benchmarks/perf/test_perf.py
 # reads ``repro.core.windows.traceback`` to check its shims restore.
-from repro.core.bitalign import (  # noqa: F401
-    BitAlignResult,
-    bitalign,
-    traceback,
-)
+from repro.core.bitalign import bitalign, traceback  # noqa: F401
 from repro.graph.linearize import LinearizedGraph
 
 
@@ -158,6 +160,30 @@ def _count_hops(lin: LinearizedGraph) -> int:
         for succ in succs
         if succ - position > 1
     )
+
+
+def _is_exact_window(lin: LinearizedGraph, chunk: str,
+                     anchors: list[int] | None, base: int) -> bool:
+    """Rung 0: whether the kernel would answer this window with ``=``
+    × m along ``base … base + m − 1`` (``base`` the one anchor).
+
+    Field ``d`` of every diagonal of :func:`~repro.core.bitalign.
+    generate_bitvectors` depends only on fields ≤ ``d`` (``up`` moves
+    field d − 1 into d, never back), ``DiagonalRows.best_start`` scans
+    budgets upward and stops at the first accepting one, and
+    :func:`~repro.core.bitalign._walk_diagonals` from budget ``d``
+    reads only fields ≤ ``d``.  So a window that succeeds at k′ < k
+    gives the identical start and traceback at k.  Here k′ = 0: the
+    single anchor is the only candidate, and the chunk spells
+    ``chars[base:base + m]`` over a stretch where every position but
+    the last has ``i + 1`` as its only in-stretch successor — the first
+    listed, since successors ascend.  The straight run accepts, and the
+    budget-0 walk takes ``=`` after ``=`` along it.
+    """
+    if anchors is None or len(anchors) != 1:
+        return False
+    return lin.chars.startswith(chunk, base) \
+        and lin.slice(base, base + len(chunk)).is_chain()
 
 
 @dataclass
@@ -325,8 +351,10 @@ class WindowedAligner:
         counters,
         budget: float,
     ) -> _Extension:
-        """Forward windowing loop: one :func:`~repro.core.bitalign.
-        bitalign` call per window attempt, each charged to
+        """Forward windowing loop: an exact window
+        (:func:`_is_exact_window`) commits its ``=`` run, charged to
+        ``counters.windows_exact``; every other window attempt is one
+        :func:`~repro.core.bitalign.bitalign` call, charged to
         ``counters.align_calls``.
 
         ``anchors`` restricts the allowed start positions of the first
@@ -355,65 +383,77 @@ class WindowedAligner:
                 break
 
             k = min(self.config.k, len(chunk))
-            result: BitAlignResult | None = None
-            rescued = False
-            while True:
-                if first_window and anchors is None:
-                    # Un-anchored start discovery: the whole region.
-                    text_end = len(lin)
-                else:
-                    text_end = min(len(lin), base + len(chunk) + k)
-                window = lin.slice(base, text_end)
-                # ``base == min(anchors)`` and the window is never
-                # empty, so local anchor 0 always survives the filter.
-                local_anchors = None if anchors is None else \
-                    [a - base for a in anchors if a - base < len(window)]
-                if counters is not None:
-                    counters.align_calls += 1
-                result = bitalign(window, chunk, k,
-                                  anchors=local_anchors,
-                                  backend=self.backend)
-                if result is not None:
-                    break
-                if k >= len(chunk):
-                    raise AssertionError(
-                        "window alignment failed at k == chunk length"
-                    )  # pragma: no cover - insertion chain guarantees it
-                if observer is not None:
-                    observer(WindowEvent(
-                        text_length=len(window),
-                        chunk_length=len(chunk),
-                        k=k, rescued=rescued,
-                        hops_in_window=_count_hops(window),
-                        ops_committed=0,
-                    ))
-                k = min(len(chunk), k * 2)
-                extension.rescues += 1
-                rescued = True
-            extension.windows += 1
-            first_window = False
-
-            # Commit the window's traceback: everything for the final
-            # window, the first chunk-minus-overlap read characters
-            # otherwise.
+            # Commit everything for the final window, the first
+            # chunk-minus-overlap read characters otherwise.
             commit_target = len(chunk) if is_final \
                 else max(1, len(chunk) - overlap)
-            committed_read = 0
-            path_cursor = 0
-            last_consumed: int | None = None
             ops_before = len(extension.ops)
-            for op in result.cigar.expand():
-                if committed_read >= commit_target:
-                    break
-                extension.ops.append(op)
-                if op != "=":
-                    extension.edits += 1
-                if op in "=XD":
-                    last_consumed = result.path[path_cursor] + base
-                    extension.path.append(last_consumed)
-                    path_cursor += 1
-                if op in "=XI":
-                    committed_read += 1
+            rescued = False
+            # Rung 0: the kernel's answer is known, so commit it as a
+            # run (the window is built for the observer only).
+            if _is_exact_window(lin, chunk, anchors, base):
+                if counters is not None:
+                    counters.windows_exact += 1
+                extension.ops.extend("=" * commit_target)
+                extension.path.extend(range(base, base + commit_target))
+                committed_read = commit_target
+                last_consumed: int | None = base + commit_target - 1
+                if observer is not None:
+                    window = lin.slice(
+                        base, min(len(lin), base + len(chunk) + k))
+            else:
+                while True:
+                    if first_window and anchors is None:
+                        # Un-anchored start discovery: the whole region.
+                        text_end = len(lin)
+                    else:
+                        text_end = min(len(lin), base + len(chunk) + k)
+                    window = lin.slice(base, text_end)
+                    # ``base == min(anchors)`` and the window is never
+                    # empty, so local anchor 0 always survives the
+                    # filter.
+                    local_anchors = None if anchors is None else \
+                        [a - base for a in anchors
+                         if a - base < len(window)]
+                    if counters is not None:
+                        counters.align_calls += 1
+                    result = bitalign(window, chunk, k,
+                                      anchors=local_anchors,
+                                      backend=self.backend)
+                    if result is not None:
+                        break
+                    if k >= len(chunk):
+                        raise AssertionError(
+                            "window alignment failed at k == chunk length"
+                        )  # pragma: no cover - insertion chain guarantees it
+                    if observer is not None:
+                        observer(WindowEvent(
+                            text_length=len(window),
+                            chunk_length=len(chunk),
+                            k=k, rescued=rescued,
+                            hops_in_window=_count_hops(window),
+                            ops_committed=0,
+                        ))
+                    k = min(len(chunk), k * 2)
+                    extension.rescues += 1
+                    rescued = True
+                committed_read = 0
+                path_cursor = 0
+                last_consumed = None
+                for op in result.cigar.expand():
+                    if committed_read >= commit_target:
+                        break
+                    extension.ops.append(op)
+                    if op != "=":
+                        extension.edits += 1
+                    if op in "=XD":
+                        last_consumed = result.path[path_cursor] + base
+                        extension.path.append(last_consumed)
+                        path_cursor += 1
+                    if op in "=XI":
+                        committed_read += 1
+            extension.windows += 1
+            first_window = False
             pos_pat += committed_read
             if observer is not None:
                 observer(WindowEvent(

@@ -137,6 +137,33 @@ class TestSimulator:
                                          anchor=(span[0], 0))
             assert trace.hop_queue_reads > 0 and max(seen) > 0
 
+    def test_exact_windows_charged_like_kernel_windows(self, chain_3kb,
+                                                      monkeypatch):
+        """The accelerator has no string compare: a read of exact
+        windows, which software commits without the kernel, costs the
+        same cycles as when every window runs it."""
+        text, lin = chain_3kb
+        read = text[200:1_500]
+        sim = SeGraMAcceleratorSim()
+        exact_skipped = []
+        is_exact = windows._is_exact_window
+
+        def spy(*args):
+            exact_skipped.append(is_exact(*args))
+            return exact_skipped[-1]
+
+        monkeypatch.setattr(windows, "_is_exact_window", spy)
+        _, trace = sim.run_seed_task(lin, read, anchor=(200, 0))
+        assert len(exact_skipped) > 5 and all(exact_skipped)
+        monkeypatch.setattr(windows, "_is_exact_window",
+                            lambda *args: False)
+        _, kernel_trace = sim.run_seed_task(lin, read, anchor=(200, 0))
+        assert trace == kernel_trace
+        assert (trace.windows_executed, trace.compute_cycles,
+                trace.total_cycles) == (kernel_trace.windows_executed,
+                                        kernel_trace.compute_cycles,
+                                        kernel_trace.total_cycles)
+
     def test_windowing_config_derived_from_hw(self):
         sim = SeGraMAcceleratorSim()
         config = sim.windowing_config()

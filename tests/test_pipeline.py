@@ -463,8 +463,8 @@ class TestCoalescedParity:
              for name, sequence in reads]
 
     def test_coalesced_shares_kernel_dispatches(self, workload):
-        """Every window is one kernel call however the reads are
-        batched, so the call count is a function of the windows
+        """Every non-exact window is one kernel call however the reads
+        are batched, so the call count is a function of the windows
         alone."""
         reference, reads = workload
         per_read = _fresh_mapper(reference, align_backend="numpy")
@@ -483,6 +483,7 @@ def _counter_key(stats: PipelineStats):
         stats.reads, stats.reads_mapped, stats.regions_seeded,
         stats.regions_chained, stats.regions_subsumed,
         stats.regions_aligned, stats.windows, stats.rescues,
+        stats.windows_exact,
         tuple((name, s.items_in, s.items_out, s.dropped)
               for name, s in stats.stages.items()),
     )
@@ -490,9 +491,13 @@ def _counter_key(stats: PipelineStats):
 
 def _assert_one_call_per_window(stats: PipelineStats):
     """The window path's contract on every backend: one kernel call
-    per window attempt (a rescue is a retried window)."""
+    per non-exact window attempt (a rescue is a retried window); an
+    exact window commits without one.  Every caller maps this file's
+    chain reference, where rung 0 must fire."""
     assert stats.windows > 0
-    assert stats.align_calls == stats.windows + stats.rescues
+    assert stats.windows_exact > 0
+    assert stats.align_calls + stats.windows_exact \
+        == stats.windows + stats.rescues
 
 
 class TestGroupWidthIndependence:
@@ -596,6 +601,19 @@ class TestBackendParity:
         assert python_stats.backend == "python"
         assert numpy_stats.backend == "numpy"
 
+    def test_exact_heavy_records_identical(self, workload):
+        """Exact windows never reach the backend: on reads made mostly
+        of them the records agree across backends all the same."""
+        reference, _ = workload
+        reads = _noisy_reads(reference, 8, random.Random(3), error=0.002)
+        runs = {}
+        for backend in ("python", "numpy"):
+            mapper = _fresh_mapper(reference, align_backend=backend)
+            runs[backend] = (mapper.map_batch(reads), mapper.stats)
+        (python_records, stats), (numpy_records, _) = runs.values()
+        assert stats.windows_exact * 2 > stats.windows
+        assert python_records == numpy_records
+
     def test_backend_label_survives_batch_merge(self, workload):
         reference, reads = workload
         mapper = _fresh_mapper(reference, align_backend="numpy")
@@ -609,9 +627,9 @@ class TestBatchedAlignPath:
 
     ``align_calls`` is deliberately NOT part of :func:`_counter_key` —
     it counts kernel calls, not results.  It is nevertheless the same
-    on every backend, since the diagonal kernel serves every window:
-    ``align_calls == windows + rescues`` (mate rescue counts its own
-    backend dispatches on ``PairStats``).
+    on every backend, since the diagonal kernel serves every non-exact
+    window: ``align_calls + windows_exact == windows + rescues`` (mate
+    rescue counts its own backend dispatches on ``PairStats``).
     """
 
     @pytest.mark.parametrize("backend,has_chain_kernel",
@@ -637,11 +655,15 @@ class TestBatchedAlignPath:
         assert rows["seed"]["calls"] is None
         summary = "\n".join(stats.summary_lines())
         assert f"{stats.align_calls} kernel calls" in summary
+        assert f"{stats.windows} windows ({stats.windows_exact} exact)" \
+            in summary
 
     def test_dispatch_counters_merge(self):
         merged = PipelineStats()
         part = PipelineStats()
         part.align_calls = 3
+        part.windows_exact = 2
         merged.merge(part)
         merged.merge(part)
         assert merged.align_calls == 6
+        assert merged.windows_exact == 4

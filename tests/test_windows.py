@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align.dp_graph import graph_distance
+from repro.core import windows
 from repro.core.alignment import replay_alignment
+from repro.core.pipeline import PipelineStats
 from repro.core.windows import WindowedAligner, WindowingConfig
 from repro.graph.builder import build_graph
 from repro.graph.genome_graph import GenomeGraph
@@ -402,8 +404,8 @@ class TestAlignMany:
         assert aligner.align_many([]) == []
 
     def test_numpy_batch_shares_dispatches(self, items):
-        """Nothing is shared: ``align_calls == windows + rescues`` on
-        both backends, together or alone."""
+        """Nothing is shared: ``align_calls + windows_exact == windows
+        + rescues`` on both backends, together or alone."""
         from repro.core.pipeline import PipelineStats
 
         for backend in ("numpy", "python"):
@@ -415,4 +417,158 @@ class TestAlignMany:
             for item in items:
                 aligner.align(*item, counters=alone)
             attempts = sum(r.windows + r.rescues for r in batched)
-            assert together.align_calls == alone.align_calls == attempts
+            assert (together.align_calls, together.windows_exact) \
+                == (alone.align_calls, alone.windows_exact)
+            assert together.windows_exact > 0
+            assert together.align_calls + together.windows_exact \
+                == attempts
+
+
+def _run_observed(aligner, lin, read, anchor, budget=None):
+    """``align`` with an observer and counters attached."""
+    events, stats = [], PipelineStats()
+    result = aligner.align(lin, read, anchor, events.append,
+                           counters=stats, budget=budget)
+    return result, events, stats
+
+
+def _run_without_rung(aligner, lin, read, anchor, budget=None):
+    """The same call with rung 0 disabled: every window runs the
+    kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(windows, "_is_exact_window", lambda *args: False)
+        return _run_observed(aligner, lin, read, anchor, budget)
+
+
+class TestExactWindows:
+    """Rung 0 (a window whose chunk equals the hop-free text from its
+    one anchor commits ``=`` × m without the kernel) against the same
+    ``align`` with the rung disabled: the result, the ``WindowEvent``
+    stream and every counter but the kernel-call split are equal."""
+
+    CONFIG = WindowingConfig(window_size=32, overlap=12, k=4)
+
+    @staticmethod
+    def _case(seed: int):
+        """A chain or bubble graph and a read with exact windows and
+        1–3-edit ones.  The read is a graph walk, or — to put
+        ``chars[base:base + m]`` across a non-edge — the linearization
+        order itself; anchored (mid-read, so both extensions run) or
+        not — un-anchored ones mostly from position 0, where an
+        anchor-blind rung would take the first window."""
+        rng = random.Random(seed)
+        text = random_reference(rng.randint(200, 500), rng)
+        if rng.random() < 0.3:
+            lin = chain(text)
+        else:
+            variants = simulate_variants(text, rng, VariantProfile(
+                snp_rate=0.03, insertion_rate=0.01, deletion_rate=0.01,
+                sv_rate=0.0, small_indel_max=4))
+            lin = linearize(build_graph(text, variants).graph)
+        anchored = rng.random() < 0.7
+        at_zero = rng.random() < (0.1 if anchored else 0.6)
+        path = [0 if at_zero else rng.randrange(len(lin) // 2)]
+        length = rng.randint(40, 160)
+        straight = rng.random() < 0.3
+        while len(path) < length:
+            succs = lin.successors_of(path[-1])
+            if straight and path[-1] + 1 < len(lin):
+                path.append(path[-1] + 1)
+            elif succs:
+                path.append(rng.choice(succs))
+            else:
+                break
+        edit_at: set[int] = set()
+        for _ in range(rng.randint(0, 3)):
+            start = rng.randrange(len(path))
+            edit_at.update(rng.sample(range(start, start + 32),
+                                      rng.randint(1, 3)))
+        read: list[str] = []
+        matched = []
+        for index, position in enumerate(path):
+            char = lin.chars[position]
+            op = rng.choice("SDI") if index in edit_at else "="
+            if op == "S":
+                read.append(rng.choice([c for c in "ACGT" if c != char]))
+                continue
+            if op == "D":
+                continue
+            if op == "I":
+                read.append(rng.choice("ACGT"))
+            matched.append((position, len(read)))
+            read.append(char)
+        anchor = rng.choice(matched) if anchored else None
+        budget = rng.choice((None, None, 0, 2, 6))
+        return lin, "".join(read), anchor, budget
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=1_000_000))
+    def test_rung_equals_kernel(self, seed):
+        lin, read, anchor, budget = self._case(seed)
+        aligner = WindowedAligner(self.CONFIG)
+        got, events, stats = _run_observed(aligner, lin, read, anchor,
+                                           budget)
+        want, want_events, want_stats = _run_without_rung(
+            aligner, lin, read, anchor, budget)
+        assert got == want
+        assert events == want_events
+        assert (stats.windows, stats.rescues) \
+            == (want_stats.windows, want_stats.rescues)
+        assert want_stats.windows_exact == 0
+        assert stats.align_calls + stats.windows_exact \
+            == want_stats.align_calls
+
+    def test_cases_reach_the_rung(self):
+        """The generator exercises what the property needs: exact
+        windows in the right extension and in the left one (the
+        reversed view), on bubble graphs too; windows the hop-free
+        check alone turns away; and un-anchored first windows that
+        would pass everything but the anchor check."""
+        exact = windows._is_exact_window
+        seen = {"right": 0, "left": 0, "bubble": 0, "hop_refused": 0,
+                "unanchored": 0}
+        for seed in range(80):
+            lin, read, anchor, _ = self._case(seed)
+
+            def spy(window_lin, chunk, anchors, base):
+                verdict = exact(window_lin, chunk, anchors, base)
+                if verdict:
+                    seen["right" if window_lin is lin else "left"] += 1
+                    seen["bubble"] += not lin.is_chain()
+                elif anchors is not None and len(anchors) == 1 \
+                        and window_lin.chars.startswith(chunk, base):
+                    seen["hop_refused"] += 1
+                elif anchors is None \
+                        and exact(window_lin, chunk, [base], base):
+                    seen["unanchored"] += 1
+                return verdict
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(windows, "_is_exact_window", spy)
+                WindowedAligner(self.CONFIG).align(lin, read, anchor)
+        assert min(seen.values()) >= 3, seen
+
+    def test_witness_across_a_non_edge(self):
+        """A SNP bubble linearizes as prefix, ref, alt, suffix: ``chars``
+        runs ref → alt, which is no edge.  A chunk spelling that run
+        from a single anchor passes the string compare, and only the
+        hop-free check keeps the rung from committing a path that is
+        not a walk."""
+        graph = GenomeGraph()
+        prefix, ref, alt, suffix = (graph.add_node(sequence) for sequence
+                                    in ("ACGTAC", "G", "T", "CATTGA"))
+        for src, dst in ((prefix, ref), (prefix, alt), (ref, suffix),
+                         (alt, suffix)):
+            graph.add_edge(src, dst)
+        lin = linearize(graph)
+        assert lin.chars == "ACGTACGTCATTGA" and 7 not in lin.successors[6]
+        read = lin.chars[:10]
+        # One window, so the whole run would be committed.
+        aligner = WindowedAligner(WindowingConfig(window_size=16,
+                                                  overlap=4, k=3))
+        got, events, stats = _run_observed(aligner, lin, read, (0, 0))
+        assert (got, events) == _run_without_rung(aligner, lin, read,
+                                                  (0, 0))[:2]
+        assert got.distance == 1 and stats.windows_exact == 0
+        for src, dst in zip(got.path, got.path[1:]):
+            assert dst in lin.successors[src]
