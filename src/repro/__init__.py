@@ -32,7 +32,6 @@ from repro.api import Mapper, MappingRecord
 from repro.graph.builder import BuiltGraph, Variant, build_graph
 from repro.graph.genome_graph import GenomeGraph
 from repro.graph.linearize import LinearizedGraph, linearize
-from repro.index.hash_index import HashTableIndex, build_index
 from repro.refs.reference import Contig, ReferenceSet
 
 __version__ = "1.1.0"
@@ -59,7 +58,5 @@ __all__ = [
     "GenomeGraph",
     "LinearizedGraph",
     "linearize",
-    "HashTableIndex",
-    "build_index",
     "__version__",
 ]

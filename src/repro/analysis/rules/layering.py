@@ -1,7 +1,4 @@
-"""Rules ``layering`` and ``dict-index-build``: which imports the
-package's architecture allows.
-
-``layering``: imports must respect the package's layer order.
+"""Rule ``layering``: imports must respect the package's layer order.
 
 The dependency order of this repo is::
 
@@ -26,14 +23,6 @@ runtime dependency.  The handful of genuine upward edges kept for
 good reason (e.g. the graph builder normalizing raw
 :class:`~repro.io.vcf.VcfRecord` rows) carry
 ``# repro: allow[layering]`` with the justification at the site.
-
-``dict-index-build``: the mapping path builds one index,
-:func:`repro.index.flat_index.build_flat_index`.  The dict catalog
-(``build_index`` -> ``HashTableIndex``) is a view kept for the tests
-and the Fig. 7 experiments; a production module
-(:data:`_PRODUCTION`) importing ``build_index`` would grow the second
-build path back, so that import is a finding wherever it is legal by
-layer.
 """
 
 from __future__ import annotations
@@ -175,42 +164,3 @@ def check_layering(module: Module) -> list[Finding]:
                        None if alias.name == "*" else alias.name)
     return findings
 
-
-#: Packages on the mapping path: everything a ``repro map`` /
-#: ``repro serve`` / ``Mapper(...)`` call can reach.
-_PRODUCTION = ("repro.core", "repro.api", "repro.cli", "repro.service",
-               "repro.graph")
-
-#: Modules that export the dict build under the name ``build_index``.
-_DICT_BUILD_HOMES = ("repro", "repro.index", "repro.index.hash_index")
-
-
-@rule(
-    "dict-index-build",
-    "the mapping path (core/api/cli/service/graph) must not import "
-    "the dict index build, build_index",
-    "production builds the flat Fig. 6 arrays straight from the "
-    "minimizer scan; importing build_index there re-creates the "
-    "build-a-dict-then-flatten path that was 6 of 8 set-up seconds",
-)
-def check_dict_index_build(module: Module) -> list[Finding]:
-    name = module.name
-    if name is None or not any(
-            name == package or name.startswith(package + ".")
-            for package in _PRODUCTION):
-        return []
-    findings: list[Finding] = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        target = _resolve_relative(module, node.level, node.module) \
-            if node.level else node.module
-        if target in _DICT_BUILD_HOMES and any(
-                alias.name == "build_index" for alias in node.names):
-            findings.append(module.finding(
-                "dict-index-build", node,
-                f"{name} imports build_index from {target}; the "
-                "mapping path builds its index with "
-                "repro.index.flat_index.build_flat_index",
-            ))
-    return findings

@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.graph.genome_graph import GenomeGraph
 from repro.index.flat_index import FlatIndex
-from repro.index.hash_index import HashTableIndex
 from repro.index.minimizer import Minimizer, minimizers, scan_minimizers
 from repro.index.occurrence import DEFAULT_TOP_FRACTION, frequency_threshold
 
@@ -124,9 +123,7 @@ class MinSeed:
 
     Args:
         graph: the topologically sorted genome graph.
-        index: the minimizer index of that graph (a dict-catalog
-            :class:`~repro.index.HashTableIndex` is flattened once,
-            here, for the chunk probe).
+        index: the minimizer index of that graph.
         error_rate: expected read error rate ``E`` used for the seed
             extension arithmetic (paper evaluates 1–10 %).
         freq_threshold: occurrence-frequency cutoff; minimizers with a
@@ -145,7 +142,7 @@ class MinSeed:
     def __init__(
         self,
         graph: GenomeGraph,
-        index: "FlatIndex | HashTableIndex",
+        index: FlatIndex,
         error_rate: float = 0.10,
         freq_threshold: int | None = None,
         freq_top_fraction: float = DEFAULT_TOP_FRACTION,
@@ -162,8 +159,6 @@ class MinSeed:
                 index.frequencies(), top_fraction=freq_top_fraction,
             )
         self.freq_threshold = freq_threshold
-        self._flat = index if isinstance(index, FlatIndex) \
-            else FlatIndex.from_hash_index(index)
         self._offsets = np.asarray(graph.offsets(), dtype=np.int64)
         total_chars = graph.total_sequence_length
         spans = [(0, total_chars)] if char_spans is None \
@@ -198,7 +193,7 @@ class MinSeed:
         """
         if not all(reads):
             raise ValueError("read must not be empty")
-        index = self._flat
+        index = self.index
         k = index.k
         read_count = len(reads)
         # Step 1: one scan; ``owner`` is the read of each minimizer.

@@ -37,7 +37,7 @@ from repro.hw.area_power import AreaPowerModel
 from repro.hw.bitalign_unit import BitAlignCycleModel
 from repro.hw.config import BitAlignUnitConfig
 from repro.hw.pipeline import SeGraMPerformanceModel, WorkloadProfile
-from repro.index.hash_index import build_index
+from repro.index.flat_index import build_flat_index
 from repro.sim.errors import ErrorModel
 from repro.sim.longread import LongReadProfile, simulate_long_reads
 from repro.sim.shortread import ShortReadProfile, simulate_short_reads
@@ -64,7 +64,7 @@ def _immune(length: int = 120_000) -> GraphDataset:
 
 @lru_cache(maxsize=None)
 def _human_index(length: int = 300_000):
-    return build_index(_human(length).graph, w=10, k=15, bucket_bits=14)
+    return build_flat_index(_human(length).graph, w=10, k=15, bucket_bits=14)
 
 
 def _mapper_config(error_rate: float, k: int = 24) -> SeGraMConfig:
@@ -505,7 +505,7 @@ def minimizer_vs_full_index(read_count: int = 8):
     rows = []
     for label, w in (("minimizers <w=10,k=15>", 10),
                      ("every k-mer <w=1,k=15>", 1)):
-        index = build_index(dataset.graph, w=w, k=15, bucket_bits=14)
+        index = build_flat_index(dataset.graph, w=w, k=15, bucket_bits=14)
         config = _mapper_config(0.01)
         config = SeGraMConfig(
             w=w, k=15, bucket_bits=14, error_rate=0.01,

@@ -1,4 +1,4 @@
-"""Indexing substrate: minimizers and the hash-table-based graph index.
+"""Indexing substrate: minimizers and the three-level graph index.
 
 Implements the paper's second pre-processing step (Section 5): the
 three-level hash-table index (buckets -> minimizers -> seed locations,
@@ -14,13 +14,12 @@ from repro.index.minimizer import (
     minimizers,
     scan_minimizers,
 )
-from repro.index.hash_index import (
-    HashTableIndex,
+from repro.index.flat_index import (
+    FlatIndex,
     IndexLayout,
     SeedHit,
-    build_index,
+    build_flat_index,
 )
-from repro.index.flat_index import FlatIndex, build_flat_index
 from repro.index.occurrence import frequency_threshold
 
 __all__ = [
@@ -30,10 +29,8 @@ __all__ = [
     "scan_minimizers",
     "brute_force_minimizers",
     "kmer_at",
-    "HashTableIndex",
     "IndexLayout",
     "SeedHit",
-    "build_index",
     "FlatIndex",
     "build_flat_index",
     "frequency_threshold",

@@ -1,14 +1,13 @@
-"""Flat (array-backed) three-level minimizer index (paper Fig. 6).
+"""Three-level minimizer index of a genome graph (paper Fig. 6).
 
-:class:`~repro.index.hash_index.HashTableIndex` keeps the index as a
-Python dict catalog — convenient, but impossible to serialize as the
-byte layout the paper specifies, and rebuilt from scratch by every
-process that needs it.  :class:`FlatIndex` stores the *same* index as
-six contiguous numpy arrays mirroring the paper's three levels:
+The index maps minimizer hash values to their exact-match locations in
+the graph's nodes.  :class:`FlatIndex` stores it as six contiguous
+numpy arrays mirroring the paper's three levels:
 
 1. **Buckets** — ``bucket_starts`` (one entry per bucket plus a
    sentinel, 4 B each): cumulative offsets into the minimizer rows,
-   so bucket ``b`` owns rows ``[bucket_starts[b], bucket_starts[b+1])``.
+   so bucket ``b`` (``hash & (2^bucket_bits - 1)``) owns rows
+   ``[bucket_starts[b], bucket_starts[b+1])``.
 2. **Minimizers** — ``min_hash`` / ``min_loc_start`` / ``min_loc_count``
    (8 + 4 + 4 B per distinct minimizer, the paper's 12 B rows widened
    to a 64-bit hash): rows are sorted by ``(bucket, hash)``, so a
@@ -23,36 +22,33 @@ written to disk verbatim and attached read-only via ``mmap``
 milliseconds instead of a full rebuild, and N worker processes share
 one physical copy of the pages.
 
-The query contract — :meth:`query` and its :meth:`frequency` /
-:meth:`lookup` / :meth:`lookup_cost` views, :meth:`layout` and the
-statistics properties — is
-bit-for-bit identical to the dict index (parity-tested in
-``tests/test_index_artifact.py``).  MinSeed does not ask one hash at a
-time: :meth:`FlatIndex.probe` answers a whole chunk's minimizers with
-one ``np.searchsorted`` and :meth:`FlatIndex.locations` gathers their
-seed locations.
+The bucket count trades memory footprint against hash collisions
+(minimizers per bucket — more collisions mean more memory lookups per
+query); the paper's Fig. 7 sweeps it and settles on 2^24 for the human
+genome.  :meth:`FlatIndex.layout` reproduces both curves for any
+bucket width.
 
-:func:`build_flat_index` is the one production build: the node
-sequences of a graph go through
-:func:`~repro.index.minimizer.scan_minimizers` and one sort lays the
-occurrences out as the three levels — no dict catalog in between.
+:meth:`FlatIndex.query` (and its :meth:`~FlatIndex.frequency` /
+:meth:`~FlatIndex.lookup` / :meth:`~FlatIndex.lookup_cost` views)
+answers one hash.  MinSeed does not ask one hash at a time:
+:meth:`FlatIndex.probe` answers a whole chunk's minimizers with one
+``np.searchsorted`` and :meth:`FlatIndex.locations` gathers their seed
+locations.
+
+:func:`build_flat_index` is the build: the node sequences of a graph
+go through :func:`~repro.index.minimizer.scan_minimizers` and one sort
+lays the occurrences out as the three levels.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
-from typing import TYPE_CHECKING, Iterable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.index.hash_index import (
-    HashTableIndex,
-    IndexLayout,
-    IndexQuery,
-    LookupCost,
-    SeedHit,
-)
 from repro.index.minimizer import (
     Scoring,
     check_minimizer_parameters,
@@ -61,6 +57,106 @@ from repro.index.minimizer import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graph.genome_graph import GenomeGraph
+
+#: Bytes per first-level bucket entry (paper Section 5).
+BUCKET_ENTRY_BYTES = 4
+
+#: Bytes per second-level minimizer entry (paper Section 5).
+MINIMIZER_ENTRY_BYTES = 12
+
+#: Bytes per third-level seed-location entry (paper Section 5).
+LOCATION_ENTRY_BYTES = 8
+
+
+@dataclass(frozen=True, order=True)
+class SeedHit:
+    """One seed location: a node ID and the offset within that node."""
+
+    node_id: int
+    offset: int
+
+
+@dataclass(frozen=True)
+class IndexLayout:
+    """Memory-footprint view of the index at a given bucket width.
+
+    Reproduces the two series of paper Fig. 7: the total footprint and
+    the maximum number of minimizers falling into one bucket.
+    """
+
+    bucket_bits: int
+    distinct_minimizers: int
+    total_locations: int
+    max_minimizers_per_bucket: int
+    max_locations_per_minimizer: int
+
+    @property
+    def bucket_count(self) -> int:
+        return 1 << self.bucket_bits
+
+    @property
+    def first_level_bytes(self) -> int:
+        return self.bucket_count * BUCKET_ENTRY_BYTES
+
+    @property
+    def second_level_bytes(self) -> int:
+        return self.distinct_minimizers * MINIMIZER_ENTRY_BYTES
+
+    @property
+    def third_level_bytes(self) -> int:
+        return self.total_locations * LOCATION_ENTRY_BYTES
+
+    @property
+    def total_bytes(self) -> int:
+        return (self.first_level_bytes + self.second_level_bytes
+                + self.third_level_bytes)
+
+
+@dataclass(frozen=True)
+class LookupCost:
+    """Memory-access accounting for one index query.
+
+    The hardware model charges one main-memory access for the bucket
+    probe, one per minimizer entry scanned within the bucket, and one
+    per seed location fetched (paper Section 8.1's frequency and seed
+    lookups).
+    """
+
+    bucket_probe: int
+    minimizers_scanned: int
+    locations_fetched: int
+
+    @property
+    def total_accesses(self) -> int:
+        return self.bucket_probe + self.minimizers_scanned \
+            + self.locations_fetched
+
+
+@dataclass(frozen=True)
+class IndexQuery:
+    """Everything one bucket probe answers about a minimizer hash.
+
+    MinSeed needs a minimizer's frequency, the memory accesses the
+    hardware would spend on it, and — only if the frequency filter
+    lets it through — its seed locations.  All three follow from one
+    probe of the bucket, so :meth:`FlatIndex.query` answers them
+    together; the locations are materialized only when ``hits`` is
+    called.
+
+    Attributes:
+        cost: the memory accesses a hardware query would issue.
+        hits: call it for all seed locations of the minimizer, sorted
+            ``(node, offset)``.
+    """
+
+    cost: LookupCost
+    hits: Callable[[], "tuple[SeedHit, ...]"]
+
+    @property
+    def frequency(self) -> int:
+        """Occurrence count of the minimizer (0 when absent)."""
+        return self.cost.locations_fetched
+
 
 #: Rows of the probe key derived per step (512 kB of temporaries).
 _KEY_SLICE_ROWS = 1 << 16
@@ -224,36 +320,16 @@ class FlatIndex:
             w=w, k=k, bucket_bits=bucket_bits, scoring=scoring,
         )
 
-    @classmethod
-    def from_hash_index(cls, index: HashTableIndex) -> "FlatIndex":
-        """Flatten an existing dict-catalog index (same entries)."""
-        hashes: list[int] = []
-        nodes: list[int] = []
-        offsets: list[int] = []
-        for hash_value, hits in index.iter_entries():
-            for hit in hits:
-                hashes.append(hash_value)
-                nodes.append(hit.node_id)
-                offsets.append(hit.offset)
-        return cls.from_occurrences(
-            np.asarray(hashes, dtype=np.uint64),
-            np.asarray(nodes, dtype=np.uint32),
-            np.asarray(offsets, dtype=np.uint32),
-            w=index.w, k=index.k, bucket_bits=index.bucket_bits,
-            scoring=index.scoring,
-        )
-
     # ------------------------------------------------------------------
-    # Queries (contract-identical to HashTableIndex)
+    # Queries
     # ------------------------------------------------------------------
 
     def query(self, hash_value: int) -> IndexQuery:
         """Frequency, access cost and (lazily) hits of one hash: a
         :meth:`probe` of one.
 
-        The cost charges the same linear in-bucket scan as the dict
-        index: up to and including the first row whose hash is >= the
-        query.
+        The cost charges the paper's linear in-bucket scan: up to and
+        including the first row whose hash is >= the query.
         """
         rows, frequency, scanned = self.probe(
             np.array([hash_value], dtype=np.uint64))
@@ -441,7 +517,12 @@ def build_flat_index(
     jobs: int = 1,
     node_ranges: Iterable[tuple[int, int]] | None = None,
 ) -> FlatIndex:
-    """Index a graph directly into the flat layout.
+    """Index the ``<w,k>``-minimizers of every node sequence of a graph.
+
+    Minimizers are computed *within* node sequences (the paper indexes
+    "the minimizers' exact matching locations in the graphs' nodes",
+    Section 5); seeds spanning node boundaries are not indexed.  Nodes
+    shorter than ``k`` contribute no minimizers.
 
     ``node_ranges`` (half-open, e.g. the per-contig node ranges of a
     :class:`~repro.refs.ReferenceSet`) shards the scan; with

@@ -2,16 +2,26 @@
 
 Only the features needed by the mapping pipeline are implemented:
 multi-record files, multi-line sequences, description handling, and
-transparent gzip decompression of ``.gz`` inputs (detected by the
-gzip magic bytes or the extension).  Line endings may be Unix or
-Windows (CRLF) — the ``\\r`` never reaches names, descriptions,
-sequences, or quality strings.  Parsing is strict — malformed records
-raise :class:`FastaFormatError` rather than being silently skipped.
+transparent gzip decompression (detected by the gzip magic bytes, or
+the ``.gz`` extension when the file cannot be probed).  Line endings
+may be Unix or Windows (CRLF) — the ``\\r`` never reaches names,
+descriptions, sequences, or quality strings.  Parsing is strict —
+malformed records raise :class:`FastaFormatError` rather than being
+silently skipped, and an input that ends early (a truncated gzip
+stream, a FASTQ record cut short) raises its subclass
+:class:`TruncatedInputError`.
+
+:func:`iter_fasta` / :func:`iter_fastq` are the one parser: they
+stream records with bounded memory, :func:`read_fasta` /
+:func:`read_fastq` are ``list(...)`` over them, and
+:mod:`repro.io.stream` builds its format sniffing and mate pairing on
+the same line iterator.
 """
 
 from __future__ import annotations
 
 import gzip
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO, Union
@@ -21,6 +31,16 @@ PathOrHandle = Union[str, Path, TextIO]
 
 class FastaFormatError(ValueError):
     """Raised when a FASTA/FASTQ file violates the format."""
+
+
+class TruncatedInputError(FastaFormatError):
+    """An input ended early: truncated gzip or a mid-record EOF.
+
+    Subclasses :class:`FastaFormatError` so call
+    sites that already handle malformed inputs catch truncation too;
+    the distinct type lets tests (and retry loops around network
+    fetches) tell "file is garbage" from "file stopped early".
+    """
 
 
 @dataclass(frozen=True)
@@ -59,26 +79,6 @@ class FastqRecord:
 _GZIP_MAGIC = b"\x1f\x8b"
 
 
-def _is_gzip(path: Path) -> bool:
-    """Whether a file is gzip-compressed (magic bytes, else ``.gz``)."""
-    try:
-        with open(path, "rb") as probe:
-            if probe.read(2) == _GZIP_MAGIC:
-                return True
-    except OSError:
-        pass
-    return path.suffix == ".gz"
-
-
-def _open_for_read(source: PathOrHandle):
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        if _is_gzip(path):
-            return gzip.open(path, "rt", encoding="ascii"), True
-        return open(path, "r", encoding="ascii"), True
-    return source, False
-
-
 def _open_for_write(target: PathOrHandle):
     if isinstance(target, (str, Path)):
         return open(target, "w", encoding="ascii"), True
@@ -102,30 +102,148 @@ def _split_header(line: str) -> tuple[str, str]:
     return name, description
 
 
-def iter_fasta(source: PathOrHandle) -> Iterator[FastaRecord]:
-    """Stream FASTA records from a path or open text handle."""
-    handle, owned = _open_for_read(source)
+def _origin(source: PathOrHandle) -> str:
+    """A human-readable name for error messages."""
+    if isinstance(source, (str, Path)):
+        return str(source)
+    return getattr(source, "name", None) or "<stream>"
+
+
+def open_text(source: PathOrHandle) -> tuple[TextIO, bool]:
+    """Open a path for buffered text reading, sniffing gzip.
+
+    Returns ``(handle, owned)`` — ``owned`` is False for handles
+    passed through.  Compression is detected by the gzip magic bytes
+    (or the ``.gz`` suffix when the file cannot be probed), and
+    decompressed incrementally.
+    """
+    if not isinstance(source, (str, Path)):
+        return source, False
+    path = Path(source)
+    is_gzip = path.suffix == ".gz"
     try:
-        name: str | None = None
-        description = ""
-        chunks: list[str] = []
-        for raw in handle:
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            if line.startswith(">"):
-                if name is not None:
-                    yield FastaRecord(name, "".join(chunks), description)
-                name, description = _split_header(line)
-                chunks = []
-            else:
-                if name is None:
-                    raise FastaFormatError(
-                        "sequence data found before any '>' header"
-                    )
-                chunks.append(line.strip())
-        if name is not None:
-            yield FastaRecord(name, "".join(chunks), description)
+        with open(path, "rb") as probe:
+            is_gzip = probe.read(2) == _GZIP_MAGIC
+    except OSError:
+        pass
+    if is_gzip:
+        return gzip.open(path, "rt", encoding="ascii"), True
+    return open(path, "r", encoding="ascii"), True
+
+
+def _lines(handle: TextIO, origin: str) -> Iterator[str]:
+    """Iterate lines, translating gzip truncation/corruption into
+    :class:`TruncatedInputError` / :class:`FastaFormatError`.
+
+    The gzip module only notices a missing end-of-stream marker when
+    the reader actually reaches the end, i.e. deep inside a parsing
+    loop — translating here gives every iterator the same typed
+    error without per-call-site handling.
+    """
+    try:
+        yield from handle
+    except EOFError:
+        raise TruncatedInputError(
+            f"{origin}: gzip stream ended before its end-of-stream "
+            "marker (truncated download or partial write?)"
+        ) from None
+    except (gzip.BadGzipFile, zlib.error) as exc:
+        raise FastaFormatError(
+            f"{origin}: corrupt gzip stream: {exc}"
+        ) from None
+
+
+def _parse_fasta(lines: Iterator[str],
+                 origin: str) -> Iterator[FastaRecord]:
+    """FASTA records from a raw line iterator (CRLF-tolerant)."""
+    name: str | None = None
+    description = ""
+    chunks: list[str] = []
+    for raw in lines:
+        line = raw.rstrip("\r\n")
+        if not line:
+            continue
+        if line.startswith(">"):
+            if name is not None:
+                yield FastaRecord(name, "".join(chunks), description)
+            name, description = _split_header(line)
+            chunks = []
+        else:
+            if name is None:
+                raise FastaFormatError(
+                    f"{origin}: sequence data found before any '>' "
+                    "header"
+                )
+            chunks.append(line.strip())
+    if name is not None:
+        yield FastaRecord(name, "".join(chunks), description)
+
+
+def _parse_fastq(lines: Iterator[str],
+                 origin: str) -> Iterator[FastqRecord]:
+    """FASTQ records from a raw line iterator, strict about EOF.
+
+    The 4-line record format means a file can only end cleanly on a
+    record boundary; running out of lines after a header raises
+    :class:`TruncatedInputError` with the record's ordinal and name
+    — a silently dropped tail record corrupts every downstream
+    pair/accuracy statistic.
+    """
+    _EOF = object()
+    ordinal = 0
+    while True:
+        header_raw = next(lines, _EOF)
+        if header_raw is _EOF:
+            return
+        header = header_raw.rstrip("\r\n")
+        if not header:
+            continue
+        if not header.startswith("@"):
+            raise FastaFormatError(
+                f"{origin}: expected '@' header, found "
+                f"{header[:20]!r}"
+            )
+        name, description = _split_header(header)
+        body: list[str] = []
+        for part in ("sequence", "'+' separator", "quality"):
+            line = next(lines, _EOF)
+            if line is _EOF:
+                raise TruncatedInputError(
+                    f"{origin}: record {ordinal} ({name!r}): input "
+                    f"ends mid-record (missing {part} line)"
+                )
+            body.append(line.rstrip("\r\n"))
+        sequence, plus, quality = body
+        if not plus.startswith("+"):
+            raise FastaFormatError(
+                f"{origin}: record {name!r}: expected '+' separator, "
+                f"found {plus[:20]!r}"
+            )
+        yield FastqRecord(name, sequence, quality, description)
+        ordinal += 1
+
+
+def iter_fasta(source: PathOrHandle) -> Iterator[FastaRecord]:
+    """Stream FASTA records with bounded memory (gzip-aware)."""
+    handle, owned = open_text(source)
+    origin = _origin(source)
+    try:
+        yield from _parse_fasta(_lines(handle, origin), origin)
+    finally:
+        if owned:
+            handle.close()
+
+
+def iter_fastq(source: PathOrHandle) -> Iterator[FastqRecord]:
+    """Stream FASTQ records with bounded memory (gzip-aware).
+
+    A file ending mid-record raises :class:`TruncatedInputError`
+    naming the record.
+    """
+    handle, owned = open_text(source)
+    origin = _origin(source)
+    try:
+        yield from _parse_fastq(_lines(handle, origin), origin)
     finally:
         if owned:
             handle.close()
@@ -154,36 +272,6 @@ def write_fasta(
             seq = record.sequence
             for start in range(0, len(seq), line_width):
                 handle.write(seq[start:start + line_width] + "\n")
-    finally:
-        if owned:
-            handle.close()
-
-
-def iter_fastq(source: PathOrHandle) -> Iterator[FastqRecord]:
-    """Stream FASTQ records (4-line format) from a path or handle."""
-    handle, owned = _open_for_read(source)
-    try:
-        while True:
-            header = handle.readline()
-            if not header:
-                return
-            header = header.rstrip("\r\n")
-            if not header:
-                continue
-            if not header.startswith("@"):
-                raise FastaFormatError(
-                    f"expected '@' header, found {header[:20]!r}"
-                )
-            name, description = _split_header(header)
-            sequence = handle.readline().rstrip("\r\n")
-            plus = handle.readline().rstrip("\r\n")
-            quality = handle.readline().rstrip("\r\n")
-            if not plus.startswith("+"):
-                raise FastaFormatError(
-                    f"record {name!r}: expected '+' separator, found "
-                    f"{plus[:20]!r}"
-                )
-            yield FastqRecord(name, sequence, quality, description)
     finally:
         if owned:
             handle.close()

@@ -6,14 +6,13 @@ scenario benchmarks can honestly run.  This module is the streaming
 substrate underneath ``repro map`` / ``repro client map`` and the
 scenario runner (``benchmarks/scenarios/``):
 
-* :func:`open_text` — gzip-aware text opening.  Compression is
-  detected by the two RFC 1952 magic bytes (never just the ``.gz``
-  extension), and decompression happens incrementally, so peak
-  memory stays bounded by the read buffer regardless of file size.
-* :func:`iter_fasta` / :func:`iter_fastq` — record generators with
-  strict error paths: a gzip stream that ends before its end-of-
-  stream marker, or a FASTQ file that ends mid-record, raises
-  :class:`TruncatedInputError` naming the source and the record.
+* :func:`iter_fasta` / :func:`iter_fastq` / :func:`open_text` /
+  :class:`TruncatedInputError` — the one FASTA/FASTQ parser, defined
+  in :mod:`repro.io.fasta` and re-exported here: gzip is sniffed by
+  its magic bytes and decompressed incrementally, and a gzip stream
+  that ends before its end-of-stream marker, or a FASTQ file that
+  ends mid-record, raises :class:`TruncatedInputError` naming the
+  source and the record.
 * :func:`iter_reads` — format-sniffed ``(name, sequence)`` streaming
   (leading ``@`` means FASTQ, anything else FASTA — the same rule as
   :func:`repro.io.fasta.read_sequences`, without slurping the file).
@@ -24,198 +23,45 @@ scenario runner (``benchmarks/scenarios/``):
   :meth:`repro.api.Mapper.map_batch` / ``map_pairs`` and the service
   client's ``map_stream``, so a terabyte-scale input maps with the
   memory footprint of one chunk.
-
-Parity contract: for any well-formed input, the records these
-generators yield are identical to the materializing readers in
-:mod:`repro.io.fasta` — ``repro map`` output is pinned byte-identical
-between the two paths (``tests/test_io_stream.py``,
-``tests/test_cli.py``).
 """
 
 from __future__ import annotations
 
-import gzip
 import itertools
-import zlib
-from pathlib import Path
-from typing import Iterable, Iterator, TextIO, TypeVar, Union
+from typing import Iterable, Iterator, TypeVar
 
 from repro.io.fasta import (
     FastaFormatError,
-    FastaRecord,
-    FastqRecord,
-    _GZIP_MAGIC,
-    _split_header,
+    PathOrHandle,
+    TruncatedInputError,
+    _lines,
+    _origin,
+    _parse_fasta,
+    _parse_fastq,
+    iter_fasta,
+    iter_fastq,
     mate_base_name,
+    open_text,
 )
 
-PathOrHandle = Union[str, Path, TextIO]
-
 T = TypeVar("T")
+
+__all__ = [
+    "DEFAULT_CHUNK_SIZE",
+    "ReadChunker",
+    "TruncatedInputError",
+    "iter_fasta",
+    "iter_fastq",
+    "iter_mate_pairs",
+    "iter_reads",
+    "open_text",
+    "sniff_format",
+]
 
 #: Default reads per batch handed to ``Mapper.map_batch``: large
 #: enough to amortize per-batch dispatch (fork, result collection),
 #: small enough that a chunk of 10 kbp long reads stays ~5 MB.
 DEFAULT_CHUNK_SIZE = 512
-
-
-class TruncatedInputError(FastaFormatError):
-    """An input ended early: truncated gzip or a mid-record EOF.
-
-    Subclasses :class:`~repro.io.fasta.FastaFormatError` so call
-    sites that already handle malformed inputs catch truncation too;
-    the distinct type lets tests (and retry loops around network
-    fetches) tell "file is garbage" from "file stopped early".
-    """
-
-
-def _origin(source: PathOrHandle) -> str:
-    """A human-readable name for error messages."""
-    if isinstance(source, (str, Path)):
-        return str(source)
-    return getattr(source, "name", None) or "<stream>"
-
-
-def open_text(source: PathOrHandle) -> tuple[TextIO, bool]:
-    """Open a path for buffered text reading, sniffing gzip.
-
-    Returns ``(handle, owned)`` — ``owned`` is False for handles
-    passed through, matching the convention of the materializing
-    readers.  Compression is detected by the gzip magic bytes (or the
-    ``.gz`` suffix when the file cannot be probed), and decompressed
-    incrementally.
-    """
-    if not isinstance(source, (str, Path)):
-        return source, False
-    path = Path(source)
-    is_gzip = path.suffix == ".gz"
-    try:
-        with open(path, "rb") as probe:
-            is_gzip = probe.read(2) == _GZIP_MAGIC
-    except OSError:
-        pass
-    if is_gzip:
-        return gzip.open(path, "rt", encoding="ascii"), True
-    return open(path, "r", encoding="ascii"), True
-
-
-def _lines(handle: TextIO, origin: str) -> Iterator[str]:
-    """Iterate lines, translating gzip truncation/corruption into
-    :class:`TruncatedInputError` / :class:`FastaFormatError`.
-
-    The gzip module only notices a missing end-of-stream marker when
-    the reader actually reaches the end, i.e. deep inside a parsing
-    loop — translating here gives every iterator the same typed
-    error without per-call-site handling.
-    """
-    try:
-        yield from handle
-    except EOFError:
-        raise TruncatedInputError(
-            f"{origin}: gzip stream ended before its end-of-stream "
-            "marker (truncated download or partial write?)"
-        ) from None
-    except (gzip.BadGzipFile, zlib.error) as exc:
-        raise FastaFormatError(
-            f"{origin}: corrupt gzip stream: {exc}"
-        ) from None
-
-
-def _parse_fasta(lines: Iterator[str],
-                 origin: str) -> Iterator[FastaRecord]:
-    """FASTA records from a raw line iterator (CRLF-tolerant)."""
-    name: str | None = None
-    description = ""
-    chunks: list[str] = []
-    for raw in lines:
-        line = raw.rstrip("\r\n")
-        if not line:
-            continue
-        if line.startswith(">"):
-            if name is not None:
-                yield FastaRecord(name, "".join(chunks), description)
-            name, description = _split_header(line)
-            chunks = []
-        else:
-            if name is None:
-                raise FastaFormatError(
-                    f"{origin}: sequence data found before any '>' "
-                    "header"
-                )
-            chunks.append(line.strip())
-    if name is not None:
-        yield FastaRecord(name, "".join(chunks), description)
-
-
-def _parse_fastq(lines: Iterator[str],
-                 origin: str) -> Iterator[FastqRecord]:
-    """FASTQ records from a raw line iterator, strict about EOF.
-
-    The 4-line record format means a file can only end cleanly on a
-    record boundary; running out of lines after a header raises
-    :class:`TruncatedInputError` with the record's ordinal and name
-    — a silently dropped tail record corrupts every downstream
-    pair/accuracy statistic.
-    """
-    _EOF = object()
-    ordinal = 0
-    while True:
-        header_raw = next(lines, _EOF)
-        if header_raw is _EOF:
-            return
-        header = header_raw.rstrip("\r\n")
-        if not header:
-            continue
-        if not header.startswith("@"):
-            raise FastaFormatError(
-                f"{origin}: expected '@' header, found "
-                f"{header[:20]!r}"
-            )
-        name, description = _split_header(header)
-        body: list[str] = []
-        for part in ("sequence", "'+' separator", "quality"):
-            line = next(lines, _EOF)
-            if line is _EOF:
-                raise TruncatedInputError(
-                    f"{origin}: record {ordinal} ({name!r}): input "
-                    f"ends mid-record (missing {part} line)"
-                )
-            body.append(line.rstrip("\r\n"))
-        sequence, plus, quality = body
-        if not plus.startswith("+"):
-            raise FastaFormatError(
-                f"{origin}: record {name!r}: expected '+' separator, "
-                f"found {plus[:20]!r}"
-            )
-        yield FastqRecord(name, sequence, quality, description)
-        ordinal += 1
-
-
-def iter_fasta(source: PathOrHandle) -> Iterator[FastaRecord]:
-    """Stream FASTA records with bounded memory (gzip-aware)."""
-    handle, owned = open_text(source)
-    origin = _origin(source)
-    try:
-        yield from _parse_fasta(_lines(handle, origin), origin)
-    finally:
-        if owned:
-            handle.close()
-
-
-def iter_fastq(source: PathOrHandle) -> Iterator[FastqRecord]:
-    """Stream FASTQ records with bounded memory (gzip-aware).
-
-    Stricter than :func:`repro.io.fasta.iter_fastq` about truncated
-    inputs: a file ending mid-record raises
-    :class:`TruncatedInputError` naming the record.
-    """
-    handle, owned = open_text(source)
-    origin = _origin(source)
-    try:
-        yield from _parse_fastq(_lines(handle, origin), origin)
-    finally:
-        if owned:
-            handle.close()
 
 
 def sniff_format(source: PathOrHandle) -> str:

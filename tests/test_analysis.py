@@ -43,7 +43,6 @@ SRC_TREE = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: module; unscoped rules need no identity.
 RULE_FIXTURES = {
     "determinism": ("determinism", None),
-    "dict-index-build": ("dict_index_build", "repro.core.fixture"),
     "dtype": ("dtype", "repro.align.bitalign_fixture"),
     "shift-mask": ("shift_mask", "repro.align.bitalign_fixture"),
     "fork-safety": ("fork_safety", None),
@@ -124,9 +123,6 @@ def test_flagged_fixture_counts():
     assert len(report.findings) == 5
     report = run_fixture("fork-safety", "flagged")
     assert len(report.findings) >= 5  # 3 writes + 2 resources + pool
-    # Both spellings of the import: the module and the package.
-    report = run_fixture("dict-index-build", "flagged")
-    assert len(report.findings) == 2
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the three-level hash-table index."""
+"""Tests for the three-level hash-table index (paper Fig. 6)."""
 
 from __future__ import annotations
 
@@ -7,12 +7,12 @@ import random
 import pytest
 
 from repro.graph.genome_graph import GenomeGraph
-from repro.index.hash_index import (
+from repro.index.flat_index import (
     BUCKET_ENTRY_BYTES,
     LOCATION_ENTRY_BYTES,
     MINIMIZER_ENTRY_BYTES,
     SeedHit,
-    build_index,
+    build_flat_index,
 )
 from repro.index.minimizer import minimizers
 from repro.index.occurrence import discarded_count, frequency_threshold
@@ -24,7 +24,7 @@ def indexed_graph():
     rng = random.Random(42)
     reference = reference_with_repeats(20_000, rng, repeat_fraction=0.15)
     graph = GenomeGraph.from_linear(reference, node_length=1000)
-    index = build_index(graph, w=10, k=15, bucket_bits=12)
+    index = build_flat_index(graph, w=10, k=15, bucket_bits=12)
     return graph, index
 
 
@@ -61,7 +61,7 @@ class TestLookup:
     def test_nodes_shorter_than_k_skipped(self):
         graph = GenomeGraph()
         graph.add_node("ACGT")  # shorter than k=15
-        index = build_index(graph, w=5, k=15, bucket_bits=4)
+        index = build_flat_index(graph, w=5, k=15, bucket_bits=4)
         assert index.distinct_minimizers == 0
 
 
@@ -106,11 +106,7 @@ class TestLayout:
 class TestLookupCost:
     def test_cost_components(self, indexed_graph):
         _, index = indexed_graph
-        some_hash = next(iter(index.frequencies()))  # just a frequency
-        # Pick an actual indexed hash.
-        hash_value = None
-        for node_hash, hits in list(index._catalog.items())[:1]:
-            hash_value = node_hash
+        hash_value = int(index.min_hash[0])
         cost = index.lookup_cost(hash_value)
         assert cost.bucket_probe == 1
         assert cost.minimizers_scanned >= 1

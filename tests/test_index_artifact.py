@@ -2,10 +2,10 @@
 
 Covers the zero-copy artifact contract end to end:
 
-* :class:`~repro.index.FlatIndex` parity with the dict-catalog
-  :class:`~repro.index.HashTableIndex` on every query of the
-  ``frequency`` / ``lookup`` / ``lookup_cost`` / ``layout`` contract,
-  and the one-probe ``query`` behind them against its definition;
+* :class:`~repro.index.FlatIndex` against a catalog assembled from the
+  nested-loop minimizer oracle (arrays, statistics, ``layout``), and
+  the one-probe ``query`` behind ``frequency`` / ``lookup`` /
+  ``lookup_cost`` against its definition;
 * artifact round trip (build -> write -> mmap attach) with
   bit-identical mapping results, and version/checksum rejection of
   corrupt, truncated, or stale artifacts;
@@ -25,15 +25,15 @@ from repro import seq as seqmod
 from repro.api import Mapper
 from repro.core.mapper import SeGraMConfig
 from repro.graph.genome_graph import GenomeGraph
-from repro.index import hash_index
 from repro.index.flat_index import (
     FlatIndex,
+    IndexLayout,
     IndexWidthError,
+    LookupCost,
+    SeedHit,
     build_flat_index,
 )
 from repro.core.minseed import MinSeed
-from repro.index.hash_index import HashTableIndex, LookupCost, \
-    SeedHit, build_index
 from repro.index.minimizer import brute_force_minimizers
 from repro.io.artifact import (
     FORMAT_VERSION,
@@ -98,61 +98,50 @@ class TestPackBases:
 
 
 class TestFlatIndexParity:
-    """FlatIndex must match the dict index bit for bit."""
+    """FlatIndex must match the catalog the nested-loop minimizer
+    oracle assembles node by node, bit for bit."""
+
+    ARRAYS = ("bucket_starts", "min_hash", "min_loc_start",
+              "min_loc_count", "loc_node", "loc_offset")
 
     @pytest.fixture(scope="class")
-    def indexes(self, mapper):
-        dict_index = build_index(mapper.graph, w=CONFIG.w, k=CONFIG.k,
-                                 bucket_bits=CONFIG.bucket_bits)
-        return dict_index, FlatIndex.from_hash_index(dict_index)
+    def catalog(self, mapper):
+        """``{hash: [(node, offset), ...]}`` from the oracle."""
+        catalog: dict[int, list[tuple[int, int]]] = {}
+        for node in mapper.graph.nodes():
+            for found in brute_force_minimizers(node.sequence,
+                                                CONFIG.w, CONFIG.k):
+                catalog.setdefault(found.score, []).append(
+                    (node.node_id, found.position))
+        return catalog
 
-    def test_present_hashes(self, indexes):
-        dict_index, flat = indexes
-        for hash_value, hits in dict_index.iter_entries():
-            assert flat.frequency(hash_value) == \
-                dict_index.frequency(hash_value)
-            assert flat.lookup(hash_value) == hits
-            assert flat.lookup_cost(hash_value) == \
-                dict_index.lookup_cost(hash_value)
+    @pytest.fixture(scope="class")
+    def flat(self, mapper):
+        return build_flat_index(mapper.graph, w=CONFIG.w, k=CONFIG.k,
+                                bucket_bits=CONFIG.bucket_bits)
 
-    def test_absent_hashes(self, indexes):
-        dict_index, flat = indexes
-        rng = random.Random(9)
-        probes = [0, 1, 2**22 - 1, 2**60 + 13] + \
-            [rng.randrange(2**CONFIG.k * 2) for _ in range(200)]
-        for hash_value in probes:
-            assert flat.frequency(hash_value) == \
-                dict_index.frequency(hash_value)
-            assert flat.lookup(hash_value) == \
-                dict_index.lookup(hash_value)
-            assert flat.lookup_cost(hash_value) == \
-                dict_index.lookup_cost(hash_value)
-
-    def test_layout_across_bucket_widths(self, indexes):
-        dict_index, flat = indexes
+    def test_layout_across_bucket_widths(self, catalog, flat):
         for bits in (4, 8, 10, 14, 18):
-            assert flat.layout(bits) == dict_index.layout(bits)
+            per_bucket: dict[int, int] = {}
+            for hash_value in catalog:
+                bucket = hash_value & ((1 << bits) - 1)
+                per_bucket[bucket] = per_bucket.get(bucket, 0) + 1
+            assert flat.layout(bits) == IndexLayout(
+                bucket_bits=bits,
+                distinct_minimizers=len(catalog),
+                total_locations=sum(map(len, catalog.values())),
+                max_minimizers_per_bucket=max(per_bucket.values()),
+                max_locations_per_minimizer=max(
+                    map(len, catalog.values())),
+            )
 
-    def test_statistics(self, indexes):
-        dict_index, flat = indexes
-        assert flat.distinct_minimizers == \
-            dict_index.distinct_minimizers
-        assert flat.total_locations == dict_index.total_locations
+    def test_statistics(self, catalog, flat):
+        assert flat.distinct_minimizers == len(catalog)
+        assert flat.total_locations == sum(map(len, catalog.values()))
         assert sorted(flat.frequencies()) == \
-            sorted(dict_index.frequencies())
+            sorted(map(len, catalog.values()))
 
-    def test_direct_build_matches_flattened(self, mapper, indexes):
-        _, flat = indexes
-        direct = build_flat_index(mapper.graph, w=CONFIG.w,
-                                  k=CONFIG.k,
-                                  bucket_bits=CONFIG.bucket_bits)
-        for name in ("bucket_starts", "min_hash", "min_loc_start",
-                     "min_loc_count", "loc_node", "loc_offset"):
-            assert np.array_equal(getattr(direct, name),
-                                  getattr(flat, name)), name
-
-    def test_parallel_build_matches_sequential(self, mapper, indexes):
-        _, flat = indexes
+    def test_parallel_build_matches_sequential(self, mapper, flat):
         ranges = [(c.node_base, c.node_end)
                   for c in mapper.reference._contigs]
         parallel = build_flat_index(
@@ -160,28 +149,26 @@ class TestFlatIndexParity:
             bucket_bits=CONFIG.bucket_bits, jobs=2,
             node_ranges=ranges,
         )
-        for name in ("bucket_starts", "min_hash", "min_loc_start",
-                     "min_loc_count", "loc_node", "loc_offset"):
+        for name in self.ARRAYS:
             assert np.array_equal(getattr(parallel, name),
                                   getattr(flat, name)), name
 
     @pytest.mark.parametrize("sharding", ["whole", "jobs2",
                                           "contigs", "contigs-jobs2"])
-    def test_build_matches_brute_force_catalog(self, mapper, sharding):
-        """The vector build against a catalog assembled node by node
-        from the nested-loop minimizer oracle."""
-        graph = mapper.graph
-        catalog: dict[int, list[SeedHit]] = {}
-        for node in graph.nodes():
-            for found in brute_force_minimizers(node.sequence,
-                                                CONFIG.w, CONFIG.k):
-                catalog.setdefault(found.score, []).append(
-                    SeedHit(node.node_id, found.position))
-        expected = FlatIndex.from_hash_index(HashTableIndex(
-            catalog, w=CONFIG.w, k=CONFIG.k,
-            bucket_bits=CONFIG.bucket_bits))
+    def test_build_matches_brute_force_catalog(self, mapper, catalog,
+                                               sharding):
+        """The vector build against the oracle's triples laid out by
+        :meth:`FlatIndex.from_occurrences`."""
+        triples = [(hash_value, node, offset)
+                   for hash_value, hits in catalog.items()
+                   for node, offset in hits]
+        hashes, nodes, offsets = (np.array(column)
+                                  for column in zip(*triples))
+        expected = FlatIndex.from_occurrences(
+            hashes.astype(np.uint64), nodes, offsets,
+            w=CONFIG.w, k=CONFIG.k, bucket_bits=CONFIG.bucket_bits)
         built = build_flat_index(
-            graph, w=CONFIG.w, k=CONFIG.k,
+            mapper.graph, w=CONFIG.w, k=CONFIG.k,
             bucket_bits=CONFIG.bucket_bits,
             jobs=2 if "jobs2" in sharding else 1,
             node_ranges=[(c.node_base, c.node_end)
@@ -189,8 +176,7 @@ class TestFlatIndexParity:
             if "contigs" in sharding else None,
         )
         assert built.distinct_minimizers > 1_000
-        for name in ("bucket_starts", "min_hash", "min_loc_start",
-                     "min_loc_count", "loc_node", "loc_offset"):
+        for name in self.ARRAYS:
             assert np.array_equal(getattr(built, name),
                                   getattr(expected, name)), name
             assert getattr(built, name).dtype == \
@@ -212,9 +198,8 @@ class TestFieldWidths:
     not an ``OverflowError`` or a silent wrap."""
 
     def test_k_wider_than_the_hash_field(self, mapper):
-        for build in (build_index, build_flat_index):
-            with pytest.raises(ValueError, match="k must be <= 32"):
-                build(mapper.graph, w=5, k=33)
+        with pytest.raises(ValueError, match="k must be <= 32"):
+            build_flat_index(mapper.graph, w=5, k=33)
         with pytest.raises(ValueError, match="k must be <= 32"):
             SeGraMConfig(w=5, k=33)
         assert SeGraMConfig(w=5, k=32).k == 32
@@ -244,23 +229,27 @@ class TestFieldWidths:
 
 class TestOneProbeQuery:
     """``query`` answers frequency, access cost and hits from one
-    bucket probe on both index kinds (and on a memory-mapped flat
-    index).  The expectation is the definition written out — a linear
-    scan of the sorted bucket up to and including the first entry >=
-    the query, plus the catalog entry — not the other index kind."""
+    bucket probe, on a built and on a memory-mapped index.  The
+    expectation is the definition written out — a linear scan of the
+    sorted bucket up to and including the first entry >= the query,
+    plus the catalog entry of the minimizer oracle."""
 
     @pytest.fixture(scope="class")
     def setup(self, mapper, tmp_path_factory):
-        dict_index = build_index(mapper.graph, w=CONFIG.w, k=CONFIG.k,
-                                 bucket_bits=CONFIG.bucket_bits)
         path = tmp_path_factory.mktemp("probe") / "ref.sgidx"
         mapper.save_index(path)
         kinds = {
-            "dict": dict_index,
-            "flat": FlatIndex.from_hash_index(dict_index),
+            "flat": build_flat_index(mapper.graph, w=CONFIG.w,
+                                     k=CONFIG.k,
+                                     bucket_bits=CONFIG.bucket_bits),
             "mapped": load_index_artifact(path).index,
         }
-        catalog = dict(dict_index.iter_entries())
+        catalog: dict[int, tuple[SeedHit, ...]] = {}
+        for node in mapper.graph.nodes():
+            for found in brute_force_minimizers(node.sequence,
+                                                CONFIG.w, CONFIG.k):
+                catalog[found.score] = catalog.get(found.score, ()) \
+                    + (SeedHit(node.node_id, found.position),)
         buckets: dict[int, list[int]] = {}
         for hash_value in catalog:
             buckets.setdefault(hash_value & self.MASK,
@@ -299,7 +288,7 @@ class TestOneProbeQuery:
         assert len(absent) > len(buckets)
         return sorted(probes)
 
-    @pytest.mark.parametrize("kind", ["dict", "flat", "mapped"])
+    @pytest.mark.parametrize("kind", ["flat", "mapped"])
     def test_query_matches_the_definition(self, setup, kind):
         kinds, catalog, buckets = setup
         index = kinds[kind]
@@ -373,14 +362,12 @@ class TestOneProbeQuery:
         seeders = {kind: MinSeed(mapper.graph, index, error_rate=0.05)
                    for kind, index in kinds.items()}
         for _, read in reads:
-            regions, stats = seeders["dict"].seed(read)
+            regions, stats = seeders["flat"].seed(read)
             assert stats.index_accesses == sum(
                 self._expected(catalog, buckets,
                                minimizer.score)[0].total_accesses
-                for minimizer in seeders["dict"].find_minimizers(read))
-            for kind in ("flat", "mapped"):
-                assert seeders[kind].seed(read) == (regions, stats), \
-                    kind
+                for minimizer in seeders["flat"].find_minimizers(read))
+            assert seeders["mapped"].seed(read) == (regions, stats)
 
 
 class TestArtifactRoundTrip:
@@ -391,25 +378,6 @@ class TestArtifactRoundTrip:
         assert hashlib.sha256(artifact.read_bytes()).hexdigest() == \
             "36aee3ee7bd3c8086873638b2d019c88" \
             "fd8600634afb1483547f22d0dc59b6e4"
-
-    def test_from_fasta_never_builds_the_dict_index(
-            self, reference, tmp_path, monkeypatch):
-        """One build path: FASTA -> scan -> FlatIndex -> artifact."""
-        def refuse(*args, **kwargs):
-            raise AssertionError("production built a HashTableIndex")
-
-        monkeypatch.setattr(HashTableIndex, "__init__", refuse)
-        monkeypatch.setattr(hash_index, "build_index", refuse)
-        fasta = tmp_path / "ref.fa"
-        fasta.write_text("".join(f">{name}\n{sequence}\n"
-                                 for name, sequence in reference))
-        mapper = Mapper.from_fasta(fasta, config=CONFIG,
-                                   max_node_length=512)
-        assert type(mapper.engine.index) is FlatIndex
-        mapper.save_index(tmp_path / "ref.sgidx")
-        _, sequence = reference[0]
-        assert mapper.map_batch(
-            [("read", sequence[1_000:1_150])])[0].mapped
 
     def test_magic_sniffer(self, artifact, tmp_path):
         assert is_index_artifact(artifact)

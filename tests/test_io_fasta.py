@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.api import Mapper
 from repro.io.fasta import (
     FastaFormatError,
     FastaRecord,
     FastqRecord,
+    TruncatedInputError,
     read_fasta,
     read_fastq,
     write_fasta,
@@ -227,3 +229,16 @@ class TestGzipInputs:
         path = tmp_path / "ref.fa"
         path.write_text(">a\nACGT\n")
         assert read_fasta(path)[0].sequence == "ACGT"
+
+    def test_truncated_gzip_fasta_is_a_typed_error(self, tmp_path):
+        """A ``.fa.gz`` cut short ends in :class:`TruncatedInputError`
+        on every path that reads a reference, not a raw EOFError."""
+        path = tmp_path / "ref.fa.gz"
+        self._gz(path, ">chr1\n" + "ACGTTGCA" * 2_000 + "\n")
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+        with pytest.raises(TruncatedInputError,
+                           match="end-of-stream marker"):
+            read_fasta(path)
+        with pytest.raises(TruncatedInputError):
+            Mapper.from_fasta(path)

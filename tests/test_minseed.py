@@ -9,7 +9,6 @@ import pytest
 from repro.core.minseed import MinSeed, Seed, SeedRegion, SeedingStats
 from repro.graph.genome_graph import GenomeGraph
 from repro.index.flat_index import build_flat_index
-from repro.index.hash_index import build_index
 from repro.index.minimizer import brute_force_minimizers
 from repro.refs.reference import ReferenceSet
 from repro.seq import reverse_complement
@@ -21,7 +20,7 @@ def seeded():
     rng = random.Random(99)
     reference = random_reference(30_000, rng)
     graph = GenomeGraph.from_linear(reference, node_length=2_000)
-    index = build_index(graph, w=10, k=15, bucket_bits=12)
+    index = build_flat_index(graph, w=10, k=15, bucket_bits=12)
     minseed = MinSeed(graph, index, error_rate=0.05)
     return reference, graph, minseed
 
@@ -114,7 +113,7 @@ class TestFrequencyFilter:
         unit = random_reference(200, rng)
         reference = unit * 50 + random_reference(10_000, rng)
         graph = GenomeGraph.from_linear(reference, node_length=2_000)
-        index = build_index(graph, w=10, k=15, bucket_bits=12)
+        index = build_flat_index(graph, w=10, k=15, bucket_bits=12)
         # The repeat minimizers are ~2 % of distinct minimizers, all at
         # the same frequency; a 5 % top fraction clears the tie group.
         minseed = MinSeed(graph, index, error_rate=0.05,
