@@ -2,7 +2,7 @@
 
 Not a single paper figure: this wraps the scenario runner
 (``benchmarks/scenarios/run_scenarios.py``) so the whole read-type x
-error x graph-density x backend x jobs x input-mode matrix gets (a)
+error x graph-density x jobs x input-mode matrix gets (a)
 a timing entry in the CI benchmark JSON, gated by the calibrated
 baseline, and (b) acceptance assertions on the deterministic metric
 columns.
@@ -50,7 +50,7 @@ def _run_matrix(timing: bool = True):
 def test_scenario_matrix(benchmark, show):
     rows = benchmark.pedantic(_run_matrix, rounds=1, iterations=1)
     show(rows, "scenario matrix — read type x error x density x "
-               "backend x jobs x input mode")
+               "jobs x input mode")
 
     assert len(rows) == len(_selected_cases()[1])
     for row in rows:

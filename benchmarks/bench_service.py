@@ -44,10 +44,7 @@ from repro.sim.shortread import ShortReadProfile, simulate_short_reads
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
-#: The backend the daemon and the perf spine run (results are
-#: identical on either backend).
-CONFIG = SeGraMConfig(w=10, k=15, bucket_bits=13,
-                      align_backend="numpy")
+CONFIG = SeGraMConfig(w=10, k=15, bucket_bits=13)
 
 BATCH = 32 if QUICK else 64
 READ_LENGTH = 100

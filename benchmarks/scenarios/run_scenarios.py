@@ -4,8 +4,8 @@ SeGraM's evaluation (PAPER.md Section 8) sweeps read type x error
 rate x graph density; this runner reproduces that sweep shape over
 the repro pipeline as a *deterministic* case matrix.  Each case in
 ``cases.json`` names a workload — read type {short-PE, long HiFi/ONT-
-like} x error profile x graph density x alignment backend x jobs x
-input mode {mem, stream, stream+gzip} — and produces:
+like} x error profile x graph density x jobs x input mode {mem,
+stream, stream+gzip} — and produces:
 
 * one CSV row (``scenarios.csv``) with deterministic metric columns
   (mapped counts, proper-pair rate, accuracy, align-call counters)
@@ -73,7 +73,7 @@ DEFAULT_CASES = Path(__file__).parent / "cases.json"
 
 #: Columns pinned identical across runs at a fixed seed.
 DETERMINISTIC_COLUMNS = (
-    "id", "read_type", "error_rate", "density", "backend", "jobs",
+    "id", "read_type", "error_rate", "density", "jobs",
     "input_mode", "reads", "mapped", "proper_rate", "accuracy",
     "align_calls",
 )
@@ -115,8 +115,8 @@ def _case_rng(defaults: dict, case: dict) -> random.Random:
 
 
 def _engine_config(case: dict) -> SeGraMConfig:
-    """One engine configuration for every case: only the backend
-    varies, so rows differ by workload, not by tuning."""
+    """One engine configuration for every case, so rows differ by
+    workload, not by tuning."""
     return SeGraMConfig(
         w=10, k=15, bucket_bits=12,
         error_rate=max(0.05, case["error_rate"]),
@@ -124,7 +124,6 @@ def _engine_config(case: dict) -> SeGraMConfig:
         max_seeds_per_read=4,
         both_strands=True,
         early_exit_distance=6,
-        align_backend=case["backend"],
     )
 
 
@@ -256,7 +255,6 @@ def run_case(case: dict, defaults: dict, workdir: Path,
         "read_type": case["read_type"],
         "error_rate": case["error_rate"],
         "density": case["density"],
-        "backend": case["backend"],
         "jobs": case["jobs"],
         "input_mode": case["input_mode"],
         "reads": read_total,

@@ -12,12 +12,6 @@
   fastest practical software bitvector aligner for linear references.
 * :mod:`repro.align.genasm` — linear GenASM (right-to-left, 0-active
   Bitap with traceback), the MICRO'20 predecessor BitAlign extends.
-* :mod:`repro.align.bitalign_packed` — the GenASM recurrence over
-  word-packed uint64 arrays (numpy), swept in the systolic-array
-  wavefront order of the hardware.
-* :mod:`repro.align.backends` — the pluggable backend registry tying
-  the implementations together behind one ``align(text, pattern, k)``
-  contract.
 """
 
 from repro.align.dp_linear import (
@@ -30,19 +24,6 @@ from repro.align.dp_graph import (
     graph_align,
     graph_distance,
 )
-from repro.align.backends import (
-    AlignmentBackend,
-    BackendAlignment,
-    get_backend,
-    list_backends,
-    register_backend,
-    resolve_backend,
-)
-from repro.align.bitalign_packed import (
-    PackedLayout,
-    packed_distance,
-    packed_generate,
-)
 from repro.align.bitap import bitap_search
 from repro.align.myers import myers_distance, myers_search
 from repro.align.genasm import genasm_align, genasm_distance
@@ -51,15 +32,6 @@ from repro.align.banded import banded_distance
 from repro.align.wfa import wfa_edit_distance, wfa_fitting_distance
 
 __all__ = [
-    "AlignmentBackend",
-    "BackendAlignment",
-    "PackedLayout",
-    "get_backend",
-    "list_backends",
-    "packed_distance",
-    "packed_generate",
-    "register_backend",
-    "resolve_backend",
     "wfa_edit_distance",
     "wfa_fitting_distance",
     "edit_distance",

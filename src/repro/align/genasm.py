@@ -146,9 +146,8 @@ def traceback_alignment(all_r, text: str, pattern: str,
 
     ``all_r`` may be any indexable of per-position bitvector rows
     (``all_r[i][d]`` an int; positions ``0..len(text)``, the last being
-    the virtual row) — the list built by :func:`_generate` or the
-    packed row view of :mod:`repro.align.bitalign_packed`.  ``start``
-    must be an accepting position for ``distance`` (``start <
+    the virtual row), such as the list built by :func:`_generate`.
+    ``start`` must be an accepting position for ``distance`` (``start <
     len(text)``); use :func:`genasm_align` for the degenerate
     pure-insertion case.
     """

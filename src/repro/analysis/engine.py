@@ -75,10 +75,9 @@ class Module:
 def _infer_module_name(path: Path) -> str | None:
     """Dotted module name from the trailing ``repro/...`` segment.
 
-    ``src/repro/align/bitalign_packed.py`` ->
-    ``repro.align.bitalign_packed``; paths without a ``repro``
-    component (fixture snippets) have no inferred identity and the
-    module-scoped rules skip them.
+    ``src/repro/align/genasm.py`` -> ``repro.align.genasm``; paths
+    without a ``repro`` component (fixture snippets) have no inferred
+    identity and the module-scoped rules skip them.
     """
     parts = list(path.parts)
     if "repro" not in parts:

@@ -2,9 +2,8 @@
 
 Rules register themselves at import time via the :func:`rule`
 decorator (importing :mod:`repro.analysis.rules` pulls every rule
-module in), mirroring the alignment-backend registry of
-:mod:`repro.align.backends`: a plain dict, explicit registration, and
-lookup errors that list what *is* registered.
+module in): a plain dict, explicit registration, and lookup errors
+that list what *is* registered.
 
 A rule's ``check`` receives one parsed :class:`~repro.analysis.engine.
 Module` and returns its findings; the engine owns file walking,

@@ -1,13 +1,12 @@
 """Rule ``determinism``: no unseeded or wall-clock entropy in the
 result path.
 
-Every parity claim in this repo — align backends, ``--jobs``
-sharding, fork vs :class:`~repro.core.pipeline.PersistentPool`, dict
-vs flat index — is a *bit-for-bit* claim, and bit-for-bit dies the
-moment any value feeding a result depends on process-global RNG state
-or the wall clock.  Simulation code therefore threads explicit
-``random.Random(seed)`` instances end to end; this rule makes that
-convention mechanical:
+Every parity claim in this repo — ``--jobs`` sharding, fork vs
+:class:`~repro.core.pipeline.PersistentPool`, chunking and batching —
+is a *bit-for-bit* claim, and bit-for-bit dies the moment any value
+feeding a result depends on process-global RNG state or the wall
+clock.  Simulation code therefore threads explicit ``random.Random(seed)``
+instances end to end; this rule makes that convention mechanical:
 
 * module-level RNG draws (``random.random()``, ``random.shuffle``,
   ``np.random.randint`` and friends) are flagged — they read hidden
@@ -119,7 +118,7 @@ def _check_call(module: Module, node: ast.Call,
 @rule(
     "determinism",
     "no unseeded RNG or wall-clock entropy may feed results",
-    "every backend/jobs/pool/index parity guarantee is bit-for-bit; "
+    "every jobs/pool/chunking parity guarantee is bit-for-bit; "
     "one hidden-global RNG draw or time.time()-derived value makes "
     "results differ across runs and across worker processes",
 )

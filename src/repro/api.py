@@ -516,8 +516,7 @@ class Mapper:
 
     def __repr__(self) -> str:
         return (f"Mapper({len(self.reference)} contigs, "
-                f"{self.graph.total_sequence_length} bases, "
-                f"backend={self.engine.pipeline.stats.backend})")
+                f"{self.graph.total_sequence_length} bases)")
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.align.backends import list_backends
 from repro.api import Mapper
 from repro.core.mapper import SeGraMConfig
 from repro.core.pipeline import effective_jobs
@@ -72,11 +71,12 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
                         default=None,
                         help="stop scanning regions once an alignment "
                              "at or below this distance is found")
-    parser.add_argument("--align-backend", choices=list_backends(),
+    # Ignored.  Deleted with ROADMAP item 1's follow-up src/ PR, once
+    # benchmarks/perf/serve.py stops passing it.
+    parser.add_argument("--align-backend", choices=("python", "numpy"),
                         default=None,
-                        help="alignment backend (default: "
-                             "$REPRO_ALIGN_BACKEND, else 'python'; "
-                             "results are identical across backends)")
+                        help="ignored: every alignment runs the one "
+                             "BitAlign kernel")
 
 
 def _check_minimizer_args(args: argparse.Namespace) -> None:
@@ -105,7 +105,6 @@ def _engine_config(args: argparse.Namespace) -> SeGraMConfig:
         both_strands=args.both_strands,
         chaining=args.chaining,
         early_exit_distance=args.early_exit_distance,
-        align_backend=args.align_backend,
     )
 
 
@@ -503,16 +502,6 @@ def cmd_map(args: argparse.Namespace) -> int:
     if args.qualified_paths and out_format != "gaf":
         raise SystemExit("error: --qualified-paths applies to GAF "
                          "output only")
-    if args.align_backend is None:
-        # --align-backend is validated by argparse choices; the env
-        # fallback must be validated just as eagerly, or a bogus
-        # $REPRO_ALIGN_BACKEND only explodes deep in the first align.
-        from repro.align.backends import default_backend_name
-
-        try:
-            default_backend_name()
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from None
     from repro.io.artifact import ArtifactError, is_index_artifact
 
     index_path = args.index
@@ -627,8 +616,7 @@ def _map_reads(args: argparse.Namespace, mapper: Mapper,
     jobs = effective_jobs(args.jobs, total)
     print(format_table(
         stats.stage_rows(),
-        title=f"pipeline stages (jobs={jobs}, "
-              f"backend={stats.backend})"))
+        title=f"pipeline stages (jobs={jobs})"))
     for line in stats.summary_lines():
         print(f"  {line}")
     return 0
@@ -728,8 +716,7 @@ def _map_paired(args: argparse.Namespace, mapper: Mapper,
     jobs = effective_jobs(args.jobs, total)
     print(format_table(
         stats.stage_rows(),
-        title=f"pipeline stages (jobs={jobs}, "
-              f"backend={stats.backend})"))
+        title=f"pipeline stages (jobs={jobs})"))
     for line in stats.summary_lines():
         print(f"  {line}")
     for line in mapper.pair_stats.summary_lines():

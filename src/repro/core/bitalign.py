@@ -401,10 +401,10 @@ def traceback(
 
     ``all_r`` is the :class:`DiagonalRows` of :func:`generate_bitvectors`
     (walked natively, one bit probe per question) or any row-indexable
-    store with ``all_r[i][d]`` an int — a backend's packed chain rows,
-    the oracle's list of lists.  ``start`` must satisfy the invariant
-    that bit ``m - 1`` of ``R[start][budget]`` is 0.  Intermediate
-    bitvectors are regenerated on demand; operation preference is
+    store with ``all_r[i][d]`` an int, such as the oracle's list of
+    lists.  ``start`` must satisfy the invariant that bit ``m - 1`` of
+    ``R[start][budget]`` is 0.  Intermediate bitvectors are
+    regenerated on demand; operation preference is
     match, substitution, deletion, insertion (ties resolved toward the
     first-listed successor), identically on both walks.
     """
@@ -600,7 +600,6 @@ def bitalign(
     pattern: str,
     k: int,
     anchors: list[int] | None = None,
-    backend=None,
 ) -> BitAlignResult | None:
     """Full BitAlign: bitvector generation plus traceback.
 
@@ -612,14 +611,6 @@ def bitalign(
         anchors: optional restriction of the allowed start positions —
             the windowed aligner uses this to chain a window onto the
             successors of the previous window's endpoint.
-        backend: optional alignment backend (name, instance, or None)
-            — see :mod:`repro.align.backends`.  A backend may supply
-            packed rows for a plain-chain window through its
-            ``chain_bitvectors`` (the numpy backend does for patterns of
-            512 bits and more); every other window, hop-bearing or
-            not, runs :func:`generate_bitvectors`.  The recurrence is
-            identical, so results are bit-for-bit the same for every
-            backend.
 
     Returns:
         The best alignment, or None when no alignment within ``k``
@@ -634,17 +625,7 @@ def bitalign(
                 reference="",
             )
         return None
-    all_r = None
-    if backend is not None:
-        from repro.align.backends import resolve_backend
-
-        resolved = resolve_backend(backend)
-        if resolved.provides_chain_kernel \
-                and len(pattern) >= resolved.chain_kernel_min_bits \
-                and lin.is_chain():
-            all_r = resolved.chain_bitvectors(lin.chars, pattern, k)
-    if all_r is None:
-        all_r = generate_bitvectors(lin, pattern, k)
+    all_r = generate_bitvectors(lin, pattern, k)
     located = all_r.best_start(candidates=anchors)
     if located is None:
         return None

@@ -84,11 +84,8 @@ class SeGraMConfig:
             MinSeed's design point aligns every seed (Section 11.4).
         region_cache_size: accepted and ignored — there is no region
             cache (regions are views of one linearization).
-        align_backend: alignment-backend name from
-            :func:`repro.align.backends.list_backends` (``"python"``
-            or ``"numpy"``), or None for the process default
-            (``$REPRO_ALIGN_BACKEND``, else ``"python"``).  Mapping
-            results are bit-for-bit identical across backends.
+        align_backend: accepted and ignored — every alignment runs
+            the one kernel of :mod:`repro.core.bitalign`.
     """
 
     w: int = 10
@@ -106,6 +103,8 @@ class SeGraMConfig:
     #: Ignored.  Deleted with ROADMAP item 1, whose benchmark PR stops
     #: ``benchmarks/perf/workloads.py`` passing it.
     region_cache_size: int = 128
+    #: Ignored.  Deleted with ROADMAP item 1's follow-up ``src/`` PR,
+    #: once ``benchmarks/perf/workloads.py`` stops passing it.
     align_backend: str | None = None
 
     def __post_init__(self) -> None:
@@ -123,17 +122,6 @@ class SeGraMConfig:
                 f"early_exit_distance must be >= 0, "
                 f"got {self.early_exit_distance}"
             )
-        if self.align_backend is not None:
-            # Validate eagerly: an unknown name used to surface as a
-            # late KeyError deep inside the first align call.
-            from repro.align.backends import list_backends
-
-            if self.align_backend not in list_backends():
-                known = ", ".join(list_backends()) or "(none)"
-                raise ValueError(
-                    f"unknown alignment backend "
-                    f"{self.align_backend!r}; registered: {known}"
-                )
 
 
 @dataclass(frozen=True)
@@ -333,8 +321,7 @@ class SeGraM:
             freq_top_fraction=self.config.freq_top_fraction,
             char_spans=refs.char_spans() if refs is not None else None,
         )
-        self.aligner = WindowedAligner(self.config.windowing,
-                                       backend=self.config.align_backend)
+        self.aligner = WindowedAligner(self.config.windowing)
         self.pipeline = MappingPipeline(
             graph=self.graph, config=self.config,
             minseed=self.minseed, aligner=self.aligner,

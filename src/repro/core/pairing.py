@@ -25,11 +25,11 @@ pipeline`), then treats pairing as a selection problem:
    maps confidently, the other mate is searched for directly with a
    windowed fitting alignment over the reference span where its
    FR-consistent placement must lie (anchor position plus/minus the
-   maximum template length).  The search reuses the pluggable
-   alignment-backend registry (:mod:`repro.align.backends`) — the same
-   BitAlign kernel that serves the pipeline, pointed at the rescue
+   maximum template length).  The search runs
+   :func:`~repro.core.bitalign.bitalign` — the same BitAlign kernel
+   that serves the pipeline, pointed at a hop-free view of the rescue
    window, exactly the GenPairX co-design (PAPERS.md): rescue is one
-   more BitAlign dispatch, not a separate datapath.
+   more BitAlign call, not a separate datapath.
 3. **Discordant classification** — pairs that end up non-proper are
    classified (:func:`classify_pair`) into the structural-variant
    evidence categories downstream callers consume: wrong orientation
@@ -55,11 +55,29 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro import seq as seqmod
+from repro.core.bitalign import bitalign
 from repro.core.mapper import MappingResult
 from repro.core.pipeline import ShardContext, run_sharded
+from repro.graph.linearize import LinearizedGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.mapper import SeGraM
+
+
+#: Traceback-storage budget of one rescue alignment, in 64-bit words
+#: (64 M words = 512 MB): a job above it resolves to no rescue.
+DEFAULT_MAX_WORDS = 64_000_000
+
+
+def align_storage_words(text_length: int, pattern_length: int,
+                        k: int) -> int:
+    """Traceback storage of one rescue alignment, in 64-bit words.
+
+    One ``m``-bit bitvector per ``(position, budget)`` cell:
+    ``(n + k + 1)`` positions times ``k + 1`` budgets times the words
+    of one bitvector.
+    """
+    return (text_length + k + 1) * (k + 1) * -(-pattern_length // 64)
 
 
 #: Discordant-pair categories (the ``YC:Z:`` SAM tag vocabulary).
@@ -184,8 +202,8 @@ class PairStats:
     rescue_attempts: int = 0
     rescue_hits: int = 0
     pairs_unplaced: int = 0
-    #: Backend dispatches issued for mate-rescue alignments (rescue
-    #: windows sharing one ``align_many`` call count once).
+    #: Kernel calls issued for mate-rescue alignments: one per framed
+    #: window that fits the traceback-storage budget.
     align_calls: int = 0
     discordant: dict = field(default_factory=dict)
 
@@ -238,7 +256,7 @@ class PairStats:
             f"mate rescue: {self.rescue_hits} hits / "
             f"{self.rescue_attempts} attempts "
             f"(hit rate {self.rescue_hit_rate:.1%}), "
-            f"{self.align_calls} backend dispatches",
+            f"{self.align_calls} kernel calls",
         ]
 
 
@@ -552,8 +570,7 @@ class PairedEndMapper:
         """Try to rescue each mate near the other's best placement.
 
         Both directions' rescue windows are framed first and then
-        handed together to the backend's ``align_many`` (a loop over
-        ``align``), one call per distinct threshold.
+        resolved together by :meth:`_dispatch_rescues`.
         """
         attempts = []
         for anchor, read, rescued_index in (
@@ -569,7 +586,7 @@ class PairedEndMapper:
         combos: list[_Combo] = []
         for (anchor, read, rescued_index, job), aligned in zip(
                 attempts, aligned_list):
-            if aligned is None or aligned.start < 0:
+            if aligned is None:
                 continue
             rescued = self._rescued_result(anchor, read,
                                            rescued_index, job,
@@ -583,31 +600,29 @@ class PairedEndMapper:
         return combos
 
     def _dispatch_rescues(self, jobs: list) -> list:
-        """Resolve framed rescue windows, batched per threshold.
+        """Resolve framed rescue windows, one kernel call per job.
 
-        Jobs whose traceback storage would blow the per-call word
-        budget resolve to None (exactly when the per-window ``align``
-        would raise :class:`~repro.align.dp_linear.
-        AlignmentSizeError`); the rest group by their edit threshold
-        and go through one ``align_many`` dispatch per group.
+        Each window is a hop-free view aligned by
+        :func:`~repro.core.bitalign.bitalign`, the kernel every
+        pipeline window runs.  A job resolves to ``(distance, start,
+        cigar)``, ``start`` being the first consumed window position
+        (a window is never empty, so every alignment consumes one), or
+        to None: no alignment within ``k``, or traceback storage above
+        :data:`DEFAULT_MAX_WORDS` — that job never runs the kernel.
         """
-        from repro.align.backends import align_storage_words
-        from repro.align.bitalign_packed import DEFAULT_MAX_WORDS
-
-        results: list = [None] * len(jobs)
-        backend = self.mapper.aligner.backend
-        by_k: dict[int, list[int]] = {}
-        for index, (window, pattern, k, _, _) in enumerate(jobs):
+        results: list = []
+        for window, pattern, k, _, _ in jobs:
             if align_storage_words(len(window), len(pattern),
                                    k) > DEFAULT_MAX_WORDS:
+                results.append(None)
                 continue
-            by_k.setdefault(k, []).append(index)
-        for k, indices in sorted(by_k.items()):
-            aligned = backend.align_many(
-                [(jobs[i][0], jobs[i][1]) for i in indices], k)
+            chain = LinearizedGraph.from_hops(
+                window, {len(window) - 1: ()}, [0])
             self.stats.align_calls += 1
-            for index, result in zip(indices, aligned):
-                results[index] = result
+            aligned = bitalign(chain, pattern, k)
+            results.append(
+                None if aligned is None
+                else (aligned.distance, aligned.path[0], aligned.cigar))
         return results
 
     def _anchor_is_confident(self, anchor: MappingResult) -> bool:
@@ -624,9 +639,8 @@ class PairedEndMapper:
         The rescued mate must sit on the opposite strand, inward of
         the anchor (FR geometry), within the maximum template length —
         one fitting alignment of the oriented mate over that reference
-        window, dispatched through the active alignment backend.  The
-        window is the *anchor's contig* (multi-contig mappers), so
-        rescue never crosses a contig boundary.  Returns
+        window.  The window is the *anchor's contig* (multi-contig
+        mappers), so rescue never crosses a contig boundary.  Returns
         ``(window, pattern, k, lo, strand)`` or None when no window
         can be framed.
         """
@@ -656,17 +670,18 @@ class PairedEndMapper:
 
     def _rescued_result(self, anchor: MappingResult, read: str,
                         rescued_index: int, job: tuple,
-                        aligned) -> MappingResult:
+                        aligned: tuple) -> MappingResult:
         """Materialize a successful rescue alignment as a result."""
         _, _, _, lo, strand = job
+        distance, start, cigar = aligned
         name = anchor.read_name.rsplit("/", 1)[0]
         return MappingResult(
             read_name=f"{name}/{rescued_index}",
             read_length=len(read),
             mapped=True,
-            distance=aligned.distance,
-            cigar=aligned.cigar,
-            linear_position=lo + aligned.start,
+            distance=distance,
+            cigar=cigar,
+            linear_position=lo + start,
             contig=anchor.contig,
             strand=strand,
         )

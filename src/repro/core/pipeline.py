@@ -176,15 +176,12 @@ class PipelineStats:
     #: :func:`repro.core.windows._is_exact_window`).
     windows_exact: int = 0
     #: Alignment-kernel sweeps: one per non-exact window attempt, so
-    #: ``align_calls + windows_exact == windows + rescues`` on every
-    #: backend.  It measures dispatch work, never what is computed.
+    #: ``align_calls + windows_exact == windows + rescues``.  It
+    #: measures dispatch work, never what is computed.
     align_calls: int = 0
     #: Never written: ``benchmarks/perf/run.py::stage_values`` reads
     #: this key until the span-rename benchmark PR drops it.
     align_windows_batched: int = 0
-    #: Alignment-backend name the pipeline ran with (a configuration
-    #: label, not a counter — results are backend-independent).
-    backend: str = "python"
     seeding: SeedingStats = field(default_factory=SeedingStats)
     stages: "OrderedDict[str, StageStats]" = field(default_factory=OrderedDict)
 
@@ -201,8 +198,6 @@ class PipelineStats:
         return self.stages[name]
 
     def merge(self, other: "PipelineStats") -> None:
-        # ``backend`` is a label: shards inherit the parent's pipeline
-        # configuration, so keeping the receiver's value is exact.
         self.reads += other.reads
         self.reads_mapped += other.reads_mapped
         self.regions_seeded += other.regions_seeded
@@ -245,7 +240,7 @@ class PipelineStats:
             f"({self.regions_abandoned} abandoned)",
             f"alignment work: {self.windows} windows "
             f"({self.windows_exact} exact), {self.rescues} rescues, "
-            f"{self.align_calls} kernel calls (backend: {self.backend})",
+            f"{self.align_calls} kernel calls",
         ]
 
 
@@ -769,9 +764,6 @@ class MappingPipeline:
 
     def reset_stats(self) -> None:
         self.stats = PipelineStats.empty()
-        backend_name = getattr(self.aligner, "backend_name", None)
-        if backend_name is not None:
-            self.stats.backend = backend_name
 
     def map_reads(
         self, reads: Sequence[tuple[str, str]], both_strands: bool,

@@ -202,27 +202,12 @@ class WindowedAligner:
     """Aligns arbitrarily long reads against a linearized subgraph.
 
     Args:
-        config: windowing parameters.
-        backend: alignment backend selection (a name from
-            :func:`repro.align.backends.list_backends`, a backend
-            instance, or None for the process default).  Windows run
-            the diagonal kernel of :mod:`repro.core.bitalign` on every
-            backend; a backend may take over hop-free windows above
-            its ``chain_kernel_min_bits`` pattern width.  Results are
-            bit-for-bit identical across backends.
+        config: windowing parameters.  Every window runs the diagonal
+            kernel of :mod:`repro.core.bitalign`.
     """
 
-    def __init__(self, config: WindowingConfig | None = None,
-                 backend=None) -> None:
-        from repro.align.backends import resolve_backend
-
+    def __init__(self, config: WindowingConfig | None = None) -> None:
         self.config = config or WindowingConfig()
-        self.backend = resolve_backend(backend)
-
-    @property
-    def backend_name(self) -> str:
-        """Registry name of the active alignment backend."""
-        return self.backend.name
 
     def align(
         self,
@@ -418,8 +403,7 @@ class WindowedAligner:
                     if counters is not None:
                         counters.align_calls += 1
                     result = bitalign(window, chunk, k,
-                                      anchors=local_anchors,
-                                      backend=self.backend)
+                                      anchors=local_anchors)
                     if result is not None:
                         break
                     if k >= len(chunk):

@@ -29,8 +29,53 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.align.bitalign_packed import PackedLayout
 from repro.hw.config import BitAlignUnitConfig
+
+#: Machine-word width of the packed bitvector layout (uint64 lanes).
+WORD_BITS = 64
+
+#: Bytes per packed word.
+WORD_BYTES = WORD_BITS // 8
+
+
+def words_for(bits: int) -> int:
+    """Packed 64-bit words needed for a ``bits``-wide bitvector."""
+    if bits < 1:
+        raise ValueError(f"bitvector width must be >= 1, got {bits}")
+    return (bits + WORD_BITS - 1) // WORD_BITS
+
+
+@dataclass(frozen=True)
+class PackedLayout:
+    """Word-packed layout of one status bitvector.
+
+    The cycle model reads its per-bitvector storage from this layout:
+    a ``W``-bit window occupies ``words`` 64-bit lanes (possibly padded
+    — 128 bits fit exactly in 2 words, the paper's 16 B per
+    bitvector).
+    """
+
+    pattern_bits: int
+
+    def __post_init__(self) -> None:
+        if self.pattern_bits < 1:
+            raise ValueError("pattern_bits must be >= 1")
+
+    @property
+    def words(self) -> int:
+        """64-bit words per packed bitvector."""
+        return words_for(self.pattern_bits)
+
+    @property
+    def bytes_per_bitvector(self) -> int:
+        """Storage bytes per packed bitvector (word-aligned)."""
+        return self.words * WORD_BYTES
+
+    @property
+    def padded_bits(self) -> int:
+        """Bits of storage including the unused top-word padding."""
+        return self.words * WORD_BITS
+
 
 #: Slope of the per-window cycle model, in cycles per 64 window chars.
 _CYCLES_SLOPE_PER_64 = 103
@@ -80,10 +125,7 @@ class BitAlignCycleModel:
 
     def packed_layout(self, window_bits: int | None = None) -> PackedLayout:
         """Word-packed layout of one R[d] bitvector at this window
-        width — the same machine-word layout the numpy alignment
-        backend uses (:mod:`repro.align.bitalign_packed`), so the
-        cycle model and the software fast path account storage
-        identically."""
+        width, as a machine-word datapath stores it."""
         bits = self.config.bits_per_pe if window_bits is None \
             else window_bits
         return PackedLayout(bits)

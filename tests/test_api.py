@@ -3,8 +3,8 @@
 The acceptance contract of the API redesign:
 
 * ``repro.api.Mapper`` results are **parity-tested** against the
-  legacy ``SeGraM`` / ``PairedEndMapper`` engines, under both
-  alignment backends and ``jobs`` 1/2;
+  legacy ``SeGraM`` / ``PairedEndMapper`` engines, under ``jobs``
+  1/2 and either (ignored) ``align_backend`` name;
 * multi-contig end-to-end: a 3-contig reference maps pairs to a SAM
   with three ``@SQ`` lines, per-contig RNAME/RNEXT (``=`` shorthand
   intra-contig), and planted inter-contig pairs classified
@@ -100,7 +100,8 @@ def _result_key(result):
 
 
 class TestFacadeParity:
-    """Acceptance: facade == legacy engines, backends x jobs."""
+    """Acceptance: facade == legacy engines, jobs 1 and 2, under each
+    ``align_backend`` name the config still accepts and ignores."""
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     @pytest.mark.parametrize("jobs", [1, 2])

@@ -455,10 +455,9 @@ class TestPipelineWindows:
         jobs = []
         kernel = windows_module.bitalign
 
-        def spy(window, chunk, k, anchors=None, backend=None):
+        def spy(window, chunk, k, anchors=None):
             jobs.append((window, chunk, k, anchors))
-            return kernel(window, chunk, k, anchors=anchors,
-                          backend=backend)
+            return kernel(window, chunk, k, anchors=anchors)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(windows_module, "bitalign", spy)

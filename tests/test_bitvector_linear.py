@@ -9,11 +9,18 @@ one of them — this is the foundation BitAlign's correctness rests on.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align.bitap import bitap_distance, bitap_search
+from repro.align.bitap import (
+    ABSENT_CHAR_MASK,
+    bitap_distance,
+    bitap_search,
+    pattern_masks_1active,
+)
 from repro.align.dp_linear import semiglobal_distance
 from repro.align.genasm import genasm_align, genasm_distance
 from repro.align.myers import myers_distance, myers_search
@@ -147,3 +154,35 @@ class TestAgreementMatrix:
         assert bitap_distance(text, pattern, k=len(pattern)) == dp
         genasm = genasm_distance(text, pattern, k=len(pattern))
         assert genasm is not None and genasm[0] == dp
+
+
+class TestBitapNPolicy:
+    """Regression tests for the explicit absent-character policy."""
+
+    def test_absent_char_mask_is_explicit(self):
+        masks = pattern_masks_1active("ACCA")
+        assert masks == {"A": 0b1001, "C": 0b0110}
+        assert masks.get("N", ABSENT_CHAR_MASK) == 0
+        assert masks.get("G", ABSENT_CHAR_MASK) == 0
+
+    def test_reads_with_n_cost_an_edit(self):
+        # One N in the text forces exactly one substitution.
+        assert bitap_distance("ACGNACGT", "GNAC", 0) == 0
+        assert bitap_distance("ACGTACGT", "GNAC", 0) is None
+        assert bitap_distance("ACGTACGT", "GNAC", 1) == 1
+
+    def test_n_policy_matches_bitalign(self):
+        """Bitap and the 0-active side agree on every N-bearing case."""
+        rng = random.Random(77)
+        for _ in range(80):
+            n = rng.randrange(1, 40)
+            text = "".join(rng.choice("ACGTN") for _ in range(n))
+            m = rng.randrange(1, 12)
+            pattern = "".join(rng.choice("ACGTN") for _ in range(m))
+            k = rng.randrange(0, 5)
+            expected = genasm_distance(text, pattern, k)
+            got = bitap_distance(text, pattern, k)
+            if expected is None:
+                assert got is None, (text, pattern, k)
+            else:
+                assert got == expected[0], (text, pattern, k)

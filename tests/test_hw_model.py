@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.hw.area_power import AreaPowerModel
-from repro.hw.bitalign_unit import BitAlignCycleModel
+from repro.hw.bitalign_unit import (
+    WORD_BITS,
+    BitAlignCycleModel,
+    PackedLayout,
+    words_for,
+)
 from repro.hw.config import (
     BitAlignUnitConfig,
     MinSeedUnitConfig,
@@ -308,3 +313,31 @@ class TestBaselines:
         assert baselines.SEED_COUNTS_LONG["MinSeed kept"] == 35_000_000
         assert baselines.SEED_COUNTS_SHORT["GraphAligner extended"] \
             == 11_000
+
+
+class TestPackedLayout:
+    def test_words_and_padding(self):
+        assert words_for(1) == 1
+        assert words_for(64) == 1
+        assert words_for(65) == 2
+        layout = PackedLayout(128)
+        assert (layout.words, layout.bytes_per_bitvector,
+                layout.padded_bits) == (2, 16, 128)
+        layout = PackedLayout(100)
+        assert (layout.words, layout.bytes_per_bitvector,
+                layout.padded_bits) == (2, 16, 128)
+        with pytest.raises(ValueError):
+            PackedLayout(0)
+
+    def test_cycle_model_reads_packed_layout(self):
+        model = BitAlignCycleModel()
+        layout = model.packed_layout()
+        assert layout.pattern_bits == model.config.bits_per_pe
+        assert layout.words == words_for(model.config.bits_per_pe)
+        assert model.scratchpad_write_bytes_per_cycle() == \
+            layout.bytes_per_bitvector * model.config.pe_count
+        # An odd window width is charged for its padded words.
+        assert model.packed_layout(100).bytes_per_bitvector == 16
+
+    def test_word_bits_constant(self):
+        assert WORD_BITS == 64

@@ -3,9 +3,10 @@
 Covers the fragment simulator's ground truth, pair scoring and the
 acceptance bar (>= 95 % proper pairs on the ISSUE workload: insert
 350±50, 2x100 bp, 1 % error), mate rescue beating rescue-free mapping
-on a repeat-heavy reference, single-end/in-pair parity across both
-alignment backends and ``jobs`` 1/2, and pair-aware SAM emission
-round-tripping through the parser.
+on a repeat-heavy reference, rescue on the diagonal kernel against the
+linear GenASM, Bitap and DP oracles, single-end/in-pair parity across
+``jobs`` 1/2, and pair-aware SAM emission round-tripping through the
+parser.
 """
 
 from __future__ import annotations
@@ -14,10 +15,19 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import seq as seqmod
+from repro.align.genasm import genasm_align
+from repro.core.alignment import replay_alignment
 from repro.core.mapper import SeGraM, SeGraMConfig
-from repro.core.pairing import PairedEndConfig, PairedEndMapper
+from repro.core.pairing import (
+    DEFAULT_MAX_WORDS,
+    PairedEndConfig,
+    PairedEndMapper,
+    align_storage_words,
+)
 from repro.core.windows import WindowingConfig
 from repro.eval.metrics import evaluate_paired_mappings
 from repro.io.sam import (
@@ -140,9 +150,9 @@ class TestPairedMapping:
                     assert alone.strand == mate.strand
                     assert alone.cigar == mate.cigar
 
-    def test_pairs_map_through_both_backends_and_jobs(self):
-        """Pair results are identical across alignment backends and
-        across jobs 1/2 (the batch engine only re-schedules work)."""
+    def test_pairs_map_through_jobs(self):
+        """Pair results are identical across jobs 1/2 (the batch
+        engine only re-schedules work)."""
         rng = random.Random(0xBEEF)
         reference = random_reference(6_000, rng)
         fragments = simulate_fragments(reference, 4, rng,
@@ -150,25 +160,22 @@ class TestPairedMapping:
         pairs = [(f.name, f.mate1.sequence, f.mate2.sequence)
                  for f in fragments]
         outcomes = []
-        for backend in ("python", "numpy"):
-            for jobs in (1, 2):
-                engine = PairedEndMapper(
-                    _mapper(reference, align_backend=backend),
-                    PairedEndConfig(insert_mean=350.0,
-                                    insert_std=50.0),
-                )
-                results = engine.map_pairs(pairs, jobs=jobs)
-                outcomes.append([
-                    (r.proper, r.template_length, r.score,
-                     r.rescued_mate,
-                     r.mate1.linear_position, r.mate1.strand,
-                     str(r.mate1.cigar),
-                     r.mate2.linear_position, r.mate2.strand,
-                     str(r.mate2.cigar))
-                    for r in results
-                ])
-        for other in outcomes[1:]:
-            assert other == outcomes[0]
+        for jobs in (1, 2):
+            engine = PairedEndMapper(
+                _mapper(reference),
+                PairedEndConfig(insert_mean=350.0, insert_std=50.0),
+            )
+            results = engine.map_pairs(pairs, jobs=jobs)
+            outcomes.append([
+                (r.proper, r.template_length, r.score,
+                 r.rescued_mate,
+                 r.mate1.linear_position, r.mate1.strand,
+                 str(r.mate1.cigar),
+                 r.mate2.linear_position, r.mate2.strand,
+                 str(r.mate2.cigar))
+                for r in results
+            ])
+        assert outcomes[1] == outcomes[0]
 
     def test_unmappable_mate_reported_unmapped(self):
         rng = random.Random(0xD15C)
@@ -228,8 +235,6 @@ class TestMateRescue:
     def test_rescued_alignment_is_real(self, repeat_workload):
         """A rescued mate's CIGAR must replay against the reference
         at its reported position."""
-        from repro.core.alignment import replay_alignment
-
         reference, fragments, outcomes = repeat_workload
         results_on, _ = outcomes[True]
         rescued_seen = 0
@@ -250,9 +255,9 @@ class TestMateRescue:
         assert rescued_seen > 0
 
     def test_rescue_is_backend_independent(self, repeat_workload):
-        """The workload where rescue fires, under both alignment
-        backends: identical pair results (``rescued_mate`` included)
-        and identical rescue counters."""
+        """The workload where rescue fires, under both names the
+        ignored ``align_backend`` field accepts: identical pair results
+        (``rescued_mate`` included) and identical rescue counters."""
         reference, fragments, _ = repeat_workload
         pairs = [(f.name, f.mate1.sequence, f.mate2.sequence)
                  for f in fragments]
@@ -270,6 +275,108 @@ class TestMateRescue:
         for counter in ("rescue_attempts", "rescue_hits", "align_calls"):
             assert getattr(python_stats, counter) == \
                 getattr(numpy_stats, counter), counter
+
+
+def _oracle_rescue(window: str, pattern: str, k: int):
+    """``(distance, start, cigar)`` of the linear GenASM fitting
+    alignment, or None for "no rescue" (no alignment, or the
+    pure-insertion one that consumes no reference)."""
+    aligned = genasm_align(window, pattern, k)
+    if aligned is None or aligned.text_start < 0:
+        return None
+    return aligned.distance, aligned.text_start, aligned.cigar
+
+
+@st.composite
+def _rescue_jobs(draw):
+    """``_rescue_job``-shaped ``(window, pattern, k, lo, strand)``
+    tuples: a random chain text and a mate cut out of it, then hit
+    with substitutions, insertions, deletions and ``N``."""
+    window = draw(st.text(alphabet="ACGT", min_size=1, max_size=90))
+    if draw(st.booleans()):
+        mate = list(draw(st.text(alphabet="ACGTN", min_size=1,
+                                 max_size=30)))
+    else:
+        lo = draw(st.integers(0, len(window) - 1))
+        hi = draw(st.integers(lo + 1, min(len(window), lo + 40)))
+        mate = list(window[lo:hi])
+        edits = draw(st.lists(
+            st.tuples(st.sampled_from("XIDN"), st.integers(0, 10 ** 6),
+                      st.sampled_from("ACGT")),
+            max_size=6))
+        for op, at, char in edits:
+            at %= len(mate) + (op == "I")
+            if op == "X":
+                mate[at] = char
+            elif op == "N":
+                mate[at] = "N"
+            elif op == "I":
+                mate.insert(at, char)
+            elif len(mate) > 1:
+                del mate[at]
+    pattern = "".join(mate)
+    k = draw(st.integers(0, len(pattern) + 3))
+    return window, pattern, k, draw(st.integers(0, 5_000)), "+"
+
+
+class TestRescueKernel:
+    """Mate rescue on the diagonal kernel gives the linear GenASM
+    answer on every framed window.  The seeded oracle and edge cases
+    are in ``test_align_backends.py``."""
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        rng = random.Random(0x0DD)
+        return PairedEndMapper(_mapper(random_reference(2_000, rng)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(jobs=st.lists(_rescue_jobs(), min_size=1, max_size=3))
+    def test_matches_linear_genasm(self, engine, jobs):
+        calls = engine.stats.align_calls
+        results = engine._dispatch_rescues(jobs)
+        assert engine.stats.align_calls == calls + len(jobs)
+        for (window, pattern, k, _, _), result in zip(jobs, results):
+            assert result == _oracle_rescue(window, pattern, k), \
+                (window, pattern, k)
+
+    def test_one_character_texts(self, engine):
+        for window in "ACGT":
+            for pattern, k in (("A", 0), ("A", 1), ("AC", 1),
+                               ("NNN", 3), ("G", 2)):
+                assert engine._dispatch_rescues(
+                    [(window, pattern, k, 0, "+")]) == \
+                    [_oracle_rescue(window, pattern, k)], \
+                    (window, pattern, k)
+
+    def test_over_budget_job_never_runs_the_kernel(self, engine,
+                                                   monkeypatch):
+        """A job whose traceback storage exceeds the budget resolves to
+        None without entering the sweep; its batch-mates still run."""
+        import sys
+
+        kernel = sys.modules["repro.core.bitalign"]
+        real = kernel.generate_bitvectors
+        seen = []
+
+        def spy(lin, pattern, k):
+            seen.append(len(lin))
+            assert len(lin) < 1_000, "over-budget job reached the kernel"
+            return real(lin, pattern, k)
+
+        monkeypatch.setattr(kernel, "generate_bitvectors", spy)
+        pattern, k = "ACGT" * 25, 100
+        n = DEFAULT_MAX_WORDS // ((k + 1) * 2)
+        assert align_storage_words(n, len(pattern), k) \
+            > DEFAULT_MAX_WORDS
+        small = ("TT" + pattern + "GG", pattern, 2, 0, "+")
+        calls = engine.stats.align_calls
+        results = engine._dispatch_rescues(
+            [small, ("A" * n, pattern, k, 0, "+"), small])
+        assert results[1] is None
+        assert results[0] == (0, 2, results[0][2])
+        assert results[2] == results[0]
+        assert seen == [len(small[0])] * 2
+        assert engine.stats.align_calls == calls + 2
 
 
 class TestPairSamEmission:

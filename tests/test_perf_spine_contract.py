@@ -57,3 +57,26 @@ def test_every_stats_key_the_harness_reads_exists():
     assert run.stage_values(stats, reads=1)
     assert run.pair_values({"stats": stats, "pair_stats": _ones(
         dataclasses.asdict(PairStats()))})
+
+
+def test_harness_engine_surface_constructs(tmp_path):
+    """The engine the harness builds, offline and as a daemon: its
+    configs construct and the ``repro serve`` argv parses into the
+    same flags ``map`` takes.  Flags and fields the harness still
+    passes (``--align-backend``, ``align_backend``,
+    ``region_cache_size``) stay accepted until it stops passing
+    them."""
+    from repro import cli
+
+    workloads = _load("workloads")
+    assert workloads.engine_config()
+    assert workloads.pair_config()
+    daemon = _load("serve").Daemon(
+        tmp_path / "ref.sgidx", "perf.sock",
+        Path(__file__).resolve().parents[1] / "src",
+        tmp_path / "serve.log")
+    command = daemon._command
+    assert command[1:3] == ["-m", "repro"]
+    args = cli.build_parser().parse_args(command[3:])
+    assert args.command == "serve"
+    assert cli._engine_config(args).both_strands

@@ -28,7 +28,6 @@ from repro.core.pipeline import (
 )
 from repro.core.windows import WindowingConfig
 from repro.graph.linearize import LinearizedGraph
-from repro.io.gaf import result_to_gaf
 from repro.refs.reference import Contig, ReferenceSet
 from repro.sim.errors import ErrorModel, apply_errors
 from repro.sim.reference import multi_contig_reference, random_reference
@@ -435,8 +434,8 @@ class TestBatchParity:
 class TestCoalescedParity:
     """Coalescing reads into one batch (one engine call, one pool
     dispatch) must not change any read's result: a batch equals
-    one-read calls for every jobs count, backend, and strand
-    setting."""
+    one-read calls for every jobs count and strand setting, under
+    each (ignored) ``align_backend`` name."""
 
     @pytest.fixture(scope="class")
     def sequential(self, workload):
@@ -467,10 +466,10 @@ class TestCoalescedParity:
         are batched, so the call count is a function of the windows
         alone."""
         reference, reads = workload
-        per_read = _fresh_mapper(reference, align_backend="numpy")
+        per_read = _fresh_mapper(reference)
         for name, sequence in reads:
             per_read.map_read(sequence, name)
-        coalesced = _fresh_mapper(reference, align_backend="numpy")
+        coalesced = _fresh_mapper(reference)
         coalesced.map_batch(reads)
         assert coalesced.stats.windows == per_read.stats.windows
         _assert_one_call_per_window(coalesced.stats)
@@ -490,8 +489,8 @@ def _counter_key(stats: PipelineStats):
 
 
 def _assert_one_call_per_window(stats: PipelineStats):
-    """The window path's contract on every backend: one kernel call
-    per non-exact window attempt (a rescue is a retried window); an
+    """The window path's contract: one kernel call per non-exact
+    window attempt (a rescue is a retried window); an
     exact window commits without one.  Every caller maps this file's
     chain reference, where rung 0 must fire."""
     assert stats.windows > 0
@@ -519,7 +518,7 @@ class TestGroupWidthIndependence:
     def test_batch_equals_one_read_calls(self, workload, short_reads,
                                          early_exit_distance):
         reference, _ = workload
-        overrides = dict(both_strands=True, align_backend="numpy",
+        overrides = dict(both_strands=True,
                          early_exit_distance=early_exit_distance)
         alone = _fresh_mapper(reference, **overrides)
         expected = [alone.map_read(sequence, name)
@@ -563,91 +562,30 @@ class TestGroupWidthIndependence:
                         (first_at, how)
 
 
-class TestBackendParity:
-    """`map_batch` over jobs x alignment backend: identical GAF
-    records and identical `PipelineStats` counters (wall time
-    excluded) — the bit-for-bit contract of the backend registry."""
-
-    @pytest.fixture(scope="class")
-    def per_backend(self, workload):
-        reference, reads = workload
-        outputs = {}
-        for backend in ("python", "numpy"):
-            mapper = _fresh_mapper(reference, align_backend=backend)
-            results = mapper.map_batch(reads, jobs=1)
-            gaf = [result_to_gaf(r, mapper.graph, seq)
-                   for r, (_, seq) in zip(results, reads)]
-            outputs[backend] = (results, gaf, mapper.stats)
-        return outputs
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_gaf_records_identical(self, workload, per_backend,
-                                   jobs, backend):
-        reference, reads = workload
-        mapper = _fresh_mapper(reference, align_backend=backend)
-        results = mapper.map_batch(reads, jobs=jobs)
-        baseline_results, baseline_gaf, _ = per_backend["python"]
-        assert [_result_key(r) for r in results] == \
-            [_result_key(r) for r in baseline_results]
-        gaf = [result_to_gaf(r, mapper.graph, seq)
-               for r, (_, seq) in zip(results, reads)]
-        assert gaf == baseline_gaf
-
-    def test_stats_counters_identical(self, per_backend):
-        _, _, python_stats = per_backend["python"]
-        _, _, numpy_stats = per_backend["numpy"]
-        assert _counter_key(python_stats) == _counter_key(numpy_stats)
-        assert python_stats.backend == "python"
-        assert numpy_stats.backend == "numpy"
-
-    def test_exact_heavy_records_identical(self, workload):
-        """Exact windows never reach the backend: on reads made mostly
-        of them the records agree across backends all the same."""
-        reference, _ = workload
-        reads = _noisy_reads(reference, 8, random.Random(3), error=0.002)
-        runs = {}
-        for backend in ("python", "numpy"):
-            mapper = _fresh_mapper(reference, align_backend=backend)
-            runs[backend] = (mapper.map_batch(reads), mapper.stats)
-        (python_records, stats), (numpy_records, _) = runs.values()
-        assert stats.windows_exact * 2 > stats.windows
-        assert python_records == numpy_records
-
-    def test_backend_label_survives_batch_merge(self, workload):
-        reference, reads = workload
-        mapper = _fresh_mapper(reference, align_backend="numpy")
-        mapper.map_batch(reads[:4], jobs=2)
-        assert mapper.stats.backend == "numpy"
-        assert "backend: numpy" in "\n".join(mapper.stats.summary_lines())
-
-
 class TestBatchedAlignPath:
     """The align stage's kernel-call counter.
 
     ``align_calls`` is deliberately NOT part of :func:`_counter_key` —
-    it counts kernel calls, not results.  It is nevertheless the same
-    on every backend, since the diagonal kernel serves every non-exact
-    window: ``align_calls + windows_exact == windows + rescues`` (mate
-    rescue counts its own backend dispatches on ``PairStats``).
+    it counts kernel calls, not results: ``align_calls +
+    windows_exact == windows + rescues`` (mate rescue counts its own
+    kernel calls on ``PairStats``).
     """
 
-    @pytest.mark.parametrize("backend,has_chain_kernel",
+    @pytest.mark.parametrize("backend,both_strands",
                              [("numpy", True), ("python", False)])
     def test_dispatch_counters_per_backend(self, workload, backend,
-                                           has_chain_kernel):
-        """Owning a packed chain kernel does not change how many
-        kernel calls the window path makes."""
+                                           both_strands):
+        """Neither the ignored ``align_backend`` name nor mapping both
+        strands changes how many kernel calls the window path makes."""
         reference, reads = workload
-        mapper = _fresh_mapper(reference, align_backend=backend)
-        assert mapper.pipeline.aligner.backend.provides_chain_kernel \
-            is has_chain_kernel
+        mapper = _fresh_mapper(reference, align_backend=backend,
+                               both_strands=both_strands)
         mapper.map_batch(reads, jobs=1)
         _assert_one_call_per_window(mapper.stats)
 
     def test_counters_surface_in_rows_and_summary(self, workload):
         reference, reads = workload
-        mapper = _fresh_mapper(reference, align_backend="numpy")
+        mapper = _fresh_mapper(reference)
         mapper.map_batch(reads[:4], jobs=1)
         stats = mapper.stats
         rows = {row["stage"]: row for row in stats.stage_rows()}

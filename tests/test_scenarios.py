@@ -44,7 +44,6 @@ class TestCaseMatrix:
                                          "long_ont"), case["id"]
             assert case["density"] in runner.DENSITY_PROFILES, \
                 case["id"]
-            assert case["backend"] in ("python", "numpy"), case["id"]
             assert case["input_mode"] in ("mem", "stream",
                                           "stream_gzip"), case["id"]
             assert case["jobs"] >= 1 and case["count"] >= 1, \
@@ -54,12 +53,11 @@ class TestCaseMatrix:
         """The matrix genuinely sweeps every axis at least once."""
         _, cases = matrix
         seen = {key: {case[key] for case in cases}
-                for key in ("read_type", "density", "backend",
-                            "jobs", "input_mode")}
+                for key in ("read_type", "density", "jobs",
+                            "input_mode")}
         assert seen["read_type"] == {"short_pe", "long_hifi",
                                      "long_ont"}
         assert seen["density"] == {"none", "sparse", "dense"}
-        assert seen["backend"] == {"python", "numpy"}
         assert {1, 2} <= seen["jobs"]
         assert seen["input_mode"] == {"mem", "stream",
                                       "stream_gzip"}

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.align.dp_graph import graph_distance
 from repro.core import windows
 from repro.core.alignment import replay_alignment
+from repro.core.mapper import SeGraM, SeGraMConfig
 from repro.core.pipeline import PipelineStats
 from repro.core.windows import WindowedAligner, WindowingConfig
 from repro.graph.builder import build_graph
@@ -393,9 +394,15 @@ class TestAlignMany:
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_equals_per_item_align(self, items, backend):
-        aligner = WindowedAligner(
-            WindowingConfig(window_size=128, overlap=48, k=16),
-            backend=backend)
+        """The aligner an engine builds, under either name the ignored
+        ``align_backend`` field accepts."""
+        config = SeGraMConfig(
+            windowing=WindowingConfig(window_size=128, overlap=48, k=16),
+            align_backend=backend)
+        aligner = SeGraM.from_reference(
+            random_reference(500, random.Random(5)),
+            config=config).aligner
+        assert isinstance(aligner, WindowedAligner)
         batched = aligner.align_many(items)
         assert batched == [aligner.align(*item) for item in items]
         # Membership-independent: a sub-batch gives the same answers.
@@ -403,25 +410,23 @@ class TestAlignMany:
         assert max(result.windows for result in batched) >= 6
         assert aligner.align_many([]) == []
 
-    def test_numpy_batch_shares_dispatches(self, items):
+    def test_batch_shares_no_dispatches(self, items):
         """Nothing is shared: ``align_calls + windows_exact == windows
-        + rescues`` on both backends, together or alone."""
+        + rescues``, together or alone."""
         from repro.core.pipeline import PipelineStats
 
-        for backend in ("numpy", "python"):
-            aligner = WindowedAligner(
-                WindowingConfig(window_size=128, overlap=48, k=16),
-                backend=backend)
-            together, alone = PipelineStats(), PipelineStats()
-            batched = aligner.align_many(items, counters=together)
-            for item in items:
-                aligner.align(*item, counters=alone)
-            attempts = sum(r.windows + r.rescues for r in batched)
-            assert (together.align_calls, together.windows_exact) \
-                == (alone.align_calls, alone.windows_exact)
-            assert together.windows_exact > 0
-            assert together.align_calls + together.windows_exact \
-                == attempts
+        aligner = WindowedAligner(
+            WindowingConfig(window_size=128, overlap=48, k=16))
+        together, alone = PipelineStats(), PipelineStats()
+        batched = aligner.align_many(items, counters=together)
+        for item in items:
+            aligner.align(*item, counters=alone)
+        attempts = sum(r.windows + r.rescues for r in batched)
+        assert (together.align_calls, together.windows_exact) \
+            == (alone.align_calls, alone.windows_exact)
+        assert together.windows_exact > 0
+        assert together.align_calls + together.windows_exact \
+            == attempts
 
 
 def _run_observed(aligner, lin, read, anchor, budget=None):
