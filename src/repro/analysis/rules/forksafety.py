@@ -1,8 +1,8 @@
 """Rule ``fork-safety``: worker code must not share mutable state or
 unpicklable resources with the parent process.
 
-The pipeline runs in three process models — in-process, fork-per-call
-sharding (``run_sharded``), and the reusable
+The pipeline runs in three process models — in-process, the engine's
+standing forked pool (``run_sharded``), and the artifact-attached
 :class:`~repro.core.pipeline.PersistentPool` — with a bit-for-bit
 parity contract between them.  That contract survives only if worker
 code obeys the copy-on-write rules:

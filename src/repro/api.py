@@ -47,7 +47,8 @@ from repro.graph.genome_graph import GenomeGraph
 from repro.refs.reference import Contig, ReferenceSet, ReferenceSetError
 
 if TYPE_CHECKING:  # pragma: no cover - only for hints
-    from repro.core.pipeline import PersistentPool, PipelineStats
+    from repro.core.pipeline import PersistentPool, PipelineStats, \
+        _MapperContexts
 
 #: Any accepted reference shape (see :func:`as_reference_set`): a
 #: pre-built set, a genome graph, a raw sequence, or an iterable of
@@ -369,11 +370,20 @@ class Mapper:
                 "or mapper.save_index(path))"
             )
         factory = _ArtifactWorkerFactory(
-            path=str(self.artifact_path),
-            config=self.engine.config,
-            pair_config=self.pair_config,
-        )
+            path=str(self.artifact_path), config=self.engine.config)
         return PersistentPool(factory, jobs, start_method=start_method)
+
+    def close(self) -> None:
+        """Stop the engine's standing workers, the ones ``jobs > 1``
+        calls share (idempotent; see
+        :meth:`~repro.core.mapper.SeGraM.worker_pool`)."""
+        self.engine.close()
+
+    def __enter__(self) -> "Mapper":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -435,11 +445,13 @@ class Mapper:
 
         ``reads`` holds ``(name, sequence)`` pairs, or bare sequence
         strings (auto-named ``read0``, ``read1``, ...).  ``jobs > 1``
-        forks per-batch workers; a :class:`~repro.core.pipeline.
-        PersistentPool` (see :meth:`pool`) serves the batch from
-        standing artifact-attached workers instead.  Results come
-        back in input order and are identical to mapping each read
-        alone, for any ``jobs`` and either pool mode.
+        shards the batch across the engine's standing pool of ``jobs``
+        workers, forked by the first such call and kept until
+        :meth:`close`; a :class:`~repro.core.pipeline.PersistentPool`
+        (see :meth:`pool`) serves the batch from artifact-attached
+        workers instead.  Results come back in input order and are
+        identical to mapping each read alone, for any ``jobs`` and
+        either pool.
         """
         named: list[tuple[str, ...]] = [
             (f"read{i}", r) if isinstance(r, str) else tuple(r)
@@ -523,33 +535,6 @@ class Mapper:
 # Persistent-pool worker plumbing
 # ----------------------------------------------------------------------
 
-class _MapperContexts:
-    """One worker's engines, addressed by shard-payload mode.
-
-    Built once per pool worker by :class:`_ArtifactWorkerFactory`;
-    the pair engine (and its statistics) is created lazily on the
-    first ``"pairs"`` shard, mirroring ``Mapper.pair_engine()``.
-    """
-
-    def __init__(self, mapper: Mapper) -> None:
-        self.mapper = mapper
-        self._contexts: dict[str, Any] = {}
-
-    def shard_context(self, mode: str) -> Any:
-        if mode not in self._contexts:
-            if mode == "reads":
-                from repro.core.pipeline import _ReadShardContext
-                self._contexts[mode] = _ReadShardContext(
-                    self.mapper.engine)
-            elif mode == "pairs":
-                from repro.core.pairing import _PairShardContext
-                self._contexts[mode] = _PairShardContext(
-                    self.mapper.pair_engine())
-            else:
-                raise ValueError(f"unknown shard mode {mode!r}")
-        return self._contexts[mode]
-
-
 @dataclass(frozen=True)
 class _ArtifactWorkerFactory:
     """Picklable recipe for a pool worker's engine.
@@ -559,16 +544,16 @@ class _ArtifactWorkerFactory:
     work under ``spawn`` as well as ``fork``, and attach to the
     memory-mapped artifact instead of copying the parent's heap.
     The checksum is skipped on attach (``verify=False``): the parent
-    verified the artifact when it built the pool.
+    verified the artifact when it built the pool.  Pair shards carry
+    their own :class:`~repro.core.pairing.PairedEndConfig`.
     """
 
     path: str
     config: SeGraMConfig
-    pair_config: PairedEndConfig
 
-    def __call__(self) -> _MapperContexts:
-        mapper = Mapper.from_artifact(
-            self.path, config=self.config,
-            pair_config=self.pair_config, verify=False,
-        )
-        return _MapperContexts(mapper)
+    def __call__(self) -> "_MapperContexts":
+        from repro.core.pipeline import _MapperContexts
+
+        engine = Mapper.from_artifact(self.path, config=self.config,
+                                      verify=False).engine
+        return _MapperContexts(engine)

@@ -186,10 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "of rebuilding the index")
     map_cmd.add_argument("--pool", choices=("fork", "persistent"),
                          default="fork",
-                         help="worker mode for --jobs > 1: 'fork' "
-                              "per batch (default), or a standing "
-                              "'persistent' pool whose workers "
-                              "attach to the --index artifact")
+                         help="worker pool for --jobs > 1: 'fork' "
+                              "(default) forks one standing pool "
+                              "after the graph is linearized; "
+                              "'persistent' workers attach to the "
+                              "--index artifact instead")
     map_cmd.add_argument("--vcf", type=Path, default=None)
     map_cmd.add_argument("--reads", required=True, type=Path,
                          help="reads (FASTA/FASTQ); R1 when --paired "
@@ -549,6 +550,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     finally:
         if pool is not None:
             pool.close()
+        mapper.close()
 
 
 def _read_chunks(args: argparse.Namespace):

@@ -17,7 +17,7 @@ cases of Section 9:
 Mapping itself is delegated to the staged pipeline engine of
 :mod:`repro.core.pipeline` (``seed -> filter/chain -> extract ->
 align -> select``): :meth:`SeGraM.map_batch` shards a read set across
-workers, each of which runs the pipeline's one drive;
+the engine's standing pool, each worker running the pipeline's one drive;
 :meth:`SeGraM.map_read` is a one-read batch, and per-stage counters
 accumulate in ``SeGraM.pipeline.stats`` (a
 :class:`~repro.core.pipeline.PipelineStats`).
@@ -25,12 +25,13 @@ accumulate in ``SeGraM.pipeline.stats`` (a
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.minseed import MinSeed, SeedingStats
-from repro.core.pipeline import MappingPipeline, PipelineStats, \
-    map_batch_sharded
+from repro.core.pipeline import MappingPipeline, PersistentPool, \
+    PipelineStats, _ReadShardContext, run_sharded
 from repro.core.windows import WindowedAligner, WindowingConfig
 from repro.core.alignment import Cigar, mapq_from_candidates
 from repro.graph.builder import BuiltGraph, Variant, build_graph
@@ -327,6 +328,7 @@ class SeGraM:
             minseed=self.minseed, aligner=self.aligner,
             built=self.built, refs=self.refs,
         )
+        self._pool: PersistentPool | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -389,17 +391,53 @@ class SeGraM:
         """Map a batch of (name, sequence) pairs, optionally sharded
         across ``jobs`` worker processes.
 
-        Forked workers share this mapper's index copy-on-write;
-        per-shard stage statistics are merged into
-        ``self.pipeline.stats``.  A
-        :class:`~repro.core.pipeline.PersistentPool` dispatches the
-        shards to standing artifact-attached workers instead (``jobs``
-        is then ignored).  Results are returned in input order and a
-        read maps to the same result alone or in any batch, for any
-        ``jobs`` and pool mode — the parity contract the tests
-        enforce.
+        ``jobs > 1`` shards the batch across this engine's standing
+        pool (:meth:`worker_pool`); per-shard stage statistics are
+        merged into ``self.pipeline.stats``.  A
+        :class:`~repro.core.pipeline.PersistentPool` passed as
+        ``pool`` serves the shards instead (``jobs`` is then ignored).
+        Results are returned in input order and a read maps to the
+        same result alone or in any batch, for any ``jobs`` and pool
+        — the parity contract the tests enforce.
         """
-        return map_batch_sharded(self, list(reads), jobs, pool=pool)
+        return run_sharded(_ReadShardContext(self), list(reads), jobs,
+                           pool=pool)
+
+    # ------------------------------------------------------------------
+    # Standing worker pool
+    # ------------------------------------------------------------------
+
+    def worker_pool(self, jobs: int) -> PersistentPool:
+        """This engine's standing pool of ``jobs`` workers.
+
+        The first ``jobs > 1`` call starts it and every later call of
+        that width reuses it; a call of another width, or one after a
+        worker died, replaces it.  The workers fork once, after the
+        linearization is built, and inherit this engine — index and
+        linearization included — copy-on-write.  :meth:`close` stops
+        them, and so does dropping the last reference to the engine.
+        """
+        pool = self._pool
+        if pool is None or pool.closed or pool.jobs != jobs:
+            self.close()
+            # Built before the fork, so the workers inherit it.
+            self.pipeline.linearization()
+            pool = self._pool = PersistentPool.forked(self, jobs)
+            self._reaper = weakref.finalize(self, pool.close)
+        return pool
+
+    def close(self) -> None:
+        """Stop the standing workers and wait for them to exit
+        (idempotent); a later ``jobs > 1`` call starts new ones."""
+        if self._pool is not None:
+            self._reaper()
+            self._pool = None
+
+    def __enter__(self) -> "SeGraM":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Paired-end mapping
@@ -420,7 +458,7 @@ class SeGraM:
     def map_pairs(self, pairs: Iterable[tuple[str, str, str]],
                   jobs: int = 1):
         """Map ``(name, read1, read2)`` pairs with the default pairing
-        config (``jobs > 1`` shards across forked workers)."""
+        config (``jobs > 1`` shards across the standing pool)."""
         return self._default_pair_mapper().map_pairs(list(pairs),
                                                      jobs=jobs)
 

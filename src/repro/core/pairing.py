@@ -42,10 +42,10 @@ pipeline`), then treats pairing as a selection problem:
 Rescue needs linear reference coordinates, so it activates when the
 mapper was built from a linear reference (:class:`~repro.graph.
 builder.BuiltGraph`); graph-only mappers still get candidate-pair
-scoring, minus rescue.  Batch mapping shards pairs across forked
-workers exactly like ``SeGraM.map_batch`` — results are identical to
-the sequential loop, and per-shard pipeline/pair statistics merge back
-into the parent.
+scoring, minus rescue.  Batch mapping shards pairs across the
+engine's standing worker pool exactly like ``SeGraM.map_batch`` —
+results are identical to the sequential loop, and per-shard
+pipeline/pair statistics merge back into the parent.
 """
 
 from __future__ import annotations
@@ -694,15 +694,14 @@ class PairedEndMapper:
                   jobs: int = 1, pool=None) -> list[PairResult]:
         """Map ``(name, read1, read2)`` pairs, optionally sharded.
 
-        ``jobs > 1`` forks worker processes exactly like
-        ``SeGraM.map_batch`` — the index (and spelled reference) are
-        shared copy-on-write, per-shard statistics merge back, and
-        results are identical to the sequential loop.  A
-        :class:`~repro.core.pipeline.PersistentPool` serves the shards
-        from standing artifact-attached workers instead (same
-        results).
+        ``jobs > 1`` shards across the engine's standing pool exactly
+        like ``SeGraM.map_batch``: per-shard statistics merge back,
+        and results are identical to the sequential loop.  A
+        :class:`~repro.core.pipeline.PersistentPool` passed as
+        ``pool`` serves the shards instead (same results).
         """
-        return map_pairs_sharded(self, list(pairs), jobs, pool=pool)
+        return run_sharded(_PairShardContext(self), list(pairs), jobs,
+                           pool=pool)
 
 
 # ----------------------------------------------------------------------
@@ -711,35 +710,26 @@ class PairedEndMapper:
 
 class _PairShardContext(ShardContext):
     """Shard context for ``PairedEndMapper.map_pairs``: pair-level
-    statistics travel alongside the pipeline statistics."""
+    statistics travel alongside the pipeline statistics, and the
+    pairing config travels in the mode, for the worker to build its
+    own pair mapper from."""
 
-    def __init__(self, engine: "PairedEndMapper") -> None:
-        self.engine = engine
+    def __init__(self, pair_mapper: PairedEndMapper) -> None:
+        self.pair_mapper = pair_mapper
+        self.engine = pair_mapper.mapper
+        self.mode = ("pairs", pair_mapper.config)
 
     def map_items(self, pairs):
-        return self.engine.map_pairs_local(pairs)
+        return self.pair_mapper.map_pairs_local(pairs)
 
     def reset_stats(self) -> None:
-        self.engine.mapper.pipeline.reset_stats()
-        self.engine.stats = PairStats()
+        self.engine.pipeline.reset_stats()
+        self.pair_mapper.stats = PairStats()
 
     def collect_stats(self):
-        return self.engine.mapper.pipeline.stats, self.engine.stats
+        return self.engine.pipeline.stats, self.pair_mapper.stats
 
     def merge_stats(self, payload) -> None:
         pipeline_stats, pair_stats = payload
-        self.engine.mapper.pipeline.stats.merge(pipeline_stats)
-        self.engine.stats.merge(pair_stats)
-
-
-def map_pairs_sharded(pair_mapper: "PairedEndMapper",
-                      pairs: Sequence[tuple[str, str, str]],
-                      jobs: int, pool=None) -> list[PairResult]:
-    """Shard ``pairs`` across workers via the shared shard runner
-    (:func:`repro.core.pipeline.run_sharded`): identical results to
-    sequential mapping, stats merged back."""
-    if pool is None:
-        # Built before any fork, so the workers inherit it.
-        pair_mapper.mapper.pipeline.linearization()
-    return run_sharded(_PairShardContext(pair_mapper), pairs, jobs,
-                       pool=pool, mode="pairs")
+        self.engine.pipeline.stats.merge(pipeline_stats)
+        self.pair_mapper.stats.merge(pair_stats)

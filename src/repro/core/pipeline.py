@@ -62,11 +62,11 @@ and that range into a *view* of the one linearization: two bisects, a
 string slice and the seed anchor.  BitAlign's windows are views of
 that view.  There is nothing to memoize, so there is no region cache.
 
-A **batch engine** (:func:`map_batch_sharded`) shards a read set
-across ``multiprocessing`` workers.  The index and the linearization
-are built once in the parent and shared with the workers via ``fork``
-(copy-on-write); per-shard :class:`PipelineStats` are merged back
-into the parent's.
+A **batch engine** (:func:`run_sharded`) shards a read set across
+the engine's standing :class:`PersistentPool`, forked once, after the
+linearization is built, so the workers share the index and the
+linearization with the parent copy-on-write; per-shard
+:class:`PipelineStats` are merged back into the parent's.
 
 Stage boundaries and sharding change *when* work happens, never
 *what* is computed: a read maps to the same result alone, at any
@@ -79,10 +79,12 @@ import math
 import multiprocessing
 import time
 import warnings
+import weakref
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro import seq as seqmod
@@ -841,10 +843,12 @@ class MappingPipeline:
 # ----------------------------------------------------------------------
 
 def effective_jobs(jobs: int, read_count: int) -> int:
-    """Worker processes that will actually run for this batch.
+    """Worker processes that will actually run for this batch; at 1
+    the batch maps in-process and no pool is touched.
 
     Bounded by the read count, and 1 on platforms without the ``fork``
-    start method (the index cannot be shared copy-on-write there).
+    start method (an engine's standing pool inherits the index and the
+    linearization through ``fork``).
     """
     jobs = max(1, min(jobs, read_count))
     if jobs > 1 and "fork" not in multiprocessing.get_all_start_methods():
@@ -853,15 +857,21 @@ def effective_jobs(jobs: int, read_count: int) -> int:
 
 
 class ShardContext:
-    """What the generic shard runner needs from a mapping engine.
+    """What the shard runner needs from a mapping engine.
 
-    One context instance is shared with forked workers copy-on-write;
-    ``map_items`` runs both in the parent (sequential fallback) and in
-    workers, where it is preceded by ``reset_stats`` so each shard's
-    statistics are accounted exactly once, then shipped back via the
-    picklable ``collect_stats`` payload and folded into the parent
-    with ``merge_stats``.
+    ``engine`` is the :class:`~repro.core.mapper.SeGraM` whose
+    standing pool serves the shards; ``mode`` is the picklable key a
+    pool worker builds its own context from
+    (:meth:`_MapperContexts.shard_context`).  ``map_items`` runs in
+    the parent when one worker would run, and in pool workers, where
+    it is preceded by ``reset_stats`` so each shard's statistics are
+    accounted exactly once, then shipped back via the picklable
+    ``collect_stats`` payload and folded into the parent with
+    ``merge_stats``.
     """
+
+    engine: "SeGraM"
+    mode: object
 
     def map_items(self, items: Sequence) -> list:
         raise NotImplementedError
@@ -879,10 +889,9 @@ class ShardContext:
 def shard_items(items: Sequence, jobs: int) -> list:
     """Split ``items`` into at most ``jobs`` contiguous shards.
 
-    The one shard-boundary rule shared by the fork-per-batch path and
-    the persistent pool, so the two modes hand workers byte-identical
-    work lists (and therefore produce identical results *and*
-    identical per-shard statistics).
+    The one shard-boundary rule of every pool, so workers get the same
+    work lists — and return the same results *and* per-shard
+    statistics — whichever pool serves them.
     """
     jobs = max(1, min(jobs, len(items)))
     chunk = math.ceil(len(items) / jobs)
@@ -890,43 +899,19 @@ def shard_items(items: Sequence, jobs: int) -> list:
             if items[i * chunk:(i + 1) * chunk]]
 
 
-_WORKER_CONTEXT: "ShardContext | None" = None
-
-
-def _shard_worker_init(context: ShardContext) -> None:
-    """Pool initializer: adopt the (forked) shard context."""
-    global _WORKER_CONTEXT
-    # Per-process cache by design: each worker installs its own
-    # context once at pool start; nothing ever reads it parent-side.
-    _WORKER_CONTEXT = context  # repro: allow[fork-safety]
-
-
-def _shard_worker_run(items):
-    context = _WORKER_CONTEXT
-    assert context is not None, "worker pool not initialized"
-    # One worker may process several shards: account each separately.
-    context.reset_stats()
-    return context.map_items(items), context.collect_stats()
-
-
 # ----------------------------------------------------------------------
-# Standing worker pool (artifact-attached)
+# Standing worker pools
 # ----------------------------------------------------------------------
 
 _POOL_CONTEXTS = None
 
 
 def _pool_worker_init(factory) -> None:
-    """Pool initializer: build this worker's engine from the factory.
-
-    The factory is picklable (it carries an artifact *path*, not an
-    engine), so the pool works under ``spawn`` as well as ``fork`` —
-    workers never inherit the parent's heap; they attach to the
-    memory-mapped artifact themselves.
-    """
+    """Pool initializer: build this worker's contexts from the
+    factory (see :class:`PersistentPool`)."""
     global _POOL_CONTEXTS
-    # Per-process cache by design: each worker builds its own engine
-    # from the picklable factory; nothing ever reads it parent-side.
+    # Per-process cache by design: each worker builds its own
+    # contexts once at start-up; nothing ever reads it parent-side.
     _POOL_CONTEXTS = factory()  # repro: allow[fork-safety]
 
 
@@ -939,27 +924,64 @@ def _pool_worker_run(payload):
     return context.map_items(items), context.collect_stats()
 
 
+class _MapperContexts:
+    """One worker's shard contexts over one engine, by payload mode.
+
+    ``"reads"`` maps single-end shards.  ``("pairs", config)`` maps
+    pair shards through a :class:`~repro.core.pairing.PairedEndMapper`
+    built from the :class:`~repro.core.pairing.PairedEndConfig` the
+    payload carries, on the first shard of that config — so a pool
+    started by ``map_batch`` serves a later ``map_pairs``.
+    """
+
+    def __init__(self, engine: "SeGraM") -> None:
+        self.engine = engine
+        self._contexts: dict = {}
+
+    def shard_context(self, mode) -> ShardContext:
+        if mode not in self._contexts:
+            if mode == "reads":
+                self._contexts[mode] = _ReadShardContext(self.engine)
+            else:
+                from repro.core.pairing import PairedEndMapper, \
+                    _PairShardContext
+
+                _, pair_config = mode
+                self._contexts[mode] = _PairShardContext(
+                    PairedEndMapper(self.engine, pair_config))
+        return self._contexts[mode]
+
+
+def _inherited_contexts(engine_ref) -> _MapperContexts:
+    """The factory of :meth:`PersistentPool.forked`."""
+    return _MapperContexts(engine_ref())
+
+
 class PersistentPool:
-    """A standing worker pool whose workers own artifact-attached
-    engines.
+    """A standing pool of worker processes, each holding one engine.
 
-    The fork-per-``map_batch`` path pays a pool spin-up (and, under
-    ``fork``, a copy-on-write exposure of the whole parent heap) on
-    *every* batch.  A :class:`PersistentPool` pays engine construction
-    once per worker — each worker runs ``factory()`` at start-up,
-    typically :class:`repro.api._ArtifactWorkerFactory` attaching to a
-    memory-mapped ``.sgidx`` artifact by path — and then serves any
-    number of batches.
+    Workers run ``factory()`` once at start-up and then serve any
+    number of batches: the engine, index and linearization stay
+    resident, as in SeGraM's replicated MinSeed + BitAlign units, and
+    only items, results and statistics payloads travel.  ``jobs > 1``
+    uses the engine's own pool (:meth:`forked`, inheriting the engine
+    through ``fork``); :meth:`repro.api.Mapper.pool` builds one from a
+    picklable factory whose workers attach to an ``.sgidx`` artifact.
 
-    The factory must be picklable and return an object with
-    ``shard_context(mode)`` (``mode`` is ``"reads"`` or ``"pairs"``),
-    yielding a :class:`ShardContext` for that payload kind.  Shard
-    boundaries come from :func:`shard_items`, the same rule the fork
-    path uses, so results are identical between the two modes.
+    The factory returns an object with ``shard_context(mode)``
+    (:class:`_MapperContexts`).  Shard boundaries come from
+    :func:`shard_items`.  A worker that dies mid-batch breaks the
+    pool: :meth:`run` closes it and raises
+    :class:`~concurrent.futures.process.BrokenProcessPool` instead of
+    waiting for results that will never come.
     """
 
     def __init__(self, factory, jobs: int,
                  start_method: str | None = None) -> None:
+        # Imported on first use, so a process that never maps at
+        # jobs > 1 does not load the executor (about 1.3 MB of RSS).
+        from concurrent.futures import ProcessPoolExecutor
+
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         methods = multiprocessing.get_all_start_methods()
@@ -972,30 +994,49 @@ class PersistentPool:
             )
         self.jobs = jobs
         self.start_method = start_method
-        self._pool = multiprocessing.get_context(start_method).Pool(
-            processes=jobs,
+        self._executor = ProcessPoolExecutor(
+            max_workers=jobs,
+            mp_context=multiprocessing.get_context(start_method),
             initializer=_pool_worker_init,
             initargs=(factory,),
         )
 
-    def run(self, items: Sequence, mode: str) -> list:
+    @classmethod
+    def forked(cls, engine: "SeGraM", jobs: int) -> "PersistentPool":
+        """A pool whose workers map with ``engine`` as they inherit
+        it.  They fork during a call on the engine, so the factory's
+        weak reference — which keeps the pool from keeping its engine
+        alive — resolves in every worker."""
+        return cls(partial(_inherited_contexts, weakref.ref(engine)),
+                   jobs, start_method="fork")
+
+    @property
+    def closed(self) -> bool:
+        return self._executor is None
+
+    def run(self, items: Sequence, mode) -> list:
         """Map shards of ``items`` across the standing workers.
 
         Returns the per-shard ``(results, stats payload)`` pairs in
         shard order; :func:`run_sharded` flattens and merges them.
         """
-        if self._pool is None:
+        from concurrent.futures.process import BrokenProcessPool
+
+        if self._executor is None:
             raise RuntimeError("persistent pool is closed")
-        shards = shard_items(items, min(self.jobs, len(items)))
-        return self._pool.map(_pool_worker_run,
-                              [(mode, shard) for shard in shards])
+        payloads = [(mode, shard)
+                    for shard in shard_items(items, self.jobs)]
+        try:
+            return list(self._executor.map(_pool_worker_run, payloads))
+        except BrokenProcessPool:
+            self.close()
+            raise
 
     def close(self) -> None:
-        """Shut the workers down (idempotent)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        """Stop the workers and wait for them to exit (idempotent)."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
 
     def __enter__(self) -> "PersistentPool":
         return self
@@ -1005,47 +1046,36 @@ class PersistentPool:
 
 
 def run_sharded(context: ShardContext, items: Sequence,
-                jobs: int = 1, pool: "PersistentPool | None" = None,
-                mode: str = "reads") -> list:
-    """Shard ``items`` across workers (forked or persistent).
+                jobs: int = 1,
+                pool: "PersistentPool | None" = None) -> list:
+    """Map ``items`` through ``context``, sharded across pool workers.
 
-    With ``pool=None`` a throwaway ``fork`` pool shares the parent's
-    index and graph linearization with the workers copy-on-write;
-    with a :class:`PersistentPool` the standing
-    artifact-attached workers serve the shards (``jobs`` is ignored —
-    the pool's width governs) and only the picklable statistics
-    payloads travel.  Per-shard statistics are merged back through
-    ``context`` either way.  Results are returned in input order and
-    are identical to a sequential ``map_items`` loop — and therefore
-    identical between the two pool modes.
+    Shards go to ``pool`` when one is given (its width governs;
+    ``jobs`` is ignored), else to the engine's standing pool of
+    ``jobs`` workers (:meth:`~repro.core.mapper.SeGraM.worker_pool`);
+    when one worker would run (:func:`effective_jobs`), the items map
+    in-process.  Per-shard statistics merge back through ``context``,
+    and results come back in input order, identical either way.
+
+    The engine's workers see the engine as it was when they forked:
+    a change to it reaches them only through a new pool, after
+    :meth:`~repro.core.mapper.SeGraM.close`.
     """
     items = list(items)
-    if pool is not None:
-        if not items:
-            return []
-        results: list = []
-        for shard_results, payload in pool.run(items, mode):
-            results.extend(shard_results)
-            context.merge_stats(payload)
-        return results
-    requested = jobs
-    jobs = effective_jobs(jobs, len(items))
-    if jobs == 1:
-        if requested > 1 and len(items) > 1:
-            warnings.warn(
-                "multiprocessing start method 'fork' is unavailable "
-                "on this platform; mapping sequentially",
-                RuntimeWarning, stacklevel=3,
-            )
-        return context.map_items(items)
-    shards = shard_items(items, jobs)
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=len(shards),
-                  initializer=_shard_worker_init,
-                  initargs=(context,)) as worker_pool:
-        outputs = worker_pool.map(_shard_worker_run, shards)
-    results = []
-    for shard_results, payload in outputs:
+    if pool is None:
+        if effective_jobs(jobs, len(items)) == 1:
+            if jobs > 1 and len(items) > 1:
+                warnings.warn(
+                    "multiprocessing start method 'fork' is "
+                    "unavailable on this platform; mapping "
+                    "sequentially", RuntimeWarning, stacklevel=3,
+                )
+            return context.map_items(items)
+        pool = context.engine.worker_pool(jobs)
+    elif not items:
+        return []
+    results: list = []
+    for shard_results, payload in pool.run(items, context.mode):
         results.extend(shard_results)
         context.merge_stats(payload)
     return results
@@ -1054,37 +1084,24 @@ def run_sharded(context: ShardContext, items: Sequence,
 class _ReadShardContext(ShardContext):
     """Shard context for single-end ``map_batch``."""
 
-    def __init__(self, mapper: "SeGraM") -> None:
-        self.mapper = mapper
+    mode = "reads"
+
+    def __init__(self, engine: "SeGraM") -> None:
+        self.engine = engine
 
     def map_items(self, reads):
-        mapper = self.mapper
-        return mapper.pipeline.map_reads(
+        engine = self.engine
+        return engine.pipeline.map_reads(
             [(name, seqmod.validate(sequence, "read",
                                     allow_ambiguous=True))
              for name, sequence in reads],
-            mapper.config.both_strands)
+            engine.config.both_strands)
 
     def reset_stats(self) -> None:
-        self.mapper.pipeline.reset_stats()
+        self.engine.pipeline.reset_stats()
 
     def collect_stats(self) -> PipelineStats:
-        return self.mapper.pipeline.stats
+        return self.engine.pipeline.stats
 
     def merge_stats(self, payload: PipelineStats) -> None:
-        self.mapper.pipeline.stats.merge(payload)
-
-
-def map_batch_sharded(
-    mapper: "SeGraM",
-    reads: Sequence[tuple[str, str]],
-    jobs: int,
-    pool: "PersistentPool | None" = None,
-) -> "list[MappingResult]":
-    """Shard ``reads`` across workers (see :func:`run_sharded` for
-    the sharing/merging contract and the two pool modes)."""
-    if pool is None:
-        # Built before any fork, so the workers inherit it.
-        mapper.pipeline.linearization()
-    return run_sharded(_ReadShardContext(mapper), reads, jobs,
-                       pool=pool, mode="reads")
+        self.engine.pipeline.stats.merge(payload)

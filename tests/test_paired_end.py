@@ -12,6 +12,7 @@ parser.
 from __future__ import annotations
 
 import io
+import multiprocessing
 import random
 
 import pytest
@@ -45,6 +46,10 @@ ACCEPTANCE_PROFILE = PairedEndProfile.illumina(
     read_length=100, error_rate=0.01, insert_mean=350.0,
     insert_std=50.0,
 )
+
+
+def _worker_pids() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
 
 
 def _mapper(reference: str, **overrides) -> SeGraM:
@@ -176,6 +181,36 @@ class TestPairedMapping:
                 for r in results
             ])
         assert outcomes[1] == outcomes[0]
+
+    def test_pair_workers_persist_across_calls(self):
+        """``map_pairs(jobs=2)`` reuses one standing pool: the same
+        workers serve every call, under every pairing config, after
+        a ``map_batch`` started them; results and statistics equal
+        jobs=1."""
+        rng = random.Random(0xB00C)
+        reference = random_reference(6_000, rng)
+        fragments = simulate_fragments(reference, 6, rng,
+                                       ACCEPTANCE_PROFILE)
+        pairs = [(f.name, f.mate1.sequence, f.mate2.sequence)
+                 for f in fragments]
+        configs = [PairedEndConfig(insert_mean=350.0, insert_std=50.0),
+                   PairedEndConfig(insert_mean=300.0, insert_std=40.0,
+                                   rescue=False)]
+        before = _worker_pids()
+        mapper = _mapper(reference)
+        mapper.map_batch([(name, r1) for name, r1, _ in pairs], jobs=2)
+        workers = _worker_pids() - before
+        assert len(workers) == 2
+        for config in configs:
+            engine = PairedEndMapper(mapper, config)
+            alone = PairedEndMapper(_mapper(reference), config)
+            for _ in range(5):
+                assert engine.map_pairs(pairs, jobs=2) == \
+                    alone.map_pairs(pairs)
+                assert _worker_pids() - before == workers
+            assert engine.stats == alone.stats
+        mapper.close()
+        assert _worker_pids() == before
 
     def test_unmappable_mate_reported_unmapped(self):
         rng = random.Random(0xD15C)

@@ -3,19 +3,25 @@
 Covers the stage-statistics contract (regions seeded/chained/aligned,
 per-stage time), extraction as views of one whole-graph linearization
 (against the dense extract-and-linearize oracle), the None-safe strand
-tie-break helper, and the batch/sequential parity guarantee of
-``SeGraM.map_batch``.
+tie-break helper, the batch/sequential parity guarantee of
+``SeGraM.map_batch``, and the reuse, lifetime and dead-worker handling
+of the engine's standing worker pool.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from oracles import dense_linearize as oracle
 
+import repro
 from repro import seq as seqmod
 from repro.api import Mapper
 from repro.core import pipeline as pipeline_module
@@ -429,6 +435,118 @@ class TestBatchParity:
         reference, _ = workload
         mapper = _fresh_mapper(reference)
         assert mapper.map_batch([], jobs=4) == []
+
+
+def _worker_pids() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def _untimed(stats) -> dict:
+    """Every statistic except stage wall time."""
+    fields = dataclasses.asdict(stats)
+    for stage in fields["stages"].values():
+        stage["seconds"] = 0.0
+    return fields
+
+
+#: A worker that dies mid-batch, run as a child process: the call must
+#: raise ``BrokenProcessPool``, not hang, and the next call must fork a
+#: fresh pool.  ``map_items`` is patched before the first ``jobs=2``
+#: call, so the forked workers inherit the patch.
+_DEAD_WORKER_SCRIPT = """
+import os, random
+from concurrent.futures.process import BrokenProcessPool
+from repro.api import Mapper
+from repro.core import pipeline
+from repro.sim.reference import random_reference
+
+reference = random_reference(6_000, random.Random(5))
+reads = [(f"read{i}", reference[i * 500:i * 500 + 150]) for i in range(8)]
+mapper = Mapper(reference, name="chr1")
+expected = mapper.map_batch(reads)
+real = pipeline._ReadShardContext.map_items
+
+def map_items(self, items):
+    if any(name == "poison" for name, _ in items):
+        os._exit(1)
+    return real(self, items)
+
+pipeline._ReadShardContext.map_items = map_items
+try:
+    mapper.map_batch(reads + [("poison", reads[0][1])], jobs=2)
+except BrokenProcessPool:
+    print("broken")
+assert mapper.map_batch(reads, jobs=2) == expected
+mapper.close()
+print("recovered")
+"""
+
+
+class TestStandingPool:
+    """``jobs > 1`` shards across one pool per engine, forked by the
+    first such call: later calls reuse its workers, a width change or
+    a dead worker replaces it, and closing or dropping the mapper
+    reaps it."""
+
+    def test_workers_persist_across_calls(self):
+        before = _worker_pids()
+        mapper, reads, _ = _view_fixture("linear")
+        expected = mapper.map_batch(reads)
+        seen = []
+        for _ in range(5):
+            assert mapper.map_batch(reads, jobs=2) == expected
+            seen.append(_worker_pids() - before)
+        assert len(seen[0]) == 2
+        assert all(pids == seen[0] for pids in seen)
+        mapper.close()
+
+    def test_mixed_modes_and_widths_match_jobs_1(self):
+        """One mapper alternates single-end and pair calls across
+        widths 2 → 3 → 1 → 2: every record, ``PipelineStats`` and
+        ``PairStats`` equal a mapper that ran each call at jobs=1."""
+        mapper, reads, pairs = _view_fixture("linear")
+        alone, _, _ = _view_fixture("linear")
+        for jobs in (2, 3, 1, 2):
+            records = mapper.map_batch(reads, jobs=jobs)
+            expected = alone.map_batch(reads)
+            assert [(r, r.result) for r in records] == \
+                [(r, r.result) for r in expected], jobs
+            mates = mapper.map_pairs(pairs, jobs=jobs)
+            expected_mates = alone.map_pairs(pairs)
+            assert [(r1, r1.pair) for r1, _ in mates] == \
+                [(r1, r1.pair) for r1, _ in expected_mates], jobs
+        assert _untimed(mapper.stats) == _untimed(alone.stats)
+        assert mapper.pair_stats == alone.pair_stats
+        mapper.close()
+
+    @pytest.mark.parametrize("how", ["close", "with", "drop"])
+    def test_workers_reaped(self, how):
+        """``close()``, leaving ``with mapper:`` and dropping the last
+        reference (no ``gc.collect()``) each stop the workers."""
+        before = _worker_pids()
+        mapper, reads, _ = _view_fixture("linear")
+        if how == "with":
+            with mapper:
+                mapper.map_batch(reads, jobs=2)
+                assert len(_worker_pids() - before) == 2
+        else:
+            mapper.map_batch(reads, jobs=2)
+            assert len(_worker_pids() - before) == 2
+            if how == "close":
+                mapper.close()
+            else:
+                del mapper
+        assert _worker_pids() == before
+
+    def test_dead_worker_raises_and_next_call_recovers(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run(
+            [sys.executable, "-c", _DEAD_WORKER_SCRIPT], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["broken", "recovered"]
 
 
 class TestCoalescedParity:
