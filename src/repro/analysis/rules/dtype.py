@@ -1,23 +1,23 @@
 """Rules ``dtype`` and ``shift-mask``: numeric discipline in kernel
 modules.
 
-Scope: the word-packed BitAlign kernels (``repro.align.bitalign_*``),
-the flat minimizer index (``repro.index.flat_index``) and the on-disk
-artifact codec (``repro.io.artifact``).  These modules pack bitvector
-state machines and index tables into fixed-width integer arrays, so
-two classes of silent breakage live here and nowhere else:
+Scope: the vectorized minimizer scan (``repro.index.minimizer``), the
+flat minimizer index (``repro.index.flat_index``) and the on-disk
+artifact codec (``repro.io.artifact``).  These modules pack k-mer
+hashes and index tables into fixed-width integer arrays, so two
+classes of silent breakage live here and nowhere else:
 
 * ``dtype``: an array constructor without an explicit ``dtype=``
   inherits platform defaults (``np.array([...])`` of Python ints is
   int64 on Linux but int32 on Windows) or value-dependent inference.
-  A kernel table that changes width changes packing, changes artifact
+  A table that changes width changes packing, changes artifact
   bytes, and breaks the mmap zero-copy contract.
 * ``shift-mask``: NumPy's ``<<``/``>>`` on uint64 arrays does not
-  wrap the way the GenASM recurrences assume a w-bit machine does —
-  bits walk past the word boundary.  Every shift of a uint64-typed
-  array must be masked (``&``), wrapped back through ``np.uint64``,
-  or feed a mask-building expression; the packed kernels' masked-
-  shift idiom (``(raw >> bit) & ONE``) is the contract.
+  wrap the way a rolling 2k-bit k-mer code assumes a w-bit machine
+  does — bits walk past the word boundary.  Every shift of a
+  uint64-typed array must be masked (``&``), wrapped back through
+  ``np.uint64``, or feed a mask-building expression; the masked-shift
+  idiom (``(raw >> bit) & ONE``) is the contract.
 
 Both rules are scoped by dotted module name; fixture tests exercise
 them by impersonating a kernel module via
@@ -42,7 +42,7 @@ from repro.analysis.registry import rule
 
 #: Module-name patterns this pair of rules applies to.
 KERNEL_MODULES = (
-    "repro.align.bitalign_*",
+    "repro.index.minimizer",
     "repro.index.flat_index",
     "repro.io.artifact",
 )

@@ -1,11 +1,11 @@
 """Rule ``fork-safety``: worker code must not share mutable state or
 unpicklable resources with the parent process.
 
-The pipeline runs in three process models — in-process, the engine's
-standing forked pool (``run_sharded``), and the artifact-attached
-:class:`~repro.core.pipeline.PersistentPool` — with a bit-for-bit
-parity contract between them.  That contract survives only if worker
-code obeys the copy-on-write rules:
+The pipeline runs in two process models — in-process, and the
+engine's standing forked :class:`~repro.core.pipeline.PersistentPool`
+(``run_sharded``) — with a bit-for-bit parity contract between them.
+That contract survives only if worker code obeys the copy-on-write
+rules:
 
 * a forked worker that *writes* module-level state mutates its own
   copy; the parent (and every sibling) never sees the write, so any
@@ -28,10 +28,8 @@ Checked:
   (``append``/``update``/...);
 * ``*Factory.__init__`` must not store open files, mmaps, locks, or
   generator expressions on ``self``;
-* arguments to ``PersistentPool(...)`` / ``run_sharded(...)`` /
-  ``pool(...)`` (the ``Mapper.pool`` factory the service wires its
-  workers through) must not be lambdas or generator expressions
-  (unpicklable payloads).
+* arguments to ``PersistentPool(...)`` / ``run_sharded(...)`` must
+  not be lambdas or generator expressions (unpicklable payloads).
 
 Per-process caches that are *designed* to be populated worker-side
 (e.g. the pool-initializer globals in :mod:`repro.core.pipeline`)
@@ -69,9 +67,7 @@ _RESOURCE_CALLS = frozenset({
 })
 
 #: Constructors/functions whose arguments cross the fork boundary.
-#: ``pool`` covers ``Mapper.pool(...)`` — the entry point the mapping
-#: service wires its standing workers through.
-_POOL_ENTRYPOINTS = ("PersistentPool", "run_sharded", "pool")
+_POOL_ENTRYPOINTS = ("PersistentPool", "run_sharded")
 
 
 def _functions_by_name(
@@ -273,9 +269,9 @@ def _check_pool_payloads(module: Module) -> list[Finding]:
     "fork-safety",
     "workers must not mutate shared globals or carry unpicklable "
     "resources across the fork/pool boundary",
-    "in-process, run_sharded and PersistentPool execution are "
+    "in-process and standing-pool (run_sharded) execution are "
     "bit-for-bit interchangeable only while workers touch no "
-    "copy-on-write state and factories stay picklable",
+    "copy-on-write state and payloads stay picklable",
 )
 def check_fork_safety(module: Module) -> list[Finding]:
     aliases = import_aliases(module.tree)

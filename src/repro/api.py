@@ -47,8 +47,7 @@ from repro.graph.genome_graph import GenomeGraph
 from repro.refs.reference import Contig, ReferenceSet, ReferenceSetError
 
 if TYPE_CHECKING:  # pragma: no cover - only for hints
-    from repro.core.pipeline import PersistentPool, PipelineStats, \
-        _MapperContexts
+    from repro.core.pipeline import PipelineStats
 
 #: Any accepted reference shape (see :func:`as_reference_set`): a
 #: pre-built set, a genome graph, a raw sequence, or an iterable of
@@ -246,10 +245,6 @@ class Mapper:
                                                 config=config)
         self.pair_config = pair_config or PairedEndConfig()
         self._pair_engine: PairedEndMapper | None = None
-        #: The ``.sgidx`` artifact this mapper is attached to (set by
-        #: :meth:`from_artifact` / :meth:`save_index`); persistent
-        #: worker pools (:meth:`pool`) attach to it by path.
-        self.artifact_path: Path | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -301,7 +296,6 @@ class Mapper:
         path: str | Path,
         config: SeGraMConfig | None = None,
         pair_config: PairedEndConfig | None = None,
-        verify: bool = True,
     ) -> "Mapper":
         """Attach to a ``.sgidx`` index artifact (O(ms), no rebuild).
 
@@ -312,12 +306,10 @@ class Mapper:
         physical copy.  The artifact's indexing parameters (``w``,
         ``k``, ``bucket_bits``, scoring) override the corresponding
         fields of ``config`` — they are baked into the index.
-        ``verify=False`` skips the payload checksum (worker processes
-        re-attaching to an artifact the parent already verified).
         """
         from repro.io.artifact import load_index_artifact
 
-        loaded = load_index_artifact(path, verify=verify)
+        loaded = load_index_artifact(path)
         config = replace(
             config or SeGraMConfig(),
             w=loaded.params["w"], k=loaded.params["k"],
@@ -330,16 +322,15 @@ class Mapper:
         )
         mapper.pair_config = pair_config or PairedEndConfig()
         mapper._pair_engine = None
-        mapper.artifact_path = Path(path)
         return mapper
 
     # ------------------------------------------------------------------
-    # Index artifacts and worker pools
+    # Index artifacts and the worker pool
     # ------------------------------------------------------------------
 
     def save_index(self, path: str | Path) -> Path:
         """Write this mapper's reference + index as a ``.sgidx``
-        artifact and attach to it (enables :meth:`pool`).
+        artifact (:meth:`from_artifact` attaches to it).
 
         The engine's index already is the paper's three-level array
         layout; it is written as it stands.
@@ -347,31 +338,7 @@ class Mapper:
         from repro.io.artifact import write_index_artifact
 
         write_index_artifact(path, self.reference, self.engine.index)
-        self.artifact_path = Path(path)
-        return self.artifact_path
-
-    def pool(self, jobs: int,
-             start_method: str | None = None) -> "PersistentPool":
-        """A standing worker pool attached to this mapper's artifact.
-
-        Workers construct their engines from ``artifact_path`` (mmap
-        attach — no copy-on-write exposure of this process's heap), so
-        the mapper must be artifact-backed: construct it via
-        :meth:`from_artifact` or call :meth:`save_index` first.  Pass
-        the pool to :meth:`map_batch` / :meth:`map_pairs`; close it
-        (or use it as a context manager) when done.
-        """
-        from repro.core.pipeline import PersistentPool
-
-        if self.artifact_path is None:
-            raise ValueError(
-                "persistent pools attach workers to an index artifact "
-                "by path; build one first (Mapper.from_artifact(...) "
-                "or mapper.save_index(path))"
-            )
-        factory = _ArtifactWorkerFactory(
-            path=str(self.artifact_path), config=self.engine.config)
-        return PersistentPool(factory, jobs, start_method=start_method)
+        return Path(path)
 
     def close(self) -> None:
         """Stop the engine's standing workers, the ones ``jobs > 1``
@@ -438,28 +405,23 @@ class Mapper:
         return _record_from_result(self.engine.map_read(read, name),
                                    self._default_contig)
 
-    def map_batch(self, reads: Iterable[ReadLike], jobs: int = 1,
-                  pool: "PersistentPool | None" = None,
-                  ) -> list[MappingRecord]:
+    def map_batch(self, reads: Iterable[ReadLike],
+                  jobs: int = 1) -> list[MappingRecord]:
         """Map a batch of reads, optionally sharded across workers.
 
         ``reads`` holds ``(name, sequence)`` pairs, or bare sequence
         strings (auto-named ``read0``, ``read1``, ...).  ``jobs > 1``
         shards the batch across the engine's standing pool of ``jobs``
         workers, forked by the first such call and kept until
-        :meth:`close`; a :class:`~repro.core.pipeline.PersistentPool`
-        (see :meth:`pool`) serves the batch from artifact-attached
-        workers instead.  Results come back in input order and are
-        identical to mapping each read alone, for any ``jobs`` and
-        either pool.
+        :meth:`close`.  Results come back in input order and are
+        identical to mapping each read alone, for any ``jobs``.
         """
         named: list[tuple[str, ...]] = [
             (f"read{i}", r) if isinstance(r, str) else tuple(r)
             for i, r in enumerate(reads)]
         default = self._default_contig
         return [_record_from_result(result, default)
-                for result in self.engine.map_batch(
-                    named, jobs=jobs, pool=pool)]
+                for result in self.engine.map_batch(named, jobs=jobs)]
 
     def map_pair(self, read1: str, read2: str,
                  name: str = "pair"
@@ -473,7 +435,6 @@ class Mapper:
         reads1: Sequence[ReadLike],
         reads2: Sequence[ReadLike] | None = None,
         jobs: int = 1,
-        pool: "PersistentPool | None" = None,
     ) -> list[tuple[MappingRecord, MappingRecord]]:
         """Map FR read pairs; returns ``(mate1, mate2)`` records.
 
@@ -521,39 +482,10 @@ class Mapper:
                 pairs.append((name, r1, r2))
         else:
             pairs = [tuple(p) for p in reads1]
-        results = self.pair_engine().map_pairs(pairs, jobs=jobs,
-                                               pool=pool)
+        results = self.pair_engine().map_pairs(pairs, jobs=jobs)
         default = self._default_contig
         return [_pair_records(pair, default) for pair in results]
 
     def __repr__(self) -> str:
         return (f"Mapper({len(self.reference)} contigs, "
                 f"{self.graph.total_sequence_length} bases)")
-
-
-# ----------------------------------------------------------------------
-# Persistent-pool worker plumbing
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _ArtifactWorkerFactory:
-    """Picklable recipe for a pool worker's engine.
-
-    Carries the artifact *path* plus configuration — never a live
-    engine — so :class:`~repro.core.pipeline.PersistentPool` workers
-    work under ``spawn`` as well as ``fork``, and attach to the
-    memory-mapped artifact instead of copying the parent's heap.
-    The checksum is skipped on attach (``verify=False``): the parent
-    verified the artifact when it built the pool.  Pair shards carry
-    their own :class:`~repro.core.pairing.PairedEndConfig`.
-    """
-
-    path: str
-    config: SeGraMConfig
-
-    def __call__(self) -> "_MapperContexts":
-        from repro.core.pipeline import _MapperContexts
-
-        engine = Mapper.from_artifact(self.path, config=self.config,
-                                      verify=False).engine
-        return _MapperContexts(engine)

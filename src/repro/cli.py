@@ -184,13 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="pre-built .sgidx artifact ('repro "
                               "index build'); mmap-attached instead "
                               "of rebuilding the index")
-    map_cmd.add_argument("--pool", choices=("fork", "persistent"),
-                         default="fork",
-                         help="worker pool for --jobs > 1: 'fork' "
-                              "(default) forks one standing pool "
-                              "after the graph is linearized; "
-                              "'persistent' workers attach to the "
-                              "--index artifact instead")
     map_cmd.add_argument("--vcf", type=Path, default=None)
     map_cmd.add_argument("--reads", required=True, type=Path,
                          help="reads (FASTA/FASTQ); R1 when --paired "
@@ -285,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "build'); loaded once, mmap-attached")
     _add_endpoint_args(serve)
     serve.add_argument("--jobs", type=int, default=1,
-                       help="persistent worker processes sharding "
+                       help="standing worker processes sharding "
                             "each coalesced batch (default 1 = "
                             "in-process)")
     serve.add_argument("--batch-window-ms", type=float, default=2.0,
@@ -515,9 +508,6 @@ def cmd_map(args: argparse.Namespace) -> int:
         raise SystemExit("error: --vcf cannot be combined with a "
                          "pre-built --index artifact (variants are "
                          "baked in at 'repro index build' time)")
-    if args.pool == "persistent" and index_path is None:
-        raise SystemExit("error: --pool persistent requires --index "
-                         "(workers attach to the artifact by path)")
     config = _engine_config(args)
     pair_config = None
     if args.paired is not None:
@@ -543,13 +533,9 @@ def cmd_map(args: argparse.Namespace) -> int:
         mapper = Mapper(ref_records, variants, config=config,
                         pair_config=pair_config,
                         max_node_length=4_096)
-    pool = mapper.pool(args.jobs) if args.pool == "persistent" \
-        else None
     try:
-        return _map_reads(args, mapper, pool)
+        return _map_reads(args, mapper)
     finally:
-        if pool is not None:
-            pool.close()
         mapper.close()
 
 
@@ -569,8 +555,7 @@ def _read_chunks(args: argparse.Namespace):
         iter_reads(args.reads))
 
 
-def _map_reads(args: argparse.Namespace, mapper: Mapper,
-               pool=None) -> int:
+def _map_reads(args: argparse.Namespace, mapper: Mapper) -> int:
     """The mapping half of ``cmd_map`` (mapper already constructed).
 
     Reads are consumed chunk by chunk and records written as each
@@ -578,7 +563,7 @@ def _map_reads(args: argparse.Namespace, mapper: Mapper,
     size; ``--input-mode mem`` degenerates to a single batch.
     """
     if args.paired is not None:
-        return _map_paired(args, mapper, pool)
+        return _map_paired(args, mapper)
     out_format = args.format or "gaf"
     refs = mapper.reference if args.qualified_paths else None
     total = 0
@@ -592,8 +577,7 @@ def _map_reads(args: argparse.Namespace, mapper: Mapper,
                            sort=args.sort_sam)
     try:
         for chunk in _read_chunks(args):
-            records = mapper.map_batch(chunk, jobs=args.jobs,
-                                       pool=pool)
+            records = mapper.map_batch(chunk, jobs=args.jobs)
             for record, (_, seq) in zip(records, chunk):
                 total += 1
                 if record.mapped:
@@ -656,8 +640,7 @@ def _pair_chunks(args: argparse.Namespace):
         iter_mate_pairs(args.reads, args.paired))
 
 
-def _map_paired(args: argparse.Namespace, mapper: Mapper,
-                pool=None) -> int:
+def _map_paired(args: argparse.Namespace, mapper: Mapper) -> int:
     """The ``map --paired`` flow: FR pairs to pair-aware SAM.
 
     The insert-size model (``--insert-mean``/``--insert-std``/
@@ -682,8 +665,7 @@ def _map_paired(args: argparse.Namespace, mapper: Mapper,
         for raw_chunk in _pair_chunks(args):
             chunk = [(name, r1.upper(), r2.upper())
                      for name, r1, r2 in raw_chunk]
-            records = mapper.map_pairs(chunk, jobs=args.jobs,
-                                       pool=pool)
+            records = mapper.map_pairs(chunk, jobs=args.jobs)
             for (rec1, rec2), (_, read1, read2) in zip(records,
                                                        chunk):
                 total += 1

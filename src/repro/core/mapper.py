@@ -387,21 +387,18 @@ class SeGraM:
         return self.map_batch([(name, read)])[0]
 
     def map_batch(self, reads: Iterable[tuple[str, str]],
-                  jobs: int = 1, pool=None) -> list[MappingResult]:
+                  jobs: int = 1) -> list[MappingResult]:
         """Map a batch of (name, sequence) pairs, optionally sharded
         across ``jobs`` worker processes.
 
         ``jobs > 1`` shards the batch across this engine's standing
         pool (:meth:`worker_pool`); per-shard stage statistics are
-        merged into ``self.pipeline.stats``.  A
-        :class:`~repro.core.pipeline.PersistentPool` passed as
-        ``pool`` serves the shards instead (``jobs`` is then ignored).
-        Results are returned in input order and a read maps to the
-        same result alone or in any batch, for any ``jobs`` and pool
-        — the parity contract the tests enforce.
+        merged into ``self.pipeline.stats``.  Results are returned in
+        input order and a read maps to the same result alone or in
+        any batch, for any ``jobs`` — the parity contract the tests
+        enforce.
         """
-        return run_sharded(_ReadShardContext(self), list(reads), jobs,
-                           pool=pool)
+        return run_sharded(_ReadShardContext(self), list(reads), jobs)
 
     # ------------------------------------------------------------------
     # Standing worker pool
@@ -422,7 +419,7 @@ class SeGraM:
             self.close()
             # Built before the fork, so the workers inherit it.
             self.pipeline.linearization()
-            pool = self._pool = PersistentPool.forked(self, jobs)
+            pool = self._pool = PersistentPool(self, jobs)
             self._reaper = weakref.finalize(self, pool.close)
         return pool
 

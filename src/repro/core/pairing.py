@@ -691,17 +691,14 @@ class PairedEndMapper:
     # ------------------------------------------------------------------
 
     def map_pairs(self, pairs: Sequence[tuple[str, str, str]],
-                  jobs: int = 1, pool=None) -> list[PairResult]:
+                  jobs: int = 1) -> list[PairResult]:
         """Map ``(name, read1, read2)`` pairs, optionally sharded.
 
         ``jobs > 1`` shards across the engine's standing pool exactly
         like ``SeGraM.map_batch``: per-shard statistics merge back,
-        and results are identical to the sequential loop.  A
-        :class:`~repro.core.pipeline.PersistentPool` passed as
-        ``pool`` serves the shards instead (same results).
+        and results are identical to the sequential loop.
         """
-        return run_sharded(_PairShardContext(self), list(pairs), jobs,
-                           pool=pool)
+        return run_sharded(_PairShardContext(self), list(pairs), jobs)
 
 
 # ----------------------------------------------------------------------

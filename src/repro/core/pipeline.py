@@ -84,7 +84,6 @@ from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro import seq as seqmod
@@ -906,13 +905,13 @@ def shard_items(items: Sequence, jobs: int) -> list:
 _POOL_CONTEXTS = None
 
 
-def _pool_worker_init(factory) -> None:
-    """Pool initializer: build this worker's contexts from the
-    factory (see :class:`PersistentPool`)."""
+def _pool_worker_init(engine_ref) -> None:
+    """Pool initializer: build this worker's contexts over the engine
+    it inherited (see :class:`PersistentPool`)."""
     global _POOL_CONTEXTS
     # Per-process cache by design: each worker builds its own
     # contexts once at start-up; nothing ever reads it parent-side.
-    _POOL_CONTEXTS = factory()  # repro: allow[fork-safety]
+    _POOL_CONTEXTS = _MapperContexts(engine_ref())  # repro: allow[fork-safety]
 
 
 def _pool_worker_run(payload):
@@ -952,63 +951,38 @@ class _MapperContexts:
         return self._contexts[mode]
 
 
-def _inherited_contexts(engine_ref) -> _MapperContexts:
-    """The factory of :meth:`PersistentPool.forked`."""
-    return _MapperContexts(engine_ref())
-
-
 class PersistentPool:
-    """A standing pool of worker processes, each holding one engine.
+    """An engine's standing pool of forked worker processes.
 
-    Workers run ``factory()`` once at start-up and then serve any
-    number of batches: the engine, index and linearization stay
-    resident, as in SeGraM's replicated MinSeed + BitAlign units, and
-    only items, results and statistics payloads travel.  ``jobs > 1``
-    uses the engine's own pool (:meth:`forked`, inheriting the engine
-    through ``fork``); :meth:`repro.api.Mapper.pool` builds one from a
-    picklable factory whose workers attach to an ``.sgidx`` artifact.
+    The workers fork once and then serve any number of batches: the
+    engine, index and linearization they inherited stay resident, as
+    in SeGraM's replicated MinSeed + BitAlign units, and only items,
+    results and statistics payloads travel.  They fork during a call
+    on the engine, so the weak reference each worker starts from —
+    which keeps the pool from keeping its engine alive — resolves in
+    every worker.  :meth:`~repro.core.mapper.SeGraM.worker_pool` owns
+    the one pool of an engine.
 
-    The factory returns an object with ``shard_context(mode)``
-    (:class:`_MapperContexts`).  Shard boundaries come from
-    :func:`shard_items`.  A worker that dies mid-batch breaks the
-    pool: :meth:`run` closes it and raises
+    Shard boundaries come from :func:`shard_items`.  A worker that
+    dies mid-batch breaks the pool: :meth:`run` closes it and raises
     :class:`~concurrent.futures.process.BrokenProcessPool` instead of
     waiting for results that will never come.
     """
 
-    def __init__(self, factory, jobs: int,
-                 start_method: str | None = None) -> None:
+    def __init__(self, engine: "SeGraM", jobs: int) -> None:
         # Imported on first use, so a process that never maps at
         # jobs > 1 does not load the executor (about 1.3 MB of RSS).
         from concurrent.futures import ProcessPoolExecutor
 
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        methods = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in methods else methods[0]
-        elif start_method not in methods:
-            raise ValueError(
-                f"start method {start_method!r} unavailable; "
-                f"have {methods}"
-            )
         self.jobs = jobs
-        self.start_method = start_method
         self._executor = ProcessPoolExecutor(
             max_workers=jobs,
-            mp_context=multiprocessing.get_context(start_method),
+            mp_context=multiprocessing.get_context("fork"),
             initializer=_pool_worker_init,
-            initargs=(factory,),
+            initargs=(weakref.ref(engine),),
         )
-
-    @classmethod
-    def forked(cls, engine: "SeGraM", jobs: int) -> "PersistentPool":
-        """A pool whose workers map with ``engine`` as they inherit
-        it.  They fork during a call on the engine, so the factory's
-        weak reference — which keeps the pool from keeping its engine
-        alive — resolves in every worker."""
-        return cls(partial(_inherited_contexts, weakref.ref(engine)),
-                   jobs, start_method="fork")
 
     @property
     def closed(self) -> bool:
@@ -1038,22 +1012,14 @@ class PersistentPool:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
 
-    def __enter__(self) -> "PersistentPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 def run_sharded(context: ShardContext, items: Sequence,
-                jobs: int = 1,
-                pool: "PersistentPool | None" = None) -> list:
-    """Map ``items`` through ``context``, sharded across pool workers.
+                jobs: int = 1) -> list:
+    """Map ``items`` through ``context``, sharded across the engine's
+    standing pool of ``jobs`` workers
+    (:meth:`~repro.core.mapper.SeGraM.worker_pool`).
 
-    Shards go to ``pool`` when one is given (its width governs;
-    ``jobs`` is ignored), else to the engine's standing pool of
-    ``jobs`` workers (:meth:`~repro.core.mapper.SeGraM.worker_pool`);
-    when one worker would run (:func:`effective_jobs`), the items map
+    When one worker would run (:func:`effective_jobs`), the items map
     in-process.  Per-shard statistics merge back through ``context``,
     and results come back in input order, identical either way.
 
@@ -1062,18 +1028,15 @@ def run_sharded(context: ShardContext, items: Sequence,
     :meth:`~repro.core.mapper.SeGraM.close`.
     """
     items = list(items)
-    if pool is None:
-        if effective_jobs(jobs, len(items)) == 1:
-            if jobs > 1 and len(items) > 1:
-                warnings.warn(
-                    "multiprocessing start method 'fork' is "
-                    "unavailable on this platform; mapping "
-                    "sequentially", RuntimeWarning, stacklevel=3,
-                )
-            return context.map_items(items)
-        pool = context.engine.worker_pool(jobs)
-    elif not items:
-        return []
+    if effective_jobs(jobs, len(items)) == 1:
+        if jobs > 1 and len(items) > 1:
+            warnings.warn(
+                "multiprocessing start method 'fork' is "
+                "unavailable on this platform; mapping "
+                "sequentially", RuntimeWarning, stacklevel=3,
+            )
+        return context.map_items(items)
+    pool = context.engine.worker_pool(jobs)
     results: list = []
     for shard_results, payload in pool.run(items, context.mode):
         results.extend(shard_results)

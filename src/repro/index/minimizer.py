@@ -285,8 +285,9 @@ def scan_minimizers(
             # The leftmost minimum of these windows is an invalid
             # k-mer, so every k-mer in them scores _NO_SCORE: all are
             # invalid, or (k = 32) the first valid one is the minimum.
-            following = np.where(valid, np.arange(kmer_count),
-                                 len(padded))
+            following = np.where(
+                valid, np.arange(kmer_count, dtype=np.int64),
+                len(padded))
             following = np.minimum.accumulate(following[::-1])[::-1]
             rescued = following[starts[~chosen]]
             best[~chosen] = np.minimum(rescued, kmer_count - 1)
@@ -311,7 +312,8 @@ def scan_minimizers(
     at, scores, kmers = (np.concatenate(column) for column in zip(*found))
     owners = np.searchsorted(offsets, at, side="right") - 1
     return MinimizerScan(
-        bounds=np.searchsorted(owners, np.arange(count + 1)),
+        bounds=np.searchsorted(owners,
+                               np.arange(count + 1, dtype=np.int64)),
         positions=at - offsets[owners], scores=scores, kmers=kmers)
 
 

@@ -1,7 +1,7 @@
 """The serving brain: requests in, batched mapper calls, payloads out.
 
-:class:`ServiceCore` owns the loaded :class:`~repro.api.Mapper`, the
-optional :class:`~repro.core.pipeline.PersistentPool`, the
+:class:`ServiceCore` owns the loaded :class:`~repro.api.Mapper` (and
+through it the engine's standing worker pool), the
 :class:`~repro.service.batcher.MicroBatcher`, and the service
 counters.  It is transport-agnostic: the socket server
 (:mod:`repro.service.server`) and in-process tests both drive it
@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections.abc import Callable
-from typing import Any
 
 from repro import seq as seqmod
 from repro.api import Mapper
@@ -63,9 +62,9 @@ class ServiceCore:
 
     Args:
         mapper: the artifact-backed mapper to serve.
-        jobs: worker processes; ``jobs > 1`` builds
-            ``mapper.pool(jobs)`` (requires an artifact-backed
-            mapper) and shards every coalesced dispatch across it.
+        jobs: worker processes; ``jobs > 1`` shards every coalesced
+            dispatch across the engine's standing pool, forked by
+            the first such dispatch.
         batch_window_s / batch_size / max_queue / timeout_s: the
             :class:`~repro.service.batcher.MicroBatcher` knobs.
         mode: batcher mode — ``"thread"`` (production), ``"manual"``
@@ -86,7 +85,6 @@ class ServiceCore:
     ) -> None:
         self.mapper = mapper
         self.jobs = jobs
-        self.pool = mapper.pool(jobs) if jobs > 1 else None
         self.counters = ServiceCounters()
         self.batcher = MicroBatcher(
             self._dispatch_reads,
@@ -104,8 +102,7 @@ class ServiceCore:
 
     def _dispatch_reads(self,
                         items: list[tuple[str, str]]) -> list[dict]:
-        records = self.mapper.map_batch(
-            items, jobs=self.jobs, pool=self.pool)
+        records = self.mapper.map_batch(items, jobs=self.jobs)
         self.counters.record_mapped(reads=len(items))
         payloads = []
         for record, (_, sequence) in zip(records, items):
@@ -116,8 +113,7 @@ class ServiceCore:
 
     def _dispatch_pairs(
             self, items: list[tuple[str, str, str]]) -> list[dict]:
-        records = self.mapper.map_pairs(
-            items, jobs=self.jobs, pool=self.pool)
+        records = self.mapper.map_pairs(items, jobs=self.jobs)
         self.counters.record_mapped(pairs=len(items))
         payloads = []
         for (rec1, rec2), (_, read1, read2) in zip(records, items):
@@ -256,11 +252,9 @@ class ServiceCore:
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Drain queued work, stop the batcher, release the pool."""
+        """Drain queued work, stop the batcher, stop the workers."""
         self.batcher.close()
-        if self.pool is not None:
-            self.pool.close()
-            self.pool = None
+        self.mapper.close()
 
 
 __all__ = ["PendingResponse", "ServiceCore", "Ticket"]

@@ -35,7 +35,3 @@ class RequestBatcher:
     def drain(self, items):
         self.pending.extend(items)
         return list(self.pending)
-
-
-def build_mapper_pool(mapper):
-    return mapper.pool(2)

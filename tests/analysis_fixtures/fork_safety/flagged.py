@@ -31,7 +31,3 @@ class RequestBatcher:
     def drain(self, items):
         _RESULTS.extend(items)
         return items
-
-
-def build_mapper_pool(mapper, items):
-    return mapper.pool(lambda: items, 2)

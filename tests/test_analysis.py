@@ -43,8 +43,8 @@ SRC_TREE = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: module; unscoped rules need no identity.
 RULE_FIXTURES = {
     "determinism": ("determinism", None),
-    "dtype": ("dtype", "repro.align.bitalign_fixture"),
-    "shift-mask": ("shift_mask", "repro.align.bitalign_fixture"),
+    "dtype": ("dtype", "repro.index.minimizer"),
+    "shift-mask": ("shift_mask", "repro.index.minimizer"),
     "fork-safety": ("fork_safety", None),
     "layering": ("layering", "repro.align.fixture"),
     "stage-purity": ("stage_purity", None),
@@ -117,12 +117,14 @@ def test_rule_suppression_comment(rule_id):
 
 
 def test_flagged_fixture_counts():
-    # The determinism fixture violates once per draw; pin the count so
-    # a silently narrowed rule cannot pass the >= 1 assertion above.
+    # Each fixture violates once per offending statement; pin the
+    # counts so a silently narrowed rule cannot pass the >= 1
+    # assertion above.
     report = run_fixture("determinism", "flagged")
     assert len(report.findings) == 5
     report = run_fixture("fork-safety", "flagged")
-    assert len(report.findings) >= 5  # 3 writes + 2 resources + pool
+    # 4 global/module writes + 2 factory resources + 1 pool lambda
+    assert len(report.findings) == 7
 
 
 # ----------------------------------------------------------------------
@@ -208,7 +210,7 @@ def test_scoped_rules_skip_out_of_scope_modules():
     # The same inferred-dtype source is a finding only inside a kernel
     # module; everywhere else the dtype rule does not apply.
     source = "import numpy as np\nstate = np.zeros(8)\n"
-    scoped = analyze_source(source, name="repro.align.bitalign_x",
+    scoped = analyze_source(source, name="repro.index.minimizer",
                             rule_ids=["dtype"])
     unscoped = analyze_source(source, name="repro.eval.report",
                               rule_ids=["dtype"])

@@ -490,21 +490,26 @@ class TestIndexArtifact:
         assert "mapped 3/3" in capsys.readouterr().out
 
     def test_persistent_pool_matches_fork(self, workspace, capsys):
+        """``map --index --jobs 2`` (the engine's standing pool over
+        the attached artifact) writes the bytes ``map --reference
+        --vcf --jobs 1`` writes."""
         root, *_ = workspace
         main(["index", "build", str(root / "ref.fa"),
               "--vcf", str(root / "vars.vcf"),
               "-o", str(root / "pool.sgidx")])
-        for mode, name in (("fork", "fork.sam"),
-                           ("persistent", "pool.sam")):
+        for source, jobs, name in (
+                (["--index", str(root / "pool.sgidx")], "2", "pool.sam"),
+                (["--reference", str(root / "ref.fa"),
+                  "--vcf", str(root / "vars.vcf")], "1", "seq.sam")):
             code = main([
-                "map", "--index", str(root / "pool.sgidx"),
+                "map", *source,
                 "--reads", str(root / "reads.fq"),
                 "--output", str(root / name), "--format", "sam",
-                "--jobs", "2", "--pool", mode,
+                "--jobs", jobs,
             ])
             assert code == 0
         assert (root / "pool.sam").read_bytes() == \
-            (root / "fork.sam").read_bytes()
+            (root / "seq.sam").read_bytes()
 
     def test_build_from_gfa_and_parallel_jobs(self, workspace,
                                               capsys, tmp_path):
@@ -563,12 +568,15 @@ class TestIndexArtifact:
                   "--output", str(root / "x.gaf")])
 
     def test_persistent_pool_requires_index(self, workspace):
+        """``--pool`` is gone: every ``--jobs > 1`` run uses the
+        engine's standing pool, so argparse rejects the option."""
         root, *_ = workspace
-        with pytest.raises(SystemExit, match="persistent"):
+        with pytest.raises(SystemExit) as excinfo:
             main(["map", "--reference", str(root / "ref.fa"),
                   "--reads", str(root / "reads.fq"),
                   "--output", str(root / "x.gaf"),
                   "--pool", "persistent"])
+        assert excinfo.value.code == 2
 
     def test_k_wider_than_the_index_row_is_a_clean_error(self,
                                                          workspace):

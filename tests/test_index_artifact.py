@@ -16,6 +16,7 @@ Covers the zero-copy artifact contract end to end:
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import random
 
 import numpy as np
@@ -526,21 +527,25 @@ class TestArtifactRejection:
         assert loaded.index.total_locations > 0
 
 
+def _worker_pids() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
+
+
 class TestPoolIdentity:
-    """Fork-shard, persistent-pool, and sequential must agree."""
+    """An artifact-attached mapper, a mapper built in-process, and the
+    sequential drive agree at every ``jobs``: both shard across their
+    engine's standing forked pool."""
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_single_end(self, artifact, reads, jobs):
-        attached = Mapper.from_artifact(artifact)
-        sequential = attached.map_batch(list(reads))
-        forked = attached.map_batch(list(reads), jobs=jobs)
-        pool = attached.pool(jobs)
-        try:
-            pooled = attached.map_batch(list(reads), pool=pool)
-        finally:
-            pool.close()
-        assert forked == sequential
-        assert pooled == sequential
+    def test_single_end(self, artifact, reference, reads, jobs):
+        with Mapper.from_artifact(artifact) as attached, \
+                Mapper(reference, config=CONFIG,
+                       max_node_length=512) as built:
+            sequential = attached.map_batch(list(reads))
+            assert attached.map_batch(list(reads), jobs=jobs) \
+                == sequential
+            assert built.map_batch(list(reads), jobs=jobs) \
+                == sequential
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_pairs(self, artifact, reference, jobs):
@@ -554,37 +559,44 @@ class TestPoolIdentity:
                 seqmod.reverse_complement(
                     seq[start + 250:start + 350]),
             ))
-        attached = Mapper.from_artifact(artifact)
-        sequential = attached.map_pairs(list(pairs))
-        forked = attached.map_pairs(list(pairs), jobs=jobs)
-        pool = attached.pool(jobs)
-        try:
-            pooled = attached.map_pairs(list(pairs), pool=pool)
-        finally:
-            pool.close()
-        assert forked == sequential
-        assert pooled == sequential
+        with Mapper.from_artifact(artifact) as attached, \
+                Mapper(reference, config=CONFIG,
+                       max_node_length=512) as built:
+            sequential = attached.map_pairs(list(pairs))
+            assert attached.map_pairs(list(pairs), jobs=jobs) \
+                == sequential
+            assert built.map_pairs(list(pairs), jobs=jobs) \
+                == sequential
 
     def test_pool_reuse_across_batches(self, artifact, reads):
-        attached = Mapper.from_artifact(artifact)
+        """Two ``jobs=2`` calls on one attached mapper run on the same
+        standing workers, and their records concatenate to the
+        sequential result."""
+        before = _worker_pids()
         half = len(reads) // 2
-        expected = attached.map_batch(list(reads))
-        with attached.pool(2) as pool:
-            first = attached.map_batch(list(reads[:half]), pool=pool)
-            second = attached.map_batch(list(reads[half:]), pool=pool)
+        with Mapper.from_artifact(artifact) as attached:
+            expected = attached.map_batch(list(reads))
+            first = attached.map_batch(list(reads[:half]), jobs=2)
+            workers = _worker_pids() - before
+            second = attached.map_batch(list(reads[half:]), jobs=2)
+            assert _worker_pids() - before == workers
+        assert len(workers) == 2
         assert first + second == expected
 
-    def test_pool_requires_artifact(self, reference):
-        fresh = Mapper(reference, config=CONFIG, max_node_length=512)
-        with pytest.raises(ValueError, match="artifact"):
-            fresh.pool(2)
+    def test_pool_requires_artifact(self, reference, reads):
+        """No artifact is needed to map at ``jobs > 1``: a mapper
+        built in-process forks its own workers."""
+        with Mapper(reference, config=CONFIG,
+                    max_node_length=512) as fresh:
+            expected = fresh.map_batch(list(reads))
+            assert fresh.map_batch(list(reads), jobs=2) == expected
 
     def test_pool_stats_merge(self, artifact, reads):
-        attached = Mapper.from_artifact(artifact)
+        """Per-shard statistics merge back through ``jobs=2``."""
         baseline = Mapper.from_artifact(artifact)
         baseline.map_batch(list(reads))
-        with attached.pool(2) as pool:
-            attached.map_batch(list(reads), pool=pool)
+        with Mapper.from_artifact(artifact) as attached:
+            attached.map_batch(list(reads), jobs=2)
         assert attached.stats.reads == baseline.stats.reads
         assert attached.stats.reads_mapped == \
             baseline.stats.reads_mapped

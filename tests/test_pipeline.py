@@ -669,15 +669,15 @@ class TestGroupWidthIndependence:
                     for name, sequence in short_reads}
         assert sum(record.mapped for record in expected.values()) \
             > self.READS // 2
-        with attach().pool(2) as pool:
-            for first_at in (0, self.READS // 2, self.READS - 1):
-                batch = short_reads[-first_at:] + short_reads[:-first_at]
-                assert batch[first_at] == short_reads[0]
-                for how in ({"jobs": 1}, {"jobs": 2}, {"pool": pool}):
-                    records = attach().map_batch(batch, **how)
-                    assert records == [expected[name]
-                                       for name, _ in batch], \
-                        (first_at, how)
+        for first_at in (0, self.READS // 2, self.READS - 1):
+            batch = short_reads[-first_at:] + short_reads[:-first_at]
+            assert batch[first_at] == short_reads[0]
+            for jobs in (1, 2):
+                with attach() as mapper:
+                    records = mapper.map_batch(batch, jobs=jobs)
+                assert records == [expected[name]
+                                   for name, _ in batch], \
+                    (first_at, jobs)
 
 
 class TestBatchedAlignPath:

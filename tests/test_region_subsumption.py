@@ -21,6 +21,7 @@ the rule is measured against:
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import random
 
 import pytest
@@ -454,10 +455,29 @@ class TestParity:
                     mapper.map_batch(env["reads"], jobs=2))
 
     def test_persistent_pool(self, env):
+        """The daemon at ``jobs=2`` shards every dispatch across the
+        engine's standing pool: records and subsumption counts equal
+        the one-read drive, and ``close()`` reaps the workers."""
+        before = {child.pid for child in multiprocessing.active_children()}
         mapper = env["attach"]()
-        with mapper.pool(2) as pool:
-            records = mapper.map_batch(env["reads"], pool=pool)
-        self._check(env, mapper, records)
+        core = ServiceCore(mapper, jobs=2, mode="serial")
+        try:
+            response = core.handle(parse_request(encode_line({
+                "op": "map_batch",
+                "reads": [list(read) for read in env["reads"]],
+            }).decode().strip()))
+            served = [payload["record"]
+                      for payload in response["result"]["reads"]]
+            pipeline = core.stats_payload()["pipeline"]
+        finally:
+            core.close()
+        assert served == [record_payload(record)
+                          for record in env["records"]]
+        assert pipeline["regions_subsumed"] == env["subsumed"]
+        assert pipeline["regions_aligned"] == env["aligned"]
+        _assert_accounted(mapper.stats)
+        assert {child.pid for child
+                in multiprocessing.active_children()} <= before
 
     def test_daemon(self, env):
         mapper = env["attach"]()
