@@ -369,6 +369,22 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
+def _layout_table(layout, title: str) -> str:
+    """The three levels of a flat index (paper Fig. 6) and their total,
+    as a table of entries and bytes."""
+    return format_table([
+        {"level": "1 (buckets)", "entries": layout.bucket_count,
+         "bytes": layout.first_level_bytes},
+        {"level": "2 (minimizers)",
+         "entries": layout.distinct_minimizers,
+         "bytes": layout.second_level_bytes},
+        {"level": "3 (locations)", "entries": layout.total_locations,
+         "bytes": layout.third_level_bytes},
+        {"level": "total", "entries": None,
+         "bytes": layout.total_bytes},
+    ], title=title)
+
+
 def cmd_index(args: argparse.Namespace) -> int:
     if getattr(args, "index_command", None) == "build":
         return cmd_index_build(args)
@@ -386,20 +402,9 @@ def cmd_index(args: argparse.Namespace) -> int:
     index = build_flat_index(graph, w=args.w, k=args.k,
                              bucket_bits=args.bucket_bits)
     layout = index.layout()
-    rows = [
-        {"level": "1 (buckets)", "entries": layout.bucket_count,
-         "bytes": layout.first_level_bytes},
-        {"level": "2 (minimizers)",
-         "entries": layout.distinct_minimizers,
-         "bytes": layout.second_level_bytes},
-        {"level": "3 (locations)", "entries": layout.total_locations,
-         "bytes": layout.third_level_bytes},
-        {"level": "total", "entries": None,
-         "bytes": layout.total_bytes},
-    ]
-    print(format_table(
-        rows, title=f"hash-table index <w={args.w},k={args.k}> of "
-                    f"{args.graph}"))
+    print(_layout_table(
+        layout, f"hash-table index <w={args.w},k={args.k}> of "
+                f"{args.graph}"))
     print(f"max minimizers per bucket: "
           f"{layout.max_minimizers_per_bucket}")
     return 0
@@ -459,18 +464,7 @@ def cmd_index_inspect(args: argparse.Namespace) -> int:
     layout = index.layout()
     print(f"artifact {args.artifact}: "
           f"<w={index.w},k={index.k}> scoring={index.scoring}")
-    rows = [
-        {"level": "1 (buckets)", "entries": layout.bucket_count,
-         "bytes": layout.first_level_bytes},
-        {"level": "2 (minimizers)",
-         "entries": layout.distinct_minimizers,
-         "bytes": layout.second_level_bytes},
-        {"level": "3 (locations)", "entries": layout.total_locations,
-         "bytes": layout.third_level_bytes},
-        {"level": "total", "entries": None,
-         "bytes": layout.total_bytes},
-    ]
-    print(format_table(rows, title="three-level index (paper Fig. 6)"))
+    print(_layout_table(layout, "three-level index (paper Fig. 6)"))
     print(format_table(
         [{"contig": name, "length": length}
          for name, length in loaded.refs.sam_contigs()],
@@ -806,6 +800,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit("error: provide --port or --socket")
     if args.port is not None and args.socket is not None:
         raise SystemExit("error: --port and --socket are exclusive")
+    for flag in ("jobs", "batch_size", "max_queue"):
+        if getattr(args, flag) < 1:
+            raise SystemExit(f"error: --{flag.replace('_', '-')} "
+                             f"must be >= 1")
     try:
         mapper = Mapper.from_artifact(args.index,
                                       config=_engine_config(args))
@@ -888,6 +886,8 @@ def _run_client(args: argparse.Namespace) -> int:
     # chunk regardless of input size.
     if args.chunk_size < 1:
         raise SystemExit("error: --chunk-size must be >= 1")
+    if args.window < 1:
+        raise SystemExit("error: --window must be >= 1")
     total = 0
     mapped = 0
     with _client_connect(args) as client:

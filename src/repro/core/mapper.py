@@ -20,7 +20,9 @@ align -> select``): :meth:`SeGraM.map_batch` shards a read set across
 the engine's standing pool, each worker running the pipeline's one drive;
 :meth:`SeGraM.map_read` is a one-read batch, and per-stage counters
 accumulate in ``SeGraM.pipeline.stats`` (a
-:class:`~repro.core.pipeline.PipelineStats`).
+:class:`~repro.core.pipeline.PipelineStats`).  Read pairs map through
+a :class:`~repro.core.pairing.PairedEndMapper` over the engine (or
+:meth:`repro.api.Mapper.map_pairs`), on the same pool.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.core.minseed import MinSeed, SeedingStats
 from repro.core.pipeline import MappingPipeline, PersistentPool, \
-    PipelineStats, _ReadShardContext, run_sharded
+    PipelineStats, run_sharded
 from repro.core.windows import WindowedAligner, WindowingConfig
 from repro.core.alignment import Cigar, mapq_from_candidates
 from repro.graph.builder import BuiltGraph, Variant, build_graph
@@ -398,7 +400,7 @@ class SeGraM:
         any batch, for any ``jobs`` — the parity contract the tests
         enforce.
         """
-        return run_sharded(_ReadShardContext(self), list(reads), jobs)
+        return run_sharded(self, reads, jobs)
 
     # ------------------------------------------------------------------
     # Standing worker pool
@@ -435,34 +437,6 @@ class SeGraM:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # Paired-end mapping
-    # ------------------------------------------------------------------
-
-    def pair_mapper(self, config=None):
-        """A :class:`~repro.core.pairing.PairedEndMapper` over this
-        mapper (insert-size scoring + mate rescue; see
-        :mod:`repro.core.pairing`)."""
-        from repro.core.pairing import PairedEndMapper
-
-        return PairedEndMapper(self, config)
-
-    def map_pair(self, read1: str, read2: str, name: str = "pair"):
-        """Map one FR read pair with the default pairing config."""
-        return self._default_pair_mapper().map_pair(read1, read2, name)
-
-    def map_pairs(self, pairs: Iterable[tuple[str, str, str]],
-                  jobs: int = 1):
-        """Map ``(name, read1, read2)`` pairs with the default pairing
-        config (``jobs > 1`` shards across the standing pool)."""
-        return self._default_pair_mapper().map_pairs(list(pairs),
-                                                     jobs=jobs)
-
-    def _default_pair_mapper(self):
-        if getattr(self, "_pair_mapper", None) is None:
-            self._pair_mapper = self.pair_mapper()
-        return self._pair_mapper
 
     @property
     def stats(self) -> PipelineStats:

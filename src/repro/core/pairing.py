@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro import seq as seqmod
 from repro.core.bitalign import bitalign
 from repro.core.mapper import MappingResult
-from repro.core.pipeline import ShardContext, run_sharded
+from repro.core.pipeline import run_sharded
 from repro.graph.linearize import LinearizedGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -698,35 +698,4 @@ class PairedEndMapper:
         like ``SeGraM.map_batch``: per-shard statistics merge back,
         and results are identical to the sequential loop.
         """
-        return run_sharded(_PairShardContext(self), list(pairs), jobs)
-
-
-# ----------------------------------------------------------------------
-# Batch engine
-# ----------------------------------------------------------------------
-
-class _PairShardContext(ShardContext):
-    """Shard context for ``PairedEndMapper.map_pairs``: pair-level
-    statistics travel alongside the pipeline statistics, and the
-    pairing config travels in the mode, for the worker to build its
-    own pair mapper from."""
-
-    def __init__(self, pair_mapper: PairedEndMapper) -> None:
-        self.pair_mapper = pair_mapper
-        self.engine = pair_mapper.mapper
-        self.mode = ("pairs", pair_mapper.config)
-
-    def map_items(self, pairs):
-        return self.pair_mapper.map_pairs_local(pairs)
-
-    def reset_stats(self) -> None:
-        self.engine.pipeline.reset_stats()
-        self.pair_mapper.stats = PairStats()
-
-    def collect_stats(self):
-        return self.engine.pipeline.stats, self.pair_mapper.stats
-
-    def merge_stats(self, payload) -> None:
-        pipeline_stats, pair_stats = payload
-        self.engine.pipeline.stats.merge(pipeline_stats)
-        self.pair_mapper.stats.merge(pair_stats)
+        return run_sharded(self.mapper, pairs, jobs, pairs=self)

@@ -62,11 +62,14 @@ and that range into a *view* of the one linearization: two bisects, a
 string slice and the seed anchor.  BitAlign's windows are views of
 that view.  There is nothing to memoize, so there is no region cache.
 
-A **batch engine** (:func:`run_sharded`) shards a read set across
-the engine's standing :class:`PersistentPool`, forked once, after the
-linearization is built, so the workers share the index and the
-linearization with the parent copy-on-write; per-shard
-:class:`PipelineStats` are merged back into the parent's.
+A **batch engine** (:func:`run_sharded`) shards a read set — or a
+set of read pairs — across the engine's standing
+:class:`PersistentPool`, forked once, after the linearization is
+built, so the workers share the index and the linearization with the
+parent copy-on-write.  A shard is ``(pair_config, items)``; every
+shard, in a worker or in-process, runs :func:`map_local`, which
+returns the shard's results with its own :class:`PipelineStats` (and
+pair statistics), and the caller merges those into its own.
 
 Stage boundaries and sharding change *when* work happens, never
 *what* is computed: a read maps to the same result alone, at any
@@ -767,21 +770,23 @@ class MappingPipeline:
         self.stats = PipelineStats.empty()
 
     def map_reads(
-        self, reads: Sequence[tuple[str, str]], both_strands: bool,
+        self, reads: Sequence[tuple[str, str]],
     ) -> "list[MappingResult]":
-        """Map (validated) ``(name, sequence)`` reads — the one drive
-        behind every mapping entry point.
+        """Map single-end ``(name, sequence)`` reads — the one drive
+        behind every single-end entry point.
 
-        Per read: the forward orientation through stages 1-4, the
-        reverse complement too when ``both_strands``, then stage 5
+        Each sequence is validated (``N`` allowed).  Per read: the
+        forward orientation through stages 1-4, the reverse
+        complement too when ``config.both_strands``, then stage 5
         selects.  A read's result does not depend on what it is
-        batched with.  ``both_strands`` is the mapper's configured
-        setting for single-end reads and always True for the mates of
-        a pair.
+        batched with.
         """
+        reads = [(name, seqmod.validate(sequence, "read",
+                                        allow_ambiguous=True))
+                 for name, sequence in reads]
         return [self.map_seeded(forward, reverse)
-                for forward, reverse in self.seed_reads(reads,
-                                                        both_strands)]
+                for forward, reverse in self.seed_reads(
+                    reads, self.config.both_strands)]
 
     def seed_reads(
         self, reads: Sequence[tuple[str, str]], both_strands: bool,
@@ -855,100 +860,52 @@ def effective_jobs(jobs: int, read_count: int) -> int:
     return jobs
 
 
-class ShardContext:
-    """What the shard runner needs from a mapping engine.
+def map_local(engine: "SeGraM", items: Sequence,
+              pair_config=None) -> tuple:
+    """Map one shard of ``items`` in this process.
 
-    ``engine`` is the :class:`~repro.core.mapper.SeGraM` whose
-    standing pool serves the shards; ``mode`` is the picklable key a
-    pool worker builds its own context from
-    (:meth:`_MapperContexts.shard_context`).  ``map_items`` runs in
-    the parent when one worker would run, and in pool workers, where
-    it is preceded by ``reset_stats`` so each shard's statistics are
-    accounted exactly once, then shipped back via the picklable
-    ``collect_stats`` payload and folded into the parent with
-    ``merge_stats``.
+    Reads are ``(name, sequence)``; with a
+    :class:`~repro.core.pairing.PairedEndConfig` they are
+    ``(name, read1, read2)`` pairs, mapped by a
+    :class:`~repro.core.pairing.PairedEndMapper` of that config.
+    Returns ``(results, PipelineStats, PairStats | None)`` with the
+    statistics of exactly this shard; the engine's own statistics are
+    left as they were, for :func:`run_sharded` to merge into.
     """
+    pipeline = engine.pipeline
+    outer = pipeline.stats
+    pipeline.reset_stats()
+    try:
+        if pair_config is None:
+            return pipeline.map_reads(items), pipeline.stats, None
+        from repro.core.pairing import PairedEndMapper
 
-    engine: "SeGraM"
-    mode: object
-
-    def map_items(self, items: Sequence) -> list:
-        raise NotImplementedError
-
-    def reset_stats(self) -> None:
-        raise NotImplementedError
-
-    def collect_stats(self):
-        raise NotImplementedError
-
-    def merge_stats(self, payload) -> None:
-        raise NotImplementedError
-
-
-def shard_items(items: Sequence, jobs: int) -> list:
-    """Split ``items`` into at most ``jobs`` contiguous shards.
-
-    The one shard-boundary rule of every pool, so workers get the same
-    work lists — and return the same results *and* per-shard
-    statistics — whichever pool serves them.
-    """
-    jobs = max(1, min(jobs, len(items)))
-    chunk = math.ceil(len(items) / jobs)
-    return [items[i * chunk:(i + 1) * chunk] for i in range(jobs)
-            if items[i * chunk:(i + 1) * chunk]]
+        pairs = PairedEndMapper(engine, pair_config)
+        return pairs.map_pairs_local(items), pipeline.stats, pairs.stats
+    finally:
+        pipeline.stats = outer
 
 
 # ----------------------------------------------------------------------
 # Standing worker pools
 # ----------------------------------------------------------------------
 
-_POOL_CONTEXTS = None
+_POOL_ENGINE = None
 
 
 def _pool_worker_init(engine_ref) -> None:
-    """Pool initializer: build this worker's contexts over the engine
-    it inherited (see :class:`PersistentPool`)."""
-    global _POOL_CONTEXTS
-    # Per-process cache by design: each worker builds its own
-    # contexts once at start-up; nothing ever reads it parent-side.
-    _POOL_CONTEXTS = _MapperContexts(engine_ref())  # repro: allow[fork-safety]
+    """Pool initializer: resolve the engine this worker inherited (see
+    :class:`PersistentPool`)."""
+    global _POOL_ENGINE
+    # Per-process by design: each worker resolves its engine once at
+    # start-up; nothing ever reads it parent-side.
+    _POOL_ENGINE = engine_ref()  # repro: allow[fork-safety]
 
 
 def _pool_worker_run(payload):
-    mode, items = payload
-    contexts = _POOL_CONTEXTS
-    assert contexts is not None, "persistent pool not initialized"
-    context = contexts.shard_context(mode)
-    context.reset_stats()
-    return context.map_items(items), context.collect_stats()
-
-
-class _MapperContexts:
-    """One worker's shard contexts over one engine, by payload mode.
-
-    ``"reads"`` maps single-end shards.  ``("pairs", config)`` maps
-    pair shards through a :class:`~repro.core.pairing.PairedEndMapper`
-    built from the :class:`~repro.core.pairing.PairedEndConfig` the
-    payload carries, on the first shard of that config — so a pool
-    started by ``map_batch`` serves a later ``map_pairs``.
-    """
-
-    def __init__(self, engine: "SeGraM") -> None:
-        self.engine = engine
-        self._contexts: dict = {}
-
-    def shard_context(self, mode) -> ShardContext:
-        if mode not in self._contexts:
-            if mode == "reads":
-                self._contexts[mode] = _ReadShardContext(self.engine)
-            else:
-                from repro.core.pairing import PairedEndMapper, \
-                    _PairShardContext
-
-                _, pair_config = mode
-                self._contexts[mode] = _PairShardContext(
-                    PairedEndMapper(self.engine, pair_config))
-        return self._contexts[mode]
+    pair_config, items = payload
+    assert _POOL_ENGINE is not None, "persistent pool not initialized"
+    return map_local(_POOL_ENGINE, items, pair_config)
 
 
 class PersistentPool:
@@ -963,8 +920,9 @@ class PersistentPool:
     every worker.  :meth:`~repro.core.mapper.SeGraM.worker_pool` owns
     the one pool of an engine.
 
-    Shard boundaries come from :func:`shard_items`.  A worker that
-    dies mid-batch breaks the pool: :meth:`run` closes it and raises
+    :meth:`run` cuts a batch into at most ``jobs`` contiguous shards of
+    ``ceil(n / jobs)`` items.  A worker that dies mid-batch breaks the
+    pool: :meth:`run` closes it and raises
     :class:`~concurrent.futures.process.BrokenProcessPool` instead of
     waiting for results that will never come.
     """
@@ -988,18 +946,19 @@ class PersistentPool:
     def closed(self) -> bool:
         return self._executor is None
 
-    def run(self, items: Sequence, mode) -> list:
+    def run(self, items: Sequence, pair_config=None) -> list:
         """Map shards of ``items`` across the standing workers.
 
-        Returns the per-shard ``(results, stats payload)`` pairs in
-        shard order; :func:`run_sharded` flattens and merges them.
+        Returns each shard's :func:`map_local` triple, in shard order;
+        :func:`run_sharded` flattens and merges them.
         """
         from concurrent.futures.process import BrokenProcessPool
 
         if self._executor is None:
             raise RuntimeError("persistent pool is closed")
-        payloads = [(mode, shard)
-                    for shard in shard_items(items, self.jobs)]
+        chunk = math.ceil(len(items) / self.jobs)
+        payloads = [(pair_config, items[i:i + chunk])
+                    for i in range(0, len(items), chunk)]
         try:
             return list(self._executor.map(_pool_worker_run, payloads))
         except BrokenProcessPool:
@@ -1013,21 +972,24 @@ class PersistentPool:
             self._executor = None
 
 
-def run_sharded(context: ShardContext, items: Sequence,
-                jobs: int = 1) -> list:
-    """Map ``items`` through ``context``, sharded across the engine's
-    standing pool of ``jobs`` workers
-    (:meth:`~repro.core.mapper.SeGraM.worker_pool`).
+def run_sharded(engine: "SeGraM", items: Sequence, jobs: int = 1,
+                pairs=None) -> list:
+    """Map ``items`` on ``engine``, sharded across its standing pool of
+    ``jobs`` workers (:meth:`~repro.core.mapper.SeGraM.worker_pool`).
 
-    When one worker would run (:func:`effective_jobs`), the items map
-    in-process.  Per-shard statistics merge back through ``context``,
-    and results come back in input order, identical either way.
+    ``pairs`` is the calling :class:`~repro.core.pairing.
+    PairedEndMapper` when the items are read pairs.  When one worker
+    would run (:func:`effective_jobs`), the items map in-process as
+    one shard.  Each shard's statistics merge into
+    ``engine.pipeline.stats`` (and ``pairs.stats``), and results come
+    back in input order, identical either way.
 
     The engine's workers see the engine as it was when they forked:
     a change to it reaches them only through a new pool, after
     :meth:`~repro.core.mapper.SeGraM.close`.
     """
     items = list(items)
+    pair_config = pairs.config if pairs is not None else None
     if effective_jobs(jobs, len(items)) == 1:
         if jobs > 1 and len(items) > 1:
             warnings.warn(
@@ -1035,36 +997,13 @@ def run_sharded(context: ShardContext, items: Sequence,
                 "unavailable on this platform; mapping "
                 "sequentially", RuntimeWarning, stacklevel=3,
             )
-        return context.map_items(items)
-    pool = context.engine.worker_pool(jobs)
+        shards = [map_local(engine, items, pair_config)]
+    else:
+        shards = engine.worker_pool(jobs).run(items, pair_config)
     results: list = []
-    for shard_results, payload in pool.run(items, context.mode):
+    for shard_results, stats, pair_stats in shards:
         results.extend(shard_results)
-        context.merge_stats(payload)
+        engine.pipeline.stats.merge(stats)
+        if pairs is not None:
+            pairs.stats.merge(pair_stats)
     return results
-
-
-class _ReadShardContext(ShardContext):
-    """Shard context for single-end ``map_batch``."""
-
-    mode = "reads"
-
-    def __init__(self, engine: "SeGraM") -> None:
-        self.engine = engine
-
-    def map_items(self, reads):
-        engine = self.engine
-        return engine.pipeline.map_reads(
-            [(name, seqmod.validate(sequence, "read",
-                                    allow_ambiguous=True))
-             for name, sequence in reads],
-            engine.config.both_strands)
-
-    def reset_stats(self) -> None:
-        self.engine.pipeline.reset_stats()
-
-    def collect_stats(self) -> PipelineStats:
-        return self.engine.pipeline.stats
-
-    def merge_stats(self, payload: PipelineStats) -> None:
-        self.engine.pipeline.stats.merge(payload)

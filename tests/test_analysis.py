@@ -226,6 +226,10 @@ def test_src_tree_is_clean():
     report = analyze_paths([SRC_TREE])
     assert report.exit_code() == 0, "\n" + report.format_text()
     assert report.files_scanned > 50
+    # The exceptions are a fixed budget: deleting code must not buy
+    # its way past a rule with a new ``# repro: allow[...]``.
+    assert len(report.suppressed) <= 4, "\n" + "\n".join(
+        str(finding.to_dict()) for finding in report.suppressed)
     # Every in-tree suppression must name a registered rule (a typo'd
     # id would silently suppress nothing — caught above — but a stale
     # allow for an unregistered rule is dead weight).

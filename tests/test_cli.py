@@ -702,3 +702,27 @@ class TestServeClient:
         with pytest.raises(SystemExit, match="cannot reach"):
             main(["client", "ping", "--socket",
                   str(tmp_path / "nowhere.sock")])
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--jobs", "0"), ("--jobs", "-2"), ("--batch-size", "0"),
+        ("--max-queue", "0")])
+    def test_serve_rejects_non_positive_flags(self, tmp_path, flag,
+                                              value):
+        """Checked before the artifact is attached: the missing
+        ``--index`` is never opened and nothing is served."""
+        with pytest.raises(SystemExit,
+                           match=f"error: {flag} must be >= 1"):
+            main(["serve", "--index", str(tmp_path / "missing.sgidx"),
+                  "--socket", str(tmp_path / "x.sock"), flag, value])
+        assert not (tmp_path / "x.sock").exists()
+
+    def test_client_rejects_zero_window(self, tmp_path):
+        """Checked before connecting: the missing socket is never
+        dialled."""
+        with pytest.raises(SystemExit,
+                           match="error: --window must be >= 1"):
+            main(["client", "map", "--socket",
+                  str(tmp_path / "nowhere.sock"),
+                  "--reads", str(tmp_path / "reads.fa"),
+                  "--output", str(tmp_path / "out.sam"),
+                  "--window", "0"])

@@ -451,7 +451,7 @@ def _untimed(stats) -> dict:
 
 #: A worker that dies mid-batch, run as a child process: the call must
 #: raise ``BrokenProcessPool``, not hang, and the next call must fork a
-#: fresh pool.  ``map_items`` is patched before the first ``jobs=2``
+#: fresh pool.  ``map_local`` is patched before the first ``jobs=2``
 #: call, so the forked workers inherit the patch.
 _DEAD_WORKER_SCRIPT = """
 import os, random
@@ -464,14 +464,14 @@ reference = random_reference(6_000, random.Random(5))
 reads = [(f"read{i}", reference[i * 500:i * 500 + 150]) for i in range(8)]
 mapper = Mapper(reference, name="chr1")
 expected = mapper.map_batch(reads)
-real = pipeline._ReadShardContext.map_items
+real = pipeline.map_local
 
-def map_items(self, items):
+def map_local(engine, items, pair_config=None):
     if any(name == "poison" for name, _ in items):
         os._exit(1)
-    return real(self, items)
+    return real(engine, items, pair_config)
 
-pipeline._ReadShardContext.map_items = map_items
+pipeline.map_local = map_local
 try:
     mapper.map_batch(reads + [("poison", reads[0][1])], jobs=2)
 except BrokenProcessPool:
