@@ -2,8 +2,10 @@
 
 The ISSUE acceptance criterion for the streaming subsystem
 (:mod:`repro.io.stream`): ``repro map`` on a **gzip FASTQ** in
-streaming mode must emit SAM byte-identical to the in-memory path
-while peak RSS stays bounded by the chunk size, not the input size.
+default ``--chunk-size`` batches ("stream") must emit SAM
+byte-identical to one whole-file batch ("mem", a ``--chunk-size`` of
+the file's read count) while peak RSS stays bounded by the chunk
+size, not the input size.
 
 Measurement: each mode runs in a **subprocess** that reports its own
 ``ru_maxrss`` high-water twice — after imports + mapper construction
@@ -98,15 +100,17 @@ def _make_inputs(workdir: Path) -> tuple[Path, Path]:
 def _run_map(mode: str, ref: Path, reads: Path,
              output: Path) -> tuple[int, int]:
     """Run ``repro map`` in a subprocess; returns (base, final)
-    ``ru_maxrss`` in KiB."""
+    ``ru_maxrss`` in KiB.  ``mem`` maps the whole file as one batch,
+    ``stream`` in the default chunk size."""
+    chunking = (["--chunk-size", str(REAL_READS + JUNK_READS)]
+                if mode == "mem" else [])
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-c", _DRIVER,
          "map", "--reference", str(ref), "--reads", str(reads),
-         "--output", str(output), "--format", "sam",
-         "--input-mode", mode],
+         "--output", str(output), "--format", "sam", *chunking],
         env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,5 @@
-"""Rule ``fork-safety``: worker code must not share mutable state or
-unpicklable resources with the parent process.
+"""Rule ``fork-safety``: worker code must not share mutable state
+with the parent process, and pool payloads must pickle.
 
 The pipeline runs in two process models — in-process, and the
 engine's standing forked :class:`~repro.core.pipeline.PersistentPool`
@@ -11,23 +11,19 @@ rules:
   copy; the parent (and every sibling) never sees the write, so any
   logic that later reads that state diverges silently between the
   in-process and sharded runs;
-* worker factories and payloads cross the fork/pickle boundary, so
-  they must not carry file handles, ``mmap`` objects, locks, or
-  generators — handles share an OS file offset with the parent after
-  fork, locks may be held mid-fork and deadlock the child, and
-  generators/lambdas do not pickle.
+* pool payloads cross the pickle boundary, and lambdas and
+  generators do not pickle.
 
 Checked:
 
-* functions reachable from a worker root — a module-level function
-  whose name contains ``worker``, any method of a ``*ShardContext``
-  or ``*Batcher`` class (the service's dispatch plumbing feeds pool
-  workers), or ``__call__`` of a ``*Factory`` class — must not write
-  ``global`` names, nor mutate module-level bindings through
-  subscript/attribute assignment or mutating method calls
-  (``append``/``update``/...);
-* ``*Factory.__init__`` must not store open files, mmaps, locks, or
-  generator expressions on ``self``;
+* functions reachable from a worker root must not write ``global``
+  names, nor mutate module-level bindings through subscript/attribute
+  assignment or mutating method calls (``append``/``update``/...).
+  A root is a module-level function whose name contains ``worker``
+  (the standing pool's ``_pool_worker_*`` in
+  :mod:`repro.core.pipeline`, the index build's ``_scan_worker_*`` in
+  :mod:`repro.index.flat_index`) or any method of a ``*Batcher``
+  class (the service's dispatch plumbing feeds pool workers);
 * arguments to ``PersistentPool(...)`` / ``run_sharded(...)`` must
   not be lambdas or generator expressions (unpicklable payloads).
 
@@ -40,12 +36,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.astutils import (
-    dotted_name,
-    expand_path,
-    import_aliases,
-    module_level_bindings,
-)
+from repro.analysis.astutils import dotted_name, module_level_bindings
 from repro.analysis.engine import Module
 from repro.analysis.findings import Finding
 from repro.analysis.registry import rule
@@ -54,16 +45,6 @@ from repro.analysis.registry import rule
 _MUTATORS = frozenset({
     "append", "extend", "add", "update", "setdefault", "pop",
     "popitem", "clear", "remove", "insert", "discard",
-})
-
-#: Calls whose result must never be stored on a factory: the object
-#: cannot safely cross a fork or a pickle boundary.
-_RESOURCE_CALLS = frozenset({
-    "open", "io.open", "mmap.mmap", "gzip.open", "bz2.open",
-    "lzma.open", "tempfile.NamedTemporaryFile", "tempfile.TemporaryFile",
-    "threading.Lock", "threading.RLock", "threading.Condition",
-    "threading.Semaphore", "threading.BoundedSemaphore",
-    "threading.Event", "multiprocessing.Lock", "multiprocessing.RLock",
 })
 
 #: Constructors/functions whose arguments cross the fork boundary.
@@ -82,16 +63,10 @@ def _worker_roots(tree: ast.Module) -> list[ast.FunctionDef]:
         if isinstance(stmt, ast.FunctionDef) \
                 and "worker" in stmt.name.lower():
             roots.append(stmt)
-        elif isinstance(stmt, ast.ClassDef):
-            class_is_context = ("shardcontext" in stmt.name.lower()
-                                or stmt.name.endswith("Batcher"))
-            for item in stmt.body:
-                if not isinstance(item, ast.FunctionDef):
-                    continue
-                if class_is_context or (
-                        stmt.name.endswith("Factory")
-                        and item.name == "__call__"):
-                    roots.append(item)
+        elif isinstance(stmt, ast.ClassDef) \
+                and stmt.name.endswith("Batcher"):
+            roots.extend(item for item in stmt.body
+                         if isinstance(item, ast.FunctionDef))
     return roots
 
 
@@ -202,41 +177,6 @@ def _check_worker_writes(module: Module, func: ast.FunctionDef,
     return findings
 
 
-def _check_factory_init(module: Module, cls: ast.ClassDef,
-                        aliases: dict[str, str]) -> list[Finding]:
-    findings: list[Finding] = []
-    init = next((item for item in cls.body
-                 if isinstance(item, ast.FunctionDef)
-                 and item.name == "__init__"), None)
-    if init is None:
-        return findings
-    for node in ast.walk(init):
-        if not isinstance(node, ast.Assign):
-            continue
-        stores_self = any(
-            isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
-            and t.value.id == "self" for t in node.targets)
-        if not stores_self:
-            continue
-        if isinstance(node.value, ast.GeneratorExp):
-            findings.append(module.finding(
-                "fork-safety", node,
-                f"{cls.name}.__init__ stores a generator on self; "
-                "generators do not pickle across the pool boundary",
-            ))
-            continue
-        if isinstance(node.value, ast.Call):
-            path = expand_path(node.value.func, aliases)
-            if path in _RESOURCE_CALLS:
-                findings.append(module.finding(
-                    "fork-safety", node,
-                    f"{cls.name}.__init__ stores {path}(...) on "
-                    "self; open handles/locks must be created "
-                    "worker-side, not carried across the fork",
-                ))
-    return findings
-
-
 def _check_pool_payloads(module: Module) -> list[Finding]:
     findings: list[Finding] = []
     for node in ast.walk(module.tree):
@@ -267,22 +207,17 @@ def _check_pool_payloads(module: Module) -> list[Finding]:
 
 @rule(
     "fork-safety",
-    "workers must not mutate shared globals or carry unpicklable "
-    "resources across the fork/pool boundary",
+    "workers must not mutate shared globals, and pool payloads "
+    "must be picklable",
     "in-process and standing-pool (run_sharded) execution are "
     "bit-for-bit interchangeable only while workers touch no "
     "copy-on-write state and payloads stay picklable",
 )
 def check_fork_safety(module: Module) -> list[Finding]:
-    aliases = import_aliases(module.tree)
     module_names = module_level_bindings(module.tree)
     findings: list[Finding] = []
     for func in _worker_closure(module.tree):
         findings.extend(
             _check_worker_writes(module, func, module_names))
-    for stmt in module.tree.body:
-        if isinstance(stmt, ast.ClassDef) \
-                and stmt.name.endswith("Factory"):
-            findings.extend(_check_factory_init(module, stmt, aliases))
     findings.extend(_check_pool_payloads(module))
     return findings

@@ -122,14 +122,11 @@ class MappingRecord:
             else None
 
 
-def _record_from_result(result: MappingResult,
-                        default_contig: str | None) -> MappingRecord:
-    contig = result.contig if result.contig is not None \
-        else (default_contig if result.mapped else None)
+def _record_from_result(result: MappingResult) -> MappingRecord:
     return MappingRecord(
         read_name=result.read_name,
         mapped=result.mapped,
-        contig=contig,
+        contig=result.contig,
         position=result.linear_position,
         strand=result.strand,
         mapq=result.mapq,
@@ -141,15 +138,13 @@ def _record_from_result(result: MappingResult,
     )
 
 
-def _pair_records(pair: PairResult,
-                  default_contig: str | None
-                  ) -> tuple[MappingRecord, MappingRecord]:
+def _pair_records(
+        pair: PairResult) -> tuple[MappingRecord, MappingRecord]:
     records: list[MappingRecord] = []
     for me, mate in ((pair.mate1, pair.mate2),
                      (pair.mate2, pair.mate1)):
-        record = _record_from_result(me, default_contig)
-        mate_contig = (mate.contig or default_contig) \
-            if mate.mapped else None
+        record = _record_from_result(me)
+        mate_contig = mate.contig if mate.mapped else None
         records.append(replace(
             record,
             mapq=me.mapq_with(proper_pair=pair.proper),
@@ -386,24 +381,13 @@ class Mapper:
                                                 self.pair_config)
         return self._pair_engine
 
-    @property
-    def _default_contig(self) -> str | None:
-        """Contig name to stamp on results of single-contig sets.
-
-        Multi-contig results always carry their contig; this is only
-        a belt-and-braces fallback for exotic engine results.
-        """
-        names = self.reference.names
-        return names[0] if len(names) == 1 else None
-
     # ------------------------------------------------------------------
     # Mapping
     # ------------------------------------------------------------------
 
     def map(self, read: str, name: str = "read") -> MappingRecord:
         """Map one read; returns its contig-qualified record."""
-        return _record_from_result(self.engine.map_read(read, name),
-                                   self._default_contig)
+        return _record_from_result(self.engine.map_read(read, name))
 
     def map_batch(self, reads: Iterable[ReadLike],
                   jobs: int = 1) -> list[MappingRecord]:
@@ -419,8 +403,7 @@ class Mapper:
         named: list[tuple[str, ...]] = [
             (f"read{i}", r) if isinstance(r, str) else tuple(r)
             for i, r in enumerate(reads)]
-        default = self._default_contig
-        return [_record_from_result(result, default)
+        return [_record_from_result(result)
                 for result in self.engine.map_batch(named, jobs=jobs)]
 
     def map_pair(self, read1: str, read2: str,
@@ -428,7 +411,7 @@ class Mapper:
                  ) -> tuple[MappingRecord, MappingRecord]:
         """Map one FR read pair; returns both mates' records."""
         pair = self.pair_engine().map_pair(read1, read2, name)
-        return _pair_records(pair, self._default_contig)
+        return _pair_records(pair)
 
     def map_pairs(
         self,
@@ -483,8 +466,7 @@ class Mapper:
         else:
             pairs = [tuple(p) for p in reads1]
         results = self.pair_engine().map_pairs(pairs, jobs=jobs)
-        default = self._default_contig
-        return [_pair_records(pair, default) for pair in results]
+        return [_pair_records(pair) for pair in results]
 
     def __repr__(self) -> str:
         return (f"Mapper({len(self.reference)} contigs, "

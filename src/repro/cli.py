@@ -4,10 +4,9 @@ Subcommands mirror the vg-style workflow of the paper's Section 5:
 
 * ``construct`` — build a variation graph from FASTA + VCF, emit GFA
   (``vg construct`` + ``vg ids -s`` + ``vg view`` in one step);
-* ``index`` — build the minimizer hash index of a GFA graph and print
-  its Fig. 6/Fig. 7 statistics; ``index build`` writes a reference +
-  flat index as a versioned ``.sgidx`` artifact and ``index inspect``
-  prints an artifact's layout;
+* ``index`` — ``index build`` writes a reference (FASTA, + VCF, or
+  GFA) and its minimizer flat index as a versioned ``.sgidx``
+  artifact, and ``index inspect`` prints an artifact's Fig. 6 layout;
 * ``map`` — map FASTA/FASTQ reads against a reference (+ optional
   VCF) or a pre-built ``--index`` artifact (mmap attach, no rebuild),
   emitting GAF (graph) or SAM (linear) records;
@@ -31,12 +30,14 @@ from repro.core.mapper import SeGraMConfig
 from repro.core.pipeline import effective_jobs
 from repro.core.windows import WindowingConfig
 from repro.eval.report import format_table
-from repro.graph.builder import build_graph
-from repro.graph.gfa import read_gfa, write_gfa
+from repro.graph.builder import VariantError, build_graph
+from repro.graph.genome_graph import GraphError
+from repro.graph.gfa import GfaFormatError, read_gfa, write_gfa
 from repro.graph.linearize import hop_coverage, hop_length_distribution
 from repro.index.flat_index import build_flat_index
 from repro.index.minimizer import check_minimizer_parameters
-from repro.io.fasta import read_fasta, read_sequences
+from repro.io.artifact import ArtifactError
+from repro.io.fasta import FastaFormatError, read_fasta
 from repro.io.gaf import GafWriter, result_to_gaf
 from repro.io.sam import SamWriter, result_to_sam
 from repro.io.stream import (
@@ -45,7 +46,17 @@ from repro.io.stream import (
     iter_mate_pairs,
     iter_reads,
 )
-from repro.io.vcf import read_vcf
+from repro.io.vcf import VcfFormatError, read_vcf
+from repro.refs.reference import ReferenceSetError
+from repro.seq import InvalidBaseError
+
+#: Typed input and I/O failures a command reports as one ``error:``
+#: line.  A bare ``ValueError`` is a bug and keeps its traceback.
+_INPUT_ERRORS = (
+    OSError, FastaFormatError, VcfFormatError, GfaFormatError,
+    GraphError, VariantError, ReferenceSetError, InvalidBaseError,
+    ArtifactError,
+)
 
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
@@ -136,17 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     index = sub.add_parser(
         "index",
-        help="build a minimizer index (in-memory stats, or an "
-             "on-disk .sgidx artifact via 'index build')")
-    # Legacy mode (no sub-subcommand): print the Fig. 6/7 statistics
-    # of a GFA graph's index.
-    index.add_argument("--graph", type=Path, default=None)
-    index.add_argument("-w", type=int, default=10,
-                       help="minimizer window (default 10)")
-    index.add_argument("-k", type=int, default=15,
-                       help="k-mer length (default 15)")
-    index.add_argument("--bucket-bits", type=int, default=14)
-    index_sub = index.add_subparsers(dest="index_command")
+        help="build or inspect an on-disk .sgidx minimizer index "
+             "artifact")
+    index_sub = index.add_subparsers(dest="index_command",
+                                     required=True)
 
     index_build = index_sub.add_parser(
         "build",
@@ -216,17 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     map_cmd.add_argument("--jobs", type=int, default=1,
                          help="worker processes for batch mapping "
                               "(default 1 = sequential)")
-    map_cmd.add_argument("--input-mode", choices=("stream", "mem"),
-                         default="stream",
-                         help="'stream' (default) consumes reads "
-                              "incrementally in --chunk-size batches "
-                              "with bounded peak memory; 'mem' "
-                              "materializes the whole file first. "
-                              "Output bytes are identical either way")
     map_cmd.add_argument("--chunk-size", type=int,
                          default=DEFAULT_CHUNK_SIZE,
-                         help="reads per mapping batch in streaming "
-                              f"mode (default {DEFAULT_CHUNK_SIZE})")
+                         help="reads per mapping batch; peak memory "
+                              "is one batch, output bytes do not "
+                              "depend on it (default "
+                              f"{DEFAULT_CHUNK_SIZE})")
     map_cmd.add_argument("--sort-sam", action="store_true",
                          help="coordinate-sort SAM output (@SQ order, "
                               "then POS) via a bounded-memory "
@@ -294,10 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--timeout-s", type=float, default=30.0,
                        help="per-request queue-wait timeout in "
                             "seconds (0 disables; default 30)")
-    serve.add_argument("--serial", action="store_true",
-                       help="deterministic single-threaded test "
-                            "mode: dispatch each request inline, "
-                            "no coalescing thread")
     _add_engine_args(serve)
 
     client = sub.add_parser(
@@ -318,10 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="pipelined requests kept in flight "
                                  "(default 64); the daemon coalesces "
                                  "whatever is queued")
-    client_map.add_argument("--batch", action="store_true",
-                            help="send one map_batch request per "
-                                 "chunk instead of pipelined "
-                                 "single-read requests")
     client_map.add_argument("--chunk-size", type=int,
                             default=DEFAULT_CHUNK_SIZE,
                             help="reads streamed per dispatch "
@@ -348,10 +339,6 @@ def _load_reference(path: Path) -> tuple[str, str]:
         print(f"warning: {path} has {len(records)} records; using the "
               f"first ({records[0].name})", file=sys.stderr)
     return records[0].name, records[0].sequence.upper()
-
-
-def _load_reads(path: Path):
-    return read_sequences(path)
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -386,28 +373,9 @@ def _layout_table(layout, title: str) -> str:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    if getattr(args, "index_command", None) == "build":
+    if args.index_command == "build":
         return cmd_index_build(args)
-    if getattr(args, "index_command", None) == "inspect":
-        return cmd_index_inspect(args)
-    if args.graph is None:
-        raise SystemExit(
-            "error: 'repro index' needs --graph (statistics mode) or "
-            "a subcommand ('index build' / 'index inspect')"
-        )
-    _check_minimizer_args(args)
-    graph = read_gfa(args.graph)
-    if not graph.is_topologically_sorted():
-        graph = graph.topologically_sorted()
-    index = build_flat_index(graph, w=args.w, k=args.k,
-                             bucket_bits=args.bucket_bits)
-    layout = index.layout()
-    print(_layout_table(
-        layout, f"hash-table index <w={args.w},k={args.k}> of "
-                f"{args.graph}"))
-    print(f"max minimizers per bucket: "
-          f"{layout.max_minimizers_per_bucket}")
-    return 0
+    return cmd_index_inspect(args)
 
 
 def cmd_index_build(args: argparse.Namespace) -> int:
@@ -454,17 +422,16 @@ def cmd_index_build(args: argparse.Namespace) -> int:
 
 def cmd_index_inspect(args: argparse.Namespace) -> int:
     """``repro index inspect ref.sgidx``: artifact layout report."""
-    from repro.io.artifact import ArtifactError, load_index_artifact
+    from repro.io.artifact import load_index_artifact
 
-    try:
-        loaded = load_index_artifact(args.artifact)
-    except ArtifactError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    loaded = load_index_artifact(args.artifact)
     index = loaded.index
     layout = index.layout()
     print(f"artifact {args.artifact}: "
           f"<w={index.w},k={index.k}> scoring={index.scoring}")
     print(_layout_table(layout, "three-level index (paper Fig. 6)"))
+    print(f"max minimizers per bucket: "
+          f"{layout.max_minimizers_per_bucket}")
     print(format_table(
         [{"contig": name, "length": length}
          for name, length in loaded.refs.sam_contigs()],
@@ -490,7 +457,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     if args.qualified_paths and out_format != "gaf":
         raise SystemExit("error: --qualified-paths applies to GAF "
                          "output only")
-    from repro.io.artifact import ArtifactError, is_index_artifact
+    from repro.io.artifact import is_index_artifact
 
     index_path = args.index
     if index_path is None and args.reference is not None \
@@ -513,11 +480,8 @@ def cmd_map(args: argparse.Namespace) -> int:
             rescue=not args.no_mate_rescue,
         )
     if index_path is not None:
-        try:
-            mapper = Mapper.from_artifact(index_path, config=config,
-                                          pair_config=pair_config)
-        except ArtifactError as exc:
-            raise SystemExit(f"error: {exc}") from None
+        mapper = Mapper.from_artifact(index_path, config=config,
+                                      pair_config=pair_config)
     else:
         ref_records = read_fasta(args.reference)
         if not ref_records:
@@ -533,28 +497,14 @@ def cmd_map(args: argparse.Namespace) -> int:
         mapper.close()
 
 
-def _read_chunks(args: argparse.Namespace):
-    """Read batches for ``map``: one whole-file batch in ``mem``
-    mode, bounded ``--chunk-size`` batches in ``stream`` mode.
-
-    Chunk boundaries never change output bytes (``map_batch`` is
-    order-preserving and per-read deterministic), only peak memory.
-    """
-    if args.input_mode == "mem":
-        reads = _load_reads(args.reads)
-        if reads:
-            yield reads
-        return
-    yield from ReadChunker(args.chunk_size).chunks(
-        iter_reads(args.reads))
-
-
 def _map_reads(args: argparse.Namespace, mapper: Mapper) -> int:
     """The mapping half of ``cmd_map`` (mapper already constructed).
 
-    Reads are consumed chunk by chunk and records written as each
-    batch completes, so peak memory is one chunk regardless of input
-    size; ``--input-mode mem`` degenerates to a single batch.
+    Reads are consumed in ``--chunk-size`` batches and records
+    written as each batch completes, so peak memory is one chunk
+    regardless of input size.  Chunk boundaries never change output
+    bytes (``map_batch`` is order-preserving and per-read
+    deterministic).
     """
     if args.paired is not None:
         return _map_paired(args, mapper)
@@ -570,7 +520,8 @@ def _map_reads(args: argparse.Namespace, mapper: Mapper) -> int:
         writer = SamWriter(args.output, contigs=mapper.contigs,
                            sort=args.sort_sam)
     try:
-        for chunk in _read_chunks(args):
+        for chunk in ReadChunker(args.chunk_size).chunks(
+                iter_reads(args.reads)):
             records = mapper.map_batch(chunk, jobs=args.jobs)
             for record, (_, seq) in zip(records, chunk):
                 total += 1
@@ -620,28 +571,15 @@ def _print_contig_rows(mapper: Mapper,
     print(format_table(rows, title="per-contig"))
 
 
-def _pair_chunks(args: argparse.Namespace):
-    """Mate-pair batches for ``map --paired`` (see
-    :func:`_read_chunks`); both files stream in lockstep."""
-    if args.input_mode == "mem":
-        from repro.io.fasta import read_mate_pairs
-
-        pairs = read_mate_pairs(args.reads, args.paired)
-        if pairs:
-            yield pairs
-        return
-    yield from ReadChunker(args.chunk_size).chunks(
-        iter_mate_pairs(args.reads, args.paired))
-
-
 def _map_paired(args: argparse.Namespace, mapper: Mapper) -> int:
     """The ``map --paired`` flow: FR pairs to pair-aware SAM.
 
     The insert-size model (``--insert-mean``/``--insert-std``/
     ``--no-mate-rescue``) was already handed to the :class:`Mapper`
-    constructor in :func:`cmd_map`.  Pairs stream through in chunks;
-    only the (rare) discordant pair results are retained when
-    ``--discordant-out`` asks for the report.
+    constructor in :func:`cmd_map`.  Both mate files stream in
+    lockstep, ``--chunk-size`` pairs at a time; only the (rare)
+    discordant pair results are retained when ``--discordant-out``
+    asks for the report.
     """
     from repro.io.sam import pair_to_sam
 
@@ -656,7 +594,8 @@ def _map_paired(args: argparse.Namespace, mapper: Mapper) -> int:
     writer = SamWriter(args.output, contigs=mapper.contigs,
                        sort=args.sort_sam)
     try:
-        for raw_chunk in _pair_chunks(args):
+        for raw_chunk in ReadChunker(args.chunk_size).chunks(
+                iter_mate_pairs(args.reads, args.paired)):
             chunk = [(name, r1.upper(), r2.upper())
                      for name, r1, r2 in raw_chunk]
             records = mapper.map_pairs(chunk, jobs=args.jobs)
@@ -792,7 +731,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve --index ref.sgidx``: the mapping daemon."""
     import signal
 
-    from repro.io.artifact import ArtifactError
     from repro.service.core import ServiceCore
     from repro.service.server import ServiceServer
 
@@ -804,11 +742,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if getattr(args, flag) < 1:
             raise SystemExit(f"error: --{flag.replace('_', '-')} "
                              f"must be >= 1")
-    try:
-        mapper = Mapper.from_artifact(args.index,
-                                      config=_engine_config(args))
-    except ArtifactError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    mapper = Mapper.from_artifact(args.index,
+                                  config=_engine_config(args))
     core = ServiceCore(
         mapper,
         jobs=args.jobs,
@@ -816,7 +751,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         max_queue=args.max_queue,
         timeout_s=args.timeout_s if args.timeout_s > 0 else None,
-        mode="serial" if args.serial else "thread",
     )
     if args.socket is not None:
         server = ServiceServer.unix(core, args.socket)
@@ -834,8 +768,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     }
     print(f"serving {args.index} on {server.address} "
           f"(jobs={args.jobs}, batch={args.batch_size}, "
-          f"window={args.batch_window_ms}ms"
-          f"{', serial' if args.serial else ''})", flush=True)
+          f"window={args.batch_window_ms}ms)", flush=True)
     try:
         server.serve_forever()
     finally:
@@ -895,12 +828,8 @@ def _run_client(args: argparse.Namespace) -> int:
         with SamWriter(args.output, contigs=contigs) as writer:
             chunker = ReadChunker(args.chunk_size)
             for chunk in chunker.chunks(iter_reads(args.reads)):
-                if args.batch:
-                    payloads = client.map_batch(chunk)
-                else:
-                    payloads = client.map_stream(chunk,
-                                                 window=args.window)
-                for payload in payloads:
+                for payload in client.map_stream(chunk,
+                                                 window=args.window):
                     writer.write(SamRecord(**payload["sam"]))
                     total += 1
                     if payload["record"]["mapped"]:
@@ -925,7 +854,10 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _INPUT_ERRORS as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 if __name__ == "__main__":

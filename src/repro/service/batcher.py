@@ -29,9 +29,6 @@ Modes
 ``manual``
     Nothing drains until :meth:`drain_once` is called — lets tests
     assert exactly which requests coalesced into which shard.
-``serial``
-    ``submit_*`` dispatches inline (batch of one) and returns a
-    resolved ticket — the deterministic single-threaded test mode.
 """
 
 from __future__ import annotations
@@ -111,7 +108,7 @@ class MicroBatcher:
             raise ValueError("batch_size must be positive")
         if max_queue <= 0:
             raise ValueError("max_queue must be positive")
-        if mode not in ("thread", "manual", "serial"):
+        if mode not in ("thread", "manual"):
             raise ValueError(f"unknown batcher mode {mode!r}")
         self._dispatch_reads = dispatch_reads
         self._dispatch_pairs = dispatch_pairs
@@ -150,12 +147,6 @@ class MicroBatcher:
         deadline = (now + self.timeout_s
                     if self.timeout_s is not None else None)
         ticket = Ticket(kind, items, deadline, now)
-        if self.mode == "serial":
-            if self._closed:
-                raise ServiceError(ERR_SHUTTING_DOWN,
-                                   "server is shutting down")
-            self._run_batch([ticket])
-            return ticket
         with self._cond:
             if self._closed:
                 raise ServiceError(ERR_SHUTTING_DOWN,
@@ -271,8 +262,8 @@ class MicroBatcher:
         if self._thread is not None:
             self._thread.join()
             self._thread = None
-        # manual/serial modes (and belt-and-braces for thread mode):
-        # resolve anything still queued so no waiter hangs.
+        # Manual mode: resolve anything still queued so no waiter
+        # hangs (the thread drains its queue before it exits).
         while True:
             with self._cond:
                 batch = self._take_batch_locked()

@@ -67,9 +67,8 @@ class ServiceCore:
             the first such dispatch.
         batch_window_s / batch_size / max_queue / timeout_s: the
             :class:`~repro.service.batcher.MicroBatcher` knobs.
-        mode: batcher mode — ``"thread"`` (production), ``"manual"``
-            (tests call ``drain_once``), or ``"serial"`` (inline
-            dispatch; the deterministic single-threaded test mode).
+        mode: batcher mode — ``"thread"`` (production) or
+            ``"manual"`` (tests call ``drain_once``).
     """
 
     def __init__(
@@ -222,7 +221,7 @@ class ServiceCore:
         return self.submit(request).resolve()
 
     def handle_line(self, line: str) -> dict:
-        """Parse + handle one raw request line (tests, serial mode)."""
+        """Parse + handle one raw request line (blocking)."""
         from repro.service.protocol import parse_request
 
         try:

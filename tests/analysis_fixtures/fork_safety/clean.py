@@ -1,7 +1,7 @@
 """Fixture: fork-safe worker code.
 
-Workers only read module state and write locals; the factory carries
-a path (picklable), opening the handle worker-side.
+Workers only read module state and write locals; the pool payload
+is a picklable top-level callable.
 """
 
 _TABLE = {"a": 1, "b": 2}
@@ -15,17 +15,8 @@ def lookup_worker_run(item):
     return results
 
 
-class PathWorkerFactory:
-    def __init__(self, path):
-        self.path = str(path)
-
-    def __call__(self):
-        with open(self.path, "rb") as handle:
-            return handle.read()
-
-
-def build_pool(PersistentPool, factory):
-    return PersistentPool(factory, 2)
+def build_pool(PersistentPool):
+    return PersistentPool(lookup_worker_run, 2)
 
 
 class RequestBatcher:

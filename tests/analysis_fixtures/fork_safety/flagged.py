@@ -1,5 +1,4 @@
 """Fixture: worker code violating every fork-safety check."""
-import threading
 
 _CACHE = {}
 _COUNT = 0
@@ -12,15 +11,6 @@ def shared_worker_run(item):
     _CACHE[item] = True
     _RESULTS.append(item)
     return item
-
-
-class HandleWorkerFactory:
-    def __init__(self, path):
-        self.handle = open(path, "rb")
-        self.lock = threading.Lock()
-
-    def __call__(self):
-        return self.handle.read()
 
 
 def build_pool(PersistentPool, items):

@@ -123,8 +123,8 @@ def test_flagged_fixture_counts():
     report = run_fixture("determinism", "flagged")
     assert len(report.findings) == 5
     report = run_fixture("fork-safety", "flagged")
-    # 4 global/module writes + 2 factory resources + 1 pool lambda
-    assert len(report.findings) == 7
+    # 4 global/module writes + 1 pool lambda
+    assert len(report.findings) == 5
 
 
 # ----------------------------------------------------------------------

@@ -77,12 +77,15 @@ class TestIndexAndStats:
         main(["construct", "--reference", str(root / "ref.fa"),
               "--vcf", str(root / "vars.vcf"),
               "--output", str(root / "graph.gfa")])
+        assert main(["index", "build", str(root / "graph.gfa"),
+                     "-o", str(root / "graph.sgidx")]) == 0
         capsys.readouterr()
-        code = main(["index", "--graph", str(root / "graph.gfa")])
+        code = main(["index", "inspect", str(root / "graph.sgidx")])
         assert code == 0
         out = capsys.readouterr().out
         assert "buckets" in out
         assert "minimizers" in out
+        assert "max minimizers per bucket" in out
 
     def test_stats_prints_hop_profile(self, workspace, capsys):
         root, *_ = workspace
@@ -94,6 +97,57 @@ class TestIndexAndStats:
         assert code == 0
         out = capsys.readouterr().out
         assert "hop coverage @ limit 12" in out
+
+
+class TestInputErrors:
+    """A bad input file or output path ends in one ``error:`` line
+    from ``cli.main``, never a traceback."""
+
+    @pytest.mark.parametrize("case", [
+        "missing-reads", "short-quality", "vcf-four-columns",
+        "stats-bad-gfa", "index-build-bad-gfa",
+        "index-build-missing-dir",
+    ])
+    def test_typed_input_error_is_one_line(self, workspace, tmp_path,
+                                           case):
+        root, *_ = workspace
+        ref, reads = str(root / "ref.fa"), str(root / "reads.fq")
+        out = str(tmp_path / "x.gaf")
+        bad_gfa = tmp_path / "bad.gfa"
+        bad_gfa.write_text("S\t1\n")
+        (tmp_path / "short.fq").write_text("@r1\nACGTACGT\n+\nIIII\n")
+        (tmp_path / "bad.vcf").write_text("chr1\t10\t.\tA\n")
+        argv, fragment = {
+            "missing-reads": (
+                ["map", "--reference", ref, "--output", out,
+                 "--reads", str(tmp_path / "missing.fq")],
+                "missing.fq"),
+            "short-quality": (
+                ["map", "--reference", ref, "--output", out,
+                 "--reads", str(tmp_path / "short.fq")],
+                "quality length 4"),
+            "vcf-four-columns": (
+                ["map", "--reference", ref, "--reads", reads,
+                 "--vcf", str(tmp_path / "bad.vcf"), "--output", out],
+                "columns, found 4"),
+            "stats-bad-gfa": (
+                ["stats", "--graph", str(bad_gfa)],
+                "S line needs name and sequence"),
+            "index-build-bad-gfa": (
+                ["index", "build", str(bad_gfa),
+                 "-o", str(tmp_path / "x.sgidx")],
+                "S line needs name and sequence"),
+            "index-build-missing-dir": (
+                ["index", "build", ref,
+                 "-o", str(tmp_path / "nodir" / "x.sgidx")],
+                "nodir"),
+        }[case]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = excinfo.value.code
+        assert isinstance(message, str)
+        assert message.startswith("error: ")
+        assert fragment in message and "\n" not in message
 
 
 class TestMap:
@@ -277,10 +331,9 @@ class TestMapPaired:
 
 
 class TestStreamingMap:
-    """Streamed input (--input-mode stream, gzip, any chunk size)
-    must produce byte-identical output to the fully materialized
-    path, across worker counts and either value of the ignored
-    ``--align-backend`` flag."""
+    """Any chunk size and gzip input must produce output
+    byte-identical to one whole-file batch, across worker counts and
+    either value of the ignored ``--align-backend`` flag."""
 
     @pytest.fixture(scope="class")
     def stream_workspace(self, tmp_path_factory):
@@ -322,13 +375,13 @@ class TestStreamingMap:
                 write_fastq(handle, records)
         return root, reads, fragments
 
-    def _map(self, root, out, reads, mode, jobs, extra=()):
+    def _map(self, root, out, reads, chunk_size, jobs, extra=()):
         code = main([
             "map", "--reference", str(root / "ref.fa"),
             "--reads", str(reads),
             "--output", str(out),
             "--jobs", str(jobs),
-            "--input-mode", mode, "--chunk-size", "3",
+            "--chunk-size", chunk_size,
             "--error-rate", "0.02",
             *extra,
         ])
@@ -343,17 +396,17 @@ class TestStreamingMap:
         root, reads, _ = stream_workspace
         for fmt, suffix in (("sam", ".sam"), ("gaf", ".gaf")):
             extra = ("--format", fmt, "--align-backend", backend)
-            mem = self._map(root, tmp_path / f"mem{suffix}",
-                            root / "reads.fq", "mem",
-                            jobs, extra)
-            streamed = self._map(root, tmp_path / f"str{suffix}",
-                                 root / "reads.fq", "stream",
-                                 jobs, extra)
+            whole = self._map(root, tmp_path / f"whole{suffix}",
+                              root / "reads.fq", "100000",
+                              jobs, extra)
+            chunked = self._map(root, tmp_path / f"str{suffix}",
+                                root / "reads.fq", "3",
+                                jobs, extra)
             gz = self._map(root, tmp_path / f"gz{suffix}",
-                           root / "reads.fq.gz", "stream",
+                           root / "reads.fq.gz", "3",
                            jobs, extra)
-            assert mem == streamed == gz
-            assert len(mem) > 0
+            assert whole == chunked == gz
+            assert len(whole) > 0
         out = capsys.readouterr().out
         assert f"mapped {len(reads)}/{len(reads)}" in out
 
@@ -362,33 +415,32 @@ class TestStreamingMap:
                                          capsys, tmp_path, jobs):
         root, _, fragments = stream_workspace
 
-        def run(out, r2, mode):
+        def run(out, r2, chunk_size):
             code = main([
                 "map", "--reference", str(root / "ref.fa"),
                 "--reads", str(root / "r1.fq"),
                 "--paired", str(r2),
                 "--output", str(out),
                 "--jobs", str(jobs),
-                "--input-mode", mode, "--chunk-size", "2",
+                "--chunk-size", chunk_size,
                 "--error-rate", "0.05",
                 "--early-exit-distance", "6",
             ])
             assert code == 0
             return out.read_bytes()
 
-        mem = run(tmp_path / "mem.sam", root / "r2.fq", "mem")
-        streamed = run(tmp_path / "str.sam", root / "r2.fq",
-                       "stream")
-        gz = run(tmp_path / "gz.sam", root / "r2.fq.gz", "stream")
-        assert mem == streamed == gz
-        assert len(read_sam(tmp_path / "mem.sam")) == \
+        whole = run(tmp_path / "whole.sam", root / "r2.fq", "100000")
+        chunked = run(tmp_path / "str.sam", root / "r2.fq", "2")
+        gz = run(tmp_path / "gz.sam", root / "r2.fq.gz", "2")
+        assert whole == chunked == gz
+        assert len(read_sam(tmp_path / "whole.sam")) == \
             2 * len(fragments)
 
     def test_sort_sam_orders_by_coordinate(self, stream_workspace,
                                            capsys, tmp_path):
         root, reads, _ = stream_workspace
         data = self._map(root, tmp_path / "sorted.sam",
-                         root / "reads.fq", "stream", 1,
+                         root / "reads.fq", "3", 1,
                          ("--format", "sam", "--sort-sam"))
         header = data.decode("ascii").splitlines()[0]
         assert "SO:coordinate" in header
@@ -401,7 +453,7 @@ class TestStreamingMap:
                                         capsys, tmp_path):
         root, reads, _ = stream_workspace
         data = self._map(root, tmp_path / "q.gaf",
-                         root / "reads.fq", "stream", 1,
+                         root / "reads.fq", "3", 1,
                          ("--format", "gaf", "--qualified-paths"))
         assert b">chr1#" in data
         records = read_gaf(tmp_path / "q.gaf")
@@ -632,10 +684,10 @@ class TestServeClient:
                 ["client", "map", "--socket", str(socket_path),
                  "--reads", str(root / "reads.fq"),
                  "--output", str(tmp_path / "served.sam")])
-            codes["batch"] = main(
+            codes["window1"] = main(
                 ["client", "map", "--socket", str(socket_path),
-                 "--reads", str(root / "reads.fq"), "--batch",
-                 "--output", str(tmp_path / "served_batch.sam")])
+                 "--reads", str(root / "reads.fq"), "--window", "1",
+                 "--output", str(tmp_path / "served_window1.sam")])
             codes["stats"] = main(
                 ["client", "stats", "--socket", str(socket_path)])
             codes["shutdown"] = main(
@@ -660,11 +712,12 @@ class TestServeClient:
         # SIGTERM that Pool.terminate() relies on.
         for signum, handler in handlers_before.items():
             assert signal.getsignal(signum) is handler
-        assert codes == {"ping": 0, "map": 0, "batch": 0,
+        assert codes == {"ping": 0, "map": 0, "window1": 0,
                          "stats": 0, "shutdown": 0}
         offline = (tmp_path / "offline.sam").read_bytes()
         assert (tmp_path / "served.sam").read_bytes() == offline
-        assert (tmp_path / "served_batch.sam").read_bytes() == offline
+        assert (tmp_path / "served_window1.sam").read_bytes() \
+            == offline
         out = capsys.readouterr().out
         assert "serving" in out and "stopped after" in out
 

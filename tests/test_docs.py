@@ -1,10 +1,11 @@
 """The documentation checker (``tools/check_docs.py``).
 
-Unit-tests the markdown block/link extraction on synthetic files,
-then runs the real check over the repo's ``docs/`` tree — executing
-every ``# runnable`` example and resolving every intra-repo link —
-so documentation rot fails tier-1, not just the CI ``docs-check``
-job.
+Unit-tests the markdown block/link/invocation extraction on
+synthetic files, then runs the real check over the repo's ``docs/``
+tree — executing every ``# runnable`` example, resolving every
+intra-repo link and checking every documented ``repro`` flag against
+the CLI's parser — so documentation rot fails tier-1, not just the
+CI ``docs-check`` job.
 """
 
 from __future__ import annotations
@@ -121,6 +122,44 @@ class TestLinkExtraction:
         assert "missing.md" in problems[0] and "doc.md:2" in problems[0]
 
 
+class TestFlagExtraction:
+    def test_invocations_in_fences_and_code_spans(self, tmp_path):
+        path = _write(tmp_path, """\
+            Run `repro map --reads r.fq --jobs 2` or `repro.api`.
+
+            ```bash
+            python -m repro index build ref.fa \\
+                -o ref.sgidx --jobs 2  # comment --ignored
+            repro stats --graph g.gfa | grep hops --count
+            from repro.api import Mapper
+            ```
+
+            Prose about repro map --not-in-a-span.
+        """)
+        assert check_docs.extract_invocations(path) == [
+            (1, ["map", "--reads", "r.fq", "--jobs", "2"]),
+            (4, ["index", "build", "ref.fa", "-o", "ref.sgidx",
+                 "--jobs", "2"]),
+            (6, ["stats", "--graph", "g.gfa"]),
+        ]
+
+    def test_check_flags_resolves_subcommands(self, tmp_path):
+        path = _write(tmp_path, """\
+            `repro index build ref.fa -o x.sgidx --jobs 2`
+            `repro index --graph g.gfa`
+            `repro analyze src/repro --format=json`
+            `repro analyze src/repro --json`
+            `repro client map --window 1 --batch`
+            `repro is not a command --here`
+        """)
+        problems = check_docs.check_flags(path, check_docs.cli_parser())
+        assert [problem.split("/")[-1] for problem in problems] == [
+            "doc.md:2: 'repro index' has no option --graph",
+            "doc.md:4: 'repro analyze' has no option --json",
+            "doc.md:5: 'repro client map' has no option --batch",
+        ]
+
+
 class TestRepoDocs:
     def test_docs_tree_is_listed(self):
         names = [p.name for p in check_docs.doc_files()]
@@ -129,7 +168,8 @@ class TestRepoDocs:
             assert expected in names
 
     def test_repo_docs_clean(self, capsys):
-        """The real gate: runnable blocks execute, links resolve."""
+        """The real gate: runnable blocks execute, links resolve,
+        documented flags exist."""
         assert check_docs.main([]) == 0
         out = capsys.readouterr().out
         assert "0 problem(s)" in out

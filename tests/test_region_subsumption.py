@@ -460,7 +460,7 @@ class TestParity:
         the one-read drive, and ``close()`` reaps the workers."""
         before = {child.pid for child in multiprocessing.active_children()}
         mapper = env["attach"]()
-        core = ServiceCore(mapper, jobs=2, mode="serial")
+        core = ServiceCore(mapper, jobs=2)
         try:
             response = core.handle(parse_request(encode_line({
                 "op": "map_batch",
@@ -481,7 +481,7 @@ class TestParity:
 
     def test_daemon(self, env):
         mapper = env["attach"]()
-        core = ServiceCore(mapper, mode="serial")
+        core = ServiceCore(mapper)
         try:
             response = core.handle(parse_request(encode_line({
                 "op": "map_batch",

@@ -1,8 +1,8 @@
 """Service layer: protocol, micro-batching, daemon, client.
 
 The load-bearing guarantee is at the bottom of most tests here:
-whatever path a read takes through the service — serial dispatch,
-manual coalescing, the socket daemon with a pipelining client — its
+whatever path a read takes through the service — one request at a
+time, manual coalescing, the socket daemon with a pipelining client — its
 SAM record must be byte-identical to the offline
 ``repro map --index`` result on the same read.
 """
@@ -27,6 +27,7 @@ from repro.service.protocol import (
     encode_line,
     error_response,
     parse_request,
+    record_payload,
 )
 from repro.service.server import ServiceServer
 from repro.service.stats import LatencyWindow, ServiceCounters
@@ -64,10 +65,25 @@ def service_env(tmp_path_factory):
     }
 
 
+_OPEN_CORES: list[ServiceCore] = []
+
+
 def make_core(service_env, **kwargs) -> ServiceCore:
-    kwargs.setdefault("mode", "serial")
-    return ServiceCore(Mapper.from_artifact(service_env["artifact"]),
+    """A core over the artifact (``thread`` mode unless ``mode`` is
+    given), closed when the calling test ends."""
+    core = ServiceCore(Mapper.from_artifact(service_env["artifact"]),
                        **kwargs)
+    _OPEN_CORES.append(core)
+    return core
+
+
+@pytest.fixture(autouse=True)
+def close_cores():
+    """No batcher thread or pool worker outlives the test that
+    started it."""
+    yield
+    while _OPEN_CORES:
+        _OPEN_CORES.pop().close()
 
 
 def served_sam(service_env, payloads) -> str:
@@ -132,11 +148,15 @@ class TestProtocol:
 
 
 class TestServiceCoreSerial:
-    """The deterministic single-threaded mode: every op round-trips."""
+    """One request at a time through a thread-mode core: every op
+    round-trips."""
 
     @pytest.fixture(scope="class")
     def core(self, service_env):
-        return make_core(service_env)
+        core = ServiceCore(
+            Mapper.from_artifact(service_env["artifact"]))
+        yield core
+        core.close()
 
     def test_ping(self, core):
         response = core.handle_line('{"op": "ping", "id": 1}')
@@ -235,24 +255,21 @@ class TestMicroBatching:
         assert pair_slot.resolve()["ok"]
 
     def test_thread_mode_matches_serial_results(self, service_env):
-        serial = make_core(service_env)
-        threaded = make_core(service_env, mode="thread",
-                             batch_window_s=0.01, batch_size=8)
-        try:
-            lines = [encode_line({"op": "map", "read": seq,
-                                  "name": name}).decode().strip()
-                     for name, seq in service_env["reads"]]
-            slots = [threaded.submit(parse_request(line))
-                     for line in lines]
-            threaded_payloads = [
-                slot.resolve()["result"]["reads"][0]
-                for slot in slots]
-            serial_payloads = [
-                serial.handle_line(line)["result"]["reads"][0]
-                for line in lines]
-            assert threaded_payloads == serial_payloads
-        finally:
-            threaded.close()
+        """Requests queued together coalesce on the drain thread and
+        still equal the offline mapper, record for record."""
+        threaded = make_core(service_env, batch_window_s=0.01,
+                             batch_size=8)
+        slots = [threaded.submit(parse_request(encode_line(
+            {"op": "map", "read": seq, "name": name}
+        ).decode().strip()))
+            for name, seq in service_env["reads"]]
+        payloads = [slot.resolve()["result"]["reads"][0]
+                    for slot in slots]
+        assert [payload["record"] for payload in payloads] == [
+            record_payload(record)
+            for record in service_env["offline_records"]]
+        assert served_sam(service_env, payloads) \
+            == service_env["offline_sam"]
 
 
 class TestBackpressureTimeoutShutdown:
@@ -357,6 +374,10 @@ class TestStats:
             MicroBatcher(lambda x: x, lambda x: x, max_queue=0)
         with pytest.raises(ValueError):
             MicroBatcher(lambda x: x, lambda x: x, mode="warp")
+        # The inline-dispatch mode is gone: thread serves, manual is
+        # the deterministic test seam.
+        with pytest.raises(ValueError):
+            MicroBatcher(lambda x: x, lambda x: x, mode="serial")
 
 
 class TestSocketServer:

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Documentation checker: runnable examples + intra-repo links.
+"""Documentation checker: runnable examples, intra-repo links, and
+CLI flags.
 
-Two guarantees, so the documentation cannot silently rot:
+Three guarantees, so the documentation cannot silently rot:
 
 * every fenced code block in ``docs/*.md`` whose first line contains
   the ``# runnable`` marker executes cleanly (``python`` blocks via
@@ -10,7 +11,11 @@ Two guarantees, so the documentation cannot silently rot:
 * every intra-repository markdown link in ``docs/*.md`` and
   ``README.md`` resolves to an existing file (external ``http(s)``
   / ``mailto`` links and same-page ``#anchors`` are skipped; a
-  link's ``#fragment`` is stripped before the existence check).
+  link's ``#fragment`` is stripped before the existence check);
+* every ``--flag`` on a ``repro <command> [<subcommand>]``
+  invocation in ``docs/*.md`` and ``README.md`` — in a fenced block
+  (backslash-continued lines joined) or an inline code span — is an
+  option of that (sub)command's parser in :mod:`repro.cli`.
 
 Run from the repository root::
 
@@ -31,6 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC = REPO_ROOT / "src"
 
 RUNNABLE_MARKER = "# runnable"
 
@@ -47,6 +53,11 @@ def _rel(path: Path) -> Path:
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 _FENCE = re.compile(r"^```(\w*)\s*$")
+
+_CODE_SPAN = re.compile(r"`([^`]+)`")
+
+#: Shell tokens that end a command line's argument list.
+_COMMAND_END = ("|", "&", ";", ">", "<", "#", "2>")
 
 
 @dataclass
@@ -110,6 +121,97 @@ def extract_links(path: Path) -> list[tuple[int, str]]:
     return links
 
 
+def _invocation_words(text: str) -> list[list[str]]:
+    """The argument words after each ``repro`` token in one command
+    line, up to the first shell separator or comment."""
+    tokens = text.split()
+    invocations = []
+    for at, token in enumerate(tokens):
+        if token != "repro":
+            continue
+        words = []
+        for word in tokens[at + 1:]:
+            if word.startswith(_COMMAND_END):
+                break
+            words.append(word)
+        if words:
+            invocations.append(words)
+    return invocations
+
+
+def extract_invocations(path: Path) -> list[tuple[int, list[str]]]:
+    """``(line, words)`` for every ``repro ...`` command line in the
+    file: fenced-block lines (backslash continuations joined,
+    reported at their first line) and inline code spans elsewhere."""
+    found: list[tuple[int, list[str]]] = []
+    in_fence = False
+    pending: list[str] = []
+    start = 0
+    for number, raw in enumerate(path.read_text().splitlines(), 1):
+        if _FENCE.match(raw) or raw.strip() == "```":
+            in_fence = not in_fence
+            pending = []
+            continue
+        if not in_fence:
+            for span in _CODE_SPAN.findall(raw):
+                found.extend((number, words)
+                             for words in _invocation_words(span))
+            continue
+        if not pending:
+            start = number
+        pending.append(raw.rstrip().removesuffix("\\"))
+        if raw.rstrip().endswith("\\"):
+            continue
+        found.extend((start, words)
+                     for words in _invocation_words(" ".join(pending)))
+        pending = []
+    return found
+
+
+def cli_parser() -> argparse.ArgumentParser:
+    """The ``repro`` command's real argument parser."""
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+    from repro.cli import build_parser
+
+    return build_parser()
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def check_flags(path: Path,
+                parser: argparse.ArgumentParser) -> list[str]:
+    """Every ``--flag`` of a documented invocation must be defined
+    by the (sub)command parser it is given to.  Words that do not
+    name a command (``repro`` in prose) are not invocations."""
+    problems = []
+    for line, words in extract_invocations(path):
+        command: list[str] = []
+        current = parser
+        for word in words:
+            choices = _subcommands(current)
+            if word not in choices:
+                break
+            command.append(word)
+            current = choices[word]
+        if not command:
+            continue
+        for word in words:
+            if not word.startswith("--") or word == "--":
+                continue
+            flag = word.split("=", 1)[0]
+            if flag not in current._option_string_actions:
+                problems.append(
+                    f"{_rel(path)}:{line}: 'repro {' '.join(command)}'"
+                    f" has no option {flag}")
+    return problems
+
+
 def run_block(block: CodeBlock) -> str | None:
     """Execute one runnable block; returns an error string or None."""
     env = dict(os.environ)
@@ -159,8 +261,10 @@ def main(argv: list[str] | None = None) -> int:
 
     problems: list[str] = []
     runnable = 0
+    parser = cli_parser()
     for path in doc_files():
         problems.extend(check_links(path))
+        problems.extend(check_flags(path, parser))
         for block in extract_blocks(path):
             if not block.runnable:
                 continue
