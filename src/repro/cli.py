@@ -105,6 +105,10 @@ def _engine_config(args: argparse.Namespace) -> SeGraMConfig:
     if args.early_exit_distance is not None \
             and args.early_exit_distance < 0:
         raise SystemExit("error: --early-exit-distance must be >= 0")
+    if args.max_seeds < 1:
+        raise SystemExit("error: --max-seeds must be >= 1")
+    if not 0.0 <= args.error_rate < 1.0:
+        raise SystemExit("error: --error-rate must be in [0, 1)")
     _check_minimizer_args(args)
     return SeGraMConfig(
         w=args.w, k=args.k, bucket_bits=args.bucket_bits,

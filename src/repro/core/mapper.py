@@ -112,6 +112,18 @@ class SeGraMConfig:
 
     def __post_init__(self) -> None:
         check_minimizer_parameters(self.w, self.k)
+        if not 0.0 <= self.error_rate < 1.0:
+            raise ValueError(
+                f"error_rate must be in [0, 1), got {self.error_rate}"
+            )
+        if self.max_seeds_per_read is not None \
+                and self.max_seeds_per_read < 1:
+            # 0 would keep no region; a negative cap would slice off
+            # the last ones.
+            raise ValueError(
+                f"max_seeds_per_read must be >= 1, "
+                f"got {self.max_seeds_per_read}"
+            )
         if self.top_n_alignments < 1:
             raise ValueError(
                 f"top_n_alignments must be >= 1, "

@@ -175,11 +175,13 @@ class PipelineStats:
     pair_cache_misses: int = 0
     windows: int = 0
     rescues: int = 0
-    #: Windows committed without the kernel: the chunk equals the
-    #: hop-free text from the window's one anchor (rung 0,
-    #: :func:`repro.core.windows._is_exact_window`).
+    #: Windows committed without the kernel, rungs 0–2: the chunk is
+    #: within Hamming distance 2 of the hop-free text from the
+    #: window's one anchor and the kernel would answer with that
+    #: ``=`` / ``X`` run (:func:`repro.core.windows._hamming_rung`).
     windows_exact: int = 0
-    #: Alignment-kernel sweeps: one per non-exact window attempt, so
+    #: Alignment-kernel sweeps: one per window attempt not committed
+    #: without the kernel (rungs 0–2), so
     #: ``align_calls + windows_exact == windows + rescues``.  It
     #: measures dispatch work, never what is computed.
     align_calls: int = 0

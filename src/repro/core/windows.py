@@ -31,11 +31,14 @@ can see when a read is far noisier than the configuration assumes.
 Committed operations are final, so an edit ``budget`` can stop an
 alignment as soon as its committed edits exceed it.
 
-**One kernel per non-exact window.**  A window whose answer is known
-without the kernel — one anchor, a chunk equal to the hop-free text
-from it — commits its ``=`` run directly (rung 0 of the k ladder; the
-lemma is in :func:`_is_exact_window`).  Every other window — chain or
-hop-bearing, first attempt or rescue — is one call of
+**One kernel per window the string compare cannot answer.**  A window
+whose answer is known without the kernel — one anchor, a chunk within
+Hamming distance 2 of the hop-free text from it, and for distance 2 no
+single indel that aligns it — commits its ``=`` / ``X`` run directly
+(rungs 0–2 of the k ladder, a pre-alignment filter in the GateKeeper /
+SHD sense that never changes the answer; the lemma is in
+:func:`_hamming_rung`).  Every other window — chain or hop-bearing,
+first attempt or rescue — is one call of
 :func:`repro.core.bitalign.bitalign`, i.e. one sweep of the
 systolic-diagonal kernel described in :mod:`repro.core.bitalign` plus
 its native traceback.  Both paths report the same
@@ -162,28 +165,119 @@ def _count_hops(lin: LinearizedGraph) -> int:
     )
 
 
-def _is_exact_window(lin: LinearizedGraph, chunk: str,
-                     anchors: list[int] | None, base: int) -> bool:
-    """Rung 0: whether the kernel would answer this window with ``=``
-    × m along ``base … base + m − 1`` (``base`` the one anchor).
+def _difference(a: str, b: str) -> int:
+    """``a`` XOR ``b`` (equal lengths) as one int of 32-bit groups,
+    ``a[0]`` on top: ``a[j] != b[j]`` iff group ``len(a) - 1 - j``,
+    counted from the low end, is not zero."""
+    return int.from_bytes(a.encode("utf-32-be"), "big") \
+        ^ int.from_bytes(b.encode("utf-32-be"), "big")
 
-    Field ``d`` of every diagonal of :func:`~repro.core.bitalign.
-    generate_bitvectors` depends only on fields ≤ ``d`` (``up`` moves
-    field d − 1 into d, never back), ``DiagonalRows.best_start`` scans
-    budgets upward and stops at the first accepting one, and
-    :func:`~repro.core.bitalign._walk_diagonals` from budget ``d``
-    reads only fields ≤ ``d``.  So a window that succeeds at k′ < k
-    gives the identical start and traceback at k.  Here k′ = 0: the
-    single anchor is the only candidate, and the chunk spells
-    ``chars[base:base + m]`` over a stretch where every position but
-    the last has ``i + 1`` as its only in-stretch successor — the first
-    listed, since successors ascend.  The straight run accepts, and the
-    budget-0 walk takes ``=`` after ``=`` along it.
+
+def _common_suffix(a: str, b: str) -> int:
+    """Length of the longest common suffix of equal-length strings."""
+    difference = _difference(a, b)
+    if not difference:
+        return len(a)
+    return ((difference & -difference).bit_length() - 1) // 32
+
+
+def _hamming_rung(lin: LinearizedGraph, chunk: str,
+                  anchors: list[int] | None, base: int,
+                  k: int) -> tuple[int, ...] | None:
+    """Rungs 0–2 of the k ladder: the chunk offsets of the ``h``
+    mismatches (h ∈ {0, 1, 2}) when the kernel, run at threshold
+    ``k``, would answer this window with the Hamming run — ``=`` where
+    ``chunk`` agrees with ``chars[base:base + m]``, ``X`` where not,
+    along ``base … base + m − 1`` — and None when it might not.
+
+    It fires only for exactly one anchor (``base``), and for h ≥ 1
+    only when ``h ≤ k``, ``base + m + h + 1 ≤ len(lin)``, no position
+    of ``[base, base + m + h + 1)`` is a hop source of the tables
+    (:meth:`~repro.graph.linearize.LinearizedGraph.is_straight`:
+    successors leaving the window or the view count) and, for h = 2,
+    no single indel aligns the chunk.  Rung 0 keeps its weaker check:
+    the slice ``[base, base + m)`` is a chain.
+
+    *Why the answer is the Hamming run.*  Field ``d`` of every
+    diagonal of :func:`~repro.core.bitalign.generate_bitvectors`
+    depends only on fields ≤ ``d`` (``up`` moves field d − 1 into d,
+    never back), :meth:`~repro.core.bitalign.DiagonalRows.best_start`
+    scans budgets upward from 0 and, with the one local anchor 0 as
+    its only candidate, stops at the first budget d* whose accepting
+    bit is set there, and :func:`~repro.core.bitalign._walk_diagonals`
+    from budget d* reads only fields ≤ d*.  So the answer is fixed by
+    the set of walks from ``base`` with ≤ h edits, and:
+
+    * *The only walk with ≤ h edits is the straight run.*  An
+      alignment with ≤ h edits consumes at most m + h text
+      characters, i.e. positions ``base … base + m + h − 1``, and
+      every one of them has ``i + 1`` as its only successor in the
+      tables, hence in the window ``[base, base + m + k)`` too (the
+      last of them may be the window's dead end when k = h, but
+      reaching it consumes m + h characters and so the whole chunk).
+      A window's dead end only adds insertions, which the straight
+      text allows anywhere, so every window alignment within h edits
+      spells a prefix of ``chars[base:]`` with indels and
+      substitutions.
+    * *The best budget is h.*  The Hamming run is such an alignment
+      with h edits, so d* ≤ h ≤ k (no rescue).  d* = 0 would need
+      ``chunk == chars[base:base + m]``, i.e. h = 0.  For h = 2,
+      d* = 1 would need one substitution (Hamming 1, not 2) or one
+      indel — a
+      deletion at chunk offset ``i`` iff ``chunk[:i]`` matches the
+      text and ``chunk[i:]`` matches it shifted by +1, an insertion iff
+      ``chunk[:i]`` matches the text and ``chunk[i + 1:]`` matches it
+      shifted by −1.  With ``p`` the common prefix (the first
+      mismatch) and ``s_del`` / ``s_ins`` the common suffixes against
+      the shifted texts, some ``i`` exists iff ``p + s_del ≥ m`` or
+      ``p + s_ins ≥ m − 1``: an O(m) test.
+    * *The walk emits the run.*  The walk keeps the invariant that the
+      unread chunk suffix is alignable within the remaining budget
+      from the current position, and tries match, then substitution,
+      then deletion, then insertion, successors ascending.  With
+      remaining budget = the suffix's Hamming distance to the straight
+      text (true at the start: d* = h), a matching character's match
+      keeps the Hamming continuation within budget, and at a mismatch
+      the match is barred by the pattern mask while the substitution
+      leaves Hamming d − 1 for budget d − 1.  So it takes ``=`` / ``X``
+      at ``base``, ``base + 1``, … and never reaches a deletion, an
+      insertion or the dead end (the window holds ``base + m``).
+
+    Rung 0 is the case h = 0: the straight run accepts at budget 0,
+    and the budget-0 walk follows ``i + 1`` — first-listed, since
+    successors ascend — so successors leaving the chain slice do not
+    matter there.
     """
     if anchors is None or len(anchors) != 1:
-        return False
-    return lin.chars.startswith(chunk, base) \
-        and lin.slice(base, base + len(chunk)).is_chain()
+        return None
+    m = len(chunk)
+    chars = lin.chars
+    if chars.startswith(chunk, base):
+        # The slice test, asked second: a straight range implies it.
+        chain = lin.is_straight(base, base + m - 1) \
+            or lin.slice(base, base + m).is_chain()
+        return () if chain else None
+    if base + m + 2 > len(lin):  # the bound below at h = 1
+        return None
+    cap = min(k, 2)
+    difference = _difference(chunk, chars[base:base + m])
+    mismatches: list[int] = []
+    while difference and len(mismatches) <= cap:
+        group = (difference.bit_length() - 1) // 32
+        mismatches.append(m - 1 - group)
+        difference &= (1 << 32 * group) - 1
+    h = len(mismatches)
+    if h > cap or base + m + h + 1 > len(lin) \
+            or not lin.is_straight(base, base + m + h + 1):
+        return None
+    if h == 2:
+        prefix = mismatches[0]
+        if prefix + _common_suffix(
+                chunk, chars[base + 1:base + m + 1]) >= m \
+                or prefix + _common_suffix(
+                    chunk[1:], chars[base:base + m - 1]) >= m - 1:
+            return None
+    return tuple(mismatches)
 
 
 @dataclass
@@ -336,11 +430,13 @@ class WindowedAligner:
         counters,
         budget: float,
     ) -> _Extension:
-        """Forward windowing loop: an exact window
-        (:func:`_is_exact_window`) commits its ``=`` run, charged to
+        """Forward windowing loop: a window the kernel would answer
+        with its Hamming run (:func:`_hamming_rung`, rungs 0–2)
+        commits that ``=`` / ``X`` run, charged to
         ``counters.windows_exact``; every other window attempt is one
         :func:`~repro.core.bitalign.bitalign` call, charged to
-        ``counters.align_calls``.
+        ``counters.align_calls``.  Both report the same
+        :class:`WindowEvent`.
 
         ``anchors`` restricts the allowed start positions of the first
         window (None = search every position of the whole region, the
@@ -374,12 +470,17 @@ class WindowedAligner:
                 else max(1, len(chunk) - overlap)
             ops_before = len(extension.ops)
             rescued = False
-            # Rung 0: the kernel's answer is known, so commit it as a
-            # run (the window is built for the observer only).
-            if _is_exact_window(lin, chunk, anchors, base):
+            # Rungs 0–2: the kernel's answer is the Hamming run, so
+            # commit it (the window is built for the observer only).
+            mismatches = _hamming_rung(lin, chunk, anchors, base, k)
+            if mismatches is not None:
                 if counters is not None:
                     counters.windows_exact += 1
                 extension.ops.extend("=" * commit_target)
+                for offset in mismatches:
+                    if offset < commit_target:
+                        extension.ops[ops_before + offset] = "X"
+                        extension.edits += 1
                 extension.path.extend(range(base, base + commit_target))
                 committed_read = commit_target
                 last_consumed: int | None = base + commit_target - 1

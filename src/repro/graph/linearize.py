@@ -226,6 +226,24 @@ class LinearizedGraph:
         """True when the linearization is a plain linear sequence."""
         return len(self.hop_sources()) <= 1
 
+    def is_straight(self, start: int, end: int) -> bool:
+        """True when every position in ``[start, end)`` has the next
+        position as its only successor in the whole linearization this
+        view reads (its reversal, for a reversed view).  Unlike
+        :meth:`is_chain` of a slice, successors outside the view
+        count; the view's own edges cut nothing.  Two bisects over the
+        sorted special positions."""
+        if not 0 <= start <= end <= len(self):
+            raise GraphError(
+                f"invalid range [{start}, {end}) of length {len(self)}"
+            )
+        tables = self._tables
+        if self._flipped:
+            at, lo, hi = tables.pred_at, self._hi - end, self._hi - start
+        else:
+            at, lo, hi = tables.succ_at, self._lo + start, self._lo + end
+        return bisect_left(at, lo) == bisect_left(at, hi)
+
     def node_at(self, position: int) -> tuple[int, int]:
         """``(node ID, offset within the node)`` of ``position``."""
         tables = self._tables

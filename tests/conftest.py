@@ -6,10 +6,27 @@ import math
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.graph.builder import build_graph
 from repro.sim.reference import random_reference
 from repro.sim.variants import VariantProfile, simulate_variants
+
+
+# Hypothesis profiles.  Tier-1 runs ``tier1``; a CI step reruns the
+# rung oracles (``tests/test_windows.py::TestExactWindows``, the
+# straightness query, the cycle-model parity) under
+# ``--hypothesis-profile=deep``.  Those tests set no ``max_examples``
+# of their own, so they take the count from the profile, as does
+# every other property test that pins none (150 under ``tier1``
+# instead of Hypothesis's default 100).
+settings.register_profile("tier1", max_examples=150)
+settings.register_profile("deep", max_examples=2_000)
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    if config.getoption("hypothesis_profile", None) is None:
+        settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ GAF/SAM, all through the public CLI.
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -746,6 +747,27 @@ class TestServeClient:
         with pytest.raises(SystemExit, match="--early-exit-distance"):
             main(["serve", "--index", str(tmp_path / "neg.sgidx"),
                   "--port", "0", "--early-exit-distance", "-1"])
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-seeds", "0"), ("--max-seeds", "-2"),
+        ("--error-rate", "-1"), ("--error-rate", "1")])
+    def test_engine_flags_out_of_range_rejected(self, tmp_path, flag,
+                                                value):
+        """``map`` and ``serve`` refuse them in one ``error:`` line
+        before any index is loaded: the missing reference and artifact
+        are never opened."""
+        message = re.escape({"--max-seeds": "--max-seeds must be >= 1",
+                             "--error-rate": "--error-rate must be in "
+                                             "[0, 1)"}[flag])
+        with pytest.raises(SystemExit, match=f"^error: {message}$"):
+            main(["map", "--reference", str(tmp_path / "missing.fa"),
+                  "--reads", str(tmp_path / "reads.fq"),
+                  "--output", str(tmp_path / "x.gaf"), flag, value])
+        with pytest.raises(SystemExit, match=f"^error: {message}$"):
+            main(["serve", "--index", str(tmp_path / "missing.sgidx"),
+                  "--socket", str(tmp_path / "x.sock"), flag, value])
+        assert not (tmp_path / "x.gaf").exists()
+        assert not (tmp_path / "x.sock").exists()
 
     def test_client_requires_endpoint(self):
         with pytest.raises(SystemExit, match="--port or --socket"):

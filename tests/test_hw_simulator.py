@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import dense_linearize as oracle
 
 from repro.core import windows
@@ -145,24 +147,65 @@ class TestSimulator:
         text, lin = chain_3kb
         read = text[200:1_500]
         sim = SeGraMAcceleratorSim()
-        exact_skipped = []
-        is_exact = windows._is_exact_window
+        rungs = []
+        rung = windows._hamming_rung
 
         def spy(*args):
-            exact_skipped.append(is_exact(*args))
-            return exact_skipped[-1]
+            rungs.append(rung(*args))
+            return rungs[-1]
 
-        monkeypatch.setattr(windows, "_is_exact_window", spy)
+        monkeypatch.setattr(windows, "_hamming_rung", spy)
         _, trace = sim.run_seed_task(lin, read, anchor=(200, 0))
-        assert len(exact_skipped) > 5 and all(exact_skipped)
-        monkeypatch.setattr(windows, "_is_exact_window",
-                            lambda *args: False)
+        assert len(rungs) > 5 and all(r == () for r in rungs)
+        monkeypatch.setattr(windows, "_hamming_rung",
+                            lambda *args: None)
         _, kernel_trace = sim.run_seed_task(lin, read, anchor=(200, 0))
         assert trace == kernel_trace
         assert (trace.windows_executed, trace.compute_cycles,
                 trace.total_cycles) == (kernel_trace.windows_executed,
                                         kernel_trace.compute_cycles,
                                         kernel_trace.total_cycles)
+
+    # The example count comes from the hypothesis profile (tier-1 or
+    # ``--hypothesis-profile=deep``, see ``conftest.py``).
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=1_000_000))
+    def test_hamming_windows_charged_like_kernel_windows(self, chain_3kb,
+                                                         seed):
+        """Rungs 1 and 2 too: a read with one or two substitutions in
+        every window commits ``=`` / ``X`` runs without the kernel and
+        still costs the cycles of the kernel-only run.  Each 80-base
+        commit step gets its substitutions in its last 32 bases, so a
+        128-base window sees only its own step's."""
+        text, lin = chain_3kb
+        rng = random.Random(seed)
+        start = rng.randrange(0, 2_000)
+        read = list(text[start:start + rng.randint(400, 900)])
+        for step, block in enumerate(range(0, len(read) - 80, 80)):
+            count = 1 + step % 2 if step < 2 else rng.randint(1, 2)
+            for at in rng.sample(range(block + 48, block + 80), count):
+                read[at] = rng.choice([c for c in "ACGT"
+                                       if c != read[at]])
+        read = "".join(read)
+        sim = SeGraMAcceleratorSim()
+        rungs = []
+        rung = windows._hamming_rung
+
+        def spy(*args):
+            rungs.append(rung(*args))
+            return rungs[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(windows, "_hamming_rung", spy)
+            got, trace = sim.run_seed_task(lin, read, anchor=(start, 0))
+            assert {1, 2} <= {len(r) for r in rungs if r is not None}
+            patch.setattr(windows, "_hamming_rung", lambda *args: None)
+            want, kernel_trace = sim.run_seed_task(lin, read,
+                                                   anchor=(start, 0))
+        assert got == want
+        assert trace == kernel_trace
+        assert (trace.compute_cycles, trace.total_cycles) \
+            == (kernel_trace.compute_cycles, kernel_trace.total_cycles)
 
     def test_windowing_config_derived_from_hw(self):
         sim = SeGraMAcceleratorSim()

@@ -18,6 +18,8 @@ from repro.graph.linearize import (
     hop_length_distribution,
     linearize,
 )
+from repro.sim.reference import random_reference
+from repro.sim.variants import VariantProfile, simulate_variants
 
 
 def bubble() -> GenomeGraph:
@@ -344,3 +346,68 @@ class TestSparseMatchesDense:
             is view.reversed_view()._tables
         with pytest.raises(GraphError):
             view.reversed_view().slice(2, 2)
+
+
+@st.composite
+def variant_graphs(draw):
+    """A bubble graph from ``simulate_variants`` + ``build_graph``:
+    SNP and indel bubbles plus structural deletions whose hops skip
+    far enough to leave most views."""
+    rng = random.Random(draw(st.integers(0, 1_000_000)))
+    text = random_reference(rng.randint(30, 200), rng)
+    variants = simulate_variants(text, rng, VariantProfile(
+        snp_rate=0.05, insertion_rate=0.02, deletion_rate=0.02,
+        sv_rate=0.01, sv_min=5, sv_max=30, small_indel_max=4))
+    return build_graph(text, variants).graph
+
+
+class TestIsStraight:
+    """``is_straight(start, end)`` against the dense oracle over the
+    *root* graph: no position of the range, mapped back to the root
+    (or to the root's reversal for a flipped view), has a successor
+    set other than the next position — successors the view drops
+    included."""
+
+    # The example count comes from the hypothesis profile (tier-1 or
+    # ``--hypothesis-profile=deep``, see ``conftest.py``).
+    @settings(deadline=None)
+    @given(st.data(), st.one_of(sorted_graphs(), variant_graphs()))
+    def test_matches_the_dense_root(self, data, graph):
+        dense = oracle.linearize(graph)
+        roots = {False: dense.successors,
+                 True: dense.reversed().successors}
+        n = len(dense)
+        # The view, whether it reads the root backward, and the root
+        # position (in that direction) of its position 0.
+        view, flipped, offset = linearize(graph), False, 0
+        for _ in range(data.draw(st.integers(0, 3))):
+            if data.draw(st.booleans()):
+                offset = n - offset - len(view)
+                view, flipped = view.reversed_view(), not flipped
+            else:
+                c, d = _cut(data.draw, len(view))
+                view, offset = view.slice(c, d), offset + c
+        start = data.draw(st.integers(0, len(view)))
+        end = data.draw(st.integers(start, len(view)))
+        succs = roots[flipped]
+        assert view.is_straight(start, end) == (not any(
+            succs[p] != (p + 1,)
+            for p in range(offset + start, offset + end)))
+
+    def test_hop_leaving_the_view_counts(self):
+        """The trap: in ``slice(0, 3)`` of AC(G|T)AC position 1 keeps
+        only its edge to 2, so the slice is a chain — but position 1
+        also hops to 3, outside it, so the range is not straight."""
+        lin = linearize(bubble())
+        view = lin.slice(0, 3)
+        assert view.is_chain() and view.successors_of(1) == (2,)
+        assert view.is_straight(0, 1) and not view.is_straight(0, 3)
+        # Backward, G (reversed position 3) has the predecessor C only;
+        # the merge A (reversed position 1) has two: G and T.
+        rev = lin.reversed_view()
+        assert rev.chars == "CATGCA"
+        assert rev.is_straight(0, 1) and not rev.is_straight(0, 2)
+        assert rev.slice(1, 4).is_straight(2, 3)
+        assert view.is_straight(2, 2)
+        with pytest.raises(GraphError):
+            view.is_straight(1, 4)

@@ -191,6 +191,22 @@ class TestConfigBehaviour:
         assert SeGraMConfig(early_exit_distance=0) \
             .early_exit_distance == 0
 
+    @pytest.mark.parametrize("cap", [0, -1, -3])
+    def test_non_positive_seed_cap_rejected(self, cap):
+        """0 would keep no region and a negative cap would drop the
+        last ones (``regions[:-n]``): both are configuration errors."""
+        with pytest.raises(ValueError, match="max_seeds_per_read"):
+            SeGraMConfig(max_seeds_per_read=cap)
+        assert SeGraMConfig(max_seeds_per_read=1).max_seeds_per_read == 1
+        assert SeGraMConfig(max_seeds_per_read=None) \
+            .max_seeds_per_read is None
+
+    @pytest.mark.parametrize("rate", [-1.0, -0.01, 1.0, 1.5])
+    def test_error_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match="error_rate"):
+            SeGraMConfig(error_rate=rate)
+        assert SeGraMConfig(error_rate=0.0).error_rate == 0.0
+
     def test_forward_wins_strand_ties(self):
         """A read whose forward and reverse-complement orientations
         both align at the same distance must report strand '+' — the

@@ -16,7 +16,7 @@ from repro.core.pipeline import PipelineStats
 from repro.core.windows import WindowedAligner, WindowingConfig
 from repro.graph.builder import build_graph
 from repro.graph.genome_graph import GenomeGraph
-from repro.graph.linearize import linearize
+from repro.graph.linearize import LinearizedGraph, linearize
 from repro.sim.errors import ErrorModel, apply_errors
 from repro.sim.reference import random_reference
 from repro.sim.variants import VariantProfile, simulate_variants
@@ -438,43 +438,82 @@ def _run_observed(aligner, lin, read, anchor, budget=None):
 
 
 def _run_without_rung(aligner, lin, read, anchor, budget=None):
-    """The same call with rung 0 disabled: every window runs the
+    """The same call with rungs 0–2 disabled: every window runs the
     kernel."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(windows, "_is_exact_window", lambda *args: False)
+        patch.setattr(windows, "_hamming_rung", lambda *args: None)
         return _run_observed(aligner, lin, read, anchor, budget)
 
 
+def _hamming(chunk: str, text: str) -> int:
+    return sum(a != b for a, b in zip(chunk, text))
+
+
+def _planted_hops(text: str, rng: random.Random):
+    """A chain over ``text`` with random forward hops of 2–16
+    characters, some of which replace the edge to the next character:
+    hop sources inside and at the edge of any stretch, with targets
+    inside and outside its kernel window."""
+    hops: dict[int, tuple[int, ...]] = {len(text) - 1: ()}
+    for source in rng.sample(range(len(text) - 2), len(text) // 25):
+        targets = {source + rng.randint(2, 16)
+                   for _ in range(rng.randint(1, 2))}
+        if rng.random() < 0.8:
+            targets.add(source + 1)
+        succs = tuple(sorted(t for t in targets if t < len(text)))
+        if succs != (source + 1,):
+            hops[source] = succs
+    starts = sorted({0} | {p + 1 for p in hops if p + 1 < len(text)})
+    return LinearizedGraph.from_hops(text, hops, starts)
+
+
 class TestExactWindows:
-    """Rung 0 (a window whose chunk equals the hop-free text from its
-    one anchor commits ``=`` × m without the kernel) against the same
-    ``align`` with the rung disabled: the result, the ``WindowEvent``
-    stream and every counter but the kernel-call split are equal."""
+    """Rungs 0–2 (a window within Hamming distance 2 of the hop-free
+    text from its one anchor commits its ``=`` / ``X`` run without the
+    kernel) against the same ``align`` with every rung disabled: the
+    result, the ``WindowEvent`` stream, windows, rescues and
+    ``align_calls + windows_exact`` are equal."""
 
     CONFIG = WindowingConfig(window_size=32, overlap=12, k=4)
+    #: k = 1: a window at Hamming distance 2 is a rescue, not a rung.
+    TIGHT = WindowingConfig(window_size=32, overlap=12, k=1)
 
     @staticmethod
     def _case(seed: int):
-        """A chain or bubble graph and a read with exact windows and
-        1–3-edit ones.  The read is a graph walk, or — to put
-        ``chars[base:base + m]`` across a non-edge — the linearization
-        order itself; anchored (mid-read, so both extensions run) or
-        not — un-anchored ones mostly from position 0, where an
-        anchor-blind rung would take the first window."""
+        """A graph — a chain, a bubble graph from ``simulate_variants``
+        or a chain with planted hops, named by the returned ``shape`` —
+        and a read with exact windows, windows with 1–2 substitutions, single
+        indels and indels beside a substitution (near a chunk end,
+        Hamming 2 where one indel aligns) and 1–3-edit clusters.  The
+        read is a graph walk, or — to put ``chars[base:base + m]``
+        across a non-edge — the linearization order itself, sometimes
+        running into the region end; anchored (mid-read, so both
+        extensions run) or not — un-anchored ones mostly from position
+        0, where an anchor-blind rung would take the first window.
+        One case in five runs at k = 1.  Returns ``(shape, lin, read,
+        anchor, budget, config)``."""
         rng = random.Random(seed)
         text = random_reference(rng.randint(200, 500), rng)
-        if rng.random() < 0.3:
-            lin = chain(text)
-        else:
+        draw = rng.random()
+        if draw < 0.25:
+            shape, lin = "chain", chain(text)
+        elif draw < 0.75:
             variants = simulate_variants(text, rng, VariantProfile(
                 snp_rate=0.03, insertion_rate=0.01, deletion_rate=0.01,
                 sv_rate=0.0, small_indel_max=4))
+            shape = "bubble"
             lin = linearize(build_graph(text, variants).graph)
+        else:
+            shape, lin = "hops", _planted_hops(text, rng)
         anchored = rng.random() < 0.7
         at_zero = rng.random() < (0.1 if anchored else 0.6)
-        path = [0 if at_zero else rng.randrange(len(lin) // 2)]
         length = rng.randint(40, 160)
-        straight = rng.random() < 0.3
+        if rng.random() < 0.2:
+            first = max(0, len(lin) - length + rng.randint(-4, 8))
+        else:
+            first = 0 if at_zero else rng.randrange(len(lin) // 2)
+        path = [first]
+        straight = rng.random() < 0.4
         while len(path) < length:
             succs = lin.successors_of(path[-1])
             if straight and path[-1] + 1 < len(lin):
@@ -483,16 +522,30 @@ class TestExactWindows:
                 path.append(rng.choice(succs))
             else:
                 break
-        edit_at: set[int] = set()
-        for _ in range(rng.randint(0, 3)):
-            start = rng.randrange(len(path))
-            edit_at.update(rng.sample(range(start, start + 32),
-                                      rng.randint(1, 3)))
+        edits: dict[int, str] = {}
+        # Per commit step (20 characters), one planted pattern.
+        for block in range(0, len(path), 20):
+            plant = rng.choice(("", "", "S", "SS", "indel",
+                                "S+indel", "cluster"))
+            spots = sorted(rng.sample(range(block, block + 20), 2))
+            if plant == "S":
+                edits[spots[0]] = "S"
+            elif plant == "indel":
+                edits[spots[0]] = rng.choice("DI")
+            elif plant == "SS":
+                edits.update(dict.fromkeys(spots, "S"))
+            elif plant == "S+indel":
+                edits[spots[0]] = "S"
+                edits[spots[0] + 1] = rng.choice("DI")
+            elif plant == "cluster":
+                edits.update({at: rng.choice("SDI") for at in
+                              rng.sample(range(block, block + 32),
+                                         rng.randint(1, 3))})
         read: list[str] = []
         matched = []
         for index, position in enumerate(path):
             char = lin.chars[position]
-            op = rng.choice("SDI") if index in edit_at else "="
+            op = edits.get(index, "=")
             if op == "S":
                 read.append(rng.choice([c for c in "ACGT" if c != char]))
                 continue
@@ -504,13 +557,13 @@ class TestExactWindows:
             read.append(char)
         anchor = rng.choice(matched) if anchored else None
         budget = rng.choice((None, None, 0, 2, 6))
-        return lin, "".join(read), anchor, budget
+        config = TestExactWindows.TIGHT if rng.random() < 0.2 \
+            else TestExactWindows.CONFIG
+        return shape, lin, "".join(read), anchor, budget, config
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(min_value=0, max_value=1_000_000))
-    def test_rung_equals_kernel(self, seed):
-        lin, read, anchor, budget = self._case(seed)
-        aligner = WindowedAligner(self.CONFIG)
+    @staticmethod
+    def _assert_rung_equals_kernel(lin, read, anchor, budget, config):
+        aligner = WindowedAligner(config)
         got, events, stats = _run_observed(aligner, lin, read, anchor,
                                            budget)
         want, want_events, want_stats = _run_without_rung(
@@ -522,36 +575,164 @@ class TestExactWindows:
         assert want_stats.windows_exact == 0
         assert stats.align_calls + stats.windows_exact \
             == want_stats.align_calls
+        return got, stats
+
+    # The example count comes from the hypothesis profile (tier-1 or
+    # ``--hypothesis-profile=deep``, see ``conftest.py``).
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=1_000_000))
+    def test_rung_equals_kernel(self, seed):
+        _, *case = self._case(seed)
+        self._assert_rung_equals_kernel(*case)
 
     def test_cases_reach_the_rung(self):
-        """The generator exercises what the property needs: exact
-        windows in the right extension and in the left one (the
-        reversed view), on bubble graphs too; windows the hop-free
-        check alone turns away; and un-anchored first windows that
-        would pass everything but the anchor check."""
-        exact = windows._is_exact_window
-        seen = {"right": 0, "left": 0, "bubble": 0, "hop_refused": 0,
-                "unanchored": 0}
-        for seed in range(80):
-            lin, read, anchor, _ = self._case(seed)
+        """The generator exercises what the property needs: rungs 0, 1
+        and 2 in the right extension and in the left one (the reversed
+        view); rungs on ``simulate_variants`` bubble graphs, where a
+        SNP's ref and alt sit side by side as a non-edge (Hamming 1/2
+        ones among them), and on chains with planted hops; Hamming-0
+        windows the hop-free check turns away; Hamming-1/2 windows
+        whose slice is a chain but whose tables hold a hop (the trap);
+        Hamming-2 windows one indel aligns; Hamming-2 windows at k = 1;
+        windows too close to the region end; and un-anchored first
+        windows that would pass everything but the anchor check."""
+        rung = windows._hamming_rung
+        seen = dict.fromkeys(
+            ("h0_right", "h0_left", "h1_right", "h1_left", "h2_right",
+             "h2_left", "bubble", "bubble_hamming", "hops",
+             "hop_refused", "trap_refused",
+             "indel_refused", "k_capped", "end_refused", "unanchored"),
+            0)
+        for seed in range(300):
+            shape, lin, read, anchor, _, config = self._case(seed)
 
-            def spy(window_lin, chunk, anchors, base):
-                verdict = exact(window_lin, chunk, anchors, base)
-                if verdict:
-                    seen["right" if window_lin is lin else "left"] += 1
-                    seen["bubble"] += not lin.is_chain()
-                elif anchors is not None and len(anchors) == 1 \
-                        and window_lin.chars.startswith(chunk, base):
+            def spy(window_lin, chunk, anchors, base, k):
+                verdict = rung(window_lin, chunk, anchors, base, k)
+                m = len(chunk)
+                h = _hamming(chunk, window_lin.chars[base:base + m])
+                if verdict is not None:
+                    side = "right" if window_lin is lin else "left"
+                    seen[f"h{len(verdict)}_{side}"] += 1
+                    if shape == "bubble" and not lin.is_chain():
+                        seen["bubble"] += 1
+                        seen["bubble_hamming"] += len(verdict) > 0
+                    seen["hops"] += shape == "hops"
+                elif anchors is None:
+                    seen["unanchored"] += rung(
+                        window_lin, chunk, [base], base, k) is not None
+                elif len(anchors) != 1 or base + m > len(window_lin):
+                    pass
+                elif h == 0:
                     seen["hop_refused"] += 1
-                elif anchors is None \
-                        and exact(window_lin, chunk, [base], base):
-                    seen["unanchored"] += 1
+                elif h > 2:
+                    pass
+                elif base + m + h + 1 > len(window_lin):
+                    seen["end_refused"] += 1
+                elif h > k:
+                    seen["k_capped"] += 1
+                elif not window_lin.is_straight(base, base + m + h + 1):
+                    seen["trap_refused"] += window_lin.slice(
+                        base, base + m + h + 1).is_chain()
+                else:
+                    seen["indel_refused"] += 1
                 return verdict
 
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(windows, "_is_exact_window", spy)
-                WindowedAligner(self.CONFIG).align(lin, read, anchor)
-        assert min(seen.values()) >= 3, seen
+                patch.setattr(windows, "_hamming_rung", spy)
+                WindowedAligner(config).align(lin, read, anchor)
+        assert min(seen.values()) >= 3, sorted(seen.items())
+
+    # Named traps: each is a window where the kernel's answer is not
+    # the Hamming run, so a rung that took it would break parity.
+
+    @staticmethod
+    def _trap_text(base: int, m: int) -> list[str]:
+        """A 60-character text whose characters around ``base + m``
+        all differ from their neighbours."""
+        text = list(random_reference(60, random.Random(7)))
+        for at in range(base + m - 4, base + m + 5):
+            text[at] = "ACGT"[("ACGT".index(text[at - 1]) + 1 + at % 3)
+                              % 4]
+        return text
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_hop_leaving_the_stretch(self, side):
+        """The slice ``[base, base + m + h + 1)`` is a chain, but
+        position ``base + m − 2`` also hops to ``base + m + 3``, inside
+        the kernel window: the read spells that walk exactly, one
+        substitution away from the straight text.  Only the check in
+        the tables refuses the rung (the left case puts the hop on the
+        reversed view)."""
+        base, m = 10, 20
+        text = self._trap_text(base, m)
+        text[base + m + 3] = next(c for c in "ACGT"
+                                  if c != text[base + m - 1])
+        text = "".join(text)
+        source, target = base + m - 2, base + m + 3
+        trap = LinearizedGraph.from_hops(
+            text, {source: (source + 1, target), len(text) - 1: ()},
+            [0, source + 1, target])
+        chunk = text[base:base + m - 1] + text[target]
+        assert _hamming(chunk, text[base:base + m]) == 1
+        assert trap.slice(base, base + m + 2).is_chain()
+        if side == "right":
+            lin, read, anchor = trap, chunk, (base, 0)
+        else:
+            lin = trap.reversed_view()
+            at = len(text) - base
+            read, anchor = chunk[::-1] + lin.chars[at], (at, m)
+        got, stats = self._assert_rung_equals_kernel(
+            lin, read, anchor, None, self.CONFIG)
+        assert got.distance == 0
+        assert stats.align_calls >= 1
+
+    @pytest.mark.parametrize("indel", ["D", "I"])
+    def test_single_indel_beside_a_substitution(self, indel):
+        """An indel two characters before the chunk end shifts the last
+        two: Hamming distance 2 from the straight text, but one edit
+        (``D`` or ``I``) aligns it, so the kernel answers at budget 1."""
+        base, m = 10, 20
+        text = "".join(self._trap_text(base, m))
+        if indel == "D":
+            chunk = text[base:base + m - 2] + text[base + m - 1:base + m + 1]
+        else:
+            inserted = next(c for c in "ACGT"
+                            if c != text[base + m - 2])
+            chunk = text[base:base + m - 2] + inserted \
+                + text[base + m - 2]
+        assert _hamming(chunk, text[base:base + m]) == 2
+        got, stats = self._assert_rung_equals_kernel(
+            chain(text), chunk, (base, 0), None, self.CONFIG)
+        assert got.distance == 1 and indel in str(got.cigar)
+        assert stats.windows_exact == 0
+
+    def test_three_mismatches_stay_with_the_kernel(self):
+        """Hamming distance 3 — a substitution plus the shifted tail of
+        a deletion — but two edits align the chunk: h = 3 is beyond
+        the rungs, whatever the indel test says."""
+        base, m = 10, 20
+        text = self._trap_text(base, m)
+        chunk = list(text[base:base + m - 2]
+                     + text[base + m - 1:base + m + 1])
+        chunk[3] = next(c for c in "ACGT" if c != chunk[3])
+        text, chunk = "".join(text), "".join(chunk)
+        assert _hamming(chunk, text[base:base + m]) == 3
+        got, stats = self._assert_rung_equals_kernel(
+            chain(text), chunk, (base, 0), None, self.CONFIG)
+        assert got.distance == 2 and stats.windows_exact == 0
+
+    def test_two_mismatches_at_k1_are_a_rescue(self):
+        """At k = 1 a Hamming-2 window fails the first kernel attempt
+        and is rescued at k = 2; the rung must leave it to the kernel,
+        whose events say so."""
+        base, m = 10, 20
+        text = "".join(self._trap_text(base, m))
+        chunk = list(text[base:base + m])
+        for at in (4, 12):
+            chunk[at] = next(c for c in "ACGT" if c != chunk[at])
+        got, stats = self._assert_rung_equals_kernel(
+            chain(text), "".join(chunk), (base, 0), None, self.TIGHT)
+        assert got.distance == 2 and stats.rescues == 1
 
     def test_witness_across_a_non_edge(self):
         """A SNP bubble linearizes as prefix, ref, alt, suffix: ``chars``
