@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator
 
 #: Operations that consume a read character.
@@ -56,13 +57,7 @@ class Cigar:
     @classmethod
     def from_ops(cls, ops: Iterable[str]) -> "Cigar":
         """Build from a flat iterable of single-character ops."""
-        runs: list[tuple[str, int]] = []
-        for op in ops:
-            if runs and runs[-1][0] == op:
-                runs[-1] = (op, runs[-1][1] + 1)
-            else:
-                runs.append((op, 1))
-        return cls(tuple(runs))
+        return cls(tuple((op, len(list(run))) for op, run in groupby(ops)))
 
     @classmethod
     def from_string(cls, text: str) -> "Cigar":
@@ -70,7 +65,7 @@ class Cigar:
         runs: list[tuple[str, int]] = []
         number = ""
         for char in text:
-            if char.isdigit():
+            if char in "0123456789":  # ASCII only: "²".isdigit() is true
                 number += char
             else:
                 if not number:
@@ -141,16 +136,11 @@ class Cigar:
 
     def concat(self, other: "Cigar") -> "Cigar":
         """Concatenate two CIGARs, merging the boundary run."""
-        if not self.ops:
-            return other
-        if not other.ops:
-            return self
-        left = list(self.ops)
-        right = list(other.ops)
-        if left[-1][0] == right[0][0]:
-            op, length = left.pop()
-            right[0] = (op, right[0][1] + length)
-        return Cigar(tuple(left + right))
+        left, right = self.ops, other.ops
+        if left and right and left[-1][0] == right[0][0]:
+            (op, length), right = right[0], right[1:]
+            left = left[:-1] + ((op, left[-1][1] + length),)
+        return Cigar(left + right)
 
 
 #: The empty CIGAR (zero operations).

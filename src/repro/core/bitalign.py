@@ -73,7 +73,7 @@ against; nothing in the library calls it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.align.genasm import pattern_bitmasks, virtual_row
 from repro.core.alignment import Cigar
@@ -89,24 +89,28 @@ class BitAlignResult:
         cigar: traceback operations (read vs. spelled path).
         path: linearized positions consumed, in order (one per
             ``=``/``X``/``D`` operation).
-        reference: the spelled characters of ``path``, for replay
-            validation.
+        chars: the window's characters, held by reference so that
+            :attr:`reference` can spell ``path`` on demand.
     """
 
     distance: int
     cigar: Cigar
     path: tuple[int, ...]
-    reference: str
+    chars: str = field(repr=False, compare=False)
 
     @property
-    def start(self) -> int:
-        """First consumed linearized position (-1 when none)."""
-        return self.path[0] if self.path else -1
+    def reference(self) -> str:
+        """The spelled characters of ``path``, for replay validation
+        (derived, not stored)."""
+        return spell(self.chars, self.path)
 
-    @property
-    def end(self) -> int:
-        """Last consumed linearized position (-1 when none)."""
-        return self.path[-1] if self.path else -1
+
+def spell(chars: str, path: tuple[int, ...]) -> str:
+    """``chars`` along ``path``: one slice per run of consecutive
+    positions, so a path without hops is a single slice."""
+    cuts = [i for i in range(1, len(path)) if path[i] != path[i - 1] + 1]
+    return "".join(chars[path[a]:path[b - 1] + 1]
+                   for a, b in zip([0, *cuts], [*cuts, len(path)]) if a < b)
 
 
 @dataclass(frozen=True)
@@ -413,12 +417,11 @@ def traceback(
     else:
         ops, path = _walk_rows(lin, pattern, all_r, start, budget)
     cigar = Cigar.from_ops(ops)
-    reference = "".join(lin.chars[p] for p in path)
     return BitAlignResult(
         distance=cigar.edit_distance,
         cigar=cigar,
         path=tuple(path),
-        reference=reference,
+        chars=lin.chars,
     )
 
 
@@ -622,7 +625,7 @@ def bitalign(
                 distance=len(pattern),
                 cigar=Cigar((("I", len(pattern)),)),
                 path=(),
-                reference="",
+                chars=lin.chars,
             )
         return None
     all_r = generate_bitvectors(lin, pattern, k)

@@ -9,7 +9,9 @@ against a window of the linearized subgraph, and only the first
 *committed* — the overlap region is re-aligned by the next window,
 which absorbs alignment drift across the cut.  The committed
 tracebacks are concatenated into the final CIGAR ("after all windows'
-traceback outputs are found, we merge them").
+traceback outputs are found, we merge them") as CIGAR runs: a window
+commits the prefix of its runs that covers those read characters, and
+the two extensions meet in one :meth:`~repro.core.alignment.Cigar.concat`.
 
 **Seed anchoring.**  A seed gives an exact correspondence between a
 read position and a graph position.  :meth:`WindowedAligner.align`
@@ -41,9 +43,10 @@ SHD sense that never changes the answer; the lemma is in
 first attempt or rescue — is one call of
 :func:`repro.core.bitalign.bitalign`, i.e. one sweep of the
 systolic-diagonal kernel described in :mod:`repro.core.bitalign` plus
-its native traceback.  Both paths report the same
-:class:`WindowEvent`: the hardware has no string compare, so its model
-charges the systolic array for every window.
+its native traceback.  Both kinds of window share one commit step over
+runs and report the same :class:`WindowEvent`: the hardware has no
+string compare, so its model charges the systolic array for every
+window.
 :meth:`WindowedAligner.align_many` is :meth:`WindowedAligner.align`
 per item; nothing is batched across windows, so a result depends on
 nothing but its own item.
@@ -52,13 +55,13 @@ nothing but its own item.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
 
 from repro.core.alignment import Cigar
 # ``traceback`` is not used here any more; benchmarks/perf/test_perf.py
 # reads ``repro.core.windows.traceback`` to check its shims restore.
-from repro.core.bitalign import bitalign, traceback  # noqa: F401
+from repro.core.bitalign import bitalign, spell, traceback  # noqa: F401
 from repro.graph.linearize import LinearizedGraph
 
 
@@ -127,16 +130,16 @@ class WindowingConfig:
 class WindowedAlignment:
     """Merged result of a windowed BitAlign run.
 
-    ``distance``/``cigar``/``path``/``reference`` follow
-    :class:`~repro.core.bitalign.BitAlignResult`; the extra counters
-    expose windowing behaviour to the benchmarks and the hardware
-    model.
+    ``distance``/``cigar``/``path``/``chars`` and the derived
+    ``reference`` follow :class:`~repro.core.bitalign.BitAlignResult`
+    (``chars`` is the region's); the extra counters expose windowing
+    behaviour to the benchmarks and the hardware model.
     """
 
     distance: int
     cigar: Cigar
     path: tuple[int, ...]
-    reference: str
+    chars: str = field(repr=False, compare=False)
     windows: int = 0
     rescues: int = 0
     dead_end_insertions: int = 0
@@ -147,12 +150,9 @@ class WindowedAlignment:
     abandoned: bool = False
 
     @property
-    def start(self) -> int:
-        return self.path[0] if self.path else -1
-
-    @property
-    def end(self) -> int:
-        return self.path[-1] if self.path else -1
+    def reference(self) -> str:
+        """The spelled characters of ``path`` (derived, not stored)."""
+        return spell(self.chars, self.path)
 
 
 def _count_hops(lin: LinearizedGraph) -> int:
@@ -163,6 +163,13 @@ def _count_hops(lin: LinearizedGraph) -> int:
         for succ in succs
         if succ - position > 1
     )
+
+
+def _event(window: LinearizedGraph, chunk: str, k: int, rescued: bool,
+           ops_committed: int) -> WindowEvent:
+    """The :class:`WindowEvent` of one attempt of ``chunk`` on ``window``."""
+    return WindowEvent(len(window), len(chunk), k, rescued,
+                       _count_hops(window), ops_committed)
 
 
 def _difference(a: str, b: str) -> int:
@@ -282,14 +289,41 @@ def _hamming_rung(lin: LinearizedGraph, chunk: str,
 
 @dataclass
 class _Extension:
-    """One directional extension: flat ops plus consumed positions."""
+    """One directional extension: committed CIGAR runs (merged across
+    window cuts), consumed positions, read characters and edits."""
 
-    ops: list[str]
-    path: list[int]
+    runs: list[tuple[str, int]] = field(default_factory=list)
+    path: list[int] = field(default_factory=list)
+    read: int = 0
     edits: int = 0
     windows: int = 0
     rescues: int = 0
     dead_end_insertions: int = 0
+
+    def commit(self, runs: Iterable[tuple[str, int]],
+               positions: Sequence[int], base: int, target: int) -> int:
+        """Commit the prefix of a window's ``runs`` that consumes
+        ``target`` read characters (splitting the last run) and the
+        window ``positions`` it consumes, shifted by ``base``.
+        Returns the number of operations committed."""
+        read = ref = ops = 0
+        for op, length in runs:
+            if read >= target:
+                break
+            if op != "D":
+                length = min(length, target - read)
+                read += length
+            if op != "I":
+                ref += length
+            if op != "=":
+                self.edits += length
+            ops += length
+            if self.runs and self.runs[-1][0] == op:
+                length += self.runs.pop()[1]
+            self.runs.append((op, length))
+        self.path.extend(p + base for p in positions[:ref])
+        self.read += read
+        return ops
 
 
 class WindowedAligner:
@@ -391,7 +425,7 @@ class WindowedAligner:
         right = self._extend(lin, read[anchor_read:], anchors,
                              observer, counters, budget)
         parts = [right]
-        ops, path = right.ops, right.path
+        cigar, path = Cigar(tuple(right.runs)), right.path
         read_start = anchor_read
         if anchor_read > 0 and right.edits <= budget:
             rev = lin.reversed_view()
@@ -404,21 +438,21 @@ class WindowedAligner:
                 list(rev.successors_of(n - 1 - anchor_pos)),
                 observer, counters, budget - right.edits)
             parts.append(left)
-            read_start -= len(left.ops) - left.ops.count("D")
-            ops = list(reversed(left.ops)) + ops
+            read_start -= left.read
+            cigar = Cigar(tuple(reversed(left.runs))).concat(cigar)
             path = [n - 1 - p for p in reversed(left.path)] + path
-        cigar = Cigar.from_ops(ops)
+        distance = sum(part.edits for part in parts)
         return WindowedAlignment(
-            distance=cigar.edit_distance,
+            distance=distance,
             cigar=cigar,
             path=tuple(path),
-            reference="".join(lin.chars[p] for p in path),
+            chars=lin.chars,
             windows=sum(part.windows for part in parts),
             rescues=sum(part.rescues for part in parts),
             dead_end_insertions=sum(part.dead_end_insertions
                                     for part in parts),
             read_start=read_start,
-            abandoned=cigar.edit_distance > budget,
+            abandoned=distance > budget,
         )
 
     def _extend(
@@ -435,15 +469,15 @@ class WindowedAligner:
         commits that ``=`` / ``X`` run, charged to
         ``counters.windows_exact``; every other window attempt is one
         :func:`~repro.core.bitalign.bitalign` call, charged to
-        ``counters.align_calls``.  Both report the same
-        :class:`WindowEvent`.
+        ``counters.align_calls``.  Both commit through
+        :meth:`_Extension.commit` and report the same :class:`WindowEvent`.
 
         ``anchors`` restricts the allowed start positions of the first
         window (None = search every position of the whole region, the
         un-anchored fitting mode).  It stops once the committed edits
         exceed ``budget``.
         """
-        extension = _Extension(ops=[], path=[])
+        extension = _Extension()
         w = self.config.window_size
         overlap = self.config.overlap
         pos_pat = 0
@@ -458,8 +492,7 @@ class WindowedAligner:
             if base >= len(lin):
                 # Dead end with read remaining: only insertions left.
                 remaining = len(read) - pos_pat
-                extension.ops.extend("I" * remaining)
-                extension.edits += remaining
+                extension.commit((("I", remaining),), (), 0, remaining)
                 extension.dead_end_insertions += remaining
                 break
 
@@ -468,7 +501,6 @@ class WindowedAligner:
             # chunk-minus-overlap read characters otherwise.
             commit_target = len(chunk) if is_final \
                 else max(1, len(chunk) - overlap)
-            ops_before = len(extension.ops)
             rescued = False
             # Rungs 0–2: the kernel's answer is the Hamming run, so
             # commit it (the window is built for the observer only).
@@ -476,14 +508,10 @@ class WindowedAligner:
             if mismatches is not None:
                 if counters is not None:
                     counters.windows_exact += 1
-                extension.ops.extend("=" * commit_target)
+                ops = "=" * len(chunk)
                 for offset in mismatches:
-                    if offset < commit_target:
-                        extension.ops[ops_before + offset] = "X"
-                        extension.edits += 1
-                extension.path.extend(range(base, base + commit_target))
-                committed_read = commit_target
-                last_consumed: int | None = base + commit_target - 1
+                    ops = ops[:offset] + "X" + ops[offset + 1:]
+                runs, positions = Cigar.from_ops(ops), range(len(chunk))
                 if observer is not None:
                     window = lin.slice(
                         base, min(len(lin), base + len(chunk) + k))
@@ -512,45 +540,22 @@ class WindowedAligner:
                             "window alignment failed at k == chunk length"
                         )  # pragma: no cover - insertion chain guarantees it
                     if observer is not None:
-                        observer(WindowEvent(
-                            text_length=len(window),
-                            chunk_length=len(chunk),
-                            k=k, rescued=rescued,
-                            hops_in_window=_count_hops(window),
-                            ops_committed=0,
-                        ))
+                        observer(_event(window, chunk, k, rescued, 0))
                     k = min(len(chunk), k * 2)
                     extension.rescues += 1
                     rescued = True
-                committed_read = 0
-                path_cursor = 0
-                last_consumed = None
-                for op in result.cigar.expand():
-                    if committed_read >= commit_target:
-                        break
-                    extension.ops.append(op)
-                    if op != "=":
-                        extension.edits += 1
-                    if op in "=XD":
-                        last_consumed = result.path[path_cursor] + base
-                        extension.path.append(last_consumed)
-                        path_cursor += 1
-                    if op in "=XI":
-                        committed_read += 1
+                runs, positions = result.cigar, result.path
+            committed = extension.commit(runs, positions, base,
+                                         commit_target)
             extension.windows += 1
             first_window = False
-            pos_pat += committed_read
+            pos_pat += commit_target
             if observer is not None:
-                observer(WindowEvent(
-                    text_length=len(window),
-                    chunk_length=len(chunk),
-                    k=k, rescued=rescued,
-                    hops_in_window=_count_hops(window),
-                    ops_committed=len(extension.ops) - ops_before,
-                ))
-            if last_consumed is not None:
-                anchors = list(lin.successors_of(last_consumed))
-            # else: nothing consumed (pure insertions) — anchors stay.
+                observer(_event(window, chunk, k, rescued, committed))
+            if extension.path:
+                # The successors of the last consumed position; a
+                # window of pure insertions leaves them as they were.
+                anchors = list(lin.successors_of(extension.path[-1]))
 
         if counters is not None:
             counters.windows += extension.windows

@@ -228,6 +228,10 @@ def read_gaf(source: PathOrHandle) -> list[GafRecord]:
         records = []
         for line_number, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
+            if not line.isascii():
+                raise GafFormatError(
+                    f"line {line_number}: non-ASCII character"
+                )
             if not line:
                 continue
             fields = line.split("\t")
@@ -320,8 +324,11 @@ def validate_gaf_record(record: GafRecord,
 
 
 def _open_for_read(source: PathOrHandle):
+    # A non-ASCII byte decodes to a lone surrogate, which the reader
+    # rejects with its line number instead of a bare decode error.
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="ascii"), True
+        return open(source, "r", encoding="ascii",
+                    errors="surrogateescape"), True
     return source, False
 
 

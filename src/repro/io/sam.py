@@ -455,6 +455,10 @@ def read_sam(source: PathOrHandle) -> list[SamRecord]:
         records = []
         for line_number, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
+            if not line.isascii():
+                raise SamFormatError(
+                    f"line {line_number}: non-ASCII character"
+                )
             if not line or line.startswith("@"):
                 continue
             fields = line.split("\t")
@@ -464,12 +468,12 @@ def read_sam(source: PathOrHandle) -> list[SamRecord]:
                 )
             edit_distance = None
             pair_category = None
-            for tag in fields[11:]:
-                if tag.startswith("NM:i:"):
-                    edit_distance = int(tag[5:])
-                elif tag.startswith("YC:Z:"):
-                    pair_category = tag[5:]
             try:
+                for tag in fields[11:]:
+                    if tag.startswith("NM:i:"):
+                        edit_distance = int(tag[5:])
+                    elif tag.startswith("YC:Z:"):
+                        pair_category = tag[5:]
                 record = SamRecord(
                     qname=fields[0], flag=int(fields[1]),
                     rname=fields[2], pos=int(fields[3]),
@@ -598,8 +602,11 @@ def validate_sam_pair(rec1: SamRecord, rec2: SamRecord) -> None:
 
 
 def _open_for_read(source: PathOrHandle):
+    # A non-ASCII byte decodes to a lone surrogate, which the reader
+    # rejects with its line number instead of a bare decode error.
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="ascii"), True
+        return open(source, "r", encoding="ascii",
+                    errors="surrogateescape"), True
     return source, False
 
 

@@ -40,6 +40,17 @@ class TestConstruction:
         with pytest.raises(CigarError):
             Cigar.from_string("3")
 
+    @pytest.mark.parametrize("text", ["\u00b2=", "1\u00b2X", "3=\u00b9D",
+                                      "\u0663="],
+                             ids=["superscript-count", "superscript-op",
+                                  "superscript-trailing", "arabic-indic"])
+    def test_non_ascii_digit_rejected(self, text):
+        """``str.isdigit`` holds for superscripts and other scripts'
+        digits; a CIGAR count is ASCII digits only, and anything else
+        is a :class:`CigarError`, not a bare ``ValueError``."""
+        with pytest.raises(CigarError):
+            Cigar.from_string(text)
+
     @given(ops_strategy)
     def test_expand_inverts_from_ops(self, ops):
         assert list(Cigar.from_ops(ops).expand()) == ops

@@ -110,6 +110,21 @@ class TestSam:
         with pytest.raises(SamFormatError):
             read_sam(io.StringIO("r1\t0\tchr1\n"))
 
+    @pytest.mark.parametrize("bad", [
+        b"r2\t0\tchr1\t1\t60\t4=\t*\t0\t0\tACGT\t*\tNM:i:x",
+        b"r2\t0\tchr1\t1\t60\t4=\t*\t0\t0\tACGT\t*\tCO:Z:\xc3\xa9",
+        b"r\xff\t0\tchr1\t1\t60\t4=\t*\t0\t0\tACGT\t*",
+    ], ids=["nm-not-an-int", "utf8-tag", "non-utf8-qname"])
+    def test_malformed_line_names_its_line(self, tmp_path, bad):
+        """A bad ``NM:i:`` value or a non-ASCII byte is a
+        :class:`SamFormatError` naming its line, like every column."""
+        path = tmp_path / "bad.sam"
+        path.write_bytes(b"@HD\tVN:1.6\n"
+                         b"r1\t0\tchr1\t1\t60\t4=\t*\t0\t0\tACGT\t*\n"
+                         + bad + b"\n")
+        with pytest.raises(SamFormatError, match="^line 3: "):
+            read_sam(path)
+
     def test_qname_with_tab_rejected(self):
         # A tab inside QNAME would shift every downstream SAM column.
         from repro.core.mapper import MappingResult
@@ -291,6 +306,19 @@ class TestGaf:
     def test_short_line_rejected(self):
         with pytest.raises(GafFormatError):
             read_gaf(io.StringIO("r\t4\t0\t4\t+\t>1\n"))
+
+    @pytest.mark.parametrize("bad", [
+        b"r\xc3\xa9\t4\t0\t4\t+\t>1\t8\t0\t4\t4\t4\t60",
+        b"r\t4\t0\t4\t+\t>1\t8\t0\t4\t4\t4\t60\tcg:Z:4\xff",
+    ], ids=["utf8-name", "non-utf8-tag"])
+    def test_non_ascii_line_names_its_line(self, tmp_path, bad):
+        """A non-ASCII byte is a :class:`GafFormatError` naming its
+        line, not a bare decode error from the line iterator."""
+        path = tmp_path / "bad.gaf"
+        path.write_bytes(b"r\t4\t0\t4\t+\t>1\t8\t0\t4\t4\t4\t60\n"
+                         + bad + b"\n")
+        with pytest.raises(GafFormatError, match="^line 2: "):
+            read_gaf(path)
 
 
 class TestSamWriterSorted:
