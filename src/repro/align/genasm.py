@@ -48,12 +48,16 @@ def pattern_bitmasks(pattern: str) -> dict[str, int]:
     status bitvector extends the matched suffix by one character
     (Algorithm 1 line 3, ``genPatternBitmasks``).
     """
-    m = len(pattern)
-    all_ones = (1 << m) - 1
+    # The pattern itself, spelled in binary, is the mask read from
+    # bit m - 1 down: one translate and one parse per distinct
+    # character.  Characters absent from the pattern keep the
+    # all-ones mask (absent from the dict).
+    table = dict.fromkeys(map(ord, set(pattern)), "1")
     masks: dict[str, int] = {}
-    for j, char in enumerate(reversed(pattern)):
-        masks[char] = masks.get(char, all_ones) & ~(1 << j)
-    # Characters absent from the pattern keep the all-ones mask.
+    for code in table:
+        table[code] = "0"
+        masks[chr(code)] = int(pattern.translate(table), 2)
+        table[code] = "1"
     return masks
 
 

@@ -66,6 +66,43 @@ probing single bits of it and emits a SAM-style CIGAR.  The diagonal
 layout is private to this module: callers see ``rows[i][d]``,
 ``rows.best_start()`` and :func:`traceback`.
 
+**A window pays for its answer, not for k.**  GenASM keeps only the
+``R[d]`` fields a threshold needs and commits only the first W − O
+characters of a window; :func:`bitalign` does both:
+
+* *The rung.*  When ``k > RUNG`` (8) it first sweeps fields
+  ``0 .. RUNG`` of the same window and runs the ``k`` sweep only if
+  that store has no accepting start.  Field ``d`` of every diagonal
+  depends only on fields ``<= d`` (``up`` moves field d − 1 into d,
+  never back; the virtual row's field d depends on d alone),
+  :meth:`DiagonalRows.best_start` scans budgets upward, and the walk
+  from budget d* reads only fields ``<= d*``.  So a rung success is
+  field for field the answer of the ``k`` sweep; a failure costs one
+  extra sweep of ``RUNG + 1`` fields.
+* *The stop.*  ``commit=c`` stops the walk once ``c`` read characters
+  are consumed: the windowed aligner keeps exactly that prefix (its
+  commit drops everything after the ``c``-th read character, trailing
+  deletions included).
+* *The jump.*  At a position that is not a hop source the walk
+  bisects the longest run of ``=`` it would take one step at a time.
+  The run is bounded by the next hop source and by the stop; inside
+  it, step ``s`` (position ``i + s``, read bit ``j − s``) is a match
+  iff ``chars[i + s]`` equals the read character and bit ``j − s − 1``
+  of ``R[i + s + 1][d]`` is 0.  *Lemma:* those two facts force bit
+  ``j − s`` of ``R[i + s][d]`` to 0 — the match term
+  ``(R[i + s + 1][d] << 1) | PM`` is 0 there, and the AND of
+  0-active terms is 0 when any term is.  That bit is step ``s − 1``'s
+  condition, so the steps the walk would take form a prefix of the
+  run, and bisection finds its end in O(log t) bit probes and slice
+  compares against the read.  The walk emits CIGAR runs and ``range``
+  path segments, not single operations.
+* *Hop tables.*  The hop sweep keeps the hop sources in the array as
+  a sliding slice of a list and looks each one's ``SEL`` and skip
+  field up in a per-``(m, k)`` table of ``FIELD0 << d*m``
+  (:func:`_tables`, which also holds the planted virtual row), so no
+  mask is shifted along per diagonal and a diagonal without an
+  active source runs the chain recurrence.
+
 :func:`reference_bitvectors` is the former row-major, cell-by-cell
 recurrence, kept as the oracle the parity tests compare the kernel
 against; nothing in the library calls it.
@@ -74,6 +111,7 @@ against; nothing in the library calls it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.align.genasm import pattern_bitmasks, virtual_row
 from repro.core.alignment import Cigar
@@ -127,15 +165,12 @@ class DiagonalRows:
         n: window length in characters.
         m: pattern length (field width in bits).
         k: edit-distance threshold (``k + 1`` fields).
-        masks: the pattern bitmasks the sweep was built from, carried
-            so the traceback does not rebuild them.
     """
 
     diagonals: list[int]
     n: int
     m: int
     k: int
-    masks: dict[str, int]
 
     def __len__(self) -> int:
         return self.n
@@ -210,23 +245,39 @@ def generate_bitvectors(
     """
     _check_problem(pattern, k)
     m = len(pattern)
-    n = len(lin)
+    chars = lin.chars
+    n = len(chars)
     masks = pattern_bitmasks(pattern)
     field0 = (1 << m) - 1
     full = (1 << (k + 1) * m) - 1
     # The pattern mask entering field 0 at diagonal t = 1 .. n + k:
     # position n - t while it is inside the window, no-match after.
-    entering = [masks.get(char, field0) for char in reversed(lin.chars)]
+    lookup = dict.fromkeys(set(chars), field0)
+    lookup.update(masks)
+    entering = list(map(lookup.__getitem__, reversed(chars)))
     entering += [field0] * k
-    # (clear, set) pairs planting the virtual row in field t of D[t].
-    virtual = [(~(field0 << t * m), row << t * m)
-               for t, row in enumerate(virtual_row(m, k))]
+    fields, virtual = _tables(m, k)
     hops = _hop_distances(lin)
     if hops:
-        diagonals = _sweep_hops(entering, virtual, hops, n, m, full)
+        diagonals = _sweep_hops(entering, virtual, hops, fields, n, m,
+                                full)
     else:
         diagonals = _sweep_chain(entering, virtual, m, full)
-    return DiagonalRows(diagonals, n, m, k, masks)
+    return DiagonalRows(diagonals, n, m, k)
+
+
+@lru_cache(maxsize=16)
+def _tables(m: int, k: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Per-``(m, k)`` constants of the sweep: ``FIELD0 << d*m`` and the
+    ``(clear, set)`` pair planting the virtual row in field ``t`` of
+    ``D[t]`` (clear = the field's complement within ``FULL``), for
+    d, t = 0 .. k."""
+    field0 = (1 << m) - 1
+    full = (1 << (k + 1) * m) - 1
+    fields = [field0 << d * m for d in range(k + 1)]
+    virtual = [(full ^ fields[t], row << t * m)
+               for t, row in enumerate(virtual_row(m, k))]
+    return fields, virtual
 
 
 def _hop_distances(lin: LinearizedGraph) -> dict[int, tuple[int, ...]]:
@@ -254,8 +305,9 @@ def _sweep_chain(entering: list[int],
 
     :func:`_sweep_hops` with no hops computes the same diagonals; this
     loop exists because the hop bookkeeping (retained ``SP``/``Q``,
-    the ``SEL`` checks) costs a chain window a third more, and chains
-    are two thirds to all of the pipeline's windows.
+    the active-source checks) costs a chain window 8 % (k = 8) to
+    14 % (k = 32) more at m = 128, n = 160 on a 2-core x86-64 box,
+    and chains are two thirds to all of the pipeline's windows.
     """
     field0 = (1 << m) - 1
     low0 = full ^ (full // field0)
@@ -281,51 +333,68 @@ def _sweep_chain(entering: list[int],
 def _sweep_hops(entering: list[int],
                 virtual: list[tuple[int, int]],
                 hops: dict[int, tuple[int, ...]],
-                n: int, m: int, full: int) -> list[int]:
+                fields: list[int], n: int, m: int,
+                full: int) -> list[int]:
     """The sweep over a window with hops and/or mid-window dead ends.
 
-    The distance-1 term is applied to every field except those whose
-    position lacks an ``i + 1`` successor (``skip`` — the complement of
-    ``SEL_1``); every other distance only while its ``SEL`` mask is
-    non-zero, i.e. for the ``k + 1`` diagonals a hop source spends in
-    the array.  ``sel != 0`` implies ``t - δ >= 0``: a selected field's
-    successor is a stored position.
+    Hop source ``p`` enters field 0 at diagonal ``n - p`` and sits in
+    field ``t - (n - p)`` of diagonal ``t`` for the ``k + 1`` diagonals
+    it spends in the array; sources leave in the order they enter, so
+    the active ones are a sliding slice of a list, and a diagonal with
+    none runs the chain recurrence.  The distance-1 term is applied to
+    every field except those of active sources lacking an ``i + 1``
+    successor (``skip`` — the complement of ``SEL_1``); every other
+    distance ``δ`` to the fields of the active sources that have it
+    (``SEL_δ``).  Each source's field mask is looked up in ``fields``
+    (:func:`_tables`) rather than shifted along from the previous
+    diagonal; masks of sources sharing a distance are OR-ed, so a
+    dense run of bubbles computes each distance's term once per
+    diagonal.  An active field's successor ``t - δ`` is a stored
+    diagonal: its position ``p + δ`` is at most the virtual row ``n``.
     """
     field0 = (1 << m) - 1
     low0 = full ^ (full // field0)
     k = len(virtual) - 1
+    # (entry diagonal, distances other than 1, lacks i + 1), in entry
+    # order (positions descending).
+    sources = [(n - p, tuple(dist for dist in distances if dist != 1),
+                1 not in distances)
+               for p, distances in sorted(hops.items(), reverse=True)]
     diagonals = [full]
     sp = (full << 1) & low0           # SP[t-1]
     q = full & sp                     # Q[t-1]
     q_behind = full                   # Q[t-2]
     sps = [sp]                        # sps[t] = SP[t]
     qs = [q_behind, q]                # qs[t + 1] = Q[t]; Q[-1] = FULL
-    select: dict[int, int] = {}       # distance -> non-zero SEL mask
-    skip = 0
+    first = last = 0                  # active sources[first:last]
+    pending = len(sources)
     pm = full
     for t, char_mask in enumerate(entering, 1):
         pm = ((pm << m) | char_mask) & full
-        if select:
-            select = {distance: sel for distance, old in select.items()
-                      if (sel := (old << m) & full)}
-        if skip:
-            skip = (skip << m) & full
-        source = hops.get(n - t, ())
-        if source:
-            for distance in source:
-                if distance != 1:
-                    select[distance] = select.get(distance, 0) | field0
-            if 1 not in source:
-                skip |= field0
-        if skip:
-            diagonal = ((sp | pm) & ((q_behind << m) | field0) | skip) \
-                & ((sp << m) | field0)
-        else:
+        if last < pending and sources[last][0] == t:
+            last += 1
+        while first < last and sources[first][0] + k < t:
+            first += 1
+        if first == last:
             diagonal = (sp | pm) & (((sp & q_behind) << m) | field0)
-        for distance, sel in select.items():
-            back = t - distance
-            diagonal &= ((sps[back] | pm)
-                         & ((qs[back] << m) | field0)) | (sel ^ full)
+        else:
+            skip = 0
+            select: dict[int, int] = {}   # distance -> SEL fields
+            for entry, distances, skips in sources[first:last]:
+                mask = fields[t - entry]
+                if skips:
+                    skip |= mask
+                for distance in distances:
+                    select[distance] = select.get(distance, 0) | mask
+            if skip:
+                diagonal = ((sp | pm) & ((q_behind << m) | field0)
+                            | skip) & ((sp << m) | field0)
+            else:
+                diagonal = (sp | pm) & (((sp & q_behind) << m) | field0)
+            for distance, mask in select.items():
+                back = t - distance
+                diagonal &= ((sps[back] | pm)
+                             & ((qs[back] << m) | field0)) | (mask ^ full)
         if t <= k:
             clear, plant = virtual[t]
             diagonal = diagonal & clear | plant
@@ -400,23 +469,49 @@ def traceback(
     all_r,
     start: int,
     budget: int,
+    commit: int | None = None,
 ) -> BitAlignResult:
     """Walk the stored bitvectors forward and emit the CIGAR.
 
     ``all_r`` is the :class:`DiagonalRows` of :func:`generate_bitvectors`
-    (walked natively, one bit probe per question) or any row-indexable
-    store with ``all_r[i][d]`` an int, such as the oracle's list of
-    lists.  ``start`` must satisfy the invariant that bit ``m - 1`` of
-    ``R[start][budget]`` is 0.  Intermediate bitvectors are
-    regenerated on demand; operation preference is
-    match, substitution, deletion, insertion (ties resolved toward the
-    first-listed successor), identically on both walks.
+    (walked natively, one bit probe per question, ``=`` runs bisected —
+    see the module docstring) or any row-indexable store with
+    ``all_r[i][d]`` an int, such as the oracle's list of lists.  Bit
+    ``m - 1`` of ``R[start][budget]`` must be 0, with ``0 <= start < n``
+    and ``budget`` at most the store's threshold; anything else raises
+    :class:`ValueError`.  Intermediate bitvectors are regenerated on
+    demand; operation preference is match, substitution, deletion,
+    insertion (ties resolved toward the first-listed successor),
+    identically on both walks.
+
+    ``commit`` stops the walk once that many read characters are
+    consumed: the result is the prefix of the full walk up to and
+    including the operation that consumes the ``commit``-th one, and
+    its ``distance`` counts that prefix's edits.
     """
-    if isinstance(all_r, DiagonalRows):
-        ops, path = _walk_diagonals(lin, all_r, start, budget)
+    n, m = len(lin), len(pattern)
+    if not 0 <= start < n:
+        raise ValueError(f"start {start} outside the window [0, {n})")
+    native = isinstance(all_r, DiagonalRows)
+    top = all_r.k if native else len(all_r[start]) - 1
+    if not 0 <= budget <= top:
+        raise ValueError(f"budget {budget} outside [0, {top}]")
+    accepting = (all_r.diagonals[n - start + budget] >> budget * m
+                 if native else all_r[start][budget]) >> m - 1
+    if accepting & 1:
+        raise ValueError(f"no alignment of the pattern starts at "
+                         f"{start} within {budget} edits")
+    if commit is not None and commit < 1:
+        raise ValueError(f"commit must be >= 1, got {commit}")
+    # The walk runs while the read bit j is above ``stop``.
+    stop = -1 if commit is None else max(-1, m - 1 - commit)
+    if native:
+        runs, path = _walk_diagonals(lin, pattern, all_r, start, budget,
+                                     stop)
+        cigar = Cigar(tuple(map(tuple, runs)))
     else:
-        ops, path = _walk_rows(lin, pattern, all_r, start, budget)
-    cigar = Cigar.from_ops(ops)
+        ops, path = _walk_rows(lin, pattern, all_r, start, budget, stop)
+        cigar = Cigar.from_ops(ops)
     return BitAlignResult(
         distance=cigar.edit_distance,
         cigar=cigar,
@@ -432,27 +527,66 @@ def _stuck(i: int, j: int, d: int) -> AssertionError:
     )
 
 
-def _walk_diagonals(lin: LinearizedGraph, rows: DiagonalRows,
-                    start: int, budget: int) -> tuple[list[str], list[int]]:
-    """The traceback walk over the diagonal store.
+def _walk_diagonals(lin: LinearizedGraph, pattern: str,
+                    rows: DiagonalRows, start: int, budget: int,
+                    stop: int) -> tuple[list[list], list[int]]:
+    """The traceback walk over the diagonal store, down to read bit
+    ``stop + 1``; returns ``[op, length]`` runs and the path.
 
     Bit ``b`` of ``R[s][e]`` is bit ``e*m + b`` of ``D[n - s + e]``; the
     virtual row is position ``n``, so a dead end needs no special store.
     ``b = -1`` (the empty suffix) matches everywhere.
     """
-    diagonals, n, m, masks = rows.diagonals, rows.n, rows.m, rows.masks
-    no_match = (1 << m) - 1
+    diagonals, n, m = rows.diagonals, rows.n, rows.m
     chars = lin.chars
     # Only a hop source's successors are looked up; every other
     # position steps to the next one (never past the window: the last
     # position is always a hop source).
-    hops = dict(lin.hop_sources())
+    special = lin.hop_sources()
+    hops = dict(special)
+    sources = [position for position, _ in special]
+    upcoming = 0                      # sources[upcoming] = next >= i
     dead_end = (n,)
-    ops: list[str] = []
+    runs: list[list] = []
     path: list[int] = []
+
+    def emit(op: str, length: int) -> None:
+        if runs and runs[-1][0] == op:
+            runs[-1][1] += length
+        else:
+            runs.append([op, length])
+
     i, j, d = start, m - 1, budget
-    while j >= 0:
-        mismatch = (masks.get(chars[i], no_match) >> j) & 1
+    while j > stop:
+        while sources[upcoming] < i:
+            upcoming += 1
+        offset = m - 1 - j
+        if sources[upcoming] != i and chars[i] == pattern[offset]:
+            # The jump: the longest prefix of the straight run up to
+            # the next hop source and the stop whose steps are all
+            # matches (they form a prefix: module docstring).  Step
+            # ``t - 1`` probes bit ``j - t`` of ``R[i + t][d]``.
+            top = n + d - i
+            bit = d * m + j
+            lo, hi = 0, min(sources[upcoming] - i, j - stop)
+            while lo < hi:
+                mid = (lo + hi + 1) >> 1
+                if (mid > j or not (diagonals[top - mid] >> bit - mid) & 1) \
+                        and pattern.startswith(chars[i:i + mid], offset):
+                    lo = mid
+                else:
+                    hi = mid - 1
+            if lo:
+                emit("=", lo)
+                path.extend(range(i, i + lo))
+                i += lo
+                j -= lo
+                if j <= stop:
+                    break
+            # The step after the run — at a hop source, a character
+            # mismatch or a match the bits refuse — is taken below,
+            # one operation at a time.
+        mismatch = chars[i] != pattern[m - 1 - j]
         own = hops.get(i)
         if own is None:
             own = (i + 1,)
@@ -479,14 +613,14 @@ def _walk_diagonals(lin: LinearizedGraph, rows: DiagonalRows,
                     d -= 1
                     break
         if taken is not None:
-            ops.append(op)
+            emit(op, 1)
             path.append(i)
             j -= 1
-            if j >= 0 and taken == n:
+            if j > stop and taken == n:
                 # Dead end: the remaining read characters can only be
                 # insertions (the virtual row's zero bits guarantee
                 # the budget covers them).
-                ops.extend("I" * (j + 1))
+                emit("I", j - stop)
                 break
             i = taken
             continue
@@ -499,24 +633,26 @@ def _walk_diagonals(lin: LinearizedGraph, rows: DiagonalRows,
                     taken = s
                     break
             if taken is not None:
-                ops.append("D")
+                emit("D", 1)
                 path.append(i)
                 i = taken
                 d -= 1
                 continue
             # 4. Insertion: consumes the read character only.
             if j == 0 or not (diagonals[top - i] >> (bit - 1)) & 1:
-                ops.append("I")
+                emit("I", 1)
                 j -= 1
                 d -= 1
                 continue
         raise _stuck(i, j, d)  # pragma: no cover - recurrence bug
-    return ops, path
+    return runs, path
 
 
 def _walk_rows(lin: LinearizedGraph, pattern: str, all_r,
-               start: int, budget: int) -> tuple[list[str], list[int]]:
-    """The traceback walk over any ``all_r[i][d]`` row store."""
+               start: int, budget: int,
+               stop: int) -> tuple[list[str], list[int]]:
+    """The traceback walk over any ``all_r[i][d]`` row store, one
+    operation per step, down to read bit ``stop + 1``."""
     m = len(pattern)
     mask = (1 << m) - 1
     masks = pattern_bitmasks(pattern)
@@ -530,7 +666,7 @@ def _walk_rows(lin: LinearizedGraph, pattern: str, all_r,
     ops: list[str] = []
     path: list[int] = []
     i, j, d = start, m - 1, budget
-    while j >= 0:
+    while j > stop:
         cur_pm = masks.get(lin.chars[i], mask)
         succs = lin.successors_of(i)
         succ_pairs = [(s, all_r[s]) for s in succs] or [(None, virtual)]
@@ -543,13 +679,13 @@ def _walk_rows(lin: LinearizedGraph, pattern: str, all_r,
                     ops.append("=")
                     path.append(i)
                     j -= 1
-                    if j >= 0 and succ is None:
+                    if j > stop and succ is None:
                         # Dead end: the remaining read characters can
                         # only be insertions (the virtual row's zero
                         # bits guarantee the budget covers them).
-                        ops.extend("I" * (j + 1))
+                        ops.extend("I" * (j - stop))
                         done = True
-                    elif j >= 0:
+                    elif j > stop:
                         i = succ
                     moved = True
                     break
@@ -566,10 +702,10 @@ def _walk_rows(lin: LinearizedGraph, pattern: str, all_r,
                     path.append(i)
                     j -= 1
                     d -= 1
-                    if j >= 0 and succ is None:
-                        ops.extend("I" * (j + 1))
+                    if j > stop and succ is None:
+                        ops.extend("I" * (j - stop))
                         done = True
-                    elif j >= 0:
+                    elif j > stop:
                         i = succ
                     moved = True
                     break
@@ -598,11 +734,17 @@ def _walk_rows(lin: LinearizedGraph, pattern: str, all_r,
     return ops, path
 
 
+#: Fields of the first sweep when the threshold is above it (the rung:
+#: module docstring).
+RUNG = 8
+
+
 def bitalign(
     lin: LinearizedGraph,
     pattern: str,
     k: int,
     anchors: list[int] | None = None,
+    commit: int | None = None,
 ) -> BitAlignResult | None:
     """Full BitAlign: bitvector generation plus traceback.
 
@@ -610,16 +752,26 @@ def bitalign(
         lin: linearized, topologically sorted subgraph (the candidate
             region MinSeed fetched).
         pattern: the query read (or read chunk, in windowed mode).
-        k: edit-distance threshold.
+        k: edit-distance threshold.  Above :data:`RUNG` the window is
+            swept at ``RUNG`` first and at ``k`` only when that finds
+            no start; the answer is the same.
         anchors: optional restriction of the allowed start positions —
             the windowed aligner uses this to chain a window onto the
-            successors of the previous window's endpoint.
+            successors of the previous window's endpoint.  Each must
+            be a position of ``lin`` (:class:`ValueError` otherwise).
+        commit: optional number of read characters after which the
+            traceback stops (see :func:`traceback`).
 
     Returns:
         The best alignment, or None when no alignment within ``k``
         edits exists (from the allowed anchors).
     """
-    if len(lin) == 0:
+    n = len(lin)
+    for anchor in anchors or ():
+        if not 0 <= anchor < n:
+            raise ValueError(f"anchor {anchor} outside the window "
+                             f"[0, {n})")
+    if n == 0:
         if len(pattern) <= k:
             return BitAlignResult(
                 distance=len(pattern),
@@ -628,9 +780,14 @@ def bitalign(
                 chars=lin.chars,
             )
         return None
-    all_r = generate_bitvectors(lin, pattern, k)
-    located = all_r.best_start(candidates=anchors)
+    located = None
+    if k > RUNG:
+        all_r = generate_bitvectors(lin, pattern, RUNG)
+        located = all_r.best_start(candidates=anchors)
     if located is None:
-        return None
+        all_r = generate_bitvectors(lin, pattern, k)
+        located = all_r.best_start(candidates=anchors)
+        if located is None:
+            return None
     budget, start = located
-    return traceback(lin, pattern, all_r, start, budget)
+    return traceback(lin, pattern, all_r, start, budget, commit=commit)

@@ -41,12 +41,13 @@ single indel that aligns it — commits its ``=`` / ``X`` run directly
 SHD sense that never changes the answer; the lemma is in
 :func:`_hamming_rung`).  Every other window — chain or hop-bearing,
 first attempt or rescue — is one call of
-:func:`repro.core.bitalign.bitalign`, i.e. one sweep of the
-systolic-diagonal kernel described in :mod:`repro.core.bitalign` plus
-its native traceback.  Both kinds of window share one commit step over
-runs and report the same :class:`WindowEvent`: the hardware has no
-string compare, so its model charges the systolic array for every
-window.
+:func:`repro.core.bitalign.bitalign`: the systolic-diagonal kernel
+described in :mod:`repro.core.bitalign` (a sweep of fields 0–8 first,
+the ``k`` sweep only when that finds no start) plus its native
+traceback, stopped at the window's commit point.  Both kinds of
+window share one commit step over runs and report the same
+:class:`WindowEvent`: the hardware has no string compare, so its
+model charges the systolic array for every window.
 :meth:`WindowedAligner.align_many` is :meth:`WindowedAligner.align`
 per item; nothing is batched across windows, so a result depends on
 nothing but its own item.
@@ -532,7 +533,8 @@ class WindowedAligner:
                     if counters is not None:
                         counters.align_calls += 1
                     result = bitalign(window, chunk, k,
-                                      anchors=local_anchors)
+                                      anchors=local_anchors,
+                                      commit=commit_target)
                     if result is not None:
                         break
                     if k >= len(chunk):

@@ -15,7 +15,8 @@ from repro.sim.variants import VariantProfile, simulate_variants
 
 # Hypothesis profiles.  Tier-1 runs ``tier1``; a CI step reruns the
 # rung oracles (``tests/test_windows.py::TestExactWindows``, the
-# straightness query, the cycle-model parity) under
+# straightness query, the cycle-model parity, the kernel's
+# ``TestRung`` / ``TestStopAndJump``) under
 # ``--hypothesis-profile=deep``.  Those tests set no ``max_examples``
 # of their own, so they take the count from the profile, as does
 # every other property test that pins none (150 under ``tier1``

@@ -7,6 +7,8 @@ replays exactly.  On chains it must also equal the linear aligners.
 
 from __future__ import annotations
 
+import importlib
+import math
 import random
 
 import pytest
@@ -16,8 +18,9 @@ from hypothesis import strategies as st
 from repro.align.dp_graph import graph_distance
 from repro.align.dp_linear import semiglobal_distance
 from repro.align.genasm import genasm_distance
-from repro.core.alignment import replay_alignment
+from repro.core.alignment import Cigar, replay_alignment
 from repro.core.bitalign import (
+    BitAlignResult,
     bitalign,
     bitalign_distance,
     generate_bitvectors,
@@ -29,6 +32,10 @@ from repro.graph.genome_graph import GenomeGraph
 from repro.graph.linearize import LinearizedGraph, linearize
 from repro.sim.reference import random_reference
 from repro.sim.variants import VariantProfile, simulate_variants
+
+#: The kernel module (``repro.core.bitalign`` as an attribute is the
+#: function the package re-exports).
+KERNEL = importlib.import_module("repro.core.bitalign")
 
 dna = st.text(alphabet="ACGT", min_size=1, max_size=40)
 pattern_strategy = st.text(alphabet="ACGT", min_size=1, max_size=20)
@@ -245,6 +252,22 @@ def oracle_bitalign(lin, pattern, k, anchors=None):
     return traceback(lin, pattern, rows, start, budget)
 
 
+def committed_prefix(result, commit):
+    """The part of ``result`` the windowed aligner commits: every
+    operation up to and including the one consuming the ``commit``-th
+    read character, and the positions those operations consume."""
+    ops, read = [], 0
+    for op in result.cigar.expand():
+        if read == commit:
+            break
+        ops.append(op)
+        read += op != "D"
+    cigar = Cigar.from_ops(ops)
+    consumed = sum(op != "I" for op in ops)
+    return BitAlignResult(cigar.edit_distance, cigar,
+                          result.path[:consumed], result.chars)
+
+
 def dag_window(rng, n, hop_rate, dead_rate, skip_rate, alphabet="ACGT"):
     """A random DAG window: any forward edge is allowed, so it covers
     what sliced variant graphs produce and more."""
@@ -455,9 +478,10 @@ class TestPipelineWindows:
         jobs = []
         kernel = windows_module.bitalign
 
-        def spy(window, chunk, k, anchors=None):
-            jobs.append((window, chunk, k, anchors))
-            return kernel(window, chunk, k, anchors=anchors)
+        def spy(window, chunk, k, anchors=None, commit=None):
+            jobs.append((window, chunk, k, anchors, commit))
+            return kernel(window, chunk, k, anchors=anchors,
+                          commit=commit)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(windows_module, "bitalign", spy)
@@ -483,11 +507,328 @@ class TestPipelineWindows:
 
     def test_capture_spans_the_window_kinds(self, captured):
         kinds = {(window.is_chain(), anchors is None)
-                 for window, _, _, anchors in captured}
+                 for window, _, _, anchors, _ in captured}
         assert kinds >= {(True, False), (False, False), (False, True)}
-        assert {64, 128} <= {k for _, _, k, _ in captured}
+        assert {64, 128} <= {k for _, _, k, _, _ in captured}
 
     def test_results_equal_the_oracle(self, captured):
-        for window, chunk, k, anchors in captured:
+        for window, chunk, k, anchors, _ in captured:
             assert bitalign(window, chunk, k, anchors=anchors) == \
                 oracle_bitalign(window, chunk, k, anchors)
+
+    def test_stopped_walk_is_the_committed_prefix(self, captured):
+        """Every pipeline window passes its commit point, and the walk
+        stopped there equals the prefix of the full walk the windowed
+        aligner keeps."""
+        stopped = 0
+        for window, chunk, k, anchors, commit in captured:
+            assert commit is not None and 1 <= commit <= len(chunk)
+            full = bitalign(window, chunk, k, anchors=anchors)
+            result = bitalign(window, chunk, k, anchors=anchors,
+                              commit=commit)
+            if full is None:
+                assert result is None
+                continue
+            assert result == committed_prefix(full, commit)
+            stopped += commit < len(chunk)
+        assert stopped >= 20
+
+
+# ----------------------------------------------------------------------
+# Preconditions of the kernel's front doors
+# ----------------------------------------------------------------------
+
+class TestPreconditions:
+    """Anchors and traceback starts outside the contract raise
+    ``ValueError`` naming the value, instead of an ``IndexError``, a
+    silent None, the "stuck" assertion or a plausible alignment read
+    from bits above the top field."""
+
+    @pytest.mark.parametrize("anchor", [4, 6, -1])
+    def test_anchor_outside_the_window(self, anchor):
+        lin = chain("ACGT")
+        with pytest.raises(ValueError, match=f"anchor {anchor} "):
+            bitalign(lin, "ACG", 2, anchors=[0, anchor])
+
+    def test_anchor_check_precedes_the_sweep(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("swept before checking the anchors")
+
+        monkeypatch.setattr(KERNEL, "generate_bitvectors", no_sweep)
+        with pytest.raises(ValueError, match="anchor 9 "):
+            bitalign(chain("ACGT"), "ACG", 12, anchors=[9])
+
+    @pytest.mark.parametrize("store", ["diagonal", "rows"])
+    @pytest.mark.parametrize("start,budget,match", [
+        (-1, 0, "start -1 "),
+        (4, 0, "start 4 "),
+        (3, 5, "budget 5 "),
+        (3, -1, "budget -1 "),
+        (0, 0, "no alignment"),
+    ], ids=["start-negative", "start-past-end", "budget-above-k",
+            "budget-negative", "accepting-bit-set"])
+    def test_traceback_outside_its_precondition(self, store, start,
+                                                budget, match):
+        lin = chain("ACGT")
+        rows = generate_bitvectors(lin, "TTT", 1)
+        if store == "rows":
+            rows = list(rows)
+        with pytest.raises(ValueError, match=match):
+            traceback(lin, "TTT", rows, start, budget)
+
+    def test_traceback_at_its_precondition(self):
+        """The boundary that is allowed: budget = k, last position."""
+        lin = chain("ACGT")
+        rows = generate_bitvectors(lin, "TTT", 2)
+        assert traceback(lin, "TTT", rows, 3, 2) == \
+            traceback(lin, "TTT", list(rows), 3, 2)
+
+
+# ----------------------------------------------------------------------
+# The rung, the stop and the jump
+# ----------------------------------------------------------------------
+
+def k_only(lin, pattern, k, anchors=None, commit=None):
+    """``bitalign`` with the rung patched off: one sweep at ``k``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(KERNEL, "RUNG", math.inf)
+        return bitalign(lin, pattern, k, anchors=anchors, commit=commit)
+
+
+def sweeps_of(lin, pattern, k, anchors=None):
+    """The thresholds ``bitalign`` sweeps at, in order."""
+    real = KERNEL.generate_bitvectors
+    seen = []
+
+    def spy(window, chunk, threshold):
+        seen.append(threshold)
+        return real(window, chunk, threshold)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(KERNEL, "generate_bitvectors", spy)
+        bitalign(lin, pattern, k, anchors=anchors)
+    return seen
+
+
+def shaped_window(rng, shape, n, alphabet="ACGT"):
+    """A window of one of three shapes: a chain; SNP / indel bubbles
+    (``i -> {i+1, i+2}``, ``i+1 -> i+3``); or planted hops
+    (``i -> {i+1, i+δ}``, δ up to 12, plus skip sources and dead
+    ends)."""
+    successors = [[i + 1] if i + 1 < n else [] for i in range(n)]
+    if shape == "bubble":
+        i = rng.randint(0, 4)
+        while i + 3 < n:
+            successors[i] = [i + 1, i + 2]
+            successors[i + 1] = [i + 3]
+            i += rng.randint(3, 9)
+    elif shape == "hop":
+        for i in range(n - 2):
+            roll = rng.random()
+            if roll < 0.12:
+                successors[i].append(min(n - 1, i + rng.randint(2, 12)))
+            elif roll < 0.15:
+                successors[i] = [min(n - 1, i + rng.randint(2, 12))]
+            elif roll < 0.17:
+                successors[i] = []
+    return LinearizedGraph(
+        chars="".join(rng.choice(alphabet) for _ in range(n)),
+        successors=[tuple(sorted(set(s))) for s in successors],
+        node_ids=list(range(n)), node_offsets=[0] * n)
+
+
+def planted_read(rng, lin, start, m, edits):
+    """The spelling of a walk from ``start`` with ``edits`` random
+    substitutions, insertions and deletions planted in it."""
+    spelled, position = [], start
+    while len(spelled) < m + edits and position is not None:
+        spelled.append(lin.chars[position])
+        succs = lin.successors[position]
+        position = rng.choice(succs) if succs else None
+    for _ in range(edits):
+        at = rng.randrange(len(spelled))
+        kind = rng.random()
+        if kind < 0.5:
+            spelled[at] = rng.choice("ACGT")
+        elif kind < 0.75:
+            spelled.insert(at, rng.choice("ACGT"))
+        elif len(spelled) > 1:
+            del spelled[at]
+    return "".join(spelled[:m])
+
+
+def walk_is_valid(lin, result):
+    return all(b in lin.successors[a]
+               for a, b in zip(result.path, result.path[1:]))
+
+
+class TestRung:
+    """A window swept at fields 0–8 first answers exactly like the
+    ``k`` sweep alone (module docstring: the rung), on chains,
+    bubbles and planted hops, at every threshold."""
+
+    # The example count comes from the hypothesis profile (tier-1 or
+    # ``--hypothesis-profile=deep``, see ``conftest.py``).
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=1_000_000),
+           st.sampled_from(("chain", "bubble", "hop")))
+    def test_rung_equals_the_k_sweep(self, seed, shape):
+        rng = random.Random(seed)
+        m = rng.randint(1, 60)
+        lin = shaped_window(rng, shape, m + rng.randint(0, 40))
+        edits = rng.choice((0, 3, 7, 8, 9, 10, rng.randint(0, 16)))
+        start = rng.randrange(len(lin))
+        pattern = planted_read(rng, lin, start, m, edits) or "A"
+        k = rng.choice((rng.randint(0, 8), 8, 9, 16, 32,
+                        rng.randint(9, 40)))
+        anchors = rng.choice((None, [start],
+                              sorted({start, rng.randrange(len(lin))})))
+        commit = rng.choice((None, rng.randint(1, len(pattern))))
+        expected = k_only(lin, pattern, k, anchors, commit)
+        assert bitalign(lin, pattern, k, anchors=anchors,
+                        commit=commit) == expected
+        if commit is None:
+            assert expected == oracle_bitalign(lin, pattern, k, anchors)
+
+    @pytest.mark.parametrize("distance", [7, 8, 9, 10])
+    @pytest.mark.parametrize("k", [8, 9, 32])
+    def test_boundary_distances(self, distance, k):
+        """d* = 8 is the rung's last budget, d* = 9 the k sweep's
+        first: spaced substitutions on a random chain pin d*."""
+        rng = random.Random(distance * 100 + k)
+        text = "".join(rng.choice("ACGT") for _ in range(200))
+        lin = chain(text)
+        read = list(text[20:140])
+        for at in range(5, 5 + 12 * distance, 12):
+            read[at] = "ACGT"[("ACGT".index(read[at]) + 1) % 4]
+        read = "".join(read)
+        assert graph_distance(lin, read)[0] == distance
+        result = bitalign(lin, read, k, anchors=[20])
+        assert result == k_only(lin, read, k, [20])
+        assert result == oracle_bitalign(lin, read, k, [20])
+        if distance > k:
+            assert result is None
+        else:
+            assert result.distance == distance
+        expected = [k] if k <= 8 else [8] if distance <= 8 else [8, k]
+        assert sweeps_of(lin, read, k, [20]) == expected
+
+    def test_rung_applies_to_mate_rescue_thresholds(self):
+        """``k`` ≤ 8 sweeps once; above it the rung answers first."""
+        lin = chain("ACGTACGTTT")
+        assert sweeps_of(lin, "ACGT", 3) == [3]
+        assert sweeps_of(lin, "ACGT", 100) == [8]
+        assert sweeps_of(lin, "G" * 12, 12) == [8, 12]
+
+
+class TestStopAndJump:
+    """The walk that stops at the commit point and bisects ``=`` runs
+    takes exactly the steps of the one-op-per-step row walk."""
+
+    # The example count comes from the hypothesis profile (tier-1 or
+    # ``--hypothesis-profile=deep``, see ``conftest.py``).
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=1_000_000))
+    def test_jump_equals_the_row_walk(self, seed):
+        """Low-complexity text over dense bubbles and hops, read with
+        few edits: ``=`` runs cross hop sources, skip sources and dead
+        ends."""
+        rng = random.Random(seed)
+        shape = rng.choice(("bubble", "hop"))
+        alphabet = rng.choice(("A", "AC", "ACGT"))
+        m = rng.randint(1, 80)
+        lin = shaped_window(rng, shape, m + rng.randint(0, 30), alphabet)
+        start = rng.randrange(len(lin))
+        pattern = planted_read(rng, lin, start, m, rng.randint(0, 3)) \
+            or "A"
+        k = rng.choice((0, 1, 3, 8, len(pattern)))
+        rows = generate_bitvectors(lin, pattern, k)
+        anchors = rng.choice((None, [start]))
+        located = rows.best_start(anchors)
+        if located is None:
+            return
+        budget, first = located
+        commit = rng.randint(1, len(pattern))
+        full = traceback(lin, pattern, rows, first, budget)
+        stopped = traceback(lin, pattern, rows, first, budget,
+                            commit=commit)
+        assert full == traceback(lin, pattern, list(rows), first, budget)
+        assert stopped == traceback(lin, pattern, list(rows), first,
+                                    budget, commit=commit)
+        assert stopped == committed_prefix(full, commit)
+        assert walk_is_valid(lin, full)
+        assert full.distance == budget
+        assert replay_alignment(full.cigar, pattern,
+                                full.reference) == budget
+
+    @pytest.mark.parametrize("successors_of_3,k,cigar,path", [
+        ((5,), 0, "8=", (0, 1, 2, 3, 5, 6, 7, 8)),
+        ((), 4, "4=4I", (0, 1, 2, 3)),
+        ((6, 9), 0, "8=", (0, 1, 2, 3, 6, 7, 8, 9)),
+    ], ids=["skip-source", "dead-end", "hops-only"])
+    def test_run_does_not_continue_past_a_hop_source(
+            self, successors_of_3, k, cigar, path):
+        """Trap: a homopolymer whose straight text matches the read
+        past position 3, where the graph skips 4 or ends.  A jump not
+        bounded by the hop source walks 3 -> 4."""
+        n = 12
+        successors = [(i + 1,) for i in range(n - 1)] + [()]
+        successors[3] = successors_of_3
+        lin = LinearizedGraph(chars="A" * n, successors=successors,
+                              node_ids=list(range(n)),
+                              node_offsets=[0] * n)
+        result = bitalign(lin, "A" * 8, k, anchors=[0])
+        assert (str(result.cigar), result.path) == (cigar, path)
+        assert result == oracle_bitalign(lin, "A" * 8, k, [0])
+        assert walk_is_valid(lin, result)
+
+    def test_stop_inside_a_run_and_at_a_deletion(self):
+        """The stop splits a run and drops the deletions after the
+        commit point, as the windowed aligner's commit does."""
+        lin = chain("ACGTTTACGTAC")
+        full = bitalign(lin, "ACGTACGTAC", 2, anchors=[0])
+        assert str(full.cigar) == "4=2D6="
+        for commit in range(1, 11):
+            stopped = bitalign(lin, "ACGTACGTAC", 2, anchors=[0],
+                               commit=commit)
+            assert stopped == committed_prefix(full, commit)
+        assert str(bitalign(lin, "ACGTACGTAC", 2, anchors=[0],
+                            commit=4).cigar) == "4="
+        with pytest.raises(ValueError, match="commit"):
+            bitalign(lin, "ACGT", 2, commit=0)
+
+
+class TestHopSweep:
+    """The hop sweep's per-source table lookups against the row-major
+    oracle where sources overlap in the array."""
+
+    def window(self):
+        n = 40
+        successors = [(i + 1,) for i in range(n - 1)] + [()]
+        # Two same-distance sources two positions apart: with k >= 2
+        # both sit in the array at once.
+        successors[5] = (6, 8)
+        successors[7] = (8, 10)
+        successors[12] = (15,)            # skip source
+        successors[13] = (14, 16)
+        successors[20] = ()               # mid-window dead end
+        successors[24] = (25, 27, 31)
+        successors[26] = (27, 29)
+        rng = random.Random(5)
+        return LinearizedGraph(
+            chars="".join(rng.choice("ACGT") for _ in range(n)),
+            successors=successors, node_ids=list(range(n)),
+            node_offsets=[0] * n)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 8, 20])
+    @pytest.mark.parametrize("m", [1, 5, 17, 40])
+    def test_overlapping_sources_match_the_oracle(self, k, m):
+        lin = self.window()
+        rng = random.Random(k * 64 + m)
+        for pattern in (lin.chars[3:3 + m],
+                        "".join(rng.choice("ACGT") for _ in range(m)),
+                        planted_read(rng, lin, 4, m, 2) or "A"):
+            assert list(generate_bitvectors(lin, pattern, k)) == \
+                reference_bitvectors(lin, pattern, k), (pattern, k)
+            assert bitalign(lin, pattern, k) == \
+                oracle_bitalign(lin, pattern, k)
