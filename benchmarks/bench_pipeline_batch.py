@@ -84,7 +84,7 @@ def pipeline_batch_rows():
             "same_as_jobs_1": results == baseline[1],
             "stage_seconds": round(sum(
                 stage.seconds
-                for stage in mapper.pipeline.stats.stages.values()), 3),
+                for stage in mapper.stats.stages.values()), 3),
             "reads_per_s": round(rps, 2),
             "speedup_vs_jobs_1": round(rps / baseline[0], 2),
         })

@@ -1,4 +1,5 @@
-"""Baseline aligners the paper compares against (or builds on).
+"""Reference aligners: the algorithms BitAlign builds on, kept as the
+test oracles for the live kernel.
 
 * :mod:`repro.align.dp_linear` — dynamic-programming sequence-to-
   sequence alignment (Needleman–Wunsch global and fitting/semi-global),
@@ -8,8 +9,6 @@
 * :mod:`repro.align.bitap` — the classic Wu–Manber Bitap algorithm
   (left-to-right, 1-active), an independent bitvector implementation
   used to cross-validate the GenASM-style machinery.
-* :mod:`repro.align.myers` — Myers' 1999 bit-vector algorithm, the
-  fastest practical software bitvector aligner for linear references.
 * :mod:`repro.align.genasm` — linear GenASM (right-to-left, 0-active
   Bitap with traceback), the MICRO'20 predecessor BitAlign extends.
 """
@@ -25,15 +24,9 @@ from repro.align.dp_graph import (
     graph_distance,
 )
 from repro.align.bitap import bitap_search
-from repro.align.myers import myers_distance, myers_search
 from repro.align.genasm import genasm_align, genasm_distance
-from repro.align.affine import AffineScoring, affine_align, affine_cost
-from repro.align.banded import banded_distance
-from repro.align.wfa import wfa_edit_distance, wfa_fitting_distance
 
 __all__ = [
-    "wfa_edit_distance",
-    "wfa_fitting_distance",
     "edit_distance",
     "global_align",
     "semiglobal_align",
@@ -41,12 +34,6 @@ __all__ = [
     "graph_align",
     "graph_distance",
     "bitap_search",
-    "myers_distance",
-    "myers_search",
     "genasm_align",
     "genasm_distance",
-    "AffineScoring",
-    "affine_align",
-    "affine_cost",
-    "banded_distance",
 ]

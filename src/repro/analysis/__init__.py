@@ -3,9 +3,9 @@
 An AST-based invariant checker enforcing the contracts the test
 suite cannot see from outputs alone: determinism of the result path,
 dtype/shift discipline in the packed kernels, fork/pool safety of
-worker code, the package layer order, stage purity, and exception
-hygiene.  See ``repro analyze --list-rules`` for the registered
-rules and why each is load-bearing.
+worker code, the package layer order, and exception hygiene.  See
+``repro analyze --list-rules`` for the registered rules and why each
+is load-bearing.
 
 Findings carry ``path:line:col`` anchors and a rule id; a finding is
 suppressed in-tree with a ``# repro: allow[<rule-id>]`` comment on (or

@@ -12,7 +12,6 @@ from repro.analysis.rules import (  # noqa: F401  (registration)
     exceptions,
     forksafety,
     layering,
-    purity,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "exceptions",
     "forksafety",
     "layering",
-    "purity",
 ]

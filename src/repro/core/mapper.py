@@ -14,36 +14,101 @@ cases of Section 9:
   :class:`~repro.core.windows.WindowedAligner` objects are exposed as
   attributes.
 
-Mapping itself is delegated to the staged pipeline engine of
-:mod:`repro.core.pipeline` (``seed -> filter/chain -> extract ->
-align -> select``): :meth:`SeGraM.map_batch` shards a read set across
-the engine's standing pool, each worker running the pipeline's one drive;
-:meth:`SeGraM.map_read` is a one-read batch, and per-stage counters
-accumulate in ``SeGraM.pipeline.stats`` (a
-:class:`~repro.core.pipeline.PipelineStats`).  Read pairs map through
-a :class:`~repro.core.pairing.PairedEndMapper` over the engine (or
-:meth:`repro.api.Mapper.map_pairs`), on the same pool.
+Mapping is the engine's own staged drive, the software mirror of
+paper Fig. 2: every mapping call — one read, a batch, a pool shard, a
+daemon dispatch, a mate of a pair — takes :meth:`SeGraM.map_reads`,
+which is four plain nested loops: read -> oriented read -> region ->
+window.  Five stages run inside it, ``seed -> filter/chain -> extract
+-> align -> select``, each timed into its row of the engine's
+:class:`~repro.core.pipeline.PipelineStats` (``SeGraM.stats``), the
+analogue of the paper's per-unit utilization counters.  Stage 1 seeds
+the call's oriented reads a chunk at a time
+(:meth:`SeGraM.seed_reads` — the one place batching across reads
+pays, as in the hardware's MinSeed units); stage 2 runs per oriented
+read; the align stage then walks that read's regions in order,
+extracting and aligning one at a time
+(:meth:`~repro.core.windows.WindowedAligner.align`, every window of
+which is one call of the diagonal BitAlign kernel); stage 5 folds the
+two orientations into the final :class:`MappingResult`.
+
+**Each locus is aligned once.**  MinSeed sends every surviving seed
+region to BitAlign (paper Section 11.4), which a hardware BitAlign
+makes nearly free; here a region costs milliseconds and most regions
+of a read re-derive one placement from another minimizer.  So, the
+way BWA-MEM skips seeds contained in an alignment it already has, a
+region is **subsumed** — neither extracted nor aligned — when an
+earlier alignment of the same oriented read matches (``=``) read
+position ``seed.read_start`` to graph character ``seed.graph_start``
+*and* that earlier region's node range contains this region's
+(:meth:`SeGraM._mark_subsumed`).  A repeat copy sits on another
+diagonal, so it is never subsumed and MAPQ keeps its competitors.
+This deviates from Section 11.4 in software only; the hardware models
+of :mod:`repro.hw` call the aligner directly and keep the paper's
+align-every-seed accounting.
+
+**A region that cannot win stops aligning.**  A runner-up
+:data:`~repro.core.alignment.MAPQ_SATURATION_GAP` (5) edits behind
+the best changes no MAPQ, and single-end output shows only the best
+placement, so once a read has a completed alignment a region is
+abandoned as soon as its committed edits exceed ``best + 4``
+(:meth:`SeGraM.align_stage`).  The better-seeded orientation goes
+first, to set that budget early.  Pairs are not budgeted.
+
+**Extraction is an address range.**  In SeGraM a seed's candidate
+region is a range of addresses into the topologically sorted node /
+character / edge tables (paper Section 5, Fig. 5) — nothing is copied
+out of them.  Here the whole graph is linearized **once** per engine
+(:meth:`SeGraM.linearization`, a hop-sparse
+:class:`~repro.graph.linearize.LinearizedGraph`), and the extract
+stage turns a region into the node range it selects (nodes that
+partially overlap the span are taken whole, as MinSeed's fetch does)
+and that range into a *view* of the one linearization: two bisects, a
+string slice and the seed anchor.  BitAlign's windows are views of
+that view.  There is nothing to memoize, so there is no region cache.
+
+:meth:`SeGraM.map_batch` shards a read set across the engine's
+standing pool (:func:`~repro.core.pipeline.run_sharded`), each worker
+running the same drive; :meth:`SeGraM.map_read` is a one-read batch.
+Read pairs map through a :class:`~repro.core.pairing.PairedEndMapper`
+over the engine (or :meth:`repro.api.Mapper.map_pairs`), on the same
+pool.  Stage boundaries and sharding change *when* work happens, never
+*what* is computed: a read maps to the same result alone, at any
+position of any batch, and on any worker.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from repro.core.minseed import MinSeed, SeedingStats
-from repro.core.pipeline import MappingPipeline, PersistentPool, \
-    PipelineStats, run_sharded
+from repro import seq as seqmod
+from repro.core.alignment import MAPQ_SATURATION_GAP, READ_CONSUMING, \
+    REF_CONSUMING, Cigar, mapq_from_candidates
+from repro.core.chaining import chain_regions
+from repro.core.minseed import MinSeed, SeedingStats, SeedRegion
+from repro.core.pipeline import PersistentPool, PipelineStats, \
+    best_of, commit_candidates, run_sharded, timed
 from repro.core.windows import WindowedAligner, WindowingConfig
-from repro.core.alignment import Cigar, mapq_from_candidates
 from repro.graph.builder import BuiltGraph, Variant, build_graph
 from repro.graph.genome_graph import GenomeGraph, GraphError
+from repro.graph.linearize import LinearizedGraph, linearize
 from repro.index.flat_index import FlatIndex, build_flat_index
-from repro.index.minimizer import check_minimizer_parameters
+from repro.index.minimizer import SCAN_BLOCK_BASES, \
+    check_minimizer_parameters
 from repro.index.occurrence import DEFAULT_TOP_FRACTION
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.refs.reference import ReferenceSet
+
+
+#: Read bases (one orientation) the seed stage takes in one chunk: a
+#: block of the scan itself — enough reads (80 of 100 bp) for the
+#: per-call cost of the array operations to vanish, few enough that a
+#: chunk's regions and temporaries stay under a megabyte.
+SEED_CHUNK_BASES = SCAN_BLOCK_BASES
 
 
 @dataclass(frozen=True)
@@ -306,8 +371,51 @@ class MappingResult:
         )
 
 
+@dataclass
+class ReadTask:
+    """One oriented read entering the drive."""
+
+    name: str
+    sequence: str
+    strand: str
+
+
+@dataclass
+class SeededRead:
+    """Output of the seed (and filter) stage."""
+
+    task: ReadTask
+    regions: list[SeedRegion]
+    stats: SeedingStats
+
+
+@dataclass
+class PreparedRegion:
+    """Output of the extract stage: one alignable region.
+
+    ``index`` is the region's position in its read's filtered list
+    (``SeededRead.regions``): everything after it is still unvisited.
+    ``lin`` is the view of nodes ``first_node .. last_node`` of the
+    engine's whole-graph linearization; its position 0 is global
+    character ``start``, and ``anchor`` is in its coordinates.
+    """
+
+    index: int
+    region: SeedRegion
+    lin: LinearizedGraph
+    first_node: int
+    last_node: int
+    start: int
+    anchor: tuple[int, int]
+
+
 class SeGraM:
-    """Universal sequence-to-graph / sequence-to-sequence mapper."""
+    """Universal sequence-to-graph / sequence-to-sequence mapper.
+
+    Owns MinSeed, the windowed aligner, the whole-graph linearization,
+    the cumulative :class:`~repro.core.pipeline.PipelineStats`
+    (``stats``) and the staged drive that maps with them.
+    """
 
     def __init__(
         self,
@@ -337,12 +445,14 @@ class SeGraM:
             char_spans=refs.char_spans() if refs is not None else None,
         )
         self.aligner = WindowedAligner(self.config.windowing)
-        self.pipeline = MappingPipeline(
-            graph=self.graph, config=self.config,
-            minseed=self.minseed, aligner=self.aligner,
-            built=self.built, refs=self.refs,
-        )
+        #: Node starts in the global character space, then the total
+        #: length: node ``n`` is characters ``[node_bounds[n],
+        #: node_bounds[n + 1])``.
+        self.node_bounds = graph.offsets()
+        self.node_bounds.append(graph.total_sequence_length)
+        self._linearization: LinearizedGraph | None = None
         self._pool: PersistentPool | None = None
+        self.reset_stats()
 
     # ------------------------------------------------------------------
     # Constructors
@@ -407,12 +517,410 @@ class SeGraM:
 
         ``jobs > 1`` shards the batch across this engine's standing
         pool (:meth:`worker_pool`); per-shard stage statistics are
-        merged into ``self.pipeline.stats``.  Results are returned in
-        input order and a read maps to the same result alone or in
-        any batch, for any ``jobs`` — the parity contract the tests
+        merged into ``self.stats``.  Results are returned in input
+        order and a read maps to the same result alone or in any
+        batch, for any ``jobs`` — the parity contract the tests
         enforce.
         """
         return run_sharded(self, reads, jobs)
+
+    # ------------------------------------------------------------------
+    # The drive
+    # ------------------------------------------------------------------
+
+    def map_reads(
+        self, reads: Sequence[tuple[str, str]],
+    ) -> list[MappingResult]:
+        """Map single-end ``(name, sequence)`` reads in this process —
+        the one drive behind every single-end entry point.
+
+        Each sequence is validated (``N`` allowed).  Per read: the
+        forward orientation through stages 1-4, the reverse
+        complement too when ``config.both_strands``, then stage 5
+        selects.  A read's result does not depend on what it is
+        batched with.
+        """
+        reads = [(name, seqmod.validate(sequence, "read",
+                                        allow_ambiguous=True))
+                 for name, sequence in reads]
+        return [self.map_seeded(forward, reverse)
+                for forward, reverse in self.seed_reads(
+                    reads, self.config.both_strands)]
+
+    def seed_reads(
+        self, reads: Sequence[tuple[str, str]], both_strands: bool,
+    ) -> Iterator[tuple[SeededRead, SeededRead | None]]:
+        """Stage 1 for the reads of a call: the seeded forward and
+        (when ``both_strands``) reverse-complement orientation of each
+        read, in order.
+
+        Seeding is the one stage that batches across reads — the
+        MinSeed units consume a read *stream* — so the oriented reads
+        go through the seed stage a chunk at a time, the next chunk
+        only once the caller has consumed the last: a whole-file call
+        holds one chunk's regions, not the file's.
+        """
+        tasks: list[ReadTask] = []
+        bases = 0
+        for name, sequence in reads:
+            tasks.append(ReadTask(name, sequence, "+"))
+            if both_strands:
+                tasks.append(ReadTask(
+                    name, seqmod.reverse_complement(sequence), "-"))
+            bases += len(sequence)
+            if bases >= SEED_CHUNK_BASES:
+                yield from self._seed_chunk(tasks, both_strands)
+                tasks, bases = [], 0
+        if tasks:
+            yield from self._seed_chunk(tasks, both_strands)
+
+    def _seed_chunk(self, tasks: list[ReadTask], both_strands: bool):
+        seeded = iter(self.seed_stage(tasks))
+        return zip(seeded, seeded) if both_strands \
+            else ((forward, None) for forward in seeded)
+
+    def map_seeded(self, forward: SeededRead,
+                   reverse: SeededRead | None,
+                   bounded: bool = True) -> MappingResult:
+        """Stages 2-5 for one seeded read.
+
+        The orientation with more seeded regions is aligned first
+        (forward on ties); with ``bounded`` its best distance starts
+        the other's budget (:meth:`align_stage`).  Selection does not
+        depend on the order.  Mates are mapped unbounded: a proper
+        pair outranks a better score, so any mate candidate can win.
+        """
+        best = math.inf if bounded else None
+        results = {}
+        oriented = [s for s in (forward, reverse) if s is not None]
+        for seeded in sorted(oriented, key=lambda s: -len(s.regions)):
+            results[seeded.task.strand] = result = self.align_stage(
+                self.filter_stage(seeded), best)
+            if best is not None and result.mapped:
+                best = min(best, result.distance)
+        return self.select_stage(results["+"], results.get("-"))
+
+    # ------------------------------------------------------------------
+    # The stages, each timed into its row of ``stats.stages``
+    # ------------------------------------------------------------------
+
+    def seed_stage(self, tasks: Sequence[ReadTask]) -> list[SeededRead]:
+        """Step 1 (paper Section 6): MinSeed candidate-region
+        generation, for a chunk of oriented reads at a time."""
+        stats = self.stats.stage("seed")
+        with timed(stats):
+            seeded = [
+                SeededRead(task=task, regions=regions, stats=seed_stats)
+                for task, (regions, seed_stats) in zip(
+                    tasks, self.minseed.seed_chunk(
+                        [task.sequence for task in tasks]))
+            ]
+            for read in seeded:
+                stats.items_out += len(read.regions)
+                self.stats.regions_seeded += len(read.regions)
+                self.stats.seeding.merge(read.stats)
+            stats.items_in += len(seeded)
+        return seeded
+
+    def filter_stage(self, seeded: SeededRead) -> SeededRead:
+        """Step 2 (paper Fig. 2): optional chaining, ordering, and cap.
+
+        Regions are ordered rarest-minimizer-first so a per-read cap,
+        the early-exit knob and the align stage's subsumption rule all
+        see the likeliest candidates early, then truncated to
+        ``max_seeds_per_read`` — a cap on the regions *considered*:
+        subsumed ones are not replaced by deeper seeds.
+        """
+        stats = self.stats.stage("filter")
+        config = self.config
+        with timed(stats):
+            regions = seeded.regions
+            n_in = len(regions)
+            stats.items_in += n_in
+            if config.chaining and regions:
+                regions = chain_regions(
+                    regions,
+                    read_length=len(seeded.task.sequence),
+                    error_rate=config.error_rate,
+                    total_chars=self.graph.total_sequence_length,
+                    top_n=config.max_seeds_per_read,
+                )
+            regions = sorted(
+                regions,
+                key=lambda r: (r.seed.frequency, r.seed.read_start),
+            )
+            if config.max_seeds_per_read is not None:
+                regions = regions[:config.max_seeds_per_read]
+            stats.items_out += len(regions)
+            stats.dropped += max(0, n_in - len(regions))
+            self.stats.regions_chained += len(regions)
+        return SeededRead(task=seeded.task, regions=regions,
+                          stats=seeded.stats)
+
+    def extract_stage(self, index: int,
+                      region: SeedRegion) -> PreparedRegion:
+        """Step 3: subgraph extraction, as an address range.
+
+        Runs per region, on demand of the align stage — a region that
+        is subsumed, or that follows an early exit, is never
+        extracted.  One run finds the node range the region's span
+        selects, takes the view of those nodes out of the whole-graph
+        linearization and computes the seed anchor in the view's
+        coordinates.
+        """
+        stats = self.stats.stage("extract")
+        with timed(stats):
+            lo, hi = self.node_range(region.start, region.end)
+            bounds = self.node_bounds
+            start = bounds[lo]
+            lin = self.linearization().slice(start, bounds[hi + 1])
+            # The seed is an exact match: anchor the windowed aligner
+            # at its position (paper Fig. 9's left/right extensions).
+            seed = region.seed
+            anchor = (bounds[seed.node_id] + seed.node_offset - start,
+                      seed.read_start)
+            stats.items_in += 1
+            stats.items_out += 1
+        return PreparedRegion(index=index, region=region, lin=lin,
+                              first_node=lo, last_node=hi,
+                              start=start, anchor=anchor)
+
+    def align_stage(self, seeded: SeededRead,
+                    best: float | None = None) -> MappingResult:
+        """Step 4 (paper Section 7): windowed BitAlign over the regions
+        of one oriented read, in filter order, keeping the
+        ``top_n_alignments`` best alignments by edit distance.
+
+        Each region that no earlier alignment subsumed is extracted
+        and aligned, and its alignment marks the later regions it
+        makes redundant (:meth:`_mark_subsumed`).  With
+        ``early_exit_distance`` the walk stops at the first region
+        that aligns at or below the threshold.
+
+        ``best`` is the lowest distance a completed alignment of this
+        read has, either orientation (``math.inf`` before the first;
+        None: no budget).  A region is abandoned — no candidate — once
+        its committed edits exceed ``best + MAPQ_SATURATION_GAP - 1``
+        and the exit threshold: it would finish the saturation gap
+        behind, so it can neither win nor lower MAPQ.
+
+        Every aligned region yields an :class:`AlignmentCandidate`;
+        :func:`~repro.core.pipeline.commit_candidates` orders them by
+        the stable ``(distance, strand, position)`` key, deduplicates
+        them by locus (regions the subsumption rule could not collapse
+        may still re-derive one placement — only distinct loci may
+        count as MAPQ competitors), and truncates them to the
+        configured top N.  The best candidate becomes the result's
+        reported placement.
+        """
+        stats = self.stats.stage("align")
+        task = seeded.task
+        exit_distance = self.config.early_exit_distance
+        subsumed: set[int] = set()
+        found: list[AlignmentCandidate] = []
+        aligned_count = 0
+        for index, seed_region in enumerate(seeded.regions):
+            if index in subsumed:
+                self.stats.regions_subsumed += 1
+                continue
+            region = self.extract_stage(index, seed_region)
+            budget = None if best is None else max(
+                best + MAPQ_SATURATION_GAP - 1, exit_distance or 0)
+            with timed(stats):
+                aligned = self.aligner.align(
+                    region.lin, task.sequence, region.anchor,
+                    counters=self.stats, budget=budget)
+            stats.items_out += 1
+            self.stats.regions_aligned += 1
+            aligned_count += 1
+            if aligned.abandoned:
+                self.stats.regions_abandoned += 1
+            else:
+                if best is not None:
+                    best = min(best, aligned.distance)
+                found.append(self._candidate(aligned, region,
+                                             task.strand))
+                if exit_distance is not None \
+                        and aligned.distance <= exit_distance:
+                    break
+            with timed(stats):
+                self._mark_subsumed(aligned, region, seeded.regions,
+                                    subsumed)
+        result = MappingResult(
+            read_name=task.name, read_length=len(task.sequence),
+            mapped=False, strand=task.strand, seeding=seeded.stats,
+            regions_aligned=aligned_count,
+        )
+        stats.items_in += len(seeded.regions)
+        stats.dropped += len(seeded.regions) - aligned_count
+        commit_candidates(result, found, self.config.top_n_alignments)
+        return result
+
+    def _mark_subsumed(self, aligned, region: PreparedRegion,
+                       regions: list[SeedRegion],
+                       subsumed: set[int]) -> None:
+        """Add to ``subsumed`` the indices of the unvisited ``regions``
+        that ``aligned`` (the alignment of ``region``) makes redundant.
+
+        A later region is subsumed when both hold:
+
+        * the alignment matches (``=``) read position
+          ``seed.read_start`` to graph character ``seed.graph_start``
+          — i.e. to ``(seed.node_id, seed.node_offset)`` — so aligning
+          from that seed would anchor on this very path;
+        * this region's node range contains the later region's, so
+          the later alignment could not have seen graph that this one
+          did not (a truncated region gives a worse extension).
+
+        A repeat copy, tandem or dispersed, matches the seed's read
+        position to a *different* graph character and stays.  The walk
+        is over CIGAR runs, then one bisect per later seed.  An
+        abandoned alignment's operations are final, so what they mark
+        the finished alignment would mark too.
+        """
+        later = regions[region.index + 1:]
+        if not later:
+            return
+        run_starts: list[int] = []
+        runs: list[tuple[int, int]] = []
+        read_at, path_at = aligned.read_start, 0
+        for op, length in aligned.cigar.ops:
+            if op == "=":
+                run_starts.append(read_at)
+                runs.append((read_at + length, path_at))
+            if op in READ_CONSUMING:
+                read_at += length
+            if op in REF_CONSUMING:
+                path_at += length
+        bounds = self.node_bounds
+        for index, other in enumerate(later, region.index + 1):
+            if index in subsumed:
+                continue
+            seed = other.seed
+            run = bisect_right(run_starts, seed.read_start) - 1
+            if run < 0:
+                continue
+            run_end, run_path = runs[run]
+            if seed.read_start >= run_end:
+                continue
+            position = region.start + aligned.path[
+                run_path + seed.read_start - run_starts[run]]
+            if position != bounds[seed.node_id] + seed.node_offset:
+                continue
+            lo, hi = self.node_range(other.start, other.end)
+            if region.first_node <= lo and hi <= region.last_node:
+                subsumed.add(index)
+
+    def _candidate(self, aligned, region: PreparedRegion,
+                   strand: str) -> AlignmentCandidate:
+        """Materialize one aligned region as a candidate placement."""
+        node_id = node_offset = linear_position = contig = None
+        path_nodes: tuple[int, ...] = ()
+        path = aligned.path
+        if path:
+            # The path ascends, so it crosses the node boundaries in
+            # order: one bisect per node visited, not a step per base.
+            bounds = self.node_bounds
+            nodes: list[int] = []
+            at = 0
+            while at < len(path):
+                node = bisect_right(bounds, region.start + path[at]) - 1
+                nodes.append(node)
+                at = bisect_left(path, bounds[node + 1] - region.start,
+                                 at)
+            path_nodes = tuple(nodes)
+            node_id = nodes[0]
+            node_offset = region.start + path[0] - bounds[node_id]
+            if self.refs is not None:
+                contig, linear_position = self.refs.project(
+                    node_id, node_offset,
+                )
+            elif self.built is not None:
+                linear_position = self.built.project_to_reference(
+                    node_id, node_offset,
+                )
+        return AlignmentCandidate(
+            distance=aligned.distance, cigar=aligned.cigar,
+            strand=strand, node_id=node_id, node_offset=node_offset,
+            path_nodes=path_nodes, linear_position=linear_position,
+            contig=contig,
+            windows=aligned.windows, rescues=aligned.rescues,
+        )
+
+    def select_stage(self, forward: MappingResult,
+                     reverse: MappingResult | None) -> MappingResult:
+        """Step 5: fold per-orientation results into the final one.
+
+        Beyond picking the winning orientation
+        (:func:`~repro.core.pipeline.best_of`), the candidate lists of
+        both orientations merge under the same ``(distance, strand,
+        position)`` key, so the final result's
+        ``second_best_distance`` sees cross-strand competitors too — a
+        reverse-strand repeat copy is as real a MAPQ threat as a
+        forward-strand one.
+        """
+        stats = self.stats.stage("select")
+        with timed(stats):
+            stats.items_in += 1 if reverse is None else 2
+            stats.items_out += 1
+            best = best_of(forward, reverse)
+            if reverse is not None and (forward.candidates
+                                        or reverse.candidates):
+                merged = sorted(
+                    forward.candidates + reverse.candidates,
+                    key=lambda c: c.sort_key,
+                )[:self.config.top_n_alignments]
+                loser = reverse if best is forward else forward
+                # The cross-orientation runner-up is either the
+                # winner's own second locus or the other strand's
+                # best — strands never share a locus.
+                second = best.second_best_distance
+                if loser.mapped and loser.distance is not None:
+                    second = loser.distance if second is None \
+                        else min(second, loser.distance)
+                best.candidates = tuple(merged)
+                best.candidate_count = (forward.candidate_count
+                                        + reverse.candidate_count)
+                best.second_best_distance = second
+            self.stats.reads += 1
+            if best.mapped:
+                self.stats.reads_mapped += 1
+        return best
+
+    # ------------------------------------------------------------------
+    # Graph addressing and statistics
+    # ------------------------------------------------------------------
+
+    def node_range(self, start: int, end: int) -> tuple[int, int]:
+        """Inclusive node-ID range a character span selects.
+
+        Mirrors :meth:`~repro.graph.genome_graph.GenomeGraph.
+        extract_region`'s selection rule (nodes overlapping
+        ``[start, end)``, included whole), so the range identifies the
+        extracted region exactly.
+        """
+        bounds, nodes = self.node_bounds, len(self.node_bounds) - 1
+        lo = max(0, bisect_right(bounds, start, 0, nodes) - 1)
+        hi = max(lo, bisect_right(bounds, end - 1, 0, nodes) - 1)
+        return lo, hi
+
+    def linearization(self) -> LinearizedGraph:
+        """The whole graph, linearized on the first call.
+
+        Every region and window is a view of it.  The mapping entry
+        points call this before they fork workers, which then share it
+        copy-on-write; building it is not part of constructing a
+        mapper, so attaching to an index artifact stays O(ms).
+        """
+        if self._linearization is None:
+            self._linearization = linearize(
+                self.graph, hop_limit=self.config.hop_limit)
+        return self._linearization
+
+    def reset_stats(self) -> None:
+        """Start ``stats``, the cumulative pipeline statistics of this
+        engine, afresh."""
+        self.stats = PipelineStats.empty()
 
     # ------------------------------------------------------------------
     # Standing worker pool
@@ -432,7 +940,7 @@ class SeGraM:
         if pool is None or pool.closed or pool.jobs != jobs:
             self.close()
             # Built before the fork, so the workers inherit it.
-            self.pipeline.linearization()
+            self.linearization()
             pool = self._pool = PersistentPool(self, jobs)
             self._reaper = weakref.finalize(self, pool.close)
         return pool
@@ -449,8 +957,3 @@ class SeGraM:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    @property
-    def stats(self) -> PipelineStats:
-        """Cumulative pipeline statistics for this mapper."""
-        return self.pipeline.stats

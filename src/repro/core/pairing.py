@@ -3,8 +3,10 @@
 Illumina FR libraries sequence a fragment from both ends: mate 1
 forward, mate 2 reverse-complemented, with the fragment length (the
 *insert size*) following a library-specific distribution.  This module
-maps both mates through the staged pipeline (:mod:`repro.core.
-pipeline`), then treats pairing as a selection problem:
+maps both mates through the engine's staged drive
+(:meth:`~repro.core.mapper.SeGraM.seed_reads`, then
+:meth:`~repro.core.mapper.SeGraM.map_seeded` per mate), then treats
+pairing as a selection problem:
 
 1. **Candidate grid** — each mate is mapped on both strands (stages
    1-4 per orientation) and keeps its ``top_n_alignments`` best
@@ -391,8 +393,8 @@ class PairedEndMapper:
     """Maps read pairs through one :class:`~repro.core.mapper.SeGraM`.
 
     Owns the pair-level configuration and statistics; pipeline-level
-    statistics keep accumulating in ``mapper.pipeline.stats`` (each
-    mate counts as one read).
+    statistics keep accumulating in ``mapper.stats`` (each mate counts
+    as one read).
     """
 
     def __init__(self, mapper: "SeGraM",
@@ -435,13 +437,13 @@ class PairedEndMapper:
             -> list[PairResult]:
         """Map ``(name, read1, read2)`` pairs in this process; both
         mates of every pair are seeded together
-        (:meth:`~repro.core.pipeline.MappingPipeline.seed_reads`)."""
+        (:meth:`~repro.core.mapper.SeGraM.seed_reads`)."""
         pairs = [
             (name,
              seqmod.validate(read1, "read 1", allow_ambiguous=True),
              seqmod.validate(read2, "read 2", allow_ambiguous=True))
             for name, read1, read2 in pairs]
-        seeded = self.mapper.pipeline.seed_reads(
+        seeded = self.mapper.seed_reads(
             [(f"{name}/{mate}", read)
              for name, *reads in pairs
              for mate, read in enumerate(reads, start=1)],
@@ -460,9 +462,8 @@ class PairedEndMapper:
         included) — so a repeat-tied mate is re-placed at the copy
         the insert-size model supports without any rescue alignment.
         """
-        pipeline = self.mapper.pipeline
-        best1 = pipeline.map_seeded(*seeded1, bounded=False)
-        best2 = pipeline.map_seeded(*seeded2, bounded=False)
+        best1 = self.mapper.map_seeded(*seeded1, bounded=False)
+        best2 = self.mapper.map_seeded(*seeded2, bounded=False)
 
         combos: list[_Combo] = []
         for c1 in self._candidate_results(best1):

@@ -64,5 +64,5 @@ def unbounded(monkeypatch):
     """Lift the align stage's edit budget: with an infinite MAPQ
     saturation gap every region is aligned to its end — the oracle
     bounded extension is measured against."""
-    monkeypatch.setattr("repro.core.pipeline.MAPQ_SATURATION_GAP",
+    monkeypatch.setattr("repro.core.mapper.MAPQ_SATURATION_GAP",
                         math.inf)

@@ -47,7 +47,6 @@ RULE_FIXTURES = {
     "shift-mask": ("shift_mask", "repro.index.minimizer"),
     "fork-safety": ("fork_safety", None),
     "layering": ("layering", "repro.align.fixture"),
-    "stage-purity": ("stage_purity", None),
     "except-hygiene": ("except_hygiene", None),
 }
 

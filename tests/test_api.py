@@ -187,6 +187,23 @@ class TestFacadeSurface:
         with pytest.raises(ValueError, match="mate name mismatch"):
             facade.map_pairs(r1, list(reversed(r2)))
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, single_workload, jobs):
+        """Every sharded entry point rejects ``jobs < 1`` before
+        mapping anything."""
+        reference, reads, pairs = single_workload
+        facade = Mapper(reference, config=_config(), name="chr1",
+                        max_node_length=1_024)
+        message = f"jobs must be >= 1, got {jobs}"
+        with pytest.raises(ValueError, match=message):
+            facade.map_batch(reads, jobs=jobs)
+        with pytest.raises(ValueError, match=message):
+            facade.map_pairs(pairs, jobs=jobs)
+        with pytest.raises(ValueError, match=message):
+            facade.engine.map_batch(reads, jobs=jobs)
+        assert facade.stats.reads == 0
+        assert facade.pair_stats.pairs == 0
+
     def test_graph_reference_rejects_variants(self):
         from repro.graph.builder import Variant
         from repro.graph.genome_graph import GenomeGraph

@@ -7,14 +7,15 @@ replays exactly.  On chains it must also equal the linear aligners.
 
 from __future__ import annotations
 
-import importlib
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.bitalign as KERNEL
 from repro.align.dp_graph import graph_distance
 from repro.align.dp_linear import semiglobal_distance
 from repro.align.genasm import genasm_distance
@@ -32,10 +33,6 @@ from repro.graph.genome_graph import GenomeGraph
 from repro.graph.linearize import LinearizedGraph, linearize
 from repro.sim.reference import random_reference
 from repro.sim.variants import VariantProfile, simulate_variants
-
-#: The kernel module (``repro.core.bitalign`` as an attribute is the
-#: function the package re-exports).
-KERNEL = importlib.import_module("repro.core.bitalign")
 
 dna = st.text(alphabet="ACGT", min_size=1, max_size=40)
 pattern_strategy = st.text(alphabet="ACGT", min_size=1, max_size=20)
@@ -537,6 +534,16 @@ class TestPipelineWindows:
 # ----------------------------------------------------------------------
 # Preconditions of the kernel's front doors
 # ----------------------------------------------------------------------
+
+class TestModuleImport:
+    def test_submodule_is_not_shadowed_by_the_function(self):
+        """``repro.core`` does not bind the function ``bitalign``
+        over its submodule, so ``import repro.core.bitalign as m``
+        yields the module (``repro.bitalign`` stays the function)."""
+        assert isinstance(KERNEL, types.ModuleType)
+        assert KERNEL.RUNG == 8
+        assert KERNEL.bitalign is bitalign
+
 
 class TestPreconditions:
     """Anchors and traceback starts outside the contract raise

@@ -3,7 +3,7 @@
 Once a read has a completed alignment, the align stage aligns every
 further region with the budget ``best + MAPQ_SATURATION_GAP - 1`` and
 abandons it once its committed edits exceed that
-(:meth:`repro.core.pipeline.AlignStage.run`).  The oracle is the same
+(:meth:`repro.core.mapper.SeGraM.align_stage`).  The oracle is the same
 drive unbounded (the ``unbounded`` fixture: an infinite saturation
 gap):
 
@@ -33,7 +33,6 @@ from repro import seq as seqmod
 from repro.core.alignment import MAPQ_SATURATION_GAP
 from repro.core.mapper import MappingResult, SeGraM, SeGraMConfig
 from repro.core.pairing import PairedEndConfig, PairedEndMapper
-from repro.core.pipeline import MappingPipeline
 from repro.core.windows import WindowingConfig
 from repro.sim.reference import random_reference, \
     reference_with_exact_repeats
@@ -41,7 +40,7 @@ from test_region_subsumption import _config, _fixture
 
 
 def _unbound(monkeypatch) -> None:
-    monkeypatch.setattr("repro.core.pipeline.MAPQ_SATURATION_GAP",
+    monkeypatch.setattr("repro.core.mapper.MAPQ_SATURATION_GAP",
                         math.inf)
 
 
@@ -140,13 +139,13 @@ class TestSingleEnd:
         mapper = SeGraM.from_reference(
             reference, config=_config(early_exit_distance=6))
         budgets = []
-        align = mapper.pipeline.aligner.align
+        align = mapper.aligner.align
 
         def spy(*args, budget=None, **kwargs):
             budgets.append(budget)
             return align(*args, budget=budget, **kwargs)
 
-        monkeypatch.setattr(mapper.pipeline.aligner, "align", spy)
+        monkeypatch.setattr(mapper.aligner, "align", spy)
         result = mapper.map_read(read, "exit")
         assert budgets == [math.inf, 6]
         assert (result.distance, result.second_best_distance) == (0, 5)
@@ -157,14 +156,14 @@ class TestSingleEnd:
                                        config=_config(),
                                        max_node_length=1_024)
         seen = []
-        run = mapper.pipeline.filter_stage.run
+        run = mapper.filter_stage
 
-        def spy(seeded, pipe):
+        def spy(seeded):
             task = seeded.task
             seen.append((task.name, task.strand, len(seeded.regions)))
-            return run(seeded, pipe)
+            return run(seeded)
 
-        monkeypatch.setattr(mapper.pipeline.filter_stage, "run", spy)
+        monkeypatch.setattr(mapper, "filter_stage", spy)
         mapper.map_batch(reads)
         assert len(seen) == 2 * len(reads)
         for first, second in zip(seen[::2], seen[1::2]):
@@ -223,9 +222,9 @@ class TestPairsUnbounded:
         assert result.proper and result.rescued_mate is None
         assert result.mate1.distance >= MAPQ_SATURATION_GAP
 
-        map_seeded = MappingPipeline.map_seeded
+        map_seeded = SeGraM.map_seeded
         monkeypatch.setattr(
-            MappingPipeline, "map_seeded",
+            SeGraM, "map_seeded",
             lambda self, forward, reverse, bounded=True:
                 map_seeded(self, forward, reverse))
         budgeted, stats = _map_pair(reference, pair)

@@ -24,9 +24,10 @@ from oracles import dense_linearize as oracle
 import repro
 from repro import seq as seqmod
 from repro.api import Mapper
-from repro.core import pipeline as pipeline_module
+from repro.core import mapper as mapper_module
 from repro.core.mapper import MappingResult, SeGraM, SeGraMConfig
 from repro.core.minseed import Seed, SeedRegion
+from repro.core.pairing import PairedEndConfig
 from repro.core.pipeline import (
     STAGE_ORDER,
     PipelineStats,
@@ -90,7 +91,7 @@ class TestPipelineStats:
         mapper = _fresh_mapper(reference)
         for name, sequence in reads[:4]:
             mapper.map_read(sequence, name)
-        stats = mapper.pipeline.stats
+        stats = mapper.stats
         assert stats.reads == 4
         assert stats.reads_mapped == 4
         assert stats.regions_seeded > 0
@@ -116,7 +117,7 @@ class TestPipelineStats:
         reference, reads = workload
         mapper = _fresh_mapper(reference)
         mapper.map_read(reads[0][1], reads[0][0])
-        stats = mapper.pipeline.stats
+        stats = mapper.stats
         rows = stats.stage_rows()
         assert [row["stage"] for row in rows] == list(STAGE_ORDER)
         assert all({"in", "out", "dropped", "seconds"} <= set(row)
@@ -146,7 +147,7 @@ class TestPipelineStats:
         read = reference[4_000:4_300]
         result = mapper.map_read(read, "exact")
         assert result.distance == 0
-        stats = mapper.pipeline.stats
+        stats = mapper.stats
         assert stats.regions_aligned < stats.regions_chained
         assert stats.stage("align").dropped == \
             stats.regions_chained - stats.regions_aligned
@@ -170,7 +171,7 @@ class TestRegionCache:
             start = rng.randrange(0, total - 2)
             end = rng.randrange(start + 1,
                                 min(total, start + 9_000) + 1)
-            lo, hi = mapper.pipeline.node_range(start, end)
+            lo, hi = mapper.node_range(start, end)
             by_span, ids_span = graph.extract_region(start, end)
             by_range, ids_range = graph.extract_node_range(lo, hi)
             assert ids_span == ids_range
@@ -184,29 +185,29 @@ class TestRegionCache:
         """Two different spans selecting the same nodes extract the
         same address range; only the seed anchor differs."""
         reference, _ = workload
-        pipe = _fresh_mapper(reference).pipeline
-        lo, hi = pipe.node_range(6_000, 6_400)
-        assert (lo, hi) == pipe.node_range(6_010, 6_390)
+        engine = _fresh_mapper(reference)
+        lo, hi = engine.node_range(6_000, 6_400)
+        assert (lo, hi) == engine.node_range(6_010, 6_390)
 
         def extract(start, end, seed_at):
-            node = pipe.node_range(seed_at, seed_at + 1)[0]
+            node = engine.node_range(seed_at, seed_at + 1)[0]
             seed = Seed(read_start=3, read_end=17, node_id=node,
-                        node_offset=seed_at - pipe.node_bounds[node],
+                        node_offset=seed_at - engine.node_bounds[node],
                         graph_start=seed_at, graph_end=seed_at + 14,
                         minimizer_hash=0)
-            return pipe.extract_stage.run(
-                0, SeedRegion(seed=seed, start=start, end=end), pipe)
+            return engine.extract_stage(
+                0, SeedRegion(seed=seed, start=start, end=end))
 
         left = extract(6_000, 6_400, 6_100)
         right = extract(6_010, 6_390, 6_150)
         assert (left.first_node, left.last_node, left.start) == \
             (right.first_node, right.last_node, right.start) == \
-            (lo, hi, pipe.node_bounds[lo])
+            (lo, hi, engine.node_bounds[lo])
         assert left.lin.chars == right.lin.chars == \
-            reference[left.start:pipe.node_bounds[hi + 1]]
+            reference[left.start:engine.node_bounds[hi + 1]]
         assert left.anchor == (6_100 - left.start, 3)
         assert right.anchor == (6_150 - left.start, 3)
-        assert pipe.stats.stage("extract").items_out == 2
+        assert engine.stats.stage("extract").items_out == 2
 
     def test_cache_disabled(self, workload):
         """``region_cache_size`` is accepted and ignored, and the four
@@ -218,7 +219,7 @@ class TestRegionCache:
         assert _result_key(mapper.map_read(read, "dup")) == \
             _result_key(first) == \
             _result_key(_fresh_mapper(reference).map_read(read, "dup"))
-        stats = mapper.pipeline.stats
+        stats = mapper.stats
         assert stats.regions_aligned > 0
         assert (stats.cache_hits, stats.cache_misses,
                 stats.pair_cache_hits, stats.pair_cache_misses) == \
@@ -274,9 +275,9 @@ class TestRegionViews:
     @pytest.mark.parametrize("kind", ["graph", "linear"])
     def test_views_match_dense_extraction(self, kind, monkeypatch):
         mapper, reads, _ = _view_fixture(kind)
-        pipe = mapper.engine.pipeline
+        engine = mapper.engine
         extracted, aligned = [], []
-        extract, align = pipe.extract_stage.run, pipe.aligner.align
+        extract, align = engine.extract_stage, engine.aligner.align
 
         def spy_extract(*args):
             extracted.append(extract(*args))
@@ -286,8 +287,8 @@ class TestRegionViews:
             aligned.append((read, align(lin, read, anchor, **kwargs)))
             return aligned[-1][1]
 
-        monkeypatch.setattr(pipe.extract_stage, "run", spy_extract)
-        monkeypatch.setattr(pipe.aligner, "align", spy_align)
+        monkeypatch.setattr(engine, "extract_stage", spy_extract)
+        monkeypatch.setattr(engine.aligner, "align", spy_align)
         records = mapper.map_batch(reads)
         assert sum(record.mapped for record in records) >= len(reads) - 1
         assert len(extracted) == len(aligned) >= len(reads)
@@ -331,9 +332,9 @@ class TestRegionViews:
             calls.append(graph)
             return real(graph, hop_limit=hop_limit)
 
-        real = pipeline_module.linearize
-        monkeypatch.setattr(pipeline_module, "linearize", counting)
-        assert mapper.engine.pipeline._linearization is None
+        real = mapper_module.linearize
+        monkeypatch.setattr(mapper_module, "linearize", counting)
+        assert mapper.engine._linearization is None
         expected = mapper.map_batch(reads, jobs=2)
         assert calls == [mapper.graph]
         assert mapper.map_batch(reads, jobs=1) == expected
@@ -356,7 +357,7 @@ class TestRegionViews:
         fresh, _, _ = _view_fixture("graph")
         assert (fresh.map_batch(reads), fresh.map_pairs(pairs)) == expected
         with pytest.raises(AssertionError):
-            fresh.engine.pipeline.linearization().successors
+            fresh.engine.linearization().successors
 
 
 def _mapped(strand: str, distance: int | None) -> MappingResult:
@@ -367,6 +368,20 @@ def _mapped(strand: str, distance: int | None) -> MappingResult:
 def _unmapped(strand: str) -> MappingResult:
     return MappingResult(read_name="r", read_length=100, mapped=False,
                          strand=strand)
+
+
+class TestFrozenConfigs:
+    """A stage never writes through its configuration: the three
+    config types are frozen, so any such write raises at run time
+    (in-process and in every pool worker alike)."""
+
+    @pytest.mark.parametrize("config", [
+        SeGraMConfig(), WindowingConfig(), PairedEndConfig()],
+        ids=lambda config: type(config).__name__)
+    def test_every_field_is_read_only(self, config):
+        for field in dataclasses.fields(config):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, field.name, getattr(config, field.name))
 
 
 class TestBestOf:

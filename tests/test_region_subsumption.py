@@ -1,14 +1,14 @@
 """Tests for the align stage's seed-subsumption rule.
 
-The pipeline skips a seed region when an earlier alignment of the same
+The engine skips a seed region when an earlier alignment of the same
 oriented read already matches that seed's read position to that seed's
 graph character *and* the earlier region's node range contains the
-skipped one's (:meth:`repro.core.pipeline.AlignStage._mark_subsumed`).
+skipped one's (:meth:`repro.core.mapper.SeGraM._mark_subsumed`).
 Align-every-region — the paper's Section 11.4 behaviour and this
 repository's behaviour before the rule — survives here as the oracle
 the rule is measured against:
 
-* a differential oracle assembled from the pipeline's public pieces,
+* a differential oracle assembled from the engine's own stages,
   run over three seeded fixtures (the whole ``MappingResult`` must be
   equal, exceptions pinned by name);
 * hand-built cases where the rule must **not** fire (repeat copies on
@@ -29,15 +29,9 @@ import pytest
 from repro import seq as seqmod
 from repro.api import Mapper
 from repro.core.alignment import TIE_MAPQ
-from repro.core.mapper import MappingResult, SeGraM, SeGraMConfig
-from repro.core.pipeline import (
-    AlignStage,
-    ChainFilterStage,
-    ReadTask,
-    SeedStage,
-    SelectStage,
-    commit_candidates,
-)
+from repro.core.mapper import MappingResult, ReadTask, SeGraM, \
+    SeGraMConfig
+from repro.core.pipeline import commit_candidates
 from repro.graph.builder import Variant, build_graph
 from repro.service.core import ServiceCore
 from repro.service.protocol import encode_line, parse_request, \
@@ -61,27 +55,24 @@ def _config(**overrides) -> SeGraMConfig:
 def oracle_map(mapper: SeGraM, name: str, read: str) -> MappingResult:
     """Map ``read`` aligning **every** kept region (up to the early
     exit), through the same seed/filter stages, extraction, aligner,
-    candidate builder, commit and select the pipeline uses.
+    candidate builder, commit and select the drive uses.
 
     Call it on a mapper of its own: the stages book into its stats.
     """
-    pipe = mapper.pipeline
     config = mapper.config
     oriented = [("+", read)]
     if config.both_strands:
         oriented.append(("-", seqmod.reverse_complement(read)))
     results = []
     for strand, sequence in oriented:
-        seeded = SeedStage().run([ReadTask(name, sequence, strand)],
-                                 pipe)[0]
-        seeded = ChainFilterStage().run(seeded, pipe)
+        seeded = mapper.seed_stage([ReadTask(name, sequence, strand)])[0]
+        seeded = mapper.filter_stage(seeded)
         found = []
         for index, region in enumerate(seeded.regions):
-            prepared = pipe.extract_stage.run(index, region, pipe)
+            prepared = mapper.extract_stage(index, region)
             aligned = mapper.aligner.align(prepared.lin, sequence,
                                            prepared.anchor)
-            found.append(AlignStage._candidate(aligned, prepared,
-                                               strand, pipe))
+            found.append(mapper._candidate(aligned, prepared, strand))
             if config.early_exit_distance is not None \
                     and aligned.distance <= config.early_exit_distance:
                 break
@@ -91,8 +82,8 @@ def oracle_map(mapper: SeGraM, name: str, read: str) -> MappingResult:
             regions_aligned=len(found))
         commit_candidates(result, found, config.top_n_alignments)
         results.append(result)
-    return SelectStage().run(
-        results[0], results[1] if config.both_strands else None, pipe)
+    return mapper.select_stage(
+        results[0], results[1] if config.both_strands else None)
 
 
 def _placement(result: MappingResult) -> MappingResult:
@@ -216,10 +207,9 @@ class TestDifferentialOracle:
 def _kept_regions(mapper: SeGraM, read: str):
     """The '+' orientation's regions in the order the align stage
     pulls them (on a throwaway copy of the stats)."""
-    pipe = mapper.pipeline
-    seeded = SeedStage().run([ReadTask("probe", read, "+")], pipe)[0]
-    regions = ChainFilterStage().run(seeded, pipe).regions
-    pipe.reset_stats()
+    seeded = mapper.seed_stage([ReadTask("probe", read, "+")])[0]
+    regions = mapper.filter_stage(seeded).regions
+    mapper.reset_stats()
     return regions
 
 
@@ -314,7 +304,7 @@ class TestMustNotFire:
 
         mapper, oracle = build(), build()
         regions = _kept_regions(mapper, read)
-        ranges = [mapper.pipeline.node_range(r.start, r.end)
+        ranges = [mapper.node_range(r.start, r.end)
                   for r in regions]
         assert len(_diagonals(regions)) == 1
         assert ranges[0] == (2, 2)
@@ -367,7 +357,7 @@ class TestMustNotFire:
         assert first.node_id != alt_node == second.node_id
         assert (first.read_start, first.node_offset) == \
             (second.read_start, second.node_offset)
-        assert len({mapper.pipeline.node_range(r.start, r.end)
+        assert len({mapper.node_range(r.start, r.end)
                     for r in regions}) == 1
 
         result = mapper.map_read(read, "allele")
