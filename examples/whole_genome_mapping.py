@@ -17,7 +17,7 @@ import random
 from repro.core.mapper import SeGraMConfig
 from repro.core.windows import WindowingConfig
 from repro.eval.report import format_table
-from repro.graph.genome import ReferenceGenome
+from repro.core.genome import ReferenceGenome
 from repro.hw.placement import (
     GRCH38_CHROMOSOME_MBP,
     place_chromosomes,

@@ -21,13 +21,14 @@ optional VCF routed to contigs by CHROM), a GFA genome graph
 a :class:`~repro.refs.ReferenceSet`, or a
 :class:`~repro.graph.genome_graph.GenomeGraph`.
 
-The legacy entry points — :class:`~repro.core.mapper.SeGraM` and
-:class:`~repro.core.pairing.PairedEndMapper` — remain available as
-the *engines* behind this facade (``Mapper.engine`` /
-``Mapper.pair_engine()``) and keep working unchanged, but new code
-should construct a :class:`Mapper`: it is the only entry point that
-speaks multi-contig references, and its results are parity-tested
-against the engines (``tests/test_api.py``).
+The *engines* behind this facade —
+:class:`~repro.core.mapper.SeGraM` over a
+:class:`~repro.refs.ReferenceSet`, and
+:class:`~repro.core.pairing.PairedEndMapper` over that engine — stay
+public (``Mapper.engine`` / ``Mapper.pair_engine()``).  What the
+facade adds is the reference coercion (:func:`as_reference_set`),
+artifact attach, and the unified :class:`MappingRecord`; its results
+are parity-tested against the engines (``tests/test_api.py``).
 """
 
 from __future__ import annotations
@@ -236,8 +237,7 @@ class Mapper:
             reference, variants, name=name,
             max_node_length=max_node_length,
         )
-        self.engine = SeGraM.from_reference_set(self.reference,
-                                                config=config)
+        self.engine = SeGraM(self.reference, config=config)
         self.pair_config = pair_config or PairedEndConfig()
         self._pair_engine: PairedEndMapper | None = None
 
@@ -312,9 +312,8 @@ class Mapper:
         )
         mapper = cls.__new__(cls)
         mapper.reference = loaded.refs
-        mapper.engine = SeGraM.from_reference_set(
-            loaded.refs, config=config, index=loaded.index,
-        )
+        mapper.engine = SeGraM(loaded.refs, config=config,
+                               index=loaded.index)
         mapper.pair_config = pair_config or PairedEndConfig()
         mapper._pair_engine = None
         return mapper

@@ -531,17 +531,15 @@ def _map_reads(args: argparse.Namespace, mapper: Mapper) -> int:
                 total += 1
                 if record.mapped:
                     mapped += 1
-                    if record.contig is not None:
-                        mapped_by_contig[record.contig] = \
-                            mapped_by_contig.get(record.contig, 0) + 1
+                    mapped_by_contig[record.contig] = \
+                        mapped_by_contig.get(record.contig, 0) + 1
                 if out_format == "gaf":
                     gaf = result_to_gaf(record.result, mapper.graph,
                                         seq, refs=refs)
                     if gaf is not None:
                         writer.write(gaf)
                 else:
-                    writer.write(result_to_sam(record.result, seq,
-                                               record.contig))
+                    writer.write(result_to_sam(record.result, seq))
     finally:
         writer.close()
     print(f"mapped {mapped}/{total} reads -> {args.output} "
@@ -610,10 +608,10 @@ def _map_paired(args: argparse.Namespace, mapper: Mapper) -> int:
                                               read2):
                     writer.write(sam_record)
                 for rec in (rec1, rec2):
-                    if rec.mapped and rec.contig is not None:
+                    if rec.mapped:
                         mapped_by_contig[rec.contig] = \
                             mapped_by_contig.get(rec.contig, 0) + 1
-                if rec1.proper_pair and rec1.contig is not None:
+                if rec1.proper_pair:
                     proper_by_contig[rec1.contig] = \
                         proper_by_contig.get(rec1.contig, 0) + 1
                 if rec1.pair.proper:

@@ -4,9 +4,11 @@ The paper builds "one graph for each chromosome" and "one index for
 each chromosome" (Section 5), then distributes all 24 chromosome
 graphs and indexes across the eight channels of each HBM stack by size
 (Section 8.3).  This module provides the genome-level container and a
-mapper that queries every chromosome and keeps the best alignment —
-the multi-chromosome behaviour the single-graph
-:class:`~repro.core.mapper.SeGraM` composes into.
+mapper that queries every chromosome and keeps the best alignment:
+each chromosome is a one-contig :class:`~repro.refs.ReferenceSet`
+with its own index and :class:`~repro.core.mapper.SeGraM`.  (One
+engine over a multi-contig set shares one index across contigs
+instead — the shape :class:`repro.api.Mapper` uses.)
 """
 
 from __future__ import annotations
@@ -14,31 +16,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-# Genome is a multi-chromosome facade that *constructs* per-chromosome
-# SeGraM mappers — an orchestration convenience that lives in graph/
-# for API-history reasons.  # repro: allow[layering]
 from repro.core.mapper import MappingResult, SeGraM, SeGraMConfig
-from repro.graph.builder import BuiltGraph, Variant, build_graph
+from repro.graph.builder import Variant
+from repro.graph.genome_graph import GenomeGraph
 from repro.index.flat_index import FlatIndex, build_flat_index
+from repro.refs.reference import Contig, ReferenceSet
 
 
 @dataclass
 class Chromosome:
-    """One chromosome: its variation graph and minimizer index."""
+    """One chromosome: a one-contig reference set (its variation
+    graph) and its minimizer index."""
 
     name: str
-    built: BuiltGraph
+    refs: ReferenceSet
     index: FlatIndex
 
     @property
-    def graph(self):
-        return self.built.graph
+    def graph(self) -> GenomeGraph:
+        return self.refs.graph
 
     @property
     def resident_bytes(self) -> int:
         """Main-memory footprint: graph tables + index levels — the
         quantity the channel balancer packs (Section 8.3)."""
-        return self.built.graph.tables().total_bytes \
+        return self.graph.tables().total_bytes \
             + self.index.layout().total_bytes
 
 
@@ -71,10 +73,8 @@ class ReferenceGenome:
             raise ValueError("duplicate chromosome names")
         self.config = config or SeGraMConfig()
         self._mappers = {
-            chromosome.name: SeGraM(
-                chromosome.graph, config=self.config,
-                built=chromosome.built, index=chromosome.index,
-            )
+            chromosome.name: SeGraM(chromosome.refs, config=self.config,
+                                    index=chromosome.index)
             for chromosome in self.chromosomes
         }
 
@@ -95,13 +95,13 @@ class ReferenceGenome:
         variants = variants or {}
         chromosomes = []
         for name, sequence in references.items():
-            built = build_graph(sequence, variants.get(name, ()),
-                                name=name,
-                                max_node_length=max_node_length)
-            index = build_flat_index(built.graph, w=config.w,
-                                     k=config.k,
+            refs = ReferenceSet(
+                [Contig.linear(name, sequence, variants.get(name, ()))],
+                max_node_length=max_node_length,
+            )
+            index = build_flat_index(refs.graph, w=config.w, k=config.k,
                                      bucket_bits=config.bucket_bits)
-            chromosomes.append(Chromosome(name=name, built=built,
+            chromosomes.append(Chromosome(name=name, refs=refs,
                                           index=index))
         return cls(chromosomes, config=config)
 

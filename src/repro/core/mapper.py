@@ -1,14 +1,17 @@
 """SeGraM: the end-to-end universal mapper (paper Sections 4 and 9).
 
 A :class:`SeGraM` instance couples MinSeed (seeding) with BitAlign
-(windowed alignment) over one genome graph, supporting all three use
-cases of Section 9:
+(windowed alignment) over the combined genome graph of a
+:class:`~repro.refs.ReferenceSet` — one contig per chromosome, each a
+linear sequence plus variants or a genome graph — and supports all
+three use cases of Section 9:
 
-* **end-to-end sequence-to-graph mapping** — construct from a
-  reference plus variants (:meth:`SeGraM.from_reference`);
-* **sequence-to-sequence mapping** — construct from a linear reference
-  with no variants; the graph degenerates to a chain and the identical
-  machinery runs (S2S is "a special and simpler variant" of S2G);
+* **end-to-end sequence-to-graph mapping** — contigs built from a
+  reference plus variants (:meth:`SeGraM.from_reference` builds a
+  one-contig set), or graph-backed contigs;
+* **sequence-to-sequence mapping** — linear contigs with no variants;
+  the graph degenerates to a chain and the identical machinery runs
+  (S2S is "a special and simpler variant" of S2G);
 * **standalone seeding / alignment** — the underlying
   :class:`~repro.core.minseed.MinSeed` and
   :class:`~repro.core.windows.WindowedAligner` objects are exposed as
@@ -82,7 +85,7 @@ import math
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro import seq as seqmod
 from repro.core.alignment import MAPQ_SATURATION_GAP, READ_CONSUMING, \
@@ -92,16 +95,14 @@ from repro.core.minseed import MinSeed, SeedingStats, SeedRegion
 from repro.core.pipeline import PersistentPool, PipelineStats, \
     best_of, commit_candidates, run_sharded, timed
 from repro.core.windows import WindowedAligner, WindowingConfig
-from repro.graph.builder import BuiltGraph, Variant, build_graph
-from repro.graph.genome_graph import GenomeGraph, GraphError
+from repro.graph.builder import Variant
+from repro.graph.genome_graph import GraphError
 from repro.graph.linearize import LinearizedGraph, linearize
 from repro.index.flat_index import FlatIndex, build_flat_index
 from repro.index.minimizer import SCAN_BLOCK_BASES, \
     check_minimizer_parameters
 from repro.index.occurrence import DEFAULT_TOP_FRACTION
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.refs.reference import ReferenceSet
+from repro.refs.reference import Contig, ReferenceSet
 
 
 #: Read bases (one orientation) the seed stage takes in one chunk: a
@@ -239,9 +240,7 @@ class AlignmentCandidate:
         first contig in reference-name order, then the leftmost
         placement.  The key is total and input-order-free, so
         candidate lists are identical under ``--jobs`` sharding and
-        region-order changes.  (Single-reference
-        mappers carry no contig, so the contig component is constant
-        and the legacy ordering is unchanged.)
+        region-order changes.
         """
         if self.linear_position is not None:
             position = (self.linear_position, 0, 0)
@@ -265,13 +264,12 @@ class MappingResult:
         node_id / node_offset: graph position of the first consumed
             reference character.
         path_nodes: distinct graph node IDs visited, in order.
-        linear_position: projection onto the linear reference when the
-            mapper was built from one (for accuracy evaluation).  For
-            multi-contig mappers this is the **contig-local** 0-based
-            position (``contig`` names which one); single-reference
-            mappers leave ``contig`` None.
+        linear_position: the **contig-local** 0-based position of the
+            placement on a linear-backed contig (``contig`` names
+            which one); None for graph-backed contigs, which have no
+            linear projection.
         contig: name of the reference contig the placement is on
-            (None for single-reference mappers).
+            (None when unmapped).
         strand: '+' or '-' (reverse-complement mapping).
         seeding: MinSeed statistics for this read.
         regions_aligned: candidate regions BitAlign processed, even if
@@ -415,25 +413,32 @@ class SeGraM:
     Owns MinSeed, the windowed aligner, the whole-graph linearization,
     the cumulative :class:`~repro.core.pipeline.PipelineStats`
     (``stats``) and the staged drive that maps with them.
+
+    ``refs`` is the reference: one shared minimizer index covers its
+    concatenated contig space, candidate regions are clamped at contig
+    boundaries, and every mapped result carries ``(contig,
+    contig-local position)`` coordinates.  A graph on its own maps as
+    ``ReferenceSet([Contig.from_graph(name, graph)])``.  ``index``
+    skips the in-process index build — e.g. a
+    :class:`~repro.index.FlatIndex` attached from an artifact
+    (:mod:`repro.io.artifact`).
     """
 
     def __init__(
         self,
-        graph: GenomeGraph,
+        refs: ReferenceSet,
         config: SeGraMConfig | None = None,
-        built: BuiltGraph | None = None,
         index: FlatIndex | None = None,
-        refs: "ReferenceSet | None" = None,
     ) -> None:
+        graph = refs.graph
         if not graph.is_topologically_sorted():
             raise GraphError(
                 "SeGraM requires a topologically sorted graph "
                 "(pre-processing step of Section 5)"
             )
+        self.refs = refs
         self.graph = graph
         self.config = config or SeGraMConfig()
-        self.built = built
-        self.refs = refs
         self.index = index if index is not None else build_flat_index(
             graph, w=self.config.w, k=self.config.k,
             bucket_bits=self.config.bucket_bits,
@@ -442,7 +447,7 @@ class SeGraM:
             graph, self.index,
             error_rate=self.config.error_rate,
             freq_top_fraction=self.config.freq_top_fraction,
-            char_spans=refs.char_spans() if refs is not None else None,
+            char_spans=refs.char_spans(),
         )
         self.aligner = WindowedAligner(self.config.windowing)
         #: Node starts in the global character space, then the total
@@ -467,34 +472,15 @@ class SeGraM:
         name: str = "reference",
         max_node_length: int = 0,
     ) -> "SeGraM":
-        """Build the graph from a linear reference plus variants.
+        """Map over one linear contig called ``name``: the reference
+        plus variants.
 
         With no variants this constructs the chain graph and the mapper
         performs classical sequence-to-sequence mapping.
         """
-        built = build_graph(reference, variants, name=name,
-                            max_node_length=max_node_length)
-        return cls(built.graph, config=config, built=built)
-
-    @classmethod
-    def from_reference_set(
-        cls,
-        refs: "ReferenceSet",
-        config: SeGraMConfig | None = None,
-        index: FlatIndex | None = None,
-    ) -> "SeGraM":
-        """Build over a multi-contig :class:`~repro.refs.ReferenceSet`.
-
-        One shared minimizer index covers the concatenated contig
-        space; candidate regions are clamped at contig boundaries and
-        every mapped result carries ``(contig, contig-local
-        position)`` coordinates.  A single-contig set reproduces
-        :meth:`from_reference` bit for bit (modulo the ``contig``
-        annotation).  ``index`` skips the in-process index build —
-        e.g. a :class:`~repro.index.FlatIndex` attached from an
-        artifact (:mod:`repro.io.artifact`).
-        """
-        return cls(refs.graph, config=config, refs=refs, index=index)
+        return cls(ReferenceSet([Contig.linear(name, reference, variants)],
+                                max_node_length=max_node_length),
+                   config=config)
 
     # ------------------------------------------------------------------
     # Mapping
@@ -831,14 +817,8 @@ class SeGraM:
             path_nodes = tuple(nodes)
             node_id = nodes[0]
             node_offset = region.start + path[0] - bounds[node_id]
-            if self.refs is not None:
-                contig, linear_position = self.refs.project(
-                    node_id, node_offset,
-                )
-            elif self.built is not None:
-                linear_position = self.built.project_to_reference(
-                    node_id, node_offset,
-                )
+            contig, linear_position = self.refs.project(node_id,
+                                                        node_offset)
         return AlignmentCandidate(
             distance=aligned.distance, cigar=aligned.cigar,
             strand=strand, node_id=node_id, node_offset=node_offset,

@@ -135,8 +135,8 @@ class MinSeed:
             each seed's extension region is clamped to the span the
             seed fell in — the global index's hits bucket back to
             their contig and no candidate region crosses a contig
-            boundary.  None (the default) clamps to the whole
-            character space, the legacy single-reference behaviour.
+            boundary.  None (the default, for standalone seeding over
+            one graph) clamps to the whole character space.
     """
 
     def __init__(

@@ -41,13 +41,14 @@ pairing as a selection problem:
    :class:`PairStats`, stamped on each pair's SAM records via the
    ``YC:Z:`` tag, and reported by ``--discordant-out``.
 
-Rescue needs linear reference coordinates, so it activates when the
-mapper was built from a linear reference (:class:`~repro.graph.
-builder.BuiltGraph`); graph-only mappers still get candidate-pair
-scoring, minus rescue.  Batch mapping shards pairs across the
-engine's standing worker pool exactly like ``SeGraM.map_batch`` —
-results are identical to the sequential loop, and per-shard
-pipeline/pair statistics merge back into the parent.
+Rescue needs linear reference coordinates, so it searches the
+backbone of the anchor's contig (:meth:`~repro.refs.ReferenceSet.
+backbone`) and never crosses a contig boundary; mates anchored on a
+graph-backed contig still get candidate-pair scoring, minus rescue.
+Batch mapping shards pairs across the engine's standing worker pool
+exactly like ``SeGraM.map_batch`` — results are identical to the
+sequential loop, and per-shard pipeline/pair statistics merge back
+into the parent.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ CATEGORY_DIFFERENT_REFERENCE = "different_reference"
 CATEGORY_ONE_MATE_UNMAPPED = "one_mate_unmapped"
 CATEGORY_BOTH_UNMAPPED = "both_unmapped"
 #: Both mates mapped but at least one has no linear projection
-#: (graph-only mapper): orientation/TLEN cannot be measured.
+#: (graph-backed contig): orientation/TLEN cannot be measured.
 CATEGORY_UNPLACED = "unplaced"
 
 PAIR_CATEGORIES = (
@@ -194,7 +195,7 @@ class PairStats:
     ``discordant`` tallies discordant pairs by category (keys from
     :data:`DISCORDANT_CATEGORIES` only, so ``pairs_discordant``
     agrees with ``PairResult.discordant`` and with the
-    ``--discordant-out`` report); unclassifiable graph-only pairs
+    ``--discordant-out`` report); unclassifiable graph-backed pairs
     are counted separately in ``pairs_unplaced``.
     """
 
@@ -361,8 +362,8 @@ def classify_pair(mate1: MappingResult, mate2: MappingResult,
     * ``tlen_outlier`` — correct FR orientation but the template
       length falls outside ``insert_mean ± max_deviation *
       insert_std`` (deletion/insertion evidence);
-    * ``unplaced`` — mapped without linear projections (graph-only
-      mapper), so orientation and TLEN cannot be measured.
+    * ``unplaced`` — mapped without linear projections (graph-backed
+      contig), so orientation and TLEN cannot be measured.
     """
     if proper:
         return CATEGORY_PROPER
@@ -402,27 +403,6 @@ class PairedEndMapper:
         self.mapper = mapper
         self.config = config or PairedEndConfig()
         self.stats = PairStats()
-        # Rescue searches the linear reference; spell it once.  With a
-        # multi-contig ReferenceSet the rescue window lives in the
-        # *anchor's* contig (see _rescue_reference), clamping rescue at
-        # contig boundaries for free.
-        self._reference = mapper.built.backbone_sequence() \
-            if mapper.built is not None else None
-
-    def _rescue_reference(self, anchor: MappingResult) -> str | None:
-        """The linear sequence to search for the anchor's mate.
-
-        Single-reference mappers use the (single) backbone; a
-        reference-set mapper uses the backbone of the contig the
-        anchor mapped to (None for graph-backed contigs — no linear
-        rescue there, exactly like graph-only mappers).
-        """
-        refs = self.mapper.refs
-        if refs is not None:
-            if anchor.contig is None:
-                return None
-            return refs.backbone(anchor.contig)
-        return self._reference
 
     # ------------------------------------------------------------------
     # Single pair
@@ -640,14 +620,15 @@ class PairedEndMapper:
         The rescued mate must sit on the opposite strand, inward of
         the anchor (FR geometry), within the maximum template length —
         one fitting alignment of the oriented mate over that reference
-        window.  The window is the *anchor's contig* (multi-contig
-        mappers), so rescue never crosses a contig boundary.  Returns
-        ``(window, pattern, k, lo, strand)`` or None when no window
-        can be framed.
+        window.  The window is in the *anchor's contig*, so rescue
+        never crosses a contig boundary.  Returns ``(window, pattern,
+        k, lo, strand)`` or None when no window can be framed.
         """
-        reference = self._rescue_reference(anchor)
-        if reference is None:
-            return None
+        # A confident anchor has a linear position, so its contig is
+        # linear-backed.
+        assert anchor.contig is not None
+        reference = self.mapper.refs.backbone(anchor.contig)
+        assert reference is not None
         self.stats.rescue_attempts += 1
         max_template = self.config.max_template_length
         span = _linear_span(anchor)

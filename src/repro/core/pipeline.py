@@ -207,7 +207,7 @@ def _same_locus(a: "AlignmentCandidate", b: "AlignmentCandidate",
     candidates would fake a repeat tie and zero out MAPQ on unique
     reads.  Two placements on the same strand whose starts are within
     half a read length are one locus; with no linear projection
-    (graph-only mappers) the exact ``(node_id, node_offset)`` anchor
+    (graph-backed contigs) the exact ``(node_id, node_offset)`` anchor
     decides.
     """
     if a.strand != b.strand:

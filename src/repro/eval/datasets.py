@@ -21,22 +21,31 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.graph.builder import BuiltGraph, build_graph
+from repro.graph.genome_graph import GenomeGraph
+from repro.refs.reference import Contig, ReferenceSet
 from repro.sim.reference import reference_with_repeats
 from repro.sim.variants import VariantProfile, simulate_variants
 
 
 @dataclass(frozen=True)
 class GraphDataset:
-    """A named reference graph plus its source reference sequence."""
+    """A named reference graph (a one-contig reference set) plus its
+    source reference sequence."""
 
     name: str
     reference: str
-    built: BuiltGraph
+    refs: ReferenceSet
 
     @property
-    def graph(self):
-        return self.built.graph
+    def graph(self) -> GenomeGraph:
+        return self.refs.graph
+
+
+def _dataset(name: str, reference: str, variants,
+             max_node_length: int) -> GraphDataset:
+    refs = ReferenceSet([Contig.linear(name, reference, variants)],
+                        max_node_length=max_node_length)
+    return GraphDataset(name, reference, refs)
 
 
 #: GIAB-like rates: 7.1 M variants / 3.1 Gbp with an SNP-heavy mix.
@@ -74,9 +83,7 @@ def human_like_graph(
     rng = random.Random(seed)
     reference = reference_with_repeats(length, rng, repeat_fraction=0.1)
     variants = simulate_variants(reference, rng, GIAB_LIKE)
-    built = build_graph(reference, variants, name="human-like",
-                        max_node_length=max_node_length)
-    return GraphDataset("human-like", reference, built)
+    return _dataset("human-like", reference, variants, max_node_length)
 
 
 def brca1_like_graph(
@@ -88,9 +95,7 @@ def brca1_like_graph(
     rng = random.Random(seed)
     reference = reference_with_repeats(length, rng, repeat_fraction=0.05)
     variants = simulate_variants(reference, rng, GIAB_LIKE)
-    built = build_graph(reference, variants, name="brca1-like",
-                        max_node_length=max_node_length)
-    return GraphDataset("brca1-like", reference, built)
+    return _dataset("brca1-like", reference, variants, max_node_length)
 
 
 def immune_region_graph(
@@ -102,6 +107,4 @@ def immune_region_graph(
     rng = random.Random(seed)
     reference = reference_with_repeats(length, rng, repeat_fraction=0.05)
     variants = simulate_variants(reference, rng, IMMUNE_LIKE)
-    built = build_graph(reference, variants, name="immune-like",
-                        max_node_length=max_node_length)
-    return GraphDataset("immune-like", reference, built)
+    return _dataset("immune-like", reference, variants, max_node_length)

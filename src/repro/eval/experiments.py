@@ -206,8 +206,8 @@ def live_mapping_shape(read_count: int = 6):
     dataset = _human()
     rng = random.Random(321)
     rows = []
-    mapper = SeGraM(dataset.graph, config=_mapper_config(0.01),
-                    built=dataset.built, index=_human_index())
+    mapper = SeGraM(dataset.refs, config=_mapper_config(0.01),
+                    index=_human_index())
     short_reads = simulate_short_reads(
         dataset.reference, read_count, rng,
         ShortReadProfile.illumina(150, 0.01),
@@ -216,8 +216,8 @@ def live_mapping_shape(read_count: int = 6):
                                for r in short_reads])
     rows.append(_live_row("Illumina-150bp (live)", mapped, short_reads))
 
-    long_mapper = SeGraM(dataset.graph, config=_mapper_config(0.05),
-                         built=dataset.built, index=_human_index())
+    long_mapper = SeGraM(dataset.refs, config=_mapper_config(0.05),
+                         index=_human_index())
     long_reads = simulate_long_reads(
         dataset.reference, max(2, read_count // 3), rng,
         LongReadProfile.pacbio(0.05, read_length=3_000),
@@ -275,8 +275,7 @@ def hga_live_functional(read_count: int = 8):
 
     dataset = _brca1()
     rng = random.Random(77)
-    mapper = SeGraM(dataset.graph, config=_mapper_config(0.01),
-                    built=dataset.built)
+    mapper = SeGraM(dataset.refs, config=_mapper_config(0.01))
     reads = simulate_graph_reads(dataset.graph, read_count, 128, rng,
                                  ErrorModel.illumina(0.01))
     results = mapper.map_batch([(r.name, r.sequence) for r in reads])
@@ -440,8 +439,8 @@ def minseed_seed_counts(read_count: int = 6):
     does not chain."""
     dataset = _human()
     rng = random.Random(99)
-    mapper = SeGraM(dataset.graph, config=_mapper_config(0.05),
-                    built=dataset.built, index=_human_index())
+    mapper = SeGraM(dataset.refs, config=_mapper_config(0.05),
+                    index=_human_index())
     reads = simulate_long_reads(
         dataset.reference, read_count, rng,
         LongReadProfile.pacbio(0.05, read_length=3_000),
@@ -511,8 +510,7 @@ def minimizer_vs_full_index(read_count: int = 8):
             w=w, k=15, bucket_bits=14, error_rate=0.01,
             windowing=config.windowing, max_seeds_per_read=4,
         )
-        mapper = SeGraM(dataset.graph, config=config,
-                        built=dataset.built, index=index)
+        mapper = SeGraM(dataset.refs, config=config, index=index)
         results = [mapper.map_read(r.sequence, r.name) for r in reads]
         accuracy = evaluate_linear_mappings(results, reads,
                                             tolerance=100)
@@ -539,8 +537,8 @@ def motivation_profile(read_count: int = 3):
     the software tools."""
     dataset = _human()
     rng = random.Random(123)
-    mapper = SeGraM(dataset.graph, config=_mapper_config(0.05),
-                    built=dataset.built, index=_human_index())
+    mapper = SeGraM(dataset.refs, config=_mapper_config(0.05),
+                    index=_human_index())
     reads = simulate_long_reads(
         dataset.reference, read_count, rng,
         LongReadProfile.pacbio(0.05, read_length=2_000),

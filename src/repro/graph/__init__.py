@@ -23,11 +23,6 @@ from repro.graph.bubbles import (
     graph_shape,
 )
 
-# NOTE: repro.graph.genome (multi-chromosome genomes) is deliberately
-# NOT re-exported here: it builds on repro.core.mapper, which imports
-# this package — import it directly as `from repro.graph.genome
-# import ReferenceGenome`.
-
 __all__ = [
     "GenomeGraph",
     "GraphTables",

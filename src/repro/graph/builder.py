@@ -113,10 +113,6 @@ class BuiltGraph:
         """Spell the backbone path (must equal the input reference)."""
         return self.graph.spell_path(self.backbone)
 
-    def project_to_reference(self, node_id: int, offset: int) -> int:
-        """Project (node, offset-in-node) to a linear reference position."""
-        return self.ref_positions[node_id] + offset
-
 
 def _as_variants(reference: str,
                  variants: Iterable[Variant | VcfRecord]) -> list[Variant]:

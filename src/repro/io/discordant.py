@@ -14,8 +14,7 @@ Columns::
     template_length  score
 
 Positions are 1-based (SAM convention) or ``.`` for unmapped mates;
-contigs are ``.`` for unmapped mates and for single-reference mappers
-(whose results carry no contig name); ``template_length``/``score``
+contigs are ``.`` for unmapped mates; ``template_length``/``score``
 are ``.`` when unavailable (including ``different_reference`` pairs,
 where the template length is undefined).  The file round-trips
 through :func:`read_discordant_report`.
@@ -48,7 +47,7 @@ class DiscordantRecord:
     ``pos1``/``pos2`` are 1-based leftmost mapping positions (None
     for unmapped mates), mirroring the SAM records of the pair;
     ``contig1``/``contig2`` name the reference contig of each mate
-    (None for unmapped mates or single-reference mappers).
+    (None for unmapped mates).
     """
 
     name: str

@@ -113,9 +113,11 @@ class SamRecord:
         return bool(self.flag & FLAG_SECOND_IN_PAIR)
 
 
-def _checked_name(value: str, column: str, read_name: str) -> str:
-    """Reject QNAME/RNAME values that would corrupt the tab-delimited
-    columns (or, for spaces, violate the SAM name grammar).
+def _checked_name(value: str | None, column: str,
+                  read_name: str) -> str:
+    """Reject QNAME/RNAME values that are missing or would corrupt the
+    tab-delimited columns (or, for spaces, violate the SAM name
+    grammar).
 
     Names normally arrive clean — the FASTA/FASTQ readers split
     headers on any whitespace — but results constructed directly can
@@ -138,19 +140,19 @@ def _oriented_seq(result: "MappingResult", read: str) -> str:
 
 
 def result_to_sam(result: "MappingResult", read: str,
+                  # Ignored.  Deleted with ROADMAP item 1's follow-up
+                  # ``src/`` PR, once ``benchmarks/perf/run.py`` stops
+                  # passing it.
                   reference_name: str | None = None,
                   flag_extra: int = 0,
                   mapq: int | None = None,
                   pair_category: str | None = None) -> SamRecord:
     """Convert a mapping result to a SAM record.
 
-    RNAME is the result's own contig when the mapper annotated one
-    (multi-contig :class:`~repro.refs.ReferenceSet` mappers do);
-    ``reference_name`` is the fallback for single-reference mappers,
-    whose results carry no contig.  ``result.linear_position`` must be
-    present for mapped reads (the mapper fills it when built from a
-    linear reference); mapped results without a projection raise,
-    because SAM coordinates are linear.  MAPQ defaults to the
+    RNAME is the result's contig.  ``result.linear_position`` must be
+    present for mapped reads (placements on linear-backed contigs
+    have one); mapped results without a projection raise, because SAM
+    coordinates are linear.  MAPQ defaults to the
     calibrated ``result.mapq`` (best/second-best gap);
     ``flag_extra``/``mapq``/``pair_category`` let the pair-aware
     writer add pair flag bits, override the per-mate MAPQ, and stamp
@@ -167,13 +169,7 @@ def result_to_sam(result: "MappingResult", read: str,
     if result.linear_position is None:
         raise SamFormatError(
             f"read {result.read_name!r}: mapped result has no linear "
-            "projection; SAM output requires a reference-backed mapper"
-        )
-    rname = result.contig or reference_name
-    if rname is None:
-        raise SamFormatError(
-            f"read {result.read_name!r}: no contig on the result and "
-            "no reference_name fallback given"
+            "projection; SAM output requires a linear-backed contig"
         )
     flag = (FLAG_REVERSE if result.strand == "-" else 0) | flag_extra
     if mapq is None:
@@ -182,7 +178,7 @@ def result_to_sam(result: "MappingResult", read: str,
         qname=_checked_name(result.read_name, "QNAME",
                             result.read_name),
         flag=flag,
-        rname=_checked_name(rname, "RNAME", result.read_name),
+        rname=_checked_name(result.contig, "RNAME", result.read_name),
         pos=result.linear_position + 1,
         mapq=mapq,
         cigar=str(result.cigar),
@@ -192,9 +188,8 @@ def result_to_sam(result: "MappingResult", read: str,
     )
 
 
-def pair_to_sam(pair: "PairResult", read1: str, read2: str,
-                reference_name: str | None = None
-                ) -> tuple[SamRecord, SamRecord]:
+def pair_to_sam(pair: "PairResult", read1: str,
+                read2: str) -> tuple[SamRecord, SamRecord]:
     """Convert one mapped pair into its two SAM records.
 
     Sets the pair FLAG bits (0x1 paired, 0x2 proper, 0x8/0x20 mate
@@ -208,8 +203,7 @@ def pair_to_sam(pair: "PairResult", read1: str, read2: str,
     proper-pair bonus).  Both records carry the pair's discordant
     classification in the ``YC:Z:`` tag.  Per the SAM spec's
     recommended practice, an unmapped mate whose partner is mapped is
-    co-located with it (RNAME/POS copied from the mapped mate — the
-    *mate's* contig, never a hard-coded single reference name — with
+    co-located with it (RNAME/POS copied from the mapped mate, with
     RNEXT ``=``) so coordinate sorts keep the pair together.
     """
     results = (pair.mate1, pair.mate2)
@@ -226,8 +220,8 @@ def pair_to_sam(pair: "PairResult", read1: str, read2: str,
         elif mate.strand == "-":
             flag |= FLAG_MATE_REVERSE
         mapq = me.mapq_with(proper_pair=pair.proper)
-        records.append(result_to_sam(me, read, reference_name,
-                                     flag_extra=flag, mapq=mapq,
+        records.append(result_to_sam(me, read, flag_extra=flag,
+                                     mapq=mapq,
                                      pair_category=pair.category))
     rec1, rec2 = records
     if pair.mate1.mapped and pair.mate2.mapped \
@@ -274,27 +268,6 @@ def sam_record_line(record: SamRecord) -> str:
     return "\t".join(fields) + "\n"
 
 
-def _resolve_contigs(
-    reference_name: str | None,
-    reference_length: int | None,
-    contigs: "Iterable[tuple[str, int]] | None",
-) -> list[tuple[str, int]]:
-    """The @SQ contig list from either header form (exactly one)."""
-    if contigs is None:
-        if reference_name is None or reference_length is None:
-            raise ValueError(
-                "write_sam needs either contigs or "
-                "reference_name + reference_length"
-            )
-        return [(reference_name, reference_length)]
-    if reference_name is not None or reference_length is not None:
-        raise ValueError(
-            "write_sam takes contigs or reference_name/"
-            "reference_length, not both"
-        )
-    return list(contigs)
-
-
 class SamWriter:
     """Streaming SAM writer, optionally coordinate-sorted.
 
@@ -312,9 +285,12 @@ class SamWriter:
     merged on :meth:`close` (external merge sort), so the sorted path
     keeps the same bounded-memory guarantee as the streaming one.
 
-    Records naming an RNAME absent from the header raise
-    :class:`SamFormatError` — such a record has no sort rank, and
-    emitting it unsorted would corrupt the declared ordering.
+    ``contigs`` are the ``(name, length)`` pairs of the ``@SQ`` lines,
+    in order (e.g. :meth:`repro.refs.ReferenceSet.sam_contigs`).
+    Records naming an RNAME, or an RNEXT other than ``=`` / ``*``,
+    absent from the header raise :class:`SamFormatError`, sorted or
+    not: such a record refers to no declared reference (and has no
+    sort rank).
     Use as a context manager, or call :meth:`close` (which writes any
     buffered sorted body) when done.
     """
@@ -325,47 +301,44 @@ class SamWriter:
     def __init__(
         self,
         target: PathOrHandle,
-        reference_name: str | None = None,
-        reference_length: int | None = None,
-        contigs: "Iterable[tuple[str, int]] | None" = None,
+        contigs: Iterable[tuple[str, int]],
         sort: bool = False,
         run_size: int = DEFAULT_RUN_SIZE,
     ) -> None:
         if run_size < 1:
             raise ValueError("run_size must be >= 1")
-        resolved = _resolve_contigs(reference_name, reference_length,
-                                    contigs)
+        contigs = list(contigs)
         self._handle, self._owned = _open_for_write(target)
         self._sort = sort
         self._run_size = run_size
         self._rank = {name: rank
-                      for rank, (name, _) in enumerate(resolved)}
+                      for rank, (name, _) in enumerate(contigs)}
         self._serial = 0
         self._buffer: list[tuple[int, int, int, str]] = []
         self._runs: list = []
         self._closed = False
         order = "coordinate" if sort else "unknown"
         self._handle.write(f"@HD\tVN:1.6\tSO:{order}\n")
-        for name, length in resolved:
+        for name, length in contigs:
             self._handle.write(f"@SQ\tSN:{name}\tLN:{length}\n")
         self._handle.write("@PG\tID:segram-repro\tPN:segram-repro\n")
 
     def write(self, record: SamRecord) -> None:
         """Append one record (buffered until close when sorting)."""
+        for column, name, placeholders in (
+                ("RNAME", record.rname, ("*",)),
+                ("RNEXT", record.rnext, ("*", "="))):
+            if name not in self._rank and name not in placeholders:
+                raise SamFormatError(
+                    f"{record.qname}: {column} {name!r} is not in the "
+                    "@SQ header"
+                )
         line = sam_record_line(record)
         if not self._sort:
             self._handle.write(line)
             return
-        if record.rname == "*":
-            rank = len(self._rank)
-        else:
-            try:
-                rank = self._rank[record.rname]
-            except KeyError:
-                raise SamFormatError(
-                    f"{record.qname}: RNAME {record.rname!r} is not "
-                    "in the @SQ header; cannot coordinate-sort"
-                ) from None
+        # Unmapped / unplaced records (RNAME ``*``) sort last.
+        rank = self._rank.get(record.rname, len(self._rank))
         self._buffer.append((rank, record.pos, self._serial, line))
         self._serial += 1
         if len(self._buffer) >= self._run_size:
@@ -424,23 +397,17 @@ class SamWriter:
 def write_sam(
     target: PathOrHandle,
     records: Iterable[SamRecord],
-    reference_name: str | None = None,
-    reference_length: int | None = None,
-    contigs: "Iterable[tuple[str, int]] | None" = None,
+    contigs: Iterable[tuple[str, int]],
     sort: bool = False,
 ) -> None:
     """Write records with a minimal @HD/@SQ header.
 
-    ``contigs`` is the multi-contig header: ``(name, length)`` pairs
-    emitted as one ``@SQ`` line each, in order (e.g.
-    :meth:`repro.refs.ReferenceSet.sam_contigs`).  The legacy
-    ``reference_name``/``reference_length`` pair is the single-contig
-    shorthand; exactly one of the two forms must be given.
-    ``sort=True`` emits the records coordinate-sorted (see
-    :class:`SamWriter`).
+    ``contigs`` are the ``(name, length)`` pairs emitted as one
+    ``@SQ`` line each, in order (e.g.
+    :meth:`repro.refs.ReferenceSet.sam_contigs`).  ``sort=True`` emits
+    the records coordinate-sorted (see :class:`SamWriter`).
     """
-    writer = SamWriter(target, reference_name, reference_length,
-                       contigs, sort=sort)
+    writer = SamWriter(target, contigs, sort=sort)
     try:
         for record in records:
             writer.write(record)

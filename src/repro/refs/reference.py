@@ -1,9 +1,10 @@
-"""Multi-contig references: :class:`Contig` and :class:`ReferenceSet`.
+"""References: :class:`Contig` and :class:`ReferenceSet`.
 
 Real aligners serve references made of many sequences — chromosomes,
-scaffolds, decoys — yet SeGraM's machinery (one graph, one index, one
-coordinate space) was hard-wired to a single contig.  This module
-closes that gap without touching the paper's datapath:
+scaffolds, decoys — while SeGraM's machinery works on one graph, one
+index and one coordinate space.  A :class:`ReferenceSet` is the one
+reference shape the mapper takes (one contig or many), and it bridges
+the two without touching the paper's datapath:
 
 * a :class:`Contig` names one reference sequence, backed either by a
   **linear** sequence (plus optional variants, built into a variation
@@ -30,10 +31,9 @@ while every user-facing coordinate is ``(contig, offset)``:
   candidate region (and therefore no alignment) ever spans two
   contigs.
 
-A single-contig :class:`ReferenceSet` reproduces the legacy
-single-reference mapper **bit for bit**: the combined graph, the
-index, and the clamping all degenerate to exactly what
-:meth:`repro.core.mapper.SeGraM.from_reference` builds.
+With a single contig the combined graph is that contig's graph and
+the clamping span is the whole character space
+(:meth:`repro.core.mapper.SeGraM.from_reference` builds such a set).
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ class Contig:
       mapped results in it carry a contig-local linear projection;
     * **graph** — a pre-built :class:`~repro.graph.genome_graph.
       GenomeGraph`; results have graph coordinates only
-      (``linear_position`` stays None), exactly like a graph-only
-      :class:`~repro.core.mapper.SeGraM`.
+      (``linear_position`` stays None).
     """
 
     name: str
@@ -248,8 +247,8 @@ class ReferenceSet:
 
         :class:`~repro.io.vcf.VcfRecord` variants are routed to the
         contig whose name equals their ``CHROM``; with a single contig
-        any ``CHROM`` is accepted (the legacy single-reference CLI
-        behaviour).  A multi-contig set rejects variants naming an
+        any ``CHROM`` is accepted (a one-record FASTA takes any VCF).
+        A multi-contig set rejects variants naming an
         unknown contig, and bare :class:`~repro.graph.builder.Variant`
         objects (which carry no contig) are only accepted for
         single-contig sets.
@@ -377,8 +376,7 @@ class ReferenceSet:
 
         The local position is the contig's 0-based linear coordinate
         (what SAM POS-1 reports); graph-backed contigs return None —
-        they have no linear projection, exactly like graph-only
-        mappers today.
+        they have no linear projection.
         """
         index = self._contig_index_of_node(node_id)
         placed = self._contigs[index]

@@ -105,7 +105,7 @@ class ServiceCore:
         self.counters.record_mapped(reads=len(items))
         payloads = []
         for record, (_, sequence) in zip(records, items):
-            sam = result_to_sam(record.result, sequence, record.contig)
+            sam = result_to_sam(record.result, sequence)
             payloads.append({"record": record_payload(record),
                              "sam": sam_payload(sam)})
         return payloads

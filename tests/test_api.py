@@ -2,9 +2,11 @@
 
 The acceptance contract of the API redesign:
 
-* ``repro.api.Mapper`` results are **parity-tested** against the
-  legacy ``SeGraM`` / ``PairedEndMapper`` engines, under ``jobs``
-  1/2 and either (ignored) ``align_backend`` name;
+* ``repro.api.Mapper`` results are **parity-tested** — whole
+  ``MappingResult`` / ``PairResult`` equality, contig and graph path
+  included — against the ``SeGraM`` / ``PairedEndMapper`` engines,
+  under ``jobs`` 1/2 and either (ignored) ``align_backend`` name;
+* every mapped result of every engine constructor carries its contig;
 * multi-contig end-to-end: a 3-contig reference maps pairs to a SAM
   with three ``@SQ`` lines, per-contig RNAME/RNEXT (``=`` shorthand
   intra-contig), and planted inter-contig pairs classified
@@ -30,6 +32,7 @@ from repro.core.pairing import (
     PairedEndMapper,
 )
 from repro.core.windows import WindowingConfig
+from repro.graph.builder import build_graph
 from repro.io.discordant import (
     read_discordant_report,
     write_discordant_report,
@@ -41,7 +44,7 @@ from repro.io.sam import (
     validate_sam_record,
     write_sam,
 )
-from repro.refs import ReferenceSet
+from repro.refs import Contig, ReferenceSet
 from repro.sim.pairedend import (
     PairedEndProfile,
     simulate_fragments,
@@ -92,15 +95,8 @@ def multi_workload():
     return contigs, fragments, pairs
 
 
-def _result_key(result):
-    return (result.read_name, result.mapped, result.distance,
-            str(result.cigar), result.linear_position, result.strand,
-            result.mapq, result.second_best_distance,
-            result.candidate_count)
-
-
 class TestFacadeParity:
-    """Acceptance: facade == legacy engines, jobs 1 and 2, under each
+    """Acceptance: facade == engines, jobs 1 and 2, under each
     ``align_backend`` name the config still accepts and ignores."""
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
@@ -108,17 +104,18 @@ class TestFacadeParity:
     def test_single_end_parity(self, single_workload, backend, jobs):
         reference, reads, _ = single_workload
         config = _config(align_backend=backend)
-        legacy = SeGraM.from_reference(reference, config=config,
+        engine = SeGraM.from_reference(reference, config=config,
                                        name="chr1",
                                        max_node_length=1_024)
         facade = Mapper(reference, config=config, name="chr1",
                         max_node_length=1_024)
-        expected = legacy.map_batch(reads, jobs=jobs)
+        expected = engine.map_batch(reads, jobs=jobs)
         records = facade.map_batch(reads, jobs=jobs)
         assert len(records) == len(expected)
+        assert any(result.mapped for result in expected)
         for record, result in zip(records, expected):
-            assert _result_key(record.result) == _result_key(result)
-            assert record.contig == "chr1"
+            assert record.result == result
+            assert record.contig == result.contig == "chr1"
             assert record.position == result.linear_position
             assert record.mapq == result.mapq
 
@@ -129,7 +126,7 @@ class TestFacadeParity:
         config = _config(align_backend=backend)
         pair_config = PairedEndConfig(insert_mean=350.0,
                                       insert_std=50.0)
-        legacy_engine = PairedEndMapper(
+        engine = PairedEndMapper(
             SeGraM.from_reference(reference, config=config,
                                   name="chr1",
                                   max_node_length=1_024),
@@ -138,18 +135,62 @@ class TestFacadeParity:
         facade = Mapper(reference, config=config,
                         pair_config=pair_config, name="chr1",
                         max_node_length=1_024)
-        expected = legacy_engine.map_pairs(pairs, jobs=jobs)
+        expected = engine.map_pairs(pairs, jobs=jobs)
         records = facade.map_pairs(pairs, jobs=jobs)
         assert len(records) == len(expected)
         for (rec1, rec2), pair in zip(records, expected):
+            assert rec1.pair == rec2.pair == pair
             assert rec1.pair_category == pair.category
             assert rec1.proper_pair == pair.proper
             assert rec1.template_length == pair.template_length
-            assert _result_key(rec1.result) == _result_key(pair.mate1)
-            assert _result_key(rec2.result) == _result_key(pair.mate2)
+            assert rec1.result == pair.mate1
+            assert rec2.result == pair.mate2
             assert rec1.mapq == \
                 pair.mate1.mapq_with(proper_pair=pair.proper)
         assert facade.pair_stats.pairs == len(pairs)
+
+
+def _engine(constructor: str, reference: str, tmp_path) -> SeGraM:
+    config = _config()
+    if constructor == "from_reference":
+        return SeGraM.from_reference(reference, config=config,
+                                     name="chr1")
+    if constructor == "graph":
+        graph = build_graph(reference).graph
+        return SeGraM(ReferenceSet([Contig.from_graph("chr1", graph)]),
+                      config=config)
+    mapper = Mapper(reference, config=config, name="chr1")
+    if constructor == "Mapper.from_artifact":
+        mapper = Mapper.from_artifact(
+            mapper.save_index(tmp_path / "ref.sgidx"), config=config)
+    return mapper.engine
+
+
+class TestEveryResultHasAContig:
+    """The engine holds one reference shape, a ReferenceSet, so every
+    mapped result — single-end, pair mates and their candidates —
+    names its contig, whichever constructor built the engine."""
+
+    @pytest.mark.parametrize("constructor", [
+        "from_reference", "graph", "Mapper", "Mapper.from_artifact"])
+    def test_mapped_results_carry_the_contig(self, single_workload,
+                                             tmp_path, constructor):
+        reference, reads, pairs = single_workload
+        engine = _engine(constructor, reference, tmp_path)
+        pair_engine = PairedEndMapper(engine, PairedEndConfig(
+            insert_mean=350.0, insert_std=50.0))
+        results = engine.map_batch(reads) + [
+            mate for pair in pair_engine.map_pairs(pairs)
+            for mate in (pair.mate1, pair.mate2)]
+        mapped = [result for result in results if result.mapped]
+        assert len(mapped) > len(results) // 2
+        for result in mapped:
+            assert result.contig == "chr1"
+            assert all(candidate.contig == "chr1"
+                       for candidate in result.candidates)
+            # Only graph-backed contigs lack a linear projection.
+            assert (result.linear_position is None) == \
+                (constructor == "graph")
 
 
 class TestFacadeSurface:

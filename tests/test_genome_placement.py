@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.mapper import SeGraMConfig
 from repro.core.windows import WindowingConfig
-from repro.graph.genome import ReferenceGenome
+from repro.core.genome import ReferenceGenome
 from repro.hw.placement import (
     GRCH38_CHROMOSOME_MBP,
     place_chromosomes,

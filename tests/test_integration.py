@@ -135,7 +135,7 @@ class TestEndToEndPipeline:
             read = reference[start:start + 250]
             result = mapper.map_read(read, f"s{start}")
             if result.mapped:
-                record = result_to_sam(result, read, "chr1")
+                record = result_to_sam(result, read)
                 validate_sam_record(record)
 
     def test_mapping_is_deterministic(self, pipeline):

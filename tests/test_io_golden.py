@@ -97,9 +97,9 @@ def _render() -> tuple[str, str]:
                for name, sequence in reads]
     sam_buffer = io.StringIO()
     write_sam(sam_buffer,
-              [result_to_sam(result, sequence, REFERENCE_NAME)
+              [result_to_sam(result, sequence)
                for result, sequence in results],
-              REFERENCE_NAME, len(reference))
+              mapper.refs.sam_contigs())
     return sam_buffer.getvalue(), _gaf_text(mapper, results)
 
 
@@ -217,9 +217,9 @@ class TestGoldenOutput:
                    for name, sequence in reads]
         buffer = io.StringIO()
         write_sam(buffer,
-                  [result_to_sam(result, sequence, REFERENCE_NAME)
+                  [result_to_sam(result, sequence)
                    for result, sequence in results],
-                  REFERENCE_NAME, len(reference))
+                  mapper.refs.sam_contigs())
         assert buffer.getvalue() == sam_text
         buffer = io.StringIO()
         write_gaf(buffer,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -48,6 +49,7 @@ def mapped_results():
                                       k=16),
             max_seeds_per_read=4,
         ),
+        name="chr1",
         max_node_length=2_000,
     )
     reads = [(f"r{i}", reference[i * 900:i * 900 + 200])
@@ -61,8 +63,8 @@ class TestSam:
     def test_mapped_record_fields(self, mapped_results):
         _, reference, results = mapped_results
         result, seq = results[0]
-        record = result_to_sam(result, seq, "chr1")
-        assert record.rname == "chr1"
+        record = result_to_sam(result, seq)
+        assert record.rname == result.contig == "chr1"
         assert record.pos == result.linear_position + 1
         assert not record.is_unmapped
         validate_sam_record(record)
@@ -71,24 +73,23 @@ class TestSam:
         from repro.core.mapper import MappingResult
         result = MappingResult(read_name="r", read_length=4,
                                mapped=False)
-        record = result_to_sam(result, "ACGT", "chr1")
+        record = result_to_sam(result, "ACGT")
         assert record.is_unmapped
         assert record.flag & FLAG_UNMAPPED
         assert record.cigar == "*"
 
     def test_roundtrip(self, mapped_results, tmp_path):
-        _, reference, results = mapped_results
-        records = [result_to_sam(r, seq, "chr1")
-                   for r, seq in results]
+        mapper, _, results = mapped_results
+        records = [result_to_sam(r, seq) for r, seq in results]
         path = tmp_path / "out.sam"
-        write_sam(path, records, "chr1", len(reference))
+        write_sam(path, records, mapper.refs.sam_contigs())
         parsed = read_sam(path)
         assert parsed == records
 
     def test_header_written(self, mapped_results):
         _, reference, results = mapped_results
         buffer = io.StringIO()
-        write_sam(buffer, [], "chr1", len(reference))
+        write_sam(buffer, [], [("chr1", len(reference))])
         text = buffer.getvalue()
         assert "@HD" in text
         assert f"LN:{len(reference)}" in text
@@ -131,20 +132,20 @@ class TestSam:
         result = MappingResult(read_name="r1\textra", read_length=4,
                                mapped=False)
         with pytest.raises(SamFormatError, match="QNAME"):
-            result_to_sam(result, "ACGT", "chr1")
+            result_to_sam(result, "ACGT")
 
     def test_qname_with_space_rejected(self):
         from repro.core.mapper import MappingResult
         result = MappingResult(read_name="r1 extra", read_length=4,
                                mapped=False)
         with pytest.raises(SamFormatError, match="QNAME"):
-            result_to_sam(result, "ACGT", "chr1")
+            result_to_sam(result, "ACGT")
 
     def test_rname_with_whitespace_rejected(self, mapped_results):
         _, _, results = mapped_results
         result, seq = results[0]
         with pytest.raises(SamFormatError, match="RNAME"):
-            result_to_sam(result, seq, "chr 1")
+            result_to_sam(replace(result, contig="chr 1"), seq)
 
 
 class TestOrientationAndAmbiguity:
@@ -183,7 +184,7 @@ class TestOrientationAndAmbiguity:
             read = seqmod.reverse_complement(fragment) \
                 if index % 2 else fragment
             result = mapper.map_read(read, f"prop_{index}")
-            record = result_to_sam(result, read, "chrP")
+            record = result_to_sam(result, read)
             validate_sam_record(record)
             if record.is_reverse:
                 reverse_seen += 1
@@ -194,7 +195,7 @@ class TestOrientationAndAmbiguity:
             reads.append(read)
         assert reverse_seen > 0
         buffer = io.StringIO()
-        write_sam(buffer, records, "chrP", len(reference))
+        write_sam(buffer, records, mapper.refs.sam_contigs())
         assert read_sam(io.StringIO(buffer.getvalue())) == records
 
     def test_n_reads_map_and_round_trip(self, mapper_and_reference):
@@ -221,14 +222,14 @@ class TestOrientationAndAmbiguity:
             # Each N costs one edit against the ACGT reference; a
             # little slack for window-boundary drift.
             assert result.distance <= 6
-            record = result_to_sam(result, read, "chrP")
+            record = result_to_sam(result, read)
             validate_sam_record(record)
             expected = seqmod.reverse_complement(read) \
                 if record.is_reverse else read
             assert record.seq == expected
             assert record.seq.count("N") == 3
             buffer = io.StringIO()
-            write_sam(buffer, [record], "chrP", len(reference))
+            write_sam(buffer, [record], mapper.refs.sam_contigs())
             assert read_sam(io.StringIO(buffer.getvalue())) == [record]
             gaf = result_to_gaf(result, mapper.graph, read)
             assert gaf is not None
@@ -239,7 +240,7 @@ class TestOrientationAndAmbiguity:
         mapper, _ = mapper_and_reference
         result = mapper.map_read("N" * 60, "all_n")
         assert not result.mapped
-        record = result_to_sam(result, "N" * 60, "chrP")
+        record = result_to_sam(result, "N" * 60)
         assert record.is_unmapped
 
 
@@ -397,6 +398,27 @@ class TestSamWriterSorted:
                            mapq=60, cigar="4=", seq="ACGT")
         with pytest.raises(SamFormatError, match="chrX"):
             writer.write(record)
+
+    @pytest.mark.parametrize("sort", [False, True],
+                             ids=["streaming", "sorted"])
+    @pytest.mark.parametrize("field", ["rname", "rnext"])
+    def test_reference_outside_header_rejected(self, field, sort):
+        """RNAME and RNEXT must name an @SQ line (RNEXT may also be
+        ``=`` / ``*``) whether or not the writer sorts; a rejected
+        record writes nothing."""
+        buffer = io.StringIO()
+        writer = SamWriter(buffer, contigs=self.CONTIGS, sort=sort)
+        header = buffer.getvalue()
+        base = SamRecord(qname="q", flag=0, rname=self.CONTIGS[0][0],
+                         pos=1, mapq=60, cigar="4=", seq="ACGT")
+        for rnext in ("*", "=", self.CONTIGS[1][0]):
+            writer.write(replace(base, rnext=rnext))
+        with pytest.raises(SamFormatError, match="chr9"):
+            writer.write(replace(base, **{field: "chr9"}))
+        writer.close()
+        body = buffer.getvalue()[len(header):]
+        assert len(body.splitlines()) == 3
+        assert "chr9" not in body
 
     def test_run_size_validated(self):
         with pytest.raises(ValueError):

@@ -120,7 +120,6 @@ class TestS2GMapping:
         """A read containing a SNP's alt allele must align with zero
         edits through the alt node — the core benefit of S2G mapping."""
         reference, variants, mapper = graph_mapper
-        built = mapper.built
         snps = [v for v in variants
                 if v.end - v.start == 1 and len(v.alt) == 1
                 and 2_000 < v.start < len(reference) - 2_000]
@@ -134,7 +133,7 @@ class TestS2GMapping:
         assert result.mapped
         assert result.distance == 0
         # The same read against the *linear* reference costs >= 1 edit.
-        alt_nodes = set(built.alt_nodes)
+        alt_nodes = set(mapper.refs.alt_nodes_of(result.contig))
         assert alt_nodes & set(result.path_nodes), \
             "alignment should route through an alt node"
 
@@ -162,13 +161,19 @@ class TestS2GMapping:
 
 class TestConfigBehaviour:
     def test_requires_topologically_sorted_graph(self):
+        """A reference set is re-checked by the engine: one restored
+        from outside input (an index artifact) may carry a graph whose
+        edges do not ascend."""
         from repro.graph.genome_graph import GenomeGraph
+        from repro.refs import Contig, ReferenceSet
         graph = GenomeGraph()
         a, b = graph.add_node("ACGTACGTACGTACGTACGT"), \
             graph.add_node("ACGTACGTACGTACGTACGT")
-        graph.add_edge(b, a)
+        graph.add_edge(a, b)
+        refs = ReferenceSet([Contig.from_graph("g", graph)])
+        refs.graph.add_edge(b, a)
         with pytest.raises(GraphError):
-            SeGraM(graph)
+            SeGraM(refs)
 
     def test_early_exit_stops_region_scan(self, linear_mapper):
         reference, _ = linear_mapper

@@ -192,7 +192,7 @@ class TestCandidateCalibration:
         pair = engine.map_pair(read1, read2, "tied")
         tied_mate = pair.mate1
         assert tied_mate.second_best_distance == tied_mate.distance
-        rec1, _ = pair_to_sam(pair, read1, read2, "chr1")
+        rec1, _ = pair_to_sam(pair, read1, read2)
         assert rec1.mapq <= 3 + 5
 
     def test_wrong_at_confident_mapq_under_one_percent(self,
@@ -327,7 +327,7 @@ def _mapped_result(name, position, strand, length=100,
     return MappingResult(
         read_name=name, read_length=length, mapped=True,
         distance=0, cigar=Cigar.from_string(f"{length}="),
-        linear_position=position, strand=strand,
+        linear_position=position, contig="chr1", strand=strand,
         second_best_distance=second_best,
     )
 
@@ -430,7 +430,7 @@ class TestDiscordantSamRoundTrip:
     def test_category_round_trips_through_sam(self, category):
         pair = self._pair(category)
         read = "A" * 100
-        rec1, rec2 = pair_to_sam(pair, read, read, "chr1")
+        rec1, rec2 = pair_to_sam(pair, read, read)
         validate_sam_pair(rec1, rec2)
         assert rec1.pair_category == category
         assert rec2.pair_category == category
@@ -440,7 +440,7 @@ class TestDiscordantSamRoundTrip:
             assert rec1.is_mate_unmapped
             assert rec2.is_unmapped
         buffer = io.StringIO()
-        write_sam(buffer, [rec1, rec2], "chr1", 20_000)
+        write_sam(buffer, [rec1, rec2], [("chr1", 20_000)])
         parsed = read_sam(io.StringIO(buffer.getvalue()))
         assert parsed == [rec1, rec2]
         validate_sam_pair(*parsed)

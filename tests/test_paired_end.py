@@ -419,11 +419,11 @@ class TestPairSamEmission:
         _, _, _, pairs, results = acceptance_workload
         records = []
         for pair, (_, read1, read2) in zip(results, pairs):
-            rec1, rec2 = pair_to_sam(pair, read1, read2, "chr1")
+            rec1, rec2 = pair_to_sam(pair, read1, read2)
             validate_sam_pair(rec1, rec2)
             records.extend((rec1, rec2))
         buffer = io.StringIO()
-        write_sam(buffer, records, "chr1", 20_000)
+        write_sam(buffer, records, [("chr1", 20_000)])
         parsed = read_sam(io.StringIO(buffer.getvalue()))
         assert parsed == records
 
@@ -433,7 +433,7 @@ class TestPairSamEmission:
         for pair, (_, read1, read2) in zip(results, pairs):
             if not pair.proper:
                 continue
-            rec1, rec2 = pair_to_sam(pair, read1, read2, "chr1")
+            rec1, rec2 = pair_to_sam(pair, read1, read2)
             checked += 1
             for rec in (rec1, rec2):
                 assert rec.is_paired and rec.is_proper_pair
@@ -469,7 +469,7 @@ class TestPairSamEmission:
         read1 = reference[2_000:2_100]
         junk = "".join(rng.choice("ACGT") for _ in range(100))
         pair = engine.map_pair(read1, junk, "half")
-        rec1, rec2 = pair_to_sam(pair, read1, junk, "chr1")
+        rec1, rec2 = pair_to_sam(pair, read1, junk)
         validate_sam_pair(rec1, rec2)
         assert not rec1.is_unmapped and rec1.is_mate_unmapped
         assert rec2.is_unmapped and not rec2.is_mate_unmapped

@@ -1,18 +1,23 @@
 """The perf spine's hold on ``src/``, checked in tier-1.
 
 ``benchmarks/perf`` measures from outside: ``shims.py`` rebinds
-callables of the align layer by name and ``run.py`` reads counters by
-key from ``PipelineStats`` / ``PairStats`` dicts.  A commit that drops
-one of those names breaks the benchmark pipeline, which otherwise only
-the out-of-tier-1 ``perf-smoke`` job would notice.  The names are
-taken from the harness itself (loaded by path, read-only), so this
-file needs no edit when the harness renames a span.
+callables of the align layer by name, ``run.py`` reads counters by
+key from ``PipelineStats`` / ``PairStats`` dicts, and ``run.py`` /
+``worker.py`` call public functions and classes of ``repro``.  A
+commit that drops one of those names, or a parameter one of those
+calls passes, breaks the benchmark pipeline, which otherwise only the
+out-of-tier-1 ``perf-smoke`` job would notice.  The names and call
+shapes are taken from the harness itself (loaded or parsed by path,
+read-only), so this file needs no edit when the harness changes.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -80,3 +85,59 @@ def test_harness_engine_surface_constructs(tmp_path):
     args = cli.build_parser().parse_args(command[3:])
     assert args.command == "serve"
     assert cli._engine_config(args).both_strands
+
+
+def _repro_calls(name: str):
+    """``(line, callee, target, positional, keywords)`` for every call
+    in ``benchmarks/perf/<name>.py`` of a name the file imports from
+    ``repro`` (or of an attribute of one, ``Mapper.from_artifact``).
+    Calls that splat ``*`` / ``**`` have no fixed shape and are
+    skipped; raising an exception class takes any arguments."""
+    tree = ast.parse((PERF / f"{name}.py").read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) \
+                and (node.module or "").split(".")[0] == "repro":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                imported[alias.asname or alias.name] = \
+                    getattr(module, alias.name)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in imported:
+            target = imported[func.id]
+        elif isinstance(func, ast.Attribute) \
+                and isinstance(func.value, ast.Name) \
+                and func.value.id in imported:
+            target = getattr(imported[func.value.id], func.attr)
+        else:
+            continue
+        if any(isinstance(arg, ast.Starred) for arg in node.args) \
+                or any(kw.arg is None for kw in node.keywords) \
+                or isinstance(target, type) \
+                and issubclass(target, BaseException):
+            continue
+        yield (node.lineno, ast.unparse(func), target, len(node.args),
+               [kw.arg for kw in node.keywords])
+
+
+def test_every_harness_call_into_repro_binds():
+    """Each call the harness makes into ``repro`` binds against the
+    callee's current signature — dropping ``result_to_sam``'s third
+    parameter, say, fails here and not in the benchmark."""
+    checked = set()
+    for name in ("run", "worker"):
+        for line, callee, target, positional, keywords in \
+                _repro_calls(name):
+            try:
+                inspect.signature(target).bind(
+                    *[None] * positional, **dict.fromkeys(keywords))
+            except TypeError as exc:
+                raise AssertionError(
+                    f"benchmarks/perf/{name}.py:{line}: {callee}(...) "
+                    f"no longer binds: {exc}") from None
+            checked.add(callee)
+    assert {"Mapper.from_artifact", "SamWriter", "pair_to_sam",
+            "result_to_sam", "result_to_gaf"} <= checked

@@ -46,7 +46,7 @@ def refs(contigs):
 
 @pytest.fixture(scope="module")
 def mapper(refs):
-    return SeGraM.from_reference_set(refs, config=CONFIG)
+    return SeGraM(refs, config=CONFIG)
 
 
 class TestContig:
@@ -214,7 +214,7 @@ class TestBoundaryClamping:
         """The clamp is load-bearing: the same seeds without
         char_spans produce regions crossing the chr1/chr2 line."""
         (n1, s1), _ = contigs[0], contigs[1]
-        bare = MinSeed(refs.graph, SeGraM.from_reference_set(
+        bare = MinSeed(refs.graph, SeGraM(
             refs, config=CONFIG).index, error_rate=CONFIG.error_rate)
         regions, _ = bare.seed(s1[-300:])
         boundary = refs.char_span(n1)[1]

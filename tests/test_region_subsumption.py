@@ -33,6 +33,7 @@ from repro.core.mapper import MappingResult, ReadTask, SeGraM, \
     SeGraMConfig
 from repro.core.pipeline import commit_candidates
 from repro.graph.builder import Variant, build_graph
+from repro.refs import Contig, ReferenceSet
 from repro.service.core import ServiceCore
 from repro.service.protocol import encode_line, parse_request, \
     record_payload
@@ -243,7 +244,8 @@ class TestMustNotFire:
         # shifted placements show as competitors (a linear projection
         # would fold starts within half a read into one locus).
         graph = build_graph(reference).graph
-        mapper, oracle = SeGraM(graph, config), SeGraM(graph, config)
+        refs = ReferenceSet([Contig.from_graph("tandem", graph)])
+        mapper, oracle = SeGraM(refs, config), SeGraM(refs, config)
         regions = _kept_regions(mapper, read)
         copies = len(_diagonals(regions))
         assert 1 < copies < len(regions)
@@ -351,7 +353,7 @@ class TestMustNotFire:
                                        config=config)
         oracle = SeGraM.from_reference(reference, variants,
                                        config=config)
-        alt_node, = mapper.built.alt_nodes
+        alt_node, = mapper.refs.alt_nodes_of("reference")
         regions = _kept_regions(mapper, read)
         first, second = regions[0].seed, regions[1].seed
         assert first.node_id != alt_node == second.node_id
