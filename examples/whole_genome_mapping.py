@@ -57,10 +57,10 @@ def main() -> None:
     for name, sequence in references.items():
         read = sequence[5_000:5_300]
         result = genome.map_read(read, f"read-from-{name}")
-        marker = "OK " if result.chromosome == name else "??? "
+        marker = "OK " if result.contig == name else "??? "
         print(f"   [{marker}] read from {name} -> mapped to "
-              f"{result.chromosome} at distance {result.distance}")
-        assert result.chromosome == name
+              f"{result.contig} at distance {result.distance}")
+        assert result.contig == name
 
     print("\n3. channel placement of this mini genome ...")
     placement = place_chromosomes(genome.resident_bytes(), channels=2)

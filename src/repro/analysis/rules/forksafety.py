@@ -21,9 +21,8 @@ Checked:
   assignment or mutating method calls (``append``/``update``/...).
   A root is a module-level function whose name contains ``worker``
   (the standing pool's ``_pool_worker_*`` in
-  :mod:`repro.core.pipeline`, the index build's ``_scan_worker_*`` in
-  :mod:`repro.index.flat_index`) or any method of a ``*Batcher``
-  class (the service's dispatch plumbing feeds pool workers);
+  :mod:`repro.core.pipeline`) or any method of a ``*Batcher`` class
+  (the service's dispatch plumbing feeds pool workers);
 * arguments to ``PersistentPool(...)`` / ``run_sharded(...)`` must
   not be lambdas or generator expressions (unpicklable payloads).
 

@@ -34,7 +34,6 @@ from repro.graph.builder import VariantError, build_graph
 from repro.graph.genome_graph import GraphError
 from repro.graph.gfa import GfaFormatError, read_gfa, write_gfa
 from repro.graph.linearize import hop_coverage, hop_length_distribution
-from repro.index.flat_index import build_flat_index
 from repro.index.minimizer import check_minimizer_parameters
 from repro.io.artifact import ArtifactError
 from repro.io.fasta import FastaFormatError, read_fasta
@@ -170,9 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     index_build.add_argument("-k", type=int, default=15,
                              help="k-mer length (default 15)")
     index_build.add_argument("--bucket-bits", type=int, default=14)
-    index_build.add_argument("--jobs", type=int, default=1,
-                             help="worker processes for per-contig "
-                                  "parallel index construction")
     index_build.add_argument("--max-node-length", type=int,
                              default=4_096,
                              help="backbone chunking for linear "
@@ -385,40 +381,23 @@ def cmd_index(args: argparse.Namespace) -> int:
 def cmd_index_build(args: argparse.Namespace) -> int:
     """``repro index build <ref> -o ref.sgidx``: reference + flat
     index into a versioned, checksummed artifact."""
-    from repro.api import as_reference_set
-    from repro.io.artifact import write_index_artifact
-
-    if args.jobs < 1:
-        raise SystemExit("error: --jobs must be >= 1")
     _check_minimizer_args(args)
+    config = SeGraMConfig(w=args.w, k=args.k,
+                          bucket_bits=args.bucket_bits)
     if args.reference.suffix.lower() == ".gfa":
         if args.vcf is not None:
             raise SystemExit("error: --vcf cannot be applied to a "
                              "GFA graph reference")
-        refs = as_reference_set(read_gfa(args.reference),
-                                name=args.reference.stem)
+        mapper = Mapper.from_gfa(args.reference, config=config)
     else:
-        records = read_fasta(args.reference)
-        if not records:
-            raise SystemExit(f"error: no FASTA records in "
-                             f"{args.reference}")
-        variants = read_vcf(args.vcf) if args.vcf else ()
-        refs = as_reference_set(records, variants,
-                                max_node_length=args.max_node_length)
-    # Per-contig node ranges shard the scan (parallel construction).
-    ranges = [
-        (refs._contigs[i].node_base, refs._contigs[i].node_end)
-        for i in range(len(refs))
-    ]
-    index = build_flat_index(
-        refs.graph, w=args.w, k=args.k,
-        bucket_bits=args.bucket_bits, jobs=args.jobs,
-        node_ranges=ranges,
-    )
-    write_index_artifact(args.output, refs, index)
+        mapper = Mapper.from_fasta(args.reference, args.vcf,
+                                   config=config,
+                                   max_node_length=args.max_node_length)
+    mapper.save_index(args.output)
+    index = mapper.engine.index
     size = args.output.stat().st_size
-    print(f"wrote {args.output}: {len(refs)} contigs, "
-          f"{refs.graph.total_sequence_length} bases, "
+    print(f"wrote {args.output}: {len(mapper.reference)} contigs, "
+          f"{mapper.graph.total_sequence_length} bases, "
           f"{index.distinct_minimizers} minimizers, "
           f"{index.total_locations} locations ({size} bytes)")
     return 0
@@ -487,14 +466,9 @@ def cmd_map(args: argparse.Namespace) -> int:
         mapper = Mapper.from_artifact(index_path, config=config,
                                       pair_config=pair_config)
     else:
-        ref_records = read_fasta(args.reference)
-        if not ref_records:
-            raise SystemExit(f"error: no FASTA records in "
-                             f"{args.reference}")
-        variants = read_vcf(args.vcf) if args.vcf else []
-        mapper = Mapper(ref_records, variants, config=config,
-                        pair_config=pair_config,
-                        max_node_length=4_096)
+        mapper = Mapper.from_fasta(args.reference, args.vcf,
+                                   config=config,
+                                   pair_config=pair_config)
     try:
         return _map_reads(args, mapper)
     finally:

@@ -13,10 +13,11 @@ instead — the shape :class:`repro.api.Mapper` uses.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from repro.core.mapper import MappingResult, SeGraM, SeGraMConfig
+from repro.core.pipeline import commit_candidates
 from repro.graph.builder import Variant
 from repro.graph.genome_graph import GenomeGraph
 from repro.index.flat_index import FlatIndex, build_flat_index
@@ -42,22 +43,6 @@ class Chromosome:
         quantity the channel balancer packs (Section 8.3)."""
         return self.graph.tables().total_bytes \
             + self.index.layout().total_bytes
-
-
-@dataclass(frozen=True)
-class GenomeMappingResult:
-    """A mapping result qualified with its chromosome."""
-
-    chromosome: str
-    result: MappingResult
-
-    @property
-    def mapped(self) -> bool:
-        return self.result.mapped
-
-    @property
-    def distance(self) -> int | None:
-        return self.result.distance
 
 
 class ReferenceGenome:
@@ -121,28 +106,37 @@ class ReferenceGenome:
         content is replicated per stack (paper: 11.2 GB < 16 GB)."""
         return sum(self.resident_bytes().values())
 
-    def map_read(self, read: str, name: str = "read") \
-            -> GenomeMappingResult:
-        """Map a read against every chromosome; best distance wins.
+    def map_read(self, read: str, name: str = "read") -> MappingResult:
+        """Map a read against every chromosome; the best placement wins.
 
         Chromosomes that produce no seeds are skipped quickly (the
         hash-index probe is the only work), mirroring how independent
         per-channel accelerators would each look up their resident
-        chromosomes.
+        chromosomes.  The chromosomes' candidate loci merge as one
+        engine's do (:func:`~repro.core.pipeline.commit_candidates`),
+        so a read placed equally well on two chromosomes gets the tie
+        MAPQ a :class:`~repro.api.Mapper` over the same records gives
+        it.  The result's ``contig`` names the chromosome (None when
+        the read maps nowhere).
         """
-        best: GenomeMappingResult | None = None
-        for chromosome in self.chromosomes:
-            result = self._mappers[chromosome.name].map_read(read, name)
-            candidate = GenomeMappingResult(chromosome.name, result)
-            if not result.mapped:
-                continue
-            if best is None or not best.mapped or \
-                    result.distance < best.result.distance:
-                best = candidate
-        if best is None:
-            return GenomeMappingResult(
-                self.chromosomes[0].name,
-                MappingResult(read_name=name, read_length=len(read),
-                              mapped=False),
-            )
-        return best
+        results = [self._mappers[chromosome.name].map_read(read, name)
+                   for chromosome in self.chromosomes]
+        merged = MappingResult(read_name=name, read_length=len(read),
+                               mapped=False)
+        commit_candidates(
+            merged, [c for result in results for c in result.candidates],
+            self.config.top_n_alignments)
+        if not merged.mapped:
+            return merged
+        best = next(result for result in results
+                    if result.contig == merged.contig)
+        # The winner's runner-up beyond its top N is in its own
+        # second_best_distance only, not among the merged candidates.
+        seconds = [distance for distance in
+                   (merged.second_best_distance, best.second_best_distance)
+                   if distance is not None]
+        return replace(
+            best, candidates=merged.candidates,
+            candidate_count=sum(r.candidate_count for r in results),
+            second_best_distance=min(seconds, default=None),
+        )

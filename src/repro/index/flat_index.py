@@ -35,17 +35,17 @@ answers one hash.  MinSeed does not ask one hash at a time:
 ``np.searchsorted`` and :meth:`FlatIndex.locations` gathers their seed
 locations.
 
-:func:`build_flat_index` is the build: the node sequences of a graph
-go through :func:`~repro.index.minimizer.scan_minimizers` and one sort
-lays the occurrences out as the three levels.
+:func:`build_flat_index` is the one build: every node sequence of a
+graph goes through one :func:`~repro.index.minimizer.scan_minimizers`
+and one sort lays the occurrences out as the three levels.
+:class:`~repro.core.mapper.SeGraM` runs it, so ``Mapper``, ``repro
+index build`` and ``repro map --reference`` all build the same index.
 """
 
 from __future__ import annotations
 
-import math
-import multiprocessing
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -444,69 +444,8 @@ class FlatIndex:
 
 
 # ----------------------------------------------------------------------
-# Construction by scanning a graph (optionally sharded per contig)
+# Construction by scanning a graph
 # ----------------------------------------------------------------------
-
-def scan_minimizer_occurrences(
-    graph: "GenomeGraph",
-    w: int,
-    k: int,
-    scoring: Scoring = "hash",
-    node_lo: int = 0,
-    node_hi: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(hash, node, offset) triples of nodes ``[node_lo, node_hi)``.
-
-    One :func:`~repro.index.minimizer.scan_minimizers` over the node
-    sequences of the range; ranges partition cleanly because
-    minimizers never span nodes.
-    """
-    if node_hi is None:
-        node_hi = graph.node_count
-    scan = scan_minimizers(
-        [graph.sequence_of(node_id)
-         for node_id in range(node_lo, node_hi)],
-        w, k, scoring)
-    return scan.scores, node_lo + scan.owners, scan.positions
-
-
-_SCAN_STATE: "tuple | None" = None
-
-
-def _scan_worker_init(graph, w: int, k: int, scoring: Scoring) -> None:
-    global _SCAN_STATE
-    # Per-process cache by design: each scan worker installs its own
-    # arguments once at pool start; nothing reads this parent-side.
-    _SCAN_STATE = (graph, w, k, scoring)  # repro: allow[fork-safety]
-
-
-def _scan_worker_run(node_range: tuple[int, int]):
-    graph, w, k, scoring = _SCAN_STATE
-    return scan_minimizer_occurrences(graph, w, k, scoring,
-                                      node_lo=node_range[0],
-                                      node_hi=node_range[1])
-
-
-def _split_ranges(ranges: Sequence[tuple[int, int]],
-                  pieces: int) -> list[tuple[int, int]]:
-    """Subdivide node ranges into ~``pieces`` same-size chunks.
-
-    Contig boundaries are respected (a chunk never spans two input
-    ranges), so per-contig construction shards stay per-contig.
-    """
-    total = sum(hi - lo for lo, hi in ranges)
-    if total == 0:
-        return [r for r in ranges if r[1] > r[0]]
-    target = max(1, math.ceil(total / max(1, pieces)))
-    chunks: list[tuple[int, int]] = []
-    for lo, hi in ranges:
-        start = lo
-        while start < hi:
-            stop = min(hi, start + target)
-            chunks.append((start, stop))
-            start = stop
-    return chunks
-
 
 def build_flat_index(
     graph: "GenomeGraph",
@@ -514,47 +453,23 @@ def build_flat_index(
     k: int = 15,
     bucket_bits: int = 14,
     scoring: Scoring = "hash",
-    jobs: int = 1,
-    node_ranges: Iterable[tuple[int, int]] | None = None,
 ) -> FlatIndex:
     """Index the ``<w,k>``-minimizers of every node sequence of a graph.
 
     Minimizers are computed *within* node sequences (the paper indexes
     "the minimizers' exact matching locations in the graphs' nodes",
     Section 5); seeds spanning node boundaries are not indexed.  Nodes
-    shorter than ``k`` contribute no minimizers.
-
-    ``node_ranges`` (half-open, e.g. the per-contig node ranges of a
-    :class:`~repro.refs.ReferenceSet`) shards the scan; with
-    ``jobs > 1`` and a ``fork``-capable platform the shards run in
-    parallel worker processes (the graph is shared copy-on-write) and
-    their occurrence arrays are merged by the same global sort the
-    sequential path uses — the result is identical for any sharding.
+    shorter than ``k`` contribute no minimizers.  One
+    :func:`~repro.index.minimizer.scan_minimizers` over all node
+    sequences yields the (hash, node, offset) triples and
+    :meth:`FlatIndex.from_occurrences` sorts them into the three
+    levels.
     """
-    ranges = list(node_ranges) if node_ranges is not None \
-        else [(0, graph.node_count)]
-    jobs = max(1, jobs)
-    if jobs > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        jobs = 1
-    chunks = _split_ranges(ranges, jobs * 2 if jobs > 1 else 1)
-    if jobs == 1 or len(chunks) <= 1:
-        parts = [scan_minimizer_occurrences(graph, w, k, scoring, lo, hi)
-                 for lo, hi in chunks]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(jobs, len(chunks)),
-                      initializer=_scan_worker_init,
-                      initargs=(graph, w, k, scoring)) as pool:
-            parts = pool.map(_scan_worker_run, chunks)
-    if parts:
-        hashes = np.concatenate([p[0] for p in parts])
-        nodes = np.concatenate([p[1] for p in parts])
-        offsets = np.concatenate([p[2] for p in parts])
-    else:
-        hashes = np.zeros(0, dtype=np.uint64)
-        nodes = np.zeros(0, dtype=np.uint32)
-        offsets = np.zeros(0, dtype=np.uint32)
+    scan = scan_minimizers(
+        [graph.sequence_of(node_id)
+         for node_id in range(graph.node_count)],
+        w, k, scoring)
     return FlatIndex.from_occurrences(
-        hashes, nodes, offsets,
+        scan.scores, scan.owners, scan.positions,
         w=w, k=k, bucket_bits=bucket_bits, scoring=scoring,
     )

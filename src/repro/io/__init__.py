@@ -20,14 +20,12 @@ from repro.io.sam import (
     SamWriter,
     read_sam,
     result_to_sam,
-    write_sam,
 )
 from repro.io.gaf import (
     GafRecord,
     GafWriter,
     read_gaf,
     result_to_gaf,
-    write_gaf,
 )
 from repro.io.stream import (
     ReadChunker,
@@ -62,12 +60,10 @@ __all__ = [
     "SamWriter",
     "read_sam",
     "result_to_sam",
-    "write_sam",
     "GafRecord",
     "GafWriter",
     "read_gaf",
     "result_to_gaf",
-    "write_gaf",
     "ReadChunker",
     "TruncatedInputError",
     "iter_mate_pairs",

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, TextIO, Union
+from typing import TYPE_CHECKING, TextIO, Union
 
 from repro.core.alignment import Cigar
 from repro.graph.genome_graph import GenomeGraph
@@ -185,17 +185,6 @@ class GafWriter:
         self.close()
 
 
-def write_gaf(target: PathOrHandle,
-              records: Iterable[GafRecord]) -> None:
-    """Write GAF records (one line each, tab-separated)."""
-    writer = GafWriter(target)
-    try:
-        for record in records:
-            writer.write(record)
-    finally:
-        writer.close()
-
-
 def _parse_segment(text: str, line_number: int) -> tuple[int, bool]:
     """``(node_id, qualified)`` from one path segment.
 
@@ -216,7 +205,7 @@ def _parse_segment(text: str, line_number: int) -> tuple[int, bool]:
 
 
 def read_gaf(source: PathOrHandle) -> list[GafRecord]:
-    """Parse the GAF subset produced by :func:`write_gaf`.
+    """Parse the GAF subset produced by :class:`GafWriter`.
 
     Both segment spellings round-trip: bare node IDs populate only
     :attr:`GafRecord.path`; contig-qualified ``<contig>#<node-id>``

@@ -271,10 +271,10 @@ def sam_record_line(record: SamRecord) -> str:
 class SamWriter:
     """Streaming SAM writer, optionally coordinate-sorted.
 
-    The incremental counterpart of :func:`write_sam`: the @HD/@SQ/@PG
-    header goes out at construction and each :meth:`write` appends
-    one record, so a streaming mapping run (``repro map`` consuming
-    chunked reads) emits SAM with the memory footprint of one record.
+    The @HD/@SQ/@PG header goes out at construction and each
+    :meth:`write` appends one record, so a streaming mapping run
+    (``repro map`` consuming chunked reads) emits SAM with the memory
+    footprint of one record.
 
     ``sort=True`` turns on an ``@SQ``-order-aware coordinate sort
     (``@HD SO:coordinate``): records order by (position of RNAME in
@@ -394,29 +394,8 @@ class SamWriter:
         self.close()
 
 
-def write_sam(
-    target: PathOrHandle,
-    records: Iterable[SamRecord],
-    contigs: Iterable[tuple[str, int]],
-    sort: bool = False,
-) -> None:
-    """Write records with a minimal @HD/@SQ header.
-
-    ``contigs`` are the ``(name, length)`` pairs emitted as one
-    ``@SQ`` line each, in order (e.g.
-    :meth:`repro.refs.ReferenceSet.sam_contigs`).  ``sort=True`` emits
-    the records coordinate-sorted (see :class:`SamWriter`).
-    """
-    writer = SamWriter(target, contigs, sort=sort)
-    try:
-        for record in records:
-            writer.write(record)
-    finally:
-        writer.close()
-
-
 def read_sam(source: PathOrHandle) -> list[SamRecord]:
-    """Parse the SAM subset produced by :func:`write_sam`."""
+    """Parse the SAM subset produced by :class:`SamWriter`."""
     handle, owned = _open_for_read(source)
     try:
         records = []

@@ -10,7 +10,7 @@ client-side half of the batched serving story.
 Mapping results come back as plain payload dicts (see
 ``docs/service.md``); :func:`payload_to_sam_record` reconstructs the
 :class:`~repro.io.sam.SamRecord` so
-:func:`~repro.io.sam.write_sam` output is byte-identical to the
+:class:`~repro.io.sam.SamWriter` output is byte-identical to the
 offline ``repro map --index`` run on the same reads.
 """
 

@@ -13,7 +13,7 @@ full ``sam`` record fields.  The SAM fields are produced by the same
 :func:`~repro.io.sam.result_to_sam` / :func:`~repro.io.sam.pair_to_sam`
 path the offline CLI uses, so a client that reconstructs
 :class:`~repro.io.sam.SamRecord` objects and writes them with
-:func:`~repro.io.sam.write_sam` gets output byte-identical to
+:class:`~repro.io.sam.SamWriter` gets output byte-identical to
 ``repro map --index`` on the same reads.
 """
 

@@ -223,7 +223,7 @@ def sam_payload(sam_record: Any) -> dict:
     """A :class:`~repro.io.sam.SamRecord` as a JSON-able dict.
 
     Carries every field, so the client reconstructs the record and
-    its :func:`~repro.io.sam.write_sam` output byte-identically.
+    its :class:`~repro.io.sam.SamWriter` output byte-identically.
     """
     return {
         "qname": sam_record.qname,

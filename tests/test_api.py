@@ -38,11 +38,11 @@ from repro.io.discordant import (
     write_discordant_report,
 )
 from repro.io.sam import (
+    SamWriter,
     pair_to_sam,
     read_sam,
     validate_sam_pair,
     validate_sam_record,
-    write_sam,
 )
 from repro.refs import Contig, ReferenceSet
 from repro.sim.pairedend import (
@@ -298,7 +298,9 @@ class TestMultiContigEndToEnd:
         sam = []
         for (rec1, _), (_, read1, read2) in zip(records, pairs):
             sam.extend(pair_to_sam(rec1.pair, read1, read2))
-        write_sam(buffer, sam, contigs=facade.contigs)
+        with SamWriter(buffer, facade.contigs) as writer:
+            for record in sam:
+                writer.write(record)
         lines = buffer.getvalue().splitlines()
         sq = [line for line in lines if line.startswith("@SQ")]
         assert sq == [f"@SQ\tSN:{name}\tLN:{len(seq)}"
@@ -418,7 +420,9 @@ class TestUnmappedMateContig:
         assert sam2.pos == sam1.pos
         assert sam2.rnext == "=" and sam1.rnext == "="
         buffer = io.StringIO()
-        write_sam(buffer, [sam1, sam2], contigs=facade.contigs)
+        with SamWriter(buffer, facade.contigs) as writer:
+            writer.write(sam1)
+            writer.write(sam2)
         parsed = read_sam(io.StringIO(buffer.getvalue()))
         assert [(r.qname, r.flag, r.rname, r.pos, r.rnext, r.pnext,
                  r.tlen, r.pair_category) for r in parsed] == \

@@ -572,7 +572,7 @@ class TestIndexArtifact:
               "--output", str(tmp_path / "graph.gfa")])
         code = main([
             "index", "build", str(tmp_path / "graph.gfa"),
-            "-o", str(tmp_path / "graph.sgidx"), "--jobs", "2",
+            "-o", str(tmp_path / "graph.sgidx"),
         ])
         assert code == 0
         capsys.readouterr()

@@ -129,7 +129,7 @@ class TestFlagExtraction:
 
             ```bash
             python -m repro index build ref.fa \\
-                -o ref.sgidx --jobs 2  # comment --ignored
+                -o ref.sgidx --bucket-bits 12  # comment --ignored
             repro stats --graph g.gfa | grep hops --count
             from repro.api import Mapper
             ```
@@ -139,13 +139,13 @@ class TestFlagExtraction:
         assert check_docs.extract_invocations(path) == [
             (1, ["map", "--reads", "r.fq", "--jobs", "2"]),
             (4, ["index", "build", "ref.fa", "-o", "ref.sgidx",
-                 "--jobs", "2"]),
+                 "--bucket-bits", "12"]),
             (6, ["stats", "--graph", "g.gfa"]),
         ]
 
     def test_check_flags_resolves_subcommands(self, tmp_path):
         path = _write(tmp_path, """\
-            `repro index build ref.fa -o x.sgidx --jobs 2`
+            `repro index build ref.fa -o x.sgidx --bucket-bits 12`
             `repro index --graph g.gfa`
             `repro analyze src/repro --format=json`
             `repro analyze src/repro --json`

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.api import Mapper
 from repro.core.mapper import SeGraMConfig
 from repro.core.windows import WindowingConfig
 from repro.core.genome import ReferenceGenome
@@ -55,7 +56,7 @@ class TestReferenceGenome:
             read = sequence[2_000:2_300]
             result = reference_genome.map_read(read, f"from-{name}")
             assert result.mapped
-            assert result.chromosome == name
+            assert result.contig == name
             assert result.distance == 0
 
     def test_unmappable_read(self, genome):
@@ -65,6 +66,46 @@ class TestReferenceGenome:
         result = reference_genome.map_read(read, "alien")
         if result.mapped:
             assert result.distance > 5
+
+    def test_unmapped_read_names_no_chromosome(self, genome):
+        reference_genome, _ = genome
+        read = random_reference(150, random.Random(556))
+        result = reference_genome.map_read(read, "alien")
+        assert not result.mapped
+        assert result.contig is None
+
+    @pytest.mark.parametrize("layout, top_n", [
+        ({"chrA": 1, "chrB": 1}, 5),   # one copy on each chromosome
+        ({"chrA": 2, "chrB": 0}, 1),   # both copies on one
+    ], ids=["across", "within-top1"])
+    def test_cross_chromosome_tie_matches_mapper(self, layout, top_n):
+        """A read from a segment present twice is a tie: the
+        genome-wide result carries the other copy as its runner-up and
+        the tie MAPQ, as one Mapper over the same records does — also
+        when top-N truncation leaves the runner-up out of the
+        winner's candidates."""
+        rng = random.Random(21)
+        shared = random_reference(400, rng)
+        references = {}
+        for name, copies in layout.items():
+            parts = [random_reference(1_500, rng)]
+            for _ in range(copies):
+                parts += [shared, random_reference(1_500, rng)]
+            references[name] = "".join(parts)
+        config = SeGraMConfig(w=10, k=15, bucket_bits=12,
+                              top_n_alignments=top_n)
+        reference_genome = ReferenceGenome.build(references,
+                                                 config=config)
+        mapper = Mapper(list(references.items()), config=config)
+        read = shared[50:350]
+        result = reference_genome.map_read(read, "shared")
+        record = mapper.map(read, "shared")
+        assert result.mapped and result.distance == 0
+        assert result.second_best_distance == 0
+        assert result.candidate_count == 2
+        assert (result.contig, result.linear_position, result.mapq) \
+            == (record.contig, record.position, record.mapq)
+        assert result.mapq < 60
 
     def test_resident_bytes_ordering(self, genome):
         reference_genome, references = genome

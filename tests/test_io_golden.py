@@ -26,16 +26,16 @@ from repro import seq as seqmod
 from repro.core.mapper import SeGraM, SeGraMConfig
 from repro.core.windows import WindowingConfig
 from repro.io.gaf import (
+    GafWriter,
     read_gaf,
     result_to_gaf,
     validate_gaf_record,
-    write_gaf,
 )
 from repro.io.sam import (
+    SamWriter,
     read_sam,
     result_to_sam,
     validate_sam_record,
-    write_sam,
 )
 from repro.sim.reference import random_reference
 
@@ -96,10 +96,9 @@ def _render() -> tuple[str, str]:
     results = [(mapper.map_read(sequence, name), sequence)
                for name, sequence in reads]
     sam_buffer = io.StringIO()
-    write_sam(sam_buffer,
-              [result_to_sam(result, sequence)
-               for result, sequence in results],
-              mapper.refs.sam_contigs())
+    with SamWriter(sam_buffer, mapper.refs.sam_contigs()) as writer:
+        for result, sequence in results:
+            writer.write(result_to_sam(result, sequence))
     return sam_buffer.getvalue(), _gaf_text(mapper, results)
 
 
@@ -109,7 +108,10 @@ def _gaf_text(mapper: SeGraM, results) -> str:
     buffer = io.StringIO()
     records = [result_to_gaf(result, mapper.graph, sequence)
                for result, sequence in results]
-    write_gaf(buffer, [r for r in records if r is not None])
+    with GafWriter(buffer) as writer:
+        for record in records:
+            if record is not None:
+                writer.write(record)
     return buffer.getvalue()
 
 
@@ -216,18 +218,11 @@ class TestGoldenOutput:
         results = [(mapper.map_read(sequence, name), sequence)
                    for name, sequence in reads]
         buffer = io.StringIO()
-        write_sam(buffer,
-                  [result_to_sam(result, sequence)
-                   for result, sequence in results],
-                  mapper.refs.sam_contigs())
+        with SamWriter(buffer, mapper.refs.sam_contigs()) as writer:
+            for result, sequence in results:
+                writer.write(result_to_sam(result, sequence))
         assert buffer.getvalue() == sam_text
-        buffer = io.StringIO()
-        write_gaf(buffer,
-                  [record for record in
-                   (result_to_gaf(result, mapper.graph, sequence)
-                    for result, sequence in results)
-                   if record is not None])
-        assert buffer.getvalue() == gaf_text
+        assert _gaf_text(mapper, results) == gaf_text
 
 
 class TestEarlyExitGolden:

@@ -13,10 +13,10 @@ from repro.core.mapper import SeGraM, SeGraMConfig
 from repro.core.windows import WindowingConfig
 from repro.io.gaf import (
     GafFormatError,
+    GafWriter,
     read_gaf,
     result_to_gaf,
     validate_gaf_record,
-    write_gaf,
 )
 from repro.io.sam import (
     FLAG_UNMAPPED,
@@ -25,8 +25,8 @@ from repro.io.sam import (
     SamWriter,
     read_sam,
     result_to_sam,
+    sam_record_line,
     validate_sam_record,
-    write_sam,
 )
 from repro.sim.reference import random_reference
 from repro.sim.variants import VariantProfile, simulate_variants
@@ -82,14 +82,16 @@ class TestSam:
         mapper, _, results = mapped_results
         records = [result_to_sam(r, seq) for r, seq in results]
         path = tmp_path / "out.sam"
-        write_sam(path, records, mapper.refs.sam_contigs())
+        with SamWriter(path, mapper.refs.sam_contigs()) as writer:
+            for record in records:
+                writer.write(record)
         parsed = read_sam(path)
         assert parsed == records
 
     def test_header_written(self, mapped_results):
         _, reference, results = mapped_results
         buffer = io.StringIO()
-        write_sam(buffer, [], [("chr1", len(reference))])
+        SamWriter(buffer, [("chr1", len(reference))]).close()
         text = buffer.getvalue()
         assert "@HD" in text
         assert f"LN:{len(reference)}" in text
@@ -195,7 +197,9 @@ class TestOrientationAndAmbiguity:
             reads.append(read)
         assert reverse_seen > 0
         buffer = io.StringIO()
-        write_sam(buffer, records, mapper.refs.sam_contigs())
+        with SamWriter(buffer, mapper.refs.sam_contigs()) as writer:
+            for record in records:
+                writer.write(record)
         assert read_sam(io.StringIO(buffer.getvalue())) == records
 
     def test_n_reads_map_and_round_trip(self, mapper_and_reference):
@@ -229,7 +233,8 @@ class TestOrientationAndAmbiguity:
             assert record.seq == expected
             assert record.seq.count("N") == 3
             buffer = io.StringIO()
-            write_sam(buffer, [record], mapper.refs.sam_contigs())
+            with SamWriter(buffer, mapper.refs.sam_contigs()) as writer:
+                writer.write(record)
             assert read_sam(io.StringIO(buffer.getvalue())) == [record]
             gaf = result_to_gaf(result, mapper.graph, read)
             assert gaf is not None
@@ -267,7 +272,9 @@ class TestGaf:
                    for r, seq in results]
         records = [r for r in records if r is not None]
         path = tmp_path / "out.gaf"
-        write_gaf(path, records)
+        with GafWriter(path) as writer:
+            for record in records:
+                writer.write(record)
         parsed = read_gaf(path)
         assert parsed == records
 
@@ -353,9 +360,12 @@ class TestSamWriterSorted:
     def test_unsorted_writer_matches_write_sam(self):
         records = self._records(20)
         streamed = self._render(records, sort=False, run_size=5)
-        batch = io.StringIO()
-        write_sam(batch, records, contigs=self.CONTIGS)
-        assert streamed == batch.getvalue()
+        header = "@HD\tVN:1.6\tSO:unknown\n" + "".join(
+            f"@SQ\tSN:{name}\tLN:{length}\n"
+            for name, length in self.CONTIGS) \
+            + "@PG\tID:segram-repro\tPN:segram-repro\n"
+        assert streamed == header + "".join(
+            sam_record_line(record) for record in records)
         assert "SO:unknown" in streamed
 
     def test_sorted_header_and_order(self):
@@ -456,12 +466,16 @@ class TestQualifiedGaf:
                    for r, seq in results]
         records = [r for r in records if r is not None]
         path = tmp_path / "q.gaf"
-        write_gaf(path, records)
+        with GafWriter(path) as writer:
+            for record in records:
+                writer.write(record)
         first = path.read_bytes()
         parsed = read_gaf(path)
         assert parsed == records
         assert all(r.segments for r in parsed)
-        write_gaf(tmp_path / "q2.gaf", parsed)
+        with GafWriter(tmp_path / "q2.gaf") as writer:
+            for record in parsed:
+                writer.write(record)
         assert (tmp_path / "q2.gaf").read_bytes() == first
 
     def test_bare_paths_parse_without_segments(self,
@@ -470,7 +484,8 @@ class TestQualifiedGaf:
         mapper, _, results = refs_results
         record = result_to_gaf(results[0][0], mapper.graph,
                                results[0][1])
-        write_gaf(tmp_path / "bare.gaf", [record])
+        with GafWriter(tmp_path / "bare.gaf") as writer:
+            writer.write(record)
         parsed = read_gaf(tmp_path / "bare.gaf")
         assert parsed[0].segments == ()
 

@@ -42,8 +42,8 @@ from repro.io.discordant import (
     read_discordant_report,
     write_discordant_report,
 )
-from repro.io.sam import pair_to_sam, read_sam, validate_sam_pair, \
-    write_sam
+from repro.io.sam import SamWriter, pair_to_sam, read_sam, \
+    validate_sam_pair
 from repro.sim.errors import ErrorModel, apply_errors
 from repro.sim.pairedend import PairedEndProfile, simulate_fragments
 from repro.sim.reference import (
@@ -440,7 +440,9 @@ class TestDiscordantSamRoundTrip:
             assert rec1.is_mate_unmapped
             assert rec2.is_unmapped
         buffer = io.StringIO()
-        write_sam(buffer, [rec1, rec2], [("chr1", 20_000)])
+        with SamWriter(buffer, [("chr1", 20_000)]) as writer:
+            writer.write(rec1)
+            writer.write(rec2)
         parsed = read_sam(io.StringIO(buffer.getvalue()))
         assert parsed == [rec1, rec2]
         validate_sam_pair(*parsed)

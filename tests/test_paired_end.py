@@ -32,11 +32,11 @@ from repro.core.pairing import (
 from repro.core.windows import WindowingConfig
 from repro.eval.metrics import evaluate_paired_mappings
 from repro.io.sam import (
+    SamWriter,
     pair_to_sam,
     read_sam,
     validate_sam_pair,
     validate_sam_record,
-    write_sam,
 )
 from repro.sim.pairedend import PairedEndProfile, simulate_fragments
 from repro.sim.reference import random_reference, reference_with_repeats
@@ -423,7 +423,9 @@ class TestPairSamEmission:
             validate_sam_pair(rec1, rec2)
             records.extend((rec1, rec2))
         buffer = io.StringIO()
-        write_sam(buffer, records, [("chr1", 20_000)])
+        with SamWriter(buffer, [("chr1", 20_000)]) as writer:
+            for record in records:
+                writer.write(record)
         parsed = read_sam(io.StringIO(buffer.getvalue()))
         assert parsed == records
 

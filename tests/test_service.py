@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.api import Mapper
-from repro.io.sam import result_to_sam, write_sam
+from repro.io.sam import SamWriter, result_to_sam
 from repro.service.batcher import MicroBatcher
 from repro.service.client import ServiceClient, payload_to_sam_record
 from repro.service.core import ServiceCore
@@ -54,7 +54,9 @@ def service_env(tmp_path_factory):
     sam = [result_to_sam(rec.result, seq, rec.contig)
            for rec, (_, seq) in zip(records, reads)]
     buffer = io.StringIO()
-    write_sam(buffer, sam, contigs=offline.contigs)
+    with SamWriter(buffer, offline.contigs) as writer:
+        for record in sam:
+            writer.write(record)
     return {
         "artifact": artifact,
         "reference": reference,
@@ -89,7 +91,9 @@ def close_cores():
 def served_sam(service_env, payloads) -> str:
     records = [payload_to_sam_record(p["sam"]) for p in payloads]
     buffer = io.StringIO()
-    write_sam(buffer, records, contigs=service_env["contigs"])
+    with SamWriter(buffer, service_env["contigs"]) as writer:
+        for record in records:
+            writer.write(record)
     return buffer.getvalue()
 
 
