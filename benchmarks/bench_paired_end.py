@@ -1,7 +1,7 @@
 """Paired-end mapping engine — pairs/s, rescue, and repeat-tie pairing.
 
 Not a paper figure: this benchmark characterizes the paired-end
-subsystem (``PairedEndMapper``) on the ISSUE acceptance workload
+subsystem (``SeGraM.map_pairs``) on the acceptance workload
 (insert 350±50, 2x100 bp, 1 % error).  Three references are measured:
 
 * a *unique* random reference — the throughput case (rescue idle);
@@ -33,7 +33,7 @@ import random
 import time
 
 from repro.core.mapper import SeGraM, SeGraMConfig
-from repro.core.pairing import PairedEndConfig, PairedEndMapper
+from repro.core.pairing import PairedEndConfig
 from repro.core.windows import WindowingConfig
 from repro.eval.metrics import evaluate_paired_mappings
 from repro.sim.pairedend import PairedEndProfile, simulate_fragments
@@ -106,11 +106,11 @@ def paired_end_rows():
             # Fresh mapper per configuration: a shared region cache
             # would warm across rows and skew the pairs/s comparison.
             mapper = _mapper(reference)
-            engine = PairedEndMapper(mapper, PairedEndConfig(
-                insert_mean=350.0, insert_std=50.0, rescue=rescue))
             start = time.perf_counter()
-            results = engine.map_pairs(pairs)
+            results = mapper.map_pairs(pairs, PairedEndConfig(
+                insert_mean=350.0, insert_std=50.0, rescue=rescue))
             elapsed = time.perf_counter() - start
+            stats = mapper.stats.pairs
             accuracy = evaluate_paired_mappings(results, fragments,
                                                 tolerance=30)
             rows.append({
@@ -122,11 +122,11 @@ def paired_end_rows():
                     round(accuracy.proper_pair_rate, 3),
                 "mate_accuracy":
                     round(accuracy.mate_accuracy, 3),
-                "rescue_attempts": engine.stats.rescue_attempts,
-                "rescue_hits": engine.stats.rescue_hits,
-                "discordant": engine.stats.pairs_discordant,
+                "rescue_attempts": stats.rescue_attempts,
+                "rescue_hits": stats.rescue_hits,
+                "discordant": stats.pairs_discordant,
                 "kernel_calls": mapper.stats.align_calls
-                + engine.stats.align_calls,
+                + stats.align_calls,
             })
     return rows
 
@@ -148,11 +148,11 @@ def repeat_tie_rows():
         ("top-5 grid, rescue off", 5, False),
     ):
         mapper = _mapper(reference, top_n=top_n, early_exit=None)
-        engine = PairedEndMapper(mapper, PairedEndConfig(
-            insert_mean=350.0, insert_std=50.0, rescue=rescue))
         start = time.perf_counter()
-        results = engine.map_pairs(pairs)
+        results = mapper.map_pairs(pairs, PairedEndConfig(
+            insert_mean=350.0, insert_std=50.0, rescue=rescue))
         elapsed = time.perf_counter() - start
+        stats = mapper.stats.pairs
         accuracy = evaluate_paired_mappings(results, fragments,
                                             tolerance=30)
         rows.append({
@@ -161,11 +161,10 @@ def repeat_tie_rows():
             "pairs_per_s": round(len(pairs) / elapsed, 2),
             "proper_rate": round(accuracy.proper_pair_rate, 3),
             "mate_accuracy": round(accuracy.mate_accuracy, 3),
-            "rescue_alignments": engine.stats.rescue_attempts,
-            "tlen_outliers": engine.stats.discordant.get(
-                "tlen_outlier", 0),
+            "rescue_alignments": stats.rescue_attempts,
+            "tlen_outliers": stats.discordant.get("tlen_outlier", 0),
             "kernel_calls": mapper.stats.align_calls
-            + engine.stats.align_calls,
+            + stats.align_calls,
         })
     return rows
 

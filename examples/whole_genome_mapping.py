@@ -3,9 +3,10 @@
 The paper builds one graph and one index per chromosome (Section 5)
 and distributes all 24 across each HBM stack's eight channels by size
 (Section 8.3).  This example assembles a miniature multi-chromosome
-genome, maps reads genome-wide (best chromosome wins), and shows the
-channel placement the hardware would use — including at real GRCh38
-proportions.
+genome, maps reads genome-wide through one multi-contig ``Mapper``
+(best chromosome wins), and shows the channel placement the hardware
+would use for the per-chromosome graphs and indexes — including at
+real GRCh38 proportions.
 
 Run:  python examples/whole_genome_mapping.py
 """
@@ -14,14 +15,16 @@ from __future__ import annotations
 
 import random
 
+from repro.api import Mapper
+from repro.core.genome import ReferenceGenome
 from repro.core.mapper import SeGraMConfig
 from repro.core.windows import WindowingConfig
 from repro.eval.report import format_table
-from repro.core.genome import ReferenceGenome
 from repro.hw.placement import (
     GRCH38_CHROMOSOME_MBP,
     place_chromosomes,
 )
+from repro.refs import Contig, ReferenceSet
 from repro.sim.reference import random_reference
 from repro.sim.variants import VariantProfile, simulate_variants
 
@@ -38,29 +41,30 @@ def main() -> None:
         sequence = random_reference(length, rng)
         references[name] = sequence
         variants[name] = simulate_variants(sequence, rng, profile)
-    genome = ReferenceGenome.build(
-        references, variants,
-        config=SeGraMConfig(
-            w=10, k=15, bucket_bits=12, error_rate=0.02,
-            windowing=WindowingConfig(window_size=128, overlap=48,
-                                      k=16),
-            max_seeds_per_read=4,
-        ),
-        max_node_length=4_096,
+    config = SeGraMConfig(
+        w=10, k=15, bucket_bits=12, error_rate=0.02,
+        windowing=WindowingConfig(window_size=128, overlap=48, k=16),
+        max_seeds_per_read=4,
     )
+    genome = ReferenceGenome.build(references, variants, config=config,
+                                   max_node_length=4_096)
     for chromosome in genome.chromosomes:
         print(f"   {chromosome.name}: "
               f"{chromosome.graph.node_count} nodes, "
               f"{chromosome.resident_bytes / 1024:.0f} KiB resident")
 
     print("\n2. mapping reads of known origin genome-wide ...")
+    mapper = Mapper(ReferenceSet(
+        [Contig.linear(name, sequence, variants[name])
+         for name, sequence in references.items()],
+        max_node_length=4_096), config=config)
     for name, sequence in references.items():
         read = sequence[5_000:5_300]
-        result = genome.map_read(read, f"read-from-{name}")
-        marker = "OK " if result.contig == name else "??? "
+        record = mapper.map(read, f"read-from-{name}")
+        marker = "OK " if record.contig == name else "??? "
         print(f"   [{marker}] read from {name} -> mapped to "
-              f"{result.contig} at distance {result.distance}")
-        assert result.contig == name
+              f"{record.contig} at distance {record.edit_distance}")
+        assert record.contig == name
 
     print("\n3. channel placement of this mini genome ...")
     placement = place_chromosomes(genome.resident_bytes(), channels=2)

@@ -21,14 +21,14 @@ optional VCF routed to contigs by CHROM), a GFA genome graph
 a :class:`~repro.refs.ReferenceSet`, or a
 :class:`~repro.graph.genome_graph.GenomeGraph`.
 
-The *engines* behind this facade —
+The one *engine* behind this facade —
 :class:`~repro.core.mapper.SeGraM` over a
-:class:`~repro.refs.ReferenceSet`, and
-:class:`~repro.core.pairing.PairedEndMapper` over that engine — stay
-public (``Mapper.engine`` / ``Mapper.pair_engine()``).  What the
-facade adds is the reference coercion (:func:`as_reference_set`),
-artifact attach, and the unified :class:`MappingRecord`; its results
-are parity-tested against the engines (``tests/test_api.py``).
+:class:`~repro.refs.ReferenceSet`, which maps reads
+(``map_batch``) and read pairs (``map_pairs``) alike — stays public
+(``Mapper.engine``).  What the facade adds is the reference coercion
+(:func:`as_reference_set`), artifact attach, and the unified
+:class:`MappingRecord`; its results are parity-tested against the
+engine (``tests/test_api.py``).
 """
 
 from __future__ import annotations
@@ -38,12 +38,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Sequence, Union
 
 from repro.core.mapper import MappingResult, SeGraM, SeGraMConfig
-from repro.core.pairing import (
-    PairedEndConfig,
-    PairedEndMapper,
-    PairResult,
-    PairStats,
-)
+from repro.core.pairing import PairedEndConfig, PairResult, PairStats
 from repro.graph.genome_graph import GenomeGraph
 from repro.refs.reference import Contig, ReferenceSet, ReferenceSetError
 
@@ -239,7 +234,6 @@ class Mapper:
         )
         self.engine = SeGraM(self.reference, config=config)
         self.pair_config = pair_config or PairedEndConfig()
-        self._pair_engine: PairedEndMapper | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -315,7 +309,6 @@ class Mapper:
         mapper.engine = SeGraM(loaded.refs, config=config,
                                index=loaded.index)
         mapper.pair_config = pair_config or PairedEndConfig()
-        mapper._pair_engine = None
         return mapper
 
     # ------------------------------------------------------------------
@@ -367,18 +360,9 @@ class Mapper:
 
     @property
     def pair_stats(self) -> PairStats:
-        """Cumulative pair statistics (zeros before any pair call)."""
-        if self._pair_engine is None:
-            return PairStats()
-        return self._pair_engine.stats
-
-    def pair_engine(self) -> PairedEndMapper:
-        """The (lazily created) paired-end engine behind
-        :meth:`map_pair` / :meth:`map_pairs`."""
-        if self._pair_engine is None:
-            self._pair_engine = PairedEndMapper(self.engine,
-                                                self.pair_config)
-        return self._pair_engine
+        """Cumulative pair statistics, ``stats.pairs`` (zeros before
+        any pair call)."""
+        return self.engine.stats.pairs
 
     # ------------------------------------------------------------------
     # Mapping
@@ -409,7 +393,8 @@ class Mapper:
                  name: str = "pair"
                  ) -> tuple[MappingRecord, MappingRecord]:
         """Map one FR read pair; returns both mates' records."""
-        pair = self.pair_engine().map_pair(read1, read2, name)
+        pair, = self.engine.map_pairs([(name, read1, read2)],
+                                      self.pair_config)
         return _pair_records(pair)
 
     def map_pairs(
@@ -464,7 +449,8 @@ class Mapper:
                 pairs.append((name, r1, r2))
         else:
             pairs = [tuple(p) for p in reads1]
-        results = self.pair_engine().map_pairs(pairs, jobs=jobs)
+        results = self.engine.map_pairs(pairs, self.pair_config,
+                                        jobs=jobs)
         return [_pair_records(pair) for pair in results]
 
     def __repr__(self) -> str:

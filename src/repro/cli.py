@@ -90,9 +90,10 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _check_minimizer_args(args: argparse.Namespace) -> None:
-    """``-w`` / ``-k`` the index cannot hold end in a clean error."""
+    """``-w`` / ``-k`` / ``--bucket-bits`` the index cannot hold end in
+    a clean error."""
     try:
-        check_minimizer_parameters(args.w, args.k)
+        check_minimizer_parameters(args.w, args.k, args.bucket_bits)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
 
@@ -431,6 +432,10 @@ def cmd_map(args: argparse.Namespace) -> int:
         raise SystemExit("error: --discordant-out requires --paired")
     if args.chunk_size < 1:
         raise SystemExit("error: --chunk-size must be >= 1")
+    if args.insert_mean <= 0:
+        raise SystemExit("error: --insert-mean must be > 0")
+    if args.insert_std < 0:
+        raise SystemExit("error: --insert-std must be >= 0")
     # --paired always emits SAM; single-end defaults to GAF.
     out_format = "sam" if args.paired is not None \
         else (args.format or "gaf")

@@ -72,11 +72,12 @@ that view.  There is nothing to memoize, so there is no region cache.
 :meth:`SeGraM.map_batch` shards a read set across the engine's
 standing pool (:func:`~repro.core.pipeline.run_sharded`), each worker
 running the same drive; :meth:`SeGraM.map_read` is a one-read batch.
-Read pairs map through a :class:`~repro.core.pairing.PairedEndMapper`
-over the engine (or :meth:`repro.api.Mapper.map_pairs`), on the same
-pool.  Stage boundaries and sharding change *when* work happens, never
-*what* is computed: a read maps to the same result alone, at any
-position of any batch, and on any worker.
+:meth:`SeGraM.map_pairs` shards read pairs the same way, on the same
+pool: each shard maps both mates through this drive and pairs them
+(:func:`~repro.core.pairing.map_pairs_local`), counting into
+``stats.pairs``.  Stage boundaries and sharding change *when* work
+happens, never *what* is computed: a read maps to the same result
+alone, at any position of any batch, and on any worker.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ import math
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro import seq as seqmod
 from repro.core.alignment import MAPQ_SATURATION_GAP, READ_CONSUMING, \
@@ -103,6 +104,9 @@ from repro.index.minimizer import SCAN_BLOCK_BASES, \
     check_minimizer_parameters
 from repro.index.occurrence import DEFAULT_TOP_FRACTION
 from repro.refs.reference import Contig, ReferenceSet
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.pairing import PairedEndConfig, PairResult
 
 
 #: Read bases (one orientation) the seed stage takes in one chunk: a
@@ -177,7 +181,7 @@ class SeGraMConfig:
     align_backend: str | None = None
 
     def __post_init__(self) -> None:
-        check_minimizer_parameters(self.w, self.k)
+        check_minimizer_parameters(self.w, self.k, self.bucket_bits)
         if not 0.0 <= self.error_rate < 1.0:
             raise ValueError(
                 f"error_rate must be in [0, 1), got {self.error_rate}"
@@ -509,6 +513,17 @@ class SeGraM:
         enforce.
         """
         return run_sharded(self, reads, jobs)
+
+    def map_pairs(self, pairs: Iterable[tuple[str, str, str]],
+                  config: PairedEndConfig,
+                  jobs: int = 1) -> list[PairResult]:
+        """Map ``(name, read1, read2)`` FR pairs under the insert-size
+        model ``config``, sharded like :meth:`map_batch`.
+
+        Pair counters accumulate in ``self.stats.pairs``; results come
+        back in input order, identical for any ``jobs``.
+        """
+        return run_sharded(self, pairs, jobs, pair_config=config)
 
     # ------------------------------------------------------------------
     # The drive

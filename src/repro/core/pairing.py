@@ -1,11 +1,13 @@
-"""Paired-end mapping driver: pair scoring and mate rescue.
+"""Paired-end mapping: pair scoring and mate rescue.
 
 Illumina FR libraries sequence a fragment from both ends: mate 1
 forward, mate 2 reverse-complemented, with the fragment length (the
-*insert size*) following a library-specific distribution.  This module
-maps both mates through the engine's staged drive
-(:meth:`~repro.core.mapper.SeGraM.seed_reads`, then
-:meth:`~repro.core.mapper.SeGraM.map_seeded` per mate), then treats
+*insert size*) following a library-specific distribution.  Pairs map
+through the one engine like reads do: :meth:`~repro.core.mapper.
+SeGraM.map_pairs` shards them like ``map_batch``, and every shard runs
+:func:`map_pairs_local`, which maps both mates through the engine's
+staged drive (:meth:`~repro.core.mapper.SeGraM.seed_reads`, then
+:meth:`~repro.core.mapper.SeGraM.map_seeded` per mate) and treats
 pairing as a selection problem:
 
 1. **Candidate grid** — each mate is mapped on both strands (stages
@@ -38,17 +40,17 @@ pairing as a selection problem:
    (same strand, or reverse mate leftmost), template-length outlier
    (correct FR geometry but TLEN beyond ``max_deviation`` standard
    deviations), or unmapped-mate.  The category is counted in
-   :class:`PairStats`, stamped on each pair's SAM records via the
-   ``YC:Z:`` tag, and reported by ``--discordant-out``.
+   :class:`PairStats` (``engine.stats.pairs``), stamped on each
+   pair's SAM records via the ``YC:Z:`` tag, and reported by
+   ``--discordant-out``.
 
 Rescue needs linear reference coordinates, so it searches the
 backbone of the anchor's contig (:meth:`~repro.refs.ReferenceSet.
 backbone`) and never crosses a contig boundary; mates anchored on a
 graph-backed contig still get candidate-pair scoring, minus rescue.
-Batch mapping shards pairs across the engine's standing worker pool
-exactly like ``SeGraM.map_batch`` — results are identical to the
-sequential loop, and per-shard pipeline/pair statistics merge back
-into the parent.
+The pair grid and classification time into the ``select`` stage row
+and the rescue kernel calls into the ``align`` row; results are
+identical to the sequential loop under any ``jobs``.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro import seq as seqmod
 from repro.core.bitalign import bitalign
 from repro.core.mapper import MappingResult
-from repro.core.pipeline import run_sharded
+from repro.core.pipeline import timed
 from repro.graph.linearize import LinearizedGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -190,7 +192,8 @@ class PairedEndConfig:
 
 @dataclass
 class PairStats:
-    """Pair-level counters, mergeable across batch shards.
+    """Pair-level counters: the ``pairs`` field of
+    :class:`~repro.core.pipeline.PipelineStats`, merged with it.
 
     ``discordant`` tallies discordant pairs by category (keys from
     :data:`DISCORDANT_CATEGORIES` only, so ``pairs_discordant``
@@ -267,6 +270,10 @@ class PairStats:
 class PairResult:
     """The outcome of mapping one read pair.
 
+    The pair selector scores every candidate combination as a
+    ``PairResult`` and keeps the least by :attr:`sort_key`; only the
+    kept one is classified (``category``).
+
     Attributes:
         name: fragment identifier.
         mate1 / mate2: per-mate mapping results (``read_name`` carries
@@ -302,20 +309,9 @@ class PairResult:
     def discordant(self) -> bool:
         return self.category in DISCORDANT_CATEGORIES
 
-
-@dataclass(frozen=True)
-class _Combo:
-    """One scored orientation combination of the two mates."""
-
-    mate1: MappingResult
-    mate2: MappingResult
-    proper: bool
-    template_length: int | None
-    score: int
-    rescued_mate: int | None = None
-
     @property
     def sort_key(self) -> tuple:
+        """The rank of a scored combination in the pair selector."""
         # Proper first, then lowest score, then un-rescued, then the
         # leftmost placements and the forward-first strand of mate 1 —
         # a total, input-order-free key, so the selected combination
@@ -390,208 +386,187 @@ def classify_pair(mate1: MappingResult, mate2: MappingResult,
     return CATEGORY_TLEN_OUTLIER
 
 
-class PairedEndMapper:
-    """Maps read pairs through one :class:`~repro.core.mapper.SeGraM`.
+def map_pairs_local(engine: "SeGraM",
+                    pairs: Sequence[tuple[str, str, str]],
+                    config: PairedEndConfig) -> list[PairResult]:
+    """Map ``(name, read1, read2)`` pairs on ``engine`` in this process.
 
-    Owns the pair-level configuration and statistics; pipeline-level
-    statistics keep accumulating in ``mapper.stats`` (each mate counts
-    as one read).
+    Both mates of every pair are seeded together
+    (:meth:`~repro.core.mapper.SeGraM.seed_reads`) and each is mapped
+    unbounded (:meth:`~repro.core.mapper.SeGraM.map_seeded`); the
+    pair counters go to ``engine.stats.pairs``.
+    :meth:`~repro.core.mapper.SeGraM.map_pairs` is the entry point.
     """
-
-    def __init__(self, mapper: "SeGraM",
-                 config: PairedEndConfig | None = None) -> None:
-        self.mapper = mapper
-        self.config = config or PairedEndConfig()
-        self.stats = PairStats()
-
-    # ------------------------------------------------------------------
-    # Single pair
-    # ------------------------------------------------------------------
-
-    def map_pair(self, read1: str, read2: str,
-                 name: str = "pair") -> PairResult:
-        """Map one FR read pair: a one-pair :meth:`map_pairs_local`."""
-        return self.map_pairs_local([(name, read1, read2)])[0]
-
-    def map_pairs_local(self, pairs: Sequence[tuple[str, str, str]]) \
-            -> list[PairResult]:
-        """Map ``(name, read1, read2)`` pairs in this process; both
-        mates of every pair are seeded together
-        (:meth:`~repro.core.mapper.SeGraM.seed_reads`)."""
-        pairs = [
-            (name,
-             seqmod.validate(read1, "read 1", allow_ambiguous=True),
-             seqmod.validate(read2, "read 2", allow_ambiguous=True))
+    pairs = [
+        (name,
+         seqmod.validate(read1, "read 1", allow_ambiguous=True),
+         seqmod.validate(read2, "read 2", allow_ambiguous=True))
+        for name, read1, read2 in pairs]
+    seeded = engine.seed_reads(
+        [(f"{name}/{mate}", read)
+         for name, *reads in pairs
+         for mate, read in enumerate(reads, start=1)],
+        both_strands=True)
+    return [_map_seeded_pair(engine, config, name, read1, read2,
+                             next(seeded), next(seeded))
             for name, read1, read2 in pairs]
-        seeded = self.mapper.seed_reads(
-            [(f"{name}/{mate}", read)
-             for name, *reads in pairs
-             for mate, read in enumerate(reads, start=1)],
-            both_strands=True)
-        return [self._map_seeded_pair(name, read1, read2,
-                                      next(seeded), next(seeded))
-                for name, read1, read2 in pairs]
 
-    def _map_seeded_pair(self, name: str, read1: str, read2: str,
-                         seeded1, seeded2) -> PairResult:
-        """The best-scoring pairing of one seeded FR pair.
 
-        Scores the full candidate grid — every retained candidate
-        locus of mate 1 against every retained locus of mate 2 (up to
-        ``top_n_alignments`` squared combinations, both strands
-        included) — so a repeat-tied mate is re-placed at the copy
-        the insert-size model supports without any rescue alignment.
-        """
-        best1 = self.mapper.map_seeded(*seeded1, bounded=False)
-        best2 = self.mapper.map_seeded(*seeded2, bounded=False)
+def _map_seeded_pair(engine: "SeGraM", config: PairedEndConfig,
+                     name: str, read1: str, read2: str,
+                     seeded1, seeded2) -> PairResult:
+    """The best-scoring pairing of one seeded FR pair.
 
-        combos: list[_Combo] = []
-        for c1 in self._candidate_results(best1):
-            for c2 in self._candidate_results(best2):
-                combo = self._score_combo(c1, c2)
+    Scores the full candidate grid — every retained candidate locus
+    of mate 1 against every retained locus of mate 2 (up to
+    ``top_n_alignments`` squared combinations, both strands included)
+    — so a repeat-tied mate is re-placed at the copy the insert-size
+    model supports without any rescue alignment.  The grid and the
+    classification are timed into the ``select`` row, the rescue
+    kernel calls into the ``align`` row.
+    """
+    best1 = engine.map_seeded(*seeded1, bounded=False)
+    best2 = engine.map_seeded(*seeded2, bounded=False)
+    select = engine.stats.stage("select")
+    with timed(select):
+        mates2 = _candidate_results(best2)
+        combos = []
+        for c1 in _candidate_results(best1):
+            for c2 in mates2:
+                combo = _score_combo(config, name, c1, c2)
                 if combo is not None:
                     combos.append(combo)
-
-        best_combo = min(combos, key=lambda c: c.sort_key) \
-            if combos else None
-        if self.config.rescue and \
-                (best_combo is None or not best_combo.proper):
-            combos.extend(self._rescue_combos(best1, best2,
-                                              read1, read2))
-            if combos:
-                best_combo = min(combos, key=lambda c: c.sort_key)
-
-        if best_combo is None:
-            result = PairResult(name=name, mate1=best1, mate2=best2)
+    if config.rescue and not any(combo.proper for combo in combos):
+        combos.extend(_rescue_combos(engine, config, name, best1,
+                                     best2, read1, read2))
+    stats = engine.stats.pairs
+    with timed(select):
+        if combos:
+            result = min(combos, key=lambda c: c.sort_key)
+            if result.rescued_mate is not None:
+                stats.rescue_hits += 1
         else:
-            result = PairResult(
-                name=name,
-                mate1=best_combo.mate1, mate2=best_combo.mate2,
-                proper=best_combo.proper,
-                template_length=best_combo.template_length,
-                score=best_combo.score,
-                rescued_mate=best_combo.rescued_mate,
-            )
-            if best_combo.rescued_mate is not None:
-                self.stats.rescue_hits += 1
+            result = PairResult(name=name, mate1=best1, mate2=best2)
         result.category = classify_pair(result.mate1, result.mate2,
-                                        self.config, result.proper)
-        self.stats.pairs += 1
-        self.stats.count_category(result.category)
+                                        config, result.proper)
+        stats.pairs += 1
+        stats.count_category(result.category)
         if result.both_mapped:
-            self.stats.pairs_both_mapped += 1
+            stats.pairs_both_mapped += 1
         if result.proper:
-            self.stats.pairs_proper += 1
-        return result
+            stats.pairs_proper += 1
+    return result
 
-    @staticmethod
-    def _candidate_results(best: MappingResult) -> list[MappingResult]:
-        """One :class:`MappingResult` per retained candidate locus.
 
-        ``best.candidates`` is the merged, deduplicated, top-N list
-        over both orientations (best first); each entry materializes
-        as a full result via
-        :meth:`~repro.core.mapper.MappingResult.with_candidate`, so
-        the grid scorer and the SAM writer see ordinary mate results.
-        Results without candidate lists (unmapped reads) contribute
-        the bare result, preserving the mate-unmapped bookkeeping.
-        """
-        if not best.candidates:
-            return [best]
-        return [best.with_candidate(i)
-                for i in range(len(best.candidates))]
+def _candidate_results(best: MappingResult) -> list[MappingResult]:
+    """One :class:`MappingResult` per retained candidate locus.
 
-    # ------------------------------------------------------------------
-    # Scoring
-    # ------------------------------------------------------------------
+    ``best.candidates`` is the merged, deduplicated, top-N list over
+    both orientations (best first); each entry materializes as a full
+    result via :meth:`~repro.core.mapper.MappingResult.with_candidate`,
+    so the grid scorer and the SAM writer see ordinary mate results.
+    Results without candidate lists (unmapped reads) contribute the
+    bare result, preserving the mate-unmapped bookkeeping.
+    """
+    if not best.candidates:
+        return [best]
+    return [best.with_candidate(i) for i in range(len(best.candidates))]
 
-    def _score_combo(self, c1: MappingResult,
-                     c2: MappingResult,
-                     rescued_mate: int | None = None) -> _Combo | None:
-        """Score one orientation combination (None if unpaired).
 
-        The insert-size model only applies *within* one contig: a
-        cross-contig combination is never proper, its template length
-        is undefined (None), and it carries the full unpaired penalty
-        — it only wins when no intra-contig combination exists.
-        """
-        span1 = _linear_span(c1)
-        span2 = _linear_span(c2)
-        if span1 is None or span2 is None:
-            return None
-        config = self.config
-        if c1.contig != c2.contig:
-            score = ((c1.distance or 0) + (c2.distance or 0)
-                     + config.unpaired_penalty)
-            return _Combo(mate1=c1, mate2=c2, proper=False,
+# ----------------------------------------------------------------------
+# Scoring
+# ----------------------------------------------------------------------
+
+def _score_combo(config: PairedEndConfig, name: str,
+                 c1: MappingResult, c2: MappingResult,
+                 rescued_mate: int | None = None) -> PairResult | None:
+    """Score one orientation combination (None if unpaired).
+
+    The insert-size model only applies *within* one contig: a
+    cross-contig combination is never proper, its template length is
+    undefined (None), and it carries the full unpaired penalty — it
+    only wins when no intra-contig combination exists.
+    """
+    span1 = _linear_span(c1)
+    span2 = _linear_span(c2)
+    if span1 is None or span2 is None:
+        return None
+    if c1.contig != c2.contig:
+        score = ((c1.distance or 0) + (c2.distance or 0)
+                 + config.unpaired_penalty)
+        return PairResult(name=name, mate1=c1, mate2=c2, proper=False,
                           template_length=None, score=score,
                           rescued_mate=rescued_mate)
-        template = max(span1[1], span2[1]) - min(span1[0], span2[0])
-        proper = False
-        if c1.strand != c2.strand:
-            plus, minus = (span1, span2) if c1.strand == "+" \
-                else (span2, span1)
-            proper = (plus[0] <= minus[0]
-                      and config.min_template_length <= template
-                      <= config.max_template_length)
-        penalty = config.insert_penalty(template) if proper \
-            else config.unpaired_penalty
-        score = (c1.distance or 0) + (c2.distance or 0) + penalty
-        return _Combo(mate1=c1, mate2=c2, proper=proper,
+    template = max(span1[1], span2[1]) - min(span1[0], span2[0])
+    proper = False
+    if c1.strand != c2.strand:
+        plus, minus = (span1, span2) if c1.strand == "+" \
+            else (span2, span1)
+        proper = (plus[0] <= minus[0]
+                  and config.min_template_length <= template
+                  <= config.max_template_length)
+    penalty = config.insert_penalty(template) if proper \
+        else config.unpaired_penalty
+    score = (c1.distance or 0) + (c2.distance or 0) + penalty
+    return PairResult(name=name, mate1=c1, mate2=c2, proper=proper,
                       template_length=template, score=score,
                       rescued_mate=rescued_mate)
 
-    # ------------------------------------------------------------------
-    # Mate rescue
-    # ------------------------------------------------------------------
 
-    def _rescue_combos(self, best1: MappingResult,
-                       best2: MappingResult, read1: str,
-                       read2: str) -> list[_Combo]:
-        """Try to rescue each mate near the other's best placement.
+# ----------------------------------------------------------------------
+# Mate rescue
+# ----------------------------------------------------------------------
 
-        Both directions' rescue windows are framed first and then
-        resolved together by :meth:`_dispatch_rescues`.
-        """
-        attempts = []
-        for anchor, read, rescued_index in (
-                (best1, read2, 2), (best2, read1, 1)):
-            if not self._anchor_is_confident(anchor):
-                continue
-            job = self._rescue_job(anchor, read)
-            if job is None:
-                continue
-            attempts.append((anchor, read, rescued_index, job))
-        aligned_list = self._dispatch_rescues(
-            [job for _, _, _, job in attempts])
-        combos: list[_Combo] = []
-        for (anchor, read, rescued_index, job), aligned in zip(
-                attempts, aligned_list):
-            if aligned is None:
-                continue
-            rescued = self._rescued_result(anchor, read,
-                                           rescued_index, job,
-                                           aligned)
-            pair = (anchor, rescued) if rescued_index == 2 \
-                else (rescued, anchor)
-            combo = self._score_combo(*pair,
-                                      rescued_mate=rescued_index)
-            if combo is not None:
-                combos.append(combo)
-        return combos
+def _rescue_combos(engine: "SeGraM", config: PairedEndConfig,
+                   name: str, best1: MappingResult,
+                   best2: MappingResult, read1: str,
+                   read2: str) -> list[PairResult]:
+    """Try to rescue each mate near the other's best placement.
 
-    def _dispatch_rescues(self, jobs: list) -> list:
-        """Resolve framed rescue windows, one kernel call per job.
+    Both directions' rescue windows are framed first and then
+    resolved together by :func:`_dispatch_rescues`.
+    """
+    attempts = []
+    for anchor, read, rescued_index in (
+            (best1, read2, 2), (best2, read1, 1)):
+        if not _anchor_is_confident(config, anchor):
+            continue
+        job = _rescue_job(engine, config, anchor, read)
+        if job is None:
+            continue
+        attempts.append((anchor, read, rescued_index, job))
+    aligned_list = _dispatch_rescues(
+        engine, [job for _, _, _, job in attempts])
+    combos: list[PairResult] = []
+    for (anchor, read, rescued_index, job), aligned in zip(
+            attempts, aligned_list):
+        if aligned is None:
+            continue
+        rescued = _rescued_result(anchor, read, rescued_index, job,
+                                  aligned)
+        pair = (anchor, rescued) if rescued_index == 2 \
+            else (rescued, anchor)
+        combo = _score_combo(config, name, *pair,
+                             rescued_mate=rescued_index)
+        if combo is not None:
+            combos.append(combo)
+    return combos
 
-        Each window is a hop-free view aligned by
-        :func:`~repro.core.bitalign.bitalign`, the kernel every
-        pipeline window runs.  A job resolves to ``(distance, start,
-        cigar)``, ``start`` being the first consumed window position
-        (a window is never empty, so every alignment consumes one), or
-        to None: no alignment within ``k``, or traceback storage above
-        :data:`DEFAULT_MAX_WORDS` — that job never runs the kernel.
-        """
-        results: list = []
+
+def _dispatch_rescues(engine: "SeGraM", jobs: list) -> list:
+    """Resolve framed rescue windows, one kernel call per job.
+
+    Each window is a hop-free view aligned by
+    :func:`~repro.core.bitalign.bitalign`, the kernel every pipeline
+    window runs, timed into the ``align`` row.  A job resolves to
+    ``(distance, start, cigar)``, ``start`` being the first consumed
+    window position (a window is never empty, so every alignment
+    consumes one), or to None: no alignment within ``k``, or
+    traceback storage above :data:`DEFAULT_MAX_WORDS` — that job
+    never runs the kernel.
+    """
+    results: list = []
+    with timed(engine.stats.stage("align")):
         for window, pattern, k, _, _ in jobs:
             if align_storage_words(len(window), len(pattern),
                                    k) > DEFAULT_MAX_WORDS:
@@ -599,85 +574,73 @@ class PairedEndMapper:
                 continue
             chain = LinearizedGraph.from_hops(
                 window, {len(window) - 1: ()}, [0])
-            self.stats.align_calls += 1
+            engine.stats.pairs.align_calls += 1
             aligned = bitalign(chain, pattern, k)
             results.append(
                 None if aligned is None
                 else (aligned.distance, aligned.path[0], aligned.cigar))
-        return results
+    return results
 
-    def _anchor_is_confident(self, anchor: MappingResult) -> bool:
-        return (anchor.mapped
-                and anchor.linear_position is not None
-                and anchor.cigar is not None
-                and (anchor.identity or 0.0)
-                >= self.config.min_anchor_identity)
 
-    def _rescue_job(self, anchor: MappingResult,
-                    read: str) -> tuple | None:
-        """Frame one mate-rescue alignment window.
+def _anchor_is_confident(config: PairedEndConfig,
+                         anchor: MappingResult) -> bool:
+    return (anchor.mapped
+            and anchor.linear_position is not None
+            and anchor.cigar is not None
+            and (anchor.identity or 0.0) >= config.min_anchor_identity)
 
-        The rescued mate must sit on the opposite strand, inward of
-        the anchor (FR geometry), within the maximum template length —
-        one fitting alignment of the oriented mate over that reference
-        window.  The window is in the *anchor's contig*, so rescue
-        never crosses a contig boundary.  Returns ``(window, pattern,
-        k, lo, strand)`` or None when no window can be framed.
-        """
-        # A confident anchor has a linear position, so its contig is
-        # linear-backed.
-        assert anchor.contig is not None
-        reference = self.mapper.refs.backbone(anchor.contig)
-        assert reference is not None
-        self.stats.rescue_attempts += 1
-        max_template = self.config.max_template_length
-        span = _linear_span(anchor)
-        assert span is not None  # _anchor_is_confident checked
-        if anchor.strand == "+":
-            lo = span[0]
-            hi = min(len(reference), lo + max_template)
-            pattern = seqmod.reverse_complement(read)
-            strand = "-"
-        else:
-            hi = min(len(reference), span[1])
-            lo = max(0, hi - max_template)
-            pattern = read
-            strand = "+"
-        window = reference[lo:hi]
-        if not window or not pattern:
-            return None
-        k = max(2, int(round(len(pattern)
-                             * self.config.rescue_edit_fraction)))
-        return window, pattern, k, lo, strand
 
-    def _rescued_result(self, anchor: MappingResult, read: str,
-                        rescued_index: int, job: tuple,
-                        aligned: tuple) -> MappingResult:
-        """Materialize a successful rescue alignment as a result."""
-        _, _, _, lo, strand = job
-        distance, start, cigar = aligned
-        name = anchor.read_name.rsplit("/", 1)[0]
-        return MappingResult(
-            read_name=f"{name}/{rescued_index}",
-            read_length=len(read),
-            mapped=True,
-            distance=distance,
-            cigar=cigar,
-            linear_position=lo + start,
-            contig=anchor.contig,
-            strand=strand,
-        )
+def _rescue_job(engine: "SeGraM", config: PairedEndConfig,
+                anchor: MappingResult, read: str) -> tuple | None:
+    """Frame one mate-rescue alignment window.
 
-    # ------------------------------------------------------------------
-    # Batches
-    # ------------------------------------------------------------------
+    The rescued mate must sit on the opposite strand, inward of the
+    anchor (FR geometry), within the maximum template length — one
+    fitting alignment of the oriented mate over that reference window.
+    The window is in the *anchor's contig*, so rescue never crosses a
+    contig boundary.  Returns ``(window, pattern, k, lo, strand)`` or
+    None when no window can be framed.
+    """
+    # A confident anchor has a linear position, so its contig is
+    # linear-backed.
+    assert anchor.contig is not None
+    reference = engine.refs.backbone(anchor.contig)
+    assert reference is not None
+    engine.stats.pairs.rescue_attempts += 1
+    max_template = config.max_template_length
+    span = _linear_span(anchor)
+    assert span is not None  # _anchor_is_confident checked
+    if anchor.strand == "+":
+        lo = span[0]
+        hi = min(len(reference), lo + max_template)
+        pattern = seqmod.reverse_complement(read)
+        strand = "-"
+    else:
+        hi = min(len(reference), span[1])
+        lo = max(0, hi - max_template)
+        pattern = read
+        strand = "+"
+    window = reference[lo:hi]
+    if not window or not pattern:
+        return None
+    k = max(2, int(round(len(pattern) * config.rescue_edit_fraction)))
+    return window, pattern, k, lo, strand
 
-    def map_pairs(self, pairs: Sequence[tuple[str, str, str]],
-                  jobs: int = 1) -> list[PairResult]:
-        """Map ``(name, read1, read2)`` pairs, optionally sharded.
 
-        ``jobs > 1`` shards across the engine's standing pool exactly
-        like ``SeGraM.map_batch``: per-shard statistics merge back,
-        and results are identical to the sequential loop.
-        """
-        return run_sharded(self.mapper, pairs, jobs, pairs=self)
+def _rescued_result(anchor: MappingResult, read: str,
+                    rescued_index: int, job: tuple,
+                    aligned: tuple) -> MappingResult:
+    """Materialize a successful rescue alignment as a result."""
+    _, _, _, lo, strand = job
+    distance, start, cigar = aligned
+    name = anchor.read_name.rsplit("/", 1)[0]
+    return MappingResult(
+        read_name=f"{name}/{rescued_index}",
+        read_length=len(read),
+        mapped=True,
+        distance=distance,
+        cigar=cigar,
+        linear_position=lo + start,
+        contig=anchor.contig,
+        strand=strand,
+    )

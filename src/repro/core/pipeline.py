@@ -18,8 +18,8 @@ SeGraM.map_reads`).  This module holds what the drive does not own:
   the parent copy-on-write.  A shard is ``(pair_config, items)``;
   every shard, in a worker or in-process, runs :func:`map_local`,
   which returns the shard's results with its own
-  :class:`PipelineStats` (and pair statistics), and the caller merges
-  those into its own.
+  :class:`PipelineStats` (pair counters included), and the caller
+  merges that into its own.
 
 Sharding changes *when* work happens, never *what* is computed: a
 read maps to the same result alone, at any position of any batch,
@@ -43,6 +43,7 @@ from repro.core.minseed import SeedingStats
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.mapper import AlignmentCandidate, MappingResult, \
         SeGraM
+    from repro.core.pairing import PairStats
 
 
 #: Stage names in execution order (also the row order of stats tables).
@@ -52,6 +53,14 @@ STAGE_ORDER = ("seed", "filter", "extract", "align", "select")
 # ----------------------------------------------------------------------
 # Statistics
 # ----------------------------------------------------------------------
+
+def _pair_stats() -> "PairStats":
+    # Imported here: repro.core.pairing imports the engine, which
+    # imports this module.
+    from repro.core.pairing import PairStats
+
+    return PairStats()
+
 
 @dataclass
 class StageStats:
@@ -128,6 +137,9 @@ class PipelineStats:
     align_windows_batched: int = 0
     seeding: SeedingStats = field(default_factory=SeedingStats)
     stages: "OrderedDict[str, StageStats]" = field(default_factory=OrderedDict)
+    #: Pair-level counters (:class:`~repro.core.pairing.PairStats`);
+    #: zeros until pairs map.
+    pairs: "PairStats" = field(default_factory=_pair_stats)
 
     @classmethod
     def empty(cls) -> "PipelineStats":
@@ -154,6 +166,7 @@ class PipelineStats:
         self.windows_exact += other.windows_exact
         self.align_calls += other.align_calls
         self.seeding.merge(other.seeding)
+        self.pairs.merge(other.pairs)
         for name, stage in other.stages.items():
             self.stage(name).merge(stage)
 
@@ -308,21 +321,20 @@ def map_local(engine: "SeGraM", items: Sequence,
 
     Reads are ``(name, sequence)``; with a
     :class:`~repro.core.pairing.PairedEndConfig` they are
-    ``(name, read1, read2)`` pairs, mapped by a
-    :class:`~repro.core.pairing.PairedEndMapper` of that config.
-    Returns ``(results, PipelineStats, PairStats | None)`` with the
-    statistics of exactly this shard; the engine's own statistics are
-    left as they were, for :func:`run_sharded` to merge into.
+    ``(name, read1, read2)`` pairs, mapped by
+    :func:`~repro.core.pairing.map_pairs_local` under that config.
+    Returns ``(results, PipelineStats)`` with the statistics of
+    exactly this shard; the engine's own statistics are left as they
+    were, for :func:`run_sharded` to merge into.
     """
     outer = engine.stats
     engine.reset_stats()
     try:
         if pair_config is None:
-            return engine.map_reads(items), engine.stats, None
-        from repro.core.pairing import PairedEndMapper
+            return engine.map_reads(items), engine.stats
+        from repro.core.pairing import map_pairs_local
 
-        pairs = PairedEndMapper(engine, pair_config)
-        return pairs.map_pairs_local(items), engine.stats, pairs.stats
+        return map_pairs_local(engine, items, pair_config), engine.stats
     finally:
         engine.stats = outer
 
@@ -388,7 +400,7 @@ class PersistentPool:
     def run(self, items: Sequence, pair_config=None) -> list:
         """Map shards of ``items`` across the standing workers.
 
-        Returns each shard's :func:`map_local` triple, in shard order;
+        Returns each shard's :func:`map_local` pair, in shard order;
         :func:`run_sharded` flattens and merges them.
         """
         from concurrent.futures.process import BrokenProcessPool
@@ -412,17 +424,17 @@ class PersistentPool:
 
 
 def run_sharded(engine: "SeGraM", items: Sequence, jobs: int = 1,
-                pairs=None) -> list:
+                pair_config=None) -> list:
     """Map ``items`` on ``engine``, sharded across its standing pool of
     ``jobs`` workers (:meth:`~repro.core.mapper.SeGraM.worker_pool`).
 
-    ``pairs`` is the calling :class:`~repro.core.pairing.
-    PairedEndMapper` when the items are read pairs.  When one worker
+    ``pair_config`` is the :class:`~repro.core.pairing.
+    PairedEndConfig` when the items are read pairs.  When one worker
     would run (:func:`effective_jobs`), the items map in-process as
-    one shard.  Each shard's statistics merge into ``engine.stats``
-    (and ``pairs.stats``), and results come back in input order,
-    identical either way.  ``jobs`` below 1 raises :class:`ValueError`
-    before any item is read.
+    one shard.  Each shard's statistics merge into ``engine.stats``,
+    and results come back in input order, identical either way.
+    ``jobs`` below 1 raises :class:`ValueError` before any item is
+    read.
 
     The engine's workers see the engine as it was when they forked:
     a change to it reaches them only through a new pool, after
@@ -431,7 +443,6 @@ def run_sharded(engine: "SeGraM", items: Sequence, jobs: int = 1,
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     items = list(items)
-    pair_config = pairs.config if pairs is not None else None
     if effective_jobs(jobs, len(items)) == 1:
         if jobs > 1 and len(items) > 1:
             warnings.warn(
@@ -443,9 +454,7 @@ def run_sharded(engine: "SeGraM", items: Sequence, jobs: int = 1,
     else:
         shards = engine.worker_pool(jobs).run(items, pair_config)
     results: list = []
-    for shard_results, stats, pair_stats in shards:
+    for shard_results, stats in shards:
         results.extend(shard_results)
         engine.stats.merge(stats)
-        if pairs is not None:
-            pairs.stats.merge(pair_stats)
     return results

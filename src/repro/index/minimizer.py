@@ -44,6 +44,10 @@ Scoring = Literal["hash", "lex"]
 #: fit the 64-bit minimizer row of the Fig. 6 index.
 MAX_K = 32
 
+#: Widest hash-index bucket directory: 2^32 + 1 entries.  The paper's
+#: human-genome index uses 24 bits.
+MAX_BUCKET_BITS = 32
+
 #: Window starts the scan takes at a time.  A block's temporaries are
 #: ~20 ``uint64`` arrays of this length (w of them the window copy),
 #: so blocks that stay in cache scan 1 Mb in ~0.1 s where one 1 Mb
@@ -127,8 +131,11 @@ def _scorer(scoring: Scoring, k: int) -> Callable[[int], int]:
     raise ValueError(f"unknown scoring {scoring!r}")
 
 
-def check_minimizer_parameters(w: int, k: int) -> None:
-    """Reject a ``<w,k>`` the scan and the Fig. 6 index cannot hold."""
+def check_minimizer_parameters(w: int, k: int,
+                               bucket_bits: int | None = None) -> None:
+    """Reject a ``<w,k>`` the scan and the Fig. 6 index cannot hold,
+    and a bucket width (when given) outside ``[1, MAX_BUCKET_BITS]``.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > MAX_K:
@@ -138,6 +145,12 @@ def check_minimizer_parameters(w: int, k: int) -> None:
         )
     if w < 1:
         raise ValueError(f"w must be >= 1, got {w}")
+    if bucket_bits is not None \
+            and not 1 <= bucket_bits <= MAX_BUCKET_BITS:
+        raise ValueError(
+            f"bucket_bits must be in [1, {MAX_BUCKET_BITS}], "
+            f"got {bucket_bits}"
+        )
 
 
 def _hash_array(keys: np.ndarray, bits: int) -> np.ndarray:

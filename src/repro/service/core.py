@@ -236,6 +236,7 @@ class ServiceCore:
     def stats_payload(self) -> dict:
         """The ``stats`` op result: service + pipeline + pair stats."""
         pipeline = dataclasses.asdict(self.mapper.stats)
+        pairs = pipeline.pop("pairs")
         pipeline["stages"] = {name: dataclasses.asdict(stage)
                               for name, stage
                               in self.mapper.stats.stages.items()}
@@ -245,7 +246,7 @@ class ServiceCore:
             "service": self.counters.snapshot(
                 queue_depth=self.batcher.queue_depth),
             "pipeline": pipeline,
-            "pairs": dataclasses.asdict(self.mapper.pair_stats),
+            "pairs": pairs,
         }
 
     # -- lifecycle -----------------------------------------------------

@@ -1,8 +1,8 @@
 """Service-level counters: queue depth, batch sizes, latencies.
 
 Kept separate from the mapping-domain statistics
-(:class:`~repro.core.stats.PipelineStats` /
-:class:`~repro.core.pairing.PairStats`) — those describe *what the
+(:class:`~repro.core.pipeline.PipelineStats`, pair counters
+included) — those describe *what the
 pipeline did to reads*; this module describes *how the daemon served
 requests*.  The ``stats`` endpoint returns both side by side.
 

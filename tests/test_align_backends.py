@@ -6,8 +6,8 @@ accepted and ignored.  Mate rescue, the last caller of the old backend
 registry, runs every job on the diagonal BitAlign kernel of
 :mod:`repro.core.bitalign` over a hop-free view of its window.
 
-Each test builds a paired-end engine under each backend name and checks
-its rescue alignments against two *independent* oracles — the classic
+Each test builds an engine under each backend name and checks its
+rescue alignments against two *independent* oracles — the classic
 1-active left-to-right Bitap (:mod:`repro.align.bitap`) for the distance
 and the exact DP fitting aligner (:mod:`repro.align.dp_linear`) for
 optimality — and against linear GenASM, tie-breaks included.  The seeded
@@ -27,11 +27,7 @@ from repro.align.genasm import genasm_align
 from repro.core import pairing
 from repro.core.alignment import replay_alignment
 from repro.core.mapper import SeGraM, SeGraMConfig
-from repro.core.pairing import (
-    DEFAULT_MAX_WORDS,
-    PairedEndMapper,
-    align_storage_words,
-)
+from repro.core.pairing import DEFAULT_MAX_WORDS, align_storage_words
 from repro.core.windows import WindowingConfig
 from repro.sim.reference import random_reference
 
@@ -84,25 +80,25 @@ def _cases() -> list[tuple[str, str, int]]:
 CASES = _cases()
 
 
-def _engine(reference: str, backend: str) -> PairedEndMapper:
+def _engine(reference: str, backend: str) -> SeGraM:
     config = SeGraMConfig(
         w=10, k=15, bucket_bits=12, error_rate=0.05,
         windowing=WindowingConfig(window_size=128, overlap=48, k=16),
         max_seeds_per_read=4, both_strands=True,
         early_exit_distance=6, align_backend=backend,
     )
-    return PairedEndMapper(
-        SeGraM.from_reference(reference, config=config, name="chr1"))
+    return SeGraM.from_reference(reference, config=config, name="chr1")
 
 
 @pytest.fixture(scope="module")
-def engines() -> dict[str, PairedEndMapper]:
+def engines() -> dict[str, SeGraM]:
     reference = random_reference(2_000, random.Random(0x0DD))
     return {name: _engine(reference, name) for name in BACKEND_NAMES}
 
 
-def _rescue(engine: PairedEndMapper, window: str, pattern: str, k: int):
-    return engine._dispatch_rescues([(window, pattern, k, 0, "+")])[0]
+def _rescue(engine: SeGraM, window: str, pattern: str, k: int):
+    return pairing._dispatch_rescues(
+        engine, [(window, pattern, k, 0, "+")])[0]
 
 
 def _oracle_rescue(window: str, pattern: str, k: int):
@@ -220,9 +216,9 @@ class TestEdgeCases:
         n = DEFAULT_MAX_WORDS // ((k + 1) * 2)
         assert align_storage_words(n, len(pattern), k) \
             > DEFAULT_MAX_WORDS
-        calls = engine.stats.align_calls
+        calls = engine.stats.pairs.align_calls
         assert _rescue(engine, "A" * n, pattern, k) is None
-        assert engine.stats.align_calls == calls
+        assert engine.stats.pairs.align_calls == calls
 
 
 def _random_batch(rng: random.Random) -> list[tuple[str, str, int]]:
@@ -272,11 +268,11 @@ class TestBatchedAlignMany:
         for _ in range(40):
             jobs = [(window, pattern, k, 0, "+")
                     for window, pattern, k in _random_batch(rng)]
-            ref = engines["python"]._dispatch_rescues(jobs)
+            ref = pairing._dispatch_rescues(engines["python"], jobs)
             assert len(ref) == len(jobs)
             for name in BACKEND_NAMES:
                 engine = engines[name]
-                got = engine._dispatch_rescues(jobs)
+                got = pairing._dispatch_rescues(engine, jobs)
                 loop = [_rescue(engine, *job[:3]) for job in jobs]
                 assert got == loop == ref, f"{name} jobs={jobs!r}"
             alignable += sum(result is not None for result in ref)
@@ -291,9 +287,10 @@ class TestBatchedAlignMany:
             per_name = []
             for name in BACKEND_NAMES:
                 engine = engines[name]
-                calls = engine.stats.align_calls
-                results = engine._dispatch_rescues(framed)
-                assert engine.stats.align_calls == calls + len(jobs)
+                calls = engine.stats.pairs.align_calls
+                results = pairing._dispatch_rescues(engine, framed)
+                assert engine.stats.pairs.align_calls \
+                    == calls + len(jobs)
                 assert len(results) == len(jobs)
                 for (window, pattern, k), result in zip(jobs, results):
                     _assert_oracles(result, window, pattern, k,
@@ -304,15 +301,15 @@ class TestBatchedAlignMany:
 
     def test_empty_batch(self, engines):
         for name in BACKEND_NAMES:
-            calls = engines[name].stats.align_calls
-            assert engines[name]._dispatch_rescues([]) == []
-            assert engines[name].stats.align_calls == calls
+            calls = engines[name].stats.pairs.align_calls
+            assert pairing._dispatch_rescues(engines[name], []) == []
+            assert engines[name].stats.pairs.align_calls == calls
 
     def test_batch_of_one(self, engines):
         window = "ACGTAGGCTTACGA"
         for name in BACKEND_NAMES:
-            many = engines[name]._dispatch_rescues(
-                [(window, "TAGGCTT", 2, 0, "+")])
+            many = pairing._dispatch_rescues(
+                engines[name], [(window, "TAGGCTT", 2, 0, "+")])
             assert many == [_oracle_rescue(window, "TAGGCTT", 2)]
             assert many[0] is not None
 
@@ -324,7 +321,7 @@ class TestBatchedAlignMany:
                 ("AC", "ACGTACGTAC", 1, 0, "+"),
                 (window, "TTGC", 1, 0, "+")]
         for name in BACKEND_NAMES:
-            results = engines[name]._dispatch_rescues(jobs)
+            results = pairing._dispatch_rescues(engines[name], jobs)
             assert results[1] is None
             assert results[0] is not None and results[0][:2] == (0, 2)
             assert results[2] is not None and results[2][:2] == (0, 7)
@@ -333,10 +330,12 @@ class TestBatchedAlignMany:
         for name in BACKEND_NAMES:
             engine = engines[name]
             with pytest.raises(ValueError):
-                engine._dispatch_rescues([("ACGT", "AC", 1, 0, "+"),
-                                          ("ACGT", "", 1, 0, "+")])
+                pairing._dispatch_rescues(
+                    engine, [("ACGT", "AC", 1, 0, "+"),
+                             ("ACGT", "", 1, 0, "+")])
             with pytest.raises(ValueError):
-                engine._dispatch_rescues([("ACGT", "AC", -1, 0, "+")])
+                pairing._dispatch_rescues(
+                    engine, [("ACGT", "AC", -1, 0, "+")])
 
     def test_per_job_word_budget(self, engines):
         """The budget bounds each job, not the batch: the jobs beside
@@ -349,8 +348,9 @@ class TestBatchedAlignMany:
         for name in BACKEND_NAMES:
             engine = engines[name]
             alone = [_rescue(engine, *job[:3]) for job in (small, other)]
-            calls = engine.stats.align_calls
-            results = engine._dispatch_rescues([small, big, other])
+            calls = engine.stats.pairs.align_calls
+            results = pairing._dispatch_rescues(engine,
+                                                [small, big, other])
             assert results == [alone[0], None, alone[1]]
             assert None not in alone
-            assert engine.stats.align_calls == calls + 2
+            assert engine.stats.pairs.align_calls == calls + 2

@@ -4,7 +4,7 @@ The acceptance contract of the API redesign:
 
 * ``repro.api.Mapper`` results are **parity-tested** — whole
   ``MappingResult`` / ``PairResult`` equality, contig and graph path
-  included — against the ``SeGraM`` / ``PairedEndMapper`` engines,
+  included — against the ``SeGraM`` engine's ``map_batch`` / ``map_pairs``,
   under ``jobs`` 1/2 and either (ignored) ``align_backend`` name;
 * every mapped result of every engine constructor carries its contig;
 * multi-contig end-to-end: a 3-contig reference maps pairs to a SAM
@@ -26,11 +26,8 @@ import pytest
 
 from repro.api import Mapper, MappingRecord, as_reference_set
 from repro.core.mapper import SeGraM, SeGraMConfig
-from repro.core.pairing import (
-    CATEGORY_DIFFERENT_REFERENCE,
-    PairedEndConfig,
-    PairedEndMapper,
-)
+from repro.core.pairing import CATEGORY_DIFFERENT_REFERENCE, \
+    PairedEndConfig
 from repro.core.windows import WindowingConfig
 from repro.graph.builder import build_graph
 from repro.io.discordant import (
@@ -126,16 +123,13 @@ class TestFacadeParity:
         config = _config(align_backend=backend)
         pair_config = PairedEndConfig(insert_mean=350.0,
                                       insert_std=50.0)
-        engine = PairedEndMapper(
-            SeGraM.from_reference(reference, config=config,
-                                  name="chr1",
-                                  max_node_length=1_024),
-            pair_config,
-        )
+        engine = SeGraM.from_reference(reference, config=config,
+                                       name="chr1",
+                                       max_node_length=1_024)
         facade = Mapper(reference, config=config,
                         pair_config=pair_config, name="chr1",
                         max_node_length=1_024)
-        expected = engine.map_pairs(pairs, jobs=jobs)
+        expected = engine.map_pairs(pairs, pair_config, jobs=jobs)
         records = facade.map_pairs(pairs, jobs=jobs)
         assert len(records) == len(expected)
         for (rec1, rec2), pair in zip(records, expected):
@@ -147,6 +141,8 @@ class TestFacadeParity:
             assert rec2.result == pair.mate2
             assert rec1.mapq == \
                 pair.mate1.mapq_with(proper_pair=pair.proper)
+        assert facade.pair_stats is facade.stats.pairs
+        assert facade.pair_stats == engine.stats.pairs
         assert facade.pair_stats.pairs == len(pairs)
 
 
@@ -177,10 +173,9 @@ class TestEveryResultHasAContig:
                                              tmp_path, constructor):
         reference, reads, pairs = single_workload
         engine = _engine(constructor, reference, tmp_path)
-        pair_engine = PairedEndMapper(engine, PairedEndConfig(
-            insert_mean=350.0, insert_std=50.0))
+        pair_config = PairedEndConfig(insert_mean=350.0, insert_std=50.0)
         results = engine.map_batch(reads) + [
-            mate for pair in pair_engine.map_pairs(pairs)
+            mate for pair in engine.map_pairs(pairs, pair_config)
             for mate in (pair.mate1, pair.mate2)]
         mapped = [result for result in results if result.mapped]
         assert len(mapped) > len(results) // 2

@@ -32,7 +32,7 @@ import pytest
 from repro import seq as seqmod
 from repro.core.alignment import MAPQ_SATURATION_GAP
 from repro.core.mapper import MappingResult, SeGraM, SeGraMConfig
-from repro.core.pairing import PairedEndConfig, PairedEndMapper
+from repro.core.pairing import PairedEndConfig
 from repro.core.windows import WindowingConfig
 from repro.sim.reference import random_reference, \
     reference_with_exact_repeats
@@ -199,8 +199,7 @@ def _map_pair(reference: str, pair) -> tuple:
             w=10, k=15, bucket_bits=12, error_rate=0.05,
             windowing=WindowingConfig(), both_strands=True),
         name="chr1")
-    result = PairedEndMapper(mapper, PairedEndConfig()).map_pairs(
-        [pair])[0]
+    result, = mapper.map_pairs([pair], PairedEndConfig())
     return result, mapper.stats
 
 

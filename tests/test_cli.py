@@ -769,6 +769,41 @@ class TestServeClient:
         assert not (tmp_path / "x.gaf").exists()
         assert not (tmp_path / "x.sock").exists()
 
+    @pytest.mark.parametrize("command,flag,value,message", [
+        ("index", "--bucket-bits", "0", "bucket_bits must be in [1, 32], "
+                                        "got 0"),
+        ("map", "--bucket-bits", "0", "bucket_bits must be in [1, 32], "
+                                      "got 0"),
+        ("map", "--bucket-bits", "40", "bucket_bits must be in [1, 32], "
+                                       "got 40"),
+        ("map", "--bucket-bits", "70", "bucket_bits must be in [1, 32], "
+                                       "got 70"),
+        ("paired", "--insert-mean", "0", "--insert-mean must be > 0"),
+        ("paired", "--insert-std", "-1", "--insert-std must be >= 0"),
+    ], ids=["index-bucket-bits-0", "map-bucket-bits-0",
+            "map-bucket-bits-40", "map-bucket-bits-70",
+            "insert-mean-0", "insert-std-neg"])
+    def test_index_and_pair_flags_out_of_range_rejected(
+            self, tmp_path, command, flag, value, message):
+        """A bucket width the index cannot hold and an insert-size
+        model ``PairedEndConfig`` refuses end in one ``error:`` line
+        before any file is opened: the missing reference and reads are
+        never read and nothing is written."""
+        ref = str(tmp_path / "missing.fa")
+        out = tmp_path / "out"
+        if command == "index":
+            argv = ["index", "build", ref, "-o", str(out)]
+        else:
+            argv = ["map", "--reference", ref,
+                    "--reads", str(tmp_path / "r1.fq"),
+                    "--output", str(out)]
+            if command == "paired":
+                argv += ["--paired", str(tmp_path / "r2.fq")]
+        with pytest.raises(SystemExit,
+                           match=f"^error: {re.escape(message)}$"):
+            main(argv + [flag, value])
+        assert not out.exists()
+
     def test_client_requires_endpoint(self):
         with pytest.raises(SystemExit, match="--port or --socket"):
             main(["client", "ping"])

@@ -1,4 +1,8 @@
-"""Tests for multi-chromosome genomes and HBM channel placement."""
+"""Tests for multi-chromosome genomes and HBM channel placement.
+
+A genome is laid out one graph + index per chromosome
+(:class:`ReferenceGenome`) and maps through one multi-contig
+:class:`~repro.api.Mapper` over the same chromosomes."""
 
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ from repro.hw.placement import (
     place_chromosomes,
     stack_fits_genome,
 )
+from repro.refs import Contig, ReferenceSet
 from repro.sim.reference import random_reference
 from repro.sim.variants import VariantProfile, simulate_variants
 
@@ -39,40 +44,44 @@ def genome():
     reference_genome = ReferenceGenome.build(references, variants,
                                              config=config,
                                              max_node_length=3_000)
-    return reference_genome, references
+    mapper = Mapper(ReferenceSet(
+        [Contig.linear(name, sequence, variants[name])
+         for name, sequence in references.items()],
+        max_node_length=3_000), config=config)
+    return reference_genome, references, mapper
 
 
 class TestReferenceGenome:
     def test_one_graph_and_index_per_chromosome(self, genome):
-        reference_genome, references = genome
+        reference_genome, references, _ = genome
         assert {c.name for c in reference_genome.chromosomes} == \
             set(references)
         for chromosome in reference_genome.chromosomes:
             assert chromosome.index.distinct_minimizers > 0
 
     def test_read_maps_to_its_chromosome(self, genome):
-        reference_genome, references = genome
+        _, references, mapper = genome
         for name, sequence in references.items():
             read = sequence[2_000:2_300]
-            result = reference_genome.map_read(read, f"from-{name}")
-            assert result.mapped
-            assert result.contig == name
-            assert result.distance == 0
+            record = mapper.map(read, f"from-{name}")
+            assert record.mapped
+            assert record.contig == name
+            assert record.edit_distance == 0
 
     def test_unmappable_read(self, genome):
-        reference_genome, _ = genome
+        _, _, mapper = genome
         rng = random.Random(555)
         read = random_reference(100, rng)
-        result = reference_genome.map_read(read, "alien")
-        if result.mapped:
-            assert result.distance > 5
+        record = mapper.map(read, "alien")
+        if record.mapped:
+            assert record.edit_distance > 5
 
     def test_unmapped_read_names_no_chromosome(self, genome):
-        reference_genome, _ = genome
+        _, _, mapper = genome
         read = random_reference(150, random.Random(556))
-        result = reference_genome.map_read(read, "alien")
-        assert not result.mapped
-        assert result.contig is None
+        record = mapper.map(read, "alien")
+        assert not record.mapped
+        assert record.contig is None
 
     @pytest.mark.parametrize("layout, top_n", [
         ({"chrA": 1, "chrB": 1}, 5),   # one copy on each chromosome
@@ -81,9 +90,10 @@ class TestReferenceGenome:
     def test_cross_chromosome_tie_matches_mapper(self, layout, top_n):
         """A read from a segment present twice is a tie: the
         genome-wide result carries the other copy as its runner-up and
-        the tie MAPQ, as one Mapper over the same records does — also
-        when top-N truncation leaves the runner-up out of the
-        winner's candidates."""
+        the tie MAPQ — also when top-N truncation leaves the runner-up
+        out of the winner's candidates — and one Mapper over the
+        genome's chromosomes places it as one over the FASTA-style
+        records does."""
         rng = random.Random(21)
         shared = random_reference(400, rng)
         references = {}
@@ -94,11 +104,13 @@ class TestReferenceGenome:
             references[name] = "".join(parts)
         config = SeGraMConfig(w=10, k=15, bucket_bits=12,
                               top_n_alignments=top_n)
-        reference_genome = ReferenceGenome.build(references,
-                                                 config=config)
+        genome_mapper = Mapper(ReferenceSet(
+            [Contig.linear(name, sequence)
+             for name, sequence in references.items()],
+            max_node_length=4_096), config=config)
         mapper = Mapper(list(references.items()), config=config)
         read = shared[50:350]
-        result = reference_genome.map_read(read, "shared")
+        result = genome_mapper.map(read, "shared").result
         record = mapper.map(read, "shared")
         assert result.mapped and result.distance == 0
         assert result.second_best_distance == 0
@@ -108,14 +120,14 @@ class TestReferenceGenome:
         assert result.mapq < 60
 
     def test_resident_bytes_ordering(self, genome):
-        reference_genome, references = genome
+        reference_genome, _, _ = genome
         sizes = reference_genome.resident_bytes()
         # Bigger chromosomes occupy more memory.
         assert sizes["chrA"] > sizes["chrB"] > sizes["chrC"]
         assert reference_genome.total_bytes() == sum(sizes.values())
 
     def test_duplicate_names_rejected(self, genome):
-        reference_genome, _ = genome
+        reference_genome, _, _ = genome
         with pytest.raises(ValueError):
             ReferenceGenome(reference_genome.chromosomes
                             + [reference_genome.chromosomes[0]])
@@ -163,7 +175,7 @@ class TestChannelPlacement:
             place_chromosomes({"a": -1}, channels=2)
 
     def test_paper_content_fits_stack(self, genome):
-        reference_genome, _ = genome
+        reference_genome, _, _ = genome
         assert stack_fits_genome(reference_genome.resident_bytes())
         # And at paper scale: 11.2 GB fits, 20 GB would not.
         assert stack_fits_genome({"all": int(11.2 * 2**30)})

@@ -29,7 +29,6 @@ from repro.core.pairing import (
     CATEGORY_TLEN_OUTLIER,
     CATEGORY_WRONG_ORIENTATION,
     PairedEndConfig,
-    PairedEndMapper,
     PairResult,
     classify_pair,
 )
@@ -183,13 +182,14 @@ class TestCandidateCalibration:
         from repro import seq as seqmod
 
         mapper = _mapper(reference, top_n_alignments=1)
-        engine = PairedEndMapper(mapper, PairedEndConfig(
-            insert_mean=350.0, insert_std=50.0, rescue=False))
         start = copy_starts[0] + 50
         read1 = reference[start:start + 100]
         read2 = seqmod.reverse_complement(
             reference[start + 250:start + 350])
-        pair = engine.map_pair(read1, read2, "tied")
+        pair, = mapper.map_pairs([("tied", read1, read2)],
+                                 PairedEndConfig(insert_mean=350.0,
+                                                 insert_std=50.0,
+                                                 rescue=False))
         tied_mate = pair.mate1
         assert tied_mate.second_best_distance == tied_mate.distance
         rec1, _ = pair_to_sam(pair, read1, read2)
@@ -274,12 +274,11 @@ class TestRepeatTiePairing:
 
     def _run(self, reference, fragments, top_n, rescue):
         mapper = _mapper(reference, top_n_alignments=top_n)
-        engine = PairedEndMapper(mapper, PairedEndConfig(
-            insert_mean=350.0, insert_std=50.0, rescue=rescue))
         pairs = [(f.name, f.mate1.sequence, f.mate2.sequence)
                  for f in fragments]
-        results = engine.map_pairs(pairs)
-        return results, engine.stats
+        results = mapper.map_pairs(pairs, PairedEndConfig(
+            insert_mean=350.0, insert_std=50.0, rescue=rescue))
+        return results, mapper.stats.pairs
 
     def test_grid_matches_rescue_without_rescue(self, tie_workload):
         reference, fragments = tie_workload
@@ -389,16 +388,18 @@ class TestDiscordantClassification:
         rng = random.Random(0xD15C0)
         reference = random_reference(12_000, rng)
         mapper = _mapper(reference)
-        engine = PairedEndMapper(mapper, PairedEndConfig(
-            insert_mean=350.0, insert_std=50.0, rescue=False))
         from repro import seq as seqmod
 
         read1 = reference[2_000:2_100]
         read2 = seqmod.reverse_complement(reference[8_000:8_100])
-        pair = engine.map_pair(read1, read2, "split")
+        pair, = mapper.map_pairs([("split", read1, read2)],
+                                 PairedEndConfig(insert_mean=350.0,
+                                                 insert_std=50.0,
+                                                 rescue=False))
         assert not pair.proper
         assert pair.category == CATEGORY_TLEN_OUTLIER
-        assert engine.stats.discordant == {CATEGORY_TLEN_OUTLIER: 1}
+        assert mapper.stats.pairs.discordant == \
+            {CATEGORY_TLEN_OUTLIER: 1}
 
 
 class TestDiscordantSamRoundTrip:

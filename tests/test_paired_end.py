@@ -23,10 +23,10 @@ from repro import seq as seqmod
 from repro.align.genasm import genasm_align
 from repro.core.alignment import replay_alignment
 from repro.core.mapper import SeGraM, SeGraMConfig
+from repro.core import pairing
 from repro.core.pairing import (
     DEFAULT_MAX_WORDS,
     PairedEndConfig,
-    PairedEndMapper,
     align_storage_words,
 )
 from repro.core.windows import WindowingConfig
@@ -112,22 +112,21 @@ def acceptance_workload():
     fragments = simulate_fragments(reference, 24, rng,
                                    ACCEPTANCE_PROFILE)
     mapper = _mapper(reference)
-    engine = PairedEndMapper(mapper, PairedEndConfig(
-        insert_mean=350.0, insert_std=50.0))
     pairs = [(f.name, f.mate1.sequence, f.mate2.sequence)
              for f in fragments]
-    results = engine.map_pairs(pairs)
-    return mapper, engine, fragments, pairs, results
+    results = mapper.map_pairs(pairs, PairedEndConfig(
+        insert_mean=350.0, insert_std=50.0))
+    return mapper, mapper.stats.pairs, fragments, pairs, results
 
 
 class TestPairedMapping:
     def test_acceptance_proper_pair_rate(self, acceptance_workload):
-        _, engine, fragments, _, results = acceptance_workload
+        _, pair_stats, fragments, _, results = acceptance_workload
         accuracy = evaluate_paired_mappings(results, fragments)
         assert accuracy.proper_pair_rate >= 0.95
         assert accuracy.mate_accuracy >= 0.95
-        assert engine.stats.pairs == len(fragments)
-        assert engine.stats.pairs_proper >= 0.95 * len(fragments)
+        assert pair_stats.pairs == len(fragments)
+        assert pair_stats.pairs_proper >= 0.95 * len(fragments)
 
     def test_template_length_near_model(self, acceptance_workload):
         _, _, fragments, _, results = acceptance_workload
@@ -166,11 +165,10 @@ class TestPairedMapping:
                  for f in fragments]
         outcomes = []
         for jobs in (1, 2):
-            engine = PairedEndMapper(
-                _mapper(reference),
-                PairedEndConfig(insert_mean=350.0, insert_std=50.0),
-            )
-            results = engine.map_pairs(pairs, jobs=jobs)
+            results = _mapper(reference).map_pairs(
+                pairs, PairedEndConfig(insert_mean=350.0,
+                                       insert_std=50.0),
+                jobs=jobs)
             outcomes.append([
                 (r.proper, r.template_length, r.score,
                  r.rescued_mate,
@@ -202,27 +200,25 @@ class TestPairedMapping:
         workers = _worker_pids() - before
         assert len(workers) == 2
         for config in configs:
-            engine = PairedEndMapper(mapper, config)
-            alone = PairedEndMapper(_mapper(reference), config)
+            mapper.reset_stats()
+            alone = _mapper(reference)
             for _ in range(5):
-                assert engine.map_pairs(pairs, jobs=2) == \
-                    alone.map_pairs(pairs)
+                assert mapper.map_pairs(pairs, config, jobs=2) == \
+                    alone.map_pairs(pairs, config)
                 assert _worker_pids() - before == workers
-            assert engine.stats == alone.stats
+            assert mapper.stats.pairs == alone.stats.pairs
         mapper.close()
         assert _worker_pids() == before
 
     def test_unmappable_mate_reported_unmapped(self):
         rng = random.Random(0xD15C)
         reference = random_reference(6_000, rng)
-        engine = PairedEndMapper(
-            _mapper(reference),
-            PairedEndConfig(insert_mean=300.0, insert_std=40.0,
-                            rescue=False),
-        )
+        config = PairedEndConfig(insert_mean=300.0, insert_std=40.0,
+                                 rescue=False)
         read1 = reference[1_000:1_100]
         junk = "".join(rng.choice("ACGT") for _ in range(100))
-        pair = engine.map_pair(read1, junk, "odd")
+        pair, = _mapper(reference).map_pairs([("odd", read1, junk)],
+                                             config)
         assert pair.mate1.mapped
         assert not pair.proper
         assert not pair.mate2.mapped
@@ -247,9 +243,10 @@ class TestMateRescue:
         mapper = _mapper(reference)
         outcomes = {}
         for rescue in (False, True):
-            engine = PairedEndMapper(mapper, PairedEndConfig(
+            mapper.reset_stats()
+            results = mapper.map_pairs(pairs, PairedEndConfig(
                 insert_mean=350.0, insert_std=50.0, rescue=rescue))
-            outcomes[rescue] = (engine.map_pairs(pairs), engine.stats)
+            outcomes[rescue] = (results, mapper.stats.pairs)
         return reference, fragments, outcomes
 
     def test_rescue_strictly_improves_accuracy(self, repeat_workload):
@@ -298,10 +295,10 @@ class TestMateRescue:
                  for f in fragments]
         outcomes = {}
         for backend in ("python", "numpy"):
-            engine = PairedEndMapper(
-                _mapper(reference, align_backend=backend),
-                PairedEndConfig(insert_mean=350.0, insert_std=50.0))
-            outcomes[backend] = (engine.map_pairs(pairs), engine.stats)
+            mapper = _mapper(reference, align_backend=backend)
+            results = mapper.map_pairs(pairs, PairedEndConfig(
+                insert_mean=350.0, insert_std=50.0))
+            outcomes[backend] = (results, mapper.stats.pairs)
         python_results, python_stats = outcomes["python"]
         numpy_results, numpy_stats = outcomes["numpy"]
         assert python_results == numpy_results
@@ -362,14 +359,14 @@ class TestRescueKernel:
     @pytest.fixture(scope="class")
     def engine(self):
         rng = random.Random(0x0DD)
-        return PairedEndMapper(_mapper(random_reference(2_000, rng)))
+        return _mapper(random_reference(2_000, rng))
 
     @settings(max_examples=400, deadline=None)
     @given(jobs=st.lists(_rescue_jobs(), min_size=1, max_size=3))
     def test_matches_linear_genasm(self, engine, jobs):
-        calls = engine.stats.align_calls
-        results = engine._dispatch_rescues(jobs)
-        assert engine.stats.align_calls == calls + len(jobs)
+        calls = engine.stats.pairs.align_calls
+        results = pairing._dispatch_rescues(engine, jobs)
+        assert engine.stats.pairs.align_calls == calls + len(jobs)
         for (window, pattern, k, _, _), result in zip(jobs, results):
             assert result == _oracle_rescue(window, pattern, k), \
                 (window, pattern, k)
@@ -378,8 +375,8 @@ class TestRescueKernel:
         for window in "ACGT":
             for pattern, k in (("A", 0), ("A", 1), ("AC", 1),
                                ("NNN", 3), ("G", 2)):
-                assert engine._dispatch_rescues(
-                    [(window, pattern, k, 0, "+")]) == \
+                assert pairing._dispatch_rescues(
+                    engine, [(window, pattern, k, 0, "+")]) == \
                     [_oracle_rescue(window, pattern, k)], \
                     (window, pattern, k)
 
@@ -404,14 +401,14 @@ class TestRescueKernel:
         assert align_storage_words(n, len(pattern), k) \
             > DEFAULT_MAX_WORDS
         small = ("TT" + pattern + "GG", pattern, 2, 0, "+")
-        calls = engine.stats.align_calls
-        results = engine._dispatch_rescues(
-            [small, ("A" * n, pattern, k, 0, "+"), small])
+        calls = engine.stats.pairs.align_calls
+        results = pairing._dispatch_rescues(
+            engine, [small, ("A" * n, pattern, k, 0, "+"), small])
         assert results[1] is None
         assert results[0] == (0, 2, results[0][2])
         assert results[2] == results[0]
         assert seen == [len(small[0])] * 2
-        assert engine.stats.align_calls == calls + 2
+        assert engine.stats.pairs.align_calls == calls + 2
 
 
 class TestPairSamEmission:
@@ -463,14 +460,12 @@ class TestPairSamEmission:
     def test_half_mapped_pair_flags(self):
         rng = random.Random(0xFA11)
         reference = random_reference(6_000, rng)
-        engine = PairedEndMapper(
-            _mapper(reference),
-            PairedEndConfig(insert_mean=300.0, insert_std=40.0,
-                            rescue=False),
-        )
+        config = PairedEndConfig(insert_mean=300.0, insert_std=40.0,
+                                 rescue=False)
         read1 = reference[2_000:2_100]
         junk = "".join(rng.choice("ACGT") for _ in range(100))
-        pair = engine.map_pair(read1, junk, "half")
+        pair, = _mapper(reference).map_pairs([("half", read1, junk)],
+                                             config)
         rec1, rec2 = pair_to_sam(pair, read1, junk)
         validate_sam_pair(rec1, rec2)
         assert not rec1.is_unmapped and rec1.is_mate_unmapped

@@ -17,7 +17,8 @@ import pytest
 from repro import seq as seqmod
 from repro.core.mapper import MappingResult, SeGraM, SeGraMConfig
 from repro.core.minseed import MinSeed
-from repro.core.pairing import PairedEndConfig, PairedEndMapper
+from repro.core import pairing
+from repro.core.pairing import PairedEndConfig
 from repro.core.windows import WindowingConfig
 from repro.graph.builder import build_graph
 from repro.graph.genome_graph import GenomeGraph
@@ -252,8 +253,7 @@ class TestBoundaryClamping:
         across the boundary, even though chr2's characters directly
         follow chr1's in the global space."""
         (n1, s1), (n2, s2) = contigs[0], contigs[1]
-        engine = PairedEndMapper(mapper, PairedEndConfig(
-            insert_mean=350.0, insert_std=50.0))
+        config = PairedEndConfig(insert_mean=350.0, insert_std=50.0)
         anchor = mapper.map_read(s1[-150:], "anchor/1")
         assert anchor.contig == n1
         unplaced = MappingResult(read_name="anchor/2",
@@ -262,8 +262,9 @@ class TestBoundaryClamping:
         def rescued_mates(read2):
             """Mate-2 placements ``map_pair``'s rescue path derives
             from the anchor when mate 2 itself found nothing."""
-            return [combo.mate2 for combo in engine._rescue_combos(
-                anchor, unplaced, s1[-150:], read2)]
+            return [combo.mate2 for combo in pairing._rescue_combos(
+                mapper, config, "anchor", anchor, unplaced, s1[-150:],
+                read2)]
 
         # The would-be mate lies at the start of chr2 — adjacent in
         # global characters, unreachable within the anchor's contig.
@@ -281,7 +282,7 @@ class TestBoundaryClamping:
 
 class TestCrossContigScoring:
     def test_score_combo_cross_contig_never_proper(self, mapper):
-        engine = PairedEndMapper(mapper, PairedEndConfig())
+        config = PairedEndConfig()
         from repro.core.alignment import Cigar
 
         def placed(contig, position, strand):
@@ -292,13 +293,15 @@ class TestCrossContigScoring:
                 strand=strand,
             )
 
-        cross = engine._score_combo(placed("chr1", 100, "+"),
-                                    placed("chr2", 380, "-"))
+        cross = pairing._score_combo(config, "m",
+                                     placed("chr1", 100, "+"),
+                                     placed("chr2", 380, "-"))
         assert cross is not None
         assert not cross.proper
         assert cross.template_length is None
-        assert cross.score == engine.config.unpaired_penalty
-        intra = engine._score_combo(placed("chr1", 100, "+"),
-                                    placed("chr1", 380, "-"))
+        assert cross.score == config.unpaired_penalty
+        intra = pairing._score_combo(config, "m",
+                                     placed("chr1", 100, "+"),
+                                     placed("chr1", 380, "-"))
         assert intra.proper
         assert intra.score < cross.score

@@ -9,6 +9,7 @@ SAM record must be byte-identical to the offline
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import random
 import time
@@ -16,6 +17,7 @@ import time
 import pytest
 
 from repro.api import Mapper
+from repro.core.pairing import PairStats
 from repro.io.sam import SamWriter, result_to_sam
 from repro.service.batcher import MicroBatcher
 from repro.service.client import ServiceClient, payload_to_sam_record
@@ -370,6 +372,21 @@ class TestStats:
         assert payload["pipeline"]["reads"] == 5  # 3 single + pair
         assert payload["pipeline"]["reads_mapped"] >= 3
         assert payload["protocol"] == PROTOCOL_VERSION
+
+    def test_stats_pairs_reported_once(self, service_env):
+        """Pair counters live in ``PipelineStats.pairs``; the payload
+        reports them once, at the top level: ``"pairs"`` has exactly
+        the ``PairStats`` fields and ``"pipeline"`` no ``pairs`` key."""
+        core = make_core(service_env)
+        (_, r1), (_, r2) = service_env["reads"][:2]
+        core.handle_line(encode_line(
+            {"op": "map_pair", "read1": r1,
+             "read2": r2}).decode().strip())
+        payload = core.handle_line('{"op": "stats"}')["result"]
+        assert set(payload["pairs"]) == {
+            f.name for f in dataclasses.fields(PairStats)}
+        assert payload["pairs"]["pairs"] == 1
+        assert "pairs" not in payload["pipeline"]
 
     def test_batcher_validates_knobs(self, service_env):
         with pytest.raises(ValueError):
