@@ -21,7 +21,6 @@ tree, but they do not fail the gate.
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 #: One suppression comment: ``# repro: allow[<id>]``, or several ids
 #: separated by commas.  Rule ids are kebab-case.
@@ -62,8 +61,3 @@ class Suppressions:
             rule in self._by_line.get(candidate, ())
             for candidate in range(line - 1, max(last, line) + 1)
         )
-
-    def lines_for(self, rule: str) -> Iterable[int]:
-        """Source lines carrying a suppression for ``rule``."""
-        return sorted(line for line, ids in self._by_line.items()
-                      if rule in ids)

@@ -172,25 +172,6 @@ MAPQ_PER_GAP_EDIT = 12
 MAPQ_SATURATION_GAP = math.ceil(MAX_MAPQ / MAPQ_PER_GAP_EDIT)
 
 
-def mapq_from_identity(identity: float | None,
-                       proper_pair: bool = False) -> int:
-    """Identity-only mapping quality (the uncalibrated fallback).
-
-    ``int(60 * identity)``, plus :data:`PROPER_PAIR_MAPQ_BONUS` when
-    the alignment is one mate of a proper pair, clamped to
-    ``[0, MAX_MAPQ]``.  ``None`` identity (unmapped) maps to 0.
-
-    This is the ceiling term of :func:`mapq_from_candidates`; writers
-    use the calibrated form, which degrades to this one only when a
-    result carries no candidate information at all (e.g. a rescued
-    mate, whose placement was corroborated by its anchor instead).
-    """
-    scaled = int(MAX_MAPQ * (identity or 0.0))
-    if proper_pair:
-        scaled += PROPER_PAIR_MAPQ_BONUS
-    return max(0, min(MAX_MAPQ, scaled))
-
-
 def mapq_from_candidates(identity: float | None,
                          best_distance: int | None,
                          second_best_distance: int | None,

@@ -116,11 +116,6 @@ class MapqCalibration:
         return self.wrong_confident / self.confident \
             if self.confident else 0.0
 
-    @property
-    def tie_rate(self) -> float:
-        return self.tied / self.total_mapped \
-            if self.total_mapped else 0.0
-
 
 def evaluate_mapq_calibration(
     results: Sequence[MappingResult],
@@ -207,12 +202,6 @@ class PairedAccuracy:
         """Fraction of all mates placed correctly."""
         total = 2 * self.total_pairs
         return self.mates_correct / total if total else 0.0
-
-    @property
-    def pair_accuracy(self) -> float:
-        """Fraction of pairs with both mates placed correctly."""
-        return self.pairs_correct / self.total_pairs \
-            if self.total_pairs else 0.0
 
 
 def _mate_correct(result: MappingResult,

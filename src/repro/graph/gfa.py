@@ -22,8 +22,11 @@ class GfaFormatError(ValueError):
 
 
 def _open_for_read(source: PathOrHandle):
+    # A non-ASCII byte decodes to a lone surrogate, which the reader
+    # rejects with its line number instead of a bare decode error.
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="ascii"), True
+        return open(source, "r", encoding="ascii",
+                    errors="surrogateescape"), True
     return source, False
 
 
@@ -67,6 +70,10 @@ def read_gfa(source: PathOrHandle, name: str = "gfa") -> GenomeGraph:
         pending_links: list[tuple[str, str]] = []
         for line_number, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
+            if not line.isascii():
+                raise GfaFormatError(
+                    f"line {line_number}: non-ASCII character"
+                )
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")

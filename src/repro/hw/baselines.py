@@ -15,20 +15,6 @@ Every constant here is quoted from the paper text (Sections 1, 11.2,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class PublishedRatio:
-    """One published comparison ratio with provenance."""
-
-    baseline: str
-    workload: str
-    metric: str
-    value: float
-    provenance: str
-
-
 # ----------------------------------------------------------------------
 # End-to-end S2G mapping (Section 11.2, Figs. 15 and 16)
 # ----------------------------------------------------------------------

@@ -28,10 +28,6 @@ class ChannelPlacement:
     loads: list[int]
 
     @property
-    def channel_count(self) -> int:
-        return len(self.channels)
-
-    @property
     def max_load(self) -> int:
         return max(self.loads) if self.loads else 0
 

@@ -23,13 +23,17 @@ through :func:`read_discordant_report`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, TextIO, Union
+from typing import TYPE_CHECKING, Iterable
+
+from repro.io.text import (
+    PathOrHandle,
+    open_text,
+    open_write,
+    source_name,
+)
 
 if TYPE_CHECKING:  # avoid a circular import; only needed for hints
     from repro.core.pairing import PairResult
-
-PathOrHandle = Union[str, Path, TextIO]
 
 #: Column order of the report (also the header line).
 COLUMNS = ("name", "category", "contig1", "strand1", "pos1",
@@ -94,7 +98,7 @@ def write_discordant_report(target: PathOrHandle,
     Proper (and unclassifiable ``unplaced``) pairs are skipped.
     Returns the number of rows written.
     """
-    handle, owned = _open_for_write(target)
+    handle, owned = open_write(target)
     written = 0
     try:
         handle.write("#" + "\t".join(COLUMNS) + "\n")
@@ -120,11 +124,16 @@ def write_discordant_report(target: PathOrHandle,
 def read_discordant_report(source: PathOrHandle) \
         -> list[DiscordantRecord]:
     """Parse a report produced by :func:`write_discordant_report`."""
-    handle, owned = _open_for_read(source)
+    handle, owned = open_text(source)
     try:
         records = []
         for line_number, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
+            if not line.isascii():
+                raise DiscordantFormatError(
+                    f"{source_name(source)}: line {line_number}: "
+                    "non-ASCII character"
+                )
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")
@@ -158,15 +167,3 @@ def read_discordant_report(source: PathOrHandle) \
     finally:
         if owned:
             handle.close()
-
-
-def _open_for_read(source: PathOrHandle):
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="ascii"), True
-    return source, False
-
-
-def _open_for_write(target: PathOrHandle):
-    if isinstance(target, (str, Path)):
-        return open(target, "w", encoding="ascii"), True
-    return target, False

@@ -23,10 +23,14 @@ from __future__ import annotations
 import gzip
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator, TextIO, Union
+from typing import Iterable, Iterator, TextIO
 
-PathOrHandle = Union[str, Path, TextIO]
+from repro.io.text import (
+    PathOrHandle,
+    open_text,
+    open_write,
+    source_name,
+)
 
 
 class FastaFormatError(ValueError):
@@ -75,16 +79,6 @@ class FastqRecord:
         return len(self.sequence)
 
 
-#: The two magic bytes every gzip stream starts with (RFC 1952).
-_GZIP_MAGIC = b"\x1f\x8b"
-
-
-def _open_for_write(target: PathOrHandle):
-    if isinstance(target, (str, Path)):
-        return open(target, "w", encoding="ascii"), True
-    return target, False
-
-
 def _split_header(line: str) -> tuple[str, str]:
     """Split a ``>``/``@`` header into (name, description).
 
@@ -102,38 +96,10 @@ def _split_header(line: str) -> tuple[str, str]:
     return name, description
 
 
-def _origin(source: PathOrHandle) -> str:
-    """A human-readable name for error messages."""
-    if isinstance(source, (str, Path)):
-        return str(source)
-    return getattr(source, "name", None) or "<stream>"
-
-
-def open_text(source: PathOrHandle) -> tuple[TextIO, bool]:
-    """Open a path for buffered text reading, sniffing gzip.
-
-    Returns ``(handle, owned)`` — ``owned`` is False for handles
-    passed through.  Compression is detected by the gzip magic bytes
-    (or the ``.gz`` suffix when the file cannot be probed), and
-    decompressed incrementally.
-    """
-    if not isinstance(source, (str, Path)):
-        return source, False
-    path = Path(source)
-    is_gzip = path.suffix == ".gz"
-    try:
-        with open(path, "rb") as probe:
-            is_gzip = probe.read(2) == _GZIP_MAGIC
-    except OSError:
-        pass
-    if is_gzip:
-        return gzip.open(path, "rt", encoding="ascii"), True
-    return open(path, "r", encoding="ascii"), True
-
-
 def _lines(handle: TextIO, origin: str) -> Iterator[str]:
     """Iterate lines, translating gzip truncation/corruption into
-    :class:`TruncatedInputError` / :class:`FastaFormatError`.
+    :class:`TruncatedInputError` / :class:`FastaFormatError`, and a
+    non-ASCII byte into a :class:`FastaFormatError` naming its line.
 
     The gzip module only notices a missing end-of-stream marker when
     the reader actually reaches the end, i.e. deep inside a parsing
@@ -141,7 +107,11 @@ def _lines(handle: TextIO, origin: str) -> Iterator[str]:
     error without per-call-site handling.
     """
     try:
-        yield from handle
+        for number, line in enumerate(handle, start=1):
+            if not line.isascii():
+                raise FastaFormatError(
+                    f"{origin}: line {number}: non-ASCII character")
+            yield line
     except EOFError:
         raise TruncatedInputError(
             f"{origin}: gzip stream ended before its end-of-stream "
@@ -226,7 +196,7 @@ def _parse_fastq(lines: Iterator[str],
 def iter_fasta(source: PathOrHandle) -> Iterator[FastaRecord]:
     """Stream FASTA records with bounded memory (gzip-aware)."""
     handle, owned = open_text(source)
-    origin = _origin(source)
+    origin = source_name(source)
     try:
         yield from _parse_fasta(_lines(handle, origin), origin)
     finally:
@@ -241,7 +211,7 @@ def iter_fastq(source: PathOrHandle) -> Iterator[FastqRecord]:
     naming the record.
     """
     handle, owned = open_text(source)
-    origin = _origin(source)
+    origin = source_name(source)
     try:
         yield from _parse_fastq(_lines(handle, origin), origin)
     finally:
@@ -262,7 +232,7 @@ def write_fasta(
     """Write FASTA records, wrapping sequences at ``line_width`` columns."""
     if line_width <= 0:
         raise ValueError("line_width must be positive")
-    handle, owned = _open_for_write(target)
+    handle, owned = open_write(target)
     try:
         for record in records:
             header = record.name
@@ -338,7 +308,7 @@ def read_sequences(source: PathOrHandle) -> list[tuple[str, str]]:
 
 def write_fastq(target: PathOrHandle, records: Iterable[FastqRecord]) -> None:
     """Write FASTQ records in the standard 4-line format."""
-    handle, owned = _open_for_write(target)
+    handle, owned = open_write(target)
     try:
         for record in records:
             header = record.name

@@ -32,17 +32,15 @@ reference set when one is given.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, TextIO, Union
+from typing import TYPE_CHECKING
 
 from repro.core.alignment import Cigar
 from repro.graph.genome_graph import GenomeGraph
+from repro.io.text import PathOrHandle, open_text, open_write
 
 if TYPE_CHECKING:  # avoid a circular import; only needed for hints
     from repro.core.mapper import MappingResult
     from repro.refs.reference import ReferenceSet
-
-PathOrHandle = Union[str, Path, TextIO]
 
 
 class GafFormatError(ValueError):
@@ -165,7 +163,7 @@ class GafWriter:
     """
 
     def __init__(self, target: PathOrHandle) -> None:
-        self._handle, self._owned = _open_for_write(target)
+        self._handle, self._owned = open_write(target)
         self._closed = False
 
     def write(self, record: GafRecord) -> None:
@@ -212,7 +210,7 @@ def read_gaf(source: PathOrHandle) -> list[GafRecord]:
     segments additionally populate :attr:`GafRecord.segments`, so a
     re-written record reproduces its input line byte for byte.
     """
-    handle, owned = _open_for_read(source)
+    handle, owned = open_text(source)
     try:
         records = []
         for line_number, raw in enumerate(handle, start=1):
@@ -310,18 +308,3 @@ def validate_gaf_record(record: GafRecord,
                 f"{record.query_name}: path interval length != CIGAR "
                 "reference consumption"
             )
-
-
-def _open_for_read(source: PathOrHandle):
-    # A non-ASCII byte decodes to a lone surrogate, which the reader
-    # rejects with its line number instead of a bare decode error.
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="ascii",
-                    errors="surrogateescape"), True
-    return source, False
-
-
-def _open_for_write(target: PathOrHandle):
-    if isinstance(target, (str, Path)):
-        return open(target, "w", encoding="ascii"), True
-    return target, False

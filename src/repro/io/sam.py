@@ -27,17 +27,15 @@ CIGAR is already in this orientation.)
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, TextIO, Union
+from typing import TYPE_CHECKING, Iterable
 
 from repro import seq as seqmod
 from repro.core.alignment import Cigar
+from repro.io.text import PathOrHandle, open_text, open_write
 
 if TYPE_CHECKING:  # avoid a circular import; only needed for hints
     from repro.core.mapper import MappingResult
     from repro.core.pairing import PairResult
-
-PathOrHandle = Union[str, Path, TextIO]
 
 #: FLAG bits used by this writer (SAM spec section 1.4).
 FLAG_PAIRED = 0x1
@@ -308,7 +306,7 @@ class SamWriter:
         if run_size < 1:
             raise ValueError("run_size must be >= 1")
         contigs = list(contigs)
-        self._handle, self._owned = _open_for_write(target)
+        self._handle, self._owned = open_write(target)
         self._sort = sort
         self._run_size = run_size
         self._rank = {name: rank
@@ -396,7 +394,7 @@ class SamWriter:
 
 def read_sam(source: PathOrHandle) -> list[SamRecord]:
     """Parse the SAM subset produced by :class:`SamWriter`."""
-    handle, owned = _open_for_read(source)
+    handle, owned = open_text(source)
     try:
         records = []
         for line_number, raw in enumerate(handle, start=1):
@@ -545,18 +543,3 @@ def validate_sam_pair(rec1: SamRecord, rec2: SamRecord) -> None:
         raise SamFormatError(
             f"{rec1.qname}: TLENs {rec1.tlen}/{rec2.tlen} do not cancel"
         )
-
-
-def _open_for_read(source: PathOrHandle):
-    # A non-ASCII byte decodes to a lone surrogate, which the reader
-    # rejects with its line number instead of a bare decode error.
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="ascii",
-                    errors="surrogateescape"), True
-    return source, False
-
-
-def _open_for_write(target: PathOrHandle):
-    if isinstance(target, (str, Path)):
-        return open(target, "w", encoding="ascii"), True
-    return target, False

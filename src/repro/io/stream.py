@@ -8,11 +8,11 @@ scenario runner (``benchmarks/scenarios/``):
 
 * :func:`iter_fasta` / :func:`iter_fastq` / :func:`open_text` /
   :class:`TruncatedInputError` — the one FASTA/FASTQ parser, defined
-  in :mod:`repro.io.fasta` and re-exported here: gzip is sniffed by
-  its magic bytes and decompressed incrementally, and a gzip stream
-  that ends before its end-of-stream marker, or a FASTQ file that
-  ends mid-record, raises :class:`TruncatedInputError` naming the
-  source and the record.
+  in :mod:`repro.io.fasta` (the opener in :mod:`repro.io.text`) and
+  re-exported here: gzip is sniffed by its magic bytes and
+  decompressed incrementally, and a gzip stream that ends before its
+  end-of-stream marker, or a FASTQ file that ends mid-record, raises
+  :class:`TruncatedInputError` naming the source and the record.
 * :func:`iter_reads` — format-sniffed ``(name, sequence)`` streaming
   (leading ``@`` means FASTQ, anything else FASTA — the same rule as
   :func:`repro.io.fasta.read_sequences`, without slurping the file).
@@ -32,17 +32,15 @@ from typing import Iterable, Iterator, TypeVar
 
 from repro.io.fasta import (
     FastaFormatError,
-    PathOrHandle,
     TruncatedInputError,
     _lines,
-    _origin,
     _parse_fasta,
     _parse_fastq,
     iter_fasta,
     iter_fastq,
     mate_base_name,
-    open_text,
 )
+from repro.io.text import PathOrHandle, open_text, source_name
 
 T = TypeVar("T")
 
@@ -55,33 +53,12 @@ __all__ = [
     "iter_mate_pairs",
     "iter_reads",
     "open_text",
-    "sniff_format",
 ]
 
 #: Default reads per batch handed to ``Mapper.map_batch``: large
 #: enough to amortize per-batch dispatch (fork, result collection),
 #: small enough that a chunk of 10 kbp long reads stays ~5 MB.
 DEFAULT_CHUNK_SIZE = 512
-
-
-def sniff_format(source: PathOrHandle) -> str:
-    """``"fastq"`` or ``"fasta"``, from the first record byte.
-
-    The rule of :func:`repro.io.fasta.read_sequences` — a leading
-    ``@`` means FASTQ, anything else (including an empty file) is
-    FASTA — applied to only as much of the (possibly gzipped) input
-    as it takes to find the first non-blank character.
-    """
-    handle, owned = open_text(source)
-    try:
-        for raw in _lines(handle, _origin(source)):
-            stripped = raw.strip()
-            if stripped:
-                return "fastq" if stripped.startswith("@") else "fasta"
-        return "fasta"
-    finally:
-        if owned:
-            handle.close()
 
 
 def iter_reads(source: PathOrHandle) -> Iterator[tuple[str, str]]:
@@ -93,7 +70,7 @@ def iter_reads(source: PathOrHandle) -> Iterator[tuple[str, str]]:
     streaming equivalent of :func:`repro.io.fasta.read_sequences`.
     """
     handle, owned = open_text(source)
-    origin = _origin(source)
+    origin = source_name(source)
     try:
         lines = _lines(handle, origin)
         first = None
@@ -143,8 +120,8 @@ def iter_mate_pairs(
                 (source1, source2) if entry1 is _EOF
                 else (source2, source1))
             raise FastaFormatError(
-                f"mate files disagree: {_origin(short)} ends at "
-                f"record {index} while {_origin(long_)} continues"
+                f"mate files disagree: {source_name(short)} ends at "
+                f"record {index} while {source_name(long_)} continues"
             )
         name1, seq1 = entry1
         name2, seq2 = entry2

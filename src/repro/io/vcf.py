@@ -13,10 +13,14 @@ present so files round-trip cleanly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator, TextIO, Union
+from typing import Iterable, Iterator
 
-PathOrHandle = Union[str, Path, TextIO]
+from repro.io.text import (
+    PathOrHandle,
+    open_text,
+    open_write,
+    source_name,
+)
 
 _HEADER = "#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO"
 
@@ -72,24 +76,17 @@ class VcfRecord:
         return self.pos + len(self.ref) - 1
 
 
-def _open_for_read(source: PathOrHandle):
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="ascii"), True
-    return source, False
-
-
-def _open_for_write(target: PathOrHandle):
-    if isinstance(target, (str, Path)):
-        return open(target, "w", encoding="ascii"), True
-    return target, False
-
-
 def iter_vcf(source: PathOrHandle) -> Iterator[VcfRecord]:
     """Stream variant records, splitting multi-allelic lines."""
-    handle, owned = _open_for_read(source)
+    handle, owned = open_text(source)
     try:
         for line_number, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
+            if not line.isascii():
+                raise VcfFormatError(
+                    f"{source_name(source)}: line {line_number}: "
+                    "non-ASCII character"
+                )
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")
@@ -125,7 +122,7 @@ def read_vcf(source: PathOrHandle) -> list[VcfRecord]:
 
 def write_vcf(target: PathOrHandle, records: Iterable[VcfRecord]) -> None:
     """Write variant records with a minimal header."""
-    handle, owned = _open_for_write(target)
+    handle, owned = open_write(target)
     try:
         handle.write("##fileformat=VCFv4.2\n")
         handle.write(_HEADER + "\n")

@@ -149,6 +149,7 @@ class MicroBatcher:
         ticket = Ticket(kind, items, deadline, now)
         with self._cond:
             if self._closed:
+                self.counters.record_rejection(ERR_SHUTTING_DOWN)
                 raise ServiceError(ERR_SHUTTING_DOWN,
                                    "server is shutting down")
             if self._queued_items + len(items) > self.max_queue:

@@ -437,6 +437,53 @@ class TestStreamingMap:
         assert len(read_sam(tmp_path / "whole.sam")) == \
             2 * len(fragments)
 
+    @pytest.mark.parametrize("paired", [False, True],
+                             ids=["single", "paired"])
+    def test_chunk_size_bounds_reads_pulled(self, stream_workspace,
+                                            monkeypatch, capsys,
+                                            tmp_path, paired):
+        """``--chunk-size N`` holds one chunk, not the input: when a
+        chunk reaches ``map_batch`` / ``map_pairs``, the source has
+        yielded at most N reads past those handed over before it.  A
+        route that materialises the whole file fails on the first
+        call."""
+        import repro.cli as cli
+        from repro.api import Mapper
+
+        root, reads, fragments = stream_workspace
+        chunk_size = 2 if paired else 3
+        source = "iter_mate_pairs" if paired else "iter_reads"
+        method = "map_pairs" if paired else "map_batch"
+        real_source = getattr(cli, source)
+        real_method = getattr(Mapper, method)
+        pulled = handed = 0
+
+        def counted(*paths):
+            nonlocal pulled
+            for item in real_source(*paths):
+                pulled += 1
+                yield item
+
+        def spy(self, chunk, *args, **kwargs):
+            nonlocal handed
+            assert pulled - handed <= chunk_size
+            handed += len(chunk)
+            return real_method(self, chunk, *args, **kwargs)
+
+        monkeypatch.setattr(cli, source, counted)
+        monkeypatch.setattr(Mapper, method, spy)
+        argv = ["map", "--reference", str(root / "ref.fa"),
+                "--output", str(tmp_path / "out.sam"),
+                "--format", "sam", "--chunk-size", str(chunk_size)]
+        if paired:
+            argv += ["--reads", str(root / "r1.fq"),
+                     "--paired", str(root / "r2.fq")]
+        else:
+            argv += ["--reads", str(root / "reads.fq")]
+        assert main(argv) == 0
+        expected = len(fragments) if paired else len(reads)
+        assert pulled == handed == expected > chunk_size
+
     def test_sort_sam_orders_by_coordinate(self, stream_workspace,
                                            capsys, tmp_path):
         root, reads, _ = stream_workspace
@@ -768,6 +815,37 @@ class TestServeClient:
                   "--socket", str(tmp_path / "x.sock"), flag, value])
         assert not (tmp_path / "x.gaf").exists()
         assert not (tmp_path / "x.sock").exists()
+
+    @pytest.mark.parametrize("command,name", [
+        ("map-reads", "bad.fa"), ("map-vcf", "bad.vcf"),
+        ("index-vcf", "bad.vcf"), ("stats-graph", "bad.gfa")])
+    def test_non_ascii_input_rejected(self, workspace, tmp_path, command,
+                                      name):
+        """A non-ASCII byte in a read, variant or graph file ends in one
+        ``error:`` line naming the line (and the file, where the reader
+        knows it), not a ``UnicodeDecodeError`` traceback."""
+        data = {".fa": b">r1\nACGT\xc3TTT\n",
+                ".vcf": b"##fileformat=VCFv4.2\nchr1\t5\t.\tA\tC\xc3\n",
+                ".gfa": b"H\tVN:Z:1.0\nS\t1\tAC\xc3GT\n"}
+        root, *_ = workspace
+        bad = tmp_path / name
+        bad.write_bytes(data[bad.suffix])
+        ref = str(root / "ref.fa")
+        out = str(tmp_path / "out")
+        argv = {
+            "map-reads": ["map", "--reference", ref, "--reads", str(bad),
+                          "--output", out],
+            "map-vcf": ["map", "--reference", ref, "--vcf", str(bad),
+                        "--reads", str(root / "reads.fq"),
+                        "--output", out],
+            "index-vcf": ["index", "build", ref, "--vcf", str(bad),
+                          "-o", out],
+            "stats-graph": ["stats", "--graph", str(bad)],
+        }[command]
+        where = "" if name.endswith(".gfa") else f"{re.escape(str(bad))}: "
+        with pytest.raises(SystemExit, match=f"^error: {where}line 2: "
+                                             "non-ASCII character$"):
+            main(argv)
 
     @pytest.mark.parametrize("command,flag,value,message", [
         ("index", "--bucket-bits", "0", "bucket_bits must be in [1, 32], "

@@ -21,7 +21,6 @@ from repro.io.stream import (
     iter_mate_pairs,
     iter_reads,
     open_text,
-    sniff_format,
 )
 
 FASTA_TEXT = (
@@ -86,14 +85,6 @@ class TestParity:
 
 
 class TestSniffing:
-    def test_sniff_format(self, tmp_path):
-        assert sniff_format(
-            _write(tmp_path, "a.fa", FASTA_TEXT)) == "fasta"
-        assert sniff_format(
-            _write(tmp_path, "a.fq", FASTQ_TEXT)) == "fastq"
-        assert sniff_format(io.StringIO("")) == "fasta"
-        assert sniff_format(io.StringIO("\n\n")) == "fasta"
-
     def test_iter_reads_matches_read_sequences(self, tmp_path):
         for name, text in (("r.fa", FASTA_TEXT),
                            ("r.fq", FASTQ_TEXT)):

@@ -282,7 +282,8 @@ class TestRepeatTiePairing:
 
     def test_grid_matches_rescue_without_rescue(self, tie_workload):
         reference, fragments = tie_workload
-        naive, _ = self._run(reference, fragments, 1, False)
+        naive, stats_naive = self._run(reference, fragments, 1,
+                                       False)
         rescued, stats_rescued = self._run(reference, fragments,
                                            1, True)
         grid, stats_grid = self._run(reference, fragments, 5, False)
@@ -297,6 +298,7 @@ class TestRepeatTiePairing:
         # Ties genuinely break the single-candidate configuration.
         assert acc["naive"].proper_pair_rate \
             < acc["rescued"].proper_pair_rate
+        assert stats_naive.discordant.get("tlen_outlier", 0) > 0
         # The grid matches rescue-level pairing at zero rescue cost.
         assert acc["grid"].proper_pair_rate \
             >= acc["rescued"].proper_pair_rate

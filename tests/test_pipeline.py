@@ -435,6 +435,7 @@ class TestBatchParity:
         batch = mapper.map_batch(reads, jobs=jobs)
         assert [_result_key(r) for r in batch] == \
             [_result_key(r) for r in sequential]
+        assert all(result.mapped for result in batch)
 
     def test_batch_merges_worker_stats(self, workload):
         reference, reads = workload

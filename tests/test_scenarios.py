@@ -136,6 +136,28 @@ class TestRunner:
             assert set(artifact["timing"]) == \
                 set(runner.VOLATILE_COLUMNS)
 
+    def test_quick_matrix_floors(self, matrix, tmp_path):
+        """Every ``quick`` case (the scenario-smoke CI matrix) maps
+        and places most of its reads, runs the kernel, and pairs
+        short reads properly; a second run gives the same rows, so
+        jobs and input mode never leak into the metrics."""
+        defaults, cases = matrix
+        quick = [case for case in cases if case.get("quick")]
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+        rows = runner.run_cases(quick, defaults, tmp_path / "a",
+                                timing=False)
+        assert rows == runner.run_cases(quick, defaults,
+                                        tmp_path / "b", timing=False)
+        assert [row["id"] for row in rows] == \
+            [case["id"] for case in quick]
+        for row in rows:
+            assert row["mapped"] >= 0.8 * row["reads"], row["id"]
+            assert row["accuracy"] >= 0.8, row["id"]
+            assert row["align_calls"] > 0, row["id"]
+            if row["read_type"] == "short_pe":
+                assert row["proper_rate"] >= 0.8, row["id"]
+
     def test_main_only_and_unknown_case(self, matrix, tmp_path,
                                         capsys):
         rc = runner.main(["--outdir", str(tmp_path / "o"),

@@ -323,6 +323,7 @@ class TestBackpressureTimeoutShutdown:
         with pytest.raises(ServiceError) as excinfo:
             core.batcher.submit_reads([("late", "ACGT")])
         assert excinfo.value.code == "shutting_down"
+        assert core.counters.snapshot()["rejected_shutdown"] == 1
 
 
 class TestStats:
