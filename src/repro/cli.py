@@ -11,8 +11,6 @@ Subcommands mirror the vg-style workflow of the paper's Section 5:
   VCF) or a pre-built ``--index`` artifact (mmap attach, no rebuild),
   emitting GAF (graph) or SAM (linear) records;
 * ``stats`` — graph statistics including the Fig. 13 hop profile;
-* ``analyze`` — AST-based invariant checker over the source tree
-  (determinism, dtype discipline, fork-safety, layering, ...);
 * ``model`` — query the hardware performance/area/power model.
 
 Run ``python -m repro <subcommand> --help`` for options.
@@ -241,23 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="graph statistics")
     stats.add_argument("--graph", required=True, type=Path)
-
-    analyze = sub.add_parser(
-        "analyze",
-        help="static analysis: enforce the repo's invariants "
-             "(determinism, dtype, fork-safety, layering, ...)")
-    analyze.add_argument("paths", nargs="*", default=["src"],
-                         help="files or directories to scan "
-                              "(default: src)")
-    analyze.add_argument("--rule", action="append", default=None,
-                         metavar="RULE_ID",
-                         help="run only this rule (repeatable; "
-                              "default: every registered rule)")
-    analyze.add_argument("--format", choices=("text", "json"),
-                         default="text", dest="output_format",
-                         help="report format (default: text)")
-    analyze.add_argument("--list-rules", action="store_true",
-                         help="list registered rules and exit")
 
     model = sub.add_parser(
         "model", help="hardware model: throughput / area / power")
@@ -669,33 +650,6 @@ def cmd_model(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    # Deferred import: `repro map` should not pay for the analyzer.
-    from repro.analysis import (UnknownRuleError, all_rules,
-                                analyze_paths)
-
-    if args.list_rules:
-        for rule in all_rules():
-            print(f"{rule.id}: {rule.summary}")
-            print(f"    why: {rule.rationale}")
-        return 0
-    missing = [path for path in args.paths if not Path(path).exists()]
-    if missing:
-        print(f"error: no such path: {', '.join(missing)}",
-              file=sys.stderr)
-        return 2
-    try:
-        report = analyze_paths(args.paths, rule_ids=args.rule)
-    except UnknownRuleError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if args.output_format == "json":
-        print(report.to_json())
-    else:
-        print(report.format_text())
-    return report.exit_code()
-
-
 def _client_connect(args: argparse.Namespace):
     """Connect a :class:`~repro.service.client.ServiceClient` to the
     endpoint named by ``--socket`` or ``--host``/``--port``."""
@@ -825,7 +779,6 @@ _COMMANDS = {
     "index": cmd_index,
     "map": cmd_map,
     "stats": cmd_stats,
-    "analyze": cmd_analyze,
     "model": cmd_model,
     "serve": cmd_serve,
     "client": cmd_client,

@@ -103,9 +103,10 @@ characters of a window; :func:`bitalign` does both:
   mask is shifted along per diagonal and a diagonal without an
   active source runs the chain recurrence.
 
-:func:`reference_bitvectors` is the former row-major, cell-by-cell
-recurrence, kept as the oracle the parity tests compare the kernel
-against; nothing in the library calls it.
+The former row-major, cell-by-cell recurrence and its one-operation-
+per-step walk are the oracle the parity tests compare the kernel
+against (``tests/oracles/bitalign.py``); nothing in the library calls
+them.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ def generate_bitvectors(
     Every operand is one ``(k + 1) * m``-bit int, so the sweep costs
     ``n + k`` iterations of a dozen bigint operations instead of
     ``n * k`` interpreted cells.  Measured against
-    :func:`reference_bitvectors` on chains of ``n = m + k``: 8x at the
+    the row-major oracle on chains of ``n = m + k``: 8x at the
     pipeline's window (m = 128, k = 32: 4.2 kbit) and at its rescue
     ceiling (k = m = 128: 16.5 kbit), 5x at m = 512 / k = 64, 2x at
     132 kbit (m = 1024, k = 128), 1.6x at 264 kbit and 1.2x at
@@ -407,47 +408,6 @@ def _sweep_hops(entering: list[int],
     return diagonals
 
 
-def reference_bitvectors(
-    lin: LinearizedGraph,
-    pattern: str,
-    k: int,
-) -> list[list[int]]:
-    """Test oracle: the row-major, cell-by-cell BitAlign recurrence.
-
-    Algorithm 1 lines 5–24 transcribed literally — positions from last
-    to first, one Python int per ``R[i][d]`` cell.  Returns a list of
-    ``k + 1`` status bitvectors per linearized position, equal to
-    ``generate_bitvectors(...)[i][d]`` everywhere.
-    """
-    _check_problem(pattern, k)
-    m = len(pattern)
-    n = len(lin)
-    mask = (1 << m) - 1
-    masks = pattern_bitmasks(pattern)
-    virtual = virtual_row(m, k)
-    all_r: list[list[int]] = [[mask] * (k + 1) for _ in range(n)]
-    successors = lin.successors
-    for i in range(n - 1, -1, -1):
-        cur_pm = masks.get(lin.chars[i], mask)
-        succ_rows = [all_r[s] for s in successors[i]]
-        if not succ_rows:
-            succ_rows = [virtual]
-        row = all_r[i]
-        r0 = mask
-        for succ in succ_rows:
-            r0 &= ((succ[0] << 1) | cur_pm) & mask
-        row[0] = r0
-        for d in range(1, k + 1):
-            rd = (row[d - 1] << 1) & mask  # insertion
-            for succ in succ_rows:
-                deletion = succ[d - 1]
-                substitution = (succ[d - 1] << 1) & mask
-                match = ((succ[d] << 1) | cur_pm) & mask
-                rd &= deletion & substitution & match
-            row[d] = rd
-    return all_r
-
-
 def bitalign_distance(
     lin: LinearizedGraph,
     pattern: str,
@@ -466,23 +426,21 @@ def bitalign_distance(
 def traceback(
     lin: LinearizedGraph,
     pattern: str,
-    all_r,
+    all_r: DiagonalRows,
     start: int,
     budget: int,
     commit: int | None = None,
 ) -> BitAlignResult:
     """Walk the stored bitvectors forward and emit the CIGAR.
 
-    ``all_r`` is the :class:`DiagonalRows` of :func:`generate_bitvectors`
-    (walked natively, one bit probe per question, ``=`` runs bisected —
-    see the module docstring) or any row-indexable store with
-    ``all_r[i][d]`` an int, such as the oracle's list of lists.  Bit
-    ``m - 1`` of ``R[start][budget]`` must be 0, with ``0 <= start < n``
-    and ``budget`` at most the store's threshold; anything else raises
-    :class:`ValueError`.  Intermediate bitvectors are regenerated on
-    demand; operation preference is match, substitution, deletion,
-    insertion (ties resolved toward the first-listed successor),
-    identically on both walks.
+    ``all_r`` is the :class:`DiagonalRows` of :func:`generate_bitvectors`,
+    walked one bit probe per question with ``=`` runs bisected (see the
+    module docstring).  Bit ``m - 1`` of ``R[start][budget]`` must be 0,
+    with ``0 <= start < n`` and ``budget`` at most the store's
+    threshold; anything else raises :class:`ValueError`.  Intermediate
+    bitvectors are regenerated on demand; operation preference is
+    match, substitution, deletion, insertion (ties resolved toward the
+    first-listed successor).
 
     ``commit`` stops the walk once that many read characters are
     consumed: the result is the prefix of the full walk up to and
@@ -492,12 +450,9 @@ def traceback(
     n, m = len(lin), len(pattern)
     if not 0 <= start < n:
         raise ValueError(f"start {start} outside the window [0, {n})")
-    native = isinstance(all_r, DiagonalRows)
-    top = all_r.k if native else len(all_r[start]) - 1
-    if not 0 <= budget <= top:
-        raise ValueError(f"budget {budget} outside [0, {top}]")
-    accepting = (all_r.diagonals[n - start + budget] >> budget * m
-                 if native else all_r[start][budget]) >> m - 1
+    if not 0 <= budget <= all_r.k:
+        raise ValueError(f"budget {budget} outside [0, {all_r.k}]")
+    accepting = all_r.diagonals[n - start + budget] >> budget * m >> m - 1
     if accepting & 1:
         raise ValueError(f"no alignment of the pattern starts at "
                          f"{start} within {budget} edits")
@@ -505,13 +460,8 @@ def traceback(
         raise ValueError(f"commit must be >= 1, got {commit}")
     # The walk runs while the read bit j is above ``stop``.
     stop = -1 if commit is None else max(-1, m - 1 - commit)
-    if native:
-        runs, path = _walk_diagonals(lin, pattern, all_r, start, budget,
-                                     stop)
-        cigar = Cigar(tuple(map(tuple, runs)))
-    else:
-        ops, path = _walk_rows(lin, pattern, all_r, start, budget, stop)
-        cigar = Cigar.from_ops(ops)
+    runs, path = _walk_diagonals(lin, pattern, all_r, start, budget, stop)
+    cigar = Cigar(tuple(map(tuple, runs)))
     return BitAlignResult(
         distance=cigar.edit_distance,
         cigar=cigar,
@@ -646,92 +596,6 @@ def _walk_diagonals(lin: LinearizedGraph, pattern: str,
                 continue
         raise _stuck(i, j, d)  # pragma: no cover - recurrence bug
     return runs, path
-
-
-def _walk_rows(lin: LinearizedGraph, pattern: str, all_r,
-               start: int, budget: int,
-               stop: int) -> tuple[list[str], list[int]]:
-    """The traceback walk over any ``all_r[i][d]`` row store, one
-    operation per step, down to read bit ``stop + 1``."""
-    m = len(pattern)
-    mask = (1 << m) - 1
-    masks = pattern_bitmasks(pattern)
-    virtual = virtual_row(m, budget)
-
-    def bit_is_zero(value: int, bit: int) -> bool:
-        if bit < 0:
-            return True  # the empty suffix matches everywhere
-        return not (value >> bit) & 1
-
-    ops: list[str] = []
-    path: list[int] = []
-    i, j, d = start, m - 1, budget
-    while j > stop:
-        cur_pm = masks.get(lin.chars[i], mask)
-        succs = lin.successors_of(i)
-        succ_pairs = [(s, all_r[s]) for s in succs] or [(None, virtual)]
-        moved = False
-        done = False
-        # 1. Match: consumes lin.chars[i] and the read character.
-        if bit_is_zero(cur_pm, j):
-            for succ, succ_row in succ_pairs:
-                if bit_is_zero(succ_row[d], j - 1):
-                    ops.append("=")
-                    path.append(i)
-                    j -= 1
-                    if j > stop and succ is None:
-                        # Dead end: the remaining read characters can
-                        # only be insertions (the virtual row's zero
-                        # bits guarantee the budget covers them).
-                        ops.extend("I" * (j - stop))
-                        done = True
-                    elif j > stop:
-                        i = succ
-                    moved = True
-                    break
-        if done:
-            break
-        if moved:
-            continue
-        if d > 0:
-            # 2. Substitution (emitted as '=' if the characters happen
-            #    to be equal — a budget-wasting match stays truthful).
-            for succ, succ_row in succ_pairs:
-                if bit_is_zero(succ_row[d - 1], j - 1):
-                    ops.append("X" if not bit_is_zero(cur_pm, j) else "=")
-                    path.append(i)
-                    j -= 1
-                    d -= 1
-                    if j > stop and succ is None:
-                        ops.extend("I" * (j - stop))
-                        done = True
-                    elif j > stop:
-                        i = succ
-                    moved = True
-                    break
-            if done:
-                break
-            if moved:
-                continue
-            # 3. Deletion: consumes the reference character only.
-            for succ, succ_row in succ_pairs:
-                if succ is not None and bit_is_zero(succ_row[d - 1], j):
-                    ops.append("D")
-                    path.append(i)
-                    i = succ
-                    d -= 1
-                    moved = True
-                    break
-            if moved:
-                continue
-            # 4. Insertion: consumes the read character only.
-            if bit_is_zero(all_r[i][d - 1], j - 1):
-                ops.append("I")
-                j -= 1
-                d -= 1
-                continue
-        raise _stuck(i, j, d)  # pragma: no cover - recurrence bug
-    return ops, path
 
 
 #: Fields of the first sweep when the threshold is above it (the rung:

@@ -373,17 +373,27 @@ def classify_pair(mate1: MappingResult, mate2: MappingResult,
     span2 = _linear_span(mate2)
     if span1 is None or span2 is None:
         return CATEGORY_UNPLACED
+    return _fr_geometry(config, mate1, span1, mate2, span2)[0]
+
+
+def _fr_geometry(config: PairedEndConfig,
+                 mate1: MappingResult, span1: tuple[int, int],
+                 mate2: MappingResult, span2: tuple[int, int],
+                 ) -> tuple[str, int]:
+    """``(category, template length)`` of two placed mates on one
+    contig: proper iff on opposite strands, the plus mate leftmost and
+    the template within ``[min, max]``."""
+    template = max(span1[1], span2[1]) - min(span1[0], span2[0])
     if mate1.strand == mate2.strand:
-        return CATEGORY_WRONG_ORIENTATION
+        return CATEGORY_WRONG_ORIENTATION, template
     plus, minus = (span1, span2) if mate1.strand == "+" \
         else (span2, span1)
     if plus[0] > minus[0]:
-        return CATEGORY_WRONG_ORIENTATION
-    template = max(span1[1], span2[1]) - min(span1[0], span2[0])
+        return CATEGORY_WRONG_ORIENTATION, template
     if config.min_template_length <= template \
             <= config.max_template_length:
-        return CATEGORY_PROPER
-    return CATEGORY_TLEN_OUTLIER
+        return CATEGORY_PROPER, template
+    return CATEGORY_TLEN_OUTLIER, template
 
 
 def map_pairs_local(engine: "SeGraM",
@@ -497,14 +507,8 @@ def _score_combo(config: PairedEndConfig, name: str,
         return PairResult(name=name, mate1=c1, mate2=c2, proper=False,
                           template_length=None, score=score,
                           rescued_mate=rescued_mate)
-    template = max(span1[1], span2[1]) - min(span1[0], span2[0])
-    proper = False
-    if c1.strand != c2.strand:
-        plus, minus = (span1, span2) if c1.strand == "+" \
-            else (span2, span1)
-        proper = (plus[0] <= minus[0]
-                  and config.min_template_length <= template
-                  <= config.max_template_length)
+    category, template = _fr_geometry(config, c1, span1, c2, span2)
+    proper = category == CATEGORY_PROPER
     penalty = config.insert_penalty(template) if proper \
         else config.unpaired_penalty
     score = (c1.distance or 0) + (c2.distance or 0) + penalty

@@ -129,6 +129,11 @@ def read_gfa(source: PathOrHandle, name: str = "gfa") -> GenomeGraph:
                                      f"{missing!r}")
             graph.add_edge(ids[src], ids[dst])
         return graph
+    except GfaFormatError as exc:
+        # repro.io.text.source_name, spelled out: graph/ is below io/.
+        origin = str(source) if isinstance(source, (str, Path)) \
+            else getattr(source, "name", None) or "<stream>"
+        raise GfaFormatError(f"{origin}: {exc}") from None
     finally:
         if owned:
             handle.close()

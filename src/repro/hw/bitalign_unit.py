@@ -26,9 +26,9 @@ derived per-read totals (42,250 and 34,000 cycles) match the paper's
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from repro.core.windows import WindowedAligner, WindowingConfig
 from repro.hw.config import BitAlignUnitConfig
 
 #: Machine-word width of the packed bitvector layout (uint64 lanes).
@@ -102,14 +102,11 @@ class BitAlignCycleModel:
         return (_CYCLES_SLOPE_PER_64 * w) // 64 + _CYCLES_INTERCEPT
 
     def window_count(self, read_length: int) -> int:
-        """Windows needed for a read (the commit step is W - overlap)."""
-        if read_length < 1:
-            raise ValueError("read_length must be >= 1")
-        w = self.config.bits_per_pe
-        step = w - self.config.window_overlap
-        if read_length <= w:
-            return 1
-        return 1 + math.ceil((read_length - w) / step)
+        """Windows needed for a read: the windowed aligner's count at
+        W = ``bits_per_pe`` and this unit's overlap."""
+        windowing = WindowingConfig(window_size=self.config.bits_per_pe,
+                                    overlap=self.config.window_overlap)
+        return WindowedAligner(windowing).window_count(read_length)
 
     def alignment_cycles(self, read_length: int) -> int:
         """Cycles to align one read against one candidate subgraph.

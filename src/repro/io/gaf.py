@@ -36,7 +36,8 @@ from typing import TYPE_CHECKING
 
 from repro.core.alignment import Cigar
 from repro.graph.genome_graph import GenomeGraph
-from repro.io.text import PathOrHandle, open_text, open_write
+from repro.io.text import PathOrHandle, open_text, open_write, \
+    source_name
 
 if TYPE_CHECKING:  # avoid a circular import; only needed for hints
     from repro.core.mapper import MappingResult
@@ -183,7 +184,7 @@ class GafWriter:
         self.close()
 
 
-def _parse_segment(text: str, line_number: int) -> tuple[int, bool]:
+def _parse_segment(text: str) -> tuple[int, bool]:
     """``(node_id, qualified)`` from one path segment.
 
     A bare integer is a combined-graph node ID; a
@@ -196,8 +197,8 @@ def _parse_segment(text: str, line_number: int) -> tuple[int, bool]:
     name, sep, node_text = text.rpartition("#")
     if not sep or not name or not node_text.isdigit():
         raise GafFormatError(
-            f"line {line_number}: path segment {text!r} is neither "
-            "a node ID nor <contig>#<node-id>"
+            f"path segment {text!r} is neither a node ID nor "
+            "<contig>#<node-id>"
         )
     return int(node_text), True
 
@@ -234,8 +235,7 @@ def read_gaf(source: PathOrHandle) -> list[GafRecord]:
                 )
             try:
                 raw_segments = path_text.split(">")[1:]
-                parsed = [_parse_segment(s, line_number)
-                          for s in raw_segments]
+                parsed = [_parse_segment(s) for s in raw_segments]
                 path = tuple(node for node, _ in parsed)
                 qualified = any(flag for _, flag in parsed)
                 segments = tuple(raw_segments) if qualified else ()
@@ -261,6 +261,8 @@ def read_gaf(source: PathOrHandle) -> list[GafRecord]:
                     f"line {line_number}: {exc}"
                 ) from None
         return records
+    except GafFormatError as exc:
+        raise GafFormatError(f"{source_name(source)}: {exc}") from None
     finally:
         if owned:
             handle.close()

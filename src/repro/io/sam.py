@@ -31,7 +31,8 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro import seq as seqmod
 from repro.core.alignment import Cigar
-from repro.io.text import PathOrHandle, open_text, open_write
+from repro.io.text import PathOrHandle, open_text, open_write, \
+    source_name
 
 if TYPE_CHECKING:  # avoid a circular import; only needed for hints
     from repro.core.mapper import MappingResult
@@ -433,6 +434,8 @@ def read_sam(source: PathOrHandle) -> list[SamRecord]:
                 ) from None
             records.append(record)
         return records
+    except SamFormatError as exc:
+        raise SamFormatError(f"{source_name(source)}: {exc}") from None
     finally:
         if owned:
             handle.close()

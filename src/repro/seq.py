@@ -5,9 +5,9 @@ The SeGraM paper stores reference characters with a 2-bit representation
 (graph character table, minimizer hashing, pattern bitmasks) goes through
 the encoding defined here so the on-"chip" representation is consistent.
 
-**Ambiguous-base (``N``) policy.**  One policy, shared with
-:data:`repro.align.bitap.ABSENT_CHAR_MASK` and the GenASM pattern
-bitmasks:
+**Ambiguous-base (``N``) policy.**  One policy, shared with the
+GenASM pattern bitmasks (:func:`repro.align.genasm.pattern_bitmasks`)
+and the Bitap test oracle's ``ABSENT_CHAR_MASK``:
 
 * ``N`` is a *literal read character*, never part of the 2-bit
   alphabet.  :func:`encode`/:func:`pack` (and therefore graph

@@ -7,7 +7,7 @@ batch) — the software analogue of the paper's fixed-cost amortization
 across a stream of reads.  See ``docs/service.md`` for the protocol and operator guide.
 
 Layering: this package sits on top of the public API (layer 4 in the
-``repro analyze`` layering table); nothing below :mod:`repro.api`
+``tools/analyze`` layering table); nothing below :mod:`repro.api`
 imports it.
 """
 

@@ -6,11 +6,11 @@ imports create no runtime dependency.
 """
 from typing import TYPE_CHECKING
 
-from repro.align.genasm import genasm_align
+from repro.align.genasm import pattern_bitmasks
 from repro.core.alignment import Cigar
 from repro.seq import encode
 
 if TYPE_CHECKING:
     from repro.core.mapper import MappingResult
 
-__all__ = ["genasm_align", "Cigar", "encode", "MappingResult"]
+__all__ = ["pattern_bitmasks", "Cigar", "encode", "MappingResult"]

@@ -9,8 +9,8 @@ iff the pattern prefix of length ``j + 1`` matches a text substring
 This is deliberately an *independent* implementation of the bitvector
 idea — opposite scan direction and opposite bit polarity from
 GenASM/BitAlign — used by the test suite to cross-validate the
-0-active right-to-left machinery in :mod:`repro.align.genasm` and
-:mod:`repro.core.bitalign`.
+0-active right-to-left machinery of the linear GenASM oracle
+(``oracles.genasm``) and :mod:`repro.core.bitalign`.
 """
 
 from __future__ import annotations

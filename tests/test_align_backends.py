@@ -8,8 +8,8 @@ registry, runs every job on the diagonal BitAlign kernel of
 
 Each test builds an engine under each backend name and checks its
 rescue alignments against two *independent* oracles — the classic
-1-active left-to-right Bitap (:mod:`repro.align.bitap`) for the distance
-and the exact DP fitting aligner (:mod:`repro.align.dp_linear`) for
+1-active left-to-right Bitap (``oracles.bitap``) for the distance
+and the exact DP fitting aligner (``oracles.dp_linear``) for
 optimality — and against linear GenASM, tie-breaks included.  The seeded
 case generator covers ``k = 0``, patterns longer than the window, all-N
 reads, N-bearing windows and 63–66-bit word-boundary pattern widths.
@@ -21,9 +21,9 @@ import random
 
 import pytest
 
-from repro.align.bitap import bitap_distance
-from repro.align.dp_linear import semiglobal_distance
-from repro.align.genasm import genasm_align
+from oracles.bitap import bitap_distance
+from oracles.dp_linear import semiglobal_distance
+from oracles.genasm import genasm_align
 from repro.core import pairing
 from repro.core.alignment import replay_alignment
 from repro.core.mapper import SeGraM, SeGraMConfig

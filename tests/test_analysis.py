@@ -1,4 +1,4 @@
-"""Tests for ``repro analyze`` — the AST invariant checker.
+"""Tests for ``python tools/analyze`` — the AST invariant checker.
 
 Every rule is proven three ways from fixture snippets under
 ``tests/analysis_fixtures/<rule>/``:
@@ -15,15 +15,20 @@ Module-scoped rules (dtype, shift-mask, layering) are exercised by
 impersonating an in-scope module via ``analyze_source``'s ``name=``
 override.  On top of the per-rule fixtures: the JSON schema
 round-trips, the CLI honours the 0/1/2 exit-code contract, and —
-the gate itself — ``src/repro`` analyzes clean.
+the gate itself — ``src/repro`` and the analyzer analyze clean.
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
+REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT / "tools"))
+
+from analyze import (  # noqa: E402
     JSON_FORMAT_VERSION,
     Finding,
     Suppressions,
@@ -33,10 +38,12 @@ from repro.analysis import (
     analyze_source,
     get_rule,
 )
-from repro.cli import main
+from analyze.cli import main  # noqa: E402
+from repro.cli import main as repro_main  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent / "analysis_fixtures"
-SRC_TREE = Path(__file__).resolve().parents[1] / "src" / "repro"
+SRC_TREE = REPO_ROOT / "src" / "repro"
+TOOL_TREE = REPO_ROOT / "tools" / "analyze"
 
 #: rule id -> (fixture directory, impersonated module name).  The
 #: module-scoped rules see fixture code as a kernel / align-layer
@@ -222,7 +229,7 @@ def test_scoped_rules_skip_out_of_scope_modules():
 # ----------------------------------------------------------------------
 
 def test_src_tree_is_clean():
-    report = analyze_paths([SRC_TREE])
+    report = analyze_paths([SRC_TREE, TOOL_TREE])
     assert report.exit_code() == 0, "\n" + report.format_text()
     assert report.files_scanned > 50
     # The exceptions are a fixed budget: deleting code must not buy
@@ -233,9 +240,29 @@ def test_src_tree_is_clean():
     # id would silently suppress nothing — caught above — but a stale
     # allow for an unregistered rule is dead weight).
     registered = {rule.id for rule in all_rules()}
-    for path in sorted(SRC_TREE.rglob("*.py")):
+    for path in sorted([*SRC_TREE.rglob("*.py"),
+                        *TOOL_TREE.rglob("*.py")]):
         for rule_id in Suppressions(path.read_text()).rule_ids():
             assert rule_id in registered, f"{path}: allow[{rule_id}]"
+
+
+def test_gate_as_ci_runs_it():
+    """The CI step itself: the tool run as a directory from the
+    repository root, over the product and over the analyzer."""
+    done = subprocess.run(
+        [sys.executable, "tools/analyze", "src/repro", "tools/analyze"],
+        cwd=REPO_ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "0 findings (2 suppressed)" in done.stdout
+    assert done.stdout.rstrip().endswith(
+        "rules: " + ", ".join(sorted(RULE_FIXTURES)))
+
+
+def test_repro_has_no_analyze_subcommand(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        repro_main(["analyze", "src"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'analyze'" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +272,7 @@ def test_src_tree_is_clean():
 def test_cli_exit_zero_on_clean_file(tmp_path, capsys):
     clean = tmp_path / "clean.py"
     clean.write_text("import math\nx = math.pi\n")
-    assert main(["analyze", str(clean)]) == 0
+    assert main([str(clean)]) == 0
     out = capsys.readouterr().out
     assert "0 findings" in out
 
@@ -253,7 +280,7 @@ def test_cli_exit_zero_on_clean_file(tmp_path, capsys):
 def test_cli_exit_one_on_findings(tmp_path, capsys):
     dirty = tmp_path / "dirty.py"
     dirty.write_text("import time\nstamp = time.time()\n")
-    assert main(["analyze", str(dirty)]) == 1
+    assert main([str(dirty)]) == 1
     out = capsys.readouterr().out
     assert "[determinism]" in out
 
@@ -261,19 +288,19 @@ def test_cli_exit_one_on_findings(tmp_path, capsys):
 def test_cli_exit_two_on_unknown_rule(tmp_path, capsys):
     target = tmp_path / "mod.py"
     target.write_text("x = 1\n")
-    assert main(["analyze", "--rule", "bogus", str(target)]) == 2
+    assert main(["--rule", "bogus", str(target)]) == 2
     assert "unknown rule" in capsys.readouterr().err
 
 
 def test_cli_exit_two_on_missing_path(capsys):
-    assert main(["analyze", "definitely/not/here.py"]) == 2
+    assert main(["definitely/not/here.py"]) == 2
     assert "no such path" in capsys.readouterr().err
 
 
 def test_cli_json_format(tmp_path, capsys):
     dirty = tmp_path / "dirty.py"
     dirty.write_text("import time\nstamp = time.time()\n")
-    assert main(["analyze", "--format", "json", str(dirty)]) == 1
+    assert main(["--format", "json", str(dirty)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == JSON_FORMAT_VERSION
     assert payload["findings"][0]["rule"] == "determinism"
@@ -282,13 +309,12 @@ def test_cli_json_format(tmp_path, capsys):
 def test_cli_rule_selection(tmp_path, capsys):
     dirty = tmp_path / "dirty.py"
     dirty.write_text("import time\nstamp = time.time()\n")
-    assert main(["analyze", "--rule", "except-hygiene",
-                 str(dirty)]) == 0
+    assert main(["--rule", "except-hygiene", str(dirty)]) == 0
     capsys.readouterr()
 
 
 def test_cli_list_rules(capsys):
-    assert main(["analyze", "--list-rules"]) == 0
+    assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule in all_rules():
         assert rule.id in out

@@ -16,16 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.bitalign as KERNEL
+from oracles.bitalign import reference_bitvectors, reference_traceback
+from oracles.dp_linear import semiglobal_distance
+from oracles.genasm import genasm_distance
 from repro.align.dp_graph import graph_distance
-from repro.align.dp_linear import semiglobal_distance
-from repro.align.genasm import genasm_distance
 from repro.core.alignment import Cigar, replay_alignment
 from repro.core.bitalign import (
     BitAlignResult,
     bitalign,
     bitalign_distance,
     generate_bitvectors,
-    reference_bitvectors,
     traceback,
 )
 from repro.graph.builder import Variant, build_graph
@@ -246,7 +246,7 @@ def oracle_bitalign(lin, pattern, k, anchors=None):
     if located is None:
         return None
     budget, start = located
-    return traceback(lin, pattern, rows, start, budget)
+    return reference_traceback(lin, pattern, rows, start, budget)
 
 
 def committed_prefix(result, commit):
@@ -407,7 +407,8 @@ class TestDiagonalKernelParity:
                 continue
             budget, start = located
             native = traceback(lin, pattern, rows, start, budget)
-            unpacked = traceback(lin, pattern, list(rows), start, budget)
+            unpacked = reference_traceback(lin, pattern, list(rows), start,
+                                           budget)
             assert native == unpacked
             assert native == oracle_bitalign(lin, pattern, k, anchors)
             assert native == bitalign(lin, pattern, k, anchors=anchors)
@@ -578,17 +579,18 @@ class TestPreconditions:
                                                 budget, match):
         lin = chain("ACGT")
         rows = generate_bitvectors(lin, "TTT", 1)
+        walk = traceback
         if store == "rows":
-            rows = list(rows)
+            rows, walk = list(rows), reference_traceback
         with pytest.raises(ValueError, match=match):
-            traceback(lin, "TTT", rows, start, budget)
+            walk(lin, "TTT", rows, start, budget)
 
     def test_traceback_at_its_precondition(self):
         """The boundary that is allowed: budget = k, last position."""
         lin = chain("ACGT")
         rows = generate_bitvectors(lin, "TTT", 2)
         assert traceback(lin, "TTT", rows, 3, 2) == \
-            traceback(lin, "TTT", list(rows), 3, 2)
+            reference_traceback(lin, "TTT", list(rows), 3, 2)
 
 
 # ----------------------------------------------------------------------
@@ -759,9 +761,10 @@ class TestStopAndJump:
         full = traceback(lin, pattern, rows, first, budget)
         stopped = traceback(lin, pattern, rows, first, budget,
                             commit=commit)
-        assert full == traceback(lin, pattern, list(rows), first, budget)
-        assert stopped == traceback(lin, pattern, list(rows), first,
-                                    budget, commit=commit)
+        assert full == reference_traceback(lin, pattern, list(rows),
+                                           first, budget)
+        assert stopped == reference_traceback(lin, pattern, list(rows),
+                                              first, budget, commit=commit)
         assert stopped == committed_prefix(full, commit)
         assert walk_is_valid(lin, full)
         assert full.distance == budget

@@ -15,14 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align.bitap import (
+from oracles.bitap import (
     ABSENT_CHAR_MASK,
     bitap_distance,
     bitap_search,
     pattern_masks_1active,
 )
-from repro.align.dp_linear import semiglobal_distance
-from repro.align.genasm import genasm_align, genasm_distance
+from oracles.dp_linear import semiglobal_distance
+from oracles.genasm import genasm_align, genasm_distance
 from repro.core.alignment import replay_alignment
 
 text_strategy = st.text(alphabet="ACGT", min_size=0, max_size=80)

@@ -106,7 +106,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("case", [
         "missing-reads", "short-quality", "vcf-four-columns",
-        "stats-bad-gfa", "index-build-bad-gfa",
+        "stats-bad-gfa", "stats-bad-gfa-names-file", "index-build-bad-gfa",
         "index-build-missing-dir",
     ])
     def test_typed_input_error_is_one_line(self, workspace, tmp_path,
@@ -134,6 +134,9 @@ class TestInputErrors:
             "stats-bad-gfa": (
                 ["stats", "--graph", str(bad_gfa)],
                 "S line needs name and sequence"),
+            "stats-bad-gfa-names-file": (
+                ["stats", "--graph", str(bad_gfa)],
+                f"error: {bad_gfa}: line 1: S line needs name"),
             "index-build-bad-gfa": (
                 ["index", "build", str(bad_gfa),
                  "-o", str(tmp_path / "x.sgidx")],
@@ -842,8 +845,8 @@ class TestServeClient:
                           "-o", out],
             "stats-graph": ["stats", "--graph", str(bad)],
         }[command]
-        where = "" if name.endswith(".gfa") else f"{re.escape(str(bad))}: "
-        with pytest.raises(SystemExit, match=f"^error: {where}line 2: "
+        where = re.escape(str(bad))
+        with pytest.raises(SystemExit, match=f"^error: {where}: line 2: "
                                              "non-ASCII character$"):
             main(argv)
 

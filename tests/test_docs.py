@@ -147,15 +147,15 @@ class TestFlagExtraction:
         path = _write(tmp_path, """\
             `repro index build ref.fa -o x.sgidx --bucket-bits 12`
             `repro index --graph g.gfa`
-            `repro analyze src/repro --format=json`
-            `repro analyze src/repro --json`
+            `repro map --reads r.fq --format=sam`
+            `repro map --reads r.fq --json`
             `repro client map --window 1 --batch`
             `repro is not a command --here`
         """)
         problems = check_docs.check_flags(path, check_docs.cli_parser())
         assert [problem.split("/")[-1] for problem in problems] == [
             "doc.md:2: 'repro index' has no option --graph",
-            "doc.md:4: 'repro analyze' has no option --json",
+            "doc.md:4: 'repro map' has no option --json",
             "doc.md:5: 'repro client map' has no option --batch",
         ]
 

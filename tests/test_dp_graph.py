@@ -13,7 +13,7 @@ from repro.align.dp_graph import (
     graph_align,
     graph_distance,
 )
-from repro.align.dp_linear import semiglobal_distance
+from oracles.dp_linear import semiglobal_distance
 from repro.core.alignment import replay_alignment
 from repro.graph.builder import Variant, build_graph
 from repro.graph.genome_graph import GenomeGraph

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align.dp_linear import (
+from oracles.dp_linear import (
     AlignmentSizeError,
     edit_distance,
     global_align,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from repro import seq as seqmod
 from repro.core.mapper import SeGraM, SeGraMConfig
 from repro.core.windows import WindowingConfig
+from repro.graph.gfa import GfaFormatError, read_gfa
 from repro.io.gaf import (
     GafFormatError,
     GafWriter,
@@ -125,7 +127,8 @@ class TestSam:
         path.write_bytes(b"@HD\tVN:1.6\n"
                          b"r1\t0\tchr1\t1\t60\t4=\t*\t0\t0\tACGT\t*\n"
                          + bad + b"\n")
-        with pytest.raises(SamFormatError, match="^line 3: "):
+        with pytest.raises(SamFormatError,
+                           match=f"^{re.escape(str(path))}: line 3: "):
             read_sam(path)
 
     def test_qname_with_tab_rejected(self):
@@ -325,8 +328,33 @@ class TestGaf:
         path = tmp_path / "bad.gaf"
         path.write_bytes(b"r\t4\t0\t4\t+\t>1\t8\t0\t4\t4\t4\t60\n"
                          + bad + b"\n")
-        with pytest.raises(GafFormatError, match="^line 2: "):
+        with pytest.raises(GafFormatError,
+                           match=f"^{re.escape(str(path))}: line 2: "):
             read_gaf(path)
+
+
+class TestReaderErrorsNameTheFile:
+    """Every error of the SAM, GAF and GFA readers names the file
+    first, as the FASTA and VCF readers do."""
+
+    @pytest.mark.parametrize("reader,text,where", [
+        (read_sam, "@HD\tVN:1.6\nr1\t0\tchr1\n", "line 2: "),
+        (read_gaf, "r\t4\t0\t4\t+\t<1\t8\t0\t4\t4\t4\t60\n", "line 1: "),
+        (read_gaf, "r\t4\t0\t4\t+\t>1#\t8\t0\t4\t4\t4\t60\n",
+         "line 1: path segment "),
+        (read_gfa, "S\ta\tAC\nS\ta\tGT\n", "line 2: "),
+        (read_gfa, "S\ta\tAC\nL\ta\t+\tb\t-\t0M\n", "line 2: "),
+        (read_gfa, "S\ta\tAC\nL\ta\t+\tb\t+\t0M\n", "link "),
+    ], ids=["sam-columns", "gaf-reverse-path", "gaf-segment",
+            "gfa-duplicate-segment", "gfa-reverse-link",
+            "gfa-unknown-segment"])
+    def test_error_names_the_file(self, tmp_path, reader, text, where):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises((SamFormatError, GafFormatError,
+                            GfaFormatError),
+                           match=f"^{re.escape(str(path))}: {where}"):
+            reader(path)
 
 
 class TestSamWriterSorted:

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import seq as seqmod
-from repro.align.genasm import genasm_align
+from oracles.genasm import genasm_align
 from repro.core.alignment import replay_alignment
 from repro.core.mapper import SeGraM, SeGraMConfig
 from repro.core import pairing

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align.dp_linear import edit_distance
+from oracles.dp_linear import edit_distance
 from repro.graph.builder import build_graph
 from repro.sim.errors import ErrorModel, apply_errors
 from repro.sim.graphsim import sample_path, simulate_graph_reads

@@ -1,11 +1,11 @@
-"""Static analysis for the repro codebase: ``repro analyze``.
+"""Static analysis for the repro codebase: ``python tools/analyze``.
 
 An AST-based invariant checker enforcing the contracts the test
 suite cannot see from outputs alone: determinism of the result path,
 dtype/shift discipline in the packed kernels, fork/pool safety of
 worker code, the package layer order, and exception hygiene.  See
-``repro analyze --list-rules`` for the registered rules and why each
-is load-bearing.
+``python tools/analyze --list-rules`` for the registered rules and
+why each is load-bearing.
 
 Findings carry ``path:line:col`` anchors and a rule id; a finding is
 suppressed in-tree with a ``# repro: allow[<rule-id>]`` comment on (or
@@ -13,7 +13,7 @@ immediately above) the offending statement — always with the reason
 alongside, and only for deliberate, documented exceptions.
 """
 
-from repro.analysis.engine import (
+from analyze.engine import (
     JSON_FORMAT_VERSION,
     AnalysisReport,
     Module,
@@ -21,15 +21,15 @@ from repro.analysis.engine import (
     analyze_source,
     iter_python_files,
 )
-from repro.analysis.findings import Finding
-from repro.analysis.registry import (
+from analyze.findings import Finding
+from analyze.registry import (
     Rule,
     UnknownRuleError,
     all_rules,
     get_rule,
     resolve_rules,
 )
-from repro.analysis.suppressions import Suppressions
+from analyze.suppressions import Suppressions
 
 __all__ = [
     "JSON_FORMAT_VERSION",

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from repro.analysis.findings import Finding
-from repro.analysis.registry import Rule, resolve_rules
-from repro.analysis.suppressions import Suppressions
+from analyze.findings import Finding
+from analyze.registry import Rule, resolve_rules
+from analyze.suppressions import Suppressions
 
 #: Schema version of the ``--format json`` payload.
 JSON_FORMAT_VERSION = 1
@@ -95,7 +95,7 @@ def _infer_module_name(path: Path) -> str | None:
 
 @dataclass
 class AnalysisReport:
-    """Everything one ``repro analyze`` run produced."""
+    """Everything one ``python tools/analyze`` run produced."""
 
     rules: tuple[Rule, ...]
     findings: list[Finding] = field(default_factory=list)

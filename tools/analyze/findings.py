@@ -1,7 +1,7 @@
 """Finding records: what a rule reports and how it serializes.
 
 A :class:`Finding` is one rule violation at one source location.  The
-record is deliberately flat and JSON-friendly: ``repro analyze
+record is deliberately flat and JSON-friendly: ``python tools/analyze
 --format json`` emits exactly :meth:`Finding.to_dict` per finding, and
 :meth:`Finding.from_dict` round-trips it (tested in
 ``tests/test_analysis.py``), so CI consumers can parse the output

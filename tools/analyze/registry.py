@@ -1,11 +1,11 @@
 """The rule registry: one :class:`Rule` per enforced invariant.
 
 Rules register themselves at import time via the :func:`rule`
-decorator (importing :mod:`repro.analysis.rules` pulls every rule
+decorator (importing :mod:`analyze.rules` pulls every rule
 module in): a plain dict, explicit registration, and lookup errors
 that list what *is* registered.
 
-A rule's ``check`` receives one parsed :class:`~repro.analysis.engine.
+A rule's ``check`` receives one parsed :class:`~analyze.engine.
 Module` and returns its findings; the engine owns file walking,
 suppression filtering, and output, so rule modules stay pure
 AST-walking logic.
@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - only for hints
-    from repro.analysis.engine import Module
-    from repro.analysis.findings import Finding
+    from analyze.engine import Module
+    from analyze.findings import Finding
 
 CheckFn = Callable[["Module"], "list[Finding]"]
 
@@ -32,7 +32,7 @@ class Rule:
             ``# repro: allow[<id>]`` suppressions.
         summary: one-line statement of what the rule enforces.
         rationale: why the invariant is load-bearing for this repo
-            (surfaced by ``repro analyze --list-rules``).
+            (surfaced by ``python tools/analyze --list-rules``).
         check: the AST check itself.
     """
 
@@ -92,4 +92,4 @@ def resolve_rules(rule_ids: Iterable[str] | None) -> tuple[Rule, ...]:
 
 def _load_builtin_rules() -> None:
     """Import the built-in rule modules (registration side effect)."""
-    from repro.analysis import rules  # noqa: F401  (side effect)
+    from analyze import rules  # noqa: F401  (side effect)

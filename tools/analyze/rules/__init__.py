@@ -6,7 +6,7 @@ Importing this package registers every built-in rule (each module's
 a module here and importing it below — nothing else to wire.
 """
 
-from repro.analysis.rules import (  # noqa: F401  (registration)
+from analyze.rules import (  # noqa: F401  (registration)
     determinism,
     dtype,
     exceptions,

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.astutils import expand_path, import_aliases
-from repro.analysis.engine import Module
-from repro.analysis.findings import Finding
-from repro.analysis.registry import rule
+from analyze.astutils import expand_path, import_aliases
+from analyze.engine import Module
+from analyze.findings import Finding
+from analyze.registry import rule
 
 #: ``random`` module functions that draw from (or reset) the hidden
 #: process-global generator.

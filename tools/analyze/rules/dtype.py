@@ -21,7 +21,7 @@ classes of silent breakage live here and nowhere else:
 
 Both rules are scoped by dotted module name; fixture tests exercise
 them by impersonating a kernel module via
-:func:`repro.analysis.engine.analyze_source`'s ``name=`` override.
+:func:`analyze.engine.analyze_source`'s ``name=`` override.
 """
 
 from __future__ import annotations
@@ -29,16 +29,16 @@ from __future__ import annotations
 import ast
 import fnmatch
 
-from repro.analysis.astutils import (
+from analyze.astutils import (
     assign_target_names,
     contains_bitand,
     expand_path,
     import_aliases,
     statement_blocks,
 )
-from repro.analysis.engine import Module
-from repro.analysis.findings import Finding
-from repro.analysis.registry import rule
+from analyze.engine import Module
+from analyze.findings import Finding
+from analyze.registry import rule
 
 #: Module-name patterns this pair of rules applies to.
 KERNEL_MODULES = (

@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.astutils import dotted_name, module_level_bindings
-from repro.analysis.engine import Module
-from repro.analysis.findings import Finding
-from repro.analysis.registry import rule
+from analyze.astutils import dotted_name, module_level_bindings
+from analyze.engine import Module
+from analyze.findings import Finding
+from analyze.registry import rule
 
 #: Methods that mutate their receiver in place.
 _MUTATORS = frozenset({

@@ -7,8 +7,7 @@ The dependency order of this repo is::
     layer 1   repro.graph, repro.index, repro.align
     layer 2   repro.io, repro.refs, repro.sim
     layer 3   repro.core, repro.hw              (orchestration, models)
-    layer 4   repro.api, repro.cli, repro.eval, repro.analysis,
-              repro.service
+    layer 4   repro.api, repro.cli, repro.eval, repro.service
 
 A module may import from its own layer or below; importing *upward*
 creates the cycles that previously forced function-level import
@@ -29,10 +28,10 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.astutils import type_checking_nodes
-from repro.analysis.engine import Module
-from repro.analysis.findings import Finding
-from repro.analysis.registry import rule
+from analyze.astutils import type_checking_nodes
+from analyze.engine import Module
+from analyze.findings import Finding
+from analyze.registry import rule
 
 #: Longest-segment-prefix layer table.  Deeper keys win: the
 #: ``repro.core.alignment`` entry overrides ``repro.core``.
@@ -54,7 +53,6 @@ _LAYERS: dict[str, int] = {
     "repro.eval": 4,
     "repro.api": 4,
     "repro.cli": 4,
-    "repro.analysis": 4,
     "repro.service": 4,
     "repro": 4,
 }
