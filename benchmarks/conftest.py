@@ -1,7 +1,7 @@
 """Benchmark harness configuration.
 
 Every benchmark regenerates one table or figure of the paper
-(DESIGN.md, experiment index) and prints its rows via
+(README.md, "Tests and benchmarks") and prints its rows via
 ``repro.eval.report.format_table`` so the output can be compared to
 the paper side by side.  pytest-benchmark wraps the row-producing
 driver so each artifact also gets a timing entry.

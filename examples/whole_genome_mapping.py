@@ -1,12 +1,12 @@
-"""Whole-genome mapping: per-chromosome graphs + HBM channel placement.
+"""Whole-genome mapping: one multi-contig reference + HBM channel placement.
 
 The paper builds one graph and one index per chromosome (Section 5)
 and distributes all 24 across each HBM stack's eight channels by size
 (Section 8.3).  This example assembles a miniature multi-chromosome
-genome, maps reads genome-wide through one multi-contig ``Mapper``
-(best chromosome wins), and shows the channel placement the hardware
-would use for the per-chromosome graphs and indexes — including at
-real GRCh38 proportions.
+genome as one reference set with one shared index, maps reads
+genome-wide through one multi-contig ``Mapper`` (best chromosome
+wins), and shows the channel placement of each chromosome's share of
+that graph and index — including at real GRCh38 proportions.
 
 Run:  python examples/whole_genome_mapping.py
 """
@@ -16,12 +16,12 @@ from __future__ import annotations
 import random
 
 from repro.api import Mapper
-from repro.core.genome import ReferenceGenome
 from repro.core.mapper import SeGraMConfig
 from repro.core.windows import WindowingConfig
 from repro.eval.report import format_table
 from repro.hw.placement import (
     GRCH38_CHROMOSOME_MBP,
+    contig_resident_bytes,
     place_chromosomes,
 )
 from repro.refs import Contig, ReferenceSet
@@ -46,18 +46,18 @@ def main() -> None:
         windowing=WindowingConfig(window_size=128, overlap=48, k=16),
         max_seeds_per_read=4,
     )
-    genome = ReferenceGenome.build(references, variants, config=config,
-                                   max_node_length=4_096)
-    for chromosome in genome.chromosomes:
-        print(f"   {chromosome.name}: "
-              f"{chromosome.graph.node_count} nodes, "
-              f"{chromosome.resident_bytes / 1024:.0f} KiB resident")
-
-    print("\n2. mapping reads of known origin genome-wide ...")
     mapper = Mapper(ReferenceSet(
         [Contig.linear(name, sequence, variants[name])
          for name, sequence in references.items()],
         max_node_length=4_096), config=config)
+    sizes, shared = contig_resident_bytes(mapper.engine.refs,
+                                          mapper.engine.index)
+    for name, size in sizes.items():
+        print(f"   {name}: {size / 1024:.0f} KiB resident")
+    print(f"   index bucket + minimizer levels (shared): "
+          f"{shared / 1024:.0f} KiB")
+
+    print("\n2. mapping reads of known origin genome-wide ...")
     for name, sequence in references.items():
         read = sequence[5_000:5_300]
         record = mapper.map(read, f"read-from-{name}")
@@ -67,7 +67,7 @@ def main() -> None:
         assert record.contig == name
 
     print("\n3. channel placement of this mini genome ...")
-    placement = place_chromosomes(genome.resident_bytes(), channels=2)
+    placement = place_chromosomes(sizes, channels=2)
     for channel, (members, load) in enumerate(
             zip(placement.channels, placement.loads)):
         print(f"   channel {channel}: {', '.join(members)} "

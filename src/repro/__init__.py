@@ -4,8 +4,9 @@ sequence-to-sequence mapping.
 A functional, pure-Python reproduction of *SeGraM: A Universal Hardware
 Accelerator for Genomic Sequence-to-Graph and Sequence-to-Sequence
 Mapping* (Senol Cali et al., ISCA 2022), plus an analytical model of
-the accelerator hardware.  See DESIGN.md for the system inventory and
-EXPERIMENTS.md for the reproduced tables and figures.
+the accelerator hardware.  See README.md for the quickstart and the
+paper-figure benchmarks, and docs/architecture.md for how each module
+maps to the paper's blocks.
 
 Public API highlights:
 

@@ -273,11 +273,11 @@ class Mapper:
         pair_config: PairedEndConfig | None = None,
     ) -> "Mapper":
         """Build from a GFA genome graph (one graph-backed contig)."""
-        from repro.graph.gfa import read_gfa
+        from repro.io.gfa import read_gfa
 
         graph = read_gfa(path)
         return cls(graph, config=config, pair_config=pair_config,
-                   name=name or Path(path).stem)
+                   name=name or Path(str(path).removesuffix(".gz")).stem)
 
     @classmethod
     def from_artifact(

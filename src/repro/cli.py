@@ -30,12 +30,12 @@ from repro.core.windows import WindowingConfig
 from repro.eval.report import format_table
 from repro.graph.builder import VariantError, build_graph
 from repro.graph.genome_graph import GraphError
-from repro.graph.gfa import GfaFormatError, read_gfa, write_gfa
 from repro.graph.linearize import hop_coverage, hop_length_distribution
 from repro.index.minimizer import check_minimizer_parameters
 from repro.io.artifact import ArtifactError
 from repro.io.fasta import FastaFormatError, read_fasta
 from repro.io.gaf import GafWriter, result_to_gaf
+from repro.io.gfa import GfaFormatError, read_gfa, write_gfa
 from repro.io.sam import SamWriter, result_to_sam
 from repro.io.stream import (
     DEFAULT_CHUNK_SIZE,
@@ -72,9 +72,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--both-strands", action="store_true")
     parser.add_argument("--bucket-bits", type=int, default=14,
                         help="hash-index bucket width (default 14)")
-    parser.add_argument("--chaining", action="store_true",
-                        help="enable the optional colinear-chaining "
-                             "filter (pipeline step 2 of Fig. 2)")
     parser.add_argument("--early-exit-distance", type=int,
                         default=None,
                         help="stop scanning regions once an alignment "
@@ -116,7 +113,6 @@ def _engine_config(args: argparse.Namespace) -> SeGraMConfig:
         top_n_alignments=args.top_n,
         hop_limit=args.hop_limit,
         both_strands=args.both_strands,
-        chaining=args.chaining,
         early_exit_distance=args.early_exit_distance,
     )
 
@@ -366,7 +362,7 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     _check_minimizer_args(args)
     config = SeGraMConfig(w=args.w, k=args.k,
                           bucket_bits=args.bucket_bits)
-    if args.reference.suffix.lower() == ".gfa":
+    if args.reference.name.lower().endswith((".gfa", ".gfa.gz")):
         if args.vcf is not None:
             raise SystemExit("error: --vcf cannot be applied to a "
                              "GFA graph reference")

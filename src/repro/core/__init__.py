@@ -12,8 +12,8 @@
 * :mod:`repro.core.mapper` — the end-to-end SeGraM mapper combining
   MinSeed and BitAlign for both sequence-to-graph and
   sequence-to-sequence mapping (paper Section 9).  The engine runs
-  the staged drive itself (seed -> filter/chain -> extract -> align
-  -> select) over one whole-graph linearization whose views are the
+  the staged drive itself (seed -> filter -> extract -> align ->
+  select) over one whole-graph linearization whose views are the
   candidate regions.
 * :mod:`repro.core.pipeline` — what the drive does not own: the
   per-stage statistics, candidate commit and selection, and the
@@ -34,8 +34,6 @@ from repro.core.minseed import MinSeed, Seed, SeedRegion
 from repro.core.mapper import AlignmentCandidate, MappingResult, \
     SeGraM, SeGraMConfig
 from repro.core.pipeline import PipelineStats, StageStats, best_of
-from repro.core.chaining import Chain, chain_regions, chain_seeds, \
-    chains_to_regions
 
 __all__ = [
     "Cigar",
@@ -56,8 +54,4 @@ __all__ = [
     "PipelineStats",
     "StageStats",
     "best_of",
-    "Chain",
-    "chain_regions",
-    "chain_seeds",
-    "chains_to_regions",
 ]

@@ -21,7 +21,7 @@ Mapping is the engine's own staged drive, the software mirror of
 paper Fig. 2: every mapping call — one read, a batch, a pool shard, a
 daemon dispatch, a mate of a pair — takes :meth:`SeGraM.map_reads`,
 which is four plain nested loops: read -> oriented read -> region ->
-window.  Five stages run inside it, ``seed -> filter/chain -> extract
+window.  Five stages run inside it, ``seed -> filter -> extract
 -> align -> select``, each timed into its row of the engine's
 :class:`~repro.core.pipeline.PipelineStats` (``SeGraM.stats``), the
 analogue of the paper's per-unit utilization counters.  Stage 1 seeds
@@ -91,7 +91,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from repro import seq as seqmod
 from repro.core.alignment import MAPQ_SATURATION_GAP, READ_CONSUMING, \
     REF_CONSUMING, Cigar, mapq_from_candidates
-from repro.core.chaining import chain_regions
 from repro.core.minseed import MinSeed, SeedingStats, SeedRegion
 from repro.core.pipeline import PersistentPool, PipelineStats, \
     best_of, commit_candidates, run_sharded, timed
@@ -152,9 +151,6 @@ class SeGraMConfig:
             only see the regions aligned before the exit fired.
         both_strands: also map the reverse-complemented read and keep
             the better orientation.
-        chaining: enable the optional colinear-chaining filter
-            (pipeline step 2 of paper Fig. 2).  Off by default —
-            MinSeed's design point aligns every seed (Section 11.4).
         region_cache_size: accepted and ignored — there is no region
             cache (regions are views of one linearization).
         align_backend: accepted and ignored — every alignment runs
@@ -172,7 +168,6 @@ class SeGraMConfig:
     top_n_alignments: int = 5
     early_exit_distance: int | None = None
     both_strands: bool = False
-    chaining: bool = False
     #: Ignored.  Deleted with ROADMAP item 1, whose benchmark PR stops
     #: ``benchmarks/perf/workloads.py`` passing it.
     region_cache_size: int = 128
@@ -624,7 +619,8 @@ class SeGraM:
         return seeded
 
     def filter_stage(self, seeded: SeededRead) -> SeededRead:
-        """Step 2 (paper Fig. 2): optional chaining, ordering, and cap.
+        """Step 2 (paper Fig. 2): ordering and cap.  MinSeed does no
+        chaining (Section 11.4).
 
         Regions are ordered rarest-minimizer-first so a per-read cap,
         the early-exit knob and the align stage's subsumption rule all
@@ -633,27 +629,18 @@ class SeGraM:
         subsumed ones are not replaced by deeper seeds.
         """
         stats = self.stats.stage("filter")
-        config = self.config
+        cap = self.config.max_seeds_per_read
         with timed(stats):
-            regions = seeded.regions
-            n_in = len(regions)
+            n_in = len(seeded.regions)
             stats.items_in += n_in
-            if config.chaining and regions:
-                regions = chain_regions(
-                    regions,
-                    read_length=len(seeded.task.sequence),
-                    error_rate=config.error_rate,
-                    total_chars=self.graph.total_sequence_length,
-                    top_n=config.max_seeds_per_read,
-                )
             regions = sorted(
-                regions,
+                seeded.regions,
                 key=lambda r: (r.seed.frequency, r.seed.read_start),
             )
-            if config.max_seeds_per_read is not None:
-                regions = regions[:config.max_seeds_per_read]
+            if cap is not None:
+                regions = regions[:cap]
             stats.items_out += len(regions)
-            stats.dropped += max(0, n_in - len(regions))
+            stats.dropped += n_in - len(regions)
             self.stats.regions_chained += len(regions)
         return SeededRead(task=seeded.task, regions=regions,
                           stats=seeded.stats)

@@ -1,6 +1,6 @@
 """Pipeline statistics, candidate selection and the shard pool.
 
-The staged drive itself — ``seed -> filter/chain -> extract -> align
+The staged drive itself — ``seed -> filter -> extract -> align
 -> select``, the software mirror of paper Fig. 2 — is
 :class:`~repro.core.mapper.SeGraM`'s own (:meth:`~repro.core.mapper.
 SeGraM.map_reads`).  This module holds what the drive does not own:
@@ -71,7 +71,7 @@ class StageStats:
         items_in: work items entering the stage (reads for ``seed`` and
             ``select``, regions for the middle stages).
         items_out: items surviving the stage.
-        dropped: items discarded by the stage (filter cap / chaining,
+        dropped: items discarded by the stage (the filter's cap,
             or, in ``align``, regions subsumed by an earlier alignment
             plus regions skipped by the early-exit knob).
         seconds: wall time spent inside the stage.
@@ -102,6 +102,8 @@ class PipelineStats:
     reads: int = 0
     reads_mapped: int = 0
     regions_seeded: int = 0
+    #: Regions the filter stage keeps (its name predates the removal
+    #: of seed chaining; MinSeed does none, paper Section 11.4).
     regions_chained: int = 0
     #: Kept regions never extracted or aligned because an earlier
     #: alignment of the same oriented read already passes through

@@ -1,9 +1,9 @@
 """Evaluation harness: datasets, experiment drivers, reporting.
 
 One driver per table/figure of the paper's evaluation (Section 11);
-see DESIGN.md's experiment index.  The ``benchmarks/`` directory wraps
-these drivers in pytest-benchmark targets and prints the same
-rows/series the paper reports.
+see README.md's "Tests and benchmarks".  The ``benchmarks/``
+directory wraps these drivers in pytest-benchmark targets and prints
+the same rows/series the paper reports.
 """
 
 from repro.eval.datasets import (

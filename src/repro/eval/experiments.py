@@ -1,6 +1,6 @@
 """Experiment drivers: one function per paper table/figure.
 
-Each driver returns printable rows (see DESIGN.md's experiment index);
+Each driver returns printable rows (README.md, "Tests and benchmarks");
 ``benchmarks/`` wraps them in pytest-benchmark targets.  Three kinds of
 columns appear, always labelled:
 

@@ -35,10 +35,12 @@ from repro.hw.minseed_unit import MinSeedCycleModel
 from repro.hw.pipeline import SeGraMPerformanceModel, WorkloadProfile
 from repro.hw.area_power import AreaPowerModel, BlockBudget
 from repro.hw.simulator import SeGraMAcceleratorSim, SimulationTrace
-from repro.hw.placement import ChannelPlacement, place_chromosomes
+from repro.hw.placement import ChannelPlacement, contig_resident_bytes, \
+    place_chromosomes
 
 __all__ = [
     "ChannelPlacement",
+    "contig_resident_bytes",
     "place_chromosomes",
     "BitAlignUnitConfig",
     "MinSeedUnitConfig",

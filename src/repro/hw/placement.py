@@ -8,8 +8,11 @@ independent channels."
 This module implements that placement as greedy size-balanced bin
 packing (longest-processing-time rule): chromosomes sorted by
 footprint, each assigned to the currently lightest channel.  The
-balance metric and capacity checks feed the system-configuration
-tests and the whole-genome example.
+footprints come from the one reference the mapper serves
+(:func:`contig_resident_bytes`): each contig's share of the graph
+tables and of the shared index's seed locations.  The balance metric
+and capacity checks feed the system-configuration tests and the
+whole-genome example.
 """
 
 from __future__ import annotations
@@ -17,7 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
+from repro.graph.genome_graph import CHAR_TABLE_ENTRY_BITS, \
+    EDGE_TABLE_ENTRY_BYTES, NODE_TABLE_ENTRY_BYTES
 from repro.hw.hbm import HbmStackModel
+from repro.index.flat_index import LOCATION_ENTRY_BYTES, FlatIndex
+from repro.refs.reference import ReferenceSet
 
 
 @dataclass
@@ -46,6 +55,47 @@ class ChannelPlacement:
             if chromosome in members:
                 return channel
         raise KeyError(f"chromosome {chromosome!r} not placed")
+
+
+def _packed_char_bytes(chars: int) -> int:
+    """Bytes of the first ``chars`` packed 2-bit characters, rounded
+    up.  A contig's share is the difference of two such prefixes, so
+    the shares add up to the whole character table."""
+    return (chars * CHAR_TABLE_ENTRY_BITS + 7) // 8
+
+
+def contig_resident_bytes(
+    refs: ReferenceSet,
+    index: FlatIndex,
+) -> tuple[dict[str, int], int]:
+    """Per-contig main-memory bytes of one reference and its index.
+
+    A contig owns its nodes' node-table entries, its characters, its
+    nodes' out-edges (a reference set has no edge between contigs)
+    and the seed locations that fall in its nodes.  The index's bucket
+    and minimizer levels serve every contig and come back as one
+    shared amount, so ``sum(sizes.values()) + shared`` is
+    ``refs.graph.tables().total_bytes + index.layout().total_bytes``.
+    """
+    graph = refs.graph
+    spans = [refs.node_span(name) for name in refs.names]
+    locations = np.bincount(
+        np.searchsorted([first for first, _ in spans], index.loc_node,
+                        side="right") - 1,
+        minlength=len(spans))
+    sizes = {}
+    for name, (first, end), contig_locations in zip(
+            refs.names, spans, locations.tolist()):
+        char_start, char_end = refs.char_span(name)
+        edges = sum(len(graph.successors(node))
+                    for node in range(first, end))
+        sizes[name] = ((end - first) * NODE_TABLE_ENTRY_BYTES
+                       + _packed_char_bytes(char_end)
+                       - _packed_char_bytes(char_start)
+                       + edges * EDGE_TABLE_ENTRY_BYTES
+                       + contig_locations * LOCATION_ENTRY_BYTES)
+    layout = index.layout()
+    return sizes, layout.first_level_bytes + layout.second_level_bytes
 
 
 def place_chromosomes(

@@ -9,31 +9,13 @@ variation graph needs: ``S`` (segment) and ``L`` (link) lines with
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import TextIO, Union
-
 from repro.graph.genome_graph import GenomeGraph
-
-PathOrHandle = Union[str, Path, TextIO]
+from repro.io.text import PathOrHandle, open_text, open_write, \
+    source_name
 
 
 class GfaFormatError(ValueError):
     """Raised when a GFA line cannot be parsed or is unsupported."""
-
-
-def _open_for_read(source: PathOrHandle):
-    # A non-ASCII byte decodes to a lone surrogate, which the reader
-    # rejects with its line number instead of a bare decode error.
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="ascii",
-                    errors="surrogateescape"), True
-    return source, False
-
-
-def _open_for_write(target: PathOrHandle):
-    if isinstance(target, (str, Path)):
-        return open(target, "w", encoding="ascii"), True
-    return target, False
 
 
 def write_gfa(graph: GenomeGraph, target: PathOrHandle) -> None:
@@ -42,7 +24,7 @@ def write_gfa(graph: GenomeGraph, target: PathOrHandle) -> None:
     Segment names are the node IDs; links are forward-strand with ``0M``
     overlap, which is how variation graphs represent adjacency.
     """
-    handle, owned = _open_for_write(target)
+    handle, owned = open_write(target)
     try:
         handle.write("H\tVN:Z:1.0\n")
         for node in graph.nodes():
@@ -55,7 +37,7 @@ def write_gfa(graph: GenomeGraph, target: PathOrHandle) -> None:
 
 
 def read_gfa(source: PathOrHandle, name: str = "gfa") -> GenomeGraph:
-    """Read a GFA v1 file into a genome graph.
+    """Read a GFA v1 file (plain or gzipped) into a genome graph.
 
     Segment names may be arbitrary strings; they are mapped to dense
     integer node IDs in order of appearance.  Only forward-strand links
@@ -63,7 +45,7 @@ def read_gfa(source: PathOrHandle, name: str = "gfa") -> GenomeGraph:
     :class:`GfaFormatError`, matching the topologically-sorted-DAG
     requirement of the aligner.
     """
-    handle, owned = _open_for_read(source)
+    handle, owned = open_text(source)
     try:
         graph = GenomeGraph(name=name)
         ids: dict[str, int] = {}
@@ -130,10 +112,7 @@ def read_gfa(source: PathOrHandle, name: str = "gfa") -> GenomeGraph:
             graph.add_edge(ids[src], ids[dst])
         return graph
     except GfaFormatError as exc:
-        # repro.io.text.source_name, spelled out: graph/ is below io/.
-        origin = str(source) if isinstance(source, (str, Path)) \
-            else getattr(source, "name", None) or "<stream>"
-        raise GfaFormatError(f"{origin}: {exc}") from None
+        raise GfaFormatError(f"{source_name(source)}: {exc}") from None
     finally:
         if owned:
             handle.close()

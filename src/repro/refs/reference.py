@@ -355,6 +355,11 @@ class ReferenceSet:
         index = bisect_right(self._char_starts, offset) - 1
         return self._contigs[index].contig.name
 
+    def node_span(self, name: str) -> tuple[int, int]:
+        """The contig's half-open combined-graph node ID interval."""
+        placed = self._contigs[self._index_of(name)]
+        return placed.node_base, placed.node_end
+
     def char_span(self, name: str) -> tuple[int, int]:
         """The contig's half-open global character interval."""
         placed = self._contigs[self._index_of(name)]

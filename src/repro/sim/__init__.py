@@ -4,7 +4,7 @@ The paper evaluates on GRCh38 + GIAB variants with PBSIM2 (PacBio/ONT
 long reads) and Mason (Illumina short reads) simulated read sets.
 Neither the 3.1 Gbp human genome nor those tools are available offline,
 so this package provides scaled equivalents that exercise the same
-code paths (see DESIGN.md, substitutions table):
+code paths (docs/scenarios.md sweeps them as one case matrix):
 
 * :mod:`repro.sim.reference` — synthetic reference genomes, optionally
   with repeat structure (repeats drive realistic minimizer-frequency

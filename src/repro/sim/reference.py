@@ -1,6 +1,6 @@
 """Synthetic reference genomes.
 
-Stand-in for GRCh38 (see DESIGN.md substitutions): uniform random DNA
+Stand-in for GRCh38 (see :mod:`repro.sim`): uniform random DNA
 plus an optional planted-repeat mode.  Repeats matter because they
 reproduce the minimizer-frequency skew of real genomes — without them
 the top-0.02 % frequency filter and the Fig. 7 bucket-occupancy curve

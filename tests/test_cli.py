@@ -13,7 +13,7 @@ import re
 import pytest
 
 from repro.cli import main
-from repro.graph.gfa import read_gfa
+from repro.io.gfa import read_gfa
 from repro.io.fasta import FastaRecord, FastqRecord, write_fasta, \
     write_fastq
 from repro.io.gaf import read_gaf
@@ -98,6 +98,31 @@ class TestIndexAndStats:
         assert code == 0
         out = capsys.readouterr().out
         assert "hop coverage @ limit 12" in out
+
+    def test_gzipped_gfa(self, workspace, capsys, tmp_path):
+        """``stats --graph`` and ``index build`` read a ``.gfa.gz``
+        as they read the plain file."""
+        import gzip
+
+        root, *_ = workspace
+        plain = tmp_path / "graph.gfa"
+        main(["construct", "--reference", str(root / "ref.fa"),
+              "--vcf", str(root / "vars.vcf"), "--output", str(plain)])
+        packed = tmp_path / "graph.gfa.gz"
+        packed.write_bytes(gzip.compress(plain.read_bytes()))
+        capsys.readouterr()
+        reports = []
+        for graph in (plain, packed):
+            assert main(["stats", "--graph", str(graph)]) == 0
+            reports.append(capsys.readouterr().out.replace(
+                str(graph), "GRAPH"))
+            assert main(["index", "build", str(graph), "-o",
+                         f"{graph}.sgidx"]) == 0
+            capsys.readouterr()
+        assert reports[0] == reports[1]
+        assert "hop coverage @ limit 12" in reports[1]
+        assert (tmp_path / "graph.gfa.sgidx").read_bytes() == \
+            (tmp_path / "graph.gfa.gz.sgidx").read_bytes()
 
 
 class TestInputErrors:
@@ -217,9 +242,8 @@ class TestMap:
         assert "kernel calls" in out
 
     def test_map_pipeline_flags(self, workspace, capsys, tmp_path):
-        """--jobs/--bucket-bits/--chaining/--early-exit-distance all
-        reach the mapper and results stay identical to the default
-        sequential run."""
+        """--jobs/--bucket-bits reach the mapper and results stay
+        identical to the default sequential run."""
         root, *_ = workspace
         code = main([
             "map", "--reference", str(root / "ref.fa"),
@@ -246,20 +270,23 @@ class TestMap:
                  for r in read_gaf(tmp_path / "tuned.gaf")]
         assert tuned == default
 
-    def test_map_chaining_and_early_exit(self, workspace, capsys,
-                                         tmp_path):
+    def test_map_early_exit(self, workspace, capsys, tmp_path):
+        """--early-exit-distance reaches the mapper; there is no
+        --chaining flag (MinSeed does no chaining)."""
         root, *_ = workspace
-        code = main([
+        args = [
             "map", "--reference", str(root / "ref.fa"),
             "--reads", str(root / "reads.fq"),
-            "--output", str(tmp_path / "chained.gaf"),
-            "--error-rate", "0.02",
-            "--chaining", "--early-exit-distance", "0",
-        ])
-        assert code == 0
+            "--output", str(tmp_path / "early.gaf"),
+            "--error-rate", "0.02", "--early-exit-distance", "0",
+        ]
+        assert main(args) == 0
         out = capsys.readouterr().out
         assert "mapped 3/3" in out
-        assert len(read_gaf(tmp_path / "chained.gaf")) == 3
+        assert len(read_gaf(tmp_path / "early.gaf")) == 3
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--chaining"])
+        assert exc.value.code == 2
 
 
 class TestMapPaired:

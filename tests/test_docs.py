@@ -159,6 +159,23 @@ class TestFlagExtraction:
             "doc.md:5: 'repro client map' has no option --batch",
         ]
 
+    def test_fenced_unknown_subcommand_reported(self, tmp_path):
+        """A removed subcommand in a fenced block is a problem; the
+        same words in an inline code span are prose."""
+        path = _write(tmp_path, """\
+            `repro analyze src`
+
+            ```bash
+            python -m repro analyze src \\
+                --rule layering
+            repro --help
+            ```
+        """)
+        problems = check_docs.check_flags(path, check_docs.cli_parser())
+        assert [problem.split("/")[-1] for problem in problems] == [
+            "doc.md:4: 'repro analyze': no such subcommand",
+        ]
+
 
 class TestRepoDocs:
     def test_docs_tree_is_listed(self):

@@ -1,8 +1,8 @@
 """Tests for multi-chromosome genomes and HBM channel placement.
 
-A genome is laid out one graph + index per chromosome
-(:class:`ReferenceGenome`) and maps through one multi-contig
-:class:`~repro.api.Mapper` over the same chromosomes."""
+A genome maps through one multi-contig :class:`~repro.api.Mapper`,
+and channel placement packs each chromosome's share of that one
+reference and index (:func:`contig_resident_bytes`)."""
 
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ import pytest
 from repro.api import Mapper
 from repro.core.mapper import SeGraMConfig
 from repro.core.windows import WindowingConfig
-from repro.core.genome import ReferenceGenome
 from repro.hw.placement import (
     GRCH38_CHROMOSOME_MBP,
+    contig_resident_bytes,
     place_chromosomes,
     stack_fits_genome,
 )
@@ -41,26 +41,20 @@ def genome():
         windowing=WindowingConfig(window_size=128, overlap=48, k=16),
         max_seeds_per_read=4,
     )
-    reference_genome = ReferenceGenome.build(references, variants,
-                                             config=config,
-                                             max_node_length=3_000)
     mapper = Mapper(ReferenceSet(
         [Contig.linear(name, sequence, variants[name])
          for name, sequence in references.items()],
         max_node_length=3_000), config=config)
-    return reference_genome, references, mapper
+    return references, mapper
+
+
+def resident_bytes(mapper):
+    return contig_resident_bytes(mapper.engine.refs, mapper.engine.index)
 
 
 class TestReferenceGenome:
-    def test_one_graph_and_index_per_chromosome(self, genome):
-        reference_genome, references, _ = genome
-        assert {c.name for c in reference_genome.chromosomes} == \
-            set(references)
-        for chromosome in reference_genome.chromosomes:
-            assert chromosome.index.distinct_minimizers > 0
-
     def test_read_maps_to_its_chromosome(self, genome):
-        _, references, mapper = genome
+        references, mapper = genome
         for name, sequence in references.items():
             read = sequence[2_000:2_300]
             record = mapper.map(read, f"from-{name}")
@@ -69,7 +63,7 @@ class TestReferenceGenome:
             assert record.edit_distance == 0
 
     def test_unmappable_read(self, genome):
-        _, _, mapper = genome
+        _, mapper = genome
         rng = random.Random(555)
         read = random_reference(100, rng)
         record = mapper.map(read, "alien")
@@ -77,7 +71,7 @@ class TestReferenceGenome:
             assert record.edit_distance > 5
 
     def test_unmapped_read_names_no_chromosome(self, genome):
-        _, _, mapper = genome
+        _, mapper = genome
         read = random_reference(150, random.Random(556))
         record = mapper.map(read, "alien")
         assert not record.mapped
@@ -120,21 +114,24 @@ class TestReferenceGenome:
         assert result.mapq < 60
 
     def test_resident_bytes_ordering(self, genome):
-        reference_genome, _, _ = genome
-        sizes = reference_genome.resident_bytes()
+        _, mapper = genome
+        sizes, _ = resident_bytes(mapper)
         # Bigger chromosomes occupy more memory.
         assert sizes["chrA"] > sizes["chrB"] > sizes["chrC"]
-        assert reference_genome.total_bytes() == sum(sizes.values())
 
-    def test_duplicate_names_rejected(self, genome):
-        reference_genome, _, _ = genome
-        with pytest.raises(ValueError):
-            ReferenceGenome(reference_genome.chromosomes
-                            + [reference_genome.chromosomes[0]])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ReferenceGenome([])
+    def test_contig_bytes_add_up_to_the_engine(self, genome):
+        """The contigs' shares plus the shared index levels are the
+        one engine's whole graph-table and index footprint, byte for
+        byte."""
+        _, mapper = genome
+        sizes, shared = resident_bytes(mapper)
+        engine = mapper.engine
+        assert sum(sizes.values()) + shared == \
+            engine.graph.tables().total_bytes \
+            + engine.index.layout().total_bytes
+        layout = engine.index.layout()
+        assert shared == layout.first_level_bytes \
+            + layout.second_level_bytes
 
 
 class TestChannelPlacement:
@@ -175,8 +172,9 @@ class TestChannelPlacement:
             place_chromosomes({"a": -1}, channels=2)
 
     def test_paper_content_fits_stack(self, genome):
-        reference_genome, _, _ = genome
-        assert stack_fits_genome(reference_genome.resident_bytes())
+        _, mapper = genome
+        sizes, shared = resident_bytes(mapper)
+        assert stack_fits_genome({**sizes, "index levels": shared})
         # And at paper scale: 11.2 GB fits, 20 GB would not.
         assert stack_fits_genome({"all": int(11.2 * 2**30)})
         assert not stack_fits_genome({"all": 20 * 2**30})

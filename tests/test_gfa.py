@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import gzip
 import io
 
 import pytest
 
 from repro.graph.genome_graph import GenomeGraph
-from repro.graph.gfa import GfaFormatError, read_gfa, write_gfa
+from repro.io.gfa import GfaFormatError, read_gfa, write_gfa
 
 
 def diamond() -> GenomeGraph:
@@ -41,6 +42,16 @@ class TestRead:
         assert sorted(parsed.edges()) == sorted(original.edges())
         assert [n.sequence for n in parsed.nodes()] == \
             [n.sequence for n in original.nodes()]
+
+    def test_gzipped_file(self, tmp_path, small_graph):
+        path = tmp_path / "graph.gfa"
+        write_gfa(small_graph, path)
+        packed = tmp_path / "graph.gfa.gz"
+        packed.write_bytes(gzip.compress(path.read_bytes()))
+        parsed = read_gfa(packed)
+        assert [n.sequence for n in parsed.nodes()] == \
+            [n.sequence for n in small_graph.nodes()]
+        assert sorted(parsed.edges()) == sorted(small_graph.edges())
 
     def test_roundtrip_file(self, tmp_path, small_graph):
         path = tmp_path / "graph.gfa"

@@ -18,7 +18,7 @@ from repro.core.bitalign import bitalign_distance
 from repro.core.mapper import SeGraM, SeGraMConfig
 from repro.core.windows import WindowedAligner, WindowingConfig
 from repro.graph.builder import build_graph
-from repro.graph.gfa import read_gfa, write_gfa
+from repro.io.gfa import read_gfa, write_gfa
 from repro.graph.linearize import linearize
 from repro.io.gaf import result_to_gaf, validate_gaf_record
 from repro.io.sam import result_to_sam, validate_sam_record

@@ -12,7 +12,7 @@ import pytest
 from repro import seq as seqmod
 from repro.core.mapper import SeGraM, SeGraMConfig
 from repro.core.windows import WindowingConfig
-from repro.graph.gfa import GfaFormatError, read_gfa
+from repro.io.gfa import GfaFormatError, read_gfa
 from repro.io.gaf import (
     GafFormatError,
     GafWriter,

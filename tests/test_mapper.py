@@ -196,6 +196,12 @@ class TestConfigBehaviour:
         assert SeGraMConfig(early_exit_distance=0) \
             .early_exit_distance == 0
 
+    def test_no_chaining_field(self):
+        """MinSeed sends every kept region to BitAlign (Section 11.4):
+        the config has no chaining switch."""
+        with pytest.raises(TypeError):
+            SeGraMConfig(chaining=True)
+
     @pytest.mark.parametrize("cap", [0, -1, -3])
     def test_non_positive_seed_cap_rejected(self, cap):
         """0 would keep no region and a negative cap would drop the

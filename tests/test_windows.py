@@ -734,6 +734,33 @@ class TestExactWindows:
             chain(text), "".join(chunk), (base, 0), None, self.TIGHT)
         assert got.distance == 2 and stats.rescues == 1
 
+    @pytest.mark.parametrize("tail, cut, rung", [
+        (3, False, True), (2, False, False), (2, True, True)],
+        ids=["end-rung", "end-kernel", "cut-rung"])
+    def test_region_end_bound(self, tail, cut, rung):
+        """At h = 1 the straight text must run through ``base + m + 1``
+        and on to its one successor, in the whole linearization.  On a
+        chain of ``base + m + 3`` characters an anchored chunk with one
+        mismatch is the rung's; one character shorter, ``base + m + 1``
+        is the graph's last position, with no successor, and the window
+        goes to the kernel.  A region of that length cut from a longer
+        chain still ends on a straight position, so the rung takes
+        it: the region-end guard is ``base + m + 2 > len(lin)``, not
+        ``>=``."""
+        base, m = 10, 20
+        text = random_reference(base + m + tail + 5 * cut,
+                                random.Random(5))
+        lin = chain(text).slice(0, base + m + tail)
+        chunk = list(text[base:base + m])
+        chunk[7] = next(c for c in "ACGT" if c != chunk[7])
+        got, stats = self._assert_rung_equals_kernel(
+            lin, "".join(chunk), (base, 0), None, self.CONFIG)
+        assert got.distance == 1
+        if rung:
+            assert (stats.windows_exact, stats.align_calls) == (1, 0)
+        else:
+            assert stats.windows_exact == 0 and stats.align_calls >= 1
+
     def test_witness_across_a_non_edge(self):
         """A SNP bubble linearizes as prefix, ref, alt, suffix: ``chars``
         runs ref → alt, which is no edge.  A chunk spelling that run

@@ -15,7 +15,8 @@ Three guarantees, so the documentation cannot silently rot:
 * every ``--flag`` on a ``repro <command> [<subcommand>]``
   invocation in ``docs/*.md`` and ``README.md`` — in a fenced block
   (backslash-continued lines joined) or an inline code span — is an
-  option of that (sub)command's parser in :mod:`repro.cli`.
+  option of that (sub)command's parser in :mod:`repro.cli`, and in a
+  fenced block ``<command>`` is one of its subcommands.
 
 Run from the repository root::
 
@@ -187,8 +188,12 @@ def _subcommands(parser: argparse.ArgumentParser) -> dict:
 def check_flags(path: Path,
                 parser: argparse.ArgumentParser) -> list[str]:
     """Every ``--flag`` of a documented invocation must be defined
-    by the (sub)command parser it is given to.  Words that do not
-    name a command (``repro`` in prose) are not invocations."""
+    by the (sub)command parser it is given to.  In a fenced block the
+    first word after ``repro`` must be a subcommand; in an inline
+    code span a word that names no command (``repro`` in prose) is
+    not an invocation."""
+    fenced = {block.line + offset for block in extract_blocks(path)
+              for offset in range(1, block.code.count("\n") + 2)}
     problems = []
     for line, words in extract_invocations(path):
         command: list[str] = []
@@ -200,6 +205,9 @@ def check_flags(path: Path,
             command.append(word)
             current = choices[word]
         if not command:
+            if line in fenced and not words[0].startswith("-"):
+                problems.append(f"{_rel(path)}:{line}: "
+                                f"'repro {words[0]}': no such subcommand")
             continue
         for word in words:
             if not word.startswith("--") or word == "--":
