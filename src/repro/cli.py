@@ -140,7 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
         "construct", help="build a variation graph (FASTA + VCF -> GFA)")
     construct.add_argument("--reference", required=True, type=Path)
     construct.add_argument("--vcf", type=Path, default=None)
-    construct.add_argument("--output", required=True, type=Path)
+    construct.add_argument("--output", required=True, type=Path,
+                           help="GFA path (gzip-compressed if it "
+                                "ends in .gz)")
     construct.add_argument("--max-node-length", type=int, default=0)
 
     index = sub.add_parser(
@@ -207,7 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="with --paired: also write a TSV report "
                               "of discordant pairs (category, mate "
                               "placements, TLEN) for SV calling")
-    map_cmd.add_argument("--output", required=True, type=Path)
+    map_cmd.add_argument("--output", required=True, type=Path,
+                         help="GAF or SAM path (gzip-compressed if "
+                              "it ends in .gz)")
     map_cmd.add_argument("--format", choices=("gaf", "sam"),
                          default=None,
                          help="output format (default: gaf, or sam "

@@ -39,10 +39,10 @@ region to BitAlign (paper Section 11.4), which a hardware BitAlign
 makes nearly free; here a region costs milliseconds and most regions
 of a read re-derive one placement from another minimizer.  So, the
 way BWA-MEM skips seeds contained in an alignment it already has, a
-region is **subsumed** — neither extracted nor aligned — when an
-earlier alignment of the same oriented read matches (``=``) read
-position ``seed.read_start`` to graph character ``seed.graph_start``
-*and* that earlier region's node range contains this region's
+region is **subsumed** — neither extracted nor aligned — when its
+seed's diagonal lies within the diagonals an earlier alignment of the
+same oriented read takes over the seed's read span *and* that earlier
+region's node range contains this region's
 (:meth:`SeGraM._mark_subsumed`).  A repeat copy sits on another
 diagonal, so it is never subsumed and MAPQ keeps its competitors.
 This deviates from Section 11.4 in software only; the hardware models
@@ -379,7 +379,9 @@ class ReadTask:
 
 @dataclass
 class SeededRead:
-    """Output of the seed (and filter) stage."""
+    """Output of the seed stage: ``regions`` are the ones the filter
+    keeps, in its order; ``stats.region_count`` counts every region
+    seeded."""
 
     task: ReadTask
     regions: list[SeedRegion]
@@ -580,16 +582,18 @@ class SeGraM:
                    bounded: bool = True) -> MappingResult:
         """Stages 2-5 for one seeded read.
 
-        The orientation with more seeded regions is aligned first
-        (forward on ties); with ``bounded`` its best distance starts
-        the other's budget (:meth:`align_stage`).  Selection does not
-        depend on the order.  Mates are mapped unbounded: a proper
-        pair outranks a better score, so any mate candidate can win.
+        The orientation with more seeded regions (before the filter)
+        is aligned first (forward on ties); with ``bounded`` its best
+        distance starts the other's budget (:meth:`align_stage`).
+        Selection does not depend on the order.  Mates are mapped
+        unbounded: a proper pair outranks a better score, so any mate
+        candidate can win.
         """
         best = math.inf if bounded else None
         results = {}
         oriented = [s for s in (forward, reverse) if s is not None]
-        for seeded in sorted(oriented, key=lambda s: -len(s.regions)):
+        for seeded in sorted(oriented,
+                             key=lambda s: -s.stats.region_count):
             results[seeded.task.strand] = result = self.align_stage(
                 self.filter_stage(seeded), best)
             if best is not None and result.mapped:
@@ -602,18 +606,26 @@ class SeGraM:
 
     def seed_stage(self, tasks: Sequence[ReadTask]) -> list[SeededRead]:
         """Step 1 (paper Section 6): MinSeed candidate-region
-        generation, for a chunk of oriented reads at a time."""
+        generation, for a chunk of oriented reads at a time.
+
+        The filter's order and cap (:meth:`filter_stage`) run here, on
+        MinSeed's columns (:meth:`~repro.core.minseed.MinSeed.
+        seed_chunk_ranked`), so only the regions the filter keeps
+        become records; ``stats.region_count`` of each read still
+        counts every region seeded.
+        """
         stats = self.stats.stage("seed")
         with timed(stats):
             seeded = [
                 SeededRead(task=task, regions=regions, stats=seed_stats)
                 for task, (regions, seed_stats) in zip(
-                    tasks, self.minseed.seed_chunk(
-                        [task.sequence for task in tasks]))
+                    tasks, self.minseed.seed_chunk_ranked(
+                        [task.sequence for task in tasks],
+                        self.config.max_seeds_per_read))
             ]
             for read in seeded:
-                stats.items_out += len(read.regions)
-                self.stats.regions_seeded += len(read.regions)
+                stats.items_out += read.stats.region_count
+                self.stats.regions_seeded += read.stats.region_count
                 self.stats.seeding.merge(read.stats)
             stats.items_in += len(seeded)
         return seeded
@@ -626,24 +638,20 @@ class SeGraM:
         the early-exit knob and the align stage's subsumption rule all
         see the likeliest candidates early, then truncated to
         ``max_seeds_per_read`` — a cap on the regions *considered*:
-        subsumed ones are not replaced by deeper seeds.
+        subsumed ones are not replaced by deeper seeds.  The seed stage
+        already ordered and capped ``seeded.regions`` on MinSeed's
+        columns; this stage books the filter's counts (in: every
+        region seeded, out: the kept ones).
         """
         stats = self.stats.stage("filter")
-        cap = self.config.max_seeds_per_read
         with timed(stats):
-            n_in = len(seeded.regions)
+            n_in = seeded.stats.region_count
+            kept = len(seeded.regions)
             stats.items_in += n_in
-            regions = sorted(
-                seeded.regions,
-                key=lambda r: (r.seed.frequency, r.seed.read_start),
-            )
-            if cap is not None:
-                regions = regions[:cap]
-            stats.items_out += len(regions)
-            stats.dropped += n_in - len(regions)
-            self.stats.regions_chained += len(regions)
-        return SeededRead(task=seeded.task, regions=regions,
-                          stats=seeded.stats)
+            stats.items_out += kept
+            stats.dropped += n_in - kept
+            self.stats.regions_chained += kept
+        return seeded
 
     def extract_stage(self, index: int,
                       region: SeedRegion) -> PreparedRegion:
@@ -752,48 +760,74 @@ class SeGraM:
 
         A later region is subsumed when both hold:
 
-        * the alignment matches (``=``) read position
-          ``seed.read_start`` to graph character ``seed.graph_start``
-          — i.e. to ``(seed.node_id, seed.node_offset)`` — so aligning
-          from that seed would anchor on this very path;
+        * the seed's diagonal ``seed.graph_start - seed.read_start``
+          lies within the diagonals (graph character minus read
+          position) the alignment's ``=``/``X`` runs take over the
+          seed's read span ``[read_start, read_end]`` — so aligning
+          from that seed would anchor on this very path, or on one of
+          the equal-cost placements of an indel inside the span that
+          the windows chose between (a homopolymer indel one base off
+          the diagonal, a seed across an insertion);
         * this region's node range contains the later region's, so
           the later alignment could not have seen graph that this one
           did not (a truncated region gives a worse extension).
 
-        A repeat copy, tandem or dispersed, matches the seed's read
-        position to a *different* graph character and stays.  The walk
-        is over CIGAR runs, then one bisect per later seed.  An
+        A repeat copy, tandem or dispersed, sits a period away from
+        the diagonal — outside the band unless the alignment itself
+        takes an indel of that length inside the seed's span — and
+        stays.  Against the first clause's exact-character form (an
+        ``=`` from ``read_start`` to ``graph_start``), the band cut
+        the regions aligned on ``long-graph``'s seed-1 pool of 250
+        reads from 370 to 309 and its windows from 4 353 to 3 588,
+        output unchanged; the 19 re-derived placements left all fail
+        the containment clause.
+
+        The path ascends, so within one run the diagonal never falls:
+        a run's lowest and highest diagonal over the span are those at
+        the ends of its overlap.  The walk is over CIGAR runs, then one
+        bisect per later seed plus the runs its span overlaps.  An
         abandoned alignment's operations are final, so what they mark
         the finished alignment would mark too.
         """
         later = regions[region.index + 1:]
         if not later:
             return
+        # Per run of =/X operations (=X= is one run): its first read
+        # position, then its end and the path index minus the read
+        # position, which is constant along it.
         run_starts: list[int] = []
         runs: list[tuple[int, int]] = []
-        read_at, path_at = aligned.read_start, 0
+        read_at, path_at, in_run = aligned.read_start, 0, False
         for op, length in aligned.cigar.ops:
-            if op == "=":
+            diagonal_op = op == "=" or op == "X"
+            if diagonal_op and in_run:
+                runs[-1] = (read_at + length, runs[-1][1])
+            elif diagonal_op:
                 run_starts.append(read_at)
-                runs.append((read_at + length, path_at))
+                runs.append((read_at + length, path_at - read_at))
+            in_run = diagonal_op
             if op in READ_CONSUMING:
                 read_at += length
             if op in REF_CONSUMING:
                 path_at += length
-        bounds = self.node_bounds
+        path = aligned.path
         for index, other in enumerate(later, region.index + 1):
             if index in subsumed:
                 continue
             seed = other.seed
-            run = bisect_right(run_starts, seed.read_start) - 1
-            if run < 0:
-                continue
-            run_end, run_path = runs[run]
-            if seed.read_start >= run_end:
-                continue
-            position = region.start + aligned.path[
-                run_path + seed.read_start - run_starts[run]]
-            if position != bounds[seed.node_id] + seed.node_offset:
+            first, last = seed.read_start, seed.read_end
+            # Diagonals in the region view's coordinates.
+            low, high = math.inf, -math.inf
+            run = max(0, bisect_right(run_starts, first) - 1)
+            while run < len(runs) and run_starts[run] <= last:
+                run_end, shift = runs[run]
+                if run_end > first:
+                    at = max(first, run_starts[run])
+                    low = min(low, path[shift + at] - at)
+                    at = min(last, run_end - 1)
+                    high = max(high, path[shift + at] - at)
+                run += 1
+            if not low <= seed.graph_start - region.start - first <= high:
                 continue
             lo, hi = self.node_range(other.start, other.end)
             if region.first_node <= lo and hi <= region.last_node:

@@ -21,9 +21,11 @@ MinSeed turns a query read into candidate reference regions
 
 MinSeed performs no chaining or filtering beyond the frequency
 threshold (Section 11.4) — every surviving seed region is emitted.
-(The software pipeline's align stage then skips regions an earlier
-alignment of the read already subsumes; see
-:mod:`repro.core.pipeline`.)
+(The software mapper then orders a read's regions rarest minimizer
+first and caps them — :meth:`MinSeed.seed_chunk_ranked` does that on
+the columns, so dropped regions never become records — and its align
+stage skips regions an earlier alignment of the read already
+subsumes; see :mod:`repro.core.mapper`.)
 
 The hardware streams reads through fixed-function MinSeed units; the
 software analogue is :meth:`MinSeed.seed_chunk`, which runs each step
@@ -47,7 +49,7 @@ from repro.index.minimizer import Minimizer, minimizers, scan_minimizers
 from repro.index.occurrence import DEFAULT_TOP_FRACTION, frequency_threshold
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Seed:
     """One exact minimizer match between the read and the graph.
 
@@ -74,7 +76,7 @@ class Seed:
     frequency: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SeedRegion:
     """A candidate reference region to align: ``[start, end)``."""
 
@@ -101,6 +103,7 @@ class SeedingStats:
     minimizer_count: int = 0
     filtered_minimizers: int = 0
     seed_count: int = 0
+    #: Regions MinSeed emitted, before the mapper's filter.
     region_count: int = 0
     index_accesses: int = 0
 
@@ -191,6 +194,24 @@ class MinSeed:
         once; beyond that every seed is kept — MinSeed deliberately
         does not chain or filter (Section 11.4).
         """
+        return self._chunk(reads, ranked=False, cap=None)
+
+    def seed_chunk_ranked(self, reads: Sequence[str],
+                          cap: int | None = None) \
+            -> list[tuple[list[SeedRegion], SeedingStats]]:
+        """:meth:`seed_chunk` with the mapper's filter applied to the
+        columns: each read's regions rarest minimizer first (then by
+        read position; one minimizer's locations in seed order), at
+        most ``cap`` of them.
+
+        Only the kept regions become records; the statistics still
+        count every region (``region_count`` is the unfiltered count).
+        """
+        return self._chunk(reads, ranked=True, cap=cap)
+
+    def _chunk(self, reads: Sequence[str], ranked: bool,
+               cap: int | None) \
+            -> list[tuple[list[SeedRegion], SeedingStats]]:
         if not all(reads):
             raise ValueError("read must not be empty")
         index = self.index
@@ -231,32 +252,46 @@ class MinSeed:
         first = np.ones(len(order), dtype=bool)
         first[1:] = (spans[:, 1:] != spans[:, :-1]).any(axis=0)
         emit = np.sort(live[order[first]])
-
-        regions: list[list[SeedRegion]] = [[] for _ in range(read_count)]
-        for (read, read_start, read_end, node_id, offset, graph_start,
-             graph_end, minimizer_hash, occurrences, region_start,
-             region_end) in zip(*(column[emit].tolist() for column in (
-                 reader, a, b, node, node_offset, c, d,
-                 scan.scores[source], frequency[source], start, end))):
-            regions[read].append(SeedRegion(
-                Seed(read_start, read_end, node_id, offset, graph_start,
-                     graph_end, minimizer_hash, occurrences),
-                region_start, region_end))
+        occurrences = frequency[source]
 
         def per_read(which: np.ndarray, weights=None) -> list[int]:
             return np.bincount(which, weights, read_count) \
                 .astype(np.int64).tolist()
 
+        region_counts = per_read(reader[emit])
+        if ranked:
+            # A stable sort by read, then frequency, then read
+            # position; then each read's first ``cap``.
+            owners = reader[emit]
+            order = np.lexsort((a[emit], occurrences[emit], owners))
+            emit, owners = emit[order], owners[order]
+            if cap is not None:
+                rank = np.arange(len(emit)) \
+                    - np.searchsorted(owners, owners)
+                emit = emit[rank < cap]
+
+        regions: list[list[SeedRegion]] = [[] for _ in range(read_count)]
+        for (read, read_start, read_end, node_id, offset, graph_start,
+             graph_end, minimizer_hash, seed_frequency, region_start,
+             region_end) in zip(*(column[emit].tolist() for column in (
+                 reader, a, b, node, node_offset, c, d,
+                 scan.scores[source], occurrences, start, end))):
+            regions[read].append(SeedRegion(
+                Seed(read_start, read_end, node_id, offset, graph_start,
+                     graph_end, minimizer_hash, seed_frequency),
+                region_start, region_end))
+
         return [
             (found, SeedingStats(
                 minimizer_count=minimizer_count,
                 filtered_minimizers=filtered_count,
-                seed_count=seed_count, region_count=len(found),
+                seed_count=seed_count, region_count=region_count,
                 index_accesses=accesses))
             for found, minimizer_count, filtered_count, seed_count,
-            accesses in zip(
+            region_count, accesses in zip(
                 regions, np.diff(scan.bounds).tolist(),
                 per_read(owner[filtered]), per_read(reader),
+                region_counts,
                 # LookupCost.total_accesses of each minimizer's query.
                 per_read(owner, 1 + scanned + frequency))
         ]

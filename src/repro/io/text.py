@@ -10,6 +10,7 @@ its own typed format error naming the line.
 from __future__ import annotations
 
 import gzip
+import io
 from pathlib import Path
 from typing import TextIO, Union
 
@@ -52,7 +53,15 @@ def open_text(source: PathOrHandle) -> tuple[TextIO, bool]:
 
 def open_write(target: PathOrHandle) -> tuple[TextIO, bool]:
     """Open a path for ASCII text writing; ``(handle, owned)`` as in
-    :func:`open_text`."""
-    if isinstance(target, (str, Path)):
-        return open(target, "w", encoding="ascii"), True
-    return target, False
+    :func:`open_text`.
+
+    A path ending in ``.gz`` is written gzip-compressed, with a zero
+    modification time in the header, so the same text written to the
+    same path gives the same bytes.
+    """
+    if not isinstance(target, (str, Path)):
+        return target, False
+    if str(target).endswith(".gz"):
+        return io.TextIOWrapper(
+            gzip.GzipFile(target, "wb", mtime=0), encoding="ascii"), True
+    return open(target, "w", encoding="ascii"), True

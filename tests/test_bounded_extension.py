@@ -160,7 +160,8 @@ class TestSingleEnd:
 
         def spy(seeded):
             task = seeded.task
-            seen.append((task.name, task.strand, len(seeded.regions)))
+            seen.append((task.name, task.strand,
+                         seeded.stats.region_count))
             return run(seeded)
 
         monkeypatch.setattr(mapper, "filter_stage", spy)

@@ -53,6 +53,17 @@ class TestRead:
             [n.sequence for n in small_graph.nodes()]
         assert sorted(parsed.edges()) == sorted(small_graph.edges())
 
+    def test_gz_path_writes_gzip(self, tmp_path, small_graph):
+        plain, packed = tmp_path / "graph.gfa", tmp_path / "graph.gfa.gz"
+        write_gfa(small_graph, plain)
+        write_gfa(small_graph, packed)
+        assert gzip.decompress(packed.read_bytes()) == \
+            plain.read_bytes()
+        parsed = read_gfa(packed)
+        assert [n.sequence for n in parsed.nodes()] == \
+            [n.sequence for n in small_graph.nodes()]
+        assert sorted(parsed.edges()) == sorted(small_graph.edges())
+
     def test_roundtrip_file(self, tmp_path, small_graph):
         path = tmp_path / "graph.gfa"
         write_gfa(small_graph, path)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gzip
 import io
 import random
 import re
@@ -89,6 +90,24 @@ class TestSam:
                 writer.write(record)
         parsed = read_sam(path)
         assert parsed == records
+
+    def test_gz_path_writes_gzip(self, mapped_results, tmp_path):
+        """A ``.sam.gz`` path is gzip (a plain-text file under that
+        name fails ``gzip -t``), with a fixed header mtime, and reads
+        back through :func:`read_sam`."""
+        mapper, _, results = mapped_results
+        records = [result_to_sam(r, seq) for r, seq in results]
+        plain, packed, again = (tmp_path / name for name in (
+            "out.sam", "out.sam.gz", "again/out.sam.gz"))
+        again.parent.mkdir()
+        for path in (plain, packed, again):
+            with SamWriter(path, mapper.refs.sam_contigs()) as writer:
+                for record in records:
+                    writer.write(record)
+        assert gzip.decompress(packed.read_bytes()) == \
+            plain.read_bytes()
+        assert packed.read_bytes() == again.read_bytes()
+        assert read_sam(packed) == records
 
     def test_header_written(self, mapped_results):
         _, reference, results = mapped_results
@@ -280,6 +299,20 @@ class TestGaf:
                 writer.write(record)
         parsed = read_gaf(path)
         assert parsed == records
+
+    def test_gz_path_writes_gzip(self, mapped_results, tmp_path):
+        mapper, _, results = mapped_results
+        records = [result_to_gaf(r, mapper.graph, seq)
+                   for r, seq in results]
+        records = [r for r in records if r is not None]
+        plain, packed = tmp_path / "out.gaf", tmp_path / "out.gaf.gz"
+        for path in (plain, packed):
+            with GafWriter(path) as writer:
+                for record in records:
+                    writer.write(record)
+        assert gzip.decompress(packed.read_bytes()) == \
+            plain.read_bytes()
+        assert read_gaf(packed) == records
 
     def test_path_string_format(self, mapped_results):
         mapper, _, results = mapped_results

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -241,7 +242,7 @@ class TestChunkSeeding:
         for regions, stats in minseed.seed_chunk(reads):
             for region in regions:
                 values = [region.start, region.end,
-                          *vars(region.seed).values()]
+                          *dataclasses.asdict(region.seed).values()]
                 assert all(type(value) is int for value in values)
             assert all(type(value) is int
                        for value in vars(stats).values())
