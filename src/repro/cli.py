@@ -102,6 +102,10 @@ def _engine_config(args: argparse.Namespace) -> SeGraMConfig:
         raise SystemExit("error: --early-exit-distance must be >= 0")
     if args.max_seeds < 1:
         raise SystemExit("error: --max-seeds must be >= 1")
+    if args.top_n < 1:
+        raise SystemExit("error: --top-n must be >= 1")
+    if args.hop_limit is not None and args.hop_limit < 1:
+        raise SystemExit("error: --hop-limit must be >= 1")
     if not 0.0 <= args.error_rate < 1.0:
         raise SystemExit("error: --error-rate must be in [0, 1)")
     _check_minimizer_args(args)
@@ -407,8 +411,6 @@ def cmd_index_inspect(args: argparse.Namespace) -> int:
 def cmd_map(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise SystemExit("error: --jobs must be >= 1")
-    if args.top_n < 1:
-        raise SystemExit("error: --top-n must be >= 1")
     if args.discordant_out is not None and args.paired is None:
         raise SystemExit("error: --discordant-out requires --paired")
     if args.chunk_size < 1:

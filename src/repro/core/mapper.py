@@ -21,18 +21,19 @@ Mapping is the engine's own staged drive, the software mirror of
 paper Fig. 2: every mapping call — one read, a batch, a pool shard, a
 daemon dispatch, a mate of a pair — takes :meth:`SeGraM.map_reads`,
 which is four plain nested loops: read -> oriented read -> region ->
-window.  Five stages run inside it, ``seed -> filter -> extract
--> align -> select``, each timed into its row of the engine's
+window.  Four stage methods run inside it and book five rows, ``seed
+-> filter -> extract -> align -> select``, of the engine's
 :class:`~repro.core.pipeline.PipelineStats` (``SeGraM.stats``), the
-analogue of the paper's per-unit utilization counters.  Stage 1 seeds
-the call's oriented reads a chunk at a time
+analogue of the paper's per-unit utilization counters.  The seed
+stage seeds the call's oriented reads a chunk at a time
 (:meth:`SeGraM.seed_reads` — the one place batching across reads
-pays, as in the hardware's MinSeed units); stage 2 runs per oriented
-read; the align stage then walks that read's regions in order,
-extracting and aligning one at a time
+pays, as in the hardware's MinSeed units); MinSeed hands each read's
+regions back already in filter order and capped, so the seed stage
+books the ``filter`` row too.  The align stage then walks an oriented
+read's regions in order, extracting and aligning one at a time
 (:meth:`~repro.core.windows.WindowedAligner.align`, every window of
-which is one call of the diagonal BitAlign kernel); stage 5 folds the
-two orientations into the final :class:`MappingResult`.
+which is one call of the diagonal BitAlign kernel); the select stage
+folds the two orientations into the final :class:`MappingResult`.
 
 **Each locus is aligned once.**  MinSeed sends every surviving seed
 region to BitAlign (paper Section 11.4), which a hardware BitAlign
@@ -188,6 +189,12 @@ class SeGraMConfig:
             raise ValueError(
                 f"max_seeds_per_read must be >= 1, "
                 f"got {self.max_seeds_per_read}"
+            )
+        if self.hop_limit is not None and self.hop_limit < 1:
+            # The linearization would reject it only at the first
+            # mapping call.
+            raise ValueError(
+                f"hop_limit must be >= 1, got {self.hop_limit}"
             )
         if self.top_n_alignments < 1:
             raise ValueError(
@@ -533,9 +540,9 @@ class SeGraM:
         the one drive behind every single-end entry point.
 
         Each sequence is validated (``N`` allowed).  Per read: the
-        forward orientation through stages 1-4, the reverse
-        complement too when ``config.both_strands``, then stage 5
-        selects.  A read's result does not depend on what it is
+        forward orientation seeded, extracted and aligned, the
+        reverse complement too when ``config.both_strands``, then the
+        select stage.  A read's result does not depend on what it is
         batched with.
         """
         reads = [(name, seqmod.validate(sequence, "read",
@@ -580,9 +587,9 @@ class SeGraM:
     def map_seeded(self, forward: SeededRead,
                    reverse: SeededRead | None,
                    bounded: bool = True) -> MappingResult:
-        """Stages 2-5 for one seeded read.
+        """Extract, align and select for one seeded read.
 
-        The orientation with more seeded regions (before the filter)
+        The orientation with more seeded regions (before the cap)
         is aligned first (forward on ties); with ``bounded`` its best
         distance starts the other's budget (:meth:`align_stage`).
         Selection does not depend on the order.  Mates are mapped
@@ -595,7 +602,7 @@ class SeGraM:
         for seeded in sorted(oriented,
                              key=lambda s: -s.stats.region_count):
             results[seeded.task.strand] = result = self.align_stage(
-                self.filter_stage(seeded), best)
+                seeded, best)
             if best is not None and result.mapped:
                 best = min(best, result.distance)
         return self.select_stage(results["+"], results.get("-"))
@@ -605,52 +612,39 @@ class SeGraM:
     # ------------------------------------------------------------------
 
     def seed_stage(self, tasks: Sequence[ReadTask]) -> list[SeededRead]:
-        """Step 1 (paper Section 6): MinSeed candidate-region
-        generation, for a chunk of oriented reads at a time.
+        """Steps 1-2 (paper Section 6, Fig. 2): MinSeed candidate-region
+        generation and the filter, for a chunk of oriented reads at a
+        time.  MinSeed does no chaining (Section 11.4).
 
-        The filter's order and cap (:meth:`filter_stage`) run here, on
-        MinSeed's columns (:meth:`~repro.core.minseed.MinSeed.
-        seed_chunk_ranked`), so only the regions the filter keeps
-        become records; ``stats.region_count`` of each read still
-        counts every region seeded.
+        :meth:`~repro.core.minseed.MinSeed.seed_chunk` orders each
+        read's regions rarest minimizer first, so a per-read cap, the
+        early-exit knob and the align stage's subsumption rule all see
+        the likeliest candidates early, and keeps the first
+        ``max_seeds_per_read`` — a cap on the regions *considered*:
+        subsumed ones are not replaced by deeper seeds.  Only the kept
+        regions become records.  The ``seed`` row counts every region
+        seeded; the ``filter`` row takes those in and puts the kept
+        ones out, and spends no time of its own.
         """
         stats = self.stats.stage("seed")
+        filtered = self.stats.stage("filter")
         with timed(stats):
             seeded = [
                 SeededRead(task=task, regions=regions, stats=seed_stats)
                 for task, (regions, seed_stats) in zip(
-                    tasks, self.minseed.seed_chunk_ranked(
+                    tasks, self.minseed.seed_chunk(
                         [task.sequence for task in tasks],
                         self.config.max_seeds_per_read))
             ]
             for read in seeded:
-                stats.items_out += read.stats.region_count
-                self.stats.regions_seeded += read.stats.region_count
+                count, kept = read.stats.region_count, len(read.regions)
+                stats.items_out += count
+                filtered.items_in += count
+                filtered.items_out += kept
+                filtered.dropped += count - kept
+                self.stats.regions_seeded += count
                 self.stats.seeding.merge(read.stats)
             stats.items_in += len(seeded)
-        return seeded
-
-    def filter_stage(self, seeded: SeededRead) -> SeededRead:
-        """Step 2 (paper Fig. 2): ordering and cap.  MinSeed does no
-        chaining (Section 11.4).
-
-        Regions are ordered rarest-minimizer-first so a per-read cap,
-        the early-exit knob and the align stage's subsumption rule all
-        see the likeliest candidates early, then truncated to
-        ``max_seeds_per_read`` — a cap on the regions *considered*:
-        subsumed ones are not replaced by deeper seeds.  The seed stage
-        already ordered and capped ``seeded.regions`` on MinSeed's
-        columns; this stage books the filter's counts (in: every
-        region seeded, out: the kept ones).
-        """
-        stats = self.stats.stage("filter")
-        with timed(stats):
-            n_in = seeded.stats.region_count
-            kept = len(seeded.regions)
-            stats.items_in += n_in
-            stats.items_out += kept
-            stats.dropped += n_in - kept
-            self.stats.regions_chained += kept
         return seeded
 
     def extract_stage(self, index: int,

@@ -21,19 +21,20 @@ MinSeed turns a query read into candidate reference regions
 
 MinSeed performs no chaining or filtering beyond the frequency
 threshold (Section 11.4) — every surviving seed region is emitted.
-(The software mapper then orders a read's regions rarest minimizer
-first and caps them — :meth:`MinSeed.seed_chunk_ranked` does that on
-the columns, so dropped regions never become records — and its align
-stage skips regions an earlier alignment of the read already
-subsumes; see :mod:`repro.core.mapper`.)
+It emits them in the order the software mapper aligns them: a read's
+regions rarest minimizer first, then by read position, one
+minimizer's locations in seed order; an optional per-read cap keeps
+the first regions of that order, so dropped regions never become
+records.  (The mapper's align stage then skips regions an earlier
+alignment of the read already subsumes; see :mod:`repro.core.mapper`.)
 
 The hardware streams reads through fixed-function MinSeed units; the
 software analogue is :meth:`MinSeed.seed_chunk`, which runs each step
 once for a whole chunk of reads as array operations — one minimizer
-scan, one index probe, one pass of the Fig. 9 arithmetic — and only
-then cuts the result into per-read region lists.  A read's regions do
-not depend on what it is chunked with; :meth:`MinSeed.seed` is the
-chunk of one.
+scan, one index probe, one pass of the Fig. 9 arithmetic, one sort —
+and only then cuts the result into per-read region lists.  A read's
+regions do not depend on what it is chunked with; :meth:`MinSeed.seed`
+is the chunk of one.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from repro.graph.genome_graph import GenomeGraph
 from repro.index.flat_index import FlatIndex
-from repro.index.minimizer import Minimizer, minimizers, scan_minimizers
+from repro.index.minimizer import scan_minimizers
 from repro.index.occurrence import DEFAULT_TOP_FRACTION, frequency_threshold
 
 
@@ -176,42 +177,23 @@ class MinSeed:
         self._span_starts, self._span_ends = (
             np.asarray(column, dtype=np.int64) for column in zip(*spans))
 
-    def find_minimizers(self, read: str) -> list[Minimizer]:
-        """Step 1: the read's ``<w,k>``-minimizers."""
-        return minimizers(read, w=self.index.w, k=self.index.k,
-                          scoring=self.index.scoring)
-
     def seed(self, read: str) -> tuple[list[SeedRegion], SeedingStats]:
         """Steps 1–4 for one read: a :meth:`seed_chunk` of one."""
         return self.seed_chunk([read])[0]
 
-    def seed_chunk(self, reads: Sequence[str]) \
+    def seed_chunk(self, reads: Sequence[str], cap: int | None = None) \
             -> list[tuple[list[SeedRegion], SeedingStats]]:
         """Steps 1–4 for every read of a chunk: candidate regions
         plus statistics, one pair per read.
 
-        Exact-duplicate regions (same span) of a read are emitted
-        once; beyond that every seed is kept — MinSeed deliberately
-        does not chain or filter (Section 11.4).
+        Each read's regions come rarest minimizer first, then by read
+        position (one minimizer's locations in seed order), at most
+        ``cap`` of them (None: all).  Exact-duplicate regions (same
+        span) of a read are emitted once; beyond that every seed is
+        kept — MinSeed deliberately does not chain (Section 11.4).
+        The statistics count every region (``region_count`` is the
+        count before the cap).
         """
-        return self._chunk(reads, ranked=False, cap=None)
-
-    def seed_chunk_ranked(self, reads: Sequence[str],
-                          cap: int | None = None) \
-            -> list[tuple[list[SeedRegion], SeedingStats]]:
-        """:meth:`seed_chunk` with the mapper's filter applied to the
-        columns: each read's regions rarest minimizer first (then by
-        read position; one minimizer's locations in seed order), at
-        most ``cap`` of them.
-
-        Only the kept regions become records; the statistics still
-        count every region (``region_count`` is the unfiltered count).
-        """
-        return self._chunk(reads, ranked=True, cap=cap)
-
-    def _chunk(self, reads: Sequence[str], ranked: bool,
-               cap: int | None) \
-            -> list[tuple[list[SeedRegion], SeedingStats]]:
         if not all(reads):
             raise ValueError("read must not be empty")
         index = self.index
@@ -259,16 +241,15 @@ class MinSeed:
                 .astype(np.int64).tolist()
 
         region_counts = per_read(reader[emit])
-        if ranked:
-            # A stable sort by read, then frequency, then read
-            # position; then each read's first ``cap``.
-            owners = reader[emit]
-            order = np.lexsort((a[emit], occurrences[emit], owners))
-            emit, owners = emit[order], owners[order]
-            if cap is not None:
-                rank = np.arange(len(emit)) \
-                    - np.searchsorted(owners, owners)
-                emit = emit[rank < cap]
+        # A stable sort by read, then frequency (seed order already
+        # runs by read position: the scan sorts a read's minimizers by
+        # position); then each read's first ``cap``.
+        owners = reader[emit]
+        order = np.lexsort((occurrences[emit], owners))
+        emit, owners = emit[order], owners[order]
+        if cap is not None:
+            rank = np.arange(len(emit)) - np.searchsorted(owners, owners)
+            emit = emit[rank < cap]
 
         regions: list[list[SeedRegion]] = [[] for _ in range(read_count)]
         for (read, read_start, read_end, node_id, offset, graph_start,

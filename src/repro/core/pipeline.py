@@ -101,16 +101,19 @@ class PipelineStats:
 
     reads: int = 0
     reads_mapped: int = 0
+    #: The ``seed`` row's ``items_out`` (and the ``filter`` row's
+    #: ``items_in``); kept because ``benchmarks/perf/run.py`` reads it
+    #: by key.
     regions_seeded: int = 0
-    #: Regions the filter stage keeps (its name predates the removal
-    #: of seed chaining; MinSeed does none, paper Section 11.4).
-    regions_chained: int = 0
-    #: Kept regions never extracted or aligned because an earlier
-    #: alignment of the same oriented read already passes through
-    #: their seed (:meth:`~repro.core.mapper.SeGraM._mark_subsumed`).  Without
-    #: ``early_exit_distance``, ``regions_chained == regions_subsumed
-    #: + regions_aligned``; with it the remainder left with the exit.
+    #: Kept regions (the ``filter`` row's ``items_out``) never
+    #: extracted or aligned because an earlier alignment of the same
+    #: oriented read already passes through their seed
+    #: (:meth:`~repro.core.mapper.SeGraM._mark_subsumed`).  Without
+    #: ``early_exit_distance``, kept ``== regions_subsumed +
+    #: regions_aligned``; with it the remainder left with the exit.
     regions_subsumed: int = 0
+    #: The ``align`` row's ``items_out``; kept because
+    #: ``benchmarks/perf/run.py`` reads it by key.
     regions_aligned: int = 0
     #: Aligned regions given up once they provably cannot matter
     #: (:meth:`~repro.core.mapper.SeGraM.align_stage`); counted in
@@ -159,7 +162,6 @@ class PipelineStats:
         self.reads += other.reads
         self.reads_mapped += other.reads_mapped
         self.regions_seeded += other.regions_seeded
-        self.regions_chained += other.regions_chained
         self.regions_subsumed += other.regions_subsumed
         self.regions_aligned += other.regions_aligned
         self.regions_abandoned += other.regions_abandoned
@@ -193,7 +195,7 @@ class PipelineStats:
         return [
             f"reads: {self.reads} total, {self.reads_mapped} mapped",
             f"regions: {self.regions_seeded} seeded -> "
-            f"{self.regions_chained} kept -> "
+            f"{self.stage('filter').items_out} kept -> "
             f"{self.regions_subsumed} subsumed -> "
             f"{self.regions_aligned} aligned "
             f"({self.regions_abandoned} abandoned)",

@@ -156,15 +156,15 @@ class TestSingleEnd:
                                        config=_config(),
                                        max_node_length=1_024)
         seen = []
-        run = mapper.filter_stage
+        run = mapper.align_stage
 
-        def spy(seeded):
+        def spy(seeded, best=None):
             task = seeded.task
             seen.append((task.name, task.strand,
                          seeded.stats.region_count))
-            return run(seeded)
+            return run(seeded, best)
 
-        monkeypatch.setattr(mapper, "filter_stage", spy)
+        monkeypatch.setattr(mapper, "align_stage", spy)
         mapper.map_batch(reads)
         assert len(seen) == 2 * len(reads)
         for first, second in zip(seen[::2], seen[1::2]):

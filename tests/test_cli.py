@@ -827,7 +827,8 @@ class TestServeClient:
 
     @pytest.mark.parametrize("flag,value", [
         ("--max-seeds", "0"), ("--max-seeds", "-2"),
-        ("--error-rate", "-1"), ("--error-rate", "1")])
+        ("--error-rate", "-1"), ("--error-rate", "1"),
+        ("--top-n", "0"), ("--hop-limit", "0")])
     def test_engine_flags_out_of_range_rejected(self, tmp_path, flag,
                                                 value):
         """``map`` and ``serve`` refuse them in one ``error:`` line
@@ -835,7 +836,10 @@ class TestServeClient:
         are never opened."""
         message = re.escape({"--max-seeds": "--max-seeds must be >= 1",
                              "--error-rate": "--error-rate must be in "
-                                             "[0, 1)"}[flag])
+                                             "[0, 1)",
+                             "--top-n": "--top-n must be >= 1",
+                             "--hop-limit": "--hop-limit must be >= 1",
+                             }[flag])
         with pytest.raises(SystemExit, match=f"^error: {message}$"):
             main(["map", "--reference", str(tmp_path / "missing.fa"),
                   "--reads", str(tmp_path / "reads.fq"),

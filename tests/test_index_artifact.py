@@ -35,7 +35,7 @@ from repro.index.flat_index import (
     build_flat_index,
 )
 from repro.core.minseed import MinSeed
-from repro.index.minimizer import brute_force_minimizers
+from repro.index.minimizer import brute_force_minimizers, minimizers
 from repro.io.artifact import (
     FORMAT_VERSION,
     HEADER_SIZE,
@@ -345,12 +345,14 @@ class TestOneProbeQuery:
         kinds, catalog, buckets = setup
         seeders = {kind: MinSeed(mapper.graph, index, error_rate=0.05)
                    for kind, index in kinds.items()}
+        flat = kinds["flat"]
         for _, read in reads:
             regions, stats = seeders["flat"].seed(read)
             assert stats.index_accesses == sum(
                 self._expected(catalog, buckets,
                                minimizer.score)[0].total_accesses
-                for minimizer in seeders["flat"].find_minimizers(read))
+                for minimizer in minimizers(read, w=flat.w, k=flat.k,
+                                            scoring=flat.scoring))
             assert seeders["mapped"].seed(read) == (regions, stats)
 
 

@@ -196,6 +196,16 @@ class TestConfigBehaviour:
         assert SeGraMConfig(early_exit_distance=0) \
             .early_exit_distance == 0
 
+    @pytest.mark.parametrize("hop_limit", [0, -1])
+    def test_non_positive_hop_limit_rejected(self, hop_limit):
+        """A hop queue of no entries is a configuration error, refused
+        when the config is built rather than at the first mapping
+        call (which builds the linearization)."""
+        with pytest.raises(ValueError, match="hop_limit must be >= 1"):
+            SeGraMConfig(hop_limit=hop_limit)
+        assert SeGraMConfig(hop_limit=1).hop_limit == 1
+        assert SeGraMConfig(hop_limit=None).hop_limit is None
+
     def test_no_chaining_field(self):
         """MinSeed sends every kept region to BitAlign (Section 11.4):
         the config has no chaining switch."""

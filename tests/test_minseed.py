@@ -7,10 +7,10 @@ import random
 
 import pytest
 
-from repro.core.minseed import MinSeed, Seed, SeedRegion, SeedingStats
+from oracles.seed_filter import filter_regions, reference_seed
+from repro.core.minseed import MinSeed, SeedingStats
 from repro.graph.genome_graph import GenomeGraph
 from repro.index.flat_index import build_flat_index
-from repro.index.minimizer import brute_force_minimizers
 from repro.refs.reference import ReferenceSet
 from repro.seq import reverse_complement
 from repro.sim.reference import random_reference
@@ -139,50 +139,6 @@ class TestFrequencyFilter:
 # Chunk seeding
 # ----------------------------------------------------------------------
 
-def reference_seed(minseed: MinSeed, index, read: str):
-    """MinSeed one read at a time, the way the hardware datapath is
-    described: the nested-loop minimizer oracle, one ``index.query``
-    per minimizer, the Fig. 9 arithmetic in Python floats, a set of
-    seen spans."""
-    stats = SeedingStats()
-    found = brute_force_minimizers(read, index.w, index.k, index.scoring)
-    stats.minimizer_count = len(found)
-    m, e, k = len(read), minseed.error_rate, index.k
-    offsets = minseed.graph.offsets()
-    spans = list(zip(minseed._span_starts.tolist(),
-                     minseed._span_ends.tolist()))
-    regions, seen = [], set()
-    for minimizer in found:
-        query = index.query(minimizer.score)
-        stats.index_accesses += query.cost.total_accesses
-        if query.frequency == 0:
-            continue
-        if query.frequency > minseed.freq_threshold:
-            stats.filtered_minimizers += 1
-            continue
-        a = minimizer.position
-        b = a + k - 1
-        for hit in query.hits():
-            stats.seed_count += 1
-            c = offsets[hit.node_id] + hit.offset
-            d = c + k - 1
-            x = int(c - a * (1 + e))
-            y = int(d + (m - b - 1) * (1 + e))
-            lo, hi = next(s for s in spans if s[0] <= c < s[1])
-            start, end = max(lo, x), min(hi, y + 1)
-            if end <= start or (start, end) in seen:
-                continue
-            seen.add((start, end))
-            regions.append(SeedRegion(
-                Seed(read_start=a, read_end=b, node_id=hit.node_id,
-                     node_offset=hit.offset, graph_start=c, graph_end=d,
-                     minimizer_hash=minimizer.score,
-                     frequency=query.frequency),
-                start=start, end=end))
-    stats.region_count = len(regions)
-    return regions, stats
-
-
 class TestChunkSeeding:
     """A read's seeds do not depend on what it is chunked with."""
 
@@ -228,14 +184,20 @@ class TestChunkSeeding:
                    for regions, _ in seeded for r in regions)
 
     def test_chunk_equals_reference_for_every_rotation(self, setup):
+        """Each read's regions are the one-read oracle's, ordered and
+        capped by the record filter, at every position of the chunk."""
         minseed, index, reads = setup
-        alone = [reference_seed(minseed, index, read) for read in reads]
-        for shift in range(len(reads)):
-            rotated = reads[shift:] + reads[:shift]
-            assert minseed.seed_chunk(rotated) == \
-                alone[shift:] + alone[:shift], shift
-        for read, expected in zip(reads, alone):
-            assert minseed.seed(read) == expected
+        seeded = [reference_seed(minseed, index, read) for read in reads]
+        for cap in (None, 1, 3):
+            alone = [(filter_regions(regions, cap), stats)
+                     for regions, stats in seeded]
+            for shift in range(len(reads)):
+                rotated = reads[shift:] + reads[:shift]
+                assert minseed.seed_chunk(rotated, cap) == \
+                    alone[shift:] + alone[:shift], (cap, shift)
+        for read, expected in zip(reads, seeded):
+            assert minseed.seed(read) == \
+                (filter_regions(expected[0], None), expected[1])
 
     def test_region_fields_are_python_ints(self, setup):
         minseed, _, reads = setup

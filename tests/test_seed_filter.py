@@ -1,16 +1,16 @@
 """Parity of the region filter on MinSeed's columns with the filter on
 records (``tests/oracles/seed_filter.py``).
 
-The seed stage orders each oriented read's regions rarest minimizer
-first and caps them at ``max_seeds_per_read`` on MinSeed's numpy
-columns (:meth:`repro.core.minseed.MinSeed.seed_chunk_ranked`), so
-only the kept regions become records.  On short, long and paired
-fixtures this must equal a stable Python ``sorted`` plus the cap over
-every region :meth:`~repro.core.minseed.MinSeed.seed_chunk` emits: the
-kept regions in order, every ``SeedingStats`` field, the seed and
-filter rows' counters, ``regions_seeded`` / ``regions_chained``, the
-order in which ``map_seeded`` takes a read's orientations (more
-regions before the filter first), and every result.
+MinSeed orders each oriented read's regions rarest minimizer first
+and caps them at ``max_seeds_per_read`` on its numpy columns
+(:meth:`repro.core.minseed.MinSeed.seed_chunk`), so only the kept
+regions become records, and the seed stage books the ``filter`` row.
+On short, long and paired fixtures this must equal a stable Python
+``sorted`` plus the cap over every region the one-read oracle
+(``reference_seed``) emits: the kept regions in order, every
+``SeedingStats`` field, the seed and filter rows' counters,
+``regions_seeded``, the order in which ``map_seeded`` takes a read's
+orientations (more regions before the cap first), and every result.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import random
 
 import pytest
 
-from oracles.seed_filter import RecordFilterSeGraM, filter_regions
+from oracles.seed_filter import RecordFilterSeGraM, filter_regions, \
+    reference_seed
 from repro import seq as seqmod
 from repro.core.mapper import SeGraM
 from repro.core.pairing import PairedEndConfig
@@ -87,10 +88,10 @@ def _sequences(kind: str, reads) -> list[str]:
 def test_minseed_columns_equal_sorted_and_capped(fixtures, kind, cap):
     engine = _engine(SeGraM, fixtures)
     sequences = _sequences(kind, fixtures[2][kind])
-    every = engine.minseed.seed_chunk(sequences)
-    ranked = engine.minseed.seed_chunk_ranked(sequences, cap)
-    assert ranked == [(filter_regions(regions, cap), stats)
-                      for regions, stats in every]
+    every = [reference_seed(engine.minseed, engine.index, sequence)
+             for sequence in sequences]
+    assert engine.minseed.seed_chunk(sequences, cap) == \
+        [(filter_regions(regions, cap), stats) for regions, stats in every]
     # The fixture reaches the order's every key: reads above the cap,
     # frequencies above one, one minimizer at several locations.
     regions = [region for found, _ in every for region in found]
@@ -108,7 +109,6 @@ def _counters(engine) -> dict:
             for name, row in ((name, stats.stage(name))
                               for name in ("seed", "filter"))}
     return {"rows": rows, "seeded": stats.regions_seeded,
-            "kept": stats.regions_chained,
             "seeding": dataclasses.asdict(stats.seeding),
             "aligned": stats.regions_aligned,
             "subsumed": stats.regions_subsumed}
@@ -121,14 +121,15 @@ def test_engine_equals_the_record_filter(fixtures, kind, monkeypatch):
     for cls in (SeGraM, RecordFilterSeGraM):
         engine = _engine(cls, fixtures)
         order = []
-        run = engine.filter_stage
+        run = engine.align_stage
 
-        def spy(seeded, run=run, order=order):
+        def spy(seeded, best=None, run=run, order=order):
             order.append((seeded.task.name, seeded.task.strand,
-                          seeded.stats.region_count))
-            return run(seeded)
+                          seeded.stats.region_count,
+                          len(seeded.regions)))
+            return run(seeded, best)
 
-        monkeypatch.setattr(engine, "filter_stage", spy)
+        monkeypatch.setattr(engine, "align_stage", spy)
         if kind == "paired":
             results = engine.map_pairs(reads, PairedEndConfig(
                 insert_mean=350.0, insert_std=50.0))
@@ -140,7 +141,7 @@ def test_engine_equals_the_record_filter(fixtures, kind, monkeypatch):
     assert order == expected[1]
     assert counters == expected[2]
     # Both orientations of a read, and in more than one order.
-    firsts = {strand for _, strand, _ in order[::2]}
+    firsts = {strand for _, strand, *_ in order[::2]}
     assert firsts == {"+", "-"}
     assert counters["rows"]["filter"][2] > 0
     if kind == "long":
