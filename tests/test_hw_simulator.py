@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from oracles import dense_linearize as oracle
 
 from repro.core import windows
+from repro.core.pipeline import PipelineStats
+from repro.core.windows import WindowedAligner
 from repro.graph.builder import Variant, build_graph
 from repro.graph.genome_graph import GenomeGraph
 from repro.graph.linearize import linearize
@@ -18,6 +21,7 @@ from repro.hw.config import BitAlignUnitConfig, SeGraMSystemConfig
 from repro.hw.simulator import SeGraMAcceleratorSim
 from repro.sim.errors import ErrorModel, apply_errors
 from repro.sim.reference import random_reference
+from repro.sim.variants import VariantProfile, simulate_variants
 
 
 @pytest.fixture(scope="module")
@@ -212,3 +216,123 @@ class TestSimulator:
         config = sim.windowing_config()
         assert config.window_size == 128
         assert config.overlap == 48
+
+
+@pytest.fixture(scope="module")
+def trace_inputs():
+    """The pinned traces' inputs: a chain and a ``simulate_variants``
+    graph over one 2.6 kb text, and a 2 kb fragment of it clean, at
+    PacBio 5 % and at ONT 12 %, each with the first exact 15-mer of
+    its second half as the anchor."""
+    rng = random.Random(59)
+    text = random_reference(2_600, rng)
+    variants = simulate_variants(text, rng, VariantProfile(
+        snp_rate=0.01, insertion_rate=0.002, deletion_rate=0.002,
+        sv_rate=0.0, small_indel_max=6))
+    graphs = {
+        "chain": linearize(GenomeGraph.from_linear(text,
+                                                   node_length=256)),
+        "variants": linearize(build_graph(text, variants).graph),
+    }
+    fragment = text[300:2_300]
+    reads = {
+        "clean": fragment,
+        "pacbio": apply_errors(fragment, ErrorModel.pacbio(0.05),
+                               rng)[0],
+        "ont": apply_errors(fragment, ErrorModel.nanopore(0.12), rng)[0],
+    }
+    inputs = {}
+    for graph, lin in graphs.items():
+        for name, read in reads.items():
+            anchor = next(
+                (lin.chars.find(read[offset:offset + 15]), offset)
+                for offset in range(len(read) // 2, len(read) - 15)
+                if read[offset:offset + 15] in lin.chars)
+            inputs[graph, name] = lin, read, anchor
+    return inputs
+
+
+#: The paper's design point (k = 32) and an 8-PE array (k = 4), where
+#: ONT windows are rescued up to k = 16 and take three passes.
+SIMS = {
+    "pe64": SeGraMAcceleratorSim(),
+    "pe8": SeGraMAcceleratorSim(SeGraMSystemConfig(
+        bitalign=BitAlignUnitConfig(pe_count=8))),
+}
+
+#: ``dataclasses.astuple`` of every trace, in field order:
+#: (windows_executed, rescues, setup_cycles, edit_cycles,
+#: traceback_cycles, memory_stall_cycles, hop_queue_reads,
+#: bitvector_bytes_written).
+PINNED_TRACES = {
+    ("chain", "clean", False, "pe64"):
+        (25, 0, 1650, 3152, 2000, 117.39583333333333, 0, 1664256),
+    ("chain", "clean", False, "pe8"):
+        (25, 0, 250, 3152, 2000, 117.39583333333333, 0, 252160),
+    ("chain", "clean", True, "pe64"):
+        (24, 0, 1584, 3056, 2000, 117.39583333333333, 0, 1613568),
+    ("chain", "clean", True, "pe8"):
+        (24, 0, 240, 3056, 2000, 117.39583333333333, 0, 244480),
+    ("chain", "pacbio", False, "pe64"):
+        (25, 0, 1650, 3179, 2056, 117.39583333333333, 0, 1678512),
+    ("chain", "pacbio", False, "pe8"):
+        (50, 25, 500, 10219, 2056, 117.39583333333333, 0, 797040),
+    ("chain", "pacbio", True, "pe64"):
+        (25, 0, 1650, 3131, 2056, 117.39583333333333, 0, 1653168),
+    ("chain", "pacbio", True, "pe8"):
+        (46, 21, 460, 9019, 2056, 117.39583333333333, 0, 703088),
+    ("chain", "ont", False, "pe64"):
+        (25, 0, 1650, 3130, 2063, 117.39583333333333, 0, 1652640),
+    ("chain", "ont", False, "pe8"):
+        (82, 57, 820, 23516, 2063, 117.39583333333333, 0, 2058336),
+    ("chain", "ont", True, "pe64"):
+        (24, 0, 1584, 3034, 2063, 117.39583333333333, 0, 1601952),
+    ("chain", "ont", True, "pe8"):
+        (77, 53, 770, 21520, 2063, 117.39583333333333, 0, 1860768),
+    ("variants", "clean", False, "pe64"):
+        (25, 0, 1650, 3152, 2000, 171.52777777777777, 5181, 1664256),
+    ("variants", "clean", False, "pe8"):
+        (25, 0, 250, 3152, 2000, 171.52777777777777, 715, 252160),
+    ("variants", "clean", True, "pe64"):
+        (24, 0, 1584, 3056, 2000, 171.52777777777777, 2970, 1613568),
+    ("variants", "clean", True, "pe8"):
+        (24, 0, 240, 3056, 2000, 171.52777777777777, 370, 244480),
+    ("variants", "pacbio", False, "pe64"):
+        (25, 0, 1650, 3179, 2056, 171.52777777777777, 5313, 1678512),
+    ("variants", "pacbio", False, "pe8"):
+        (50, 25, 500, 10219, 2056, 171.52777777777777, 2201, 797040),
+    ("variants", "pacbio", True, "pe64"):
+        (25, 0, 1650, 3131, 2056, 171.52777777777777, 2904, 1653168),
+    ("variants", "pacbio", True, "pe8"):
+        (47, 22, 470, 9275, 2056, 171.52777777777777, 904, 721520),
+    ("variants", "ont", False, "pe64"):
+        (25, 0, 1650, 3130, 2063, 171.52777777777777, 5214, 1652640),
+    ("variants", "ont", False, "pe8"):
+        (82, 57, 820, 23516, 2063, 171.52777777777777, 5325, 2058336),
+    ("variants", "ont", True, "pe64"):
+        (24, 0, 1584, 3034, 2063, 171.52777777777777, 2838, 1601952),
+    ("variants", "ont", True, "pe8"):
+        (77, 53, 770, 21520, 2063, 171.52777777777777, 3136, 1860768),
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(PINNED_TRACES),
+    ids=["-".join(str(part) if not isinstance(part, bool)
+                  else ("anchored" if part else "unanchored")
+                  for part in case) for case in PINNED_TRACES])
+def test_trace_is_pinned(trace_inputs, case):
+    """Every field of every trace is pinned; and the engine's
+    counters, charged from the same window attempts, agree with it:
+    every attempt is a window or a rescue, and the rescues match."""
+    graph, name, anchored, sim_name = case
+    lin, read, anchor = trace_inputs[graph, name]
+    anchor = anchor if anchored else None
+    sim = SIMS[sim_name]
+    _, trace = sim.run_seed_task(lin, read, anchor=anchor)
+    assert dataclasses.astuple(trace) == PINNED_TRACES[case]
+    stats = PipelineStats()
+    WindowedAligner(sim.windowing_config()).align(lin, read, anchor,
+                                                  counters=stats)
+    assert stats.windows + stats.rescues == trace.windows_executed
+    assert stats.rescues == trace.rescues
