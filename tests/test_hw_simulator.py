@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -18,7 +17,7 @@ from repro.graph.genome_graph import GenomeGraph
 from repro.graph.linearize import linearize
 from repro.hw.bitalign_unit import BitAlignCycleModel
 from repro.hw.config import BitAlignUnitConfig, SeGraMSystemConfig
-from repro.hw.simulator import SeGraMAcceleratorSim
+from repro.hw.simulator import SeGraMAcceleratorSim, SimulationTrace
 from repro.sim.errors import ErrorModel, apply_errors
 from repro.sim.reference import random_reference
 from repro.sim.variants import VariantProfile, simulate_variants
@@ -260,10 +259,9 @@ SIMS = {
         bitalign=BitAlignUnitConfig(pe_count=8))),
 }
 
-#: ``dataclasses.astuple`` of every trace, in field order:
-#: (windows_executed, rescues, setup_cycles, edit_cycles,
-#: traceback_cycles, memory_stall_cycles, hop_queue_reads,
-#: bitvector_bytes_written).
+#: Every counter of every trace, in field order: (windows_executed,
+#: rescues, setup_cycles, edit_cycles, traceback_cycles,
+#: memory_stall_cycles, hop_queue_reads, bitvector_bytes_written).
 PINNED_TRACES = {
     ("chain", "clean", False, "pe64"):
         (25, 0, 1650, 3152, 2000, 117.39583333333333, 0, 1664256),
@@ -330,7 +328,7 @@ def test_trace_is_pinned(trace_inputs, case):
     anchor = anchor if anchored else None
     sim = SIMS[sim_name]
     _, trace = sim.run_seed_task(lin, read, anchor=anchor)
-    assert dataclasses.astuple(trace) == PINNED_TRACES[case]
+    assert trace == SimulationTrace(*PINNED_TRACES[case])
     stats = PipelineStats()
     WindowedAligner(sim.windowing_config()).align(lin, read, anchor,
                                                   counters=stats)
