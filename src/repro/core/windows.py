@@ -45,9 +45,12 @@ first attempt or rescue — is one call of
 described in :mod:`repro.core.bitalign` (a sweep of fields 0–8 first,
 the ``k`` sweep only when that finds no start) plus its native
 traceback, stopped at the window's commit point.  Both kinds of
-window share one commit step over runs and report the same
-:class:`WindowEvent`: the hardware has no string compare, so its
-model charges the systolic array for every window.
+window share one commit step over runs, and each window attempt is
+one ``counters.window`` call (:meth:`WindowedAligner.align`): the
+engine's :class:`~repro.core.pipeline.PipelineStats` counts it, and
+the cycle simulator's :class:`~repro.hw.simulator.SimulationTrace`
+charges the systolic array for either kind, as the hardware has no
+string compare.
 :meth:`WindowedAligner.align_many` is :meth:`WindowedAligner.align`
 per item; nothing is batched across windows, so a result depends on
 nothing but its own item.
@@ -57,42 +60,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.alignment import Cigar
 # ``traceback`` is not used here any more; benchmarks/perf/test_perf.py
 # reads ``repro.core.windows.traceback`` to check its shims restore.
 from repro.core.bitalign import bitalign, spell, traceback  # noqa: F401
 from repro.graph.linearize import LinearizedGraph
-
-
-@dataclass(frozen=True)
-class WindowEvent:
-    """One executed alignment window, reported to observers.
-
-    The hardware simulator (:mod:`repro.hw.simulator`) consumes these
-    to charge cycles against the real, data-dependent execution.
-
-    Attributes:
-        text_length: reference characters in the window.
-        chunk_length: read characters in the window (bitvector width).
-        k: the edit threshold the window ran at (after any rescue
-            doubling).
-        rescued: whether this execution was a rescue retry.
-        hops_in_window: inter-character hops (distance > 1) the window
-            contains — each one costs hop-queue reads in hardware.
-        ops_committed: traceback operations committed from this window.
-    """
-
-    text_length: int
-    chunk_length: int
-    k: int
-    rescued: bool
-    hops_in_window: int
-    ops_committed: int
-
-
-WindowObserver = Callable[[WindowEvent], None]
 
 
 @dataclass(frozen=True)
@@ -154,23 +128,6 @@ class WindowedAlignment:
     def reference(self) -> str:
         """The spelled characters of ``path`` (derived, not stored)."""
         return spell(self.chars, self.path)
-
-
-def _count_hops(lin: LinearizedGraph) -> int:
-    """Inter-character hops (successor distance > 1) in a window."""
-    return sum(
-        1
-        for position, succs in lin.hop_sources()
-        for succ in succs
-        if succ - position > 1
-    )
-
-
-def _event(window: LinearizedGraph, chunk: str, k: int, rescued: bool,
-           ops_committed: int) -> WindowEvent:
-    """The :class:`WindowEvent` of one attempt of ``chunk`` on ``window``."""
-    return WindowEvent(len(window), len(chunk), k, rescued,
-                       _count_hops(window), ops_committed)
 
 
 def _difference(a: str, b: str) -> int:
@@ -343,7 +300,6 @@ class WindowedAligner:
         lin: LinearizedGraph,
         read: str,
         anchor: tuple[int, int] | None = None,
-        observer: WindowObserver | None = None,
         counters=None,
         budget: float | None = None,
     ) -> WindowedAlignment:
@@ -358,9 +314,14 @@ class WindowedAligner:
                 position ``graph_position``.  With an anchor the
                 aligner extends left and right from it; without one the
                 first window searches all start positions.
-            counters: optional stats object charged per kernel call
-                (``align_calls``), window and rescue (see
-                :class:`repro.core.pipeline.PipelineStats`).
+            counters: optional sink of window attempts: one
+                ``counters.window(lin, base, end, chunk_length, k,
+                ops, kernel)`` call per attempt of a chunk on
+                ``lin[base:end]`` at threshold ``k``, with ``ops`` the
+                operations it committed (0 for an attempt that fails
+                and is rescued) and ``kernel`` False for a rung 0–2
+                commit (:meth:`repro.core.pipeline.PipelineStats.window`,
+                :meth:`repro.hw.simulator.SimulationTrace.window`).
             budget: optional edit budget.  Once the committed edits
                 exceed it no window runs and the result is
                 ``abandoned``: only the committed operations, from
@@ -375,13 +336,12 @@ class WindowedAligner:
         exceed the global optimum when an error cluster straddles a
         window cut.
         """
-        return self._align_item(lin, read, anchor, observer, counters,
+        return self._align_item(lin, read, anchor, counters,
                                 math.inf if budget is None else budget)
 
     def align_many(
         self,
         items: "list[tuple[LinearizedGraph, str, tuple[int, int] | None]]",
-        observer: WindowObserver | None = None,
         counters=None,
     ) -> list[WindowedAlignment]:
         """Windowed alignment of many ``(lin, read, anchor)`` items.
@@ -391,13 +351,11 @@ class WindowedAligner:
         (:func:`repro.core.bitalign.bitalign`), so a result depends on
         nothing but its own item.
         """
-        return [self._align_item(lin, read, anchor, observer, counters,
-                                 math.inf)
+        return [self._align_item(lin, read, anchor, counters, math.inf)
                 for lin, read, anchor in items]
 
     def _align_item(self, lin: LinearizedGraph, read: str,
                     anchor: tuple[int, int] | None,
-                    observer: WindowObserver | None,
                     counters, budget: float) -> WindowedAlignment:
         """One item: the right extension from the anchor (the whole
         read when un-anchored), then the left extension on the
@@ -423,8 +381,8 @@ class WindowedAligner:
                     f"anchor read offset {anchor_read} outside the read"
                 )
             anchors = [anchor_pos]
-        right = self._extend(lin, read[anchor_read:], anchors,
-                             observer, counters, budget)
+        right = self._extend(lin, read[anchor_read:], anchors, counters,
+                             budget)
         parts = [right]
         cigar, path = Cigar(tuple(right.runs)), right.path
         read_start = anchor_read
@@ -437,7 +395,7 @@ class WindowedAligner:
             left = self._extend(
                 rev, read[:anchor_read][::-1],
                 list(rev.successors_of(n - 1 - anchor_pos)),
-                observer, counters, budget - right.edits)
+                counters, budget - right.edits)
             parts.append(left)
             read_start -= left.read
             cigar = Cigar(tuple(reversed(left.runs))).concat(cigar)
@@ -461,17 +419,15 @@ class WindowedAligner:
         lin: LinearizedGraph,
         read: str,
         anchors: list[int] | None,
-        observer: WindowObserver | None,
         counters,
         budget: float,
     ) -> _Extension:
         """Forward windowing loop: a window the kernel would answer
         with its Hamming run (:func:`_hamming_rung`, rungs 0–2)
-        commits that ``=`` / ``X`` run, charged to
-        ``counters.windows_exact``; every other window attempt is one
-        :func:`~repro.core.bitalign.bitalign` call, charged to
-        ``counters.align_calls``.  Both commit through
-        :meth:`_Extension.commit` and report the same :class:`WindowEvent`.
+        commits that ``=`` / ``X`` run; every other window attempt is
+        one :func:`~repro.core.bitalign.bitalign` call.  Both commit
+        through :meth:`_Extension.commit`, and each attempt is one
+        ``counters.window`` call (see :meth:`WindowedAligner.align`).
 
         ``anchors`` restricts the allowed start positions of the first
         window (None = search every position of the whole region, the
@@ -502,36 +458,26 @@ class WindowedAligner:
             # chunk-minus-overlap read characters otherwise.
             commit_target = len(chunk) if is_final \
                 else max(1, len(chunk) - overlap)
-            rescued = False
-            # Rungs 0–2: the kernel's answer is the Hamming run, so
-            # commit it (the window is built for the observer only).
+            # Rungs 0–2: the kernel's answer is the Hamming run.
             mismatches = _hamming_rung(lin, chunk, anchors, base, k)
             if mismatches is not None:
-                if counters is not None:
-                    counters.windows_exact += 1
+                end = min(len(lin), base + len(chunk) + k)
                 ops = "=" * len(chunk)
                 for offset in mismatches:
                     ops = ops[:offset] + "X" + ops[offset + 1:]
                 runs, positions = Cigar.from_ops(ops), range(len(chunk))
-                if observer is not None:
-                    window = lin.slice(
-                        base, min(len(lin), base + len(chunk) + k))
             else:
                 while True:
-                    if first_window and anchors is None:
-                        # Un-anchored start discovery: the whole region.
-                        text_end = len(lin)
-                    else:
-                        text_end = min(len(lin), base + len(chunk) + k)
-                    window = lin.slice(base, text_end)
+                    # Un-anchored start discovery searches the region.
+                    end = len(lin) if first_window and anchors is None \
+                        else min(len(lin), base + len(chunk) + k)
+                    window = lin.slice(base, end)
                     # ``base == min(anchors)`` and the window is never
                     # empty, so local anchor 0 always survives the
                     # filter.
                     local_anchors = None if anchors is None else \
                         [a - base for a in anchors
                          if a - base < len(window)]
-                    if counters is not None:
-                        counters.align_calls += 1
                     result = bitalign(window, chunk, k,
                                       anchors=local_anchors,
                                       commit=commit_target)
@@ -541,27 +487,24 @@ class WindowedAligner:
                         raise AssertionError(
                             "window alignment failed at k == chunk length"
                         )  # pragma: no cover - insertion chain guarantees it
-                    if observer is not None:
-                        observer(_event(window, chunk, k, rescued, 0))
+                    if counters is not None:
+                        counters.window(lin, base, end, len(chunk), k, 0,
+                                        True)
                     k = min(len(chunk), k * 2)
                     extension.rescues += 1
-                    rescued = True
                 runs, positions = result.cigar, result.path
             committed = extension.commit(runs, positions, base,
                                          commit_target)
             extension.windows += 1
             first_window = False
             pos_pat += commit_target
-            if observer is not None:
-                observer(_event(window, chunk, k, rescued, committed))
+            if counters is not None:
+                counters.window(lin, base, end, len(chunk), k, committed,
+                                mismatches is None)
             if extension.path:
                 # The successors of the last consumed position; a
                 # window of pure insertions leaves them as they were.
                 anchors = list(lin.successors_of(extension.path[-1]))
-
-        if counters is not None:
-            counters.windows += extension.windows
-            counters.rescues += extension.rescues
         return extension
 
     def window_count(self, read_length: int) -> int:

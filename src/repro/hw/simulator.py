@@ -5,7 +5,10 @@ cycle-accurate simulator and a spreadsheet-based analytical model"
 (Section 10).  :mod:`repro.hw.pipeline` is the spreadsheet;
 this module is the simulator: it runs the *functional* windowed
 BitAlign on real data and charges cycles window by window against the
-microarchitecture of Section 8.2:
+microarchitecture of Section 8.2.  The trace is the aligner's
+``counters``, as the engine's :class:`~repro.core.pipeline.
+PipelineStats` is: :meth:`SimulationTrace.window` takes each window
+attempt once.  The charges:
 
 * **window setup** — 2 cycles of control plus the systolic fill/drain
   of the PE array (``pe_count`` cycles);
@@ -17,6 +20,9 @@ microarchitecture of Section 8.2:
 * **rescued windows** — re-execute and are charged again (this is
   data-dependent behaviour the analytical model folds into its
   calibrated overhead term);
+* **exact windows** — charged like any other: software commits a
+  window within Hamming distance 2 without the kernel, but the
+  hardware has no string compare;
 * **memory** — the subgraph fetch is charged via the HBM channel
   model; hop-queue reads and scratchpad writes are counted.
 
@@ -32,13 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.windows import (
-    WindowEvent,
     WindowedAligner,
     WindowedAlignment,
     WindowingConfig,
 )
 from repro.graph.linearize import LinearizedGraph
-from repro.hw.config import SeGraMSystemConfig
+from repro.hw.config import BitAlignUnitConfig, SeGraMSystemConfig
 from repro.hw.hbm import HbmChannelModel
 from repro.hw.minseed_unit import CHAR_BITS, NODE_ENTRY_BYTES
 
@@ -46,9 +51,20 @@ from repro.hw.minseed_unit import CHAR_BITS, NODE_ENTRY_BYTES
 WINDOW_SETUP_CYCLES = 2
 
 
+def _count_hops(lin: LinearizedGraph) -> int:
+    """Inter-character hops (successor distance > 1) in a window."""
+    return sum(
+        1
+        for position, succs in lin.hop_sources()
+        for succ in succs
+        if succ - position > 1
+    )
+
+
 @dataclass
 class SimulationTrace:
-    """Cycle and traffic accounting of one simulated seed task."""
+    """Cycle and traffic accounting of one simulated seed task, on
+    the BitAlign ``unit`` it charges."""
 
     windows_executed: int = 0
     rescues: int = 0
@@ -58,6 +74,8 @@ class SimulationTrace:
     memory_stall_cycles: float = 0.0
     hop_queue_reads: int = 0
     bitvector_bytes_written: int = 0
+    unit: BitAlignUnitConfig = field(default_factory=BitAlignUnitConfig,
+                                     repr=False, compare=False)
 
     @property
     def compute_cycles(self) -> int:
@@ -68,15 +86,29 @@ class SimulationTrace:
     def total_cycles(self) -> float:
         return self.compute_cycles + self.memory_stall_cycles
 
-    def merge(self, other: "SimulationTrace") -> None:
-        self.windows_executed += other.windows_executed
-        self.rescues += other.rescues
-        self.setup_cycles += other.setup_cycles
-        self.edit_cycles += other.edit_cycles
-        self.traceback_cycles += other.traceback_cycles
-        self.memory_stall_cycles += other.memory_stall_cycles
-        self.hop_queue_reads += other.hop_queue_reads
-        self.bitvector_bytes_written += other.bitvector_bytes_written
+    def window(self, lin: LinearizedGraph, base: int, end: int,
+               chunk_length: int, k: int, ops: int,
+               kernel: bool) -> None:
+        """Charge one window attempt on ``lin[base:end]`` (the
+        ``counters`` hook of :meth:`WindowedAligner.align`): ``ops ==
+        0`` is a failed attempt, rescued by the next; ``kernel`` is
+        ignored, every window runs on the systolic array."""
+        unit = self.unit
+        self.windows_executed += 1
+        if not ops:
+            self.rescues += 1
+        # Levels beyond the PE count fold into extra passes over the
+        # window.
+        passes = -(-(k + 1) // unit.pe_count)
+        self.setup_cycles += WINDOW_SETUP_CYCLES + unit.pe_count
+        self.edit_cycles += chunk_length * passes
+        self.traceback_cycles += ops
+        # Each hop is read from the hop queues at every d-level.
+        self.hop_queue_reads += _count_hops(lin.slice(base, end)) \
+            * (k + 1)
+        # Each PE writes one R[d] bitvector per window character.
+        self.bitvector_bytes_written += \
+            chunk_length * (k + 1) * unit.bitvector_bytes
 
 
 @dataclass
@@ -106,8 +138,7 @@ class SeGraMAcceleratorSim:
 
         Returns the functional alignment result plus the cycle trace.
         """
-        trace = SimulationTrace()
-        ba = self.system.bitalign
+        trace = SimulationTrace(unit=self.system.bitalign)
 
         # Subgraph fetch from HBM into the input scratchpad (charged
         # up front; the pipeline model treats it as hidden, the
@@ -117,27 +148,8 @@ class SeGraMAcceleratorSim:
             + (len(lin) * CHAR_BITS + 7) // 8
         trace.memory_stall_cycles += self.channel.stream_ns(fetch_bytes) \
             * self.system.frequency_ghz
-
-        def observe(event: WindowEvent) -> None:
-            trace.windows_executed += 1
-            if event.rescued:
-                trace.rescues += 1
-            # Levels beyond the PE count fold into extra passes over
-            # the window.
-            passes = -(-(event.k + 1) // ba.pe_count)
-            trace.setup_cycles += WINDOW_SETUP_CYCLES + ba.pe_count
-            trace.edit_cycles += event.chunk_length * passes
-            trace.traceback_cycles += event.ops_committed
-            # Each hop is read from the hop queues at every d-level.
-            trace.hop_queue_reads += event.hops_in_window * (event.k + 1)
-            # Each PE writes one R[d] bitvector per window character.
-            trace.bitvector_bytes_written += (
-                event.chunk_length * (event.k + 1) * ba.bitvector_bytes
-            )
-
-        aligner = WindowedAligner(self.windowing_config())
-        result = aligner.align(lin, read, anchor=anchor,
-                               observer=observe)
+        result = WindowedAligner(self.windowing_config()).align(
+            lin, read, anchor=anchor, counters=trace)
         return result, trace
 
     def hop_queue_capacity_ok(self, lin: LinearizedGraph) -> float:

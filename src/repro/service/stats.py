@@ -14,6 +14,7 @@ sample — deterministic for a fixed sample sequence.
 
 from __future__ import annotations
 
+import math
 import threading
 
 
@@ -35,12 +36,14 @@ class LatencyWindow:
             self._cursor = (self._cursor + 1) % self.capacity
 
     def percentile(self, rank: float) -> float | None:
-        """Nearest-rank percentile; ``None`` with no samples."""
+        """Nearest-rank percentile: the ``ceil(rank / 100 * n)``-th
+        smallest of the ``n`` samples (the smallest at rank 0);
+        ``None`` with no samples."""
         if not self._samples:
             return None
         ordered = sorted(self._samples)
         index = min(len(ordered) - 1,
-                    max(0, int(rank / 100.0 * len(ordered))))
+                    max(0, math.ceil(rank * len(ordered) / 100.0) - 1))
         return ordered[index]
 
     def __len__(self) -> int:

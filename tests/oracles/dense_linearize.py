@@ -240,9 +240,9 @@ def linearize(graph: GenomeGraph,
     )
 
 # ----------------------------------------------------------------------
-# What the kernel and the windowing read off the dense successor lists
-# (``repro.core.bitalign._hop_distances`` and
-# ``repro.core.windows._count_hops`` before they took a range query).
+# What the kernel and the cycle simulator read off the dense successor
+# lists (``repro.core.bitalign._hop_distances`` and
+# ``repro.hw.simulator._count_hops`` before they took a range query).
 # ----------------------------------------------------------------------
 
 def hop_distances(

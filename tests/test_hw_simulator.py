@@ -15,6 +15,7 @@ from repro.core.windows import WindowedAligner
 from repro.graph.builder import Variant, build_graph
 from repro.graph.genome_graph import GenomeGraph
 from repro.graph.linearize import linearize
+from repro.hw import simulator
 from repro.hw.bitalign_unit import BitAlignCycleModel
 from repro.hw.config import BitAlignUnitConfig, SeGraMSystemConfig
 from repro.hw.simulator import SeGraMAcceleratorSim, SimulationTrace
@@ -114,15 +115,15 @@ class TestSimulator:
 
     def test_hops_in_window_match_dense_enumeration(self, chain_3kb,
                                                     monkeypatch):
-        """``WindowEvent.hops_in_window`` comes from the window view's
-        range query; on this file's fixtures it equals the count over
-        the window's dense successor lists."""
+        """The hops a window attempt is charged for come from the
+        window view's range query; on this file's fixtures they equal
+        the count over the window's dense successor lists."""
         text, chain = chain_3kb
         snp = build_graph("ACGTACGTACGTACGTACGTACGT" * 8,
                           [Variant(20, 21, "C"), Variant(50, 53, "")])
         deletion = build_graph("A" * 20 + "C" * 30 + "G" * 20,
                                [Variant(20, 50, "")])
-        count_hops = windows._count_hops
+        count_hops = simulator._count_hops
         seen = []
 
         def checked(window):
@@ -130,7 +131,7 @@ class TestSimulator:
             assert seen[-1] == oracle.count_hops(window.successors)
             return seen[-1]
 
-        monkeypatch.setattr(windows, "_count_hops", checked)
+        monkeypatch.setattr(simulator, "_count_hops", checked)
         sim = SeGraMAcceleratorSim()
         _, trace = sim.run_seed_task(chain, text[200:2_200],
                                      anchor=(200, 0))

@@ -16,6 +16,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,24 @@ class TestPipelineStats:
                    for row in rows)
         summary = "\n".join(stats.summary_lines())
         assert "seeded" in summary and "kernel calls" in summary
+
+    def test_linearization_build_is_not_extract_time(self, workload,
+                                                     monkeypatch):
+        """The first mapping call builds the whole-graph linearization
+        outside the ``extract`` row: a build slowed by 0.2 s leaves
+        that row under 0.1 s."""
+        reference, reads = workload
+        build = mapper_module.linearize
+
+        def slow(*args, **kwargs):
+            time.sleep(0.2)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(mapper_module, "linearize", slow)
+        mapper = _fresh_mapper(reference)
+        mapper.map_reads(reads[:4])
+        extract = mapper.stats.stage("extract")
+        assert extract.items_out > 0 and extract.seconds < 0.1
 
     def test_merge_sums_counters(self):
         a, b = PipelineStats.empty(), PipelineStats.empty()

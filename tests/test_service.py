@@ -333,6 +333,9 @@ class TestStats:
         for value in (0.4, 0.1, 0.3, 0.2):
             window.record(value)
         assert window.percentile(0) == 0.1
+        # Nearest rank: the ceil(rank / 100 * n)-th smallest.
+        assert window.percentile(25) == 0.1
+        assert window.percentile(50) == 0.2
         assert window.percentile(95) == 0.4
         # Overwrite wraps: capacity stays bounded.
         window.record(0.9)

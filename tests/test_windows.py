@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings
@@ -314,9 +315,9 @@ class TestBoundedExtension:
                               distance, distance + 1, distance + 5}):
             if budget < 0:
                 continue
-            bounded, events = PipelineStats(), []
-            result = aligner.align(lin, read, anchor, events.append,
-                                   counters=bounded, budget=budget)
+            bounded = _Recording()
+            result = aligner.align(lin, read, anchor, counters=bounded,
+                                   budget=budget)
             assert result.abandoned == (distance > budget)
             if not result.abandoned:
                 assert result == full
@@ -327,10 +328,10 @@ class TestBoundedExtension:
                 # the ops before that window's are within budget.
                 # The last window ran in the left extension when any
                 # ran (its ops lead the CIGAR), else in the right one.
-                ops, last = result.cigar.expand(), events[-1]
-                before = ops[last.ops_committed:] \
+                ops, last = result.cigar.expand(), bounded.calls[-1][-1]
+                before = ops[last:] \
                     if result.read_start < (anchor or (0, 0))[1] \
-                    else ops[:-last.ops_committed]
+                    else ops[:-last]
                 if not result.dead_end_insertions:
                     assert sum(op != "=" for op in before) <= budget
             assert bounded.align_calls <= free.align_calls
@@ -429,12 +430,25 @@ class TestAlignMany:
             == attempts
 
 
-def _run_observed(aligner, lin, read, anchor, budget=None):
-    """``align`` with an observer and counters attached."""
-    events, stats = [], PipelineStats()
-    result = aligner.align(lin, read, anchor, events.append,
-                           counters=stats, budget=budget)
-    return result, events, stats
+@dataclass
+class _Recording(PipelineStats):
+    """:class:`PipelineStats` that also logs every window attempt as
+    ``(base, end, chunk_length, k, ops)``."""
+
+    calls: list = field(default_factory=list)
+
+    def window(self, lin, base, end, chunk_length, k, ops, kernel):
+        self.calls.append((base, end, chunk_length, k, ops))
+        super().window(lin, base, end, chunk_length, k, ops, kernel)
+
+
+def _run_recorded(aligner, lin, read, anchor, budget=None):
+    """``align`` with recording counters attached: the result, the
+    logged window attempts and the counters."""
+    stats = _Recording()
+    result = aligner.align(lin, read, anchor, counters=stats,
+                           budget=budget)
+    return result, stats.calls, stats
 
 
 def _run_without_rung(aligner, lin, read, anchor, budget=None):
@@ -442,7 +456,7 @@ def _run_without_rung(aligner, lin, read, anchor, budget=None):
     kernel."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(windows, "_hamming_rung", lambda *args: None)
-        return _run_observed(aligner, lin, read, anchor, budget)
+        return _run_recorded(aligner, lin, read, anchor, budget)
 
 
 def _hamming(chunk: str, text: str) -> int:
@@ -471,7 +485,7 @@ class TestExactWindows:
     """Rungs 0–2 (a window within Hamming distance 2 of the hop-free
     text from its one anchor commits its ``=`` / ``X`` run without the
     kernel) against the same ``align`` with every rung disabled: the
-    result, the ``WindowEvent`` stream, windows, rescues and
+    result, the logged window attempts, windows, rescues and
     ``align_calls + windows_exact`` are equal."""
 
     CONFIG = WindowingConfig(window_size=32, overlap=12, k=4)
@@ -564,12 +578,12 @@ class TestExactWindows:
     @staticmethod
     def _assert_rung_equals_kernel(lin, read, anchor, budget, config):
         aligner = WindowedAligner(config)
-        got, events, stats = _run_observed(aligner, lin, read, anchor,
-                                           budget)
-        want, want_events, want_stats = _run_without_rung(
+        got, calls, stats = _run_recorded(aligner, lin, read, anchor,
+                                          budget)
+        want, want_calls, want_stats = _run_without_rung(
             aligner, lin, read, anchor, budget)
         assert got == want
-        assert events == want_events
+        assert calls == want_calls
         assert (stats.windows, stats.rescues) \
             == (want_stats.windows, want_stats.rescues)
         assert want_stats.windows_exact == 0
@@ -724,7 +738,7 @@ class TestExactWindows:
     def test_two_mismatches_at_k1_are_a_rescue(self):
         """At k = 1 a Hamming-2 window fails the first kernel attempt
         and is rescued at k = 2; the rung must leave it to the kernel,
-        whose events say so."""
+        whose logged attempts say so."""
         base, m = 10, 20
         text = "".join(self._trap_text(base, m))
         chunk = list(text[base:base + m])
@@ -779,8 +793,8 @@ class TestExactWindows:
         # One window, so the whole run would be committed.
         aligner = WindowedAligner(WindowingConfig(window_size=16,
                                                   overlap=4, k=3))
-        got, events, stats = _run_observed(aligner, lin, read, (0, 0))
-        assert (got, events) == _run_without_rung(aligner, lin, read,
+        got, calls, stats = _run_recorded(aligner, lin, read, (0, 0))
+        assert (got, calls) == _run_without_rung(aligner, lin, read,
                                                   (0, 0))[:2]
         assert got.distance == 1 and stats.windows_exact == 0
         for src, dst in zip(got.path, got.path[1:]):
